@@ -12,8 +12,7 @@ from __future__ import annotations
 from .combinatorics import binom, binom_column_sum, nested_ones
 from .exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
                        MismatchedDiscriminantError, QuadExt, Rational,
-                       ZeroToNegativePowerError, neg_one_pow, quad_arith,
-                       quad_pow, rat_arith, rat_pow)
+                       ZeroToNegativePowerError, neg_one_pow, rat_pow)
 from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SurdResidueError, SweepGrid,
                          SweepSummary, default_grid, evaluate_rhs, iter_sweep,
@@ -24,7 +23,7 @@ from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededE
                          master_E, oracle_nested, oracle_nested_naive,
                          varied_limit_reduction)
 from .sequences import (FIBONACCI, LUCAS, BinetView, HoradamParams, HoradamSequence,
-                        binet_term, first_kind_term, gibonacci, horadam,
+                        first_kind_term, gibonacci, horadam,
                         lemma3_residual, lemma4_residual, lucas_first_kind,
                         lucas_second_kind, restricted, second_kind_term, term)
 
@@ -37,13 +36,13 @@ __all__ = [
     "IdentityInstance", "InvalidInstanceError", "LUCAS",
     "MismatchedDiscriminantError", "NaiveCapExceededError", "NestedSumSpec",
     "ONES", "PoleError", "QuadExt", "Rational", "SumTerm", "SurdResidueError",
-    "SweepGrid", "SweepSummary", "ZeroToNegativePowerError", "binet_term",
+    "SweepGrid", "SweepSummary", "ZeroToNegativePowerError",
     "binom", "binom_column_sum", "default_grid", "evaluate_rhs", "f_closed",
     "f_closed_parity_split", "first_kind_term", "g_closed", "geom_sum",
     "geometric_term", "gibonacci", "horadam", "iter_sweep", "lemma3_residual",
     "lemma4_residual", "lhs_spec", "lucas_first_kind", "lucas_second_kind",
     "master_E", "neg_one_pow", "nested_ones", "oracle_nested",
-    "oracle_nested_naive", "quad_arith", "quad_pow", "rat_arith", "rat_pow",
+    "oracle_nested_naive", "rat_pow",
     "restricted", "second_kind_term", "summarize", "sweep", "term",
     "varied_limit_reduction", "verify",
 ]

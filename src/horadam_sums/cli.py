@@ -17,14 +17,14 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
-from .identities import (CLASS_ERROR, CLASS_MISMATCH, FAMILIES,
-                         EvaluationReport, IdentityId, IdentityInstance,
-                         InvalidInstanceError, SweepGrid, default_grid,
-                         evaluate_rhs, iter_sweep, lhs_spec, verify)
+from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
+                         InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
+                         evaluate_rhs, iter_sweep, lhs_spec, summarize, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
                          NestedSumSpec, geometric_term, master_E,
                          oracle_nested, oracle_nested_naive)
@@ -78,27 +78,16 @@ def _identity_from(text: str) -> IdentityId:
         f"unknown identity {text!r}; choose from {[i.value for i in IdentityId]}")
 
 
-def _family_params(args: argparse.Namespace) -> Optional[HoradamParams]:
-    explicit = [args.p, args.q, args.a, args.b]
-    if any(value is not None for value in explicit):
-        if any(value is None for value in explicit):
-            raise argparse.ArgumentTypeError("--p/--q/--a/--b must be given together")
-        return horadam(args.a, args.b, args.p, args.q)
-    if args.family:
-        try:
-            return FAMILIES[args.family[0]]
-        except KeyError:
-            raise argparse.ArgumentTypeError(
-                f"unknown family {args.family[0]!r}; choose from {sorted(FAMILIES)}")
-    return None
-
-
 def _family_list(args: argparse.Namespace) -> Tuple[HoradamParams, ...]:
+    """Families named by --family, or the one given by --p/--q/--a/--b."""
     explicit = [args.p, args.q, args.a, args.b]
     if any(value is not None for value in explicit):
         if any(value is None for value in explicit):
             raise argparse.ArgumentTypeError("--p/--q/--a/--b must be given together")
-        return (horadam(args.a, args.b, args.p, args.q),)
+        try:
+            return (horadam(args.a, args.b, args.p, args.q),)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     result = []
     for name in args.family or ():
         try:
@@ -175,14 +164,11 @@ def _open_out(path: Optional[str]):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
-    params = _family_params(args)
+    params = (_family_list(args) or (None,))[0]
     try:
         inst = IdentityInstance(identity, params, args.n, args.an, args.c,
                                 args.r, args.s, args.d)
     except InvalidInstanceError as exc:
-        print(f"skipped: {exc}")
-        return EXIT_OK
-    except ValueError as exc:
         print(f"skipped: {exc}")
         return EXIT_OK
     report = verify(inst)
@@ -212,9 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     finally:
         if close:
             out.close()
-    if report.classification in (CLASS_MISMATCH, CLASS_ERROR):
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return summarize([report]).exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +237,11 @@ def _grid_from_args(identity: IdentityId, args: argparse.Namespace) -> SweepGrid
 def cmd_sweep(args: argparse.Namespace) -> int:
     identity = args.identity
     grid = _grid_from_args(identity, args)
-    tally = {"total": 0, "verified": 0, "mismatch": 0, "outside_domain": 0,
-             "skipped": 0, "error": 0}
+    tally: Counter = Counter()
 
     def stream():
         # rows are written as they are produced; only counters accumulate
         for report in iter_sweep(identity, grid):
-            tally["total"] += 1
             tally[report.classification] += 1
             yield report
 
@@ -274,10 +256,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if close:
             out.close()
-    print(f"sweep {identity.value}: total={tally['total']} verified={tally['verified']} "
-          f"mismatched={tally['mismatch']} outside_domain={tally['outside_domain']} "
-          f"skipped={tally['skipped']} errors={tally['error']}", file=sys.stderr)
-    return EXIT_MISMATCH if tally["mismatch"] or tally["error"] else EXIT_OK
+    summary = SweepSummary.of(tally)
+    print(f"sweep {identity.value}: total={summary.total} verified={summary.verified} "
+          f"mismatched={summary.mismatched} outside_domain={summary.outside_domain} "
+          f"skipped={summary.skipped} errors={summary.errors}", file=sys.stderr)
+    return summary.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     identity = args.identity
-    params = _family_params(args)
+    params = (_family_list(args) or (None,))[0]
     out, close = _open_out(args.out)
     rows = []
     for a_n in (args.an or ()):
@@ -387,7 +370,7 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
 def cmd_bench(args: argparse.Namespace) -> int:
     inst_args = {"x": args.x}
     if args.kind == "identity":
-        params = _family_params(args) or FAMILIES["fibonacci"]
+        params = (_family_list(args) or (FAMILIES["fibonacci"],))[0]
         inst_args.update(identity=args.identity, params=params,
                          r=args.r, s=args.s, d=args.d)
     n_values = args.n or (1, 2, 3, 4, 5)
@@ -536,13 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d", type=parse_int_set, default=None)
     p_sweep.add_argument("--format", choices=("human", "jsonl", "csv"), default="jsonl")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=0,
-                         help="reserved for randomized grids; kept for reproducibility")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table = sub.add_parser("table", help="tabulate oracle vs closed form over a_n")
-    p_table.add_argument("--identity", type=_identity_from,
-                         default=IdentityId.H)
+    p_table.add_argument("--identity", type=_identity_from, default="H")
     _add_family_flags(p_table, repeatable=False)
     p_table.add_argument("--n", type=int, default=2)
     p_table.add_argument("--an", type=parse_int_set, default=tuple(range(1, 11)),
@@ -558,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="closed form vs oracle cost comparison")
     p_bench.add_argument("--kind", choices=("ones", "geometric", "identity"),
                          default="ones")
-    p_bench.add_argument("--identity", type=_identity_from, default=IdentityId.F3,
+    p_bench.add_argument("--identity", type=_identity_from, default="F3",
                          help="identity for --kind identity")
     _add_family_flags(p_bench, repeatable=False)
     p_bench.add_argument("--x", type=parse_rational, default=Fraction(2),

@@ -42,23 +42,6 @@ def neg_one_pow(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-def rat_arith(x: RationalLike, y: RationalLike, op: str) -> Fraction:
-    """Apply one of ``add``/``sub``/``mul``/``div`` to two rationals, exactly."""
-    x = Fraction(x)
-    y = Fraction(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if y == 0:
-            raise DivisionByZeroError(f"rational division by zero: ({x}) / ({y})")
-        return x / y
-    raise ValueError(f"unknown rational operation {op!r}")
-
-
 def rat_pow(x: RationalLike, exponent: int) -> Fraction:
     """``x**exponent`` exactly, with the empty-product convention 0**0 == 1."""
     x = Fraction(x)
@@ -236,20 +219,3 @@ class QuadExt:
         sign = "+" if self._v >= 0 else "-"
         return f"{self._u} {sign} {abs(self._v)}*sqrt({self._d})"
 
-
-def quad_arith(x: QuadExt, y: QuadExt, op: str) -> QuadExt:
-    """Apply one of ``add``/``sub``/``mul``/``div`` to two extension elements."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown extension operation {op!r}")
-
-
-def quad_pow(x: QuadExt, exponent: int) -> QuadExt:
-    """``x**exponent`` by square-and-multiply; 0**0 == 1 by convention."""
-    return x ** exponent

@@ -3,15 +3,20 @@
 Each :class:`IdentityId` names one closed-form evaluation of a nested sum
 whose innermost summand involves a second-order recurrence sequence. For
 every identity the left-hand side is evaluated independently by the exact
-prefix-sum oracle and the right-hand side by a dedicated evaluator coded
-directly from the closed form; :func:`verify` demands bit-exact agreement.
+prefix-sum oracle and the right-hand side by an evaluator coded directly from
+the closed form; :func:`verify` demands bit-exact agreement.
 
 The catalog covers the general four-parameter family (tags F3..F7), the
-Fibonacci/Lucas cubic-index forms (F1*/F2*), and the spelled-out
-specializations for the restricted (p = 1) and gibonacci (p = 1, q = -1)
-families. Specialized evaluators are written from their own displays, not by
-delegating to the general form, so that the degeneration checks are genuine
-cross-validations.
+Fibonacci/Lucas cubic-index forms (F1*/F2*), and their specializations for
+the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
+described once, by one record in ``_REGISTRY``: its fixed family or family
+shape, the F6 depth parity, the theorem shape it shares with its parent
+(swept coordinates, preconditions, left-hand summand), its right-hand
+evaluator and its default grid. The restricted tags F3_w and F7_w use the
+general evaluators, since validation already pins p = 1; the gibonacci,
+Fibonacci and Lucas forms of F6 share one skeleton; the remaining gibonacci
+forms are transcribed from their own displays. The oracle sweep is the check
+on every specialization that does not share its parent's code.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -22,11 +27,12 @@ agreement there is mapped empirically, not presumed.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .combinatorics import binom
 from .exactnum import (DivisionByZeroError, QuadExt, ZeroToNegativePowerError,
@@ -89,39 +95,6 @@ FAMILIES: Dict[str, HoradamParams] = {
     "generic": horadam(2, 5, 1, 3),        # discriminant -11, restricted
 }
 
-_FIXED_PARAMS: Dict[IdentityId, HoradamParams] = {
-    IdentityId.H: FIBONACCI,
-    IdentityId.F1A: FIBONACCI,
-    IdentityId.F1B: LUCAS,
-    IdentityId.F2A: FIBONACCI,
-    IdentityId.F2B: LUCAS,
-    IdentityId.F6_F_EVEN: FIBONACCI,
-    IdentityId.F6_F_ODD: FIBONACCI,
-    IdentityId.F6_L_EVEN: LUCAS,
-    IdentityId.F6_L_ODD: LUCAS,
-}
-
-_GIBONACCI_IDS = frozenset({
-    IdentityId.F3_G, IdentityId.F4_G, IdentityId.F5_G,
-    IdentityId.F6_G_EVEN, IdentityId.F6_G_ODD,
-    IdentityId.F7_G, IdentityId.F7_R1D0_G,
-})
-_RESTRICTED_IDS = frozenset({IdentityId.F3_W, IdentityId.F7_W, IdentityId.F7_R1D0_W})
-
-_F3_LIKE = frozenset({IdentityId.F3, IdentityId.F3_W, IdentityId.F3_G})
-_F4_LIKE = frozenset({IdentityId.F4, IdentityId.F4_G})
-_F5_LIKE = frozenset({IdentityId.F5, IdentityId.F5_G})
-_F6_LIKE = frozenset({
-    IdentityId.F6A, IdentityId.F6B,
-    IdentityId.F6_G_EVEN, IdentityId.F6_G_ODD,
-    IdentityId.F6_F_EVEN, IdentityId.F6_F_ODD,
-    IdentityId.F6_L_EVEN, IdentityId.F6_L_ODD,
-})
-_F6_EVEN = frozenset({IdentityId.F6A, IdentityId.F6_G_EVEN,
-                      IdentityId.F6_F_EVEN, IdentityId.F6_L_EVEN})
-_F7_LIKE = frozenset({IdentityId.F7, IdentityId.F7_W, IdentityId.F7_G})
-_F7_R1D0 = frozenset({IdentityId.F7_R1D0_W, IdentityId.F7_R1D0_G})
-
 
 @dataclass(frozen=True)
 class IdentityInstance:
@@ -144,135 +117,167 @@ class IdentityInstance:
 
     def __post_init__(self):
         ident = self.identity
-        params = self.params
-        fixed = _FIXED_PARAMS.get(ident)
-        if fixed is not None:
-            if params is None:
-                object.__setattr__(self, "params", fixed)
-            elif params != fixed:
+        record = _REGISTRY[ident]
+        if record.fixed is not None:
+            if self.params is None:
+                object.__setattr__(self, "params", record.fixed)
+            elif self.params != record.fixed:
                 raise InvalidInstanceError(f"{ident} is specific to one fixed sequence family")
-        elif params is None:
+        elif self.params is None:
             raise InvalidInstanceError(f"{ident} requires explicit sequence parameters")
-        _validate(self)
+        reason = _violation(self, record)
+        if reason is not None:
+            raise InvalidInstanceError(f"{ident}: {reason}")
 
     def sequence(self) -> HoradamSequence:
         return HoradamSequence.of(self.params)
 
 
-def _validate(inst: IdentityInstance) -> None:
-    ident = inst.identity
+_RESTRICTED = "restricted"
+_GIBONACCI = "gibonacci"
+
+
+def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
+    """The first precondition of ``record`` that ``inst`` violates, if any."""
+    p, q = inst.params.p, inst.params.q
+    if inst.n < 1:
+        return "n must be a positive integer"
+    if record.family == _RESTRICTED and p != 1:
+        return "restricted form requires p = 1"
+    if record.family == _GIBONACCI and (p != 1 or q != -1):
+        return "gibonacci form requires p = 1, q = -1"
+    if record.parity is not None and inst.n % 2 != record.parity:
+        return f"n must be {('even', 'odd')[record.parity]} for this variant"
+    return record.shape.violation(inst)
+
+
+# ---------------------------------------------------------------------------
+# Theorem shapes: what a theorem and its specializations share
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Shape:
+    """Swept coordinates, kind-specific preconditions and left-hand summand.
+
+    ``dims`` names the coordinates among c, r, s, d that a sweep varies; the
+    others stay at their defaults. ``violation`` returns the first violated
+    precondition as a reason, or None. ``summand`` builds the oracle-evaluable
+    innermost term of the left-hand side.
+    """
+
+    dims: str
+    summand: Callable[[IdentityInstance], SumTerm]
+    violation: Callable[[IdentityInstance], Optional[str]] = lambda inst: None
+
+
+def _h_violation(inst: IdentityInstance) -> Optional[str]:
+    if (inst.r, inst.s, inst.c) != (1, 0, 1):
+        return "this form is fixed at r = 1, s = 0, c = 1"
+    return None
+
+
+def _v_r_violation(inst: IdentityInstance) -> Optional[str]:
+    if second_kind_term(inst.params.p, inst.params.q, inst.r) == 0:
+        return f"V_{inst.r} = 0"
+    return None
+
+
+def _f3_summand(inst: IdentityInstance) -> SumTerm:
     params = inst.params
-    p, q = params.p, params.q
-    n, r, s, d = inst.n, inst.r, inst.s, inst.d
-
-    def fail(reason: str) -> None:
-        raise InvalidInstanceError(f"{ident}: {reason}")
-
-    def u(j: int) -> Fraction:
-        return first_kind_term(p, q, j)
-
-    def v(j: int) -> Fraction:
-        return second_kind_term(p, q, j)
-
-    def w(j: int) -> Fraction:
-        return HoradamSequence.of(params).term(j)
-
-    if n < 1:
-        fail("n must be a positive integer")
-    if ident in _RESTRICTED_IDS and p != 1:
-        fail("restricted form requires p = 1")
-    if ident in _GIBONACCI_IDS and (p != 1 or q != -1):
-        fail("gibonacci form requires p = 1, q = -1")
-    if ident is IdentityId.H and (inst.r, inst.s, inst.c) != (1, 0, 1):
-        fail("this form is fixed at r = 1, s = 0, c = 1")
-
-    if ident in _F3_LIKE or ident in _F4_LIKE:
-        if v(r) == 0:
-            fail(f"V_{r} = 0")
-    elif ident in _F5_LIKE:
-        if r == 0:
-            fail("r must be nonzero")
-        if r + d == 0:
-            fail("r + d must be nonzero")
-        if u(r) == 0:
-            fail(f"U_{r} = 0")
-        if u(r + d) == 0:
-            fail(f"U_{r + d} = 0")
-        if u(d) == 0:
-            fail(f"U_{d} = 0 (degenerate weight base)")
-    elif ident in _F6_LIKE:
-        want_even = ident in _F6_EVEN
-        if n % 2 == 0 and not want_even:
-            fail("n must be odd for this variant")
-        if n % 2 == 1 and want_even:
-            fail("n must be even for this variant")
-        if r == 0:
-            fail("r must be nonzero")
-        if params.discriminant == 0:
-            fail("discriminant must be nonzero")
-        if u(r) == 0:
-            fail(f"U_{r} = 0")
-        if v(r + d) == 0:
-            fail(f"V_{r + d} = 0")
-        if v(d) == 0:
-            fail(f"V_{d} = 0 (degenerate weight base)")
-    elif ident in _F7_LIKE or ident in _F7_R1D0:
-        if ident in _F7_R1D0 and (r, d) != (1, 0):
-            fail("this form is fixed at r = 1, d = 0")
-        if r + 1 == d:
-            fail("r + 1 = d makes the leading denominator index zero")
-        if u(r - d + 1) == 0:
-            fail(f"U_{r - d + 1} = 0")
-        if u(r - d) == 0:
-            fail(f"U_{r - d} = 0 (degenerate weight base)")
-        if w(s + d) == 0:
-            fail(f"W_{s + d} = 0")
-        if w(s + d - 1) == 0:
-            fail(f"W_{s + d - 1} = 0 (degenerate weight base)")
-        if w(r + s) == 0:
-            fail(f"W_{r + s} = 0")
+    return SumTerm(seq=params, index_mul=inst.r, index_add=inst.s,
+                   weight_base=1 / second_kind_term(params.p, params.q, inst.r))
 
 
-# ---------------------------------------------------------------------------
-# Left-hand sides
-# ---------------------------------------------------------------------------
+def _f4_summand(inst: IdentityInstance) -> SumTerm:
+    return SumTerm(seq=inst.params, index_mul=2 * inst.r, index_add=inst.s,
+                   weight_base=rat_pow(inst.params.q, -inst.r), alternating=True)
+
+
+def _f5_violation(inst: IdentityInstance) -> Optional[str]:
+    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
+    if r == 0:
+        return "r must be nonzero"
+    if r + d == 0:
+        return "r + d must be nonzero"
+    for j, note in ((r, ""), (r + d, ""), (d, " (degenerate weight base)")):
+        if first_kind_term(p, q, j) == 0:
+            return f"U_{j} = 0{note}"
+    return None
+
+
+def _f5_summand(inst: IdentityInstance) -> SumTerm:
+    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
+    return SumTerm(seq=inst.params, index_mul=r, index_add=inst.s,
+                   weight_base=first_kind_term(p, q, d) / first_kind_term(p, q, r + d))
+
+
+def _f6_violation(inst: IdentityInstance) -> Optional[str]:
+    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
+    if r == 0:
+        return "r must be nonzero"
+    if inst.params.discriminant == 0:
+        return "discriminant must be nonzero"
+    if first_kind_term(p, q, r) == 0:
+        return f"U_{r} = 0"
+    for j, note in ((r + d, ""), (d, " (degenerate weight base)")):
+        if second_kind_term(p, q, j) == 0:
+            return f"V_{j} = 0{note}"
+    return None
+
+
+def _f6_summand(inst: IdentityInstance) -> SumTerm:
+    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
+    return SumTerm(seq=inst.params, index_mul=r, index_add=inst.s,
+                   weight_base=second_kind_term(p, q, d) / second_kind_term(p, q, r + d))
+
+
+def _f7_violation(inst: IdentityInstance) -> Optional[str]:
+    p, q, r, s, d = inst.params.p, inst.params.q, inst.r, inst.s, inst.d
+    if r + 1 == d:
+        return "r + 1 = d makes the leading denominator index zero"
+    for j, note in ((r - d + 1, ""), (r - d, " (degenerate weight base)")):
+        if first_kind_term(p, q, j) == 0:
+            return f"U_{j} = 0{note}"
+    seq = inst.sequence()
+    for j, note in ((s + d, ""), (s + d - 1, " (degenerate weight base)"), (r + s, "")):
+        if seq.term(j) == 0:
+            return f"W_{j} = 0{note}"
+    return None
+
+
+def _f7_summand(inst: IdentityInstance) -> SumTerm:
+    p, q, r, s, d = inst.params.p, inst.params.q, inst.r, inst.s, inst.d
+    seq = inst.sequence()
+    return SumTerm(weight_base=q * first_kind_term(p, q, r - d) / first_kind_term(p, q, r - d + 1)
+                   * seq.term(s + d - 1) / seq.term(s + d))
+
+
+def _f7_r1d0_violation(inst: IdentityInstance) -> Optional[str]:
+    if (inst.r, inst.d) != (1, 0):
+        return "this form is fixed at r = 1, d = 0"
+    return _f7_violation(inst)
+
+
+def _f7_r1d0_summand(inst: IdentityInstance) -> SumTerm:
+    seq = inst.sequence()
+    return SumTerm(weight_base=inst.params.q * seq.term(inst.s - 1) / seq.term(inst.s))
+
+
+_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _h_violation)
+_F1 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s))
+_F2 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s,
+                                        alternating=True))
+_F3 = _Shape("crs", _f3_summand, _v_r_violation)
+_F4 = _Shape("crs", _f4_summand, _v_r_violation)
+_F5 = _Shape("crsd", _f5_summand, _f5_violation)
+_F6 = _Shape("crsd", _f6_summand, _f6_violation)
+_F7 = _Shape("crsd", _f7_summand, _f7_violation)
+_F7_R1D0 = _Shape("cs", _f7_r1d0_summand, _f7_r1d0_violation)
+
 
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
     """The oracle-evaluable nested-sum shape matching the identity's left side."""
-    ident = inst.identity
-    params = inst.params
-    p, q = params.p, params.q
-    r, s, d = inst.r, inst.s, inst.d
-
-    if ident is IdentityId.H:
-        summand = SumTerm(seq=params)
-    elif ident in (IdentityId.F1A, IdentityId.F1B):
-        summand = SumTerm(seq=params, index_mul=3, index_add=s)
-    elif ident in (IdentityId.F2A, IdentityId.F2B):
-        summand = SumTerm(seq=params, index_mul=3, index_add=s, alternating=True)
-    elif ident in _F3_LIKE:
-        summand = SumTerm(seq=params, index_mul=r, index_add=s,
-                          weight_base=1 / second_kind_term(p, q, r))
-    elif ident in _F4_LIKE:
-        summand = SumTerm(seq=params, index_mul=2 * r, index_add=s,
-                          weight_base=rat_pow(q, -r), alternating=True)
-    elif ident in _F5_LIKE:
-        summand = SumTerm(seq=params, index_mul=r, index_add=s,
-                          weight_base=first_kind_term(p, q, d) / first_kind_term(p, q, r + d))
-    elif ident in _F6_LIKE:
-        summand = SumTerm(seq=params, index_mul=r, index_add=s,
-                          weight_base=second_kind_term(p, q, d) / second_kind_term(p, q, r + d))
-    elif ident in _F7_LIKE:
-        seq = HoradamSequence.of(params)
-        weight = (q * first_kind_term(p, q, r - d) / first_kind_term(p, q, r - d + 1)
-                  * seq.term(s + d - 1) / seq.term(s + d))
-        summand = SumTerm(weight_base=weight)
-    elif ident in _F7_R1D0:
-        seq = HoradamSequence.of(params)
-        weight = q * seq.term(s - 1) / seq.term(s)
-        summand = SumTerm(weight_base=weight)
-    else:  # pragma: no cover - exhaustive over IdentityId
-        raise InvalidInstanceError(f"no left-hand side registered for {ident}")
+    summand = _REGISTRY[inst.identity].shape.summand(inst)
     return NestedSumSpec(inst.n, inst.a_n, inst.c, summand)
 
 
@@ -284,20 +289,20 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # reported closed-form costs are measured, not assumed.
 # ---------------------------------------------------------------------------
 
+def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
+    """``fn``, tallying one unit on ``counter`` per call."""
+    if counter is None:
+        return fn
+
+    def tallied(*args):
+        counter.add()
+        return fn(*args)
+
+    return tallied
+
+
 def _tracked(inst: IdentityInstance, counter: Optional[EvalCounter]):
-    seq = inst.sequence()
-
-    def w(j: int) -> Fraction:
-        if counter is not None:
-            counter.add()
-        return seq.term(j)
-
-    def bi(top: int, k: int) -> int:
-        if counter is not None:
-            counter.add()
-        return binom(top, k)
-
-    return w, bi
+    return _counted(inst.sequence().term, counter), _counted(binom, counter)
 
 
 def rhs_H(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -310,11 +315,8 @@ def rhs_H(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Frac
     return w(a + 2 * n) - total
 
 
-def rhs_F1(variant: str, inst: IdentityInstance,
-           counter: Optional[EvalCounter] = None) -> Fraction:
-    """Closed form for the nested sum of F[3k+s] (variant "a") or L[3k+s] ("b")."""
-    if variant not in ("a", "b"):
-        raise ValueError("variant must be 'a' or 'b'")
+def rhs_F1(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """Closed form for the nested sum of F[3k+s] (F1a) or L[3k+s] (F1b)."""
     w, bi = _tracked(inst, counter)
     n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
     total = Fraction(0)
@@ -323,11 +325,8 @@ def rhs_F1(variant: str, inst: IdentityInstance,
     return w(2 * n + 3 * a + s) / 2 ** n - total
 
 
-def rhs_F2(variant: str, inst: IdentityInstance,
-           counter: Optional[EvalCounter] = None) -> Fraction:
+def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Closed form for the alternating nested sum of (-1)**k F[3k+s] or L[3k+s]."""
-    if variant not in ("a", "b"):
-        raise ValueError("variant must be 'a' or 'b'")
     w, bi = _tracked(inst, counter)
     n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
     total = Fraction(0)
@@ -342,20 +341,6 @@ def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     q = inst.params.q
     n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
     vr = second_kind_term(inst.params.p, q, r)
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow(n - j) * w(r * (2 * n - 2 * j + c - 1) + s)
-                  / rat_pow(q, r * (n - j)) * bi(a + j - c, j))
-    lead = neg_one_pow(n) * w(r * (a + 2 * n) + s) / (rat_pow(q, r * n) * rat_pow(vr, a))
-    return lead - total / rat_pow(vr, c - 1)
-
-
-def rhs_F3_w(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Restricted (p = 1) closed form for the nested sum of w[rk+s] / v_r**k."""
-    w, bi = _tracked(inst, counter)
-    q = inst.params.q
-    n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
-    vr = second_kind_term(1, q, r)
     total = Fraction(0)
     for j in range(n):
         total += (neg_one_pow(n - j) * w(r * (2 * n - 2 * j + c - 1) + s)
@@ -502,33 +487,18 @@ def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     return value.rat_part
 
 
-def _rhs_F6_fib_lucas(inst: IdentityInstance, main: str,
-                      counter: Optional[EvalCounter] = None) -> Fraction:
-    """Shared body of the four Fibonacci/Lucas-number forms of F6.
+def _rhs_F6_gibonacci(inst: IdentityInstance, counter: Optional[EvalCounter],
+                      main: Callable[[int], Fraction],
+                      other: Callable[[int], Fraction]) -> Fraction:
+    """Shared body of the gibonacci forms of F6, for the nested sum of
+    (L_d/L_{r+d})**k G[rk+s].
 
-    ``main`` selects the summand sequence ("F" or "L"); the companion
-    sequence appears in the odd-index correction terms, with prefactors of
-    5**(k/2) absorbed according to the display being transcribed.
+    ``main(j)`` is G[j] and ``other(j)`` equals G[j+1] + G[j-1]; both tally
+    their own terms. Powers of sqrt(5) collapse to powers of 5, and the
+    parity of n selects the display.
     """
+    bi = _counted(binom, counter)
     n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-
-    def fib(j: int) -> Fraction:
-        if counter is not None:
-            counter.add()
-        return first_kind_term(1, -1, j)
-
-    def luc(j: int) -> Fraction:
-        if counter is not None:
-            counter.add()
-        return second_kind_term(1, -1, j)
-
-    def bi(top: int, k: int) -> int:
-        if counter is not None:
-            counter.add()
-        return binom(top, k)
-
-    w_main = fib if main == "F" else luc
-    w_other = luc if main == "F" else fib
     ld = second_kind_term(1, -1, d)
     lrd = second_kind_term(1, -1, r + d)
     fr = first_kind_term(1, -1, r)
@@ -538,85 +508,54 @@ def _rhs_F6_fib_lucas(inst: IdentityInstance, main: str,
 
     if n % 2 == 0:
         scale = rat_pow(five, n // 2)
-        lead = rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a) * w_main(r * (n + a) + d * n + s) / scale
+        lead = rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a) * main(r * (n + a) + d * n + s) / scale
         even = Fraction(0)
         for j in range((n - 2) // 2 + 1):
             even += (five ** j * rat_pow(ratio_lf, n - 2 * j)
-                     * w_main((r + d) * (n - 2 * j) + r * (c - 1) + s)
+                     * main((r + d) * (n - 2 * j) + r * (c - 1) + s)
                      * bi(a + 2 * j - c, 2 * j))
         odd = Fraction(0)
         for j in range(1, n // 2 + 1):
             odd += (five ** j * rat_pow(ratio_lf, n - 2 * j + 1)
-                    * w_other((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
-                    * bi(a + 2 * j - 1 - c, 2 * j - 1))
-        odd_scale = scale * five if main == "F" else scale
-        return lead - shift * even / scale - shift * neg_one_pow(d) * odd / odd_scale
-
-    scale = rat_pow(five, (n + 1) // 2)
-    lead_scale = scale if main == "F" else rat_pow(five, (n - 1) // 2)
-    lead = (neg_one_pow(d) * rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a)
-            * w_other(r * (n + a) + d * n + s) / lead_scale)
-    even = Fraction(0)
-    for j in range((n - 1) // 2 + 1):
-        even += (five ** j * rat_pow(ratio_lf, n - 2 * j)
-                 * w_other((r + d) * (n - 2 * j) + r * (c - 1) + s)
-                 * bi(a + 2 * j - c, 2 * j))
-    odd = Fraction(0)
-    for j in range(1, (n - 1) // 2 + 1):
-        odd += (five ** j * rat_pow(ratio_lf, n - 2 * j + 1)
-                * w_main((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
-                * bi(a + 2 * j - 1 - c, 2 * j - 1))
-    return lead - neg_one_pow(d) * shift * even / lead_scale - shift * odd / scale
-
-
-def rhs_F6_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Gibonacci closed form for the nested sum of (L_d/L_{r+d})**k G[rk+s].
-
-    Powers of sqrt(5) collapse to powers of 5; the odd-index corrections pair
-    neighbouring terms G[j+1] + G[j-1]. Dispatches on the parity of n.
-    """
-    w, bi = _tracked(inst, counter)
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-    ld = second_kind_term(1, -1, d)
-    lrd = second_kind_term(1, -1, r + d)
-    fr = first_kind_term(1, -1, r)
-    ratio_lf = ld / fr
-    shift = rat_pow(ld / lrd, c - 1)
-    five = Fraction(5)
-
-    if n % 2 == 0:
-        scale = rat_pow(five, n // 2)
-        lead = rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a) * w(r * (n + a) + d * n + s) / scale
-        even = Fraction(0)
-        for j in range((n - 2) // 2 + 1):
-            even += (five ** j * rat_pow(ratio_lf, n - 2 * j)
-                     * w((r + d) * (n - 2 * j) + r * (c - 1) + s)
-                     * bi(a + 2 * j - c, 2 * j))
-        odd = Fraction(0)
-        for j in range(1, n // 2 + 1):
-            pair = (w((r + d) * (n - 2 * j + 1) + r * (c - 1) + s + 1)
-                    + w((r + d) * (n - 2 * j + 1) + r * (c - 1) + s - 1))
-            odd += (five ** j * rat_pow(ratio_lf, n - 2 * j + 1) * pair
+                    * other((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
                     * bi(a + 2 * j - 1 - c, 2 * j - 1))
         return (lead - shift * even / scale
                 - shift * neg_one_pow(d) * odd / (scale * five))
 
     scale = rat_pow(five, (n + 1) // 2)
-    lead_pair = w(r * (n + a) + d * n + s + 1) + w(r * (n + a) + d * n + s - 1)
     lead = (neg_one_pow(d) * rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a)
-            * lead_pair / scale)
+            * other(r * (n + a) + d * n + s) / scale)
     even = Fraction(0)
     for j in range((n - 1) // 2 + 1):
-        pair = (w((r + d) * (n - 2 * j) + r * (c - 1) + s + 1)
-                + w((r + d) * (n - 2 * j) + r * (c - 1) + s - 1))
-        even += (five ** j * rat_pow(ratio_lf, n - 2 * j) * pair
+        even += (five ** j * rat_pow(ratio_lf, n - 2 * j)
+                 * other((r + d) * (n - 2 * j) + r * (c - 1) + s)
                  * bi(a + 2 * j - c, 2 * j))
     odd = Fraction(0)
     for j in range(1, (n - 1) // 2 + 1):
         odd += (five ** j * rat_pow(ratio_lf, n - 2 * j + 1)
-                * w((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
+                * main((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
                 * bi(a + 2 * j - 1 - c, 2 * j - 1))
     return lead - neg_one_pow(d) * shift * even / scale - shift * odd / scale
+
+
+def rhs_F6_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """Gibonacci form of F6; the odd-index corrections pair G[j+1] + G[j-1]."""
+    w = _counted(inst.sequence().term, counter)
+    return _rhs_F6_gibonacci(inst, counter, w, lambda j: w(j + 1) + w(j - 1))
+
+
+def rhs_F6_F(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """Fibonacci-number form of F6, using F[j+1] + F[j-1] = L[j]."""
+    fib = _counted(lambda j: first_kind_term(1, -1, j), counter)
+    luc = _counted(lambda j: second_kind_term(1, -1, j), counter)
+    return _rhs_F6_gibonacci(inst, counter, fib, luc)
+
+
+def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """Lucas-number form of F6, using L[j+1] + L[j-1] = 5 F[j]."""
+    fib = _counted(lambda j: first_kind_term(1, -1, j), counter)
+    luc = _counted(lambda j: second_kind_term(1, -1, j), counter)
+    return _rhs_F6_gibonacci(inst, counter, luc, lambda j: 5 * fib(j))
 
 
 def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -633,28 +572,6 @@ def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     ratio_u = u0 / u1
     ratio_w = wsd1 / wsd
     ratio_rs = wsd1 / wrs
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow(n - j) * rat_pow(q, n - j) * rat_pow(u0, n - j)
-                  * rat_pow(ratio_rs, n - j) * bi(a + j - c, j))
-    lead = (neg_one_pow(n) * rat_pow(q, n + a) * rat_pow(u0, n)
-            * rat_pow(ratio_u, a) * rat_pow(ratio_w, a) * rat_pow(ratio_rs, n))
-    return lead - rat_pow(q, c - 1) * rat_pow(ratio_u, c - 1) * rat_pow(ratio_w, c - 1) * total
-
-
-def rhs_F7_w(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Restricted (p = 1) form of the F7 closed form."""
-    w, bi = _tracked(inst, counter)
-    q = inst.params.q
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-    u0 = first_kind_term(1, q, r - d)
-    u1 = first_kind_term(1, q, r - d + 1)
-    ws1 = w(s + d - 1)
-    ws = w(s + d)
-    wrs = w(r + s)
-    ratio_u = u0 / u1
-    ratio_w = ws1 / ws
-    ratio_rs = ws1 / wrs
     total = Fraction(0)
     for j in range(n):
         total += (neg_one_pow(n - j) * rat_pow(q, n - j) * rat_pow(u0, n - j)
@@ -718,39 +635,10 @@ def rhs_F7_r1d0_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None)
     return lead + neg_one_pow(c) * rat_pow(ratio_g, c - 1) * total
 
 
-RHS_EVALUATORS: Dict[IdentityId, Callable[..., Fraction]] = {
-    IdentityId.H: rhs_H,
-    IdentityId.F1A: lambda inst, counter=None: rhs_F1("a", inst, counter),
-    IdentityId.F1B: lambda inst, counter=None: rhs_F1("b", inst, counter),
-    IdentityId.F2A: lambda inst, counter=None: rhs_F2("a", inst, counter),
-    IdentityId.F2B: lambda inst, counter=None: rhs_F2("b", inst, counter),
-    IdentityId.F3: rhs_F3,
-    IdentityId.F3_W: rhs_F3_w,
-    IdentityId.F3_G: rhs_F3_G,
-    IdentityId.F4: rhs_F4,
-    IdentityId.F4_G: rhs_F4_G,
-    IdentityId.F5: rhs_F5,
-    IdentityId.F5_G: rhs_F5_G,
-    IdentityId.F6A: rhs_F6,
-    IdentityId.F6B: rhs_F6,
-    IdentityId.F6_G_EVEN: rhs_F6_G,
-    IdentityId.F6_G_ODD: rhs_F6_G,
-    IdentityId.F6_F_EVEN: lambda inst, counter=None: _rhs_F6_fib_lucas(inst, "F", counter),
-    IdentityId.F6_F_ODD: lambda inst, counter=None: _rhs_F6_fib_lucas(inst, "F", counter),
-    IdentityId.F6_L_EVEN: lambda inst, counter=None: _rhs_F6_fib_lucas(inst, "L", counter),
-    IdentityId.F6_L_ODD: lambda inst, counter=None: _rhs_F6_fib_lucas(inst, "L", counter),
-    IdentityId.F7: rhs_F7,
-    IdentityId.F7_W: rhs_F7_w,
-    IdentityId.F7_G: rhs_F7_G,
-    IdentityId.F7_R1D0_W: rhs_F7_r1d0_w,
-    IdentityId.F7_R1D0_G: rhs_F7_r1d0_G,
-}
-
-
 def evaluate_rhs(inst: IdentityInstance,
                  counter: Optional[EvalCounter] = None) -> Fraction:
     """Evaluate the closed form matching the instance's identity."""
-    return RHS_EVALUATORS[inst.identity](inst, counter)
+    return _REGISTRY[inst.identity].rhs(inst, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -850,19 +738,6 @@ class SweepGrid:
     a_values: Optional[Tuple[int, ...]] = None
 
 
-def _grid_dims(identity: IdentityId) -> frozenset:
-    """Which of (r, s, d) the identity actually varies over."""
-    if identity is IdentityId.H:
-        return frozenset()
-    if identity in (IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B):
-        return frozenset({"s"})
-    if identity in _F3_LIKE or identity in _F4_LIKE:
-        return frozenset({"r", "s"})
-    if identity in _F7_R1D0:
-        return frozenset({"s"})
-    return frozenset({"r", "s", "d"})
-
-
 def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
     """Yield one :class:`EvaluationReport` per grid point, in grid order.
 
@@ -870,17 +745,18 @@ def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
     ``skipped`` reports, never raised. Streaming keeps large sweeps at
     constant memory.
     """
+    record = _REGISTRY[identity]
     if grid is None:
-        grid = default_grid(identity)
-    dims = _grid_dims(identity)
+        grid = record.grid
+    dims = record.shape.dims
     families: Tuple[Optional[HoradamParams], ...]
-    if identity in _FIXED_PARAMS:
+    if record.fixed is not None:
         families = (None,)
     elif grid.families:
         families = grid.families
     else:
         raise ValueError(f"{identity} needs at least one parameter family")
-    c_values = (1,) if identity is IdentityId.H else grid.c_values
+    c_values = grid.c_values if "c" in dims else (1,)
     r_values = grid.r_values if "r" in dims else (1,)
     s_values = grid.s_values if "s" in dims else (0,)
     d_values = grid.d_values if "d" in dims else (0,)
@@ -893,7 +769,7 @@ def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
             try:
                 inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
             except InvalidInstanceError as exc:
-                shown = params if params is not None else _FIXED_PARAMS.get(identity)
+                shown = params if params is not None else record.fixed
                 yield _report_coords(identity, shown, n, a_n, c, r, s, d,
                                      classification=CLASS_SKIPPED, detail=str(exc))
                 continue
@@ -916,18 +792,45 @@ class SweepSummary:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.mismatched else 0
+        """1 when any point mismatched or failed to evaluate, else 0."""
+        return 1 if self.mismatched or self.errors else 0
+
+    @classmethod
+    def of(cls, tally: Counter) -> SweepSummary:
+        """The summary of per-class report counts, keyed by ``CLASS_*``."""
+        return cls(total=sum(tally.values()), verified=tally[CLASS_VERIFIED],
+                   mismatched=tally[CLASS_MISMATCH], outside_domain=tally[CLASS_OUTSIDE],
+                   skipped=tally[CLASS_SKIPPED], errors=tally[CLASS_ERROR])
 
 
-def summarize(reports: List[EvaluationReport]) -> SweepSummary:
-    tally = {CLASS_VERIFIED: 0, CLASS_MISMATCH: 0, CLASS_OUTSIDE: 0,
-             CLASS_SKIPPED: 0, CLASS_ERROR: 0}
-    for report in reports:
-        tally[report.classification] += 1
-    return SweepSummary(total=len(reports), verified=tally[CLASS_VERIFIED],
-                        mismatched=tally[CLASS_MISMATCH],
-                        outside_domain=tally[CLASS_OUTSIDE],
-                        skipped=tally[CLASS_SKIPPED], errors=tally[CLASS_ERROR])
+def summarize(reports: Iterable[EvaluationReport]) -> SweepSummary:
+    return SweepSummary.of(Counter(report.classification for report in reports))
+
+
+def default_grid(identity: IdentityId) -> SweepGrid:
+    """A deterministic grid sized to exercise the identity across families."""
+    return _REGISTRY[identity].grid
+
+
+# ---------------------------------------------------------------------------
+# Registry: one record per tag
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Record:
+    """Everything that distinguishes one tag.
+
+    ``fixed`` pins the sequence family; otherwise ``family`` may require the
+    restricted or gibonacci shape. ``parity`` is the required ``n % 2`` of
+    the F6 forms. ``shape`` is shared with the tag's parent theorem.
+    """
+
+    shape: _Shape
+    rhs: Callable[[IdentityInstance, Optional[EvalCounter]], Fraction]
+    grid: SweepGrid
+    fixed: Optional[HoradamParams] = None
+    family: Optional[str] = None
+    parity: Optional[int] = None
 
 
 def _fams(*names: str) -> Tuple[HoradamParams, ...]:
@@ -938,62 +841,81 @@ _STD_FAMILIES = _fams("fibonacci", "gibonacci31", "integer_root", "negative_d", 
 _GIBONACCI_FAMILIES = _fams("fibonacci", "lucas", "gibonacci31", "gibonacci_neg")
 _RESTRICTED_FAMILIES = _fams("fibonacci", "gibonacci31", "negative_d", "generic")
 
+# Default grids. Tags whose grids differ only in their families share a builder.
+_CUBIC_GRID = SweepGrid(n_values=(1, 2, 3, 4), c_values=(-2, 0, 1, 3),
+                        s_values=(-3, 0, 2, 5), a_offsets=tuple(range(-2, 9)))
+_F3_GRID = SweepGrid(families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1),
+                     r_values=(-2, -1, 1, 2), s_values=(-2, 0, 3),
+                     a_offsets=tuple(range(-2, 7)))
 
-def default_grid(identity: IdentityId) -> SweepGrid:
-    """A deterministic grid sized to exercise the identity across families."""
-    if identity is IdentityId.H:
-        return SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13)))
-    if identity in (IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B):
-        return SweepGrid(n_values=(1, 2, 3, 4), c_values=(-2, 0, 1, 3),
-                         s_values=(-3, 0, 2, 5), a_offsets=tuple(range(-2, 9)))
-    if identity in (IdentityId.F3, IdentityId.F4):
-        return SweepGrid(families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1),
-                         r_values=(-2, -1, 1, 2), s_values=(-2, 0, 3),
-                         a_offsets=tuple(range(-2, 7)))
-    if identity is IdentityId.F5:
-        return SweepGrid(families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), d_values=(-1, 1, 2),
-                         a_offsets=tuple(range(-2, 7)))
-    if identity is IdentityId.F6A:
-        return SweepGrid(families=_STD_FAMILIES, n_values=(2, 4), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), d_values=(0, 1),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity is IdentityId.F6B:
-        return SweepGrid(families=_STD_FAMILIES, n_values=(1, 3), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), d_values=(0, 1),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity is IdentityId.F7:
-        return SweepGrid(families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(-1, 0, 2), d_values=(-1, 0, 1),
-                         a_offsets=tuple(range(-2, 7)))
-    if identity is IdentityId.F3_W:
-        return SweepGrid(families=_RESTRICTED_FAMILIES, n_values=(1, 2), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), a_offsets=tuple(range(-1, 7)))
-    if identity in (IdentityId.F3_G, IdentityId.F4_G):
-        return SweepGrid(families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), a_offsets=tuple(range(-1, 7)))
-    if identity is IdentityId.F5_G:
-        return SweepGrid(families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), d_values=(1, 2),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity in (IdentityId.F6_G_EVEN, IdentityId.F6_F_EVEN, IdentityId.F6_L_EVEN):
-        return SweepGrid(families=_GIBONACCI_FAMILIES, n_values=(2, 4), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), d_values=(0, 1),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity in (IdentityId.F6_G_ODD, IdentityId.F6_F_ODD, IdentityId.F6_L_ODD):
-        return SweepGrid(families=_GIBONACCI_FAMILIES, n_values=(1, 3), c_values=(-1, 1),
-                         r_values=(-1, 1, 2), s_values=(0, 2), d_values=(0, 1),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity is IdentityId.F7_W:
-        return SweepGrid(families=_RESTRICTED_FAMILIES, n_values=(1, 2), c_values=(-1, 1),
-                         r_values=(1, 2), s_values=(-1, 0, 2), d_values=(-1, 0),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity is IdentityId.F7_G:
-        return SweepGrid(families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1),
-                         r_values=(1, 2), s_values=(-1, 0, 2), d_values=(-1, 0),
-                         a_offsets=tuple(range(-1, 7)))
-    if identity in _F7_R1D0:
-        fams = _RESTRICTED_FAMILIES if identity is IdentityId.F7_R1D0_W else _GIBONACCI_FAMILIES
-        return SweepGrid(families=fams, n_values=(1, 2, 3), c_values=(-1, 0, 1),
-                         s_values=(-2, 2, 3), a_offsets=tuple(range(-1, 7)))
-    raise ValueError(f"no default grid for {identity}")  # pragma: no cover
+
+def _f3_special_grid(families: Tuple[HoradamParams, ...]) -> SweepGrid:
+    return SweepGrid(families=families, n_values=(1, 2), c_values=(-1, 1),
+                     r_values=(-1, 1, 2), s_values=(0, 2), a_offsets=tuple(range(-1, 7)))
+
+
+def _f6_grid(families: Tuple[HoradamParams, ...], n_values: Tuple[int, ...]) -> SweepGrid:
+    return SweepGrid(families=families, n_values=n_values,
+                     c_values=(-1, 1), r_values=(-1, 1, 2), s_values=(0, 2),
+                     d_values=(0, 1), a_offsets=tuple(range(-1, 7)))
+
+
+def _f7_special_grid(families: Tuple[HoradamParams, ...]) -> SweepGrid:
+    return SweepGrid(families=families, n_values=(1, 2), c_values=(-1, 1), r_values=(1, 2),
+                     s_values=(-1, 0, 2), d_values=(-1, 0), a_offsets=tuple(range(-1, 7)))
+
+
+def _f7_r1d0_grid(families: Tuple[HoradamParams, ...]) -> SweepGrid:
+    return SweepGrid(families=families, n_values=(1, 2, 3), c_values=(-1, 0, 1),
+                     s_values=(-2, 2, 3), a_offsets=tuple(range(-1, 7)))
+
+
+_REGISTRY: Dict[IdentityId, _Record] = {
+    IdentityId.H: _Record(
+        _H, rhs_H, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
+        fixed=FIBONACCI),
+    IdentityId.F1A: _Record(_F1, rhs_F1, _CUBIC_GRID, fixed=FIBONACCI),
+    IdentityId.F1B: _Record(_F1, rhs_F1, _CUBIC_GRID, fixed=LUCAS),
+    IdentityId.F2A: _Record(_F2, rhs_F2, _CUBIC_GRID, fixed=FIBONACCI),
+    IdentityId.F2B: _Record(_F2, rhs_F2, _CUBIC_GRID, fixed=LUCAS),
+    IdentityId.F3: _Record(_F3, rhs_F3, _F3_GRID),
+    IdentityId.F4: _Record(_F4, rhs_F4, _F3_GRID),
+    IdentityId.F5: _Record(_F5, rhs_F5, SweepGrid(
+        families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1), r_values=(-1, 1, 2),
+        s_values=(0, 2), d_values=(-1, 1, 2), a_offsets=tuple(range(-2, 7)))),
+    IdentityId.F6A: _Record(_F6, rhs_F6, _f6_grid(_STD_FAMILIES, (2, 4)), parity=0),
+    IdentityId.F6B: _Record(_F6, rhs_F6, _f6_grid(_STD_FAMILIES, (1, 3)), parity=1),
+    IdentityId.F7: _Record(_F7, rhs_F7, SweepGrid(
+        families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1), r_values=(-1, 1, 2),
+        s_values=(-1, 0, 2), d_values=(-1, 0, 1), a_offsets=tuple(range(-2, 7)))),
+    IdentityId.F3_W: _Record(_F3, rhs_F3, _f3_special_grid(_RESTRICTED_FAMILIES),
+                             family=_RESTRICTED),
+    IdentityId.F3_G: _Record(_F3, rhs_F3_G, _f3_special_grid(_GIBONACCI_FAMILIES),
+                             family=_GIBONACCI),
+    IdentityId.F4_G: _Record(_F4, rhs_F4_G, _f3_special_grid(_GIBONACCI_FAMILIES),
+                             family=_GIBONACCI),
+    IdentityId.F5_G: _Record(_F5, rhs_F5_G, SweepGrid(
+        families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1), r_values=(-1, 1, 2),
+        s_values=(0, 2), d_values=(1, 2), a_offsets=tuple(range(-1, 7))),
+        family=_GIBONACCI),
+    IdentityId.F6_G_EVEN: _Record(_F6, rhs_F6_G, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
+                                  family=_GIBONACCI, parity=0),
+    IdentityId.F6_G_ODD: _Record(_F6, rhs_F6_G, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
+                                 family=_GIBONACCI, parity=1),
+    IdentityId.F6_F_EVEN: _Record(_F6, rhs_F6_F, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
+                                  fixed=FIBONACCI, parity=0),
+    IdentityId.F6_F_ODD: _Record(_F6, rhs_F6_F, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
+                                 fixed=FIBONACCI, parity=1),
+    IdentityId.F6_L_EVEN: _Record(_F6, rhs_F6_L, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
+                                  fixed=LUCAS, parity=0),
+    IdentityId.F6_L_ODD: _Record(_F6, rhs_F6_L, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
+                                 fixed=LUCAS, parity=1),
+    IdentityId.F7_W: _Record(_F7, rhs_F7, _f7_special_grid(_RESTRICTED_FAMILIES),
+                             family=_RESTRICTED),
+    IdentityId.F7_G: _Record(_F7, rhs_F7_G, _f7_special_grid(_GIBONACCI_FAMILIES),
+                             family=_GIBONACCI),
+    IdentityId.F7_R1D0_W: _Record(_F7_R1D0, rhs_F7_r1d0_w, _f7_r1d0_grid(_RESTRICTED_FAMILIES),
+                                  family=_RESTRICTED),
+    IdentityId.F7_R1D0_G: _Record(_F7_R1D0, rhs_F7_r1d0_G, _f7_r1d0_grid(_GIBONACCI_FAMILIES),
+                                  family=_GIBONACCI),
+}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict
+from typing import Dict
 
 from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
 
@@ -179,11 +179,6 @@ class BinetView:
         return self.tau ** j + self.sigma ** j
 
 
-def binet_term(view: BinetView, j: int) -> QuadExt:
-    """Closed-form term; surd part must vanish and rat part equals ``term(j)``."""
-    return view.term(j)
-
-
 ROOT_SHIFT_IDENTITIES = ("L1", "L2", "L3", "L4")
 
 
@@ -235,6 +230,3 @@ def lemma4_residual(params: HoradamParams, j: int) -> QuadExt:
     numerator = seq.term(j + 1) - params.q * seq.term(j - 1)
     rhs = QuadExt.from_rational(numerator, view.disc) / view.delta
     return lhs - rhs
-
-
-SequenceTermFn = Callable[[int], Fraction]

@@ -93,6 +93,21 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("zero", ["--p", "--q"])
+@pytest.mark.parametrize("command", [
+    ("verify", "--identity", "F3", "--n", "1", "--an", "2"),
+    ("sweep", "--identity", "F3", "--n", "1", "--an", "2"),
+    ("table", "--identity", "F3", "--an", "2"),
+    ("bench", "--kind", "identity", "--identity", "F3", "--n", "1", "--an", "2"),
+])
+def test_zero_coefficient_is_usage_error(capsys, command, zero):
+    coefficients = {"--p": "1", "--q": "1", zero: "0"}
+    code, _, err = run_cli(capsys, *command, "--a", "0", "--b", "1",
+                           *(item for pair in coefficients.items() for item in pair))
+    assert code == 2
+    assert err.startswith("error:") and "must be nonzero" in err
+
+
 class TestSweepCommand:
     def test_jsonl_stream_and_summary(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--identity", "F1a",

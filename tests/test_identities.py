@@ -8,13 +8,13 @@ from itertools import product
 import pytest
 
 from _util import literal_nested_sum
-from horadam_sums.identities import (FAMILIES, CLASS_MISMATCH, CLASS_OUTSIDE,
+from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE,
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
                                      IdentityId, IdentityInstance,
                                      InvalidInstanceError, SweepGrid, default_grid,
                                      evaluate_rhs, lhs_spec, rhs_F1, rhs_F2, rhs_F3,
                                      rhs_F5, rhs_F6_quad, rhs_F7, rhs_H, summarize,
-                                     sweep, verify)
+                                     sweep, verify, _REGISTRY)
 from horadam_sums.nestedcore import oracle_nested
 from horadam_sums.sequences import (FIBONACCI, LUCAS, horadam, restricted, term)
 
@@ -120,9 +120,9 @@ class TestClosedForms:
         assert report.lhs == report.rhs == 4  # L[3]
 
     def test_f1_empty_sum_is_zero(self):
-        for variant, ident in (("a", IdentityId.F1A), ("b", IdentityId.F1B)):
+        for ident in (IdentityId.F1A, IdentityId.F1B):
             for n, c, s in product((1, 2, 3), (-1, 0, 1, 2), (-2, 0, 3)):
-                assert rhs_F1(variant, inst(ident, n=n, a_n=c - 1, c=c, s=s)) == 0
+                assert rhs_F1(inst(ident, n=n, a_n=c - 1, c=c, s=s)) == 0
 
     def test_f2a_value(self):
         report = verify(inst(IdentityId.F2A, n=1, a_n=2))
@@ -135,7 +135,7 @@ class TestClosedForms:
     def test_f2a_single_term(self):
         for c, s in product((-1, 1, 2), (-2, 0, 1)):
             one = inst(IdentityId.F2A, n=1, a_n=c, c=c, s=s)
-            value = rhs_F2("a", one)
+            value = rhs_F2(one)
             sign = -1 if c % 2 else 1
             assert value == sign * term(FIBONACCI, 3 * c + s)
 
@@ -240,8 +240,8 @@ class TestEqHRegression:
     def test_s_shift_relates_grids(self):
         # bumping s by 3 re-indexes every level: value(s+3, a, c) == value(s, a+1, c+1)
         for n, c, s, a in product((1, 2, 3), (0, 1), (-2, 0, 1), range(0, 6)):
-            shifted = rhs_F1("a", inst(IdentityId.F1A, n=n, a_n=c + a, c=c, s=s + 3))
-            moved = rhs_F1("a", inst(IdentityId.F1A, n=n, a_n=c + a + 1, c=c + 1, s=s))
+            shifted = rhs_F1(inst(IdentityId.F1A, n=n, a_n=c + a, c=c, s=s + 3))
+            moved = rhs_F1(inst(IdentityId.F1A, n=n, a_n=c + a + 1, c=c + 1, s=s))
             assert shifted == moved
 
 
@@ -304,6 +304,13 @@ class TestSweep:
             classification=CLASS_MISMATCH)
         summary = summarize([genuine, fabricated])
         assert summary.mismatched == 1 and summary.exit_code == 1
+
+    def test_summary_error_exit_code(self):
+        failed = EvaluationReport(
+            identity=IdentityId.F3, params=FIB, n=1, a_n=2, c=1, r=1, s=0, d=0,
+            lhs=None, rhs=None, equal=None, oracle_terms=0, closed_terms=0,
+            oracle_ns=0, closed_ns=0, classification=CLASS_ERROR)
+        assert summarize([failed]).exit_code == 1
 
 
 class TestDegenerations:
@@ -419,6 +426,23 @@ class TestDegenerations:
                 h = inst(IdentityId.H, n=n, a_n=a_n)
                 g = inst(IdentityId.F3_G, params=FIBONACCI, n=n, a_n=a_n, r=1, s=0)
                 assert rhs_H(h) == evaluate_rhs(g)
+
+
+def test_tags_outside_theorem_suite_match_oracle():
+    # acceptance criterion 3 sweeps the ten theorem tags; this covers the rest,
+    # including F3_w and F7_w, which share their parent's evaluator
+    assert set(_REGISTRY) == set(IdentityId)
+    theorem_suite = {IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B,
+                     IdentityId.F3, IdentityId.F4, IdentityId.F5, IdentityId.F6A,
+                     IdentityId.F6B, IdentityId.F7}
+    failures = []
+    for ident in IdentityId:
+        if ident in theorem_suite:
+            continue
+        summary = summarize(sweep(ident))
+        if summary.mismatched or summary.errors or not summary.verified:
+            failures.append((ident.value, summary))
+    assert not failures
 
 
 class TestBinetRoutes:

@@ -9,7 +9,7 @@ import pytest
 from _util import fib_list
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.sequences import (FIBONACCI, LUCAS, BinetView,
-                                    HoradamSequence, binet_term, first_kind_term,
+                                    HoradamSequence, first_kind_term,
                                     gibonacci, horadam, lemma3_residual,
                                     lemma4_residual, lucas_first_kind,
                                     lucas_second_kind, restricted,
@@ -80,15 +80,15 @@ class TestTerm:
 class TestBinetView:
     def test_fibonacci_term(self):
         view = BinetView(FIBONACCI)
-        assert binet_term(view, 5) == QuadExt(5, 0, 5)
+        assert view.term(5) == QuadExt(5, 0, 5)
 
     def test_seed_reproduction(self):
         view = BinetView(horadam(Fraction(7, 2), -3, 1, 3))
-        assert binet_term(view, 0) == Fraction(7, 2)
+        assert view.term(0) == Fraction(7, 2)
 
     def test_lucas_term(self):
         view = BinetView(LUCAS)
-        assert binet_term(view, 3) == 4
+        assert view.term(3) == 4
 
     def test_degenerate_disc_rejected(self):
         with pytest.raises(DegenerateDiscriminantError):
@@ -107,7 +107,7 @@ class TestBinetView:
         params = horadam(2, Fraction(-1, 2), p, q)
         view = BinetView(params)
         for j in range(-25, 26):
-            value = binet_term(view, j)
+            value = view.term(j)
             assert value.surd_part == 0
             assert value.rat_part == term(params, j)
 
