@@ -14,9 +14,8 @@ from .exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
                        MismatchedDiscriminantError, QuadExt, Rational,
                        ZeroToNegativePowerError, neg_one_pow, rat_pow)
 from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
-                         InvalidInstanceError, SurdResidueError, SweepGrid,
-                         SweepSummary, default_grid, evaluate_rhs, iter_sweep,
-                         lhs_spec, summarize, sweep, verify)
+                         InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
+                         evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
                          NestedSumSpec, PoleError, SumTerm, f_closed,
                          f_closed_parity_split, g_closed, geom_sum, geometric_term,
@@ -35,7 +34,7 @@ __all__ = [
     "FIBONACCI", "HoradamParams", "HoradamSequence", "IdentityId",
     "IdentityInstance", "InvalidInstanceError", "LUCAS",
     "MismatchedDiscriminantError", "NaiveCapExceededError", "NestedSumSpec",
-    "ONES", "PoleError", "QuadExt", "Rational", "SumTerm", "SurdResidueError",
+    "ONES", "PoleError", "QuadExt", "Rational", "SumTerm",
     "SweepGrid", "SweepSummary", "ZeroToNegativePowerError",
     "binom", "binom_column_sum", "default_grid", "evaluate_rhs", "f_closed",
     "f_closed_parity_split", "first_kind_term", "g_closed", "geom_sum",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -22,7 +23,8 @@ from fractions import Fraction
 from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
-from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
+from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_VERIFIED, FAMILIES,
+                         EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
@@ -224,14 +226,7 @@ def _grid_from_args(identity: IdentityId, args: argparse.Namespace) -> SweepGrid
     if args.an is not None:
         updates["a_values"] = args.an
         updates["a_offsets"] = ()
-    if not updates:
-        return base
-    fields = dict(families=base.families, n_values=base.n_values,
-                  c_values=base.c_values, r_values=base.r_values,
-                  s_values=base.s_values, d_values=base.d_values,
-                  a_offsets=base.a_offsets, a_values=base.a_values)
-    fields.update(updates)
-    return SweepGrid(**fields)
+    return dataclasses.replace(base, **updates)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -267,11 +262,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # table
 # ---------------------------------------------------------------------------
 
+_TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
+                 CLASS_OUTSIDE: "outside_domain"}
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     identity = args.identity
     params = (_family_list(args) or (None,))[0]
     out, close = _open_out(args.out)
     rows = []
+    reports = []
     for a_n in (args.an or ()):
         try:
             inst = IdentityInstance(identity, params, args.n, a_n, args.c,
@@ -279,10 +279,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         except InvalidInstanceError as exc:
             rows.append((a_n, "", "", f"skipped: {exc}"))
             continue
-        lhs = oracle_nested(lhs_spec(inst))
-        rhs = evaluate_rhs(inst)
-        rows.append((a_n, format_rational(lhs), format_rational(rhs),
-                     "ok" if lhs == rhs else "MISMATCH"))
+        report = verify(inst)
+        reports.append(report)
+        status = _TABLE_STATUS.get(report.classification, f"error: {report.detail}")
+        rows.append((a_n, format_rational(report.lhs), format_rational(report.rhs), status))
     try:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
@@ -295,9 +295,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     finally:
         if close:
             out.close()
-    if any(row[3] == "MISMATCH" for row in rows):
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return summarize(reports).exit_code
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
 described once, by one record in ``_REGISTRY``: its fixed family or family
 shape, the F6 depth parity, the theorem shape it shares with its parent
 (swept coordinates, preconditions, left-hand summand), its right-hand
-evaluator and its default grid. The restricted tags F3_w and F7_w use the
-general evaluators, since validation already pins p = 1; the gibonacci,
-Fibonacci and Lucas forms of F6 share one skeleton; the remaining gibonacci
-forms are transcribed from their own displays. The oracle sweep is the check
-on every specialization that does not share its parent's code.
+evaluator and its default grid. The restricted tags F3_w and F7_w and the
+gibonacci tags F6_G_even and F6_G_odd use the general evaluators, since
+validation already pins their parameters. All eight F6 tags share one
+skeleton over Q: the display's sqrt(D) occurs only in even powers, which
+become powers of D, and the Fibonacci and Lucas forms only swap in their own
+term lookups. The remaining gibonacci forms are transcribed from their own
+displays. The oracle sweep is the check on every specialization that does not
+share its parent's code.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -35,8 +38,7 @@ from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .combinatorics import binom
-from .exactnum import (DivisionByZeroError, QuadExt, ZeroToNegativePowerError,
-                       neg_one_pow, rat_pow)
+from .exactnum import neg_one_pow, rat_pow
 from .nestedcore import EvalCounter, NestedSumSpec, PoleError, SumTerm, oracle_nested
 from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam, second_kind_term)
@@ -75,10 +77,6 @@ class IdentityId(str, Enum):
 
 class InvalidInstanceError(ValueError):
     """Instance parameters violate a precondition of the chosen identity."""
-
-
-class SurdResidueError(ArithmeticError):
-    """An evaluation that must be rational produced a nonzero surd part."""
 
 
 # Built-in parameter families used as verification fixtures. Seeds are chosen
@@ -284,9 +282,10 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # ---------------------------------------------------------------------------
 # Right-hand sides
 #
-# Each evaluator transcribes its own closed form. The optional counter tallies
-# one unit per summand-family sequence term and per binomial coefficient, so
-# reported closed-form costs are measured, not assumed.
+# Each evaluator transcribes its own closed form over Q; the F6 forms share
+# one skeleton. The optional counter tallies one unit per summand-family
+# sequence term and per binomial coefficient, so reported closed-form costs are
+# measured, not assumed.
 # ---------------------------------------------------------------------------
 
 def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
@@ -421,141 +420,74 @@ def rhs_F5_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> F
     return lead - rat_pow(fd / frd, c - 1) * total
 
 
-def rhs_F6_quad(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> QuadExt:
-    """General closed form for the nested sum of (V_d/V_{r+d})**k W[rk+s].
+def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
+            main: Callable[[int], Fraction],
+            other: Callable[[int], Fraction]) -> Fraction:
+    """Shared body of every F6 form, for the nested sum of (V_d/V_{r+d})**k W[rk+s].
 
-    Evaluated in Q(sqrt(D)) where delta = sqrt(D) appears; delta occurs only
-    in even powers, so the surd part of the result must be exactly zero.
-    The n-even and n-odd displays differ and are dispatched here.
-    """
-    w, bi = _tracked(inst, counter)
-    params = inst.params
-    p, q = params.p, params.q
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-    disc = params.discriminant
-    delta = QuadExt.sqrt(disc)
-    ratio_vu = second_kind_term(p, q, d) / first_kind_term(p, q, r)
-    ratio_vv = second_kind_term(p, q, d) / second_kind_term(p, q, r + d)
-    shift = QuadExt.from_rational(rat_pow(ratio_vv, c - 1), disc)
-
-    def lift(value: Fraction) -> QuadExt:
-        return QuadExt.from_rational(value, disc)
-
-    if n % 2 == 0:
-        lead = lift(rat_pow(ratio_vu, n) * rat_pow(ratio_vv, a)
-                    * w(r * (n + a) + d * n + s) / rat_pow(q, d * n)) / delta ** n
-        even = delta * 0
-        for j in range((n - 2) // 2 + 1):
-            even = even + delta ** (2 * j) * lift(
-                w((r + d) * (n - 2 * j) + r * (c - 1) + s)
-                * rat_pow(ratio_vu, n - 2 * j) / rat_pow(q, d * (n - 2 * j))
-                * bi(a + 2 * j - c, 2 * j))
-        odd = delta * 0
-        for j in range(1, n // 2 + 1):
-            pair = (w((r + d) * (n - 2 * j + 1) + r * (c - 1) + s + 1)
-                    - q * w((r + d) * (n - 2 * j + 1) + r * (c - 1) + s - 1))
-            odd = odd + delta ** (2 * j) * lift(
-                pair * rat_pow(ratio_vu, n - 2 * j + 1)
-                / rat_pow(q, d * (n - 2 * j + 1)) * bi(a + 2 * j - 1 - c, 2 * j - 1))
-        return lead - shift * (even / delta ** n) - shift * (odd / delta ** (n + 2))
-
-    lead_pair = (w(r * (n + a) + d * n + s + 1) - q * w(r * (n + a) + d * n + s - 1))
-    lead = lift(rat_pow(ratio_vu, n) * rat_pow(ratio_vv, a) * lead_pair
-                / rat_pow(q, d * n)) / delta ** (n + 1)
-    even = delta * 0
-    for j in range((n - 1) // 2 + 1):
-        pair = (w((r + d) * (n - 2 * j) + r * (c - 1) + s + 1)
-                - q * w((r + d) * (n - 2 * j) + r * (c - 1) + s - 1))
-        even = even + delta ** (2 * j) * lift(
-            pair * rat_pow(ratio_vu, n - 2 * j) / rat_pow(q, d * (n - 2 * j))
-            * bi(a + 2 * j - c, 2 * j))
-    odd = delta * 0
-    for j in range(1, (n - 1) // 2 + 1):
-        odd = odd + delta ** (2 * j) * lift(
-            w((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
-            * rat_pow(ratio_vu, n - 2 * j + 1) / rat_pow(q, d * (n - 2 * j + 1))
-            * bi(a + 2 * j - 1 - c, 2 * j - 1))
-    return lead - shift * ((even + odd) / delta ** (n + 1))
-
-
-def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Rational value of the F6 closed form; raises if the surd part survives."""
-    value = rhs_F6_quad(inst, counter)
-    if value.surd_part != 0:
-        raise SurdResidueError(
-            f"{inst.identity} produced surd residue {value.surd_part} at {inst}")
-    return value.rat_part
-
-
-def _rhs_F6_gibonacci(inst: IdentityInstance, counter: Optional[EvalCounter],
-                      main: Callable[[int], Fraction],
-                      other: Callable[[int], Fraction]) -> Fraction:
-    """Shared body of the gibonacci forms of F6, for the nested sum of
-    (L_d/L_{r+d})**k G[rk+s].
-
-    ``main(j)`` is G[j] and ``other(j)`` equals G[j+1] + G[j-1]; both tally
-    their own terms. Powers of sqrt(5) collapse to powers of 5, and the
-    parity of n selects the display.
+    ``main(j)`` is W[j] and ``other(j)`` equals W[j+1] - q*W[j-1]; both tally
+    their own terms. The display's delta = sqrt(D) occurs only in even powers,
+    which collapse to powers of the discriminant D, so the form is evaluated
+    over Q. The parity of n selects the display.
     """
     bi = _counted(binom, counter)
+    p, q = inst.params.p, inst.params.q
     n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-    ld = second_kind_term(1, -1, d)
-    lrd = second_kind_term(1, -1, r + d)
-    fr = first_kind_term(1, -1, r)
-    ratio_lf = ld / fr
-    shift = rat_pow(ld / lrd, c - 1)
-    five = Fraction(5)
+    vd = second_kind_term(p, q, d)
+    vrd = second_kind_term(p, q, r + d)
+    ratio = vd / (first_kind_term(p, q, r) * rat_pow(q, d))
+    shift = rat_pow(vd / vrd, c - 1)
+    disc = inst.params.discriminant
 
     if n % 2 == 0:
-        scale = rat_pow(five, n // 2)
-        lead = rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a) * main(r * (n + a) + d * n + s) / scale
+        scale = rat_pow(disc, n // 2)
+        lead = rat_pow(ratio, n) * rat_pow(vd / vrd, a) * main(r * (n + a) + d * n + s) / scale
         even = Fraction(0)
         for j in range((n - 2) // 2 + 1):
-            even += (five ** j * rat_pow(ratio_lf, n - 2 * j)
+            even += (disc ** j * rat_pow(ratio, n - 2 * j)
                      * main((r + d) * (n - 2 * j) + r * (c - 1) + s)
                      * bi(a + 2 * j - c, 2 * j))
         odd = Fraction(0)
         for j in range(1, n // 2 + 1):
-            odd += (five ** j * rat_pow(ratio_lf, n - 2 * j + 1)
+            odd += (disc ** j * rat_pow(ratio, n - 2 * j + 1)
                     * other((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
                     * bi(a + 2 * j - 1 - c, 2 * j - 1))
-        return (lead - shift * even / scale
-                - shift * neg_one_pow(d) * odd / (scale * five))
+        return lead - shift * even / scale - shift * odd / (scale * disc)
 
-    scale = rat_pow(five, (n + 1) // 2)
-    lead = (neg_one_pow(d) * rat_pow(ratio_lf, n) * rat_pow(ld / lrd, a)
-            * other(r * (n + a) + d * n + s) / scale)
+    scale = rat_pow(disc, (n + 1) // 2)
+    lead = rat_pow(ratio, n) * rat_pow(vd / vrd, a) * other(r * (n + a) + d * n + s) / scale
     even = Fraction(0)
     for j in range((n - 1) // 2 + 1):
-        even += (five ** j * rat_pow(ratio_lf, n - 2 * j)
+        even += (disc ** j * rat_pow(ratio, n - 2 * j)
                  * other((r + d) * (n - 2 * j) + r * (c - 1) + s)
                  * bi(a + 2 * j - c, 2 * j))
     odd = Fraction(0)
     for j in range(1, (n - 1) // 2 + 1):
-        odd += (five ** j * rat_pow(ratio_lf, n - 2 * j + 1)
+        odd += (disc ** j * rat_pow(ratio, n - 2 * j + 1)
                 * main((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
                 * bi(a + 2 * j - 1 - c, 2 * j - 1))
-    return lead - neg_one_pow(d) * shift * even / scale - shift * odd / scale
+    return lead - shift * (even + odd) / scale
 
 
-def rhs_F6_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Gibonacci form of F6; the odd-index corrections pair G[j+1] + G[j-1]."""
+def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """General closed form for the nested sum of (V_d/V_{r+d})**k W[rk+s]."""
     w = _counted(inst.sequence().term, counter)
-    return _rhs_F6_gibonacci(inst, counter, w, lambda j: w(j + 1) + w(j - 1))
+    q = inst.params.q
+    return _rhs_F6(inst, counter, w, lambda j: w(j + 1) - q * w(j - 1))
 
 
 def rhs_F6_F(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Fibonacci-number form of F6, using F[j+1] + F[j-1] = L[j]."""
     fib = _counted(lambda j: first_kind_term(1, -1, j), counter)
     luc = _counted(lambda j: second_kind_term(1, -1, j), counter)
-    return _rhs_F6_gibonacci(inst, counter, fib, luc)
+    return _rhs_F6(inst, counter, fib, luc)
 
 
 def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Lucas-number form of F6, using L[j+1] + L[j-1] = 5 F[j]."""
     fib = _counted(lambda j: first_kind_term(1, -1, j), counter)
     luc = _counted(lambda j: second_kind_term(1, -1, j), counter)
-    return _rhs_F6_gibonacci(inst, counter, luc, lambda j: 5 * fib(j))
+    return _rhs_F6(inst, counter, luc, lambda j: 5 * fib(j))
 
 
 def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -683,15 +615,15 @@ def _report_coords(identity: IdentityId, params: HoradamParams, n: int, a_n: int
     return EvaluationReport(identity, params, n, a_n, c, r, s, d, **defaults)
 
 
-_EVALUATION_ERRORS = (PoleError, DivisionByZeroError, ZeroDivisionError,
-                      ZeroToNegativePowerError, SurdResidueError, ValueError)
+_EVALUATION_ERRORS = (PoleError, ZeroDivisionError)
 
 
 def verify(inst: IdentityInstance) -> EvaluationReport:
     """Evaluate oracle and closed form for one instance and compare exactly.
 
-    Evaluation-time failures (poles, non-invertible elements, surd residue)
-    are folded into an ``error`` report rather than raised.
+    Evaluation-time failures (poles, division by zero) are folded into an
+    ``error`` report rather than raised; any other exception is a bug and
+    propagates.
     """
     oracle_counter = EvalCounter()
     closed_counter = EvalCounter()
@@ -898,9 +830,9 @@ _REGISTRY: Dict[IdentityId, _Record] = {
         families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(0, 2), d_values=(1, 2), a_offsets=tuple(range(-1, 7))),
         family=_GIBONACCI),
-    IdentityId.F6_G_EVEN: _Record(_F6, rhs_F6_G, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
+    IdentityId.F6_G_EVEN: _Record(_F6, rhs_F6, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
                                   family=_GIBONACCI, parity=0),
-    IdentityId.F6_G_ODD: _Record(_F6, rhs_F6_G, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
+    IdentityId.F6_G_ODD: _Record(_F6, rhs_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
                                  family=_GIBONACCI, parity=1),
     IdentityId.F6_F_EVEN: _Record(_F6, rhs_F6_F, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
                                   fixed=FIBONACCI, parity=0),

@@ -2,14 +2,19 @@
 
 These deliberately avoid the package's own summation code paths: nested sums
 are literal Python loops, binomials go through math.factorial, and sequence
-values are generated by a fresh recurrence. Agreement between these and the
-library is the point of the tests.
+values are generated by a fresh recurrence. The F6 root-power route shares no
+code with the identity evaluators: it runs the geometric closed form over
+Q(sqrt(D)). Agreement between these and the library is the point of the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+
+from horadam_sums.exactnum import QuadExt
+from horadam_sums.nestedcore import f_closed_parity_split
+from horadam_sums.sequences import second_kind_term
 
 
 def literal_nested_sum(depth, upper, lower_limits, term_fn):
@@ -41,3 +46,21 @@ def fib_list(count: int) -> list:
     while len(values) < count:
         values.append(values[-1] + values[-2])
     return values[:count]
+
+
+def f6_binet_route(inst, view):
+    """The F6 nested sum of (V_d/V_{r+d})**k W[rk+s] through root powers.
+
+    W[rk+s] = coef_a*tau**s*(tau**r)**k + coef_b*sigma**s*(sigma**r)**k splits
+    the sum into two geometric ones, each evaluated by the parity-split f-form
+    with x = root**r * V_d and y = V_{r+d}. ``view`` is the sequence's
+    BinetView; the result lives in Q(sqrt(D)), its surd part free to be nonzero.
+    """
+    p, q, n, a_n, c, r, s, d = (inst.params.p, inst.params.q, inst.n, inst.a_n,
+                                inst.c, inst.r, inst.s, inst.d)
+    vd = QuadExt.from_rational(second_kind_term(p, q, d), view.disc)
+    vrd = QuadExt.from_rational(second_kind_term(p, q, r + d), view.disc)
+    return (view.coef_a * view.tau ** s
+            * f_closed_parity_split(view.tau ** r * vd, vrd, n, a_n, c)
+            + view.coef_b * view.sigma ** s
+            * f_closed_parity_split(view.sigma ** r * vd, vrd, n, a_n, c))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,9 @@ from _util import fib_list
 from horadam_sums.cli import (BENCH_CSV_COLUMNS, SWEEP_CSV_COLUMNS, format_rational,
                               main, parse_int_set)
 from horadam_sums.combinatorics import binom
+from horadam_sums.identities import IdentityId
+
+GOLDEN_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "golden_sweep.json"
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +195,34 @@ class TestTableCommand:
         assert code == 0
         assert out.strip() == "a_n,lhs,rhs,status"
 
+    def test_outside_domain_rows_classified_as_in_sweep(self, capsys):
+        # a_n below the lower limit: the empty left side is not a mismatch
+        point = ("--identity", "F3", "--family", "fibonacci", "--n", "1",
+                 "--an=-3..0", "--c=-1", "--r=-2", "--s", "0")
+        code, out, _ = run_cli(capsys, "table", *point, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["status"] for row in rows] == ["outside_domain", "outside_domain",
+                                                   "ok", "ok"]
+        assert rows[0]["lhs"] == "0/1" and rows[0]["rhs"] == "-27/1"
+        sweep_code, sweep_out, _ = run_cli(capsys, "sweep", *point)
+        assert sweep_code == 0
+        assert [json.loads(line)["class"] for line in sweep_out.splitlines()] == [
+            "outside_domain", "outside_domain", "verified", "verified"]
+
+    def test_evaluation_error_row(self, capsys, monkeypatch):
+        import horadam_sums.identities as identities
+
+        def divide_by_zero(inst, counter=None):
+            raise ZeroDivisionError("pole here")
+
+        monkeypatch.setattr(identities, "evaluate_rhs", divide_by_zero)
+        code, out, _ = run_cli(capsys, "table", "--n", "2", "--an", "1..2",
+                               "--format", "csv")
+        assert code == 1
+        statuses = [row["status"] for row in csv.DictReader(io.StringIO(out))]
+        assert statuses == ["error: pole here", "error: pole here"]
+
 
 class TestBenchCommand:
     def test_ones_counts(self, capsys):
@@ -248,3 +282,18 @@ class TestLemmasCommand:
         code, out, _ = run_cli(capsys, "lemmas", "--seed", "0", "--points", "60")
         assert code == 0
         assert "degenerate discriminant" in out
+
+
+@pytest.mark.parametrize("identity", [ident.value for ident in IdentityId])
+def test_default_sweep_matches_golden(capsys, identity):
+    # byte-identical default-grid output is the contract every refactor keeps
+    golden = json.loads(GOLDEN_SWEEP.read_text())[identity]
+    code, out, _ = run_cli(capsys, "sweep", "--identity", identity)
+    data = out.encode()
+    tally = Counter(json.loads(line)["class"] for line in data.splitlines())
+    assert code == 0
+    assert len(data) == golden["bytes"]
+    assert hashlib.sha256(data).hexdigest() == golden["sha256"]
+    assert sum(tally.values()) == golden["total"]
+    for name in ("verified", "mismatch", "outside_domain", "skipped", "error"):
+        assert tally[name] == golden[name], name

@@ -7,13 +7,14 @@ from itertools import product
 
 import pytest
 
-from _util import literal_nested_sum
+from _util import f6_binet_route, literal_nested_sum
+import horadam_sums.identities as identities
 from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE,
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
                                      IdentityId, IdentityInstance,
                                      InvalidInstanceError, SweepGrid, default_grid,
                                      evaluate_rhs, lhs_spec, rhs_F1, rhs_F2, rhs_F3,
-                                     rhs_F5, rhs_F6_quad, rhs_F7, rhs_H, summarize,
+                                     rhs_F5, rhs_F7, rhs_H, summarize,
                                      sweep, verify, _REGISTRY)
 from horadam_sums.nestedcore import oracle_nested
 from horadam_sums.sequences import (FIBONACCI, LUCAS, horadam, restricted, term)
@@ -190,16 +191,6 @@ class TestClosedForms:
         assert report.classification == CLASS_VERIFIED
         assert report.lhs == 8
 
-    def test_f6_surd_part_vanishes(self):
-        for params in (FIB, NEGATIVE_D, FAMILIES["integer_root"]):
-            for n, r, d in product((1, 2, 3, 4), (-1, 1, 2), (0, 1)):
-                ident = IdentityId.F6A if n % 2 == 0 else IdentityId.F6B
-                try:
-                    one = inst(ident, params=params, n=n, a_n=4, r=r, d=d)
-                except InvalidInstanceError:
-                    continue
-                assert rhs_F6_quad(one).surd_part == 0
-
     def test_f7_hand_value(self):
         report = verify(inst(IdentityId.F7, params=FIB, n=1, a_n=2, r=1, s=2, d=0))
         assert report.lhs == report.rhs == 0  # -1 + 1
@@ -260,6 +251,24 @@ class TestVerify:
         report = verify(inst(IdentityId.F1A, n=2, a_n=0, c=1))
         assert report.classification == CLASS_OUTSIDE
         assert report.equal is True and report.lhs == 0
+
+    def test_division_by_zero_is_error_report(self, monkeypatch):
+        def divide_by_zero(one, counter=None):
+            raise ZeroDivisionError("pole here")
+
+        monkeypatch.setattr(identities, "evaluate_rhs", divide_by_zero)
+        report = verify(inst(IdentityId.F3, params=FIB, n=1, a_n=2))
+        assert report.classification == CLASS_ERROR
+        assert report.detail == "pole here"
+
+    def test_value_error_propagates(self, monkeypatch):
+        # a ValueError from an evaluator is a bug, not a mathematical outcome
+        def broken(one, counter=None):
+            raise ValueError("evaluator bug")
+
+        monkeypatch.setattr(identities, "evaluate_rhs", broken)
+        with pytest.raises(ValueError, match="evaluator bug"):
+            verify(inst(IdentityId.F3, params=FIB, n=1, a_n=2))
 
 
 class TestSweep:
@@ -488,3 +497,18 @@ class TestBinetRoutes:
                 direct = oracle_nested(lhs_spec(one))
                 assert route.surd_part == 0
                 assert route.rat_part == direct
+
+    def test_parity_split_route_reproduces_f6(self):
+        from horadam_sums.sequences import BinetView
+
+        for params in (FIB, NEGATIVE_D, FAMILIES["integer_root"]):
+            view = BinetView(params)
+            for n, r, d in product((1, 2, 3, 4), (-1, 1, 2), (0, 1)):
+                ident = IdentityId.F6A if n % 2 == 0 else IdentityId.F6B
+                try:
+                    one = inst(ident, params=params, n=n, a_n=4, r=r, d=d)
+                except InvalidInstanceError:
+                    continue
+                route = f6_binet_route(one, view)
+                assert route.surd_part == 0
+                assert route.rat_part == oracle_nested(lhs_spec(one))
