@@ -28,7 +28,7 @@ from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_VERIFIED, FAMILIES
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
-                         NestedSumSpec, geometric_term, master_E,
+                         NestedSumSpec, PoleError, geometric_term, master_E,
                          oracle_nested, oracle_nested_naive)
 from .sequences import (HoradamParams, horadam, lemma3_residual,
                         lemma4_residual)
@@ -334,7 +334,8 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
     ``range`` is the number of admissible values per index, a_n - c + 1.
     Methods: closed form, prefix-sum oracle (dp), literal enumeration (naive;
     omitted when the tuple count would exceed the cap). Evaluation counts are
-    deterministic; wall times are not.
+    deterministic; wall times are not. An identity point that fails a
+    precondition gets no rows and a ``skipped:`` line on stderr.
     """
     rows = []
     for n in n_values:
@@ -343,7 +344,11 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
             span = a_n - c + 1
 
             start = time.perf_counter_ns()
-            _, closed_evals = _bench_closed(kind, inst_args, n, a_n, c)
+            try:
+                _, closed_evals = _bench_closed(kind, inst_args, n, a_n, c)
+            except InvalidInstanceError as exc:
+                print(f"skipped: {exc}", file=sys.stderr)
+                continue
             closed_ns = time.perf_counter_ns() - start
             rows.append((instance_id, "closed", n, span, closed_evals, closed_ns))
 
@@ -372,9 +377,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         inst_args.update(identity=args.identity, params=params,
                          r=args.r, s=args.s, d=args.d)
     n_values = args.n or (1, 2, 3, 4, 5)
+    if min(n_values) < 1:
+        raise argparse.ArgumentTypeError("--n values must be at least 1")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
-    rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c,
-                      args.naive_cap)
+    try:
+        rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c,
+                          args.naive_cap)
+    except PoleError as exc:  # --kind geometric at --x 0 or 1
+        raise argparse.ArgumentTypeError(str(exc))
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")

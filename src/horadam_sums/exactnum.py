@@ -20,6 +20,9 @@ from typing import Union
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class DivisionByZeroError(ZeroDivisionError):
     """Division by zero, or by a non-invertible (zero-norm) extension element."""
@@ -76,6 +79,17 @@ class QuadExt:
         self._d = d
 
     @classmethod
+    def _of(cls, u: Fraction, v: Fraction, d: Fraction) -> QuadExt:
+        """An element built from components that are already Fractions and a
+        discriminant taken from an existing element, so the coercion and
+        checks of ``__init__`` are skipped."""
+        self = object.__new__(cls)
+        self._u = u
+        self._v = v
+        self._d = d
+        return self
+
+    @classmethod
     def from_rational(cls, value: RationalLike, disc: RationalLike) -> QuadExt:
         return cls(value, 0, disc)
 
@@ -101,7 +115,7 @@ class QuadExt:
         return self._v == 0
 
     def conjugate(self) -> QuadExt:
-        return QuadExt(self._u, -self._v, self._d)
+        return QuadExt._of(self._u, -self._v, self._d)
 
     def norm(self) -> Fraction:
         """Product with the conjugate: u**2 - D*v**2; zero iff not invertible."""
@@ -114,7 +128,7 @@ class QuadExt:
                     f"cannot combine sqrt({self._d}) with sqrt({other._d}) values")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self._d)
+            return QuadExt._of(Fraction(other), _ZERO, self._d)
         return None
 
     def __bool__(self) -> bool:
@@ -136,13 +150,13 @@ class QuadExt:
         return hash((self._u, self._v, self._d))
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self._u, -self._v, self._d)
+        return QuadExt._of(-self._u, -self._v, self._d)
 
     def __add__(self, other) -> QuadExt:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(self._u + rhs._u, self._v + rhs._v, self._d)
+        return QuadExt._of(self._u + rhs._u, self._v + rhs._v, self._d)
 
     __radd__ = __add__
 
@@ -150,7 +164,7 @@ class QuadExt:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(self._u - rhs._u, self._v - rhs._v, self._d)
+        return QuadExt._of(self._u - rhs._u, self._v - rhs._v, self._d)
 
     def __rsub__(self, other) -> QuadExt:
         rhs = self._coerce(other)
@@ -162,9 +176,9 @@ class QuadExt:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(self._u * rhs._u + self._v * rhs._v * self._d,
-                       self._u * rhs._v + self._v * rhs._u,
-                       self._d)
+        return QuadExt._of(self._u * rhs._u + self._v * rhs._v * self._d,
+                           self._u * rhs._v + self._v * rhs._u,
+                           self._d)
 
     __rmul__ = __mul__
 
@@ -175,7 +189,7 @@ class QuadExt:
                 raise DivisionByZeroError(f"division by zero in Q(sqrt({self._d}))")
             raise DivisionByZeroError(
                 f"({self}) has zero norm and is not invertible in Q(sqrt({self._d}))")
-        return QuadExt(self._u / n, -self._v / n, self._d)
+        return QuadExt._of(self._u / n, -self._v / n, self._d)
 
     def __truediv__(self, other) -> QuadExt:
         rhs = self._coerce(other)
@@ -193,7 +207,7 @@ class QuadExt:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent == 0:
-            return QuadExt(1, 0, self._d)
+            return QuadExt._of(_ONE, _ZERO, self._d)
         base = self
         if exponent < 0:
             if not self:
@@ -201,7 +215,7 @@ class QuadExt:
                     f"0 ** {exponent} is undefined in Q(sqrt({self._d}))")
             base = self._inverse()
             exponent = -exponent
-        result = QuadExt(1, 0, self._d)
+        result = QuadExt._of(_ONE, _ZERO, self._d)
         while exponent:
             if exponent & 1:
                 result = result * base

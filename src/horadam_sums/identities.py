@@ -12,14 +12,14 @@ the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
 described once, by one record in ``_REGISTRY``: its fixed family or family
 shape, the F6 depth parity, the theorem shape it shares with its parent
 (swept coordinates, preconditions, left-hand summand), its right-hand
-evaluator and its default grid. The restricted tags F3_w and F7_w and the
-gibonacci tags F6_G_even and F6_G_odd use the general evaluators, since
-validation already pins their parameters. All eight F6 tags share one
+evaluator and its default grid. Every restricted and gibonacci
+specialization runs its parent's evaluator, since validation already pins
+its parameters (and, for F7_r1d0_*, its r and d). All eight F6 tags share one
 skeleton over Q: the display's sqrt(D) occurs only in even powers, which
 become powers of D, and the Fibonacci and Lucas forms only swap in their own
-term lookups. The remaining gibonacci forms are transcribed from their own
-displays. The oracle sweep is the check on every specialization that does not
-share its parent's code.
+term lookups. Only H, F1/F2 and those F6 Fibonacci/Lucas lookups are
+transcribed separately. A specialization's closed form is therefore checked
+against the oracle, never against its parent's evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -256,11 +256,6 @@ def _f7_r1d0_violation(inst: IdentityInstance) -> Optional[str]:
     return _f7_violation(inst)
 
 
-def _f7_r1d0_summand(inst: IdentityInstance) -> SumTerm:
-    seq = inst.sequence()
-    return SumTerm(weight_base=inst.params.q * seq.term(inst.s - 1) / seq.term(inst.s))
-
-
 _H = _Shape("", lambda inst: SumTerm(seq=inst.params), _h_violation)
 _F1 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s))
 _F2 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s,
@@ -270,7 +265,7 @@ _F4 = _Shape("crs", _f4_summand, _v_r_violation)
 _F5 = _Shape("crsd", _f5_summand, _f5_violation)
 _F6 = _Shape("crsd", _f6_summand, _f6_violation)
 _F7 = _Shape("crsd", _f7_summand, _f7_violation)
-_F7_R1D0 = _Shape("cs", _f7_r1d0_summand, _f7_r1d0_violation)
+_F7_R1D0 = _Shape("cs", _f7_summand, _f7_r1d0_violation)
 
 
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
@@ -282,10 +277,11 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # ---------------------------------------------------------------------------
 # Right-hand sides
 #
-# Each evaluator transcribes its own closed form over Q; the F6 forms share
-# one skeleton. The optional counter tallies one unit per summand-family
-# sequence term and per binomial coefficient, so reported closed-form costs are
-# measured, not assumed.
+# Each theorem's closed form is transcribed once, over Q, and serves every
+# specialization of it; the F6 forms share one skeleton, into which the
+# Fibonacci and Lucas forms plug their own term lookups. The optional counter
+# tallies one unit per summand-family sequence term and per binomial
+# coefficient, so reported closed-form costs are measured, not assumed.
 # ---------------------------------------------------------------------------
 
 def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
@@ -348,19 +344,6 @@ def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     return lead - total / rat_pow(vr, c - 1)
 
 
-def rhs_F3_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Gibonacci closed form for the nested sum of G[rk+s] / L_r**k."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
-    lr = second_kind_term(1, -1, r)
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow((n - j) * (r - 1)) * w(r * (2 * n - 2 * j + c - 1) + s)
-                  * bi(a + j - c, j))
-    lead = neg_one_pow(n * (r - 1)) * w(r * (a + 2 * n) + s) / rat_pow(lr, a)
-    return lead - total / rat_pow(lr, c - 1)
-
-
 def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of (-1)**k W[2rk+s] / q**(rk)."""
     w, bi = _tracked(inst, counter)
@@ -372,18 +355,6 @@ def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
         total += w(r * (n - j + 2 * c - 2) + s) / rat_pow(vr, n - j) * bi(a + j - c, j)
     lead = neg_one_pow(a) * w(r * (2 * a + n) + s) / (rat_pow(q, r * a) * rat_pow(vr, n))
     return lead + neg_one_pow(c) / rat_pow(q, r * (c - 1)) * total
-
-
-def rhs_F4_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Gibonacci closed form for the nested sum of (-1)**((r-1)k) G[2rk+s]."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
-    lr = second_kind_term(1, -1, r)
-    total = Fraction(0)
-    for j in range(n):
-        total += w(r * (n - j + 2 * c - 2) + s) / rat_pow(lr, n - j) * bi(a + j - c, j)
-    lead = neg_one_pow((r - 1) * a) * w(r * (2 * a + n) + s) / rat_pow(lr, n)
-    return lead + neg_one_pow(r * (c - 1) + c) * total
 
 
 def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -402,22 +373,6 @@ def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
             / (rat_pow(q, d * n) * rat_pow(ur, n) * rat_pow(urd, a))
             * w((r + d) * n + r * a + s))
     return lead - rat_pow(ud / urd, c - 1) * total
-
-
-def rhs_F5_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Gibonacci closed form for the nested sum of (F_d/F_{r+d})**k G[rk+s]."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-    fd = first_kind_term(1, -1, d)
-    fr = first_kind_term(1, -1, r)
-    frd = first_kind_term(1, -1, r + d)
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow((n - j) * (d + 1)) * rat_pow(fd / fr, n - j)
-                  * w(r * (n - j + c - 1) + d * (n - j) + s) * bi(a + j - c, j))
-    lead = (neg_one_pow(n * (d + 1)) * rat_pow(fd, n + a)
-            / (rat_pow(fr, n) * rat_pow(frd, a)) * w((r + d) * n + r * a + s))
-    return lead - rat_pow(fd / frd, c - 1) * total
 
 
 def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
@@ -511,60 +466,6 @@ def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     lead = (neg_one_pow(n) * rat_pow(q, n + a) * rat_pow(u0, n)
             * rat_pow(ratio_u, a) * rat_pow(ratio_w, a) * rat_pow(ratio_rs, n))
     return lead - rat_pow(q, c - 1) * rat_pow(ratio_u, c - 1) * rat_pow(ratio_w, c - 1) * total
-
-
-def rhs_F7_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Gibonacci form of the F7 closed form (alternating geometric base)."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
-    f0 = first_kind_term(1, -1, r - d)
-    f1 = first_kind_term(1, -1, r - d + 1)
-    gsd1 = w(s + d - 1)
-    gsd = w(s + d)
-    grs = w(r + s)
-    ratio_f = f0 / f1
-    ratio_g = gsd1 / gsd
-    ratio_rs = gsd1 / grs
-    total = Fraction(0)
-    for j in range(n):
-        total += rat_pow(f0, n - j) * rat_pow(ratio_rs, n - j) * bi(a + j - c, j)
-    lead = (neg_one_pow(a) * rat_pow(f0, n) * rat_pow(ratio_f, a)
-            * rat_pow(ratio_g, a) * rat_pow(ratio_rs, n))
-    return lead + neg_one_pow(c) * rat_pow(ratio_f, c - 1) * rat_pow(ratio_g, c - 1) * total
-
-
-def rhs_F7_r1d0_w(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """r = 1, d = 0 restricted form: geometric base q * w[s-1]/w[s]."""
-    w, bi = _tracked(inst, counter)
-    q = inst.params.q
-    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
-    ws1 = w(s - 1)
-    ws = w(s)
-    wsp = w(s + 1)
-    ratio_w = ws1 / ws
-    ratio_up = ws1 / wsp
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow(n - j) * rat_pow(q, n - j) * rat_pow(ratio_up, n - j)
-                  * bi(a + j - c, j))
-    lead = neg_one_pow(n) * rat_pow(q, n + a) * rat_pow(ratio_w, a) * rat_pow(ratio_up, n)
-    return lead - rat_pow(q, c - 1) * rat_pow(ratio_w, c - 1) * total
-
-
-def rhs_F7_r1d0_G(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """r = 1, d = 0 gibonacci form: alternating geometric base G[s-1]/G[s]."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
-    gs1 = w(s - 1)
-    gs = w(s)
-    gsp = w(s + 1)
-    ratio_g = gs1 / gs
-    ratio_up = gs1 / gsp
-    total = Fraction(0)
-    for j in range(n):
-        total += rat_pow(ratio_up, n - j) * bi(a + j - c, j)
-    lead = neg_one_pow(a) * rat_pow(ratio_g, a) * rat_pow(ratio_up, n)
-    return lead + neg_one_pow(c) * rat_pow(ratio_g, c - 1) * total
 
 
 def evaluate_rhs(inst: IdentityInstance,
@@ -822,11 +723,11 @@ _REGISTRY: Dict[IdentityId, _Record] = {
         s_values=(-1, 0, 2), d_values=(-1, 0, 1), a_offsets=tuple(range(-2, 7)))),
     IdentityId.F3_W: _Record(_F3, rhs_F3, _f3_special_grid(_RESTRICTED_FAMILIES),
                              family=_RESTRICTED),
-    IdentityId.F3_G: _Record(_F3, rhs_F3_G, _f3_special_grid(_GIBONACCI_FAMILIES),
+    IdentityId.F3_G: _Record(_F3, rhs_F3, _f3_special_grid(_GIBONACCI_FAMILIES),
                              family=_GIBONACCI),
-    IdentityId.F4_G: _Record(_F4, rhs_F4_G, _f3_special_grid(_GIBONACCI_FAMILIES),
+    IdentityId.F4_G: _Record(_F4, rhs_F4, _f3_special_grid(_GIBONACCI_FAMILIES),
                              family=_GIBONACCI),
-    IdentityId.F5_G: _Record(_F5, rhs_F5_G, SweepGrid(
+    IdentityId.F5_G: _Record(_F5, rhs_F5, SweepGrid(
         families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(0, 2), d_values=(1, 2), a_offsets=tuple(range(-1, 7))),
         family=_GIBONACCI),
@@ -844,10 +745,10 @@ _REGISTRY: Dict[IdentityId, _Record] = {
                                  fixed=LUCAS, parity=1),
     IdentityId.F7_W: _Record(_F7, rhs_F7, _f7_special_grid(_RESTRICTED_FAMILIES),
                              family=_RESTRICTED),
-    IdentityId.F7_G: _Record(_F7, rhs_F7_G, _f7_special_grid(_GIBONACCI_FAMILIES),
+    IdentityId.F7_G: _Record(_F7, rhs_F7, _f7_special_grid(_GIBONACCI_FAMILIES),
                              family=_GIBONACCI),
-    IdentityId.F7_R1D0_W: _Record(_F7_R1D0, rhs_F7_r1d0_w, _f7_r1d0_grid(_RESTRICTED_FAMILIES),
+    IdentityId.F7_R1D0_W: _Record(_F7_R1D0, rhs_F7, _f7_r1d0_grid(_RESTRICTED_FAMILIES),
                                   family=_RESTRICTED),
-    IdentityId.F7_R1D0_G: _Record(_F7_R1D0, rhs_F7_r1d0_G, _f7_r1d0_grid(_GIBONACCI_FAMILIES),
+    IdentityId.F7_R1D0_G: _Record(_F7_R1D0, rhs_F7, _f7_r1d0_grid(_GIBONACCI_FAMILIES),
                                   family=_GIBONACCI),
 }

@@ -114,6 +114,27 @@ def test_zero_coefficient_is_usage_error(capsys, command, zero):
     assert err.startswith("error:") and "must be nonzero" in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("--n", "0"), 2, "error: --n values must be at least 1"),
+    (("--kind", "identity", "--n", "0..2"), 2, "error: --n values must be at least 1"),
+    (("--kind", "geometric", "--x", "1"), 2, "error: x = 1 is a pole"),
+    (("--kind", "geometric", "--x", "0"), 2, "error: x = 0 is a pole"),
+    (("--kind", "identity", "--identity", "F6a", "--family", "fibonacci"), 0,
+     "skipped: F6a: n must be even"),
+])
+def test_bench_bad_point_follows_exit_contract(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, "bench", *argv)
+    assert got == code
+    assert err and all(line.startswith(message) for line in err.splitlines())
+    if code == 2:
+        assert out == ""
+    else:
+        # the odd depths of the default --n 1..5 are skipped at each of the
+        # four default --an values; the even depths run
+        assert {row["n"] for row in csv.DictReader(io.StringIO(out))} == {"2", "4"}
+        assert len(err.splitlines()) == 3 * 4
+
+
 class TestSweepCommand:
     def test_jsonl_stream_and_summary(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--identity", "F1a",

@@ -437,20 +437,46 @@ class TestDegenerations:
                 assert rhs_H(h) == evaluate_rhs(g)
 
 
+# (sum of closed_terms, sum of oracle_terms) over each default grid; the
+# counts are deterministic, so a change to an evaluator's lookups shows here
+_DEFAULT_GRID_TERM_COUNTS = {
+    IdentityId.H: (195, 546),
+    IdentityId.F3_W: (3072, 4032),
+    IdentityId.F3_G: (3072, 4032),
+    IdentityId.F4_G: (3072, 4032),
+    IdentityId.F5_G: (5120, 6720),
+    IdentityId.F6_G_EVEN: (13056, 16128),
+    IdentityId.F6_G_ODD: (11520, 10752),
+    IdentityId.F6_F_EVEN: (2688, 4032),
+    IdentityId.F6_F_ODD: (1920, 2688),
+    IdentityId.F6_L_EVEN: (2688, 4032),
+    IdentityId.F6_L_ODD: (1920, 2688),
+    IdentityId.F7_W: (4464, 5208),
+    IdentityId.F7_G: (6048, 7056),
+    IdentityId.F7_R1D0_W: (3960, 5544),
+    IdentityId.F7_R1D0_G: (4320, 6048),
+}
+
+
 def test_tags_outside_theorem_suite_match_oracle():
-    # acceptance criterion 3 sweeps the ten theorem tags; this covers the rest,
-    # including F3_w and F7_w, which share their parent's evaluator
+    # acceptance criterion 3 sweeps the ten theorem tags; this covers the rest.
+    # Every restricted and gibonacci tag runs its parent's evaluator, so the
+    # oracle is its only independent check.
     assert set(_REGISTRY) == set(IdentityId)
     theorem_suite = {IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B,
                      IdentityId.F3, IdentityId.F4, IdentityId.F5, IdentityId.F6A,
                      IdentityId.F6B, IdentityId.F7}
+    assert set(_DEFAULT_GRID_TERM_COUNTS) == set(IdentityId) - theorem_suite
     failures = []
-    for ident in IdentityId:
-        if ident in theorem_suite:
-            continue
-        summary = summarize(sweep(ident))
+    for ident, expected_counts in _DEFAULT_GRID_TERM_COUNTS.items():
+        reports = sweep(ident)
+        summary = summarize(reports)
         if summary.mismatched or summary.errors or not summary.verified:
             failures.append((ident.value, summary))
+        counts = (sum(report.closed_terms for report in reports),
+                  sum(report.oracle_terms for report in reports))
+        if counts != expected_counts:
+            failures.append((ident.value, counts, expected_counts))
     assert not failures
 
 
