@@ -20,7 +20,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from typing import IO, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
 from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_VERIFIED, FAMILIES,
@@ -28,7 +28,7 @@ from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_VERIFIED, FAMILIES
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
-                         NestedSumSpec, PoleError, geometric_term, master_E,
+                         NestedSumSpec, geometric_term, master_E,
                          oracle_nested, oracle_nested_naive)
 from .sequences import (HoradamParams, horadam, lemma3_residual,
                         lemma4_residual)
@@ -302,29 +302,25 @@ def cmd_table(args: argparse.Namespace) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _bench_closed(kind: str, inst_args: dict, n: int, a_n: int, c: int):
-    """Evaluate the closed form for one bench point; returns (value, evals)."""
-    counter = EvalCounter()
-    if kind == "ones":
-        value = nested_ones(n, a_n, c)
-        counter.add()  # a single binomial evaluation
-    elif kind == "geometric":
-        value = master_E(inst_args["x"], n, a_n, c, counter=counter)
-    else:
-        inst = IdentityInstance(inst_args["identity"], inst_args["params"], n, a_n,
-                                c, inst_args["r"], inst_args["s"], inst_args["d"])
-        value = evaluate_rhs(inst, counter=counter)
-    return value, counter.count
+def _bench_point(kind: str, inst_args: dict, n: int, a_n: int,
+                 c: int) -> Tuple[Callable[[EvalCounter], Fraction], NestedSumSpec]:
+    """The closed-form evaluation of one bench point and its nested-sum spec.
 
-
-def _bench_spec(kind: str, inst_args: dict, n: int, a_n: int, c: int) -> NestedSumSpec:
+    An identity point builds its instance here, once, so that validation
+    stays outside the timed closed-form call.
+    """
     if kind == "ones":
-        return NestedSumSpec(n, a_n, c, ONES)
+        def closed(counter: EvalCounter) -> Fraction:
+            counter.add()  # a single binomial evaluation
+            return nested_ones(n, a_n, c)
+        return closed, NestedSumSpec(n, a_n, c, ONES)
     if kind == "geometric":
-        return NestedSumSpec(n, a_n, c, geometric_term(inst_args["x"]))
+        x = inst_args["x"]
+        return (lambda counter: master_E(x, n, a_n, c, counter=counter),
+                NestedSumSpec(n, a_n, c, geometric_term(x)))
     inst = IdentityInstance(inst_args["identity"], inst_args["params"], n, a_n,
                             c, inst_args["r"], inst_args["s"], inst_args["d"])
-    return lhs_spec(inst)
+    return lambda counter: evaluate_rhs(inst, counter=counter), lhs_spec(inst)
 
 
 def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
@@ -343,16 +339,17 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
             instance_id = f"{kind}-n{n}-c{c}-a{a_n}"
             span = a_n - c + 1
 
-            start = time.perf_counter_ns()
             try:
-                _, closed_evals = _bench_closed(kind, inst_args, n, a_n, c)
+                closed, spec = _bench_point(kind, inst_args, n, a_n, c)
             except InvalidInstanceError as exc:
                 print(f"skipped: {exc}", file=sys.stderr)
                 continue
+            counter = EvalCounter()
+            start = time.perf_counter_ns()
+            closed(counter)
             closed_ns = time.perf_counter_ns() - start
-            rows.append((instance_id, "closed", n, span, closed_evals, closed_ns))
+            rows.append((instance_id, "closed", n, span, counter.count, closed_ns))
 
-            spec = _bench_spec(kind, inst_args, n, a_n, c)
             counter = EvalCounter()
             start = time.perf_counter_ns()
             oracle_nested(spec, counter=counter)
@@ -379,12 +376,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     n_values = args.n or (1, 2, 3, 4, 5)
     if min(n_values) < 1:
         raise argparse.ArgumentTypeError("--n values must be at least 1")
+    if args.kind == "geometric" and args.x in (0, 1):
+        raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
-    try:
-        rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c,
-                          args.naive_cap)
-    except PoleError as exc:  # --kind geometric at --x 0 or 1
-        raise argparse.ArgumentTypeError(str(exc))
+    rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c, args.naive_cap)
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")

@@ -14,12 +14,14 @@ shape, the F6 depth parity, the theorem shape it shares with its parent
 (swept coordinates, preconditions, left-hand summand), its right-hand
 evaluator and its default grid. Every restricted and gibonacci
 specialization runs its parent's evaluator, since validation already pins
-its parameters (and, for F7_r1d0_*, its r and d). All eight F6 tags share one
-skeleton over Q: the display's sqrt(D) occurs only in even powers, which
-become powers of D, and the Fibonacci and Lucas forms only swap in their own
-term lookups. Only H, F1/F2 and those F6 Fibonacci/Lucas lookups are
-transcribed separately. A specialization's closed form is therefore checked
-against the oracle, never against its parent's evaluator.
+its parameters (and, for F7_r1d0_*, its r and d). The classic form H is F3 on
+the Fibonacci numbers at r = 1, s = 0, c = 1, and F1/F2 are F5's body at
+(r, d) = (3, -1) and (3, -2). All eight F6 tags share one skeleton over Q:
+the display's sqrt(D) occurs only in even powers, which become powers of D,
+and the Fibonacci and Lucas forms only swap in their own term lookups. Only
+those F6 Fibonacci/Lucas lookups are transcribed separately. A
+specialization's closed form is therefore checked against the oracle, never
+against its parent's evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -278,10 +280,11 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # Right-hand sides
 #
 # Each theorem's closed form is transcribed once, over Q, and serves every
-# specialization of it; the F6 forms share one skeleton, into which the
-# Fibonacci and Lucas forms plug their own term lookups. The optional counter
-# tallies one unit per summand-family sequence term and per binomial
-# coefficient, so reported closed-form costs are measured, not assumed.
+# specialization of it: H runs F3, and F1/F2 run F5's body at fixed (r, d).
+# The F6 forms share one skeleton, into which the Fibonacci and Lucas forms
+# plug their own term lookups. The optional counter tallies one unit per
+# summand-family sequence term and per binomial coefficient, so reported
+# closed-form costs are measured, not assumed.
 # ---------------------------------------------------------------------------
 
 def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
@@ -300,38 +303,8 @@ def _tracked(inst: IdentityInstance, counter: Optional[EvalCounter]):
     return _counted(inst.sequence().term, counter), _counted(binom, counter)
 
 
-def rhs_H(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Fibonacci nested sum of F[k]: F[a+2n] minus binomial-weighted even-index terms."""
-    w, bi = _tracked(inst, counter)
-    n, a = inst.n, inst.a_n
-    total = Fraction(0)
-    for j in range(n):
-        total += w(2 * (n - j)) * bi(a + j - 1, j)
-    return w(a + 2 * n) - total
-
-
-def rhs_F1(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Closed form for the nested sum of F[3k+s] (F1a) or L[3k+s] (F1b)."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
-    total = Fraction(0)
-    for j in range(n):
-        total += w(2 * (n - j) + 3 * (c - 1) + s) * bi(a + j - c, j) / 2 ** (n - j)
-    return w(2 * n + 3 * a + s) / 2 ** n - total
-
-
-def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Closed form for the alternating nested sum of (-1)**k F[3k+s] or L[3k+s]."""
-    w, bi = _tracked(inst, counter)
-    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
-    total = Fraction(0)
-    for j in range(n):
-        total += w(n - j + 3 * (c - 1) + s) * bi(a + j - c, j) / 2 ** (n - j)
-    return neg_one_pow(a) * w(n + 3 * a + s) / 2 ** n + neg_one_pow(c) * total
-
-
 def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the nested sum of W[rk+s] / V_r**k."""
+    """General closed form for the nested sum of W[rk+s] / V_r**k (also H)."""
     w, bi = _tracked(inst, counter)
     q = inst.params.q
     n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
@@ -357,22 +330,46 @@ def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     return lead + neg_one_pow(c) / rat_pow(q, r * (c - 1)) * total
 
 
-def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the nested sum of (U_d/U_{r+d})**k W[rk+s]."""
+def _rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter],
+            r: int, d: int) -> Fraction:
+    """Body of F5 at the given r and d, for the nested sum of
+    (U_d/U_{r+d})**k W[rk+s].
+
+    The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``.
+    """
     w, bi = _tracked(inst, counter)
     p, q = inst.params.p, inst.params.q
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
+    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
     ud = first_kind_term(p, q, d)
-    ur = first_kind_term(p, q, r)
-    urd = first_kind_term(p, q, r + d)
+    ratio = -ud / (first_kind_term(p, q, r) * rat_pow(q, d))
+    base = ud / first_kind_term(p, q, r + d)
     total = Fraction(0)
     for j in range(n):
-        total += (neg_one_pow(n - j) / rat_pow(q, d * (n - j)) * rat_pow(ud / ur, n - j)
-                  * w(r * (n - j + c - 1) + d * (n - j) + s) * bi(a + j - c, j))
-    lead = (neg_one_pow(n) * rat_pow(ud, n + a)
-            / (rat_pow(q, d * n) * rat_pow(ur, n) * rat_pow(urd, a))
-            * w((r + d) * n + r * a + s))
-    return lead - rat_pow(ud / urd, c - 1) * total
+        total += (rat_pow(ratio, n - j) * w(r * (n - j + c - 1) + d * (n - j) + s)
+                  * bi(a + j - c, j))
+    lead = rat_pow(ratio, n) * rat_pow(base, a) * w((r + d) * n + r * a + s)
+    return lead - rat_pow(base, c - 1) * total
+
+
+def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """General closed form for the nested sum of (U_d/U_{r+d})**k W[rk+s].
+
+    On the Fibonacci recurrence, (r, d) = (3, -1) has U_{-1}/U_2 = 1 and
+    U_3 = 2, which give F1's powers of 2, and (3, -2) has U_{-2}/U_1 = -1,
+    which gives F2's alternating sign; ``rhs_F1``/``rhs_F2`` run this body
+    there.
+    """
+    return _rhs_F5(inst, counter, inst.r, inst.d)
+
+
+def rhs_F1(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """F1a/F1b: the nested sum of F[3k+s] or L[3k+s], F5 at (r, d) = (3, -1)."""
+    return _rhs_F5(inst, counter, 3, -1)
+
+
+def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """F2a/F2b: the alternating nested sum of F[3k+s] or L[3k+s], F5 at (3, -2)."""
+    return _rhs_F5(inst, counter, 3, -2)
 
 
 def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
@@ -487,7 +484,12 @@ CLASS_ERROR = "error"
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Outcome of evaluating one identity instance both ways."""
+    """Outcome of evaluating one identity instance both ways.
+
+    The coordinates are listed here rather than held as an instance, since a
+    skipped point has no valid instance. The outcome fields default to those
+    of a skipped point.
+    """
 
     identity: IdentityId
     params: HoradamParams
@@ -497,23 +499,15 @@ class EvaluationReport:
     r: int
     s: int
     d: int
-    lhs: Optional[Fraction]
-    rhs: Optional[Fraction]
-    equal: Optional[bool]
-    oracle_terms: int
-    closed_terms: int
-    oracle_ns: int
-    closed_ns: int
-    classification: str
+    lhs: Optional[Fraction] = None
+    rhs: Optional[Fraction] = None
+    equal: Optional[bool] = None
+    oracle_terms: int = 0
+    closed_terms: int = 0
+    oracle_ns: int = 0
+    closed_ns: int = 0
+    classification: str = CLASS_SKIPPED
     detail: str = ""
-
-
-def _report_coords(identity: IdentityId, params: HoradamParams, n: int, a_n: int,
-                   c: int, r: int, s: int, d: int, **extra) -> EvaluationReport:
-    defaults = dict(lhs=None, rhs=None, equal=None, oracle_terms=0, closed_terms=0,
-                    oracle_ns=0, closed_ns=0, classification=CLASS_SKIPPED, detail="")
-    defaults.update(extra)
-    return EvaluationReport(identity, params, n, a_n, c, r, s, d, **defaults)
 
 
 _EVALUATION_ERRORS = (PoleError, ZeroDivisionError)
@@ -537,9 +531,9 @@ def verify(inst: IdentityInstance) -> EvaluationReport:
         rhs = evaluate_rhs(inst, counter=closed_counter)
         closed_ns = time.perf_counter_ns() - start
     except _EVALUATION_ERRORS as exc:
-        return _report_coords(*coords, oracle_terms=oracle_counter.count,
-                              closed_terms=closed_counter.count,
-                              classification=CLASS_ERROR, detail=str(exc))
+        return EvaluationReport(*coords, oracle_terms=oracle_counter.count,
+                                closed_terms=closed_counter.count,
+                                classification=CLASS_ERROR, detail=str(exc))
     equal = lhs == rhs
     if inst.a_n >= inst.c:
         classification = CLASS_VERIFIED if equal else CLASS_MISMATCH
@@ -603,8 +597,7 @@ def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
                 inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
             except InvalidInstanceError as exc:
                 shown = params if params is not None else record.fixed
-                yield _report_coords(identity, shown, n, a_n, c, r, s, d,
-                                     classification=CLASS_SKIPPED, detail=str(exc))
+                yield EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
                 continue
             yield verify(inst)
 
@@ -705,7 +698,7 @@ def _f7_r1d0_grid(families: Tuple[HoradamParams, ...]) -> SweepGrid:
 
 _REGISTRY: Dict[IdentityId, _Record] = {
     IdentityId.H: _Record(
-        _H, rhs_H, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
+        _H, rhs_F3, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
         fixed=FIBONACCI),
     IdentityId.F1A: _Record(_F1, rhs_F1, _CUBIC_GRID, fixed=FIBONACCI),
     IdentityId.F1B: _Record(_F1, rhs_F1, _CUBIC_GRID, fixed=LUCAS),

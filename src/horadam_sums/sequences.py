@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from functools import lru_cache
+from typing import Dict, Tuple
 
 from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
 
@@ -132,14 +133,21 @@ def term(params: HoradamParams, j: int) -> Fraction:
     return HoradamSequence.of(params).term(j)
 
 
+@lru_cache(maxsize=None)
+def _companions(p: RationalLike, q: RationalLike) -> Tuple[HoradamSequence, HoradamSequence]:
+    """The shared U and V sequences of (p, q), looked up once per pair."""
+    return (HoradamSequence.of(lucas_first_kind(p, q)),
+            HoradamSequence.of(lucas_second_kind(p, q)))
+
+
 def first_kind_term(p: RationalLike, q: RationalLike, j: int) -> Fraction:
     """U[j] for the given recurrence coefficients."""
-    return term(lucas_first_kind(p, q), j)
+    return _companions(p, q)[0].term(j)
 
 
 def second_kind_term(p: RationalLike, q: RationalLike, j: int) -> Fraction:
     """V[j] for the given recurrence coefficients."""
-    return term(lucas_second_kind(p, q), j)
+    return _companions(p, q)[1].term(j)
 
 
 class BinetView:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from _util import fib_list
+import horadam_sums.cli as cli
 from horadam_sums.cli import (BENCH_CSV_COLUMNS, SWEEP_CSV_COLUMNS, format_rational,
                               main, parse_int_set)
 from horadam_sums.combinatorics import binom
@@ -283,6 +284,22 @@ class TestBenchCommand:
             if row["method"] == "closed":
                 n = int(row["n"])
                 assert int(row["summand_evals"]) == 2 * n + 1
+
+    def test_identity_point_built_once(self, capsys, monkeypatch):
+        # the instance is validated once per point, before the timed closed form
+        built = Counter()
+        real = cli.IdentityInstance
+
+        def counting(identity, params, n, a_n, *coords):
+            built[(n, a_n)] += 1
+            return real(identity, params, n, a_n, *coords)
+
+        monkeypatch.setattr(cli, "IdentityInstance", counting)
+        code, _, _ = run_cli(capsys, "bench", "--kind", "identity",
+                             "--identity", "F3", "--family", "fibonacci",
+                             "--n", "1..3", "--an", "4,8", "--c", "1")
+        assert code == 0
+        assert built == {(n, a_n): 1 for n in (1, 2, 3) for a_n in (4, 8)}
 
     def test_naive_rows_respect_cap(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--kind", "ones", "--n", "6",
