@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .combinatorics import binom, binom_column_sum, nested_ones
 from .exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
-                       MismatchedDiscriminantError, QuadExt, Rational,
+                       MismatchedDiscriminantError, QuadExt,
                        ZeroToNegativePowerError, neg_one_pow, rat_pow)
 from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
@@ -34,7 +34,7 @@ __all__ = [
     "FIBONACCI", "HoradamParams", "HoradamSequence", "IdentityId",
     "IdentityInstance", "InvalidInstanceError", "LUCAS",
     "MismatchedDiscriminantError", "NaiveCapExceededError", "NestedSumSpec",
-    "ONES", "PoleError", "QuadExt", "Rational", "SumTerm",
+    "ONES", "PoleError", "QuadExt", "SumTerm",
     "SweepGrid", "SweepSummary", "ZeroToNegativePowerError",
     "binom", "binom_column_sum", "default_grid", "evaluate_rhs", "f_closed",
     "f_closed_parity_split", "first_kind_term", "g_closed", "geom_sum",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -109,10 +108,6 @@ class QuadExt:
     @property
     def disc(self) -> Fraction:
         return self._d
-
-    @property
-    def is_rational(self) -> bool:
-        return self._v == 0
 
     def conjugate(self) -> QuadExt:
         return QuadExt._of(self._u, -self._v, self._d)

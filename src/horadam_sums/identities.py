@@ -12,16 +12,18 @@ the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
 described once, by one record in ``_REGISTRY``: its fixed family or family
 shape, the F6 depth parity, the theorem shape it shares with its parent
 (swept coordinates, preconditions, left-hand summand), its right-hand
-evaluator and its default grid. Every restricted and gibonacci
-specialization runs its parent's evaluator, since validation already pins
-its parameters (and, for F7_r1d0_*, its r and d). The classic form H is F3 on
-the Fibonacci numbers at r = 1, s = 0, c = 1, and F1/F2 are F5's body at
-(r, d) = (3, -1) and (3, -2). All eight F6 tags share one skeleton over Q:
-the display's sqrt(D) occurs only in even powers, which become powers of D,
-and the Fibonacci and Lucas forms only swap in their own term lookups. Only
-those F6 Fibonacci/Lucas lookups are transcribed separately. A
-specialization's closed form is therefore checked against the oracle, never
-against its parent's evaluator.
+evaluator and its default grid. As in the paper, which evaluates the nested
+geometric sum once and derives every display from it, the closed forms of
+F3..F7 are one lifted master form at a parameter tuple per theorem. Every
+restricted and gibonacci specialization runs its parent's tuple, since
+validation already pins its parameters (and, for F7_r1d0_*, its r and d).
+The classic form H is F3 on the Fibonacci numbers at r = 1, s = 0, c = 1,
+and F1/F2 are F5 at (r, d) = (3, -1) and (3, -2). All eight F6 tags share
+F6's tuple over Q: the display's sqrt(D) occurs only in even powers, which
+become powers of D, and the Fibonacci and Lucas forms only swap in their own
+term lookups. The left-hand summands are built apart from the master form,
+so every closed form is checked against the oracle, never against another
+evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -40,7 +42,7 @@ from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .combinatorics import binom
-from .exactnum import neg_one_pow, rat_pow
+from .exactnum import rat_pow
 from .nestedcore import EvalCounter, NestedSumSpec, PoleError, SumTerm, oracle_nested
 from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam, second_kind_term)
@@ -279,12 +281,14 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # ---------------------------------------------------------------------------
 # Right-hand sides
 #
-# Each theorem's closed form is transcribed once, over Q, and serves every
-# specialization of it: H runs F3, and F1/F2 run F5's body at fixed (r, d).
-# The F6 forms share one skeleton, into which the Fibonacci and Lucas forms
-# plug their own term lookups. The optional counter tallies one unit per
-# summand-family sequence term and per binomial coefficient, so reported
-# closed-form costs are measured, not assumed.
+# The paper evaluates the nested geometric sum once and reads every display
+# off it, so F3..F7 are one lifted master form, ``_lifted``, at a parameter
+# tuple per theorem: the ratio, the base, the index step and multiplier, and
+# the term T(e, k). Each tuple serves every specialization of its theorem:
+# H runs F3, F1/F2 run F5's tuple at fixed (r, d), and the F6 Fibonacci and
+# Lucas forms plug their own term lookups into F6's. The optional counter
+# tallies one unit per summand-family sequence term and per binomial
+# coefficient, so reported closed-form costs are measured, not assumed.
 # ---------------------------------------------------------------------------
 
 def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
@@ -299,56 +303,57 @@ def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
     return tallied
 
 
-def _tracked(inst: IdentityInstance, counter: Optional[EvalCounter]):
-    return _counted(inst.sequence().term, counter), _counted(binom, counter)
+def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter], ratio: Fraction,
+            base: Fraction, step: int, mul: int,
+            term: Callable[[int, int], Fraction]) -> Fraction:
+    """The lifted master form every closed form evaluates.
+
+    With a = a_n and T(e, k) = ``term(e, k)``, it returns
+    ratio**n * base**a * T(n, step*n + mul*a + s)
+    - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
+    * C(a+j-c, j).
+    """
+    bi = _counted(binom, counter)
+    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
+    shift = mul * (c - 1) + s
+    total = Fraction(0)
+    power = Fraction(1)
+    for j in reversed(range(n)):
+        power *= ratio  # ratio**(n - j)
+        total += power * term(n - j, step * (n - j) + shift) * bi(a + j - c, j)
+    return power * base ** a * term(n, step * n + mul * a + s) - base ** (c - 1) * total
+
+
+def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter]):
+    """T(e, k) = W[k], tallied."""
+    w = _counted(inst.sequence().term, counter)
+    return lambda e, k: w(k)
 
 
 def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of W[rk+s] / V_r**k (also H)."""
-    w, bi = _tracked(inst, counter)
-    q = inst.params.q
-    n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
+    q, r = inst.params.q, inst.r
     vr = second_kind_term(inst.params.p, q, r)
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow(n - j) * w(r * (2 * n - 2 * j + c - 1) + s)
-                  / rat_pow(q, r * (n - j)) * bi(a + j - c, j))
-    lead = neg_one_pow(n) * w(r * (a + 2 * n) + s) / (rat_pow(q, r * n) * rat_pow(vr, a))
-    return lead - total / rat_pow(vr, c - 1)
+    return _lifted(inst, counter, -1 / q ** r, 1 / vr, 2 * r, r, _w_term(inst, counter))
 
 
 def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of (-1)**k W[2rk+s] / q**(rk)."""
-    w, bi = _tracked(inst, counter)
-    q = inst.params.q
-    n, a, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
+    q, r = inst.params.q, inst.r
     vr = second_kind_term(inst.params.p, q, r)
-    total = Fraction(0)
-    for j in range(n):
-        total += w(r * (n - j + 2 * c - 2) + s) / rat_pow(vr, n - j) * bi(a + j - c, j)
-    lead = neg_one_pow(a) * w(r * (2 * a + n) + s) / (rat_pow(q, r * a) * rat_pow(vr, n))
-    return lead + neg_one_pow(c) / rat_pow(q, r * (c - 1)) * total
+    return _lifted(inst, counter, 1 / vr, -1 / q ** r, r, 2 * r, _w_term(inst, counter))
 
 
 def _rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter],
             r: int, d: int) -> Fraction:
-    """Body of F5 at the given r and d, for the nested sum of
-    (U_d/U_{r+d})**k W[rk+s].
+    """F5 at the given r and d, for the nested sum of (U_d/U_{r+d})**k W[rk+s].
 
     The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``.
     """
-    w, bi = _tracked(inst, counter)
     p, q = inst.params.p, inst.params.q
-    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
     ud = first_kind_term(p, q, d)
-    ratio = -ud / (first_kind_term(p, q, r) * rat_pow(q, d))
-    base = ud / first_kind_term(p, q, r + d)
-    total = Fraction(0)
-    for j in range(n):
-        total += (rat_pow(ratio, n - j) * w(r * (n - j + c - 1) + d * (n - j) + s)
-                  * bi(a + j - c, j))
-    lead = rat_pow(ratio, n) * rat_pow(base, a) * w((r + d) * n + r * a + s)
-    return lead - rat_pow(base, c - 1) * total
+    return _lifted(inst, counter, -ud / (first_kind_term(p, q, r) * q ** d),
+                   ud / first_kind_term(p, q, r + d), r + d, r, _w_term(inst, counter))
 
 
 def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -356,7 +361,7 @@ def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
 
     On the Fibonacci recurrence, (r, d) = (3, -1) has U_{-1}/U_2 = 1 and
     U_3 = 2, which give F1's powers of 2, and (3, -2) has U_{-2}/U_1 = -1,
-    which gives F2's alternating sign; ``rhs_F1``/``rhs_F2`` run this body
+    which gives F2's alternating sign; ``rhs_F1``/``rhs_F2`` run F5's tuple
     there.
     """
     return _rhs_F5(inst, counter, inst.r, inst.d)
@@ -375,50 +380,23 @@ def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
 def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
             main: Callable[[int], Fraction],
             other: Callable[[int], Fraction]) -> Fraction:
-    """Shared body of every F6 form, for the nested sum of (V_d/V_{r+d})**k W[rk+s].
+    """Every F6 form, for the nested sum of (V_d/V_{r+d})**k W[rk+s].
 
-    ``main(j)`` is W[j] and ``other(j)`` equals W[j+1] - q*W[j-1]; both tally
+    ``main(k)`` is W[k] and ``other(k)`` equals W[k+1] - q*W[k-1]; both tally
     their own terms. The display's delta = sqrt(D) occurs only in even powers,
     which collapse to powers of the discriminant D, so the form is evaluated
-    over Q. The parity of n selects the display.
+    over Q: a term of odd power e is ``other``, one of even e is ``main``, and
+    either is divided by D**ceil(e/2). This covers both parities of n.
     """
-    bi = _counted(binom, counter)
-    p, q = inst.params.p, inst.params.q
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
+    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
     vd = second_kind_term(p, q, d)
-    vrd = second_kind_term(p, q, r + d)
-    ratio = vd / (first_kind_term(p, q, r) * rat_pow(q, d))
-    shift = rat_pow(vd / vrd, c - 1)
     disc = inst.params.discriminant
 
-    if n % 2 == 0:
-        scale = rat_pow(disc, n // 2)
-        lead = rat_pow(ratio, n) * rat_pow(vd / vrd, a) * main(r * (n + a) + d * n + s) / scale
-        even = Fraction(0)
-        for j in range((n - 2) // 2 + 1):
-            even += (disc ** j * rat_pow(ratio, n - 2 * j)
-                     * main((r + d) * (n - 2 * j) + r * (c - 1) + s)
-                     * bi(a + 2 * j - c, 2 * j))
-        odd = Fraction(0)
-        for j in range(1, n // 2 + 1):
-            odd += (disc ** j * rat_pow(ratio, n - 2 * j + 1)
-                    * other((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
-                    * bi(a + 2 * j - 1 - c, 2 * j - 1))
-        return lead - shift * even / scale - shift * odd / (scale * disc)
+    def term(e: int, k: int) -> Fraction:
+        return (other if e % 2 else main)(k) / disc ** ((e + 1) // 2)
 
-    scale = rat_pow(disc, (n + 1) // 2)
-    lead = rat_pow(ratio, n) * rat_pow(vd / vrd, a) * other(r * (n + a) + d * n + s) / scale
-    even = Fraction(0)
-    for j in range((n - 1) // 2 + 1):
-        even += (disc ** j * rat_pow(ratio, n - 2 * j)
-                 * other((r + d) * (n - 2 * j) + r * (c - 1) + s)
-                 * bi(a + 2 * j - c, 2 * j))
-    odd = Fraction(0)
-    for j in range(1, (n - 1) // 2 + 1):
-        odd += (disc ** j * rat_pow(ratio, n - 2 * j + 1)
-                * main((r + d) * (n - 2 * j + 1) + r * (c - 1) + s)
-                * bi(a + 2 * j - 1 - c, 2 * j - 1))
-    return lead - shift * (even + odd) / scale
+    return _lifted(inst, counter, vd / (first_kind_term(p, q, r) * q ** d),
+                   vd / second_kind_term(p, q, r + d), r + d, r, term)
 
 
 def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -445,24 +423,12 @@ def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> F
 def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the purely geometric nested sum with base
     q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d})."""
-    w, bi = _tracked(inst, counter)
-    p, q = inst.params.p, inst.params.q
-    n, a, c, r, s, d = inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d
+    w = _counted(inst.sequence().term, counter)
+    p, q, r, s, d = inst.params.p, inst.params.q, inst.r, inst.s, inst.d
     u0 = first_kind_term(p, q, r - d)
-    u1 = first_kind_term(p, q, r - d + 1)
     wsd1 = w(s + d - 1)
-    wsd = w(s + d)
-    wrs = w(r + s)
-    ratio_u = u0 / u1
-    ratio_w = wsd1 / wsd
-    ratio_rs = wsd1 / wrs
-    total = Fraction(0)
-    for j in range(n):
-        total += (neg_one_pow(n - j) * rat_pow(q, n - j) * rat_pow(u0, n - j)
-                  * rat_pow(ratio_rs, n - j) * bi(a + j - c, j))
-    lead = (neg_one_pow(n) * rat_pow(q, n + a) * rat_pow(u0, n)
-            * rat_pow(ratio_u, a) * rat_pow(ratio_w, a) * rat_pow(ratio_rs, n))
-    return lead - rat_pow(q, c - 1) * rat_pow(ratio_u, c - 1) * rat_pow(ratio_w, c - 1) * total
+    base = q * u0 / first_kind_term(p, q, r - d + 1) * wsd1 / w(s + d)
+    return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 0, 0, lambda e, k: 1)
 
 
 def evaluate_rhs(inst: IdentityInstance,

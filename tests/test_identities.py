@@ -323,21 +323,6 @@ class TestSweep:
 
 
 class TestDegenerations:
-    def test_f5_with_d_equal_r_reduces_to_f3(self):
-        families = (FIB, FAMILIES["gibonacci31"], FAMILIES["integer_root"],
-                    NEGATIVE_D, GENERIC)
-        count = 0
-        for params, r, s, n in product(families, (-2, -1, 1, 2), (-2, 0, 3), (1, 2)):
-            for a_n in range(1, 5):
-                try:
-                    five = inst(IdentityId.F5, params=params, n=n, a_n=a_n, r=r, s=s, d=r)
-                    three = inst(IdentityId.F3, params=params, n=n, a_n=a_n, r=r, s=s)
-                except InvalidInstanceError:
-                    continue
-                assert rhs_F5(five) == rhs_F3(three)
-                count += 1
-        assert count >= 200
-
     def test_f6_fib_lucas_match_gibonacci_forms(self):
         count = 0
         for main_fixed, fam in ((IdentityId.F6_F_EVEN, FIBONACCI), (IdentityId.F6_L_EVEN, LUCAS)):
@@ -398,6 +383,49 @@ def test_tags_outside_theorem_suite_match_oracle():
         if counts != expected_counts:
             failures.append((ident.value, counts, expected_counts))
     assert not failures
+
+
+def _deep_instances(ident):
+    """Valid points of ``ident`` at depths 5-8 (F6 tags: their own parity only).
+
+    Two families (the first and last of the default grid's), the first and
+    last c, r and d of that grid, and a_n at c - 1, c + 3 and c + 9.
+    """
+    record = _REGISTRY[ident]
+    grid, dims = record.grid, record.shape.dims
+
+    def ends(dim, values, default):
+        return (values[0], values[-1]) if dim in dims else (default,)
+
+    families = (None,) if record.fixed is not None else (grid.families[0], grid.families[-1])
+    depths = [n for n in (5, 6, 7, 8) if record.parity in (None, n % 2)]
+    s = grid.s_values[0] if "s" in dims else 0
+    points = []
+    for params, n, c, r, d in product(families, depths, ends("c", grid.c_values, 1),
+                                      ends("r", grid.r_values, 1), ends("d", grid.d_values, 0)):
+        for a_n in (c - 1, c + 3, c + 9):
+            try:
+                points.append(IdentityInstance(ident, params, n, a_n, c, r, s, d))
+            except InvalidInstanceError:
+                continue
+    return points
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=str)
+def test_deep_depths_match_oracle(ident):
+    # the default grids stop at n = 4, so a closed-form term that only
+    # matters from n = 5 on (an odd F6 form's inner sums, say) shows here
+    points = _deep_instances(ident)
+    assert len(points) >= 10
+    bad = [one for one in points if evaluate_rhs(one) != oracle_nested(lhs_spec(one))]
+    assert not bad
+
+
+def test_h_far_outer_limits_match_oracle():
+    # criterion 4 checks H at a_n 1-30; this carries it on to 40
+    for n, a_n in product(range(1, 5), range(31, 41)):
+        one = inst(IdentityId.H, n=n, a_n=a_n)
+        assert evaluate_rhs(one) == oracle_nested(lhs_spec(one))
 
 
 class TestBinetRoutes:
