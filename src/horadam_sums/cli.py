@@ -7,7 +7,8 @@ go to stderr to keep data streams clean.
 
 Exit status contract: 0 when everything verified or was skipped by a
 precondition, 1 when any in-domain mismatch (or evaluation error) was found,
-2 for usage errors.
+2 for usage errors, including a point whose cost estimate exceeds a cap
+(see :func:`check_cost`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .combinatorics import nested_ones
 from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_VERIFIED, FAMILIES,
                          EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
-                         evaluate_rhs, iter_sweep, lhs_spec, summarize, verify)
+                         evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep_points,
+                         verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
                          NestedSumSpec, geometric_term, master_E,
                          oracle_nested, oracle_nested_naive)
@@ -40,6 +42,12 @@ BENCH_CSV_COLUMNS = ("instance_id", "method", "n", "range", "summand_evals", "wa
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# Caps on one point's cost estimate (see check_cost). Every point the tests
+# run and every request of the benchmark's deep-oracle workload (depth 8,
+# range 2000, reach about 14,000) stays under a tenth of each.
+MAX_ORACLE_TERMS = 200_000
+MAX_REACH = 150_000
 
 
 def format_rational(value: Optional[Fraction]) -> str:
@@ -98,6 +106,25 @@ def _family_list(args: argparse.Namespace) -> Tuple[HoradamParams, ...]:
             raise argparse.ArgumentTypeError(
                 f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
     return tuple(result)
+
+
+def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
+    """Refuse a point whose evaluation would run away, before any work.
+
+    The oracle adds n * (a_n - c + 1) summand values. The reach,
+    (2|r| + |d| + 3) * (n + max(|a_n|, |c|)) + |s|, bounds the largest
+    sequence index and power exponent that the oracle, the closed forms and
+    validation read: a closed form reads W[step*n + mul*a_n + s] with step
+    at most 2|r| + |d| and mul at most 2|r| (3 for F1/F2).
+    """
+    terms = n * (a_n - c + 1)
+    if terms > MAX_ORACLE_TERMS:
+        raise argparse.ArgumentTypeError(
+            f"n * (a_n - c + 1) = {terms} oracle terms exceeds the cap {MAX_ORACLE_TERMS}")
+    reach = (2 * abs(r) + abs(d) + 3) * (n + max(abs(a_n), abs(c))) + abs(s)
+    if reach > MAX_REACH:
+        raise argparse.ArgumentTypeError(
+            f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
 
 
 def report_row(report: EvaluationReport) -> dict:
@@ -167,6 +194,7 @@ def _open_out(path: Optional[str]):
 def cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
     params = (_family_list(args) or (None,))[0]
+    check_cost(args.n, args.an, args.c, args.r, args.s, args.d)
     try:
         inst = IdentityInstance(identity, params, args.n, args.an, args.c,
                                 args.r, args.s, args.d)
@@ -232,6 +260,8 @@ def _grid_from_args(identity: IdentityId, args: argparse.Namespace) -> SweepGrid
 def cmd_sweep(args: argparse.Namespace) -> int:
     identity = args.identity
     grid = _grid_from_args(identity, args)
+    for _, n, a_n, c, r, s, d in sweep_points(identity, grid):
+        check_cost(n, a_n, c, r, s, d)
     tally: Counter = Counter()
 
     def stream():
@@ -269,6 +299,8 @@ _TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
 def cmd_table(args: argparse.Namespace) -> int:
     identity = args.identity
     params = (_family_list(args) or (None,))[0]
+    for a_n in (args.an or ()):
+        check_cost(args.n, a_n, args.c, args.r, args.s, args.d)
     out, close = _open_out(args.out)
     rows = []
     reports = []
@@ -379,6 +411,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.kind == "geometric" and args.x in (0, 1):
         raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
+    for n in n_values:
+        for a_n in a_values:
+            check_cost(n, a_n, args.c, args.r, args.s, args.d)
     rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c, args.naive_cap)
     out, close = _open_out(args.out)
     try:

@@ -45,7 +45,12 @@ def neg_one_pow(exponent: int) -> int:
 
 
 def rat_pow(x: RationalLike, exponent: int) -> Fraction:
-    """``x**exponent`` exactly, with the empty-product convention 0**0 == 1."""
+    """``x**exponent`` exactly, with the empty-product convention 0**0 == 1.
+
+    A non-integer exponent raises TypeError rather than returning a float.
+    """
+    if not isinstance(exponent, int):
+        raise TypeError(f"exponent must be an int, not {type(exponent).__name__}")
     x = Fraction(x)
     if exponent == 0:
         return Fraction(1)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinatorics import binom
 from .exactnum import rat_pow
@@ -531,12 +531,10 @@ class SweepGrid:
     a_values: Optional[Tuple[int, ...]] = None
 
 
-def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
-    """Yield one :class:`EvaluationReport` per grid point, in grid order.
-
-    Points whose instance construction fails a precondition are yielded as
-    ``skipped`` reports, never raised. Streaming keeps large sweeps at
-    constant memory.
+def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
+    """The coordinates ``(params, n, a_n, c, r, s, d)`` of every grid point,
+    in grid order, before validation. ``params`` is None for a tag with a
+    fixed family; the coordinates the tag does not sweep keep their defaults.
     """
     record = _REGISTRY[identity]
     if grid is None:
@@ -559,13 +557,25 @@ def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
         a_values = grid.a_values if grid.a_values is not None else tuple(
             c + off for off in grid.a_offsets)
         for a_n in a_values:
-            try:
-                inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
-            except InvalidInstanceError as exc:
-                shown = params if params is not None else record.fixed
-                yield EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
-                continue
-            yield verify(inst)
+            yield params, n, a_n, c, r, s, d
+
+
+def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
+    """Yield one :class:`EvaluationReport` per grid point, in grid order.
+
+    Points whose instance construction fails a precondition are yielded as
+    ``skipped`` reports, never raised. Streaming keeps large sweeps at
+    constant memory.
+    """
+    fixed = _REGISTRY[identity].fixed
+    for params, n, a_n, c, r, s, d in sweep_points(identity, grid):
+        try:
+            inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
+        except InvalidInstanceError as exc:
+            shown = params if params is not None else fixed
+            yield EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
+            continue
+        yield verify(inst)
 
 
 def sweep(identity: IdentityId, grid: Optional[SweepGrid] = None) -> List[EvaluationReport]:

@@ -11,9 +11,21 @@ the same parameter quadruple:
 * gibonacci family:            p = 1, q = -1, any seeds
 * Fibonacci / Lucas numbers:   gibonacci seeds (0, 1) and (2, 1)
 
-Because the aliases normalise, all views of one underlying sequence share a
-single memoised term cache. Indices may be negative; terms are then produced
-by running the recurrence backwards, ``W[j] = (p*W[j+1] - W[j+2]) / q``.
+Because the aliases normalise, all views of one underlying sequence share
+one :class:`HoradamSequence`. Its terms cost a bounded amount whatever the
+index:
+
+* A dense window of consecutive terms, at most ``WINDOW_CAP`` long, serves
+  the small indices that sweeps and oracles read again and again. A miss
+  within ``WALK_GAP`` of the window's edge extends it by running the
+  recurrence forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``.
+* Every other index is computed, not stored, by doubling the Lucas pair
+  (U_j, V_j) of (p, q) in O(log |j|) products (Joye & Quisquater,
+  "Efficient computation of full Lucas sequences", Electronics Letters
+  32(6), 1996), from which ``W[j] = b*U_j - a*q*U_{j-1}``.
+* At most ``SHARED_CAP`` sequences are kept, least recently used first out.
+  The U/V companion parameters of at most ``COMPANIONS_CAP`` pairs (p, q)
+  are kept too; their sequences come from the same registry.
 
 :class:`BinetView` exposes the closed form ``W[j] = A*tau**j + B*sigma**j``
 over Q(sqrt(D)) with D = p**2 - 4*q, where tau and sigma are the roots of
@@ -23,9 +35,11 @@ and perfect-square discriminants; D = 0 (a repeated root) is rejected.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Tuple
 
 from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
@@ -47,6 +61,19 @@ class HoradamParams:
             raise ValueError("recurrence coefficient p must be nonzero")
         if self.q == 0:
             raise ValueError("recurrence coefficient q must be nonzero")
+        # every term read looks its sequence up by these params, and
+        # Fraction's own __hash__ and __eq__ run in Python, so both are cached
+        values = (self.a, self.b, self.p, self.q)
+        object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "_key", tuple((x.numerator, x.denominator) for x in values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     @property
     def discriminant(self) -> Fraction:
@@ -81,22 +108,93 @@ FIBONACCI = gibonacci(0, 1)
 LUCAS = gibonacci(2, 1)
 
 
+WALK_GAP = 64
+"""A miss at most this far outside the window is walked to and stored."""
+
+WINDOW_CAP = 1 << 14
+"""Most terms one sequence's window holds. The benchmark's deep oracle reads
+windows of up to about 6,000 terms; a full window of a sequence growing by
+one bit per index takes about 18 MB."""
+
+SHARED_CAP = 64
+"""Most sequences kept in the shared registry. A sweep or an oracle run
+reads about 15 (its families and their U/V companions)."""
+
+COMPANIONS_CAP = 64
+"""Most (p, q) pairs whose U/V companion parameters are kept."""
+
+
+def _lucas_pair(p: Fraction, q: Fraction, j: int) -> Tuple[Fraction, Fraction]:
+    """(U_j, V_j) of (p, q) by index doubling, for any integer ``j``.
+
+    The doubling runs on integers: with m the lcm of the denominators of p
+    and q, P = m*p and Q = m*m*q are integers, and U_j(p, q) =
+    U_j(P, Q) / m**(j-1), V_j(p, q) = V_j(P, Q) / m**j. Each bit of |j|
+    maps k to 2k by U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*Q**k, then,
+    when the bit is set, to 2k + 1 by U_{k+1} = (P*U_k + V_k)/2 and
+    V_{k+1} = (D*U_k + P*V_k)/2, both exact integer halvings. Negative
+    indices use U_{-j} = -U_j/q**j and V_{-j} = V_j/q**j. Nothing divides
+    by D, so D = 0 needs no special case.
+    """
+    m = lcm(p.denominator, q.denominator)
+    big_p, big_q = int(p * m), int(q * m * m)
+    disc = big_p * big_p - 4 * big_q
+    n = abs(j)
+    u, v, qk = 0, 2, 1
+    for bit in bin(n)[2:]:
+        u, v, qk = u * v, v * v - 2 * qk, qk * qk
+        if bit == "1":
+            u, v, qk = (big_p * u + v) // 2, (disc * u + big_p * v) // 2, qk * big_q
+    mn = m ** n
+    if j >= 0:
+        return Fraction(u * m, mn), Fraction(v, mn)
+    return Fraction(-u * m * mn, qk), Fraction(v * mn, qk)
+
+
+def doubled_terms(params: HoradamParams, j: int) -> Tuple[Fraction, Fraction]:
+    """(W[j], W[j+1]) by index doubling, with no walk and no memo.
+
+    With U_{j-1} = (p*U_j - V_j) / (2q), W[j] = b*U_j - a*q*U_{j-1} is
+    (b - a*p/2)*U_j + (a/2)*V_j, and the same at j + 1.
+    """
+    a, b, p, q = params.a, params.b, params.p, params.q
+    u, v = _lucas_pair(p, q, j)
+    u1, v1 = (p * u + v) / 2, (params.discriminant * u + p * v) / 2
+    h, g = b - a * p / 2, a / 2
+    return h * u + g * v, h * u1 + g * v1
+
+
 class HoradamSequence:
-    """Memoised term evaluation at any integer index.
+    """Term evaluation at any integer index, in bounded memory.
+
+    ``_memo`` is the dense window ``[_lo, _hi]``. A miss within ``WALK_GAP``
+    of it walks the recurrence and stores what it passes, as long as the
+    window stays within ``WINDOW_CAP`` terms; any other index comes from
+    :func:`doubled_terms` and is not stored.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
-    of the same underlying sequence hit one cache. The cache only ever grows
-    and lookups are plain dict operations, so concurrent readers are safe;
-    callers observe a pure function of the index.
+    of the same underlying sequence hit one window. The registry ``_shared``
+    keeps the ``SHARED_CAP`` most recently used sequences. Concurrent readers
+    get correct values: a window only ever gains terms, and a sequence
+    evicted from the registry stays usable by whoever holds it; callers
+    observe a pure function of the index.
     """
 
-    _shared: Dict[HoradamParams, "HoradamSequence"] = {}
+    _shared: "OrderedDict[HoradamParams, HoradamSequence]" = OrderedDict()
 
     @classmethod
     def of(cls, params: HoradamParams) -> HoradamSequence:
-        seq = cls._shared.get(params)
+        shared = cls._shared
+        seq = shared.get(params)
         if seq is None:
-            seq = cls._shared.setdefault(params, cls(params))
+            seq = shared.setdefault(params, cls(params))
+            if len(shared) > SHARED_CAP:
+                shared.popitem(last=False)
+        else:
+            try:
+                shared.move_to_end(params)
+            except KeyError:  # evicted by another thread since the get
+                pass
         return seq
 
     def __init__(self, params: HoradamParams):
@@ -110,6 +208,10 @@ class HoradamSequence:
         value = memo.get(j)
         if value is not None:
             return value
+        lo, hi = self._lo, self._hi
+        if not (lo - WALK_GAP <= j <= hi + WALK_GAP
+                and max(hi, j) - min(lo, j) < WINDOW_CAP):
+            return doubled_terms(self.params, j)[0]
         p, q = self.params.p, self.params.q
         while self._hi < j:
             k = self._hi + 1
@@ -133,21 +235,20 @@ def term(params: HoradamParams, j: int) -> Fraction:
     return HoradamSequence.of(params).term(j)
 
 
-@lru_cache(maxsize=None)
-def _companions(p: RationalLike, q: RationalLike) -> Tuple[HoradamSequence, HoradamSequence]:
-    """The shared U and V sequences of (p, q), looked up once per pair."""
-    return (HoradamSequence.of(lucas_first_kind(p, q)),
-            HoradamSequence.of(lucas_second_kind(p, q)))
+@lru_cache(maxsize=COMPANIONS_CAP)
+def _companions(p: RationalLike, q: RationalLike) -> Tuple[HoradamParams, HoradamParams]:
+    """The U and V parameters of (p, q), built once per pair."""
+    return lucas_first_kind(p, q), lucas_second_kind(p, q)
 
 
 def first_kind_term(p: RationalLike, q: RationalLike, j: int) -> Fraction:
     """U[j] for the given recurrence coefficients."""
-    return _companions(p, q)[0].term(j)
+    return HoradamSequence.of(_companions(p, q)[0]).term(j)
 
 
 def second_kind_term(p: RationalLike, q: RationalLike, j: int) -> Fraction:
     """V[j] for the given recurrence coefficients."""
-    return _companions(p, q)[1].term(j)
+    return HoradamSequence.of(_companions(p, q)[1]).term(j)
 
 
 class BinetView:

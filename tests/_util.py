@@ -48,6 +48,17 @@ def fib_list(count: int) -> list:
     return values[:count]
 
 
+def walk_terms(params, lo: int, hi: int) -> dict:
+    """W[j] for lo <= j <= hi (lo <= 0 < hi), one recurrence step at a time."""
+    a, b, p, q = params.a, params.b, params.p, params.q
+    values = {0: a, 1: b}
+    for j in range(2, hi + 1):
+        values[j] = p * values[j - 1] - q * values[j - 2]
+    for j in range(-1, lo - 1, -1):
+        values[j] = (p * values[j + 1] - values[j + 2]) / q
+    return values
+
+
 def f6_binet_route(inst, view):
     """The F6 nested sum of (V_d/V_{r+d})**k W[rk+s] through root powers.
 

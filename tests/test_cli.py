@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -113,6 +115,39 @@ def test_zero_coefficient_is_usage_error(capsys, command, zero):
                            *(item for pair in coefficients.items() for item in pair))
     assert code == 2
     assert err.startswith("error:") and "must be nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "F3", "--family", "fibonacci", "--n", "2", "--an", "10000000"),
+    ("verify", "--identity", "F5", "--family", "generic", "--n", "2", "--an", "3",
+     "--r", "1", "--d", "1000000"),
+    ("verify", "--identity", "H", "--n", "20", "--an", "20000"),
+    ("sweep", "--identity", "F3", "--family", "fibonacci", "--an", "1,10000000"),
+    ("sweep", "--identity", "F4", "--family", "fibonacci", "--r", "1,100000"),
+    ("table", "--identity", "F3", "--family", "fibonacci", "--an", "1,10000000"),
+    ("bench", "--kind", "ones", "--n", "1", "--an", "10000000"),
+])
+def test_runaway_point_refused_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceed" in err
+
+
+def test_sweep_caps_only_swept_coordinates(capsys):
+    # H sweeps no r, so a huge --r never reaches an instance
+    code, out, _ = run_cli(capsys, "sweep", "--identity", "H", "--n", "1",
+                           "--an", "1..3", "--r", "1000000")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_cost_caps_leave_tenfold_headroom():
+    # the benchmark's deepest oracle request: depth 8, range 2000, d up to 2
+    cli.check_cost(8, 2000, 1, 1, 3, 2)
+    cli.check_cost(8, 20000, 1, 1, 3, 2)
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli.check_cost(8, 200000, 1, 1, 3, 2)
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -58,6 +58,11 @@ class TestRationalPow:
         with pytest.raises(ZeroToNegativePowerError):
             rat_pow(Fraction(0), -1)
 
+    @pytest.mark.parametrize("exponent", [1.0, Fraction(1), Fraction(1, 2), "1"])
+    def test_non_integer_exponent_rejected(self, exponent):
+        with pytest.raises(TypeError):
+            rat_pow(Fraction(2, 3), exponent)
+
     @given(x=nonzero_rationals, e=st.integers(-8, 8))
     def test_pow_inverse(self, x, e):
         assert rat_pow(x, e) * rat_pow(x, -e) == 1

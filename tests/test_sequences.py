@@ -5,15 +5,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _util import fib_list
+from _util import fib_list, walk_terms
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
-from horadam_sums.sequences import (FIBONACCI, LUCAS, BinetView,
-                                    HoradamSequence, first_kind_term,
-                                    gibonacci, horadam, lemma3_residual,
-                                    lemma4_residual, lucas_first_kind,
-                                    lucas_second_kind, restricted,
-                                    second_kind_term, term)
+from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
+                                    WALK_GAP, WINDOW_CAP, BinetView,
+                                    HoradamSequence, _companions, doubled_terms,
+                                    first_kind_term, gibonacci, horadam,
+                                    lemma3_residual, lemma4_residual,
+                                    lucas_first_kind, lucas_second_kind,
+                                    restricted, second_kind_term, term)
 
 TEST_PQ = [(Fraction(1), Fraction(-1)), (Fraction(3), Fraction(2)),
            (Fraction(1), Fraction(1)), (Fraction(1), Fraction(3)),
@@ -75,6 +78,69 @@ class TestTerm:
         for j in range(-20, 21):
             assert first_kind_term(1, -1, j) == term(FIBONACCI, j)
             assert second_kind_term(1, -1, j) == term(LUCAS, j)
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+nonzero_small = small_rationals.filter(lambda x: x != 0)
+
+
+class TestBoundedTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(a=small_rationals, b=small_rationals, p=nonzero_small, q=nonzero_small,
+           j=st.integers(-300, 300))
+    @example(a=Fraction(1), b=Fraction(3), p=Fraction(2), q=Fraction(1), j=-300)  # D = 0
+    @example(a=Fraction(1), b=Fraction(3), p=Fraction(2), q=Fraction(1), j=300)
+    @example(a=Fraction(0), b=Fraction(1), p=Fraction(1), q=Fraction(-1), j=0)
+    def test_doubling_matches_walk(self, a, b, p, q, j):
+        params = horadam(a, b, p, q)
+        walked = walk_terms(params, min(j, 0), max(j + 1, 1))
+        assert doubled_terms(params, j) == (walked[j], walked[j + 1])
+
+    def test_far_term_leaves_window_bounded(self):
+        f_prev, f = 0, 1  # F[j-1], F[j], from the bare recurrence
+        for _ in range(10 ** 5 - 1):
+            f_prev, f = f, f + f_prev
+        assert term(FIBONACCI, 10 ** 5) == f
+        seq = HoradamSequence.of(FIBONACCI)
+        assert len(seq._memo) == seq._hi - seq._lo + 1 <= WINDOW_CAP
+
+    @pytest.mark.parametrize("p,q", TEST_PQ)
+    def test_far_reads_are_not_stored(self, p, q):
+        params = horadam(Fraction(3, 2), -1, p, q)
+        seq = HoradamSequence(params)
+        walked = walk_terms(params, -400, 400)
+        for j in (400, -400, 2 + WALK_GAP, -1 - WALK_GAP, 300, -300):
+            assert seq.term(j) == walked[j]
+        assert (seq._lo, seq._hi) == (0, 1)
+        assert seq.term(1 + WALK_GAP) == walked[1 + WALK_GAP]
+        assert (seq._lo, seq._hi) == (0, 1 + WALK_GAP)
+
+    def test_window_stops_at_cap(self):
+        seq = HoradamSequence(horadam(1, 2, 1, 3))
+        walked = walk_terms(seq.params, 0, WINDOW_CAP + 200)
+        for j in range(WINDOW_CAP + 200):
+            assert seq.term(j) == walked[j]
+        assert len(seq._memo) == WINDOW_CAP
+
+    def test_caches_stay_bounded(self):
+        for i in range(1000):
+            p, q = 1 + i % 10, -(1 + i // 10)
+            params = horadam(1, 2, p, q)
+            term(params, 10 ** 4)
+            first_kind_term(p, q, 10 ** 4)
+            assert len(HoradamSequence._shared) <= SHARED_CAP
+            assert _companions.cache_info().currsize <= COMPANIONS_CAP
+
+    def test_companions_share_the_registry_window(self):
+        first_kind_term(1, -1, 5)
+        for i in range(SHARED_CAP + 10):
+            term(horadam(i, 1, 2, 3), 2)
+        fib = HoradamSequence.of(FIBONACCI)
+        hits = _companions.cache_info().hits
+        first_kind_term(1, -1, 40)
+        assert _companions.cache_info().hits == hits + 1
+        assert 40 in fib._memo
+        assert HoradamSequence.of(FIBONACCI) is fib
 
 
 class TestBinetView:
