@@ -606,11 +606,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except argparse.ArgumentTypeError as exc:  # pragma: no cover - argparse exits first
         parser.error(str(exc))
+    # Values the cost caps accept can run past the interpreter's limit on
+    # int-to-str digits (4300 by default; F[25001] has 5225). The command
+    # prints them in full and puts the limit back for library callers.
+    # Interpreters before 3.10.7 have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

@@ -10,10 +10,13 @@ the outermost runs up to ``A``. Sums whose upper limit falls below the lower
 limit are empty and contribute zero.
 
 Two independent evaluators are provided: :func:`oracle_nested` computes the
-value by iterated prefix sums in O(depth * range) summand evaluations, while
-:func:`oracle_nested_naive` literally enumerates every index tuple. Their
-agreement guards against a shared bug, and both serve as ground truth for the
-closed forms in this module and in :mod:`horadam_sums.identities`.
+value by iterated prefix sums, which run over Python ints on one common
+denominator of the summand values with a single division at the end, in
+O(depth * range) additions and one summand evaluation per index, while
+:func:`oracle_nested_naive` literally enumerates every index tuple in plain
+``Fraction`` arithmetic. Their agreement guards against a shared bug, and
+both serve as ground truth for the closed forms in this module and in
+:mod:`horadam_sums.identities`.
 
 All values are exact: :class:`~fractions.Fraction`, or
 :class:`~horadam_sums.exactnum.QuadExt` when the summand's geometric weight
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple, Union
 
 from .combinatorics import binom
@@ -130,34 +134,75 @@ def _zero_like(summand: SumTerm) -> Scalar:
     return Fraction(0)
 
 
+def _prefix_total(row: list, limits: Tuple[int, ...]) -> Fraction:
+    """Nested total of rational level-0 values by integer prefix sums.
+
+    ``row`` holds the summand at ``limits[0]``, ``limits[0] + 1``, ... up to
+    the outer upper limit. It is rescaled in place to integers over one
+    common denominator, so each Fraction is freed as its integer replaces
+    it; each level then runs its prefix sums over ints and the total is
+    divided by the denominator once. Entries below a level's own lower limit
+    are dropped: every level's partial sums are zero below ``limits[0]``, so
+    the row never needs to reach further down.
+    """
+    den = 1
+    for value in row:
+        # the denominators are usually powers of one base, so the running
+        # lcm mostly divides already and the gcd is skipped
+        if den % value.denominator:
+            den = lcm(den, value.denominator)
+    for i, value in enumerate(row):
+        row[i] = value.numerator * (den // value.denominator)
+    begin = limits[0]
+    for start in limits[1:]:
+        # in place: a second row of ints beside this one raised the peak RSS
+        acc = 0
+        for i, value in enumerate(row):
+            acc += value
+            row[i] = acc
+        if start > begin:
+            del row[:start - begin]
+            begin = start
+    return Fraction(sum(row), den)
+
+
 def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) -> Scalar:
     """Exact nested-sum value by iterated prefix sums.
 
     Level 1 accumulates summand values from its lower limit; each further
-    level accumulates the previous level's partial sums. Costs
-    O(depth * range) summand evaluations instead of the multinomial blow-up
-    of direct enumeration.
+    level accumulates the previous level's partial sums. Each summand value
+    is evaluated once; the values are scaled to one common denominator, the
+    prefix sums of every level run over Python ints, and the total is
+    divided by that denominator once. A ``QuadExt`` summand runs the same
+    integer kernel on its rational and surd parts, since addition is
+    componentwise. Costs O(depth * range) integer additions and one summand
+    evaluation per index, instead of the multinomial blow-up of direct
+    enumeration. ``counter`` tallies one unit per addition of a value into
+    a level, as a plain loop over the levels would.
     """
     summand = spec.term
-    zero = _zero_like(summand)
-    lo = min(spec.lower_limits)
+    limits = spec.lower_limits
     hi = spec.upper
-    if hi < spec.lower_limits[-1] or hi < lo:
-        return zero
-    width = hi - lo + 1
-    current: list = []
-    for level in range(spec.depth):
-        start = spec.lower_limits[level]
-        acc = zero
-        sums = [zero] * width
-        for idx in range(width):
-            if lo + idx >= start:
-                acc = acc + (summand.value(lo + idx) if level == 0 else current[idx])
-                if counter is not None:
-                    counter.add()
-            sums[idx] = acc
-        current = sums
-    return current[-1]
+    if hi < limits[-1]:
+        return _zero_like(summand)
+    values: list = []
+    # a summand that raises leaves the count of the values made before it,
+    # which verify reports with the error
+    try:
+        for k in range(limits[0], hi + 1):
+            values.append(summand.value(k))
+    finally:
+        if counter is not None:
+            counter.add(len(values))
+    if counter is not None:
+        counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
+    base = summand.weight_base
+    if isinstance(base, QuadExt):
+        rat = [value.rat_part for value in values]
+        surd = [value.surd_part for value in values]
+        del values
+        return QuadExt._of(_prefix_total(rat, limits), _prefix_total(surd, limits), base.disc)
+    return _prefix_total(values, limits)
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -148,6 +149,41 @@ def test_cost_caps_leave_tenfold_headroom():
     cli.check_cost(8, 20000, 1, 1, 3, 2)
     with pytest.raises(argparse.ArgumentTypeError):
         cli.check_cost(8, 200000, 1, 1, 3, 2)
+
+
+def _decimal_digits(value: int) -> str:
+    """Decimal digits of a nonnegative int, converted 1000 digits at a time,
+    so no single conversion meets the interpreter's int-to-str limit."""
+    chunks = []
+    while True:
+        value, chunk = divmod(value, 10 ** 1000)
+        chunks.append(chunk)
+        if not value:
+            break
+    return str(chunks[-1]) + "".join(f"{chunk:01000d}" for chunk in reversed(chunks[:-1]))
+
+
+def test_values_past_the_int_digit_limit_print_exactly(capsys):
+    # lhs = rhs = F[25001], 5225 digits, past the default limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--identity", "F3", "--family", "fibonacci",
+                           "--n", "1", "--an", "1", "--s", "25000")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    older, fib = 1, 0
+    for _ in range(25001):
+        older, fib = fib, older + fib
+    expected = _decimal_digits(fib)
+    assert len(expected) == 5225
+    rows = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    for side in ("lhs", "rhs"):
+        numerator, denominator = rows[side].split("/")
+        assert denominator == "1"
+        assert len(numerator) == len(expected)
+        assert all(got == want for got, want in zip(numerator, expected))
+    assert rows["class"] == "verified"
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import literal_nested_sum
 from horadam_sums.combinatorics import nested_ones
@@ -227,6 +229,75 @@ class TestOracles:
         spec = NestedSumSpec(4, 13, 1, ONES)
         oracle_nested(spec, counter=counter)
         assert counter.count == 4 * 13
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+nonzero_small = small_rationals.filter(lambda x: x != 0)
+# no rational squares: every nonzero weight base is invertible at negative k
+discs = st.sampled_from([Fraction(5), Fraction(2), Fraction(-3), Fraction(1, 2)])
+
+
+@st.composite
+def kernel_specs(draw):
+    """Small nested sums over every summand shape, with per-level limits that
+    may cross, an upper limit that may fall below them, and negative indices."""
+    depth = draw(st.integers(1, 4))
+    limits = tuple(draw(st.lists(st.integers(-4, 4), min_size=depth, max_size=depth)))
+    upper = draw(st.integers(-6, 8))
+    seq = draw(st.none() | st.builds(horadam, small_rationals, small_rationals,
+                                     nonzero_small, nonzero_small))
+    weight = draw(st.none() | nonzero_small
+                  | st.builds(QuadExt, small_rationals, nonzero_small, discs))
+    summand = SumTerm(seq=seq, index_mul=draw(st.integers(-2, 3)),
+                      index_add=draw(st.integers(-3, 3)), weight_base=weight,
+                      alternating=draw(st.booleans()))
+    return NestedSumSpec(depth, upper, limits, summand)
+
+
+TAU = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+
+# Fixed cases for the shapes a random draw may miss: crossing limits, an
+# upper limit below level 0's own (the total is a zero QuadExt), below a
+# middle level's (that level adds nothing) or below the outermost (nothing
+# is evaluated), and both parts of a QuadExt summand.
+KERNEL_CASES = (
+    NestedSumSpec(3, 1, (3, -2, 1), geometric_term(TAU)),
+    NestedSumSpec(3, 3, (0, 5, 1), SumTerm(seq=FIBONACCI)),
+    NestedSumSpec(2, 3, (0, 5), SumTerm(seq=FIBONACCI)),
+    NestedSumSpec(4, 6, (-3, 2, -1, 0),
+                  SumTerm(seq=GENERIC, index_mul=-1, weight_base=Fraction(-2, 3),
+                          alternating=True)),
+    NestedSumSpec(3, 5, (1, -2, 2), SumTerm(seq=GENERIC, index_add=-4, weight_base=TAU)),
+    NestedSumSpec(2, 4, (2, 0), geometric_term(Fraction(3, 2))),
+    NestedSumSpec(1, 3, -2, SumTerm(seq=FIBONACCI, weight_base=QuadExt(1, -2, -3))),
+)
+
+
+def _check_kernel(spec):
+    counter = EvalCounter()
+    fast = oracle_nested(spec, counter=counter)
+    slow = oracle_nested_naive(spec, cap=None)
+    assert type(fast) is type(slow)
+    assert fast == slow
+    if isinstance(slow, QuadExt):
+        assert (fast.surd_part, fast.disc) == (slow.surd_part, slow.disc)
+    limits = spec.lower_limits
+    expected_count = (sum(max(0, spec.upper - limit + 1) for limit in limits)
+                      if spec.upper >= limits[-1] else 0)
+    assert counter.count == expected_count
+
+
+class TestIntegerKernel:
+    """The integer prefix-sum kernel against the Fraction-only enumeration."""
+
+    @pytest.mark.parametrize("spec", KERNEL_CASES)
+    def test_fixed_cases_match_naive(self, spec):
+        _check_kernel(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=kernel_specs())
+    def test_matches_naive(self, spec):
+        _check_kernel(spec)
 
 
 class TestVariedLimitReduction:

@@ -1,22 +1,29 @@
-"""Mutation check of the closed-form evaluators in ``horadam_sums.identities``.
+"""Mutation check of the closed-form evaluators and of the nested-sum oracle.
 
     python3 tools/mutate_rhs.py
 
-Each mutant changes one operator or constant in ``_lifted`` or in one of the
-right-hand-side functions (``rhs_*`` and ``_rhs_*``): ``+`` and ``-`` swap,
-``*`` and ``/`` swap (augmented assignments included), and each integer
-constant is raised by 1. The mutated function is compiled into the live
-module, so every caller (the registry, ``_rhs_F5``'s and ``_rhs_F6``'s
-wrappers) runs it.
+Each mutant changes one operator or constant in one target function:
+``+`` and ``-`` swap, ``*`` and ``/`` swap (augmented assignments included),
+and each integer constant is raised by 1. The targets are ``_lifted`` and the
+right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
+``horadam_sums.identities``, and ``oracle_nested`` with its integer kernel
+``_prefix_total`` in ``horadam_sums.nestedcore``. The mutated function is
+compiled into its live module, so every caller (the registry, ``_rhs_F5``'s
+and ``_rhs_F6``'s wrappers, ``verify``) runs it; a mutated
+``oracle_nested`` is also bound to the names ``identities`` and this script
+import it under, so the mutant is what the closed forms are compared with.
 
 A mutant is killed when, for any tag whose evaluation calls the mutated
-function, a point of the tier-1 deep-depth grid
+function (every tag, for the oracle), a point of the tier-1 deep-depth grid
 (``tests/test_identities.py::_deep_instances``) or of the tag's default-grid
 sweep shows a mismatch, an error report or an exception, or when it runs
-longer than ``TIMEOUT_S``. A survivor listed in ``KNOWN_SURVIVORS`` is
+longer than ``TIMEOUT_S``. An oracle mutant is also killed when, on a case
+of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type, surd part or
+summand count differs from the plain-Fraction enumeration
+``oracle_nested_naive``. A survivor listed in ``KNOWN_SURVIVORS`` is
 equivalent to the original, for the reason given there. The script prints
 the mutant and kill counts and the runtime, and exits 1 when any other
-mutant survives (2 when the unmutated evaluators already fail).
+mutant survives (2 when the unmutated code already fails).
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import horadam_sums.identities as ids  # noqa: E402
-from horadam_sums.nestedcore import oracle_nested  # noqa: E402
+import horadam_sums.nestedcore as nc  # noqa: E402
+from horadam_sums.exactnum import QuadExt  # noqa: E402
+from horadam_sums.nestedcore import EvalCounter, oracle_nested, oracle_nested_naive  # noqa: E402
 from test_identities import _deep_instances  # noqa: E402
+from test_nestedcore import KERNEL_CASES  # noqa: E402
 
 TIMEOUT_S = 60
 
@@ -43,14 +53,26 @@ KNOWN_SURVIVORS = {
     "lambda e, k: 1)": "F7's term ignores its index, so the index step is unread",
     "rhs_F7: return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 0, 1, "
     "lambda e, k: 1)": "F7's term ignores its index, so the index multiplier is unread",
+    "_prefix_total: den = 2": "twice the lcm is a common denominator too, and the "
+    "returned Fraction is normalised",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 
 
-def _targets(tree: ast.Module) -> list:
-    return [node for node in tree.body if isinstance(node, ast.FunctionDef)
-            and (node.name == "_lifted" or node.name.startswith(("rhs_", "_rhs_")))]
+ORACLE_TARGETS = ("oracle_nested", "_prefix_total")
+
+
+def _is_target(module, name: str) -> bool:
+    if module is nc:
+        return name in ORACLE_TARGETS
+    return name == "_lifted" or name.startswith(("rhs_", "_rhs_"))
+
+
+def _targets(module) -> list:
+    tree = ast.parse(Path(module.__file__).read_text())
+    return [(module, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and _is_target(module, node.name)]
 
 
 def _sites(func: ast.FunctionDef) -> list:
@@ -95,17 +117,44 @@ def _callers(names: set) -> dict:
     return callers
 
 
-def _install(func: ast.FunctionDef) -> None:
-    """Compile ``func`` into the live module and point the registry at it."""
-    code = compile(ast.Module(body=[func], type_ignores=[]), ids.__file__, "exec")
-    exec(code, ids.__dict__)
+def _bind_oracle(fn) -> None:
+    """Point the oracle names of ``identities`` and of this script at ``fn``."""
+    global oracle_nested
+    ids.oracle_nested = oracle_nested = fn
+
+
+def _install(module, func: ast.FunctionDef) -> None:
+    """Compile ``func`` into its live module and point the registry and the
+    oracle names at the result."""
+    code = compile(ast.Module(body=[func], type_ignores=[]), module.__file__, "exec")
+    exec(code, module.__dict__)
     for ident, record in ids._REGISTRY.items():
         current = ids.__dict__[record.rhs.__name__]
         if current is not record.rhs:
             ids._REGISTRY[ident] = dataclasses.replace(record, rhs=current)
+    _bind_oracle(nc.oracle_nested)
 
 
-def _killed(tags: list) -> bool:
+def _kernel_broken() -> bool:
+    """True when the oracle disagrees with the naive enumeration on a kernel case."""
+    for spec in KERNEL_CASES:
+        counter = EvalCounter()
+        fast = oracle_nested(spec, counter=counter)
+        slow = oracle_nested_naive(spec, cap=None)
+        limits = spec.lower_limits
+        count = (sum(max(0, spec.upper - limit + 1) for limit in limits)
+                 if spec.upper >= limits[-1] else 0)
+        if type(fast) is not type(slow) or fast != slow or counter.count != count:
+            return True
+        if isinstance(slow, QuadExt) and (fast.surd_part, fast.disc) != (slow.surd_part,
+                                                                         slow.disc):
+            return True
+    return False
+
+
+def _killed(tags: list, oracle: bool = False) -> bool:
+    if oracle and _kernel_broken():
+        return True
     for ident in tags:
         for one in _deep_instances(ident):
             if ids.evaluate_rhs(one) != oracle_nested(ids.lhs_spec(one)):
@@ -122,18 +171,18 @@ def _on_alarm(signum, frame):
 
 def main() -> int:
     start = time.perf_counter()
-    tree = ast.parse(Path(ids.__file__).read_text())
-    funcs = _targets(tree)
-    originals = {func.name: ids.__dict__[func.name] for func in funcs}
+    funcs = _targets(ids) + _targets(nc)
     registry = dict(ids._REGISTRY)
-    callers = _callers(set(originals))
-    if _killed(list(ids.IdentityId)):
-        print("the unmutated evaluators already fail the check")
+    callers = _callers({func.name for module, func in funcs if module is ids})
+    callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS})
+    if _killed(list(ids.IdentityId), oracle=True):
+        print("the unmutated code already fails the check")
         return 2
     signal.signal(signal.SIGALRM, _on_alarm)
     total = killed = 0
     survivors = []
-    for func in funcs:
+    for module, func in funcs:
+        original = module.__dict__[func.name]
         for node, field, replacement in _sites(func):
             saved = getattr(node, field)
             setattr(node, field, replacement)
@@ -141,15 +190,16 @@ def main() -> int:
             total += 1
             signal.alarm(TIMEOUT_S)
             try:
-                _install(func)
-                dead = _killed(callers[func.name])
+                _install(module, func)
+                dead = _killed(callers[func.name], oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
                 signal.alarm(0)
                 setattr(node, field, saved)
-                ids.__dict__.update(originals)
+                module.__dict__[func.name] = original
                 ids._REGISTRY.update(registry)
+                _bind_oracle(nc.oracle_nested)
             if dead:
                 killed += 1
             else:
