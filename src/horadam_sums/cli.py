@@ -360,7 +360,7 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
     """Measured (instance_id, method, n, range, summand_evals, wall_ns) rows.
 
     ``range`` is the number of admissible values per index, a_n - c + 1.
-    Methods: closed form, prefix-sum oracle (dp), literal enumeration (naive;
+    Methods: closed form, chain-count oracle (dp), literal enumeration (naive;
     omitted when the tuple count would exceed the cap). Evaluation counts are
     deterministic; wall times are not. An identity point that fails a
     precondition gets no rows and a ``skipped:`` line on stderr.

@@ -3,7 +3,7 @@
 Each :class:`IdentityId` names one closed-form evaluation of a nested sum
 whose innermost summand involves a second-order recurrence sequence. For
 every identity the left-hand side is evaluated independently by the exact
-prefix-sum oracle and the right-hand side by an evaluator coded directly from
+chain-count oracle and the right-hand side by an evaluator coded directly from
 the closed form; :func:`verify` demands bit-exact agreement.
 
 The catalog covers the general four-parameter family (tags F3..F7), the

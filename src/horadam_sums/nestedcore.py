@@ -9,14 +9,15 @@ where each index runs from its own lower limit up to the next outer index and
 the outermost runs up to ``A``. Sums whose upper limit falls below the lower
 limit are empty and contribute zero.
 
-Two independent evaluators are provided: :func:`oracle_nested` computes the
-value by iterated prefix sums, which run over Python ints on one common
-denominator of the summand values with a single division at the end, in
-O(depth * range) additions and one summand evaluation per index, while
-:func:`oracle_nested_naive` literally enumerates every index tuple in plain
-``Fraction`` arithmetic. Their agreement guards against a shared bug, and
-both serve as ground truth for the closed forms in this module and in
-:mod:`horadam_sums.identities`.
+Two independent evaluators are provided. :func:`oracle_nested` evaluates
+the summand once per index of the innermost range, keeping the weight power
+as a running product, and weights each value by the number of index chains
+that reach it; those counts are small-int suffix sums, one pass per level,
+and the weighted sum runs over Python ints on one common denominator with a
+single division at the end. :func:`oracle_nested_naive` literally
+enumerates every index tuple in plain ``Fraction`` arithmetic. Their
+agreement guards against a shared bug, and both serve as ground truth for
+the closed forms in this module and in :mod:`horadam_sums.identities`.
 
 All values are exact: :class:`~fractions.Fraction`, or
 :class:`~horadam_sums.exactnum.QuadExt` when the summand's geometric weight
@@ -27,16 +28,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
+from operator import mul
 from typing import Optional, Tuple, Union
 
 from .combinatorics import binom
 from .exactnum import QuadExt, neg_one_pow
-from .sequences import HoradamParams, term
+from .sequences import HoradamParams, HoradamSequence
 
 Scalar = Union[Fraction, QuadExt]
 
 DEFAULT_NAIVE_CAP = 500_000
+
+_ONE = Fraction(1)
 
 
 class PoleError(ValueError):
@@ -66,6 +71,13 @@ class SumTerm:
     ``weight_base**k`` and, when ``alternating``, the sign ``(-1)**k``.
     An omitted factor contributes 1. The weight base must be nonzero so that
     negative indices stay well-defined.
+
+    Construction also resolves the sequence's :class:`HoradamSequence` once
+    (``_sequence``) and decides once whether the weight is read at all
+    (``_base``): a rational base equal to 1 is dropped, a ``QuadExt`` base
+    never is, so such a summand keeps returning ``QuadExt`` values. Neither
+    attribute is a field, so equality, hashing and the repr are those of the
+    fields alone.
     """
 
     seq: Optional[HoradamParams] = None
@@ -82,13 +94,25 @@ class SumTerm:
                 object.__setattr__(self, "weight_base", base)
             if not base:
                 raise ValueError("weight base must be nonzero")
+            if isinstance(base, Fraction) and base == 1:
+                base = None
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_sequence",
+                           None if self.seq is None else HoradamSequence.of(self.seq))
 
-    def value(self, k: int) -> Scalar:
-        result: Scalar = Fraction(1)
-        if self.seq is not None:
-            result = term(self.seq, self.index_mul * k + self.index_add)
-        if self.weight_base is not None:
-            result = result * self.weight_base ** k
+    def value(self, k: int, weight: Optional[Scalar] = None) -> Scalar:
+        """The summand at ``k``. A caller that already holds ``weight_base**k``
+        (a running product over consecutive ``k``) passes it as ``weight``."""
+        base = self._base
+        if base is not None and weight is None:
+            weight = base ** k
+        sequence = self._sequence
+        if sequence is None:
+            result = _ONE if base is None else weight
+        else:
+            result = sequence.term(self.index_mul * k + self.index_add)
+            if base is not None:
+                result = result * weight
         if self.alternating and k % 2:
             result = -result
         return result
@@ -134,75 +158,92 @@ def _zero_like(summand: SumTerm) -> Scalar:
     return Fraction(0)
 
 
-def _prefix_total(row: list, limits: Tuple[int, ...]) -> Fraction:
-    """Nested total of rational level-0 values by integer prefix sums.
+def _chain_counts(limits: Tuple[int, ...], upper: int) -> list:
+    """Multiplicity of each level-0 index ``k`` in ``limits[0] .. upper``.
 
-    ``row`` holds the summand at ``limits[0]``, ``limits[0] + 1``, ... up to
-    the outer upper limit. It is rescaled in place to integers over one
-    common denominator, so each Fraction is freed as its integer replaces
-    it; each level then runs its prefix sums over ints and the total is
-    divided by the denominator once. Entries below a level's own lower limit
-    are dropped: every level's partial sums are zero below ``limits[0]``, so
-    the row never needs to reach further down.
+    The nested total is sum_k m_k * t(k), where m_k counts the index chains
+    k = a_0 <= a_1 <= ... <= a_{n-1} <= upper with each a_i >= limits[i].
+    From the outermost level inwards, level i's counts are the suffix sums
+    of level i + 1's, zeroed below level i + 1's own lower limit. The counts
+    are ints far shorter than the summand values they weight.
     """
-    den = 1
-    for value in row:
-        # the denominators are usually powers of one base, so the running
-        # lcm mostly divides already and the gcd is skipped
-        if den % value.denominator:
-            den = lcm(den, value.denominator)
-    for i, value in enumerate(row):
-        row[i] = value.numerator * (den // value.denominator)
-    begin = limits[0]
-    for start in limits[1:]:
-        # in place: a second row of ints beside this one raised the peak RSS
-        acc = 0
-        for i, value in enumerate(row):
-            acc += value
-            row[i] = acc
-        if start > begin:
-            del row[:start - begin]
-            begin = start
-    return Fraction(sum(row), den)
+    lo = limits[0]
+    size = upper - lo + 1
+    counts = [1] * size
+    for start in reversed(limits[1:]):
+        if start > lo:
+            counts[:start - lo] = [0] * min(start - lo, size)
+        counts = list(accumulate(reversed(counts)))
+        counts.reverse()
+    return counts
+
+
+def _weighted_total(counts: list, values: list) -> Fraction:
+    """sum(m * v) of rational values on one common denominator, divided once.
+
+    The common denominator grows with the values: a denominator that is a
+    multiple of it (the usual case, powers of one weight base) replaces it,
+    and only any other takes an lcm. Each value costs one multiply-add of
+    Python ints.
+    """
+    num, den = 0, 1
+    for count, value in zip(counts, values):
+        d = value.denominator
+        if d == den:
+            num += count * value.numerator
+        elif d % den == 0:
+            num = num * (d // den) + count * value.numerator
+            den = d
+        else:
+            common = lcm(den, d)
+            num = num * (common // den) + count * value.numerator * (common // d)
+            den = common
+    return Fraction(num, den)
 
 
 def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) -> Scalar:
-    """Exact nested-sum value by iterated prefix sums.
+    """Exact nested-sum value as one weighted sum of the level-0 summands.
 
-    Level 1 accumulates summand values from its lower limit; each further
-    level accumulates the previous level's partial sums. Each summand value
-    is evaluated once; the values are scaled to one common denominator, the
-    prefix sums of every level run over Python ints, and the total is
-    divided by that denominator once. A ``QuadExt`` summand runs the same
-    integer kernel on its rational and surd parts, since addition is
-    componentwise. Costs O(depth * range) integer additions and one summand
-    evaluation per index, instead of the multinomial blow-up of direct
-    enumeration. ``counter`` tallies one unit per addition of a value into
-    a level, as a plain loop over the levels would.
+    Each index ``k`` from the innermost lower limit to the outer upper limit
+    is evaluated once, with the weight power kept as a running product; the
+    nested total is sum_k m_k * t(k), with the chain counts m_k of
+    :func:`_chain_counts`, summed over Python ints on one common denominator
+    and divided once. A ``QuadExt`` summand runs the same sum on its
+    rational and surd parts, since addition is componentwise. ``counter``
+    tallies one unit per addition of a value into a level, as a plain loop
+    over the levels would: depth times range, not the multinomial blow-up of
+    direct enumeration.
     """
     summand = spec.term
     limits = spec.lower_limits
     hi = spec.upper
     if hi < limits[-1]:
         return _zero_like(summand)
+    lo = limits[0]
+    base = summand._base
+    # weight_base**k for k = lo, lo + 1, ...: one product per index, and
+    # none past the last index, since zip stops at the end of the range first
+    weights = repeat(None) if base is None else accumulate(repeat(base), mul,
+                                                            initial=base ** lo)
     values: list = []
     # a summand that raises leaves the count of the values made before it,
     # which verify reports with the error
     try:
-        for k in range(limits[0], hi + 1):
-            values.append(summand.value(k))
+        for k, weight in zip(range(lo, hi + 1), weights):
+            values.append(summand.value(k, weight))
     finally:
         if counter is not None:
             counter.add(len(values))
     if counter is not None:
         counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
-    base = summand.weight_base
+    counts = _chain_counts(limits, hi)
     if isinstance(base, QuadExt):
         rat = [value.rat_part for value in values]
         surd = [value.surd_part for value in values]
         del values
-        return QuadExt._of(_prefix_total(rat, limits), _prefix_total(surd, limits), base.disc)
-    return _prefix_total(values, limits)
+        return QuadExt._of(_weighted_total(counts, rat), _weighted_total(counts, surd),
+                           base.disc)
+    return _weighted_total(counts, values)
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,

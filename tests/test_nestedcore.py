@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from _util import literal_nested_sum
 from horadam_sums.combinatorics import nested_ones
 from horadam_sums.exactnum import QuadExt
+from horadam_sums.identities import CLASS_ERROR, IdentityId, IdentityInstance, verify
 from horadam_sums.nestedcore import (ONES, EvalCounter, NaiveCapExceededError,
                                      NestedSumSpec, PoleError, SumTerm, f_closed,
                                      f_closed_parity_split, g_closed, geom_sum,
                                      geometric_term, master_E, oracle_nested,
                                      oracle_nested_naive, varied_limit_reduction)
-from horadam_sums.sequences import FIBONACCI, horadam
+from horadam_sums.sequences import FIBONACCI, horadam, term
 
 GENERIC = horadam(2, 5, 1, 3)
 
@@ -45,6 +46,43 @@ class TestSumTerm:
     def test_quad_weight(self):
         tau = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
         assert geometric_term(tau).value(2) == tau * tau
+
+    def test_unit_base_kept_as_a_field(self):
+        unit = SumTerm(seq=FIBONACCI, weight_base=Fraction(1), alternating=True)
+        plain = SumTerm(seq=FIBONACCI, alternating=True)
+        assert unit.weight_base == 1 and unit != plain
+        assert repr(unit) == repr(plain).replace("weight_base=None", "weight_base=Fraction(1, 1)")
+        for k in range(-4, 5):
+            assert unit.value(k) == plain.value(k) == unit.value(k, Fraction(1))
+
+    def test_quad_unit_base_stays_quad(self):
+        one = QuadExt(1, 0, 5)
+        for summand in (geometric_term(one), SumTerm(seq=FIBONACCI, weight_base=one)):
+            for k in (-2, 0, 3):
+                value = summand.value(k)
+                assert isinstance(value, QuadExt) and value.disc == 5
+                assert value == summand.value(k, one ** k)
+                assert value == (term(FIBONACCI, k) if summand.seq else 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda x: x != 0)
+       | st.builds(QuadExt, st.fractions(-3, 3, max_denominator=4),
+                   st.fractions(-3, 3, max_denominator=4).filter(lambda x: x != 0),
+                   st.sampled_from([5, 2, -3, Fraction(1, 2)])),
+       seq=st.none() | st.sampled_from([FIBONACCI, horadam(2, 5, 1, 3),
+                                        horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
+       k=st.integers(-12, 12), alternating=st.booleans())
+def test_value_with_weight_matches_power(base, seq, k, alternating):
+    """value(k, base**k), as a running product passes it, is value(k) exactly."""
+    summand = SumTerm(seq=seq, index_mul=2, index_add=-1, weight_base=base,
+                      alternating=alternating)
+    plain = summand.value(k)
+    weighted = summand.value(k, base ** k)
+    assert type(weighted) is type(plain)
+    assert weighted == plain
+    if isinstance(plain, QuadExt):
+        assert (weighted.surd_part, weighted.disc) == (plain.surd_part, plain.disc)
 
 
 class TestSpec:
@@ -270,6 +308,14 @@ KERNEL_CASES = (
     NestedSumSpec(3, 5, (1, -2, 2), SumTerm(seq=GENERIC, index_add=-4, weight_base=TAU)),
     NestedSumSpec(2, 4, (2, 0), geometric_term(Fraction(3, 2))),
     NestedSumSpec(1, 3, -2, SumTerm(seq=FIBONACCI, weight_base=QuadExt(1, -2, -3))),
+    # denominators that do not divide one another, so the common denominator
+    # takes an lcm: a sequence over rational p, q at negative indices, weighted
+    NestedSumSpec(3, 4, (-5, -1, -2),
+                  SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)),
+                          weight_base=Fraction(3, 2), alternating=True)),
+    # a middle level's limit above the upper limit, the outermost's below it:
+    # every chain count is zero, and the zero is a Fraction
+    NestedSumSpec(4, 4, (0, 2, 6, 1), SumTerm(seq=GENERIC, weight_base=Fraction(1, 2))),
 )
 
 
@@ -288,7 +334,7 @@ def _check_kernel(spec):
 
 
 class TestIntegerKernel:
-    """The integer prefix-sum kernel against the Fraction-only enumeration."""
+    """The chain-count kernel against the Fraction-only enumeration."""
 
     @pytest.mark.parametrize("spec", KERNEL_CASES)
     def test_fixed_cases_match_naive(self, spec):
@@ -298,6 +344,52 @@ class TestIntegerKernel:
     @given(spec=kernel_specs())
     def test_matches_naive(self, spec):
         _check_kernel(spec)
+
+
+class TestSummandCalls:
+    """The oracle calls ``SumTerm.value`` exactly once per index of the
+    innermost range, in order: the benchmark's traced run checks its oracle
+    terms against depth times these calls, and a batch summand path would
+    break that."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        value = SumTerm.value
+
+        def counted(summand, k, *weight):
+            seen.append(k)
+            return value(summand, k, *weight)
+
+        monkeypatch.setattr(SumTerm, "value", counted)
+        return seen
+
+    @pytest.mark.parametrize("spec", KERNEL_CASES)
+    def test_one_call_per_index(self, spec, calls):
+        oracle_nested(spec)
+        limits = spec.lower_limits
+        indices = range(limits[0], spec.upper + 1) if spec.upper >= limits[-1] else ()
+        assert calls == list(indices)
+
+    def test_no_call_when_outermost_sum_is_empty(self, calls):
+        spec = NestedSumSpec(3, 4, (-2, 0, 5), SumTerm(seq=FIBONACCI, weight_base=Fraction(2)))
+        assert oracle_nested(spec) == 0
+        assert calls == []
+
+    def test_raising_summand_leaves_partial_count(self, monkeypatch):
+        value = SumTerm.value
+
+        def fails_at_three(summand, k, *weight):
+            if k == 3:
+                raise ZeroDivisionError("summand pole at k = 3")
+            return value(summand, k, *weight)
+
+        monkeypatch.setattr(SumTerm, "value", fails_at_three)
+        # F3 over Fibonacci at n = 2, c = 1: indices 1, 2 are made before the pole
+        report = verify(IdentityInstance(IdentityId.F3, FIBONACCI, 2, 6, 1, 1, 0, 0))
+        assert report.classification == CLASS_ERROR
+        assert report.oracle_terms == 2 and report.closed_terms == 0
+        assert "k = 3" in report.detail
 
 
 class TestVariedLimitReduction:

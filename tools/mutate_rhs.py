@@ -6,8 +6,9 @@ Each mutant changes one operator or constant in one target function:
 ``+`` and ``-`` swap, ``*`` and ``/`` swap (augmented assignments included),
 and each integer constant is raised by 1. The targets are ``_lifted`` and the
 right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
-``horadam_sums.identities``, and ``oracle_nested`` with its integer kernel
-``_prefix_total`` in ``horadam_sums.nestedcore``. The mutated function is
+``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
+``oracle_nested`` (which keeps the running weight power) with its kernel
+``_chain_counts`` and ``_weighted_total``. The mutated function is
 compiled into its live module, so every caller (the registry, ``_rhs_F5``'s
 and ``_rhs_F6``'s wrappers, ``verify``) runs it; a mutated
 ``oracle_nested`` is also bound to the names ``identities`` and this script
@@ -53,14 +54,14 @@ KNOWN_SURVIVORS = {
     "lambda e, k: 1)": "F7's term ignores its index, so the index step is unread",
     "rhs_F7: return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 0, 1, "
     "lambda e, k: 1)": "F7's term ignores its index, so the index multiplier is unread",
-    "_prefix_total: den = 2": "twice the lcm is a common denominator too, and the "
-    "returned Fraction is normalised",
+    "_weighted_total: num, den = (0, 2)": "any positive starting denominator is a "
+    "common denominator of the partial sums, and the returned Fraction is normalised",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 
 
-ORACLE_TARGETS = ("oracle_nested", "_prefix_total")
+ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_weighted_total")
 
 
 def _is_target(module, name: str) -> bool:
