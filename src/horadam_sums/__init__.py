@@ -17,9 +17,8 @@ from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstanc
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
-                         NestedSumSpec, PoleError, SumTerm, f_closed,
-                         f_closed_parity_split, g_closed, geom_sum, geometric_term,
-                         master_E, oracle_nested, oracle_nested_naive,
+                         NestedSumSpec, PoleError, SumTerm, f_closed, g_closed,
+                         geometric_term, master_E, oracle_nested, oracle_nested_naive,
                          varied_limit_reduction)
 from .sequences import (FIBONACCI, LUCAS, BinetView, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam,
@@ -37,9 +36,9 @@ __all__ = [
     "ONES", "PoleError", "QuadExt", "SumTerm",
     "SweepGrid", "SweepSummary", "ZeroToNegativePowerError",
     "binom", "binom_column_sum", "default_grid", "evaluate_rhs", "f_closed",
-    "f_closed_parity_split", "first_kind_term", "g_closed", "geom_sum",
-    "geometric_term", "gibonacci", "horadam", "iter_sweep", "lemma3_residual",
-    "lemma4_residual", "lhs_spec", "lucas_first_kind", "lucas_second_kind",
+    "first_kind_term", "g_closed", "geometric_term", "gibonacci", "horadam",
+    "iter_sweep", "lemma3_residual", "lemma4_residual", "lhs_spec",
+    "lucas_first_kind", "lucas_second_kind",
     "master_E", "neg_one_pow", "nested_ones", "oracle_nested",
     "oracle_nested_naive", "rat_pow",
     "restricted", "second_kind_term", "summarize", "sweep", "term",

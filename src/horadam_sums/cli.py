@@ -8,12 +8,14 @@ go to stderr to keep data streams clean.
 Exit status contract: 0 when everything verified or was skipped by a
 precondition, 1 when any in-domain mismatch (or evaluation error) was found,
 2 for usage errors, including a point whose cost estimate exceeds a cap
-(see :func:`check_cost`).
+(see :func:`check_cost`) and a grid, range or lemma run larger than its cap
+(see :func:`check_grid`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,14 +23,14 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
-from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_VERIFIED, FAMILIES,
-                         EvaluationReport, IdentityId, IdentityInstance,
+from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VERIFIED,
+                         FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
-                         evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep_points,
-                         verify)
+                         evaluate_point, evaluate_rhs, fixed_family, grid_size,
+                         iter_sweep, lhs_spec, summarize, sweep_points)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
                          NestedSumSpec, geometric_term, master_E,
                          oracle_nested, oracle_nested_naive)
@@ -48,6 +50,14 @@ EXIT_USAGE = 2
 # range 2000, reach about 14,000) stays under a tenth of each.
 MAX_ORACLE_TERMS = 200_000
 MAX_REACH = 150_000
+
+# Caps on how many points one command runs; check_cost bounds each point.
+# A sweep, table or bench grid holds at most MAX_GRID_POINTS points (the
+# largest default grid, F7's, holds 7,290), and a start..end range longer
+# than that is refused before its tuple is built. lemmas costs 5-7 ms per
+# --points (default 400) on a 2-core x86-64 host.
+MAX_GRID_POINTS = 100_000
+MAX_LEMMA_POINTS = 4_000
 
 
 def format_rational(value: Optional[Fraction]) -> str:
@@ -72,6 +82,8 @@ def parse_int_set(text: str) -> Tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError("range end below start")
+            if hi - lo >= MAX_GRID_POINTS:
+                raise ValueError(f"{hi - lo + 1} values exceed the cap {MAX_GRID_POINTS}")
             return tuple(range(lo, hi + 1))
         if "," in text:
             return tuple(int(part) for part in text.split(","))
@@ -127,17 +139,21 @@ def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
             f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
 
 
+def check_grid(points: int) -> None:
+    """Refuse a grid of more than MAX_GRID_POINTS points, before any work."""
+    if points > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"a grid of {points} points exceeds the cap {MAX_GRID_POINTS}")
+
+
 def report_row(report: EvaluationReport) -> dict:
-    """Fixed-order record for one evaluation, shared by jsonl and csv output."""
+    """Fixed-order record for one evaluation, shared by jsonl and csv output.
+    A point given no family has empty parameters."""
     params = report.params
     return {
         "identity": report.identity.value,
-        "params": {
-            "a": format_rational(params.a),
-            "b": format_rational(params.b),
-            "p": format_rational(params.p),
-            "q": format_rational(params.q),
-        },
+        "params": {name: format_rational(getattr(params, name, None))
+                   for name in ("a", "b", "p", "q")},
         "n": report.n,
         "a_n": report.a_n,
         "c": report.c,
@@ -181,10 +197,14 @@ def _emit_human(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
             f"rhs={row['rhs']} equal={row['equal']} class={row['class']}\n")
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[IO[str]]:
+    """The --out file, closed on leaving; stdout for None and "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +212,17 @@ def _open_out(path: Optional[str]):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    identity = args.identity
     params = (_family_list(args) or (None,))[0]
     check_cost(args.n, args.an, args.c, args.r, args.s, args.d)
-    try:
-        inst = IdentityInstance(identity, params, args.n, args.an, args.c,
-                                args.r, args.s, args.d)
-    except InvalidInstanceError as exc:
-        print(f"skipped: {exc}")
-        return EXIT_OK
-    report = verify(inst)
-    out, close = _open_out(args.out)
-    try:
+    report = evaluate_point(args.identity, params, args.n, args.an, args.c,
+                            args.r, args.s, args.d)
+    with _output(args.out) as out:
         if args.format == "jsonl":
             _emit_jsonl([report], out)
         elif args.format == "csv":
             _emit_csv([report], out)
+        elif report.classification == CLASS_SKIPPED:
+            out.write(f"skipped: {report.detail}\n")
         else:
             row = report_row(report)
             params_row = row["params"]
@@ -225,9 +240,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 out.write(f"detail: {report.detail}\n")
             out.write(f"oracle_terms: {report.oracle_terms} "
                       f"closed_terms: {report.closed_terms}\n")
-    finally:
-        if close:
-            out.close()
     return summarize([report]).exit_code
 
 
@@ -260,6 +272,7 @@ def _grid_from_args(identity: IdentityId, args: argparse.Namespace) -> SweepGrid
 def cmd_sweep(args: argparse.Namespace) -> int:
     identity = args.identity
     grid = _grid_from_args(identity, args)
+    check_grid(grid_size(identity, grid))
     for _, n, a_n, c, r, s, d in sweep_points(identity, grid):
         check_cost(n, a_n, c, r, s, d)
     tally: Counter = Counter()
@@ -270,17 +283,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             tally[report.classification] += 1
             yield report
 
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
             _emit_csv(stream(), out)
         elif args.format == "human":
             _emit_human(stream(), out)
         else:
             _emit_jsonl(stream(), out)
-    finally:
-        if close:
-            out.close()
     summary = SweepSummary.of(tally)
     print(f"sweep {identity.value}: total={summary.total} verified={summary.verified} "
           f"mismatched={summary.mismatched} outside_domain={summary.outside_domain} "
@@ -297,25 +306,18 @@ _TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    identity = args.identity
     params = (_family_list(args) or (None,))[0]
-    for a_n in (args.an or ()):
+    a_values = args.an or ()
+    check_grid(len(a_values))
+    for a_n in a_values:
         check_cost(args.n, a_n, args.c, args.r, args.s, args.d)
-    out, close = _open_out(args.out)
-    rows = []
-    reports = []
-    for a_n in (args.an or ()):
-        try:
-            inst = IdentityInstance(identity, params, args.n, a_n, args.c,
-                                    args.r, args.s, args.d)
-        except InvalidInstanceError as exc:
-            rows.append((a_n, "", "", f"skipped: {exc}"))
-            continue
-        report = verify(inst)
-        reports.append(report)
-        status = _TABLE_STATUS.get(report.classification, f"error: {report.detail}")
-        rows.append((a_n, format_rational(report.lhs), format_rational(report.rhs), status))
-    try:
+    reports = [evaluate_point(args.identity, params, args.n, a_n, args.c,
+                              args.r, args.s, args.d) for a_n in a_values]
+    rows = [(report.a_n, format_rational(report.lhs), format_rational(report.rhs),
+             _TABLE_STATUS.get(report.classification,
+                               f"{report.classification}: {report.detail}"))
+            for report in reports]
+    with _output(args.out) as out:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(("a_n", "lhs", "rhs", "status"))
@@ -324,9 +326,6 @@ def cmd_table(args: argparse.Namespace) -> int:
             out.write(f"{'a_n':>6s}  {'oracle lhs':>20s}  {'closed rhs':>20s}  status\n")
             for a_n, lhs, rhs, status in rows:
                 out.write(f"{a_n:>6d}  {lhs:>20s}  {rhs:>20s}  {status}\n")
-    finally:
-        if close:
-            out.close()
     return summarize(reports).exit_code
 
 
@@ -402,7 +401,9 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
 def cmd_bench(args: argparse.Namespace) -> int:
     inst_args = {"x": args.x}
     if args.kind == "identity":
-        params = (_family_list(args) or (FAMILIES["fibonacci"],))[0]
+        # a tag specific to one family runs on it; any other defaults to Fibonacci
+        default = fixed_family(args.identity) or FAMILIES["fibonacci"]
+        params = (_family_list(args) or (default,))[0]
         inst_args.update(identity=args.identity, params=params,
                          r=args.r, s=args.s, d=args.d)
     n_values = args.n or (1, 2, 3, 4, 5)
@@ -411,18 +412,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.kind == "geometric" and args.x in (0, 1):
         raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
+    check_grid(len(n_values) * len(a_values))
     for n in n_values:
         for a_n in a_values:
             check_cost(n, a_n, args.c, args.r, args.s, args.d)
     rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c, args.naive_cap)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(BENCH_CSV_COLUMNS)
         writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -444,6 +442,9 @@ _LEMMA_RESTRICTED = ("fibonacci", "gibonacci31", "negative_d", "generic")
 def cmd_lemmas(args: argparse.Namespace) -> int:
     import random
 
+    if args.points > MAX_LEMMA_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"--points {args.points} exceeds the cap {MAX_LEMMA_POINTS}")
     rng = random.Random(args.seed)
     failures = 0
     checks = 0

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinatorics import binom
@@ -453,12 +454,12 @@ class EvaluationReport:
     """Outcome of evaluating one identity instance both ways.
 
     The coordinates are listed here rather than held as an instance, since a
-    skipped point has no valid instance. The outcome fields default to those
-    of a skipped point.
+    skipped point has no valid instance (and no ``params`` when it was given
+    no family). The outcome fields default to those of a skipped point.
     """
 
     identity: IdentityId
-    params: HoradamParams
+    params: Optional[HoradamParams]
     n: int
     a_n: int
     c: int
@@ -531,11 +532,10 @@ class SweepGrid:
     a_values: Optional[Tuple[int, ...]] = None
 
 
-def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
-    """The coordinates ``(params, n, a_n, c, r, s, d)`` of every grid point,
-    in grid order, before validation. ``params`` is None for a tag with a
-    fixed family; the coordinates the tag does not sweep keep their defaults.
-    """
+def _sweep_axes(identity: IdentityId, grid: Optional[SweepGrid]) -> tuple:
+    """The values ``(families, n, c, r, s, d)`` a grid sweeps for a tag, and
+    the grid. ``families`` is ``(None,)`` for a tag with a fixed family; the
+    coordinates the tag does not sweep keep their defaults."""
     record = _REGISTRY[identity]
     if grid is None:
         grid = record.grid
@@ -551,31 +551,56 @@ def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iter
     r_values = grid.r_values if "r" in dims else (1,)
     s_values = grid.s_values if "s" in dims else (0,)
     d_values = grid.d_values if "d" in dims else (0,)
+    return (families, grid.n_values, c_values, r_values, s_values, d_values), grid
 
-    for params, n, c, r, s, d in product(families, grid.n_values, c_values,
-                                         r_values, s_values, d_values):
+
+def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
+    """The coordinates ``(params, n, a_n, c, r, s, d)`` of every grid point,
+    in grid order, before validation (see :func:`_sweep_axes`)."""
+    axes, grid = _sweep_axes(identity, grid)
+    for params, n, c, r, s, d in product(*axes):
         a_values = grid.a_values if grid.a_values is not None else tuple(
             c + off for off in grid.a_offsets)
         for a_n in a_values:
             yield params, n, a_n, c, r, s, d
 
 
-def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
-    """Yield one :class:`EvaluationReport` per grid point, in grid order.
+def grid_size(identity: IdentityId, grid: Optional[SweepGrid] = None) -> int:
+    """The number of points :func:`sweep_points` yields, counted without
+    enumerating them."""
+    axes, grid = _sweep_axes(identity, grid)
+    a_count = len(grid.a_offsets if grid.a_values is None else grid.a_values)
+    return prod(map(len, axes)) * a_count
 
-    Points whose instance construction fails a precondition are yielded as
-    ``skipped`` reports, never raised. Streaming keeps large sweeps at
-    constant memory.
+
+def fixed_family(identity: IdentityId) -> Optional[HoradamParams]:
+    """The one family a tag is specific to, or None when any valid family will do."""
+    return _REGISTRY[identity].fixed
+
+
+def evaluate_point(identity: IdentityId, params: Optional[HoradamParams], n: int,
+                   a_n: int, c: int = 1, r: int = 1, s: int = 0,
+                   d: int = 0) -> EvaluationReport:
+    """:func:`verify` at one point given by its coordinates. A point that
+    fails a precondition gives a ``skipped`` report with the reason as its
+    detail, never an exception; ``params`` None stands for the tag's fixed
+    family."""
+    try:
+        inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
+    except InvalidInstanceError as exc:
+        shown = params if params is not None else fixed_family(identity)
+        return EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
+    return verify(inst)
+
+
+def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
+    """Yield one :func:`evaluate_point` report per grid point, in grid order.
+
+    Points that fail a precondition are yielded as ``skipped`` reports,
+    never raised. Streaming keeps large sweeps at constant memory.
     """
-    fixed = _REGISTRY[identity].fixed
-    for params, n, a_n, c, r, s, d in sweep_points(identity, grid):
-        try:
-            inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
-        except InvalidInstanceError as exc:
-            shown = params if params is not None else fixed
-            yield EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
-            continue
-        yield verify(inst)
+    for point in sweep_points(identity, grid):
+        yield evaluate_point(identity, *point)
 
 
 def sweep(identity: IdentityId, grid: Optional[SweepGrid] = None) -> List[EvaluationReport]:

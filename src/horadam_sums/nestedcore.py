@@ -18,6 +18,8 @@ single division at the end. :func:`oracle_nested_naive` literally
 enumerates every index tuple in plain ``Fraction`` arithmetic. Their
 agreement guards against a shared bug, and both serve as ground truth for
 the closed forms in this module and in :mod:`horadam_sums.identities`.
+Here the geometric closed form is one loop, :func:`master_E`; the f- and
+g-forms substitute into it.
 
 All values are exact: :class:`~fractions.Fraction`, or
 :class:`~horadam_sums.exactnum.QuadExt` when the summand's geometric weight
@@ -34,7 +36,7 @@ from operator import mul
 from typing import Optional, Tuple, Union
 
 from .combinatorics import binom
-from .exactnum import QuadExt, neg_one_pow
+from .exactnum import QuadExt
 from .sequences import HoradamParams, HoradamSequence
 
 Scalar = Union[Fraction, QuadExt]
@@ -278,22 +280,16 @@ def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_
     return descend(spec.depth - 1, spec.upper)
 
 
-def geom_sum(x: Scalar, m: int) -> Scalar:
-    """sum_{k=1}^{m} x**k in closed form (x**(m+1) - x) / (x - 1); empty for m < 1."""
-    if x == 0 or x == 1:
-        raise PoleError(f"x = {x} is a pole of the geometric closed form")
-    if m < 1:
-        return x * 0
-    return (x ** (m + 1) - x) / (x - 1)
-
-
 def master_E(x: Scalar, n: int, a_n: int, c: int,
              counter: Optional[EvalCounter] = None) -> Scalar:
     """Closed form for the scaled nested geometric sum with uniform lower limit.
 
     Returns ``x**a_n - x**(c-1) * sum_{j=0}^{n-1} ((x-1)/x)**j * C(a_n+j-c, j)``,
     which equals ``((x-1)/x)**n`` times the depth-``n`` nested sum of ``x**k``
-    with every lower limit ``c`` and outer upper limit ``a_n``.
+    with every lower limit ``c`` and outer upper limit ``a_n``. This is the
+    module's one geometric closed-form loop: :func:`f_closed` and
+    :func:`g_closed` are substitutions into it, and ``counter`` tallies one
+    unit per binomial term.
     """
     if x == 0 or x == 1:
         raise PoleError(f"x = {x} is a pole of the master closed form")
@@ -314,69 +310,27 @@ def f_closed(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
              counter: Optional[EvalCounter] = None) -> Scalar:
     """Closed form for the depth-``n`` nested sum of ``(x/y)**k`` (lower limit c).
 
-    Requires x, y nonzero and x != y (the pole of this form).
+    The master form at ``w = x/y``, unscaled: ``w/(w-1) = x/(x-y)``, so the
+    sum is ``(x/(x-y))**n * master_E(x/y, n, a_n, c)``. Requires x, y nonzero
+    and x != y (the pole of this form).
     """
     if x == 0 or y == 0:
         raise PoleError("x and y must be nonzero")
     if x == y:
         raise PoleError("x = y is a pole of the f-form")
-    u = x / (x - y)
-    w = x / y
-    shift = w ** (c - 1)
-    total = u * 0
-    for j in range(n):
-        total = total + u ** (n - j) * shift * binom(a_n + j - c, j)
-        if counter is not None:
-            counter.add()
-    return u ** n * w ** a_n - total
+    return (x / (x - y)) ** n * master_E(x / y, n, a_n, c, counter)
 
 
 def g_closed(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
              counter: Optional[EvalCounter] = None) -> Scalar:
     """Closed form for the depth-``n`` nested sum of ``(-1)**k * (x/y)**k``.
 
-    Requires x, y nonzero and x != -y (the pole of this form).
+    The summand is ``(-x/y)**k``, so this is ``f_closed(-x, y, ...)``.
+    Requires x, y nonzero (checked there) and x != -y (the pole of this form).
     """
-    if x == 0 or y == 0:
-        raise PoleError("x and y must be nonzero")
-    if x == -y:
+    if y and x == -y:
         raise PoleError("x = -y is a pole of the g-form")
-    u = x / (x + y)
-    w = x / y
-    shift = w ** (c - 1)
-    total = u * 0
-    for j in range(n):
-        total = total + u ** (n - j) * shift * binom(a_n + j - c, j)
-        if counter is not None:
-            counter.add()
-    return neg_one_pow(a_n) * u ** n * w ** a_n + neg_one_pow(c) * total
-
-
-def f_closed_parity_split(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
-                          counter: Optional[EvalCounter] = None) -> Scalar:
-    """Same value as :func:`f_closed`, with the correction sum split by index parity.
-
-    The even-index terms run j = 0 .. floor((n-1)/2) over C(a_n+2j-c, 2j) and
-    the odd-index terms j = 1 .. ceil((n-1)/2) over C(a_n+2j-1-c, 2j-1).
-    """
-    if x == 0 or y == 0:
-        raise PoleError("x and y must be nonzero")
-    if x == y:
-        raise PoleError("x = y is a pole of the f-form")
-    u = x / (x - y)
-    w = x / y
-    shift = w ** (c - 1)
-    even = u * 0
-    for j in range((n - 1) // 2 + 1):
-        even = even + u ** (n - 2 * j) * shift * binom(a_n + 2 * j - c, 2 * j)
-        if counter is not None:
-            counter.add()
-    odd = u * 0
-    for j in range(1, n // 2 + 1):
-        odd = odd + u ** (n - 2 * j + 1) * shift * binom(a_n + 2 * j - 1 - c, 2 * j - 1)
-        if counter is not None:
-            counter.add()
-    return u ** n * w ** a_n - even - odd
+    return f_closed(-x, y, n, a_n, c, counter)
 
 
 def varied_limit_reduction(spec: NestedSumSpec,

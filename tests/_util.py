@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from horadam_sums.exactnum import QuadExt
-from horadam_sums.nestedcore import f_closed_parity_split
+from horadam_sums.nestedcore import f_closed, g_closed
 from horadam_sums.sequences import second_kind_term
 
 
@@ -59,12 +59,34 @@ def walk_terms(params, lo: int, hi: int) -> dict:
     return values
 
 
+def f3_binet_route(inst, view):
+    """The F3 nested sum of W[rk+s]/V_r**k through root powers.
+
+    W[rk+s] = coef_a*tau**s*(tau**r)**k + coef_b*sigma**s*(sigma**r)**k splits
+    the sum into two geometric ones, each evaluated by the f-form with
+    x = root**r and y = V_r. ``view`` is the sequence's BinetView.
+    """
+    vr = view.tau ** 0 * second_kind_term(inst.params.p, inst.params.q, inst.r)
+    n, a_n, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
+    return (view.coef_a * view.tau ** s * f_closed(view.tau ** r, vr, n, a_n, c)
+            + view.coef_b * view.sigma ** s * f_closed(view.sigma ** r, vr, n, a_n, c))
+
+
+def f4_binet_route(inst, view):
+    """The F4 nested sum through root powers: each root's geometric part is
+    evaluated by the g-form with x = root**r and y = (other root)**r."""
+    n, a_n, c, s = inst.n, inst.a_n, inst.c, inst.s
+    tau_r, sigma_r = view.tau ** inst.r, view.sigma ** inst.r
+    return (view.coef_a * view.tau ** s * g_closed(tau_r, sigma_r, n, a_n, c)
+            + view.coef_b * view.sigma ** s * g_closed(sigma_r, tau_r, n, a_n, c))
+
+
 def f6_binet_route(inst, view):
     """The F6 nested sum of (V_d/V_{r+d})**k W[rk+s] through root powers.
 
     W[rk+s] = coef_a*tau**s*(tau**r)**k + coef_b*sigma**s*(sigma**r)**k splits
-    the sum into two geometric ones, each evaluated by the parity-split f-form
-    with x = root**r * V_d and y = V_{r+d}. ``view`` is the sequence's
+    the sum into two geometric ones, each evaluated by the f-form with
+    x = root**r * V_d and y = V_{r+d}. ``view`` is the sequence's
     BinetView; the result lives in Q(sqrt(D)), its surd part free to be nonzero.
     """
     p, q, n, a_n, c, r, s, d = (inst.params.p, inst.params.q, inst.n, inst.a_n,
@@ -72,6 +94,6 @@ def f6_binet_route(inst, view):
     vd = QuadExt.from_rational(second_kind_term(p, q, d), view.disc)
     vrd = QuadExt.from_rational(second_kind_term(p, q, r + d), view.disc)
     return (view.coef_a * view.tau ** s
-            * f_closed_parity_split(view.tau ** r * vd, vrd, n, a_n, c)
+            * f_closed(view.tau ** r * vd, vrd, n, a_n, c)
             + view.coef_b * view.sigma ** s
-            * f_closed_parity_split(view.sigma ** r * vd, vrd, n, a_n, c))
+            * f_closed(view.sigma ** r * vd, vrd, n, a_n, c))

@@ -49,19 +49,23 @@ def test_criterion_1_classic_fibonacci_sums():
               f"20 rows exact, {elapsed:.3f}s" if not failures else str(failures))
 
 
-def test_criterion_2_master_identity_grid():
-    start = time.perf_counter()
-    xs = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2), Fraction(5, 3)]
-    points = 0
-    failures = []
-    for x in xs:
-        ratio = (x - 1) / x
+def master_grid():
+    """The points (x, n, a_n, c) of criterion 2's master-identity grid."""
+    for x in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2), Fraction(5, 3)):
         for n, c in product(range(1, 6), (-2, 0, 1, 3)):
             for a_n in range(c, c + 11):
-                spec = NestedSumSpec(n, a_n, c, geometric_term(x))
-                if master_E(x, n, a_n, c) != ratio ** n * oracle_nested(spec):
-                    failures.append((x, n, a_n, c))
-                points += 1
+                yield x, n, a_n, c
+
+
+def test_criterion_2_master_identity_grid():
+    start = time.perf_counter()
+    points = 0
+    failures = []
+    for x, n, a_n, c in master_grid():
+        spec = NestedSumSpec(n, a_n, c, geometric_term(x))
+        if master_E(x, n, a_n, c) != ((x - 1) / x) ** n * oracle_nested(spec):
+            failures.append((x, n, a_n, c))
+        points += 1
     elapsed = time.perf_counter() - start
     if points != 1100:
         failures.append(("points", points))

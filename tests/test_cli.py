@@ -67,6 +67,25 @@ class TestVerifyCommand:
         assert code == 0
         assert "skipped" in out and "V_2 = 0" in out
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_skipped_point_written_like_a_sweep_row(self, capsys, tmp_path, fmt):
+        point = ("--identity", "F5", "--family", "fibonacci", "--n", "1", "--c", "1",
+                 "--r", "0", "--s", "0", "--d", "0", "--an", "3")
+        path = tmp_path / f"skip.{fmt}"
+        code, out, _ = run_cli(capsys, "verify", *point, "--format", fmt, "--out", str(path))
+        assert code == 0 and out == ""
+        _, swept, _ = run_cli(capsys, "sweep", *point, "--format", fmt)
+        assert path.read_text() == swept
+        assert "skipped" in swept
+
+    def test_skipped_point_without_family_has_empty_params(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--identity", "F3", "--n", "1",
+                               "--an", "3", "--format", "jsonl")
+        assert code == 0
+        row = json.loads(out)
+        assert row["class"] == "skipped"
+        assert row["params"] == {"a": "", "b": "", "p": "", "q": ""}
+
     def test_jsonl_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--identity", "F1a",
                                "--n", "1", "--an", "2", "--format", "jsonl")
@@ -149,6 +168,61 @@ def test_cost_caps_leave_tenfold_headroom():
     cli.check_cost(8, 20000, 1, 1, 3, 2)
     with pytest.raises(argparse.ArgumentTypeError):
         cli.check_cost(8, 200000, 1, 1, 3, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--identity", "F3", "--family", "fibonacci", "--an", "0..2000000"),
+    ("table", "--identity", "F3", "--family", "fibonacci", "--an", "1..100001"),
+    ("bench", "--kind", "ones", "--n", "1", "--an=-5000000..5000000"),
+])
+def test_overlong_range_refused_while_parsing(capsys, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert time.perf_counter() - start < 1
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --an" in err and "exceed the cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # every point passes check_cost; there are just too many of them
+    ("sweep", "--identity", "F3", "--family", "fibonacci", "--n", "1..10",
+     "--an", "0..99", "--c", "0..9", "--r", "1..11"),
+    ("table", "--identity", "H", "--n", "1",
+     "--an", ",".join(map(str, range(cli.MAX_GRID_POINTS + 1)))),
+    ("bench", "--kind", "ones", "--n", "1..400", "--an", "1..300"),
+])
+def test_oversized_grid_refused_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: a grid of") and "exceeds the cap" in err
+
+
+def test_lemma_points_refused_above_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lemmas", "--points", str(cli.MAX_LEMMA_POINTS + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: --points") and "exceeds the cap" in err
+
+
+def test_size_caps_leave_tenfold_headroom():
+    from horadam_sums.identities import grid_size
+    largest = max(grid_size(ident) for ident in IdentityId)
+    assert largest == 7290
+    assert cli.MAX_GRID_POINTS >= 10 * largest
+    default_points = cli.build_parser().parse_args(["lemmas"]).points
+    assert cli.MAX_LEMMA_POINTS >= 10 * default_points
+
+
+def test_output_file_closed_when_the_work_raises(tmp_path):
+    with pytest.raises(RuntimeError):
+        with cli._output(str(tmp_path / "out.txt")) as out:
+            raise RuntimeError("in the middle of writing")
+    assert out.closed
 
 
 def _decimal_digits(value: int) -> str:
@@ -371,6 +445,17 @@ class TestBenchCommand:
                              "--n", "1..3", "--an", "4,8", "--c", "1")
         assert code == 0
         assert built == {(n, a_n): 1 for n in (1, 2, 3) for a_n in (4, 8)}
+
+    @pytest.mark.parametrize("tag", ["F1b", "F2b", "F6_L_even", "F6_L_odd"])
+    def test_identity_kind_runs_a_fixed_family_tag(self, capsys, tag):
+        # without --family, a tag specific to one family runs on that family
+        n_values = "1,3" if tag.endswith("odd") else "2,4"
+        code, out, err = run_cli(capsys, "bench", "--kind", "identity", "--identity", tag,
+                                 "--n", n_values, "--an", "3")
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["n"] for row in rows} == set(n_values.split(","))
+        assert {row["method"] for row in rows} == {"closed", "dp", "naive"}
 
     def test_naive_rows_respect_cap(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--kind", "ones", "--n", "6",

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from _util import f6_binet_route, literal_nested_sum
+from _util import f3_binet_route, f4_binet_route, f6_binet_route, literal_nested_sum
 import horadam_sums.identities as identities
 from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE,
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
@@ -432,30 +432,8 @@ class TestBinetRoutes:
     """Root-power combinations of the geometric closed forms reproduce the
     weighted nested sums, exercising f/g over quadratic-extension values."""
 
-    @pytest.mark.parametrize("params", [FIB, GENERIC])
-    def test_f_route_reproduces_weighted_sum(self, params):
-        from horadam_sums.nestedcore import f_closed
-        from horadam_sums.sequences import BinetView, second_kind_term
-
-        view = BinetView(params)
-        for r, s, n, c in product((-1, 1, 2), (0, 2), (1, 2), (0, 1)):
-            vr = second_kind_term(params.p, params.q, r)
-            if vr == 0:
-                continue
-            vr_lift = view.tau ** 0 * vr
-            for a_n in range(c, c + 4):
-                route = (view.coef_a * view.tau ** s
-                         * f_closed(view.tau ** r, vr_lift, n, a_n, c)
-                         + view.coef_b * view.sigma ** s
-                         * f_closed(view.sigma ** r, vr_lift, n, a_n, c))
-                one = inst(IdentityId.F3, params=params, n=n, a_n=a_n, c=c, r=r, s=s)
-                direct = oracle_nested(lhs_spec(one))
-                assert route.surd_part == 0
-                assert route.rat_part == direct
-
-    @pytest.mark.parametrize("params", [FIB, GENERIC])
-    def test_g_route_reproduces_alternating_sum(self, params):
-        from horadam_sums.nestedcore import g_closed
+    @staticmethod
+    def _check_route(ident, params, route):
         from horadam_sums.sequences import BinetView, second_kind_term
 
         view = BinetView(params)
@@ -463,16 +441,21 @@ class TestBinetRoutes:
             if second_kind_term(params.p, params.q, r) == 0:
                 continue
             for a_n in range(c, c + 4):
-                route = (view.coef_a * view.tau ** s
-                         * g_closed(view.tau ** r, view.sigma ** r, n, a_n, c)
-                         + view.coef_b * view.sigma ** s
-                         * g_closed(view.sigma ** r, view.tau ** r, n, a_n, c))
-                one = inst(IdentityId.F4, params=params, n=n, a_n=a_n, c=c, r=r, s=s)
-                direct = oracle_nested(lhs_spec(one))
-                assert route.surd_part == 0
-                assert route.rat_part == direct
+                one = inst(ident, params=params, n=n, a_n=a_n, c=c, r=r, s=s)
+                value = route(one, view)
+                assert value.surd_part == 0
+                assert value.rat_part == oracle_nested(lhs_spec(one))
+
+    @pytest.mark.parametrize("params", [FIB, GENERIC])
+    def test_f_route_reproduces_weighted_sum(self, params):
+        self._check_route(IdentityId.F3, params, f3_binet_route)
+
+    @pytest.mark.parametrize("params", [FIB, GENERIC])
+    def test_g_route_reproduces_alternating_sum(self, params):
+        self._check_route(IdentityId.F4, params, f4_binet_route)
 
     def test_parity_split_route_reproduces_f6(self):
+        # both depth parities of F6 (F6a even, F6b odd) through the f-form route
         from horadam_sums.sequences import BinetView
 
         for params in (FIB, NEGATIVE_D, FAMILIES["integer_root"]):

@@ -15,8 +15,7 @@ from horadam_sums.exactnum import QuadExt
 from horadam_sums.identities import CLASS_ERROR, IdentityId, IdentityInstance, verify
 from horadam_sums.nestedcore import (ONES, EvalCounter, NaiveCapExceededError,
                                      NestedSumSpec, PoleError, SumTerm, f_closed,
-                                     f_closed_parity_split, g_closed, geom_sum,
-                                     geometric_term, master_E, oracle_nested,
+                                     g_closed, geometric_term, master_E, oracle_nested,
                                      oracle_nested_naive, varied_limit_reduction)
 from horadam_sums.sequences import FIBONACCI, horadam, term
 
@@ -103,28 +102,6 @@ class TestSpec:
             NestedSumSpec(0, 5, 1, ONES)
 
 
-class TestGeomSum:
-    def test_powers_of_two(self):
-        assert geom_sum(Fraction(2), 3) == 14
-
-    def test_empty(self):
-        assert geom_sum(Fraction(2), 0) == 0
-        assert geom_sum(Fraction(2), -5) == 0
-
-    def test_half(self):
-        assert geom_sum(Fraction(1, 2), 2) == Fraction(3, 4)
-
-    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1)])
-    def test_poles_rejected(self, x):
-        with pytest.raises(PoleError):
-            geom_sum(x, 3)
-
-    @pytest.mark.parametrize("x", [Fraction(3), Fraction(-2), Fraction(2, 7)])
-    def test_matches_direct_sum(self, x):
-        for m in range(-2, 12):
-            assert geom_sum(x, m) == sum((x ** k for k in range(1, m + 1)), Fraction(0))
-
-
 class TestMasterClosedForm:
     def test_depth_one(self):
         # 2 + 4 + 8 = 14, scaled by (x-1)/x = 1/2
@@ -199,16 +176,6 @@ class TestFandG:
             for a_n in range(c, c + 6):
                 spec = NestedSumSpec(n, a_n, c, geometric_term(x / y, alternating=True))
                 assert g_closed(x, y, n, a_n, c) == oracle_nested(spec)
-
-    def test_parity_split_equals_plain(self):
-        values = (Fraction(3), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(7))
-        for x, y in product(values, repeat=2):
-            if x == y or x == 0 or y == 0:
-                continue
-            for n, c in product(range(1, 6), (-1, 1, 2)):
-                for a_n in range(c - 2, c + 5):
-                    assert (f_closed_parity_split(x, y, n, a_n, c)
-                            == f_closed(x, y, n, a_n, c))
 
 
 class TestOracles:

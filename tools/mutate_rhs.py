@@ -8,11 +8,14 @@ and each integer constant is raised by 1. The targets are ``_lifted`` and the
 right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
 ``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
 ``oracle_nested`` (which keeps the running weight power) with its kernel
-``_chain_counts`` and ``_weighted_total``. The mutated function is
-compiled into its live module, so every caller (the registry, ``_rhs_F5``'s
-and ``_rhs_F6``'s wrappers, ``verify``) runs it; a mutated
-``oracle_nested`` is also bound to the names ``identities`` and this script
-import it under, so the mutant is what the closed forms are compared with.
+``_chain_counts`` and ``_weighted_total``, and the geometric closed form
+``master_E`` with its substitutions ``f_closed`` and ``g_closed``. The
+mutated function is compiled into its live module, so every caller (the
+registry, ``_rhs_F5``'s and ``_rhs_F6``'s wrappers, ``verify``, ``g_closed``)
+runs it; it is also bound to the names ``identities``, ``tests/_util.py``
+and this script import it under, so a mutated ``oracle_nested`` is what the
+closed forms are compared with and a mutated ``f_closed`` is what the Binet
+routes run.
 
 A mutant is killed when, for any tag whose evaluation calls the mutated
 function (every tag, for the oracle), a point of the tier-1 deep-depth grid
@@ -21,10 +24,17 @@ sweep shows a mismatch, an error report or an exception, or when it runs
 longer than ``TIMEOUT_S``. An oracle mutant is also killed when, on a case
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type, surd part or
 summand count differs from the plain-Fraction enumeration
-``oracle_nested_naive``. A survivor listed in ``KNOWN_SURVIVORS`` is
-equivalent to the original, for the reason given there. The script prints
-the mutant and kill counts and the runtime, and exits 1 when any other
-mutant survives (2 when the unmutated code already fails).
+``oracle_nested_naive``. A geometric mutant is killed when ``master_E``
+misses ``((x-1)/x)**n`` times the oracle, or counts other than n binomial
+terms, on criterion 2's grid (``tests/test_acceptance.py::master_grid``);
+when ``f_closed`` or ``g_closed`` misses the oracle on ``RATIONAL_XY``; when
+a pole is not refused with ``PoleError``; or when a Binet route of
+``tests/_util.py`` (F3 and F6 through ``f_closed``, F4 through ``g_closed``)
+misses the oracle, or keeps a surd part, on the tier-1 deep-depth grid.
+A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
+the reason given there. The script prints the mutant and kill counts and the
+runtime, and exits 1 when any other mutant survives (2 when the unmutated
+code already fails).
 """
 
 from __future__ import annotations
@@ -34,15 +44,21 @@ import dataclasses
 import signal
 import sys
 import time
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import _util  # noqa: E402
 import horadam_sums.identities as ids  # noqa: E402
 import horadam_sums.nestedcore as nc  # noqa: E402
 from horadam_sums.exactnum import QuadExt  # noqa: E402
-from horadam_sums.nestedcore import EvalCounter, oracle_nested, oracle_nested_naive  # noqa: E402
+from horadam_sums.nestedcore import (EvalCounter, NestedSumSpec, PoleError,  # noqa: E402
+                                     geometric_term, oracle_nested, oracle_nested_naive)
+from horadam_sums.sequences import BinetView  # noqa: E402
+from test_acceptance import master_grid  # noqa: E402
 from test_identities import _deep_instances  # noqa: E402
 from test_nestedcore import KERNEL_CASES  # noqa: E402
 
@@ -62,11 +78,25 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mu
 
 
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_weighted_total")
+GEOMETRIC_TARGETS = ("master_E", "f_closed", "g_closed")
+
+# (x, y) for f_closed and g_closed against the oracle; 1 and -1 are there so
+# that a pole check moved onto them is caught
+_VALUES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
+RATIONAL_XY = [(x, y) for x, y in product(_VALUES, repeat=2) if x != y and x != -y]
+POLES = (("master_E", (Fraction(0),)), ("master_E", (Fraction(1),)),
+         ("f_closed", (Fraction(0), Fraction(2))), ("f_closed", (Fraction(2), Fraction(0))),
+         ("f_closed", (Fraction(2), Fraction(2))), ("g_closed", (Fraction(0), Fraction(2))),
+         ("g_closed", (Fraction(2), Fraction(0))), ("g_closed", (Fraction(2), Fraction(-2))))
+BINET_ROUTES = ((ids.IdentityId.F3, _util.f3_binet_route),
+                (ids.IdentityId.F4, _util.f4_binet_route),
+                (ids.IdentityId.F6A, _util.f6_binet_route),
+                (ids.IdentityId.F6B, _util.f6_binet_route))
 
 
 def _is_target(module, name: str) -> bool:
     if module is nc:
-        return name in ORACLE_TARGETS
+        return name in ORACLE_TARGETS + GEOMETRIC_TARGETS
     return name == "_lifted" or name.startswith(("rhs_", "_rhs_"))
 
 
@@ -118,22 +148,24 @@ def _callers(names: set) -> dict:
     return callers
 
 
-def _bind_oracle(fn) -> None:
-    """Point the oracle names of ``identities`` and of this script at ``fn``."""
-    global oracle_nested
-    ids.oracle_nested = oracle_nested = fn
+def _rebind(name: str, fn) -> None:
+    """Point ``name`` in ``identities``, ``tests/_util.py`` and this script,
+    where it is imported, at ``fn``."""
+    for namespace in (ids.__dict__, _util.__dict__, globals()):
+        if name in namespace:
+            namespace[name] = fn
 
 
 def _install(module, func: ast.FunctionDef) -> None:
     """Compile ``func`` into its live module and point the registry and the
-    oracle names at the result."""
+    imported names at the result."""
     code = compile(ast.Module(body=[func], type_ignores=[]), module.__file__, "exec")
     exec(code, module.__dict__)
     for ident, record in ids._REGISTRY.items():
         current = ids.__dict__[record.rhs.__name__]
         if current is not record.rhs:
             ids._REGISTRY[ident] = dataclasses.replace(record, rhs=current)
-    _bind_oracle(nc.oracle_nested)
+    _rebind(func.name, module.__dict__[func.name])
 
 
 def _kernel_broken() -> bool:
@@ -150,6 +182,35 @@ def _kernel_broken() -> bool:
         if isinstance(slow, QuadExt) and (fast.surd_part, fast.disc) != (slow.surd_part,
                                                                          slow.disc):
             return True
+    return False
+
+
+def _geometric_broken() -> bool:
+    """True when the geometric closed forms miss the oracle, a pole goes
+    unrefused, or a Binet route misses the oracle (see the module docstring)."""
+    for x, n, a_n, c in master_grid():
+        counter = EvalCounter()
+        value = nc.master_E(x, n, a_n, c, counter)
+        spec = NestedSumSpec(n, a_n, c, geometric_term(x))
+        if value != ((x - 1) / x) ** n * oracle_nested(spec) or counter.count != n:
+            return True
+    for (x, y), n, c in product(RATIONAL_XY, range(1, 4), (-1, 1)):
+        for a_n in range(c - 1, c + 5):
+            for form, alternating in ((nc.f_closed, False), (nc.g_closed, True)):
+                spec = NestedSumSpec(n, a_n, c, geometric_term(x / y, alternating))
+                if form(x, y, n, a_n, c) != oracle_nested(spec):
+                    return True
+    for name, args in POLES:
+        try:
+            nc.__dict__[name](*args, 2, 3, 1)
+        except PoleError:
+            continue
+        return True
+    for ident, route in BINET_ROUTES:
+        for one in _deep_instances(ident):
+            value = route(one, BinetView(one.params))
+            if value.surd_part != 0 or value.rat_part != oracle_nested(ids.lhs_spec(one)):
+                return True
     return False
 
 
@@ -176,7 +237,7 @@ def main() -> int:
     registry = dict(ids._REGISTRY)
     callers = _callers({func.name for module, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS})
-    if _killed(list(ids.IdentityId), oracle=True):
+    if _killed(list(ids.IdentityId), oracle=True) or _geometric_broken():
         print("the unmutated code already fails the check")
         return 2
     signal.signal(signal.SIGALRM, _on_alarm)
@@ -192,7 +253,10 @@ def main() -> int:
             signal.alarm(TIMEOUT_S)
             try:
                 _install(module, func)
-                dead = _killed(callers[func.name], oracle=module is nc)
+                if func.name in GEOMETRIC_TARGETS:
+                    dead = _geometric_broken()
+                else:
+                    dead = _killed(callers[func.name], oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
@@ -200,7 +264,7 @@ def main() -> int:
                 setattr(node, field, saved)
                 module.__dict__[func.name] = original
                 ids._REGISTRY.update(registry)
-                _bind_oracle(nc.oracle_nested)
+                _rebind(func.name, original)
             if dead:
                 killed += 1
             else:
