@@ -12,13 +12,13 @@ from __future__ import annotations
 from .combinatorics import binom, binom_column_sum, nested_ones
 from .exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
                        MismatchedDiscriminantError, QuadExt,
-                       ZeroToNegativePowerError, neg_one_pow, rat_pow)
+                       ZeroToNegativePowerError, rat_pow)
 from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
-                         NestedSumSpec, PoleError, SumTerm, f_closed, g_closed,
-                         geometric_term, master_E, oracle_nested, oracle_nested_naive,
+                         NestedSumSpec, PoleError, SumTerm, f_closed, geometric_term,
+                         master_E, oracle_nested, oracle_nested_naive,
                          varied_limit_reduction)
 from .sequences import (FIBONACCI, LUCAS, BinetView, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam,
@@ -36,10 +36,10 @@ __all__ = [
     "ONES", "PoleError", "QuadExt", "SumTerm",
     "SweepGrid", "SweepSummary", "ZeroToNegativePowerError",
     "binom", "binom_column_sum", "default_grid", "evaluate_rhs", "f_closed",
-    "first_kind_term", "g_closed", "geometric_term", "gibonacci", "horadam",
+    "first_kind_term", "geometric_term", "gibonacci", "horadam",
     "iter_sweep", "lemma3_residual", "lemma4_residual", "lhs_spec",
     "lucas_first_kind", "lucas_second_kind",
-    "master_E", "neg_one_pow", "nested_ones", "oracle_nested",
+    "master_E", "nested_ones", "oracle_nested",
     "oracle_nested_naive", "rat_pow",
     "restricted", "second_kind_term", "summarize", "sweep", "term",
     "varied_limit_reduction", "verify",

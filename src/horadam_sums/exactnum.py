@@ -39,11 +39,6 @@ class DegenerateDiscriminantError(ValueError):
     """An extension context with discriminant zero (nothing to adjoin)."""
 
 
-def neg_one_pow(exponent: int) -> int:
-    """(-1)**exponent for any integer exponent, without float fallout."""
-    return 1 if exponent % 2 == 0 else -1
-
-
 def rat_pow(x: RationalLike, exponent: int) -> Fraction:
     """``x**exponent`` exactly, with the empty-product convention 0**0 == 1.
 

@@ -18,8 +18,8 @@ single division at the end. :func:`oracle_nested_naive` literally
 enumerates every index tuple in plain ``Fraction`` arithmetic. Their
 agreement guards against a shared bug, and both serve as ground truth for
 the closed forms in this module and in :mod:`horadam_sums.identities`.
-Here the geometric closed form is one loop, :func:`master_E`; the f- and
-g-forms substitute into it.
+Here the geometric closed form is one loop, :func:`master_E`; the f-form
+substitutes into it, and an alternating geometric sum is the f-form at -x.
 
 All values are exact: :class:`~fractions.Fraction`, or
 :class:`~horadam_sums.exactnum.QuadExt` when the summand's geometric weight
@@ -287,9 +287,8 @@ def master_E(x: Scalar, n: int, a_n: int, c: int,
     Returns ``x**a_n - x**(c-1) * sum_{j=0}^{n-1} ((x-1)/x)**j * C(a_n+j-c, j)``,
     which equals ``((x-1)/x)**n`` times the depth-``n`` nested sum of ``x**k``
     with every lower limit ``c`` and outer upper limit ``a_n``. This is the
-    module's one geometric closed-form loop: :func:`f_closed` and
-    :func:`g_closed` are substitutions into it, and ``counter`` tallies one
-    unit per binomial term.
+    module's one geometric closed-form loop: :func:`f_closed` is a
+    substitution into it, and ``counter`` tallies one unit per binomial term.
     """
     if x == 0 or x == 1:
         raise PoleError(f"x = {x} is a pole of the master closed form")
@@ -319,18 +318,6 @@ def f_closed(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
     if x == y:
         raise PoleError("x = y is a pole of the f-form")
     return (x / (x - y)) ** n * master_E(x / y, n, a_n, c, counter)
-
-
-def g_closed(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
-             counter: Optional[EvalCounter] = None) -> Scalar:
-    """Closed form for the depth-``n`` nested sum of ``(-1)**k * (x/y)**k``.
-
-    The summand is ``(-x/y)**k``, so this is ``f_closed(-x, y, ...)``.
-    Requires x, y nonzero (checked there) and x != -y (the pole of this form).
-    """
-    if y and x == -y:
-        raise PoleError("x = -y is a pole of the g-form")
-    return f_closed(-x, y, n, a_n, c, counter)
 
 
 def varied_limit_reduction(spec: NestedSumSpec,

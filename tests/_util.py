@@ -2,19 +2,23 @@
 
 These deliberately avoid the package's own summation code paths: nested sums
 are literal Python loops, binomials go through math.factorial, and sequence
-values are generated by a fresh recurrence. The F6 root-power route shares no
-code with the identity evaluators: it runs the geometric closed form over
-Q(sqrt(D)). Agreement between these and the library is the point of the tests.
+values are generated by a fresh recurrence. The root-power route
+``binet_route`` shares no code with the identity evaluators: it splits any
+nested sum that ``identities.lhs_spec`` builds into two nested geometric sums
+and runs ``nestedcore.f_closed`` on each, over Q(sqrt(D)) or, when D is a
+square, over Q. Agreement between these and the library is the point of the
+tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, isqrt, prod
 
-from horadam_sums.exactnum import QuadExt
-from horadam_sums.nestedcore import f_closed, g_closed
-from horadam_sums.sequences import second_kind_term
+from horadam_sums.combinatorics import nested_ones
+from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
+from horadam_sums.nestedcore import f_closed
 
 
 def literal_nested_sum(depth, upper, lower_limits, term_fn):
@@ -59,41 +63,53 @@ def walk_terms(params, lo: int, hi: int) -> dict:
     return values
 
 
-def f3_binet_route(inst, view):
-    """The F3 nested sum of W[rk+s]/V_r**k through root powers.
+@lru_cache(maxsize=64)
+def _binet_form(params):
+    """((A, tau), (B, sigma)) with W[j] = A*tau**j + B*sigma**j for every j.
 
-    W[rk+s] = coef_a*tau**s*(tau**r)**k + coef_b*sigma**s*(sigma**r)**k splits
-    the sum into two geometric ones, each evaluated by the f-form with
-    x = root**r and y = V_r. ``view`` is the sequence's BinetView.
+    The roots of x**2 - p*x + q are rational when D = p**2 - 4*q is a
+    rational square, and the form is then kept in Q, since Q(sqrt(D)) has
+    zero divisors there; otherwise it lives in Q(sqrt(D)).
     """
-    vr = view.tau ** 0 * second_kind_term(inst.params.p, inst.params.q, inst.r)
-    n, a_n, c, r, s = inst.n, inst.a_n, inst.c, inst.r, inst.s
-    return (view.coef_a * view.tau ** s * f_closed(view.tau ** r, vr, n, a_n, c)
-            + view.coef_b * view.sigma ** s * f_closed(view.sigma ** r, vr, n, a_n, c))
+    disc = params.discriminant
+    if disc == 0:
+        raise DegenerateDiscriminantError(
+            f"p^2 - 4q = 0 for p={params.p}, q={params.q}: repeated root, no Binet form")
+    root = QuadExt.sqrt(disc)
+    if disc > 0:
+        num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+        if num * num == disc.numerator and den * den == disc.denominator:
+            root = Fraction(num, den)
+    tau, sigma = (params.p + root) / 2, (params.p - root) / 2
+    return ((params.b - params.a * sigma) / root, tau), ((params.a * tau - params.b) / root, sigma)
 
 
-def f4_binet_route(inst, view):
-    """The F4 nested sum through root powers: each root's geometric part is
-    evaluated by the g-form with x = root**r and y = (other root)**r."""
-    n, a_n, c, s = inst.n, inst.a_n, inst.c, inst.s
-    tau_r, sigma_r = view.tau ** inst.r, view.sigma ** inst.r
-    return (view.coef_a * view.tau ** s * g_closed(tau_r, sigma_r, n, a_n, c)
-            + view.coef_b * view.sigma ** s * g_closed(sigma_r, tau_r, n, a_n, c))
+def binet_route(spec):
+    """The nested sum ``spec`` through root powers, for a uniform lower limit.
 
-
-def f6_binet_route(inst, view):
-    """The F6 nested sum of (V_d/V_{r+d})**k W[rk+s] through root powers.
-
-    W[rk+s] = coef_a*tau**s*(tau**r)**k + coef_b*sigma**s*(sigma**r)**k splits
-    the sum into two geometric ones, each evaluated by the f-form with
-    x = root**r * V_d and y = V_{r+d}. ``view`` is the sequence's
-    BinetView; the result lives in Q(sqrt(D)), its surd part free to be nonzero.
+    The summand of ``spec.term`` is W[mk+s] * (eps*w)**k with eps = -1 when it
+    alternates, and W[j] = A*tau**j + B*sigma**j, so the sum splits into
+    A*tau**s*N(eps*w*tau**m) + B*sigma**s*N(eps*w*sigma**m), where N(y) is the
+    depth-n nested sum of y**k: ``f_closed(y, 1, ...)``, or ``nested_ones`` at
+    y = 1. A summand with no sequence is N(eps*w). The value is a Fraction
+    when the roots are rational (or there are none) and a QuadExt otherwise;
+    a QuadExt equals a Fraction only when its surd part is zero, so comparing
+    it with the oracle also checks that part.
     """
-    p, q, n, a_n, c, r, s, d = (inst.params.p, inst.params.q, inst.n, inst.a_n,
-                                inst.c, inst.r, inst.s, inst.d)
-    vd = QuadExt.from_rational(second_kind_term(p, q, d), view.disc)
-    vrd = QuadExt.from_rational(second_kind_term(p, q, r + d), view.disc)
-    return (view.coef_a * view.tau ** s
-            * f_closed(view.tau ** r * vd, vrd, n, a_n, c)
-            + view.coef_b * view.sigma ** s
-            * f_closed(view.sigma ** r * vd, vrd, n, a_n, c))
+    limits = set(spec.lower_limits)
+    if len(limits) != 1:
+        raise ValueError(f"the Binet route needs one lower limit, got {spec.lower_limits}")
+    n, upper, (c,) = spec.depth, spec.upper, limits
+    term = spec.term
+    base = Fraction(1) if term.weight_base is None else term.weight_base
+    if term.alternating:
+        base = -base
+
+    def nested(y):
+        return nested_ones(n, upper, c) if y == 1 else f_closed(y, 1, n, upper, c)
+
+    if term.seq is None:
+        return nested(base)
+    m, s = term.index_mul, term.index_add
+    return sum(coef * root ** s * nested(base * root ** m)
+               for coef, root in _binet_form(term.seq))

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from _util import f6_binet_route, falling_binom, literal_nested_sum
+from _util import binet_route, falling_binom, literal_nested_sum
 from horadam_sums.cli import bench_rows
 from horadam_sums.combinatorics import binom, binom_column_sum, nested_ones
 from horadam_sums.identities import (FAMILIES, IdentityId, IdentityInstance,
@@ -20,7 +20,7 @@ from horadam_sums.identities import (FAMILIES, IdentityId, IdentityInstance,
                                      summarize, sweep)
 from horadam_sums.nestedcore import (ONES, NestedSumSpec, SumTerm, geometric_term,
                                      master_E, oracle_nested, oracle_nested_naive)
-from horadam_sums.sequences import (FIBONACCI, LUCAS, BinetView, gibonacci, horadam,
+from horadam_sums.sequences import (FIBONACCI, LUCAS, gibonacci, horadam,
                                     lemma3_residual, lemma4_residual, term)
 
 
@@ -267,11 +267,11 @@ def test_criterion_5_lemma_suites():
 
 def test_criterion_6_f6_rationality():
     # the root-power route runs in Q(sqrt(D)), where a wrong sign leaves a
-    # surd residue; its rational part must equal the rational F6 skeleton
+    # surd residue; a QuadExt equals the rational F6 skeleton only when that
+    # residue is zero (integer_root's square D keeps the route in Q)
     start = time.perf_counter()
     failures = []
     points = 0
-    views = {}
     for ident in (IdentityId.F6A, IdentityId.F6B):
         grid = default_grid(ident)
         for params, n, c, r, s, d in product(grid.families, grid.n_values,
@@ -282,9 +282,7 @@ def test_criterion_6_f6_rationality():
                     one = IdentityInstance(ident, params, n, c + off, c, r, s, d)
                 except InvalidInstanceError:
                     continue
-                view = views.setdefault(params, BinetView(params))
-                value = f6_binet_route(one, view)
-                if value.surd_part != 0 or value.rat_part != rhs_F6(one):
+                if binet_route(lhs_spec(one)) != rhs_F6(one):
                     failures.append((ident.value, params, n, c + off, c, r, s, d))
                 points += 1
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from horadam_sums.exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
                                    MismatchedDiscriminantError, QuadExt,
-                                   ZeroToNegativePowerError, neg_one_pow, rat_pow)
+                                   ZeroToNegativePowerError, rat_pow)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -198,6 +198,3 @@ class TestQuadExtAlgebra:
         assert tau + sigma == p
         assert tau * sigma == q
 
-
-def test_neg_one_pow():
-    assert [neg_one_pow(k) for k in (-3, -2, -1, 0, 1, 2)] == [-1, 1, -1, 1, -1, 1]

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from _util import f3_binet_route, f4_binet_route, f6_binet_route, literal_nested_sum
+from _util import binet_route, literal_nested_sum
 import horadam_sums.identities as identities
 from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE,
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
@@ -21,7 +21,6 @@ from horadam_sums.sequences import (FIBONACCI, LUCAS, horadam, restricted, term)
 
 FIB = FAMILIES["fibonacci"]
 GENERIC = FAMILIES["generic"]          # restricted family, q = 3
-NEGATIVE_D = FAMILIES["negative_d"]
 
 
 def inst(identity, params=None, n=1, a_n=1, c=1, r=1, s=0, d=0):
@@ -45,6 +44,17 @@ class TestInstanceValidation:
         # (p, q) = (2, 2) has V[2] = 0
         with pytest.raises(InvalidInstanceError, match="V_2 = 0"):
             inst(IdentityId.F3, params=horadam(1, 1, 2, 2), n=1, a_n=3, r=2)
+
+    def test_f6_zero_v_rejected(self):
+        # (p, q) = (2, 2) has V[2] = 0: as V_{r+d} at (r, d) = (1, 1), and as
+        # the weight base's V_d at d = 2
+        params = horadam(1, 1, 2, 2)
+        for ident, n in ((IdentityId.F6A, 2), (IdentityId.F6B, 1)):
+            with pytest.raises(InvalidInstanceError, match="V_2 = 0"):
+                inst(ident, params=params, n=n, a_n=3, r=1, d=1)
+            with pytest.raises(InvalidInstanceError,
+                               match=r"V_2 = 0 \(degenerate weight base\)"):
+                inst(ident, params=params, n=n, a_n=3, r=1, d=2)
 
     def test_f6_parity(self):
         with pytest.raises(InvalidInstanceError, match="even"):
@@ -385,8 +395,8 @@ def test_tags_outside_theorem_suite_match_oracle():
     assert not failures
 
 
-def _deep_instances(ident):
-    """Valid points of ``ident`` at depths 5-8 (F6 tags: their own parity only).
+def _deep_instances(ident, depths=(5, 6, 7, 8)):
+    """Valid points of ``ident`` at ``depths`` (F6 tags: their own parity only).
 
     Two families (the first and last of the default grid's), the first and
     last c, r and d of that grid, and a_n at c - 1, c + 3 and c + 9.
@@ -398,7 +408,7 @@ def _deep_instances(ident):
         return (values[0], values[-1]) if dim in dims else (default,)
 
     families = (None,) if record.fixed is not None else (grid.families[0], grid.families[-1])
-    depths = [n for n in (5, 6, 7, 8) if record.parity in (None, n % 2)]
+    depths = [n for n in depths if record.parity in (None, n % 2)]
     s = grid.s_values[0] if "s" in dims else 0
     points = []
     for params, n, c, r, d in product(families, depths, ends("c", grid.c_values, 1),
@@ -414,10 +424,16 @@ def _deep_instances(ident):
 @pytest.mark.parametrize("ident", list(IdentityId), ids=str)
 def test_deep_depths_match_oracle(ident):
     # the default grids stop at n = 4, so a closed-form term that only
-    # matters from n = 5 on (an odd F6 form's inner sums, say) shows here
+    # matters from n = 5 on (an odd F6 form's inner sums, say) shows here;
+    # the root-power route is held to the same oracle value
     points = _deep_instances(ident)
     assert len(points) >= 10
-    bad = [one for one in points if evaluate_rhs(one) != oracle_nested(lhs_spec(one))]
+    bad = []
+    for one in points:
+        spec = lhs_spec(one)
+        expected = oracle_nested(spec)
+        if evaluate_rhs(one) != expected or binet_route(spec) != expected:
+            bad.append(one)
     assert not bad
 
 
@@ -429,43 +445,35 @@ def test_h_far_outer_limits_match_oracle():
 
 
 class TestBinetRoutes:
-    """Root-power combinations of the geometric closed forms reproduce the
-    weighted nested sums, exercising f/g over quadratic-extension values."""
+    """The root-power route reproduces every tag's left side at depths 1-4,
+    through the f-form over quadratic-extension values. Criterion 6 runs it
+    on F6's whole default grid, ``integer_root``'s square D included, and
+    ``test_nestedcore.py::TestBinetRoute`` on the shapes no grid reaches."""
+
+    @pytest.mark.parametrize("ident", list(IdentityId), ids=str)
+    def test_route_matches_oracle(self, ident):
+        specs = [lhs_spec(one) for one in _deep_instances(ident, depths=(1, 2, 3, 4))]
+        assert len(specs) >= 10
+        bad = [spec for spec in specs if binet_route(spec) != oracle_nested(spec)]
+        assert not bad
 
     @staticmethod
-    def _check_route(ident, params, route):
-        from horadam_sums.sequences import BinetView, second_kind_term
+    def _check_route(ident, params):
+        # negative and zero weights and shifts, at lower limits 0 and 1; a
+        # QuadExt equals the oracle's Fraction only with a zero surd part
+        from horadam_sums.sequences import second_kind_term
 
-        view = BinetView(params)
         for r, s, n, c in product((-1, 1, 2), (0, 2), (1, 2), (0, 1)):
             if second_kind_term(params.p, params.q, r) == 0:
                 continue
             for a_n in range(c, c + 4):
-                one = inst(ident, params=params, n=n, a_n=a_n, c=c, r=r, s=s)
-                value = route(one, view)
-                assert value.surd_part == 0
-                assert value.rat_part == oracle_nested(lhs_spec(one))
+                spec = lhs_spec(inst(ident, params=params, n=n, a_n=a_n, c=c, r=r, s=s))
+                assert binet_route(spec) == oracle_nested(spec)
 
     @pytest.mark.parametrize("params", [FIB, GENERIC])
     def test_f_route_reproduces_weighted_sum(self, params):
-        self._check_route(IdentityId.F3, params, f3_binet_route)
+        self._check_route(IdentityId.F3, params)
 
     @pytest.mark.parametrize("params", [FIB, GENERIC])
     def test_g_route_reproduces_alternating_sum(self, params):
-        self._check_route(IdentityId.F4, params, f4_binet_route)
-
-    def test_parity_split_route_reproduces_f6(self):
-        # both depth parities of F6 (F6a even, F6b odd) through the f-form route
-        from horadam_sums.sequences import BinetView
-
-        for params in (FIB, NEGATIVE_D, FAMILIES["integer_root"]):
-            view = BinetView(params)
-            for n, r, d in product((1, 2, 3, 4), (-1, 1, 2), (0, 1)):
-                ident = IdentityId.F6A if n % 2 == 0 else IdentityId.F6B
-                try:
-                    one = inst(ident, params=params, n=n, a_n=4, r=r, d=d)
-                except InvalidInstanceError:
-                    continue
-                route = f6_binet_route(one, view)
-                assert route.surd_part == 0
-                assert route.rat_part == oracle_nested(lhs_spec(one))
+        self._check_route(IdentityId.F4, params)

@@ -6,16 +6,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _util import literal_nested_sum
+from _util import binet_route, literal_nested_sum
 from horadam_sums.combinatorics import nested_ones
-from horadam_sums.exactnum import QuadExt
-from horadam_sums.identities import CLASS_ERROR, IdentityId, IdentityInstance, verify
+from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
+from horadam_sums.identities import (CLASS_ERROR, FAMILIES, IdentityId, IdentityInstance,
+                                     verify)
 from horadam_sums.nestedcore import (ONES, EvalCounter, NaiveCapExceededError,
                                      NestedSumSpec, PoleError, SumTerm, f_closed,
-                                     g_closed, geometric_term, master_E, oracle_nested,
+                                     geometric_term, master_E, oracle_nested,
                                      oracle_nested_naive, varied_limit_reduction)
 from horadam_sums.sequences import FIBONACCI, horadam, term
 
@@ -149,18 +150,6 @@ class TestFandG:
         with pytest.raises(PoleError):
             f_closed(Fraction(0), Fraction(2), 1, 3, 1)
 
-    def test_g_depth_one(self):
-        # -2 + 4
-        assert g_closed(Fraction(2), Fraction(1), 1, 2, 1) == 2
-
-    def test_g_single_term(self):
-        x, y, c = Fraction(3), Fraction(2), 1
-        assert g_closed(x, y, 1, c, c) == -(x / y) ** c
-
-    def test_g_pole(self):
-        with pytest.raises(PoleError):
-            g_closed(Fraction(2), Fraction(-2), 1, 3, 1)
-
     @pytest.mark.parametrize("x,y", [(Fraction(3), Fraction(2)), (Fraction(1), Fraction(3)),
                                      (Fraction(-2), Fraction(5)), (Fraction(1, 2), Fraction(3))])
     def test_f_equals_oracle(self, x, y):
@@ -168,14 +157,6 @@ class TestFandG:
             for a_n in range(c, c + 6):
                 spec = NestedSumSpec(n, a_n, c, geometric_term(x / y))
                 assert f_closed(x, y, n, a_n, c) == oracle_nested(spec)
-
-    @pytest.mark.parametrize("x,y", [(Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)),
-                                     (Fraction(5), Fraction(2))])
-    def test_g_equals_oracle(self, x, y):
-        for n, c in product(range(1, 4), (0, 1, 2)):
-            for a_n in range(c, c + 6):
-                spec = NestedSumSpec(n, a_n, c, geometric_term(x / y, alternating=True))
-                assert g_closed(x, y, n, a_n, c) == oracle_nested(spec)
 
 
 class TestOracles:
@@ -311,6 +292,50 @@ class TestIntegerKernel:
     @given(spec=kernel_specs())
     def test_matches_naive(self, spec):
         _check_kernel(spec)
+
+
+# (p, q) with two distinct nonzero rational roots, so D is a rational square,
+# or any (p, q) with D != 0
+_square_pq = st.lists(nonzero_small, min_size=2, max_size=2, unique=True).map(
+    lambda roots: (roots[0] + roots[1], roots[0] * roots[1])).filter(lambda pq: pq[0] != 0)
+_any_pq = st.tuples(nonzero_small, nonzero_small).filter(lambda pq: pq[0] ** 2 != 4 * pq[1])
+
+
+@st.composite
+def route_specs(draw):
+    """Nested sums with one lower limit and an upper limit from c - 1 up,
+    over every summand shape ``identities.lhs_spec`` builds."""
+    depth = draw(st.integers(1, 4))
+    c = draw(st.integers(-3, 3))
+    upper = draw(st.integers(c - 1, c + 6))
+    seq = draw(st.none() | st.builds(lambda a, b, pq: horadam(a, b, *pq), small_rationals,
+                                     small_rationals, _square_pq | _any_pq))
+    summand = SumTerm(seq=seq, index_mul=draw(st.integers(-2, 3)),
+                      index_add=draw(st.integers(-3, 3)),
+                      weight_base=draw(st.none() | nonzero_small),
+                      alternating=draw(st.booleans()))
+    return NestedSumSpec(depth, upper, c, summand)
+
+
+class TestBinetRoute:
+    """The root-power route of ``tests/_util.py`` on the shapes the default
+    grids never reach, against the plain-Fraction enumeration."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=route_specs())
+    # integer_root has D = 1 and sigma = 1, so one half of the split sum is
+    # the nested sum of 1**k
+    @example(spec=NestedSumSpec(3, 6, 1, SumTerm(seq=FAMILIES["integer_root"])))
+    def test_matches_naive(self, spec):
+        assert binet_route(spec) == oracle_nested_naive(spec)
+
+    def test_repeated_root_refused(self):
+        with pytest.raises(DegenerateDiscriminantError):
+            binet_route(NestedSumSpec(2, 3, 1, SumTerm(seq=horadam(1, 3, 2, 1))))
+
+    def test_per_level_limits_refused(self):
+        with pytest.raises(ValueError, match="one lower limit"):
+            binet_route(NestedSumSpec(2, 3, (0, 1), SumTerm(seq=FIBONACCI)))
 
 
 class TestSummandCalls:

@@ -122,6 +122,15 @@ class TestBoundedTerms:
             assert seq.term(j) == walked[j]
         assert len(seq._memo) == WINDOW_CAP
 
+    def test_window_stops_at_cap_below_zero(self):
+        # read downwards a gap at a time, past the cap and one gap more
+        seq = HoradamSequence(horadam(2, -1, 1, -1))
+        bottom = -(WINDOW_CAP + 2 * WALK_GAP)
+        walked = walk_terms(seq.params, bottom, 1)
+        for j in range(0, bottom - 1, -WALK_GAP):
+            assert seq.term(j) == walked[j]
+        assert len(seq._memo) <= WINDOW_CAP
+
     def test_caches_stay_bounded(self):
         for i in range(1000):
             p, q = 1 + i % 10, -(1 + i // 10)

@@ -9,13 +9,12 @@ right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
 ``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
 ``oracle_nested`` (which keeps the running weight power) with its kernel
 ``_chain_counts`` and ``_weighted_total``, and the geometric closed form
-``master_E`` with its substitutions ``f_closed`` and ``g_closed``. The
-mutated function is compiled into its live module, so every caller (the
-registry, ``_rhs_F5``'s and ``_rhs_F6``'s wrappers, ``verify``, ``g_closed``)
-runs it; it is also bound to the names ``identities``, ``tests/_util.py``
-and this script import it under, so a mutated ``oracle_nested`` is what the
-closed forms are compared with and a mutated ``f_closed`` is what the Binet
-routes run.
+``master_E`` with its substitution ``f_closed``. The mutated function is
+compiled into its live module, so every caller (the registry, ``_rhs_F5``'s
+and ``_rhs_F6``'s wrappers, ``verify``, ``f_closed``) runs it; it is also
+bound to the names ``identities``, ``tests/_util.py`` and this script import
+it under, so a mutated ``oracle_nested`` is what the closed forms are
+compared with and a mutated ``f_closed`` is what the Binet route runs.
 
 A mutant is killed when, for any tag whose evaluation calls the mutated
 function (every tag, for the oracle), a point of the tier-1 deep-depth grid
@@ -27,10 +26,11 @@ summand count differs from the plain-Fraction enumeration
 ``oracle_nested_naive``. A geometric mutant is killed when ``master_E``
 misses ``((x-1)/x)**n`` times the oracle, or counts other than n binomial
 terms, on criterion 2's grid (``tests/test_acceptance.py::master_grid``);
-when ``f_closed`` or ``g_closed`` misses the oracle on ``RATIONAL_XY``; when
-a pole is not refused with ``PoleError``; or when a Binet route of
-``tests/_util.py`` (F3 and F6 through ``f_closed``, F4 through ``g_closed``)
-misses the oracle, or keeps a surd part, on the tier-1 deep-depth grid.
+when ``f_closed`` misses the oracle on ``RATIONAL_XY``, as the sum of
+``(x/y)**k`` and, at -x, of ``(-1)**k * (x/y)**k``; when a pole is not
+refused with ``PoleError``; or when ``tests/_util.py::binet_route``, which
+runs every tag's left side through ``f_closed``, misses the oracle, or keeps
+a surd part, on the tier-1 deep-depth grid of any tag.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives (2 when the unmutated
@@ -57,7 +57,6 @@ import horadam_sums.nestedcore as nc  # noqa: E402
 from horadam_sums.exactnum import QuadExt  # noqa: E402
 from horadam_sums.nestedcore import (EvalCounter, NestedSumSpec, PoleError,  # noqa: E402
                                      geometric_term, oracle_nested, oracle_nested_naive)
-from horadam_sums.sequences import BinetView  # noqa: E402
 from test_acceptance import master_grid  # noqa: E402
 from test_identities import _deep_instances  # noqa: E402
 from test_nestedcore import KERNEL_CASES  # noqa: E402
@@ -78,20 +77,15 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mu
 
 
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_weighted_total")
-GEOMETRIC_TARGETS = ("master_E", "f_closed", "g_closed")
+GEOMETRIC_TARGETS = ("master_E", "f_closed")
 
-# (x, y) for f_closed and g_closed against the oracle; 1 and -1 are there so
-# that a pole check moved onto them is caught
+# (x, y) for f_closed, and (-x, y) for its alternating sum, against the
+# oracle; 1 and -1 are there so that a pole check moved onto them is caught
 _VALUES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
 RATIONAL_XY = [(x, y) for x, y in product(_VALUES, repeat=2) if x != y and x != -y]
 POLES = (("master_E", (Fraction(0),)), ("master_E", (Fraction(1),)),
          ("f_closed", (Fraction(0), Fraction(2))), ("f_closed", (Fraction(2), Fraction(0))),
-         ("f_closed", (Fraction(2), Fraction(2))), ("g_closed", (Fraction(0), Fraction(2))),
-         ("g_closed", (Fraction(2), Fraction(0))), ("g_closed", (Fraction(2), Fraction(-2))))
-BINET_ROUTES = ((ids.IdentityId.F3, _util.f3_binet_route),
-                (ids.IdentityId.F4, _util.f4_binet_route),
-                (ids.IdentityId.F6A, _util.f6_binet_route),
-                (ids.IdentityId.F6B, _util.f6_binet_route))
+         ("f_closed", (Fraction(2), Fraction(2))))
 
 
 def _is_target(module, name: str) -> bool:
@@ -196,9 +190,9 @@ def _geometric_broken() -> bool:
             return True
     for (x, y), n, c in product(RATIONAL_XY, range(1, 4), (-1, 1)):
         for a_n in range(c - 1, c + 5):
-            for form, alternating in ((nc.f_closed, False), (nc.g_closed, True)):
+            for sign, alternating in ((1, False), (-1, True)):
                 spec = NestedSumSpec(n, a_n, c, geometric_term(x / y, alternating))
-                if form(x, y, n, a_n, c) != oracle_nested(spec):
+                if nc.f_closed(sign * x, y, n, a_n, c) != oracle_nested(spec):
                     return True
     for name, args in POLES:
         try:
@@ -206,10 +200,11 @@ def _geometric_broken() -> bool:
         except PoleError:
             continue
         return True
-    for ident, route in BINET_ROUTES:
+    for ident in ids.IdentityId:
         for one in _deep_instances(ident):
-            value = route(one, BinetView(one.params))
-            if value.surd_part != 0 or value.rat_part != oracle_nested(ids.lhs_spec(one)):
+            spec = ids.lhs_spec(one)
+            # a QuadExt equals a Fraction only when its surd part is zero
+            if _util.binet_route(spec) != oracle_nested(spec):
                 return True
     return False
 
