@@ -12,7 +12,7 @@ from __future__ import annotations
 from .combinatorics import binom, binom_column_sum, nested_ones
 from .exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
                        MismatchedDiscriminantError, QuadExt,
-                       ZeroToNegativePowerError, rat_pow)
+                       ZeroToNegativePowerError)
 from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep, verify)
@@ -40,7 +40,7 @@ __all__ = [
     "iter_sweep", "lemma3_residual", "lemma4_residual", "lhs_spec",
     "lucas_first_kind", "lucas_second_kind",
     "master_E", "nested_ones", "oracle_nested",
-    "oracle_nested_naive", "rat_pow",
+    "oracle_nested_naive",
     "restricted", "second_kind_term", "summarize", "sweep", "term",
     "varied_limit_reduction", "verify",
 ]

@@ -120,6 +120,15 @@ def _family_list(args: argparse.Namespace) -> Tuple[HoradamParams, ...]:
     return tuple(result)
 
 
+def _point_family(identity: IdentityId, args: argparse.Namespace) -> HoradamParams:
+    """The one family a single point runs on: the first one the flags name,
+    else the tag's fixed family. A tag with neither is a usage error."""
+    family = (_family_list(args) or (fixed_family(identity),))[0]
+    if family is None:
+        raise argparse.ArgumentTypeError(f"{identity.value} needs --family or --p/--q/--a/--b")
+    return family
+
+
 def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
     """Refuse a point whose evaluation would run away, before any work.
 
@@ -148,7 +157,8 @@ def check_grid(points: int) -> None:
 
 def report_row(report: EvaluationReport) -> dict:
     """Fixed-order record for one evaluation, shared by jsonl and csv output.
-    A point given no family has empty parameters."""
+    A report with no family (a library caller's point given none) has empty
+    parameters."""
     params = report.params
     return {
         "identity": report.identity.value,
@@ -212,7 +222,7 @@ def _output(path: Optional[str]) -> Iterator[IO[str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = (_family_list(args) or (None,))[0]
+    params = _point_family(args.identity, args)
     check_cost(args.n, args.an, args.c, args.r, args.s, args.d)
     report = evaluate_point(args.identity, params, args.n, args.an, args.c,
                             args.r, args.s, args.d)
@@ -270,6 +280,12 @@ def _grid_from_args(identity: IdentityId, args: argparse.Namespace) -> SweepGrid
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Stream one row per grid point and a summary line on stderr.
+
+    A grid carries families, so a sweep given no --family or --p/--q/--a/--b
+    keeps the default grid's; a point has one family, so verify, table and
+    bench need it named for a tag with no fixed family (see _point_family).
+    """
     identity = args.identity
     grid = _grid_from_args(identity, args)
     check_grid(grid_size(identity, grid))
@@ -306,7 +322,7 @@ _TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    params = (_family_list(args) or (None,))[0]
+    params = _point_family(args.identity, args)
     a_values = args.an or ()
     check_grid(len(a_values))
     for a_n in a_values:
@@ -399,16 +415,13 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    inst_args = {"x": args.x}
-    if args.kind == "identity":
-        # a tag specific to one family runs on it; any other defaults to Fibonacci
-        default = fixed_family(args.identity) or FAMILIES["fibonacci"]
-        params = (_family_list(args) or (default,))[0]
-        inst_args.update(identity=args.identity, params=params,
-                         r=args.r, s=args.s, d=args.d)
     n_values = args.n or (1, 2, 3, 4, 5)
     if min(n_values) < 1:
         raise argparse.ArgumentTypeError("--n values must be at least 1")
+    inst_args = {"x": args.x}
+    if args.kind == "identity":
+        inst_args.update(identity=args.identity, params=_point_family(args.identity, args),
+                         r=args.r, s=args.s, d=args.d)
     if args.kind == "geometric" and args.x in (0, 1):
         raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))

@@ -39,21 +39,6 @@ class DegenerateDiscriminantError(ValueError):
     """An extension context with discriminant zero (nothing to adjoin)."""
 
 
-def rat_pow(x: RationalLike, exponent: int) -> Fraction:
-    """``x**exponent`` exactly, with the empty-product convention 0**0 == 1.
-
-    A non-integer exponent raises TypeError rather than returning a float.
-    """
-    if not isinstance(exponent, int):
-        raise TypeError(f"exponent must be an int, not {type(exponent).__name__}")
-    x = Fraction(x)
-    if exponent == 0:
-        return Fraction(1)
-    if exponent < 0 and x == 0:
-        raise ZeroToNegativePowerError(f"0 ** {exponent} is undefined")
-    return x ** exponent
-
-
 class QuadExt:
     """Element ``u + v*sqrt(D)`` of Q(sqrt(D)), with exact rational u, v, D.
 

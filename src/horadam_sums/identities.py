@@ -43,7 +43,6 @@ from math import prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinatorics import binom
-from .exactnum import rat_pow
 from .nestedcore import EvalCounter, NestedSumSpec, PoleError, SumTerm, oracle_nested
 from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam, second_kind_term)
@@ -99,6 +98,9 @@ FAMILIES: Dict[str, HoradamParams] = {
 }
 
 
+_COORDS = ("n", "a_n", "c", "r", "s", "d")
+
+
 @dataclass(frozen=True)
 class IdentityInstance:
     """One concrete evaluation point of an identity.
@@ -106,7 +108,8 @@ class IdentityInstance:
     Construction validates every precondition of the chosen identity (family
     shape, parity, nonzero denominators and weight bases) and raises
     :class:`InvalidInstanceError` naming the violated condition. Evaluators
-    may therefore assume a valid instance.
+    may therefore assume a valid instance. A coordinate that is not an int is
+    a caller's bug, not a failed precondition, and raises ``TypeError``.
     """
 
     identity: IdentityId
@@ -119,6 +122,9 @@ class IdentityInstance:
     d: int = 0
 
     def __post_init__(self):
+        for name, value in zip(_COORDS, (self.n, self.a_n, self.c, self.r, self.s, self.d)):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         ident = self.identity
         record = _REGISTRY[ident]
         if record.fixed is not None:
@@ -193,7 +199,7 @@ def _f3_summand(inst: IdentityInstance) -> SumTerm:
 
 def _f4_summand(inst: IdentityInstance) -> SumTerm:
     return SumTerm(seq=inst.params, index_mul=2 * inst.r, index_add=inst.s,
-                   weight_base=rat_pow(inst.params.q, -inst.r), alternating=True)
+                   weight_base=inst.params.q ** -inst.r, alternating=True)
 
 
 def _f5_violation(inst: IdentityInstance) -> Optional[str]:

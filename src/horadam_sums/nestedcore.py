@@ -21,9 +21,11 @@ the closed forms in this module and in :mod:`horadam_sums.identities`.
 Here the geometric closed form is one loop, :func:`master_E`; the f-form
 substitutes into it, and an alternating geometric sum is the f-form at -x.
 
-All values are exact: :class:`~fractions.Fraction`, or
-:class:`~horadam_sums.exactnum.QuadExt` when the summand's geometric weight
-lives in a quadratic extension.
+All values are exact. Summands and both oracles are rational: a
+:class:`SumTerm` takes an int or :class:`~fractions.Fraction` weight base,
+so every value the oracles add is a ``Fraction``. Only :func:`master_E` and
+:func:`f_closed` also take :class:`~horadam_sums.exactnum.QuadExt`
+arguments, for the root-power routes that run in Q(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -71,38 +73,43 @@ class SumTerm:
     The value at index ``k`` is the product of up to three factors:
     a sequence term ``seq[index_mul*k + index_add]``, a geometric weight
     ``weight_base**k`` and, when ``alternating``, the sign ``(-1)**k``.
-    An omitted factor contributes 1. The weight base must be nonzero so that
-    negative indices stay well-defined.
+    An omitted factor contributes 1. The weight base is an int or a
+    ``Fraction`` (an int becomes a ``Fraction``; any other type raises
+    ``TypeError``) and must be nonzero so that negative indices stay
+    well-defined. ``index_mul`` and ``index_add`` must be ints.
 
     Construction also resolves the sequence's :class:`HoradamSequence` once
     (``_sequence``) and decides once whether the weight is read at all
-    (``_base``): a rational base equal to 1 is dropped, a ``QuadExt`` base
-    never is, so such a summand keeps returning ``QuadExt`` values. Neither
-    attribute is a field, so equality, hashing and the repr are those of the
-    fields alone.
+    (``_base``): a base equal to 1 is dropped. Neither attribute is a field,
+    so equality, hashing and the repr are those of the fields alone.
     """
 
     seq: Optional[HoradamParams] = None
     index_mul: int = 1
     index_add: int = 0
-    weight_base: Optional[Scalar] = None
+    weight_base: Optional[Fraction] = None
     alternating: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.index_mul, int) and isinstance(self.index_add, int)):
+            raise TypeError("index_mul and index_add must be ints")
         base = self.weight_base
         if base is not None:
             if isinstance(base, int):
                 base = Fraction(base)
                 object.__setattr__(self, "weight_base", base)
+            elif not isinstance(base, Fraction):
+                raise TypeError(f"weight base must be an int or a Fraction, "
+                                f"not {type(base).__name__}")
             if not base:
                 raise ValueError("weight base must be nonzero")
-            if isinstance(base, Fraction) and base == 1:
+            if base == 1:
                 base = None
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_sequence",
                            None if self.seq is None else HoradamSequence.of(self.seq))
 
-    def value(self, k: int, weight: Optional[Scalar] = None) -> Scalar:
+    def value(self, k: int, weight: Optional[Fraction] = None) -> Fraction:
         """The summand at ``k``. A caller that already holds ``weight_base**k``
         (a running product over consecutive ``k``) passes it as ``weight``."""
         base = self._base
@@ -123,7 +130,7 @@ class SumTerm:
 ONES = SumTerm()
 
 
-def geometric_term(base: Scalar, alternating: bool = False) -> SumTerm:
+def geometric_term(base: Fraction, alternating: bool = False) -> SumTerm:
     """Summand ``base**k`` (optionally times ``(-1)**k``)."""
     return SumTerm(weight_base=base, alternating=alternating)
 
@@ -152,12 +159,6 @@ class NestedSumSpec:
         if len(limits) != self.depth:
             raise ValueError(f"need {self.depth} lower limits, got {len(limits)}")
         object.__setattr__(self, "lower_limits", limits)
-
-
-def _zero_like(summand: SumTerm) -> Scalar:
-    if isinstance(summand.weight_base, QuadExt):
-        return summand.weight_base * 0
-    return Fraction(0)
 
 
 def _chain_counts(limits: Tuple[int, ...], upper: int) -> list:
@@ -203,24 +204,22 @@ def _weighted_total(counts: list, values: list) -> Fraction:
     return Fraction(num, den)
 
 
-def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) -> Scalar:
+def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) -> Fraction:
     """Exact nested-sum value as one weighted sum of the level-0 summands.
 
     Each index ``k`` from the innermost lower limit to the outer upper limit
     is evaluated once, with the weight power kept as a running product; the
     nested total is sum_k m_k * t(k), with the chain counts m_k of
     :func:`_chain_counts`, summed over Python ints on one common denominator
-    and divided once. A ``QuadExt`` summand runs the same sum on its
-    rational and surd parts, since addition is componentwise. ``counter``
-    tallies one unit per addition of a value into a level, as a plain loop
-    over the levels would: depth times range, not the multinomial blow-up of
-    direct enumeration.
+    and divided once. ``counter`` tallies one unit per addition of a value
+    into a level, as a plain loop over the levels would: depth times range,
+    not the multinomial blow-up of direct enumeration.
     """
     summand = spec.term
     limits = spec.lower_limits
     hi = spec.upper
     if hi < limits[-1]:
-        return _zero_like(summand)
+        return Fraction(0)
     lo = limits[0]
     base = summand._base
     # weight_base**k for k = lo, lo + 1, ...: one product per index, and
@@ -238,18 +237,11 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
             counter.add(len(values))
     if counter is not None:
         counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
-    counts = _chain_counts(limits, hi)
-    if isinstance(base, QuadExt):
-        rat = [value.rat_part for value in values]
-        surd = [value.surd_part for value in values]
-        del values
-        return QuadExt._of(_weighted_total(counts, rat), _weighted_total(counts, surd),
-                           base.disc)
-    return _weighted_total(counts, values)
+    return _weighted_total(_chain_counts(limits, hi), values)
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,
-                        counter: Optional[EvalCounter] = None) -> Scalar:
+                        counter: Optional[EvalCounter] = None) -> Fraction:
     """Literal recursive enumeration of every index tuple.
 
     Costs one summand evaluation per tuple, which grows like
@@ -262,11 +254,10 @@ def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_
             raise NaiveCapExceededError(
                 f"{expected} summand evaluations exceed the naive cap {cap}")
     summand = spec.term
-    zero = _zero_like(summand)
     limits = spec.lower_limits
 
-    def descend(level: int, upper: int) -> Scalar:
-        total = zero
+    def descend(level: int, upper: int) -> Fraction:
+        total = Fraction(0)
         if level == 0:
             for k in range(limits[0], upper + 1):
                 total = total + summand.value(k)
@@ -321,7 +312,7 @@ def f_closed(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
 
 
 def varied_limit_reduction(spec: NestedSumSpec,
-                           counter: Optional[EvalCounter] = None) -> Scalar:
+                           counter: Optional[EvalCounter] = None) -> Fraction:
     """Reduce a geometric nested sum with per-level lower limits to unit counts.
 
     ``spec.term`` must be a pure geometric summand ``x**k``. Returns

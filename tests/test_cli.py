@@ -78,14 +78,6 @@ class TestVerifyCommand:
         assert path.read_text() == swept
         assert "skipped" in swept
 
-    def test_skipped_point_without_family_has_empty_params(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--identity", "F3", "--n", "1",
-                               "--an", "3", "--format", "jsonl")
-        assert code == 0
-        row = json.loads(out)
-        assert row["class"] == "skipped"
-        assert row["params"] == {"a": "", "b": "", "p": "", "q": ""}
-
     def test_jsonl_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--identity", "F1a",
                                "--n", "1", "--an", "2", "--format", "jsonl")
@@ -120,6 +112,18 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--identity", "F3", "--n", "1", "--an", "3", "--format", "jsonl"),
+    ("table", "--identity", "F3"),
+    ("bench", "--kind", "identity", "--identity", "F3"),
+], ids=lambda command: command[0])
+def test_missing_family_is_usage_error(capsys, command):
+    # a point has one family; a tag with no fixed family needs it named
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err == "error: F3 needs --family or --p/--q/--a/--b\n"
 
 
 @pytest.mark.parametrize("zero", ["--p", "--q"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from horadam_sums.exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
                                    MismatchedDiscriminantError, QuadExt,
-                                   ZeroToNegativePowerError, rat_pow)
+                                   ZeroToNegativePowerError)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -39,33 +39,6 @@ class TestRationalOps:
         assert result.denominator > 0
         from math import gcd
         assert gcd(result.numerator, result.denominator) == 1
-
-
-class TestRationalPow:
-    def test_negative_exponent(self):
-        assert rat_pow(Fraction(2, 3), -2) == Fraction(9, 4)
-
-    def test_zero_exponent(self):
-        assert rat_pow(Fraction(5), 0) == 1
-
-    def test_sign_parity(self):
-        assert rat_pow(Fraction(-1), 7) == -1
-
-    def test_zero_to_zero_is_one(self):
-        assert rat_pow(Fraction(0), 0) == 1
-
-    def test_zero_to_negative_rejected(self):
-        with pytest.raises(ZeroToNegativePowerError):
-            rat_pow(Fraction(0), -1)
-
-    @pytest.mark.parametrize("exponent", [1.0, Fraction(1), Fraction(1, 2), "1"])
-    def test_non_integer_exponent_rejected(self, exponent):
-        with pytest.raises(TypeError):
-            rat_pow(Fraction(2, 3), exponent)
-
-    @given(x=nonzero_rationals, e=st.integers(-8, 8))
-    def test_pow_inverse(self, x, e):
-        assert rat_pow(x, e) * rat_pow(x, -e) == 1
 
 
 class TestQuadExtBasics:

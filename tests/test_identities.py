@@ -77,6 +77,18 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError, match="W_0 = 0"):
             inst(IdentityId.F7, params=FIB, n=1, a_n=2, r=1, s=0, d=0)
 
+    @pytest.mark.parametrize("coord", ["n", "a_n", "c", "r", "s", "d"])
+    @pytest.mark.parametrize("kind", [float, Fraction])
+    def test_non_int_coordinate_is_a_type_error(self, coord, kind):
+        # a caller's bug, raised at construction: never a skipped point, and
+        # never a float key that reads the int key it equals in the term window
+        coords = {"n": 2, "a_n": 3, "c": 1, "r": 1, "s": 0, "d": 0}
+        coords[coord] = kind(coords[coord])
+        with pytest.raises(TypeError, match=f"^{coord} must be an int"):
+            inst(IdentityId.F3, params=FIB, **coords)
+        with pytest.raises(TypeError):
+            identities.evaluate_point(IdentityId.F3, FIB, **coords)
+
     def test_gibonacci_shape_enforced(self):
         with pytest.raises(InvalidInstanceError):
             inst(IdentityId.F3_G, params=GENERIC, n=1, a_n=2)

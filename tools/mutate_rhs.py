@@ -21,16 +21,16 @@ function (every tag, for the oracle), a point of the tier-1 deep-depth grid
 (``tests/test_identities.py::_deep_instances``) or of the tag's default-grid
 sweep shows a mismatch, an error report or an exception, or when it runs
 longer than ``TIMEOUT_S``. An oracle mutant is also killed when, on a case
-of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type, surd part or
-summand count differs from the plain-Fraction enumeration
-``oracle_nested_naive``. A geometric mutant is killed when ``master_E``
-misses ``((x-1)/x)**n`` times the oracle, or counts other than n binomial
-terms, on criterion 2's grid (``tests/test_acceptance.py::master_grid``);
-when ``f_closed`` misses the oracle on ``RATIONAL_XY``, as the sum of
-``(x/y)**k`` and, at -x, of ``(-1)**k * (x/y)**k``; when a pole is not
-refused with ``PoleError``; or when ``tests/_util.py::binet_route``, which
-runs every tag's left side through ``f_closed``, misses the oracle, or keeps
-a surd part, on the tier-1 deep-depth grid of any tag.
+of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
+count differs from the enumeration ``oracle_nested_naive``. A geometric
+mutant is killed when ``master_E`` misses ``((x-1)/x)**n`` times the
+oracle, or counts other than n binomial terms, on criterion 2's grid
+(``tests/test_acceptance.py::master_grid``); when ``f_closed`` misses the
+oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
+``(-1)**k * (x/y)**k``; when a pole is not refused with ``PoleError``; or
+when ``tests/_util.py::binet_route``, which runs every tag's left side
+through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
+deep-depth grid of any tag.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives (2 when the unmutated
@@ -54,7 +54,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import _util  # noqa: E402
 import horadam_sums.identities as ids  # noqa: E402
 import horadam_sums.nestedcore as nc  # noqa: E402
-from horadam_sums.exactnum import QuadExt  # noqa: E402
 from horadam_sums.nestedcore import (EvalCounter, NestedSumSpec, PoleError,  # noqa: E402
                                      geometric_term, oracle_nested, oracle_nested_naive)
 from test_acceptance import master_grid  # noqa: E402
@@ -172,9 +171,6 @@ def _kernel_broken() -> bool:
         count = (sum(max(0, spec.upper - limit + 1) for limit in limits)
                  if spec.upper >= limits[-1] else 0)
         if type(fast) is not type(slow) or fast != slow or counter.count != count:
-            return True
-        if isinstance(slow, QuadExt) and (fast.surd_part, fast.disc) != (slow.surd_part,
-                                                                         slow.disc):
             return True
     return False
 
