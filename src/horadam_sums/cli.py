@@ -156,13 +156,11 @@ def check_grid(points: int) -> None:
 
 
 def report_row(report: EvaluationReport) -> dict:
-    """Fixed-order record for one evaluation, shared by jsonl and csv output.
-    A report with no family (a library caller's point given none) has empty
-    parameters."""
+    """Fixed-order record for one evaluation, shared by jsonl and csv output."""
     params = report.params
     return {
         "identity": report.identity.value,
-        "params": {name: format_rational(getattr(params, name, None))
+        "params": {name: format_rational(getattr(params, name))
                    for name in ("a", "b", "p", "q")},
         "n": report.n,
         "a_n": report.a_n,

@@ -108,8 +108,9 @@ class IdentityInstance:
     Construction validates every precondition of the chosen identity (family
     shape, parity, nonzero denominators and weight bases) and raises
     :class:`InvalidInstanceError` naming the violated condition. Evaluators
-    may therefore assume a valid instance. A coordinate that is not an int is
-    a caller's bug, not a failed precondition, and raises ``TypeError``.
+    may therefore assume a valid instance. A coordinate that is not an int,
+    or no family for a tag without a fixed one, is a caller's bug, not a
+    failed precondition, and raises ``TypeError``.
     """
 
     identity: IdentityId
@@ -133,7 +134,7 @@ class IdentityInstance:
             elif self.params != record.fixed:
                 raise InvalidInstanceError(f"{ident} is specific to one fixed sequence family")
         elif self.params is None:
-            raise InvalidInstanceError(f"{ident} requires explicit sequence parameters")
+            raise TypeError(f"{ident} needs a family: params must not be None")
         reason = _violation(self, record)
         if reason is not None:
             raise InvalidInstanceError(f"{ident}: {reason}")
@@ -460,12 +461,12 @@ class EvaluationReport:
     """Outcome of evaluating one identity instance both ways.
 
     The coordinates are listed here rather than held as an instance, since a
-    skipped point has no valid instance (and no ``params`` when it was given
-    no family). The outcome fields default to those of a skipped point.
+    skipped point has no valid instance. The outcome fields default to those
+    of a skipped point.
     """
 
     identity: IdentityId
-    params: Optional[HoradamParams]
+    params: HoradamParams
     n: int
     a_n: int
     c: int
@@ -590,7 +591,7 @@ def evaluate_point(identity: IdentityId, params: Optional[HoradamParams], n: int
     """:func:`verify` at one point given by its coordinates. A point that
     fails a precondition gives a ``skipped`` report with the reason as its
     detail, never an exception; ``params`` None stands for the tag's fixed
-    family."""
+    family, and raises ``TypeError`` on a tag without one."""
     try:
         inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
     except InvalidInstanceError as exc:

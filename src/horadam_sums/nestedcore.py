@@ -10,11 +10,11 @@ the outermost runs up to ``A``. Sums whose upper limit falls below the lower
 limit are empty and contribute zero.
 
 Two independent evaluators are provided. :func:`oracle_nested` evaluates
-the summand once per index of the innermost range, keeping the weight power
-as a running product, and weights each value by the number of index chains
-that reach it; those counts are small-int suffix sums, one pass per level,
-and the weighted sum runs over Python ints on one common denominator with a
-single division at the end. :func:`oracle_nested_naive` literally
+the summand once per index of the innermost range, at an int weight in place
+of the rational weight power, and weights each value by the number of index
+chains that reach it; those counts are small-int suffix sums, one pass per
+level, and one Horner pass over Python ints folds the weighted values in,
+with a single division at the end. :func:`oracle_nested_naive` literally
 enumerates every index tuple in plain ``Fraction`` arithmetic. Their
 agreement guards against a shared bug, and both serve as ground truth for
 the closed forms in this module and in :mod:`horadam_sums.identities`.
@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm
-from operator import mul
 from typing import Optional, Tuple, Union
 
 from .combinatorics import binom
@@ -109,9 +108,12 @@ class SumTerm:
         object.__setattr__(self, "_sequence",
                            None if self.seq is None else HoradamSequence.of(self.seq))
 
-    def value(self, k: int, weight: Optional[Fraction] = None) -> Fraction:
-        """The summand at ``k``. A caller that already holds ``weight_base**k``
-        (a running product over consecutive ``k``) passes it as ``weight``."""
+    def value(self, k: int, weight: Union[int, Fraction, None] = None) -> Fraction:
+        """The summand at ``k``. ``weight`` stands in for ``weight_base**k``:
+        the result is ``value(k) * weight / weight_base**k`` (the signed
+        weight itself when there is no sequence), so a caller may pass any
+        multiple of the power; :func:`oracle_nested` passes an int. A summand
+        without a base, or with a base of 1, reads no weight."""
         base = self._base
         if base is not None and weight is None:
             weight = base ** k
@@ -181,39 +183,20 @@ def _chain_counts(limits: Tuple[int, ...], upper: int) -> list:
     return counts
 
 
-def _weighted_total(counts: list, values: list) -> Fraction:
-    """sum(m * v) of rational values on one common denominator, divided once.
-
-    The common denominator grows with the values: a denominator that is a
-    multiple of it (the usual case, powers of one weight base) replaces it,
-    and only any other takes an lcm. Each value costs one multiply-add of
-    Python ints.
-    """
-    num, den = 0, 1
-    for count, value in zip(counts, values):
-        d = value.denominator
-        if d == den:
-            num += count * value.numerator
-        elif d % den == 0:
-            num = num * (d // den) + count * value.numerator
-            den = d
-        else:
-            common = lcm(den, d)
-            num = num * (common // den) + count * value.numerator * (common // d)
-            den = common
-    return Fraction(num, den)
-
-
 def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) -> Fraction:
     """Exact nested-sum value as one weighted sum of the level-0 summands.
 
-    Each index ``k`` from the innermost lower limit to the outer upper limit
-    is evaluated once, with the weight power kept as a running product; the
-    nested total is sum_k m_k * t(k), with the chain counts m_k of
-    :func:`_chain_counts`, summed over Python ints on one common denominator
-    and divided once. ``counter`` tallies one unit per addition of a value
-    into a level, as a plain loop over the levels would: depth times range,
-    not the multinomial blow-up of direct enumeration.
+    Each index ``k`` from the innermost lower limit ``lo`` to the outer upper
+    limit is evaluated once. With the weight base written ``u/v`` (``v > 0``),
+    ``value(k, u**(k - lo))`` is ``t(k) * v**(k - lo) / base**lo``, an int
+    weight in place of a rational power. The nested total is sum_k m_k * t(k),
+    with the chain counts m_k of :func:`_chain_counts`; one Horner pass over
+    Python ints folds the values in on a common denominator that grows only
+    with the sequence terms' own, and one ``Fraction`` at the end divides by
+    it and by the power of ``v`` and scales by ``base**lo``. ``counter``
+    tallies one unit per addition of a value into a level, as a plain loop
+    over the levels would: depth times range, not the multinomial blow-up of
+    direct enumeration.
     """
     summand = spec.term
     limits = spec.lower_limits
@@ -222,22 +205,36 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
         return Fraction(0)
     lo = limits[0]
     base = summand._base
-    # weight_base**k for k = lo, lo + 1, ...: one product per index, and
-    # none past the last index, since zip stops at the end of the range first
-    weights = repeat(None) if base is None else accumulate(repeat(base), mul,
-                                                            initial=base ** lo)
-    values: list = []
+    if base is None:
+        weight, v = None, 1
+    else:
+        weight, u, v = 1, base.numerator, base.denominator
+    num, den = 0, 1
+    made = 0
     # a summand that raises leaves the count of the values made before it,
     # which verify reports with the error
     try:
-        for k, weight in zip(range(lo, hi + 1), weights):
-            values.append(summand.value(k, weight))
+        for k, m in enumerate(_chain_counts(limits, hi), lo):
+            term = summand.value(k, weight)
+            made += 1
+            d = term.denominator
+            if d == den:
+                num += m * term.numerator
+            else:
+                common = lcm(den, d)
+                num = num * (common // den) + m * term.numerator * (common // d)
+                den = common
+            # sum_k m_k * value_k * v**(hi + 1 - k), one power of v per step
+            if weight is not None:
+                num *= v
+                weight *= u
     finally:
         if counter is not None:
-            counter.add(len(values))
+            counter.add(made)
     if counter is not None:
         counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
-    return _weighted_total(_chain_counts(limits, hi), values)
+    total = Fraction(num, den * v ** made)
+    return total if base is None else total * base ** lo
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,

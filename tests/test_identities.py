@@ -37,8 +37,11 @@ class TestInstanceValidation:
             inst(IdentityId.F1A, params=LUCAS, n=1, a_n=2)
 
     def test_params_required(self):
-        with pytest.raises(InvalidInstanceError):
+        # a missing family is a caller's bug, never a skipped point
+        with pytest.raises(TypeError):
             inst(IdentityId.F3, n=1, a_n=2)
+        with pytest.raises(TypeError):
+            identities.evaluate_point(IdentityId.F3, None, 1, 3)
 
     def test_v_r_zero_rejected(self):
         # (p, q) = (2, 2) has V[2] = 0

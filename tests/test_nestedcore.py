@@ -71,13 +71,35 @@ class TestSumTerm:
                                         horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
        k=st.integers(-12, 12), alternating=st.booleans())
 def test_value_with_weight_matches_power(base, seq, k, alternating):
-    """value(k, base**k), as a running product passes it, is value(k) exactly."""
+    """value(k, base**k) is value(k) exactly."""
     summand = SumTerm(seq=seq, index_mul=2, index_add=-1, weight_base=base,
                       alternating=alternating)
     plain = summand.value(k)
     weighted = summand.value(k, base ** k)
     assert type(weighted) is type(plain) is Fraction
     assert weighted == plain
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.none() | st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+           lambda x: x != 0),
+       seq=st.none() | st.sampled_from([FIBONACCI, horadam(2, 5, 1, 3),
+                                        horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
+       index_mul=st.integers(-2, 3), k=st.integers(-12, 12), alternating=st.booleans(),
+       weight=st.integers(-10 ** 6, 10 ** 6))
+def test_value_is_linear_in_an_int_weight(base, seq, index_mul, k, alternating, weight):
+    """value(k, w) is value(k) * w / weight_base**k for an int w, as the oracle
+    passes it; with no sequence that is the signed weight itself, and a summand
+    without a base, or with a base of 1, reads no weight."""
+    summand = SumTerm(seq=seq, index_mul=index_mul, index_add=-1, weight_base=base,
+                      alternating=alternating)
+    weighted = summand.value(k, weight)
+    if base is None or base == 1:
+        assert weighted == summand.value(k)
+    else:
+        assert weighted == summand.value(k) * weight / base ** k
+        if seq is None:
+            assert weighted == (-weight if alternating and k % 2 else weight)
 
 
 class TestSpec:
@@ -255,6 +277,13 @@ KERNEL_CASES = (
     # a middle level's limit above the upper limit, the outermost's below it:
     # every chain count is zero, and the zero is a Fraction
     NestedSumSpec(4, 4, (0, 2, 6, 1), SumTerm(seq=GENERIC, weight_base=Fraction(1, 2))),
+    # an int weight base (v = 1) under a negative lower limit, alternating
+    NestedSumSpec(3, 3, (-3, -1, 0), SumTerm(seq=GENERIC, index_add=1, weight_base=3,
+                                             alternating=True)),
+    # unweighted, over rational p, q at negative indices: the lcm with v = 1
+    NestedSumSpec(2, 1, -6, SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)))),
+    # |u| > 1 and v > 1 on a one-index range
+    NestedSumSpec(2, 2, (2, -1), SumTerm(seq=GENERIC, weight_base=Fraction(-5, 3))),
 )
 
 
@@ -331,16 +360,17 @@ class TestSummandCalls:
     """The oracle calls ``SumTerm.value`` exactly once per index of the
     innermost range, in order: the benchmark's traced run checks its oracle
     terms against depth times these calls, and a batch summand path would
-    break that."""
+    break that. Each call passes an int weight (None when the summand reads
+    none), so no index costs a normalised ``Fraction`` power."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
         value = SumTerm.value
 
-        def counted(summand, k, *weight):
-            seen.append(k)
-            return value(summand, k, *weight)
+        def counted(summand, k, weight=None):
+            seen.append((k, weight))
+            return value(summand, k, weight)
 
         monkeypatch.setattr(SumTerm, "value", counted)
         return seen
@@ -350,7 +380,16 @@ class TestSummandCalls:
         oracle_nested(spec)
         limits = spec.lower_limits
         indices = range(limits[0], spec.upper + 1) if spec.upper >= limits[-1] else ()
-        assert calls == list(indices)
+        assert [k for k, _ in calls] == list(indices)
+
+    @pytest.mark.parametrize("spec", KERNEL_CASES)
+    def test_weights_are_ints(self, spec, calls):
+        oracle_nested(spec)
+        for _, weight in calls:
+            if spec.term.weight_base in (None, 1):
+                assert weight is None
+            else:
+                assert type(weight) is int
 
     def test_no_call_when_outermost_sum_is_empty(self, calls):
         spec = NestedSumSpec(3, 4, (-2, 0, 5), SumTerm(seq=FIBONACCI, weight_base=Fraction(2)))
@@ -360,10 +399,10 @@ class TestSummandCalls:
     def test_raising_summand_leaves_partial_count(self, monkeypatch):
         value = SumTerm.value
 
-        def fails_at_three(summand, k, *weight):
+        def fails_at_three(summand, k, weight=None):
             if k == 3:
                 raise ZeroDivisionError("summand pole at k = 3")
-            return value(summand, k, *weight)
+            return value(summand, k, weight)
 
         monkeypatch.setattr(SumTerm, "value", fails_at_three)
         # F3 over Fibonacci at n = 2, c = 1: indices 1, 2 are made before the pole

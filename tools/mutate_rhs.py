@@ -7,9 +7,9 @@ Each mutant changes one operator or constant in one target function:
 and each integer constant is raised by 1. The targets are ``_lifted`` and the
 right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
 ``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
-``oracle_nested`` (which keeps the running weight power) with its kernel
-``_chain_counts`` and ``_weighted_total``, and the geometric closed form
-``master_E`` with its substitution ``f_closed``. The mutated function is
+``oracle_nested`` (its int weights and its Horner pass) with its chain
+counts ``_chain_counts``, and the geometric closed form ``master_E`` with its
+substitution ``f_closed``. The mutated function is
 compiled into its live module, so every caller (the registry, ``_rhs_F5``'s
 and ``_rhs_F6``'s wrappers, ``verify``, ``f_closed``) runs it; it is also
 bound to the names ``identities``, ``tests/_util.py`` and this script import
@@ -68,14 +68,14 @@ KNOWN_SURVIVORS = {
     "lambda e, k: 1)": "F7's term ignores its index, so the index step is unread",
     "rhs_F7: return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 0, 1, "
     "lambda e, k: 1)": "F7's term ignores its index, so the index multiplier is unread",
-    "_weighted_total: num, den = (0, 2)": "any positive starting denominator is a "
+    "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 
 
-ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_weighted_total")
+ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
 
 # (x, y) for f_closed, and (-x, y) for its alternating sum, against the
