@@ -8,8 +8,9 @@ go to stderr to keep data streams clean.
 Exit status contract: 0 when everything verified or was skipped by a
 precondition, 1 when any in-domain mismatch (or evaluation error) was found,
 2 for usage errors, including a point whose cost estimate exceeds a cap
-(see :func:`check_cost`) and a grid, range or lemma run larger than its cap
-(see :func:`check_grid`).
+(see :func:`check_cost`) and a grid, range or lemma run larger than its cap.
+``sweep``, ``table`` and ``bench`` pass their points through one gate,
+:func:`check_points`, before any work.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VER
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_point, evaluate_rhs, fixed_family, grid_size,
                          iter_sweep, lhs_spec, summarize, sweep_points)
-from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
-                         NestedSumSpec, geometric_term, master_E,
-                         oracle_nested, oracle_nested_naive)
+from .nestedcore import (ONES, EvalCounter, NaiveCapExceededError, NestedSumSpec,
+                         geometric_term, master_E, oracle_nested, oracle_nested_naive)
 from .sequences import (HoradamParams, horadam, lemma3_residual,
                         lemma4_residual)
 
@@ -92,14 +92,6 @@ def parse_int_set(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not an integer range: {text!r} ({exc})")
 
 
-def _identity_from(text: str) -> IdentityId:
-    for ident in IdentityId:
-        if ident.value == text:
-            return ident
-    raise argparse.ArgumentTypeError(
-        f"unknown identity {text!r}; choose from {[i.value for i in IdentityId]}")
-
-
 def _family_list(args: argparse.Namespace) -> Tuple[HoradamParams, ...]:
     """Families named by --family, or the one given by --p/--q/--a/--b."""
     explicit = [args.p, args.q, args.a, args.b]
@@ -148,15 +140,20 @@ def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
             f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
 
 
-def check_grid(points: int) -> None:
-    """Refuse a grid of more than MAX_GRID_POINTS points, before any work."""
-    if points > MAX_GRID_POINTS:
+def check_points(count: int, points: Iterable[Tuple[int, ...]]) -> None:
+    """Refuse a run of more than MAX_GRID_POINTS points, or any point that
+    :func:`check_cost` refuses, before any work. ``points`` yields each
+    point's (n, a_n, c, r, s, d) and is read only once ``count`` passes."""
+    if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
-            f"a grid of {points} points exceeds the cap {MAX_GRID_POINTS}")
+            f"a grid of {count} points exceeds the cap {MAX_GRID_POINTS}")
+    for point in points:
+        check_cost(*point)
 
 
 def report_row(report: EvaluationReport) -> dict:
-    """Fixed-order record for one evaluation, shared by jsonl and csv output."""
+    """Fixed-order record for one evaluation: the jsonl row, and through
+    :func:`_flat_row` every other format's."""
     params = report.params
     return {
         "identity": report.identity.value,
@@ -180,29 +177,34 @@ def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
         out.write(json.dumps(report_row(report)) + "\n")
 
 
+def _flat_row(report: EvaluationReport) -> dict:
+    """:func:`report_row` with its params spread out, in SWEEP_CSV_COLUMNS order."""
+    row = report_row(report)
+    row.update(row.pop("params"))
+    return {name: row[name] for name in SWEEP_CSV_COLUMNS}
+
+
+def _equal_text(equal: Optional[bool]) -> str:
+    return "" if equal is None else str(equal).lower()
+
+
+def _pairs(row: dict, names: Sequence[str]) -> str:
+    return " ".join(f"{name}={row[name]}" for name in names)
+
+
 def _emit_csv(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
     for report in reports:
-        row = report_row(report)
-        writer.writerow([
-            row["identity"], row["params"]["a"], row["params"]["b"],
-            row["params"]["p"], row["params"]["q"], row["n"], row["a_n"],
-            row["c"], row["r"], row["s"], row["d"], row["lhs"], row["rhs"],
-            "" if row["equal"] is None else str(row["equal"]).lower(),
-            row["class"],
-        ])
+        row = _flat_row(report)
+        row["equal"] = _equal_text(row["equal"])
+        writer.writerow(row.values())
 
 
 def _emit_human(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
     for report in reports:
-        row = report_row(report)
-        params = row["params"]
-        out.write(
-            f"{row['identity']} a={params['a']} b={params['b']} p={params['p']} "
-            f"q={params['q']} n={row['n']} a_n={row['a_n']} c={row['c']} "
-            f"r={row['r']} s={row['s']} d={row['d']} lhs={row['lhs']} "
-            f"rhs={row['rhs']} equal={row['equal']} class={row['class']}\n")
+        row = _flat_row(report)
+        out.write(f"{row['identity']} {_pairs(row, SWEEP_CSV_COLUMNS[1:])}\n")
 
 
 @contextlib.contextmanager
@@ -232,18 +234,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif report.classification == CLASS_SKIPPED:
             out.write(f"skipped: {report.detail}\n")
         else:
-            row = report_row(report)
-            params_row = row["params"]
-            out.write(f"identity: {row['identity']}\n")
-            out.write(f"params: a={params_row['a']} b={params_row['b']} "
-                      f"p={params_row['p']} q={params_row['q']}\n")
-            out.write(f"n={row['n']} a_n={row['a_n']} c={row['c']} "
-                      f"r={row['r']} s={row['s']} d={row['d']}\n")
-            out.write(f"lhs: {row['lhs']}\n")
-            out.write(f"rhs: {row['rhs']}\n")
-            equal_text = "" if report.equal is None else str(report.equal).lower()
-            out.write(f"equal: {equal_text}, value {row['rhs'] or row['lhs']}\n")
-            out.write(f"class: {row['class']}\n")
+            row = _flat_row(report)
+            out.write(f"identity: {row['identity']}\n"
+                      f"params: {_pairs(row, SWEEP_CSV_COLUMNS[1:5])}\n"
+                      f"{_pairs(row, SWEEP_CSV_COLUMNS[5:11])}\n"
+                      f"lhs: {row['lhs']}\n"
+                      f"rhs: {row['rhs']}\n"
+                      f"equal: {_equal_text(report.equal)}, value {row['rhs'] or row['lhs']}\n"
+                      f"class: {row['class']}\n")
             if report.detail:
                 out.write(f"detail: {report.detail}\n")
             out.write(f"oracle_terms: {report.oracle_terms} "
@@ -255,26 +253,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+# sweep flag -> the SweepGrid field it replaces; --an pins absolute a_n
+# values, which take the place of the grid's a_offsets
+_GRID_FIELDS = (("n", "n_values"), ("an", "a_values"), ("c", "c_values"),
+                ("r", "r_values"), ("s", "s_values"), ("d", "d_values"))
+
+
 def _grid_from_args(identity: IdentityId, args: argparse.Namespace) -> SweepGrid:
-    base = default_grid(identity)
+    updates = {field: getattr(args, flag) for flag, field in _GRID_FIELDS
+               if getattr(args, flag) is not None}
     families = _family_list(args)
-    updates = {}
     if families:
         updates["families"] = families
-    if args.n is not None:
-        updates["n_values"] = args.n
-    if args.c is not None:
-        updates["c_values"] = args.c
-    if args.r is not None:
-        updates["r_values"] = args.r
-    if args.s is not None:
-        updates["s_values"] = args.s
-    if args.d is not None:
-        updates["d_values"] = args.d
-    if args.an is not None:
-        updates["a_values"] = args.an
-        updates["a_offsets"] = ()
-    return dataclasses.replace(base, **updates)
+    return dataclasses.replace(default_grid(identity), **updates)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -286,9 +277,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """
     identity = args.identity
     grid = _grid_from_args(identity, args)
-    check_grid(grid_size(identity, grid))
-    for _, n, a_n, c, r, s, d in sweep_points(identity, grid):
-        check_cost(n, a_n, c, r, s, d)
+    check_points(grid_size(identity, grid),
+                 (point[1:] for point in sweep_points(identity, grid)))
     tally: Counter = Counter()
 
     def stream():
@@ -305,9 +295,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             _emit_jsonl(stream(), out)
     summary = SweepSummary.of(tally)
-    print(f"sweep {identity.value}: total={summary.total} verified={summary.verified} "
-          f"mismatched={summary.mismatched} outside_domain={summary.outside_domain} "
-          f"skipped={summary.skipped} errors={summary.errors}", file=sys.stderr)
+    counts = " ".join(f"{name}={count}" for name, count in dataclasses.asdict(summary).items())
+    print(f"sweep {identity.value}: {counts}", file=sys.stderr)
     return summary.exit_code
 
 
@@ -322,9 +311,8 @@ _TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
 def cmd_table(args: argparse.Namespace) -> int:
     params = _point_family(args.identity, args)
     a_values = args.an or ()
-    check_grid(len(a_values))
-    for a_n in a_values:
-        check_cost(args.n, a_n, args.c, args.r, args.s, args.d)
+    check_points(len(a_values),
+                 ((args.n, a_n, args.c, args.r, args.s, args.d) for a_n in a_values))
     reports = [evaluate_point(args.identity, params, args.n, a_n, args.c,
                               args.r, args.s, args.d) for a_n in a_values]
     rows = [(report.a_n, format_rational(report.lhs), format_rational(report.rhs),
@@ -369,12 +357,12 @@ def _bench_point(kind: str, inst_args: dict, n: int, a_n: int,
 
 
 def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
-               a_values: Sequence[int], c: int, naive_cap: int) -> List[tuple]:
+               a_values: Sequence[int], c: int) -> List[tuple]:
     """Measured (instance_id, method, n, range, summand_evals, wall_ns) rows.
 
     ``range`` is the number of admissible values per index, a_n - c + 1.
     Methods: closed form, chain-count oracle (dp), literal enumeration (naive;
-    omitted when the tuple count would exceed the cap). Evaluation counts are
+    omitted above ``DEFAULT_NAIVE_CAP`` tuples). Evaluation counts are
     deterministic; wall times are not. An identity point that fails a
     precondition gets no rows and a ``skipped:`` line on stderr.
     """
@@ -382,33 +370,23 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
     for n in n_values:
         for a_n in a_values:
             instance_id = f"{kind}-n{n}-c{c}-a{a_n}"
-            span = a_n - c + 1
-
             try:
                 closed, spec = _bench_point(kind, inst_args, n, a_n, c)
             except InvalidInstanceError as exc:
                 print(f"skipped: {exc}", file=sys.stderr)
                 continue
-            counter = EvalCounter()
-            start = time.perf_counter_ns()
-            closed(counter)
-            closed_ns = time.perf_counter_ns() - start
-            rows.append((instance_id, "closed", n, span, counter.count, closed_ns))
-
-            counter = EvalCounter()
-            start = time.perf_counter_ns()
-            oracle_nested(spec, counter=counter)
-            dp_ns = time.perf_counter_ns() - start
-            rows.append((instance_id, "dp", n, span, counter.count, dp_ns))
-
-            counter = EvalCounter()
-            start = time.perf_counter_ns()
-            try:
-                oracle_nested_naive(spec, cap=naive_cap, counter=counter)
-            except NaiveCapExceededError:
-                continue
-            naive_ns = time.perf_counter_ns() - start
-            rows.append((instance_id, "naive", n, span, counter.count, naive_ns))
+            methods = (("closed", closed),
+                       ("dp", lambda counter: oracle_nested(spec, counter=counter)),
+                       ("naive", lambda counter: oracle_nested_naive(spec, counter=counter)))
+            for method, run in methods:
+                counter = EvalCounter()
+                start = time.perf_counter_ns()
+                try:
+                    run(counter)
+                except NaiveCapExceededError:
+                    continue
+                wall_ns = time.perf_counter_ns() - start
+                rows.append((instance_id, method, n, a_n - c + 1, counter.count, wall_ns))
     return rows
 
 
@@ -423,11 +401,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.kind == "geometric" and args.x in (0, 1):
         raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
-    check_grid(len(n_values) * len(a_values))
-    for n in n_values:
-        for a_n in a_values:
-            check_cost(n, a_n, args.c, args.r, args.s, args.d)
-    rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c, args.naive_cap)
+    check_points(len(n_values) * len(a_values),
+                 ((n, a_n, args.c, args.r, args.s, args.d)
+                  for n in n_values for a_n in a_values))
+    rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(BENCH_CSV_COLUMNS)
@@ -520,19 +497,24 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_family_flags(parser: argparse.ArgumentParser, repeatable: bool) -> None:
+def _add_point_flags(parser: argparse.ArgumentParser, grid: bool, n: dict, an: dict) -> None:
+    """The family flags, --n and --an (``add_argument`` keywords, which
+    differ by command) and --c/--r/--s/--d: a set of values each for a sweep
+    grid (``grid``), else one value each with its point default."""
     parser.add_argument("--family", action="append", default=None,
                         metavar="NAME",
                         help=f"built-in parameter family ({', '.join(sorted(FAMILIES))})"
-                             + ("; repeatable" if repeatable else ""))
-    parser.add_argument("--p", type=parse_rational, default=None,
-                        help='recurrence coefficient p as "n/d"')
-    parser.add_argument("--q", type=parse_rational, default=None,
-                        help='recurrence coefficient q as "n/d"')
-    parser.add_argument("--a", type=parse_rational, default=None,
-                        help='seed W0 as "n/d"')
-    parser.add_argument("--b", type=parse_rational, default=None,
-                        help='seed W1 as "n/d"')
+                             + ("; repeatable" if grid else ""))
+    for name, what in (("p", "recurrence coefficient p"), ("q", "recurrence coefficient q"),
+                       ("a", "seed W0"), ("b", "seed W1")):
+        parser.add_argument(f"--{name}", type=parse_rational, default=None,
+                            help=f'{what} as "n/d"')
+    parser.add_argument("--n", **n)
+    parser.add_argument("--an", **an)
+    coord_help = {"c": 'lower limits, e.g. "-2,0,1,3"' if grid else "lower limit (default 1)"}
+    for name, default in (("c", 1), ("r", 1), ("s", 0), ("d", 0)):
+        parser.add_argument(f"--{name}", type=parse_int_set if grid else int,
+                            default=None if grid else default, help=coord_help.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,44 +525,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify a single identity instance")
-    p_verify.add_argument("--identity", type=_identity_from, required=True)
-    _add_family_flags(p_verify, repeatable=False)
-    p_verify.add_argument("--n", type=int, required=True, help="nesting depth")
-    p_verify.add_argument("--an", type=int, required=True, help="outer upper limit")
-    p_verify.add_argument("--c", type=int, default=1, help="lower limit (default 1)")
-    p_verify.add_argument("--r", type=int, default=1)
-    p_verify.add_argument("--s", type=int, default=0)
-    p_verify.add_argument("--d", type=int, default=0)
+    p_verify.add_argument("--identity", type=IdentityId, required=True)
+    _add_point_flags(p_verify, grid=False,
+                     n=dict(type=int, required=True, help="nesting depth"),
+                     an=dict(type=int, required=True, help="outer upper limit"))
     p_verify.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
     p_verify.add_argument("--out", default=None, help="output path (default stdout)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="verify an identity over a parameter grid")
-    p_sweep.add_argument("--identity", type=_identity_from, required=True)
-    _add_family_flags(p_sweep, repeatable=True)
-    p_sweep.add_argument("--n", type=parse_int_set, default=None,
-                         help='depths, e.g. "1..4"')
-    p_sweep.add_argument("--an", type=parse_int_set, default=None,
-                         help='absolute outer upper limits, e.g. "0..8"')
-    p_sweep.add_argument("--c", type=parse_int_set, default=None,
-                         help='lower limits, e.g. "-2,0,1,3"')
-    p_sweep.add_argument("--r", type=parse_int_set, default=None)
-    p_sweep.add_argument("--s", type=parse_int_set, default=None)
-    p_sweep.add_argument("--d", type=parse_int_set, default=None)
+    p_sweep.add_argument("--identity", type=IdentityId, required=True)
+    _add_point_flags(p_sweep, grid=True,
+                     n=dict(type=parse_int_set, default=None, help='depths, e.g. "1..4"'),
+                     an=dict(type=parse_int_set, default=None,
+                             help='absolute outer upper limits, e.g. "0..8"'))
     p_sweep.add_argument("--format", choices=("human", "jsonl", "csv"), default="jsonl")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table = sub.add_parser("table", help="tabulate oracle vs closed form over a_n")
-    p_table.add_argument("--identity", type=_identity_from, default="H")
-    _add_family_flags(p_table, repeatable=False)
-    p_table.add_argument("--n", type=int, default=2)
-    p_table.add_argument("--an", type=parse_int_set, default=tuple(range(1, 11)),
-                         help='upper limits, e.g. "1..10"')
-    p_table.add_argument("--c", type=int, default=1)
-    p_table.add_argument("--r", type=int, default=1)
-    p_table.add_argument("--s", type=int, default=0)
-    p_table.add_argument("--d", type=int, default=0)
+    p_table.add_argument("--identity", type=IdentityId, default="H")
+    _add_point_flags(p_table, grid=False, n=dict(type=int, default=2),
+                     an=dict(type=parse_int_set, default=tuple(range(1, 11)),
+                             help='upper limits, e.g. "1..10"'))
     p_table.add_argument("--format", choices=("human", "csv"), default="human")
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=cmd_table)
@@ -588,18 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="closed form vs oracle cost comparison")
     p_bench.add_argument("--kind", choices=("ones", "geometric", "identity"),
                          default="ones")
-    p_bench.add_argument("--identity", type=_identity_from, default="F3",
+    p_bench.add_argument("--identity", type=IdentityId, default="F3",
                          help="identity for --kind identity")
-    _add_family_flags(p_bench, repeatable=False)
+    _add_point_flags(p_bench, grid=False, n=dict(type=parse_int_set, default=None),
+                     an=dict(type=parse_int_set, default=None))
     p_bench.add_argument("--x", type=parse_rational, default=Fraction(2),
                          help="geometric base for --kind geometric")
-    p_bench.add_argument("--n", type=parse_int_set, default=None)
-    p_bench.add_argument("--an", type=parse_int_set, default=None)
-    p_bench.add_argument("--c", type=int, default=1)
-    p_bench.add_argument("--r", type=int, default=1)
-    p_bench.add_argument("--s", type=int, default=0)
-    p_bench.add_argument("--d", type=int, default=0)
-    p_bench.add_argument("--naive-cap", type=int, default=DEFAULT_NAIVE_CAP)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -151,17 +151,15 @@ def _lucas_pair(p: Fraction, q: Fraction, j: int) -> Tuple[Fraction, Fraction]:
     return Fraction(-u * m * mn, qk), Fraction(v * mn, qk)
 
 
-def doubled_terms(params: HoradamParams, j: int) -> Tuple[Fraction, Fraction]:
-    """(W[j], W[j+1]) by index doubling, with no walk and no memo.
+def doubled_term(params: HoradamParams, j: int) -> Fraction:
+    """W[j] by index doubling, with no walk and no memo.
 
     With U_{j-1} = (p*U_j - V_j) / (2q), W[j] = b*U_j - a*q*U_{j-1} is
-    (b - a*p/2)*U_j + (a/2)*V_j, and the same at j + 1.
+    (b - a*p/2)*U_j + (a/2)*V_j.
     """
-    a, b, p, q = params.a, params.b, params.p, params.q
-    u, v = _lucas_pair(p, q, j)
-    u1, v1 = (p * u + v) / 2, (params.discriminant * u + p * v) / 2
-    h, g = b - a * p / 2, a / 2
-    return h * u + g * v, h * u1 + g * v1
+    a = params.a
+    u, v = _lucas_pair(params.p, params.q, j)
+    return (params.b - a * params.p / 2) * u + a / 2 * v
 
 
 class HoradamSequence:
@@ -170,7 +168,7 @@ class HoradamSequence:
     ``_memo`` is the dense window ``[_lo, _hi]``. A miss within ``WALK_GAP``
     of it walks the recurrence and stores what it passes, as long as the
     window stays within ``WINDOW_CAP`` terms; any other index comes from
-    :func:`doubled_terms` and is not stored.
+    :func:`doubled_term` and is not stored.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
     of the same underlying sequence hit one window. The registry ``_shared``
@@ -211,7 +209,7 @@ class HoradamSequence:
         lo, hi = self._lo, self._hi
         if not (lo - WALK_GAP <= j <= hi + WALK_GAP
                 and max(hi, j) - min(lo, j) < WINDOW_CAP):
-            return doubled_terms(self.params, j)[0]
+            return doubled_term(self.params, j)
         p, q = self.params.p, self.params.q
         while self._hi < j:
             k = self._hi + 1
@@ -222,8 +220,6 @@ class HoradamSequence:
             memo[k] = (p * memo[k + 1] - memo[k + 2]) / q
             self._lo = k
         return memo[j]
-
-    __getitem__ = term
 
     def __repr__(self) -> str:
         pr = self.params

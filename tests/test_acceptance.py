@@ -340,8 +340,8 @@ def test_criterion_8_performance_counts():
     c = 1
     n_values = (1, 2, 3, 4, 5)
     a_values = (c + 4, c + 8, c + 16, c + 24)
-    rows = bench_rows("ones", {}, n_values, a_values, c, naive_cap=500_000)
-    rows_again = bench_rows("ones", {}, n_values, a_values, c, naive_cap=500_000)
+    rows = bench_rows("ones", {}, n_values, a_values, c)
+    rows_again = bench_rows("ones", {}, n_values, a_values, c)
 
     counts = [(row[0], row[1], row[2], row[3], row[4]) for row in rows]
     counts_again = [(row[0], row[1], row[2], row[3], row[4]) for row in rows_again]

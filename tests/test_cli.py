@@ -333,6 +333,90 @@ class TestSweepCommand:
         assert len(path.read_text().strip().splitlines()) == 3
 
 
+def _flat_cells(row: dict) -> list:
+    """A jsonl sweep row's values in csv column order, written out by hand."""
+    params = row["params"]
+    return [row["identity"], params["a"], params["b"], params["p"], params["q"],
+            row["n"], row["a_n"], row["c"], row["r"], row["s"], row["d"],
+            row["lhs"], row["rhs"], row["equal"], row["class"]]
+
+
+def _as_csv(rows: list) -> str:
+    lines = ["identity,a,b,p,q,n,a_n,c,r,s,d,lhs,rhs,equal,class"]
+    for row in rows:
+        cells = _flat_cells(row)
+        cells[13] = {True: "true", False: "false", None: ""}[row["equal"]]
+        lines.append(",".join(str(cell) for cell in cells))
+    return "".join(line + "\n" for line in lines)
+
+
+def _as_human(rows: list) -> str:
+    names = ("a", "b", "p", "q", "n", "a_n", "c", "r", "s", "d", "lhs", "rhs",
+             "equal", "class")
+    return "".join(
+        cells[0] + "".join(f" {name}={cell}" for name, cell in zip(names, cells[1:])) + "\n"
+        for cells in map(_flat_cells, rows))
+
+
+def _raise_pole(inst, counter=None):
+    raise ZeroDivisionError("pole here")
+
+
+class TestRowFormats:
+    """csv and human sweep rows carry the jsonl row's values, field by field."""
+
+    def test_default_sweep_in_every_format(self, capsys):
+        argv = ("sweep", "--identity", "F7_r1d0_w")
+        code, out, err = run_cli(capsys, *argv)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(rows) == 864
+        assert {row["class"] for row in rows} == {"verified", "outside_domain", "skipped"}
+        for fmt, expected in (("csv", _as_csv(rows)), ("human", _as_human(rows))):
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, expected, err)
+
+    def test_error_row_in_every_format(self, capsys, monkeypatch):
+        import horadam_sums.identities as identities
+        monkeypatch.setattr(identities, "evaluate_rhs", _raise_pole)
+        argv = ("sweep", "--identity", "H", "--n", "1", "--an", "2")
+        summary = ("sweep H: total=1 verified=0 mismatched=0 outside_domain=0 "
+                   "skipped=0 errors=1\n")
+        row = {"identity": "H", "params": {"a": "0/1", "b": "1/1", "p": "1/1", "q": "-1/1"},
+               "n": 1, "a_n": 2, "c": 1, "r": 1, "s": 0, "d": 0, "lhs": "", "rhs": "",
+               "equal": None, "class": "error"}
+        assert run_cli(capsys, *argv) == (1, json.dumps(row) + "\n", summary)
+        assert run_cli(capsys, *argv, "--format", "csv") == (1, _as_csv([row]), summary)
+        assert run_cli(capsys, *argv, "--format", "human") == (1, _as_human([row]), summary)
+        assert _as_human([row]) == ("H a=0/1 b=1/1 p=1/1 q=-1/1 n=1 a_n=2 c=1 r=1 s=0 d=0 "
+                                    "lhs= rhs= equal=None class=error\n")
+
+    def test_verify_human_block(self, capsys):
+        point = ("verify", "--identity", "H", "--n", "2", "--an", "3")
+        assert run_cli(capsys, *point) == (0, (
+            "identity: H\n"
+            "params: a=0/1 b=1/1 p=1/1 q=-1/1\n"
+            "n=2 a_n=3 c=1 r=1 s=0 d=0\n"
+            "lhs: 7/1\n"
+            "rhs: 7/1\n"
+            "equal: true, value 7/1\n"
+            "class: verified\n"
+            "oracle_terms: 6 closed_terms: 5\n"), "")
+
+    def test_verify_human_block_at_an_error(self, capsys, monkeypatch):
+        import horadam_sums.identities as identities
+        monkeypatch.setattr(identities, "evaluate_rhs", _raise_pole)
+        point = ("verify", "--identity", "H", "--n", "2", "--an", "3")
+        assert run_cli(capsys, *point) == (1, (
+            "identity: H\n"
+            "params: a=0/1 b=1/1 p=1/1 q=-1/1\n"
+            "n=2 a_n=3 c=1 r=1 s=0 d=0\n"
+            "lhs: \n"
+            "rhs: \n"
+            "equal: , value \n"
+            "class: error\n"
+            "detail: pole here\n"
+            "oracle_terms: 6 closed_terms: 0\n"), "")
+
+
 class TestTableCommand:
     def test_double_sum_column(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "2", "--an", "1..10",
@@ -462,11 +546,28 @@ class TestBenchCommand:
         assert {row["method"] for row in rows} == {"closed", "dp", "naive"}
 
     def test_naive_rows_respect_cap(self, capsys):
+        # C(45, 6) = 8,145,060 tuples, past the naive cap
         code, out, _ = run_cli(capsys, "bench", "--kind", "ones", "--n", "6",
-                               "--an", "40", "--c", "1", "--naive-cap", "1000")
+                               "--an", "40", "--c", "1")
         assert code == 0
         methods = [row["method"] for row in csv.DictReader(io.StringIO(out))]
         assert "naive" not in methods and "dp" in methods
+
+    def test_naive_row_dropped_at_a_point_both_cost_caps_accept(self, capsys):
+        # 5,000 oracle terms and reach 5,025 pass check_cost; the naive
+        # enumeration would visit C(1004, 5) = 8,416,958,750,200 tuples
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "bench", "--kind", "ones", "--n", "5", "--an", "1000")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        methods = [row["method"] for row in csv.DictReader(io.StringIO(out))]
+        assert methods == ["closed", "dp"]
+
+    def test_naive_cap_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--kind", "ones", "--n", "1", "--an", "3", "--naive-cap", "1000"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --naive-cap" in capsys.readouterr().err
 
 
 class TestLemmasCommand:

@@ -12,7 +12,7 @@ from _util import fib_list, walk_terms
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
-                                    HoradamSequence, _companions, doubled_terms,
+                                    HoradamSequence, _companions, doubled_term,
                                     first_kind_term, gibonacci, horadam,
                                     lemma3_residual, lemma4_residual,
                                     lucas_first_kind, lucas_second_kind,
@@ -94,7 +94,8 @@ class TestBoundedTerms:
     def test_doubling_matches_walk(self, a, b, p, q, j):
         params = horadam(a, b, p, q)
         walked = walk_terms(params, min(j, 0), max(j + 1, 1))
-        assert doubled_terms(params, j) == (walked[j], walked[j + 1])
+        assert doubled_term(params, j) == walked[j]
+        assert doubled_term(params, j + 1) == walked[j + 1]
 
     def test_far_term_leaves_window_bounded(self):
         f_prev, f = 0, 1  # F[j-1], F[j], from the bare recurrence

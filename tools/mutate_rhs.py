@@ -1,4 +1,5 @@
-"""Mutation check of the closed-form evaluators and of the nested-sum oracle.
+"""Mutation check of the closed-form evaluators, of the nested-sum oracle and
+of the far-term doubling.
 
     python3 tools/mutate_rhs.py
 
@@ -9,9 +10,11 @@ right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
 ``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
 counts ``_chain_counts``, and the geometric closed form ``master_E`` with its
-substitution ``f_closed``. The mutated function is
-compiled into its live module, so every caller (the registry, ``_rhs_F5``'s
-and ``_rhs_F6``'s wrappers, ``verify``, ``f_closed``) runs it; it is also
+substitution ``f_closed``, and, in ``horadam_sums.sequences``, the far-term
+doubling ``doubled_term`` with its Lucas pair ``_lucas_pair``. The mutated
+function is compiled into its live module, so every caller (the registry,
+``_rhs_F5``'s and ``_rhs_F6``'s wrappers, ``verify``, ``f_closed``,
+``HoradamSequence.term``) runs it; it is also
 bound to the names ``identities``, ``tests/_util.py`` and this script import
 it under, so a mutated ``oracle_nested`` is what the closed forms are
 compared with and a mutated ``f_closed`` is what the Binet route runs.
@@ -30,7 +33,10 @@ oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
 ``(-1)**k * (x/y)**k``; when a pole is not refused with ``PoleError``; or
 when ``tests/_util.py::binet_route``, which runs every tag's left side
 through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
-deep-depth grid of any tag.
+deep-depth grid of any tag. A sequence mutant is killed when
+``doubled_term`` misses ``tests/_util.py::walk_terms``, a plain recurrence
+walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``; both sides of an
+identity read the same terms, so lhs == rhs cannot see a wrong one.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives (2 when the unmutated
@@ -54,6 +60,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import _util  # noqa: E402
 import horadam_sums.identities as ids  # noqa: E402
 import horadam_sums.nestedcore as nc  # noqa: E402
+import horadam_sums.sequences as sq  # noqa: E402
 from horadam_sums.nestedcore import (EvalCounter, NestedSumSpec, PoleError,  # noqa: E402
                                      geometric_term, oracle_nested, oracle_nested_naive)
 from test_acceptance import master_grid  # noqa: E402
@@ -70,6 +77,8 @@ KNOWN_SURVIVORS = {
     "lambda e, k: 1)": "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
+    "_lucas_pair: if j >= 1:\n    return (Fraction(u * m, mn), Fraction(v, mn))":
+    "j = 0 gives (U_0, V_0) = (0, 2) on both branches",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
@@ -77,6 +86,14 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mu
 
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
+SEQUENCE_TARGETS = ("_lucas_pair", "doubled_term")
+
+# a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
+# scaling runs; the last has D = 0
+SEQUENCE_FAMILIES = (sq.horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3)),
+                     sq.horadam(2, Fraction(1, 3), 3, Fraction(7, 4)),
+                     sq.horadam(-1, 2, Fraction(-3, 2), 2),
+                     sq.horadam(1, 2, 3, Fraction(9, 4)))
 
 # (x, y) for f_closed, and (-x, y) for its alternating sum, against the
 # oracle; 1 and -1 are there so that a pole check moved onto them is caught
@@ -88,6 +105,8 @@ POLES = (("master_E", (Fraction(0),)), ("master_E", (Fraction(1),)),
 
 
 def _is_target(module, name: str) -> bool:
+    if module is sq:
+        return name in SEQUENCE_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS
     return name == "_lifted" or name.startswith(("rhs_", "_rhs_"))
@@ -205,6 +224,15 @@ def _geometric_broken() -> bool:
     return False
 
 
+def _sequence_broken() -> bool:
+    """True when ``doubled_term`` misses a plain recurrence walk."""
+    for params in SEQUENCE_FAMILIES:
+        walked = _util.walk_terms(params, -300, 300)
+        if any(sq.doubled_term(params, j) != walked[j] for j in range(-300, 301)):
+            return True
+    return False
+
+
 def _killed(tags: list, oracle: bool = False) -> bool:
     if oracle and _kernel_broken():
         return True
@@ -224,11 +252,12 @@ def _on_alarm(signum, frame):
 
 def main() -> int:
     start = time.perf_counter()
-    funcs = _targets(ids) + _targets(nc)
+    funcs = _targets(ids) + _targets(nc) + _targets(sq)
     registry = dict(ids._REGISTRY)
     callers = _callers({func.name for module, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS})
-    if _killed(list(ids.IdentityId), oracle=True) or _geometric_broken():
+    if _killed(list(ids.IdentityId), oracle=True) or _geometric_broken() \
+            or _sequence_broken():
         print("the unmutated code already fails the check")
         return 2
     signal.signal(signal.SIGALRM, _on_alarm)
@@ -246,6 +275,8 @@ def main() -> int:
                 _install(module, func)
                 if func.name in GEOMETRIC_TARGETS:
                     dead = _geometric_broken()
+                elif module is sq:
+                    dead = _sequence_broken()
                 else:
                     dead = _killed(callers[func.name], oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
