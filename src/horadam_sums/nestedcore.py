@@ -23,7 +23,9 @@ substitutes into it, and an alternating geometric sum is the f-form at -x.
 
 All values are exact. Summands and both oracles are rational: a
 :class:`SumTerm` takes an int or :class:`~fractions.Fraction` weight base,
-so every value the oracles add is a ``Fraction``. Only :func:`master_E` and
+so every value the oracles add is an int or a ``Fraction`` (an int only
+where :func:`oracle_nested` passes an int weight and the value is
+integral), and both oracles return a ``Fraction``. Only :func:`master_E` and
 :func:`f_closed` also take :class:`~horadam_sums.exactnum.QuadExt`
 arguments, for the root-power routes that run in Q(sqrt(D)).
 """
@@ -108,12 +110,18 @@ class SumTerm:
         object.__setattr__(self, "_sequence",
                            None if self.seq is None else HoradamSequence.of(self.seq))
 
-    def value(self, k: int, weight: Union[int, Fraction, None] = None) -> Fraction:
+    def value(self, k: int,
+              weight: Union[int, Fraction, None] = None) -> Union[int, Fraction]:
         """The summand at ``k``. ``weight`` stands in for ``weight_base**k``:
         the result is ``value(k) * weight / weight_base**k`` (the signed
         weight itself when there is no sequence), so a caller may pass any
         multiple of the power; :func:`oracle_nested` passes an int. A summand
-        without a base, or with a base of 1, reads no weight."""
+        without a base, or with a base of 1, reads no weight.
+
+        With an int weight read, the result is an int whenever it is integral
+        and a ``Fraction`` otherwise, so an integral sequence term costs one
+        int product and no normalised ``Fraction``. Every other call returns
+        a ``Fraction``."""
         base = self._base
         if base is not None and weight is None:
             weight = base ** k
@@ -123,7 +131,12 @@ class SumTerm:
         else:
             result = sequence.term(self.index_mul * k + self.index_add)
             if base is not None:
-                result = result * weight
+                if result.denominator == 1:
+                    result = result.numerator * weight
+                else:
+                    result = result * weight
+                    if type(weight) is int and result.denominator == 1:
+                        result = result.numerator
         if self.alternating and k % 2:
             result = -result
         return result
@@ -189,10 +202,11 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     Each index ``k`` from the innermost lower limit ``lo`` to the outer upper
     limit is evaluated once. With the weight base written ``u/v`` (``v > 0``),
     ``value(k, u**(k - lo))`` is ``t(k) * v**(k - lo) / base**lo``, an int
-    weight in place of a rational power. The nested total is sum_k m_k * t(k),
-    with the chain counts m_k of :func:`_chain_counts`; one Horner pass over
-    Python ints folds the values in on a common denominator that grows only
-    with the sequence terms' own, and one ``Fraction`` at the end divides by
+    weight in place of a rational power, and an int whenever it is integral.
+    The nested total is sum_k m_k * t(k), with the chain counts m_k of
+    :func:`_chain_counts`; one Horner pass over Python ints folds the values
+    in (an int value has denominator 1) on a common denominator that grows
+    only with the sequence terms' own, and one ``Fraction`` at the end divides by
     it and by the power of ``v`` and scales by ``base**lo``. ``counter``
     tallies one unit per addition of a value into a level, as a plain loop
     over the levels would: depth times range, not the multinomial blow-up of

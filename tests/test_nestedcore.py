@@ -21,6 +21,7 @@ from horadam_sums.nestedcore import (ONES, EvalCounter, NaiveCapExceededError,
 from horadam_sums.sequences import FIBONACCI, horadam
 
 GENERIC = horadam(2, 5, 1, 3)
+INTEGER_ROOT = horadam(1, 4, 3, 2)  # q = 2: W[-1] = -1/2, W[-2] = -5/4
 
 
 class TestSumTerm:
@@ -80,24 +81,33 @@ def test_value_with_weight_matches_power(base, seq, k, alternating):
     assert weighted == plain
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(base=st.none() | st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
            lambda x: x != 0),
-       seq=st.none() | st.sampled_from([FIBONACCI, horadam(2, 5, 1, 3),
+       seq=st.none() | st.sampled_from([FIBONACCI, GENERIC, INTEGER_ROOT,
                                         horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
        index_mul=st.integers(-2, 3), k=st.integers(-12, 12), alternating=st.booleans(),
        weight=st.integers(-10 ** 6, 10 ** 6))
+@example(base=Fraction(3), seq=INTEGER_ROOT, index_mul=1, k=0, alternating=False, weight=2)
+@example(base=Fraction(3), seq=INTEGER_ROOT, index_mul=1, k=0, alternating=False, weight=3)
 def test_value_is_linear_in_an_int_weight(base, seq, index_mul, k, alternating, weight):
     """value(k, w) is value(k) * w / weight_base**k for an int w, as the oracle
     passes it; with no sequence that is the signed weight itself, and a summand
-    without a base, or with a base of 1, reads no weight."""
+    without a base, or with a base of 1, reads no weight and gives a Fraction.
+    A weight read gives an int exactly when the value is integral: an integral
+    term takes the int product, and a non-integral one (W[j] at negative j
+    when |q| != 1, as INTEGER_ROOT's W[-1] = -1/2, or over rational p, q) a
+    Fraction product that may still be integral."""
     summand = SumTerm(seq=seq, index_mul=index_mul, index_add=-1, weight_base=base,
                       alternating=alternating)
     weighted = summand.value(k, weight)
     if base is None or base == 1:
         assert weighted == summand.value(k)
+        assert type(weighted) is Fraction
     else:
-        assert weighted == summand.value(k) * weight / base ** k
+        expected = summand.value(k) * weight / base ** k
+        assert weighted == expected
+        assert type(weighted) is (int if expected.denominator == 1 else Fraction)
         if seq is None:
             assert weighted == (-weight if alternating and k % 2 else weight)
 
@@ -284,6 +294,11 @@ KERNEL_CASES = (
     NestedSumSpec(2, 1, -6, SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)))),
     # |u| > 1 and v > 1 on a one-index range
     NestedSumSpec(2, 2, (2, -1), SumTerm(seq=GENERIC, weight_base=Fraction(-5, 3))),
+    # W[2], W[0], W[-2], W[-4], W[-6] of q = 2 at a rational base: the int
+    # weights 2**(k + 1) give int values 10, 2, -5 (the last from the
+    # non-integral -5/4), then -29/2 and -125/4, so the lcm follows an int run
+    NestedSumSpec(3, 3, (-1, 0, -1), SumTerm(seq=INTEGER_ROOT, index_mul=-2,
+                                              weight_base=Fraction(2, 3))),
 )
 
 
@@ -361,7 +376,9 @@ class TestSummandCalls:
     innermost range, in order: the benchmark's traced run checks its oracle
     terms against depth times these calls, and a batch summand path would
     break that. Each call passes an int weight (None when the summand reads
-    none), so no index costs a normalised ``Fraction`` power."""
+    none), so no index costs a normalised ``Fraction`` power, and an index
+    whose sequence term is integral gets an int back and builds no
+    ``Fraction`` at all."""
 
     @pytest.fixture
     def calls(self, monkeypatch):

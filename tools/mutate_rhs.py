@@ -1,5 +1,5 @@
 """Mutation check of the closed-form evaluators, of the nested-sum oracle and
-of the far-term doubling.
+its summand, and of the far-term doubling.
 
     python3 tools/mutate_rhs.py
 
@@ -9,12 +9,13 @@ and each integer constant is raised by 1. The targets are ``_lifted`` and the
 right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
 ``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
-counts ``_chain_counts``, and the geometric closed form ``master_E`` with its
-substitution ``f_closed``, and, in ``horadam_sums.sequences``, the far-term
-doubling ``doubled_term`` with its Lucas pair ``_lucas_pair``. The mutated
-function is compiled into its live module, so every caller (the registry,
-``_rhs_F5``'s and ``_rhs_F6``'s wrappers, ``verify``, ``f_closed``,
-``HoradamSequence.term``) runs it; it is also
+counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
+geometric closed form ``master_E`` with its substitution ``f_closed``, and,
+in ``horadam_sums.sequences``, the far-term doubling ``doubled_term`` with
+its Lucas pair ``_lucas_pair``. The mutated function is compiled against its
+live module and installed there (a method on its class), so every caller
+(the registry, ``_rhs_F5``'s and ``_rhs_F6``'s wrappers, ``verify``,
+``f_closed``, ``HoradamSequence.term``, both oracles) runs it; it is also
 bound to the names ``identities``, ``tests/_util.py`` and this script import
 it under, so a mutated ``oracle_nested`` is what the closed forms are
 compared with and a mutated ``f_closed`` is what the Binet route runs.
@@ -25,7 +26,10 @@ function (every tag, for the oracle), a point of the tier-1 deep-depth grid
 sweep shows a mismatch, an error report or an exception, or when it runs
 longer than ``TIMEOUT_S``. An oracle mutant is also killed when, on a case
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
-count differs from the enumeration ``oracle_nested_naive``. A geometric
+count differs from the enumeration ``oracle_nested_naive``. A summand
+mutant is killed only as a geometric one is, or when a closed form misses
+the oracle as above: ``oracle_nested_naive`` calls ``SumTerm.value`` too, so
+the kernel cases cannot see it. A geometric
 mutant is killed when ``master_E`` misses ``((x-1)/x)**n`` times the
 oracle, or counts other than n binomial terms, on criterion 2's grid
 (``tests/test_acceptance.py::master_grid``); when ``f_closed`` misses the
@@ -85,6 +89,7 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mu
 
 
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
+SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_lucas_pair", "doubled_term")
 
@@ -113,9 +118,17 @@ def _is_target(module, name: str) -> bool:
 
 
 def _targets(module) -> list:
+    """(module, owner, function node) for each target of ``module``: the
+    owner is the class of a method target, else the module itself."""
     tree = ast.parse(Path(module.__file__).read_text())
-    return [(module, node) for node in tree.body
-            if isinstance(node, ast.FunctionDef) and _is_target(module, node.name)]
+    found = [(module, module, node) for node in tree.body
+             if isinstance(node, ast.FunctionDef) and _is_target(module, node.name)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and module is nc:
+            found += [(module, getattr(module, cls.name), node) for node in cls.body
+                      if isinstance(node, ast.FunctionDef)
+                      and f"{cls.name}.{node.name}" in SUMMAND_TARGETS]
+    return found
 
 
 def _sites(func: ast.FunctionDef) -> list:
@@ -168,11 +181,16 @@ def _rebind(name: str, fn) -> None:
             namespace[name] = fn
 
 
-def _install(module, func: ast.FunctionDef) -> None:
-    """Compile ``func`` into its live module and point the registry and the
+def _install(module, owner, func: ast.FunctionDef) -> None:
+    """Compile ``func`` against its live module, set it on ``owner`` (the
+    module, or the class of a method) and point the registry and the
     imported names at the result."""
     code = compile(ast.Module(body=[func], type_ignores=[]), module.__file__, "exec")
-    exec(code, module.__dict__)
+    compiled = {}
+    exec(code, module.__dict__, compiled)
+    setattr(owner, func.name, compiled[func.name])
+    if owner is not module:
+        return
     for ident, record in ids._REGISTRY.items():
         current = ids.__dict__[record.rhs.__name__]
         if current is not record.rhs:
@@ -254,7 +272,7 @@ def main() -> int:
     start = time.perf_counter()
     funcs = _targets(ids) + _targets(nc) + _targets(sq)
     registry = dict(ids._REGISTRY)
-    callers = _callers({func.name for module, func in funcs if module is ids})
+    callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS})
     if _killed(list(ids.IdentityId), oracle=True) or _geometric_broken() \
             or _sequence_broken():
@@ -263,20 +281,23 @@ def main() -> int:
     signal.signal(signal.SIGALRM, _on_alarm)
     total = killed = 0
     survivors = []
-    for module, func in funcs:
-        original = module.__dict__[func.name]
+    for module, owner, func in funcs:
+        original = vars(owner)[func.name]
+        name = func.name if owner is module else f"{owner.__name__}.{func.name}"
         for node, field, replacement in _sites(func):
             saved = getattr(node, field)
             setattr(node, field, replacement)
-            key = f"{func.name}: {_statement(func, node)}"
+            key = f"{name}: {_statement(func, node)}"
             total += 1
             signal.alarm(TIMEOUT_S)
             try:
-                _install(module, func)
+                _install(module, owner, func)
                 if func.name in GEOMETRIC_TARGETS:
                     dead = _geometric_broken()
                 elif module is sq:
                     dead = _sequence_broken()
+                elif owner is not module:
+                    dead = _killed(list(ids.IdentityId)) or _geometric_broken()
                 else:
                     dead = _killed(callers[func.name], oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
@@ -284,9 +305,10 @@ def main() -> int:
             finally:
                 signal.alarm(0)
                 setattr(node, field, saved)
-                module.__dict__[func.name] = original
-                ids._REGISTRY.update(registry)
-                _rebind(func.name, original)
+                setattr(owner, func.name, original)
+                if owner is module:
+                    ids._REGISTRY.update(registry)
+                    _rebind(func.name, original)
             if dead:
                 killed += 1
             else:
