@@ -27,19 +27,31 @@ evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
-limit). Those points are classified ``outside_domain`` rather than failed:
-agreement there is mapped empirically, not presumed.
+limit). Those points are classified ``outside_domain`` rather than failed.
+There each closed form equals the nested sum under Karr's convention for
+reversed limits, sum_{k=a}^{b} = -sum_{k=b+1}^{a-1} when b < a - 1 (Karr,
+"Summation in finite terms", J. ACM 28(2), 1981), applied at every level:
+``tests/test_line_memo.py::test_outside_domain_follows_the_reversed_sum_convention``
+checks this at every such point of the default grids.
+
+The work of a grid line, one (tag, family, n, c, r, s, d) with a_n varying,
+that does not depend on a_n is done once per line and kept in a small memo
+of the ``LINE_CAP`` most recent lines: the precondition verdict, the
+left-hand summand, and the closed form's ratio, base and coefficients.
+Every point still goes through :class:`IdentityInstance`, :func:`lhs_spec`,
+:func:`evaluate_rhs` and :func:`verify`, and each part is filled when a
+point first needs it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .combinatorics import binom
@@ -100,6 +112,47 @@ FAMILIES: Dict[str, HoradamParams] = {
 
 _COORDS = ("n", "a_n", "c", "r", "s", "d")
 
+LINE_CAP = 8
+"""Most grid lines whose a_n-free work is kept. A sweep runs a_n innermost,
+so it reads one line at a time."""
+
+
+class _Line:
+    """The a_n-free work of one grid line, each part filled when a point of
+    the line first needs it: the ``verdict`` of the preconditions (the
+    violated one's reason, or "" when none is), the left-hand ``summand``,
+    and the closed form's line part with the counter units it cost
+    (``closed``, see :func:`_lifted`). Each part is one attribute, written
+    once it is whole. Only numbers, the summand and the reason are kept,
+    never a sequence or a counter."""
+
+    __slots__ = ("verdict", "summand", "closed")
+
+    def __init__(self):
+        self.verdict: Optional[str] = None
+        self.summand: Optional[SumTerm] = None
+        self.closed: Optional[Tuple[tuple, int]] = None
+
+
+_LINES: "OrderedDict[tuple, _Line]" = OrderedDict()
+
+
+def _line(inst: IdentityInstance) -> _Line:
+    """The memo entry of the instance's grid line, made empty on a miss. The
+    oldest of more than ``LINE_CAP`` entries is dropped."""
+    key = (inst.identity, inst.params, inst.n, inst.c, inst.r, inst.s, inst.d)
+    line = _LINES.get(key)
+    if line is None:
+        line = _LINES[key] = _Line()
+        if len(_LINES) > LINE_CAP:
+            _LINES.popitem(last=False)
+    return line
+
+
+def clear_line_memo() -> None:
+    """Forget every grid line's a_n-free work."""
+    _LINES.clear()
+
 
 @dataclass(frozen=True)
 class IdentityInstance:
@@ -135,9 +188,13 @@ class IdentityInstance:
                 raise InvalidInstanceError(f"{ident} is specific to one fixed sequence family")
         elif self.params is None:
             raise TypeError(f"{ident} needs a family: params must not be None")
-        reason = _violation(self, record)
-        if reason is not None:
-            raise InvalidInstanceError(f"{ident}: {reason}")
+        line = _line(self)
+        # not a field: equality, hashing and the repr are the coordinates'
+        object.__setattr__(self, "_line", line)
+        if line.verdict is None:
+            line.verdict = _violation(self, record) or ""
+        if line.verdict:
+            raise InvalidInstanceError(f"{ident}: {line.verdict}")
 
     def sequence(self) -> HoradamSequence:
         return HoradamSequence.of(self.params)
@@ -187,7 +244,7 @@ def _h_violation(inst: IdentityInstance) -> Optional[str]:
 
 
 def _v_r_violation(inst: IdentityInstance) -> Optional[str]:
-    if second_kind_term(inst.params.p, inst.params.q, inst.r) == 0:
+    if second_kind_term(inst.params, inst.r) == 0:
         return f"V_{inst.r} = 0"
     return None
 
@@ -195,7 +252,7 @@ def _v_r_violation(inst: IdentityInstance) -> Optional[str]:
 def _f3_summand(inst: IdentityInstance) -> SumTerm:
     params = inst.params
     return SumTerm(seq=params, index_mul=inst.r, index_add=inst.s,
-                   weight_base=1 / second_kind_term(params.p, params.q, inst.r))
+                   weight_base=1 / second_kind_term(params, inst.r))
 
 
 def _f4_summand(inst: IdentityInstance) -> SumTerm:
@@ -204,49 +261,49 @@ def _f4_summand(inst: IdentityInstance) -> SumTerm:
 
 
 def _f5_violation(inst: IdentityInstance) -> Optional[str]:
-    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
+    r, d = inst.r, inst.d
     if r == 0:
         return "r must be nonzero"
     if r + d == 0:
         return "r + d must be nonzero"
     for j, note in ((r, ""), (r + d, ""), (d, " (degenerate weight base)")):
-        if first_kind_term(p, q, j) == 0:
+        if first_kind_term(inst.params, j) == 0:
             return f"U_{j} = 0{note}"
     return None
 
 
 def _f5_summand(inst: IdentityInstance) -> SumTerm:
-    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
-    return SumTerm(seq=inst.params, index_mul=r, index_add=inst.s,
-                   weight_base=first_kind_term(p, q, d) / first_kind_term(p, q, r + d))
+    params, r, d = inst.params, inst.r, inst.d
+    return SumTerm(seq=params, index_mul=r, index_add=inst.s,
+                   weight_base=first_kind_term(params, d) / first_kind_term(params, r + d))
 
 
 def _f6_violation(inst: IdentityInstance) -> Optional[str]:
-    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
+    r, d = inst.r, inst.d
     if r == 0:
         return "r must be nonzero"
     if inst.params.discriminant == 0:
         return "discriminant must be nonzero"
-    if first_kind_term(p, q, r) == 0:
+    if first_kind_term(inst.params, r) == 0:
         return f"U_{r} = 0"
     for j, note in ((r + d, ""), (d, " (degenerate weight base)")):
-        if second_kind_term(p, q, j) == 0:
+        if second_kind_term(inst.params, j) == 0:
             return f"V_{j} = 0{note}"
     return None
 
 
 def _f6_summand(inst: IdentityInstance) -> SumTerm:
-    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
-    return SumTerm(seq=inst.params, index_mul=r, index_add=inst.s,
-                   weight_base=second_kind_term(p, q, d) / second_kind_term(p, q, r + d))
+    params, r, d = inst.params, inst.r, inst.d
+    return SumTerm(seq=params, index_mul=r, index_add=inst.s,
+                   weight_base=second_kind_term(params, d) / second_kind_term(params, r + d))
 
 
 def _f7_violation(inst: IdentityInstance) -> Optional[str]:
-    p, q, r, s, d = inst.params.p, inst.params.q, inst.r, inst.s, inst.d
+    r, s, d = inst.r, inst.s, inst.d
     if r + 1 == d:
         return "r + 1 = d makes the leading denominator index zero"
     for j, note in ((r - d + 1, ""), (r - d, " (degenerate weight base)")):
-        if first_kind_term(p, q, j) == 0:
+        if first_kind_term(inst.params, j) == 0:
             return f"U_{j} = 0{note}"
     seq = inst.sequence()
     for j, note in ((s + d, ""), (s + d - 1, " (degenerate weight base)"), (r + s, "")):
@@ -256,10 +313,10 @@ def _f7_violation(inst: IdentityInstance) -> Optional[str]:
 
 
 def _f7_summand(inst: IdentityInstance) -> SumTerm:
-    p, q, r, s, d = inst.params.p, inst.params.q, inst.r, inst.s, inst.d
+    params, r, s, d = inst.params, inst.r, inst.s, inst.d
     seq = inst.sequence()
-    return SumTerm(weight_base=q * first_kind_term(p, q, r - d) / first_kind_term(p, q, r - d + 1)
-                   * seq.term(s + d - 1) / seq.term(s + d))
+    return SumTerm(weight_base=params.q * first_kind_term(params, r - d)
+                   / first_kind_term(params, r - d + 1) * seq.term(s + d - 1) / seq.term(s + d))
 
 
 def _f7_r1d0_violation(inst: IdentityInstance) -> Optional[str]:
@@ -282,8 +339,10 @@ _F7_R1D0 = _Shape("cs", _f7_summand, _f7_r1d0_violation)
 
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
     """The oracle-evaluable nested-sum shape matching the identity's left side."""
-    summand = _REGISTRY[inst.identity].shape.summand(inst)
-    return NestedSumSpec(inst.n, inst.a_n, inst.c, summand)
+    line = inst._line
+    if line.summand is None:
+        line.summand = _REGISTRY[inst.identity].shape.summand(inst)
+    return NestedSumSpec(inst.n, inst.a_n, inst.c, line.summand)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +350,9 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 #
 # The paper evaluates the nested geometric sum once and reads every display
 # off it, so F3..F7 are one lifted master form, ``_lifted``, at a parameter
-# tuple per theorem: the ratio, the base, the index step and multiplier, and
-# the term T(e, k). Each tuple serves every specialization of its theorem:
+# tuple per theorem: the ratio and the base (a function giving both, called
+# once per grid line), the index step and multiplier, and the term T(e, k).
+# Each tuple serves every specialization of its theorem:
 # H runs F3, F1/F2 run F5's tuple at fixed (r, d), and the F6 Fibonacci and
 # Lucas forms plug their own term lookups into F6's. The optional counter
 # tallies one unit per summand-family sequence term and per binomial
@@ -311,25 +371,67 @@ def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
     return tallied
 
 
-def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter], ratio: Fraction,
-            base: Fraction, step: int, mul: int,
+def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
+            ratio_base: Callable[[], Tuple[Fraction, Fraction]], step: int, mul: int,
             term: Callable[[int, int], Fraction]) -> Fraction:
     """The lifted master form every closed form evaluates.
 
-    With a = a_n and T(e, k) = ``term(e, k)``, it returns
+    With (ratio, base) = ``ratio_base()``, a = a_n and T(e, k) = ``term(e, k)``,
+    it returns
     ratio**n * base**a * T(n, step*n + mul*a + s)
     - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
     * C(a+j-c, j).
+
+    ratio and base do not depend on a, so ``ratio_base`` is called only when
+    the line part, :func:`_lifted_line`, is made. That part is kept on the
+    instance's grid line with the counter units its lookups tallied, and
+    :func:`_lifted_point` finishes each point from it. A later point of the
+    line adds those units as if it had made the lookups, so ``closed_terms``
+    counts uses, not cache misses. A call without a counter keeps nothing,
+    since its units are unknown.
     """
-    bi = _counted(binom, counter)
-    n, a, c, s = inst.n, inst.a_n, inst.c, inst.s
-    shift = mul * (c - 1) + s
-    total = Fraction(0)
+    line = inst._line
+    closed = line.closed
+    if closed is None:
+        before = None if counter is None else counter.count
+        part = _lifted_line(inst, *ratio_base(), step, mul, term)
+        if counter is not None:
+            line.closed = part, counter.count - before
+    else:
+        part, units = closed
+        if counter is not None:
+            counter.add(units)
+    return _lifted_point(inst, counter, part, step, mul, term)
+
+
+def _lifted_line(inst: IdentityInstance, ratio: Fraction, base: Fraction, step: int,
+                 mul: int, term: Callable[[int, int], Fraction]) -> tuple:
+    """The part of :func:`_lifted` free of a_n: ``(ratio**n, base, K, D)``,
+    where the ints K[j] / D are the coefficients
+    base**(c-1) * ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s), j < n,
+    over one common denominator D."""
+    n = inst.n
+    shift = mul * (inst.c - 1) + inst.s
+    scale = base ** (inst.c - 1)
+    coefficients = [scale] * n
     power = Fraction(1)
     for j in reversed(range(n)):
         power *= ratio  # ratio**(n - j)
-        total += power * term(n - j, step * (n - j) + shift) * bi(a + j - c, j)
-    return power * base ** a * term(n, step * n + mul * a + s) - base ** (c - 1) * total
+        coefficients[j] *= power * term(n - j, step * (n - j) + shift)
+    den = lcm(*(k.denominator for k in coefficients))
+    return power, base, tuple(k.numerator * (den // k.denominator) for k in coefficients), den
+
+
+def _lifted_point(inst: IdentityInstance, counter: Optional[EvalCounter], part: tuple,
+                  step: int, mul: int, term: Callable[[int, int], Fraction]) -> Fraction:
+    """:func:`_lifted` at the instance's a_n from its line part
+    ``(ratio**n, base, K, D)``: the one term that depends on a, less one
+    dot product of K with the binomials C(a+j-c, j), over D."""
+    ratio_n, base, coefficients, den = part
+    bi = _counted(binom, counter)
+    n, a, c = inst.n, inst.a_n, inst.c
+    dot = sum(k * bi(a + j - c, j) for j, k in enumerate(coefficients))
+    return ratio_n * base ** a * term(n, step * n + mul * a + inst.s) - Fraction(dot, den)
 
 
 def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter]):
@@ -341,15 +443,15 @@ def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter]):
 def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of W[rk+s] / V_r**k (also H)."""
     q, r = inst.params.q, inst.r
-    vr = second_kind_term(inst.params.p, q, r)
-    return _lifted(inst, counter, -1 / q ** r, 1 / vr, 2 * r, r, _w_term(inst, counter))
+    return _lifted(inst, counter, lambda: (-1 / q ** r, 1 / second_kind_term(inst.params, r)),
+                   2 * r, r, _w_term(inst, counter))
 
 
 def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of (-1)**k W[2rk+s] / q**(rk)."""
     q, r = inst.params.q, inst.r
-    vr = second_kind_term(inst.params.p, q, r)
-    return _lifted(inst, counter, 1 / vr, -1 / q ** r, r, 2 * r, _w_term(inst, counter))
+    return _lifted(inst, counter, lambda: (1 / second_kind_term(inst.params, r), -1 / q ** r),
+                   r, 2 * r, _w_term(inst, counter))
 
 
 def _rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter],
@@ -358,10 +460,14 @@ def _rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter],
 
     The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``.
     """
-    p, q = inst.params.p, inst.params.q
-    ud = first_kind_term(p, q, d)
-    return _lifted(inst, counter, -ud / (first_kind_term(p, q, r) * q ** d),
-                   ud / first_kind_term(p, q, r + d), r + d, r, _w_term(inst, counter))
+    params = inst.params
+
+    def ratio_base() -> Tuple[Fraction, Fraction]:
+        ud = first_kind_term(params, d)
+        ratio = -ud / (first_kind_term(params, r) * params.q ** d)
+        return ratio, ud / first_kind_term(params, r + d)
+
+    return _lifted(inst, counter, ratio_base, r + d, r, _w_term(inst, counter))
 
 
 def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -396,15 +502,18 @@ def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
     over Q: a term of odd power e is ``other``, one of even e is ``main``, and
     either is divided by D**ceil(e/2). This covers both parities of n.
     """
-    p, q, r, d = inst.params.p, inst.params.q, inst.r, inst.d
-    vd = second_kind_term(p, q, d)
-    disc = inst.params.discriminant
+    params, r, d = inst.params, inst.r, inst.d
+    disc = params.discriminant
+
+    def ratio_base() -> Tuple[Fraction, Fraction]:
+        vd = second_kind_term(params, d)
+        ratio = vd / (first_kind_term(params, r) * params.q ** d)
+        return ratio, vd / second_kind_term(params, r + d)
 
     def term(e: int, k: int) -> Fraction:
         return (other if e % 2 else main)(k) / disc ** ((e + 1) // 2)
 
-    return _lifted(inst, counter, vd / (first_kind_term(p, q, r) * q ** d),
-                   vd / second_kind_term(p, q, r + d), r + d, r, term)
+    return _lifted(inst, counter, ratio_base, r + d, r, term)
 
 
 def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -416,27 +525,32 @@ def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
 
 def rhs_F6_F(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Fibonacci-number form of F6, using F[j+1] + F[j-1] = L[j]."""
-    fib = _counted(lambda j: first_kind_term(1, -1, j), counter)
-    luc = _counted(lambda j: second_kind_term(1, -1, j), counter)
+    fib = _counted(lambda j: first_kind_term(inst.params, j), counter)
+    luc = _counted(lambda j: second_kind_term(inst.params, j), counter)
     return _rhs_F6(inst, counter, fib, luc)
 
 
 def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Lucas-number form of F6, using L[j+1] + L[j-1] = 5 F[j]."""
-    fib = _counted(lambda j: first_kind_term(1, -1, j), counter)
-    luc = _counted(lambda j: second_kind_term(1, -1, j), counter)
+    fib = _counted(lambda j: first_kind_term(inst.params, j), counter)
+    luc = _counted(lambda j: second_kind_term(inst.params, j), counter)
     return _rhs_F6(inst, counter, luc, lambda j: 5 * fib(j))
 
 
 def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the purely geometric nested sum with base
     q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d})."""
-    w = _counted(inst.sequence().term, counter)
-    p, q, r, s, d = inst.params.p, inst.params.q, inst.r, inst.s, inst.d
-    u0 = first_kind_term(p, q, r - d)
-    wsd1 = w(s + d - 1)
-    base = q * u0 / first_kind_term(p, q, r - d + 1) * wsd1 / w(s + d)
-    return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 0, 0, lambda e, k: 1)
+    params, r, s, d = inst.params, inst.r, inst.s, inst.d
+
+    def ratio_base() -> Tuple[Fraction, Fraction]:
+        w = _counted(inst.sequence().term, counter)
+        q = params.q
+        u0 = first_kind_term(params, r - d)
+        wsd1 = w(s + d - 1)
+        base = q * u0 / first_kind_term(params, r - d + 1) * wsd1 / w(s + d)
+        return -q * u0 * wsd1 / w(r + s), base
+
+    return _lifted(inst, counter, ratio_base, 0, 0, lambda e, k: 1)
 
 
 def evaluate_rhs(inst: IdentityInstance,
@@ -462,7 +576,12 @@ class EvaluationReport:
 
     The coordinates are listed here rather than held as an instance, since a
     skipped point has no valid instance. The outcome fields default to those
-    of a skipped point.
+    of a skipped point. ``oracle_terms`` and ``closed_terms`` count the
+    summand-scale units (sequence terms, binomials, oracle additions) each
+    route used for this point. The closed form's a_n-free lookups are made
+    once per grid line and kept (see :func:`_lifted`), but counted at every
+    point that uses them: the counts are uses, not cache misses, and a sweep
+    reports what the same points verified one at a time report.
     """
 
     identity: IdentityId

@@ -25,7 +25,8 @@ index:
   32(6), 1996), from which ``W[j] = b*U_j - a*q*U_{j-1}``.
 * At most ``SHARED_CAP`` sequences are kept, least recently used first out.
   The U/V companion parameters of at most ``COMPANIONS_CAP`` pairs (p, q)
-  are kept too; their sequences come from the same registry.
+  are kept too, keyed on the parameters' cached ints; their sequences come
+  from the same registry.
 
 :class:`BinetView` exposes the closed form ``W[j] = A*tau**j + B*sigma**j``
 over Q(sqrt(D)) with D = p**2 - 4*q, where tau and sigma are the roots of
@@ -232,19 +233,26 @@ def term(params: HoradamParams, j: int) -> Fraction:
 
 
 @lru_cache(maxsize=COMPANIONS_CAP)
-def _companions(p: RationalLike, q: RationalLike) -> Tuple[HoradamParams, HoradamParams]:
-    """The U and V parameters of (p, q), built once per pair."""
+def _companions(pq: tuple) -> Tuple[HoradamParams, HoradamParams]:
+    """The U and V parameters of one (p, q), built once per pair.
+
+    The key is p and q as (numerator, denominator) ints, read off the
+    parameters' cached ``_key``: hashing it runs no Python code, where a
+    ``Fraction``'s hash does, and every seed pair on one (p, q) shares it,
+    where a key on the whole quadruple would build the two companions anew
+    for each new seed pair."""
+    p, q = (Fraction(*part) for part in pq)
     return lucas_first_kind(p, q), lucas_second_kind(p, q)
 
 
-def first_kind_term(p: RationalLike, q: RationalLike, j: int) -> Fraction:
-    """U[j] for the given recurrence coefficients."""
-    return HoradamSequence.of(_companions(p, q)[0]).term(j)
+def first_kind_term(params: HoradamParams, j: int) -> Fraction:
+    """U[j] for the recurrence coefficients (p, q) of ``params``."""
+    return HoradamSequence.of(_companions(params._key[2:])[0]).term(j)
 
 
-def second_kind_term(p: RationalLike, q: RationalLike, j: int) -> Fraction:
-    """V[j] for the given recurrence coefficients."""
-    return HoradamSequence.of(_companions(p, q)[1]).term(j)
+def second_kind_term(params: HoradamParams, j: int) -> Fraction:
+    """V[j] for the recurrence coefficients (p, q) of ``params``."""
+    return HoradamSequence.of(_companions(params._key[2:])[1]).term(j)
 
 
 class BinetView:
@@ -305,10 +313,10 @@ def lemma3_residual(p: RationalLike, q: RationalLike, r: int, d: int, which: str
     tau, sigma, delta = view.tau, view.sigma, view.delta
 
     def u(j: int) -> QuadExt:
-        return QuadExt.from_rational(first_kind_term(p, q, j), disc)
+        return QuadExt.from_rational(first_kind_term(view.params, j), disc)
 
     def v(j: int) -> QuadExt:
-        return QuadExt.from_rational(second_kind_term(p, q, j), disc)
+        return QuadExt.from_rational(second_kind_term(view.params, j), disc)
 
     if which == "L1":
         return u(r + d) - tau ** r * u(d) - sigma ** d * u(r)

@@ -35,6 +35,43 @@ def literal_nested_sum(depth, upper, lower_limits, term_fn):
     return level(depth - 1, upper)
 
 
+def karr_nested_sum(depth, upper, lower, term_fn):
+    """The depth-fold nested sum with every lower limit ``lower``, read under
+    Karr's convention for reversed limits at every level: a sum from a to b
+    is the plain sum when b >= a - 1 (empty at b = a - 1), and
+    -sum_{k=b+1}^{a-1} when b < a - 1 (Karr, "Summation in finite terms",
+    J. ACM 28(2), 1981). Literal loops only."""
+
+    def karr_sum(hi, fn):
+        if hi >= lower - 1:
+            return sum((fn(k) for k in range(lower, hi + 1)), Fraction(0))
+        return -sum((fn(k) for k in range(hi + 1, lower)), Fraction(0))
+
+    def level(k, hi):
+        return karr_sum(hi, term_fn if k == 0 else (lambda i: level(k - 1, i)))
+
+    return level(depth - 1, upper)
+
+
+@lru_cache(maxsize=16)
+def _walked(params):
+    return walk_terms(params, -64, 64)
+
+
+def summand_fn(term):
+    """k -> W[m*k + s] * base**k, times (-1)**k when the summand alternates,
+    read off a summand's fields, with W from a plain recurrence walk
+    (|m*k + s| <= 64) and none of the summand's own code."""
+    base = Fraction(1) if term.weight_base is None else term.weight_base
+    sign = -1 if term.alternating else 1
+
+    def value(k):
+        w = 1 if term.seq is None else _walked(term.seq)[term.index_mul * k + term.index_add]
+        return w * (sign * base) ** k
+
+    return value
+
+
 def falling_binom(top: int, k: int) -> int:
     """C(top, k) straight from the falling-factorial definition."""
     assert k >= 0

@@ -479,7 +479,7 @@ class TestBinetRoutes:
         from horadam_sums.sequences import second_kind_term
 
         for r, s, n, c in product((-1, 1, 2), (0, 2), (1, 2), (0, 1)):
-            if second_kind_term(params.p, params.q, r) == 0:
+            if second_kind_term(params, r) == 0:
                 continue
             for a_n in range(c, c + 4):
                 spec = lhs_spec(inst(ident, params=params, n=n, a_n=a_n, c=c, r=r, s=s))

@@ -76,8 +76,8 @@ class TestTerm:
 
     def test_specialization_coherence(self):
         for j in range(-20, 21):
-            assert first_kind_term(1, -1, j) == term(FIBONACCI, j)
-            assert second_kind_term(1, -1, j) == term(LUCAS, j)
+            assert first_kind_term(FIBONACCI, j) == term(FIBONACCI, j)
+            assert second_kind_term(FIBONACCI, j) == term(LUCAS, j)
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -137,17 +137,17 @@ class TestBoundedTerms:
             p, q = 1 + i % 10, -(1 + i // 10)
             params = horadam(1, 2, p, q)
             term(params, 10 ** 4)
-            first_kind_term(p, q, 10 ** 4)
+            first_kind_term(params, 10 ** 4)
             assert len(HoradamSequence._shared) <= SHARED_CAP
             assert _companions.cache_info().currsize <= COMPANIONS_CAP
 
     def test_companions_share_the_registry_window(self):
-        first_kind_term(1, -1, 5)
+        first_kind_term(FIBONACCI, 5)
         for i in range(SHARED_CAP + 10):
             term(horadam(i, 1, 2, 3), 2)
         fib = HoradamSequence.of(FIBONACCI)
         hits = _companions.cache_info().hits
-        first_kind_term(1, -1, 40)
+        first_kind_term(FIBONACCI, 40)
         assert _companions.cache_info().hits == hits + 1
         assert 40 in fib._memo
         assert HoradamSequence.of(FIBONACCI) is fib
@@ -191,8 +191,8 @@ class TestBinetView:
     def test_first_second_kind_forms(self, p, q):
         view = BinetView(lucas_first_kind(p, q))
         for j in range(-12, 13):
-            assert view.first_kind_term(j) == first_kind_term(p, q, j)
-            assert view.second_kind_term(j) == second_kind_term(p, q, j)
+            assert view.first_kind_term(j) == first_kind_term(view.params, j)
+            assert view.second_kind_term(j) == second_kind_term(view.params, j)
 
 
 class TestLemma3:

@@ -4,10 +4,14 @@ its summand, and of the far-term doubling.
     python3 tools/mutate_rhs.py
 
 Each mutant changes one operator or constant in one target function:
-``+`` and ``-`` swap, ``*`` and ``/`` swap (augmented assignments included),
-and each integer constant is raised by 1. The targets are ``_lifted`` and the
-right-hand-side functions (``rhs_*`` and ``_rhs_*``) of
-``horadam_sums.identities``, and, in ``horadam_sums.nestedcore``,
+``+`` and ``-`` swap, ``*`` and ``/`` swap, ``%`` becomes ``//``, ``**``
+becomes ``*`` and ``//`` becomes ``/`` (augmented assignments included);
+``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and ``is not``,
+and ``and`` and ``or`` swap; and each integer constant is raised by 1. The
+targets are the lifted master form (``_lifted`` with its line part
+``_lifted_line`` and point part ``_lifted_point``) and the right-hand-side
+functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities``, and, in
+``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
@@ -20,16 +24,27 @@ bound to the names ``identities``, ``tests/_util.py`` and this script import
 it under, so a mutated ``oracle_nested`` is what the closed forms are
 compared with and a mutated ``f_closed`` is what the Binet route runs.
 
-A mutant is killed when, for any tag whose evaluation calls the mutated
-function (every tag, for the oracle), a point of the tier-1 deep-depth grid
+The grid-line memo of ``identities`` is emptied before the callers of each
+target are found, before the unmutated run and before each mutant, so no
+mutant reads what another left there. A mutant is killed when, for any tag
+whose evaluation calls the mutated function (every tag, for the oracle), a
+point of the tier-1 deep-depth grid
 (``tests/test_identities.py::_deep_instances``) or of the tag's default-grid
 sweep shows a mismatch, an error report or an exception, or when it runs
-longer than ``TIMEOUT_S``. An oracle mutant is also killed when, on a case
+longer than ``TIMEOUT_S``. It is also killed when a point of the sweep
+reports other ``closed_terms`` than in the unmutated run, or when a
+deep-depth point's closed form, evaluated first on a counter that already
+holds a count (which makes its grid line's part), then on a fresh counter
+and on none (which read that part back), gives another value or adds
+another count the second time than the first. An oracle mutant is also killed when, on a case
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
 count differs from the enumeration ``oracle_nested_naive``. A summand
-mutant is killed only as a geometric one is, or when a closed form misses
-the oracle as above: ``oracle_nested_naive`` calls ``SumTerm.value`` too, so
-the kernel cases cannot see it. A geometric
+mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
+the product of a plain recurrence walk's term, the power ``base**k`` and the
+sign on ``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w;
+or as a geometric one is, or when a closed form misses the oracle as above:
+``oracle_nested_naive`` calls ``SumTerm.value`` too, so the kernel cases
+cannot see it. A geometric
 mutant is killed when ``master_E`` misses ``((x-1)/x)**n`` times the
 oracle, or counts other than n binomial terms, on criterion 2's grid
 (``tests/test_acceptance.py::master_grid``); when ``f_closed`` misses the
@@ -75,17 +90,25 @@ TIMEOUT_S = 60
 
 # "function: mutated statement" -> why the mutant cannot change a value
 KNOWN_SURVIVORS = {
-    "rhs_F7: return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 1, 0, "
-    "lambda e, k: 1)": "F7's term ignores its index, so the index step is unread",
-    "rhs_F7: return _lifted(inst, counter, -q * u0 * wsd1 / w(r + s), base, 0, 1, "
-    "lambda e, k: 1)": "F7's term ignores its index, so the index multiplier is unread",
+    "rhs_F7: return _lifted(inst, counter, ratio_base, 1, 0, lambda e, k: 1)":
+    "F7's term ignores its index, so the index step is unread",
+    "rhs_F7: return _lifted(inst, counter, ratio_base, 0, 1, lambda e, k: 1)":
+    "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lucas_pair: if j >= 1:\n    return (Fraction(u * m, mn), Fraction(v, mn))":
     "j = 0 gives (U_0, V_0) = (0, 2) on both branches",
+    "_lucas_pair: if j > 0:\n    return (Fraction(u * m, mn), Fraction(v, mn))":
+    "j = 0 gives (U_0, V_0) = (0, 2) on both branches",
+    "_chain_counts: if start >= lo:\n    counts[:start - lo] = [0] * min(start - lo, size)":
+    "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
 }
 
-_SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+_SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+          ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.FloorDiv: ast.Div}
+_COMPARE_SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+                  ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+_BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 
 
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
@@ -99,6 +122,17 @@ SEQUENCE_FAMILIES = (sq.horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2,
                      sq.horadam(2, Fraction(1, 3), 3, Fraction(7, 4)),
                      sq.horadam(-1, 2, Fraction(-3, 2), 2),
                      sq.horadam(1, 2, 3, Fraction(9, 4)))
+
+# summands whose value SumTerm.value must give: rational bases (one of them
+# with a numerator other than 1), alternation, an index multiplier other
+# than 1, negative indices with non-integral terms, and no sequence
+SUMMAND_CASES = (nc.SumTerm(seq=SEQUENCE_FAMILIES[0], index_mul=2, index_add=-1,
+                            weight_base=Fraction(-2, 3), alternating=True),
+                 nc.SumTerm(seq=sq.horadam(1, 4, 3, 2), index_mul=1, index_add=0,
+                            weight_base=Fraction(3, 2)),
+                 nc.SumTerm(seq=sq.horadam(1, 4, 3, 2), index_mul=-1, index_add=1),
+                 nc.SumTerm(weight_base=Fraction(5, 2), alternating=True))
+SUMMAND_WEIGHTS = (1, 3, 2 ** 12)
 
 # (x, y) for f_closed, and (-x, y) for its alternating sum, against the
 # oracle; 1 and -1 are there so that a pole check moved onto them is caught
@@ -114,7 +148,7 @@ def _is_target(module, name: str) -> bool:
         return name in SEQUENCE_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS
-    return name == "_lifted" or name.startswith(("rhs_", "_rhs_"))
+    return name.startswith(("_lifted", "rhs_", "_rhs_"))
 
 
 def _targets(module) -> list:
@@ -137,6 +171,14 @@ def _sites(func: ast.FunctionDef) -> list:
     for node in ast.walk(func):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
             sites.append((node, "op", _SWAPS[type(node.op)]()))
+        elif isinstance(node, ast.BoolOp):
+            sites.append((node, "op", _BOOL_SWAPS[type(node.op)]()))
+        elif isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in _COMPARE_SWAPS:
+                    ops = list(node.ops)
+                    ops[i] = _COMPARE_SWAPS[type(op)]()
+                    sites.append((node, "ops", ops))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             sites.append((node, "value", node.value + 1))
     return sites
@@ -242,6 +284,29 @@ def _geometric_broken() -> bool:
     return False
 
 
+def _summand_broken() -> bool:
+    """True when ``SumTerm.value`` misses, in value or exact type, a walked
+    term times ``base**k`` and the sign (``tests/_util.py::summand_fn``), or
+    ``value(k) * w / base**k`` for an int weight ``w`` (an int exactly when
+    that is integral)."""
+    for summand in SUMMAND_CASES:
+        expected_at = _util.summand_fn(summand)
+        for k in range(-12, 13):
+            expected = expected_at(k)
+            value = summand.value(k)
+            if value != expected or type(value) is not Fraction:
+                return True
+            if summand.weight_base is None:
+                continue
+            for weight in SUMMAND_WEIGHTS:
+                scaled = expected * weight / summand.weight_base ** k
+                value = summand.value(k, weight)
+                if value != scaled or type(value) is not (
+                        int if scaled.denominator == 1 else Fraction):
+                    return True
+    return False
+
+
 def _sequence_broken() -> bool:
     """True when ``doubled_term`` misses a plain recurrence walk."""
     for params in SEQUENCE_FAMILIES:
@@ -251,16 +316,28 @@ def _sequence_broken() -> bool:
     return False
 
 
-def _killed(tags: list, oracle: bool = False) -> bool:
+def _killed(tags: list, closed_terms: dict, oracle: bool = False) -> bool:
+    """True when a tag's deep-depth points or default sweep fail (see the
+    module docstring), or its sweep's per-point ``closed_terms`` differ from
+    ``closed_terms[tag]``; a tag not yet there has its counts recorded."""
     if oracle and _kernel_broken():
         return True
     for ident in tags:
         for one in _deep_instances(ident):
-            if ids.evaluate_rhs(one) != oracle_nested(ids.lhs_spec(one)):
+            # the line's part is made on a counter that already holds a
+            # count, then read back with a fresh counter and with none
+            used, fresh = EvalCounter(1), EvalCounter()
+            value = ids.evaluate_rhs(one, used)
+            if value != oracle_nested(ids.lhs_spec(one)) or value != ids.evaluate_rhs(one, fresh) \
+                    or value != ids.evaluate_rhs(one) or used.count - 1 != fresh.count:
                 return True
+        counts = []
         for report in ids.iter_sweep(ident):
             if report.classification in (ids.CLASS_MISMATCH, ids.CLASS_ERROR):
                 return True
+            counts.append(report.closed_terms)
+        if closed_terms.setdefault(ident, counts) != counts:
+            return True
     return False
 
 
@@ -272,10 +349,13 @@ def main() -> int:
     start = time.perf_counter()
     funcs = _targets(ids) + _targets(nc) + _targets(sq)
     registry = dict(ids._REGISTRY)
+    ids.clear_line_memo()
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS})
-    if _killed(list(ids.IdentityId), oracle=True) or _geometric_broken() \
-            or _sequence_broken():
+    closed_terms: dict = {}
+    ids.clear_line_memo()
+    if _killed(list(ids.IdentityId), closed_terms, oracle=True) or _geometric_broken() \
+            or _summand_broken() or _sequence_broken():
         print("the unmutated code already fails the check")
         return 2
     signal.signal(signal.SIGALRM, _on_alarm)
@@ -289,6 +369,7 @@ def main() -> int:
             setattr(node, field, replacement)
             key = f"{name}: {_statement(func, node)}"
             total += 1
+            ids.clear_line_memo()
             signal.alarm(TIMEOUT_S)
             try:
                 _install(module, owner, func)
@@ -297,9 +378,10 @@ def main() -> int:
                 elif module is sq:
                     dead = _sequence_broken()
                 elif owner is not module:
-                    dead = _killed(list(ids.IdentityId)) or _geometric_broken()
+                    dead = _summand_broken() or _killed(list(ids.IdentityId), closed_terms) \
+                        or _geometric_broken()
                 else:
-                    dead = _killed(callers[func.name], oracle=module is nc)
+                    dead = _killed(callers[func.name], closed_terms, oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
