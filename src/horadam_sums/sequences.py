@@ -19,10 +19,14 @@ index:
   the small indices that sweeps and oracles read again and again. A miss
   within ``WALK_GAP`` of the window's edge extends it by running the
   recurrence forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``.
+  The walk runs on ints scaled by one common denominator, which grows by a
+  fixed int factor per step, and makes one normalised ``Fraction`` per
+  term it stores.
 * Every other index is computed, not stored, by doubling the Lucas pair
-  (U_j, V_j) of (p, q) in O(log |j|) products (Joye & Quisquater,
+  (U_j, V_j) of (p, q) in O(log |j|) integer products (Joye & Quisquater,
   "Efficient computation of full Lucas sequences", Electronics Letters
-  32(6), 1996), from which ``W[j] = b*U_j - a*q*U_{j-1}``.
+  32(6), 1996), from which ``W[j] = b*U_j - a*q*U_{j-1}`` is summed over
+  ints into one ``Fraction``.
 * At most ``SHARED_CAP`` sequences are kept, least recently used first out.
   The U/V companion parameters of at most ``COMPANIONS_CAP`` pairs (p, q)
   are kept too, keyed on the parameters' cached ints; their sequences come
@@ -67,6 +71,8 @@ class HoradamParams:
         values = (self.a, self.b, self.p, self.q)
         object.__setattr__(self, "_hash", hash(values))
         object.__setattr__(self, "_key", tuple((x.numerator, x.denominator) for x in values))
+        # F6 reads D at every point; not a field, so equality, hash and repr ignore it
+        object.__setattr__(self, "_discriminant", self.p * self.p - 4 * self.q)
 
     def __hash__(self) -> int:
         return self._hash
@@ -78,7 +84,8 @@ class HoradamParams:
 
     @property
     def discriminant(self) -> Fraction:
-        return self.p * self.p - 4 * self.q
+        """D = p**2 - 4*q, computed once."""
+        return self._discriminant
 
 
 def horadam(a: RationalLike, b: RationalLike, p: RationalLike, q: RationalLike) -> HoradamParams:
@@ -125,20 +132,25 @@ COMPANIONS_CAP = 64
 """Most (p, q) pairs whose U/V companion parameters are kept."""
 
 
-def _lucas_pair(p: Fraction, q: Fraction, j: int) -> Tuple[Fraction, Fraction]:
-    """(U_j, V_j) of (p, q) by index doubling, for any integer ``j``.
+def _scaled_pq(params: HoradamParams) -> Tuple[int, int, int]:
+    """(m, P, Q): m = lcm(den p, den q), P = m*p and Q = m*m*q, all ints."""
+    (pn, pd), (qn, qd) = params._key[2:]
+    m = lcm(pd, qd)
+    return m, pn * (m // pd), qn * (m * m // qd)
 
-    The doubling runs on integers: with m the lcm of the denominators of p
-    and q, P = m*p and Q = m*m*q are integers, and U_j(p, q) =
-    U_j(P, Q) / m**(j-1), V_j(p, q) = V_j(P, Q) / m**j. Each bit of |j|
-    maps k to 2k by U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*Q**k, then,
-    when the bit is set, to 2k + 1 by U_{k+1} = (P*U_k + V_k)/2 and
+
+def _lucas_pair(m: int, big_p: int, big_q: int, j: int) -> Tuple[int, int, int]:
+    """(u, v, den) with U_j = u/den and V_j = v/den, by index doubling, for
+    any integer ``j``; (m, P, Q) are :func:`_scaled_pq`'s.
+
+    The doubling runs on integers: U_j(p, q) = U_j(P, Q) / m**(j-1) and
+    V_j(p, q) = V_j(P, Q) / m**j. Each bit of |j| maps k to 2k by
+    U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*Q**k, then, when the bit is
+    set, to 2k + 1 by U_{k+1} = (P*U_k + V_k)/2 and
     V_{k+1} = (D*U_k + P*V_k)/2, both exact integer halvings. Negative
     indices use U_{-j} = -U_j/q**j and V_{-j} = V_j/q**j. Nothing divides
     by D, so D = 0 needs no special case.
     """
-    m = lcm(p.denominator, q.denominator)
-    big_p, big_q = int(p * m), int(q * m * m)
     disc = big_p * big_p - 4 * big_q
     n = abs(j)
     u, v, qk = 0, 2, 1
@@ -148,28 +160,37 @@ def _lucas_pair(p: Fraction, q: Fraction, j: int) -> Tuple[Fraction, Fraction]:
             u, v, qk = (big_p * u + v) // 2, (disc * u + big_p * v) // 2, qk * big_q
     mn = m ** n
     if j >= 0:
-        return Fraction(u * m, mn), Fraction(v, mn)
-    return Fraction(-u * m * mn, qk), Fraction(v * mn, qk)
+        return u * m, v, mn
+    return -u * m * mn, v * mn, qk
 
 
 def doubled_term(params: HoradamParams, j: int) -> Fraction:
     """W[j] by index doubling, with no walk and no memo.
 
     With U_{j-1} = (p*U_j - V_j) / (2q), W[j] = b*U_j - a*q*U_{j-1} is
-    (b - a*p/2)*U_j + (a/2)*V_j.
+    ((2b - a*p)*U_j + a*V_j) / 2. It is summed over ints, on the
+    denominator of a, b and p times the Lucas pair's, into one Fraction.
     """
-    a = params.a
-    u, v = _lucas_pair(params.p, params.q, j)
-    return (params.b - a * params.p / 2) * u + a / 2 * v
+    (an, ad), (bn, bd), (pn, pd), _ = params._key
+    u, v, den = _lucas_pair(*_scaled_pq(params), j)
+    return Fraction((2 * bn * ad * pd - an * pn * bd) * u + an * bd * pd * v,
+                    2 * ad * bd * pd * den)
 
 
 class HoradamSequence:
     """Term evaluation at any integer index, in bounded memory.
 
-    ``_memo`` is the dense window ``[_lo, _hi]``. A miss within ``WALK_GAP``
-    of it walks the recurrence and stores what it passes, as long as the
-    window stays within ``WINDOW_CAP`` terms; any other index comes from
-    :func:`doubled_term` and is not stored.
+    ``_memo`` is the dense window ``[_lo, _hi]`` of normalised ``Fraction``
+    terms. A miss within ``WALK_GAP`` of it walks the recurrence and stores
+    what it passes, as long as the window stays within ``WINDOW_CAP`` terms;
+    any other index comes from :func:`doubled_term` and is not stored.
+
+    The walk starts from the two edge terms over L, the lcm of their
+    denominators, and runs on ints: with m = lcm(den p, den q), P = m*p and
+    Q = m*m*q, upwards X_k = P*X_{k-1} - Q*X_{k-2} with
+    W_k = X_k / (L*m**(k-hi+1)), downwards Y_k = P*m*Y_{k+1} - m*m*Q*Y_{k+2}
+    with W_k = Y_k / (L*Q**(lo+1-k)). Each stored term is one ``Fraction``,
+    written before the window's edge moves past it.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
     of the same underlying sequence hit one window. The registry ``_shared``
@@ -211,15 +232,32 @@ class HoradamSequence:
         if not (lo - WALK_GAP <= j <= hi + WALK_GAP
                 and max(hi, j) - min(lo, j) < WINDOW_CAP):
             return doubled_term(self.params, j)
-        p, q = self.params.p, self.params.q
-        while self._hi < j:
-            k = self._hi + 1
-            memo[k] = p * memo[k - 1] - q * memo[k - 2]
-            self._hi = k
-        while self._lo > j:
-            k = self._lo - 1
-            memo[k] = (p * memo[k + 1] - memo[k + 2]) / q
-            self._lo = k
+        m, big_p, big_q = _scaled_pq(self.params)
+        if j > hi:
+            # over 1, Fraction(x) skips a gcd and a division by 1, which on a
+            # 10**4-bit x cost several times a whole step
+            w0, w1 = memo[hi - 1], memo[hi]
+            scale = lcm(w0.denominator, w1.denominator)
+            x0 = w0.numerator * (scale // w0.denominator)
+            scale *= m
+            x1 = w1.numerator * (scale // w1.denominator)
+            for k in range(hi + 1, j + 1):
+                x0, x1 = x1, big_p * x1 - big_q * x0
+                scale *= m
+                memo[k] = Fraction(x1) if scale == 1 else Fraction(x1, scale)
+                self._hi = k
+        else:
+            w0, w1 = memo[lo + 1], memo[lo]
+            scale = lcm(w0.denominator, w1.denominator)
+            y0 = w0.numerator * (scale // w0.denominator)
+            y1 = w1.numerator * (scale // w1.denominator) * big_q
+            scale *= big_q
+            up, down = big_p * m, m * m * big_q
+            for k in range(lo - 1, j - 1, -1):
+                y0, y1 = y1, up * y1 - down * y0
+                scale *= big_q
+                memo[k] = Fraction(y1) if scale == 1 else Fraction(y1, scale)
+                self._lo = k
         return memo[j]
 
     def __repr__(self) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,16 @@ class TestParams:
     def test_discriminant(self):
         assert horadam(1, 1, 3, 2).discriminant == 1
         assert FIBONACCI.discriminant == 5
+
+    def test_cached_discriminant_is_not_a_field(self):
+        params = horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3))
+        assert params.discriminant == Fraction(25, 4) + Fraction(8, 3)
+        assert [f.name for f in fields(params)] == ["a", "b", "p", "q"]
+        assert params == horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3))
+        assert params != horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(2, 3))
+        assert hash(params) == hash((params.a, params.b, params.p, params.q))
+        assert repr(params) == ("HoradamParams(a=Fraction(3, 2), b=Fraction(-1, 1), "
+                                "p=Fraction(5, 2), q=Fraction(-2, 3))")
 
 
 class TestTerm:
@@ -82,6 +93,11 @@ class TestTerm:
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 nonzero_small = small_rationals.filter(lambda x: x != 0)
+# where a read lands, against the window's edges: one step out, the gap's
+# edge (both walked and stored) or one past it (doubled, not stored)
+READ_STEPS = {"up": (1, 1), "down": (-1, 1), "up_edge": (1, WALK_GAP),
+              "down_edge": (-1, WALK_GAP), "up_past": (1, WALK_GAP + 1),
+              "down_past": (-1, WALK_GAP + 1)}
 
 
 class TestBoundedTerms:
@@ -96,6 +112,27 @@ class TestBoundedTerms:
         walked = walk_terms(params, min(j, 0), max(j + 1, 1))
         assert doubled_term(params, j) == walked[j]
         assert doubled_term(params, j + 1) == walked[j + 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=small_rationals, b=small_rationals, p=nonzero_small, q=nonzero_small,
+           moves=st.lists(st.sampled_from(sorted(READ_STEPS)), min_size=1, max_size=8))
+    @example(a=Fraction(1, 2), b=Fraction(3), p=Fraction(2), q=Fraction(1),  # D = 0
+             moves=["up_edge", "up", "down_edge", "down", "up_past", "down_past"])
+    def test_int_walk_matches_walk(self, a, b, p, q, moves):
+        params = horadam(a, b, p, q)
+        seq = HoradamSequence(params)
+        reach = 1 + len(moves) * (WALK_GAP + 1)  # the window starts as [0, 1]
+        walked = walk_terms(params, -reach, reach)
+        for move in moves:
+            sign, step = READ_STEPS[move]
+            j = seq._hi + step if sign > 0 else seq._lo - step
+            value = seq.term(j)
+            assert value == walked[j] and type(value) is Fraction
+            assert len(seq._memo) == seq._hi - seq._lo + 1 <= WINDOW_CAP
+            assert (j in seq._memo) == (step <= WALK_GAP)
+            doubled = doubled_term(params, j)
+            assert doubled == walked[j] and type(doubled) is Fraction
+        assert all(seq._memo[k] == walked[k] for k in seq._memo)
 
     def test_far_term_leaves_window_bounded(self):
         f_prev, f = 0, 1  # F[j-1], F[j], from the bare recurrence

@@ -1,5 +1,5 @@
-"""Mutation check of the closed-form evaluators, of the nested-sum oracle and
-its summand, and of the far-term doubling.
+"""Mutation check of the closed-form evaluators, of the grid-line memo, of
+the nested-sum oracle and its summand, and of the sequence terms.
 
     python3 tools/mutate_rhs.py
 
@@ -10,29 +10,35 @@ becomes ``*`` and ``//`` becomes ``/`` (augmented assignments included);
 and ``and`` and ``or`` swap; and each integer constant is raised by 1. The
 targets are the lifted master form (``_lifted`` with its line part
 ``_lifted_line`` and point part ``_lifted_point``) and the right-hand-side
-functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities``, and, in
-``horadam_sums.nestedcore``,
+functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` with
+its grid-line memo (the key and eviction of ``_line``, the verdict caching
+in ``IdentityInstance.__post_init__`` and the summand caching in
+``lhs_spec``), and, in ``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
-in ``horadam_sums.sequences``, the far-term doubling ``doubled_term`` with
-its Lucas pair ``_lucas_pair``. The mutated function is compiled against its
-live module and installed there (a method on its class), so every caller
-(the registry, ``_rhs_F5``'s and ``_rhs_F6``'s wrappers, ``verify``,
-``f_closed``, ``HoradamSequence.term``, both oracles) runs it; it is also
-bound to the names ``identities``, ``tests/_util.py`` and this script import
-it under, so a mutated ``oracle_nested`` is what the closed forms are
-compared with and a mutated ``f_closed`` is what the Binet route runs.
+in ``horadam_sums.sequences``, the window walks of ``HoradamSequence.term``
+and the far-term doubling ``doubled_term`` with its Lucas pair
+``_lucas_pair``, and the int scaling ``_scaled_pq`` both share. An ``if``
+mutated in its test is named by that test alone. The mutated function is
+compiled against its live module and installed there (a method on its
+class), so every caller (the registry, ``_rhs_F5``'s and ``_rhs_F6``'s
+wrappers, ``verify``, ``f_closed``, ``HoradamSequence.term``, both oracles)
+runs it; it is also bound to the names ``identities``, ``tests/_util.py``
+and this script import it under, so a mutated ``oracle_nested`` is what the
+closed forms are compared with and a mutated ``f_closed`` is what the Binet
+route runs.
 
 The grid-line memo of ``identities`` is emptied before the callers of each
 target are found, before the unmutated run and before each mutant, so no
 mutant reads what another left there. A mutant is killed when, for any tag
-whose evaluation calls the mutated function (every tag, for the oracle), a
-point of the tier-1 deep-depth grid
+whose evaluation calls the mutated function (every tag, for the oracle and
+the memo), a point of the tier-1 deep-depth grid
 (``tests/test_identities.py::_deep_instances``) or of the tag's default-grid
 sweep shows a mismatch, an error report or an exception, or when it runs
 longer than ``TIMEOUT_S``. It is also killed when a point of the sweep
-reports other ``closed_terms`` than in the unmutated run, or when a
+reports other ``closed_terms`` than in the unmutated run, when a deep-depth
+point rebuilt from its own fields is not the same point, or when a
 deep-depth point's closed form, evaluated first on a counter that already
 holds a count (which makes its grid line's part), then on a fresh counter
 and on none (which read that part back), gives another value or adds
@@ -54,8 +60,12 @@ when ``tests/_util.py::binet_route``, which runs every tag's left side
 through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
 deep-depth grid of any tag. A sequence mutant is killed when
 ``doubled_term`` misses ``tests/_util.py::walk_terms``, a plain recurrence
-walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``; both sides of an
-identity read the same terms, so lhs == rhs cannot see a wrong one.
+walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or when a fresh
+``HoradamSequence`` misses it, in value or exact type, on the reads
+``WINDOW_READS`` of each of those families and on reads a gap apart up to
+and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a window other
+than the walk policy gives; both sides of an identity read the same terms,
+so lhs == rhs cannot see a wrong one.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives (2 when the unmutated
@@ -70,6 +80,7 @@ import signal
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -96,11 +107,12 @@ KNOWN_SURVIVORS = {
     "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
-    "_lucas_pair: if j >= 1:\n    return (Fraction(u * m, mn), Fraction(v, mn))":
-    "j = 0 gives (U_0, V_0) = (0, 2) on both branches",
-    "_lucas_pair: if j > 0:\n    return (Fraction(u * m, mn), Fraction(v, mn))":
-    "j = 0 gives (U_0, V_0) = (0, 2) on both branches",
-    "_chain_counts: if start >= lo:\n    counts[:start - lo] = [0] * min(start - lo, size)":
+    "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
+    "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
+    "HoradamSequence.term: if j >= hi:": "a miss lies outside [lo, hi], so j never equals hi",
+    "_line: if len(_LINES) >= LINE_CAP:": "keeping one line fewer changes what is remade, "
+    "never a value or a count: a memo hit adds the units its part tallied",
+    "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
 }
 
@@ -114,14 +126,23 @@ _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_lucas_pair", "doubled_term")
+SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term")
+LINE_TARGETS = ("_line", "IdentityInstance.__post_init__", "lhs_spec")
 
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
-# scaling runs; the last has D = 0
+# scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
+# half-integral seed, so every walk stores its terms over the scale 2
 SEQUENCE_FAMILIES = (sq.horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3)),
                      sq.horadam(2, Fraction(1, 3), 3, Fraction(7, 4)),
                      sq.horadam(-1, 2, Fraction(-3, 2), 2),
-                     sq.horadam(1, 2, 3, Fraction(9, 4)))
+                     sq.horadam(1, 2, 3, Fraction(9, 4)),
+                     sq.horadam(Fraction(1, 2), 3, 3, 1))
+# reads of a fresh window: unit steps, jumps to the gap's edge (walked and
+# stored) and one past it (doubled, not stored), upwards then downwards
+WINDOW_READS = (2, 3, 3 + sq.WALK_GAP, 4 + 3 * sq.WALK_GAP, 4 + sq.WALK_GAP, 1, -1, -2,
+                -2 - sq.WALK_GAP, -3 - 3 * sq.WALK_GAP, 0, -2 - sq.WALK_GAP)
+# an int family read up to its window cap, after one read below zero
+CAP_FAMILY = sq.horadam(2, -1, 1, -1)
 
 # summands whose value SumTerm.value must give: rational bases (one of them
 # with a numerator other than 1), alternation, an index multiplier other
@@ -147,8 +168,8 @@ def _is_target(module, name: str) -> bool:
     if module is sq:
         return name in SEQUENCE_TARGETS
     if module is nc:
-        return name in ORACLE_TARGETS + GEOMETRIC_TARGETS
-    return name.startswith(("_lifted", "rhs_", "_rhs_"))
+        return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
+    return name.startswith(("_lifted", "rhs_", "_rhs_")) or name in LINE_TARGETS
 
 
 def _targets(module) -> list:
@@ -158,10 +179,10 @@ def _targets(module) -> list:
     found = [(module, module, node) for node in tree.body
              if isinstance(node, ast.FunctionDef) and _is_target(module, node.name)]
     for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and module is nc:
+        if isinstance(cls, ast.ClassDef):
             found += [(module, getattr(module, cls.name), node) for node in cls.body
                       if isinstance(node, ast.FunctionDef)
-                      and f"{cls.name}.{node.name}" in SUMMAND_TARGETS]
+                      and _is_target(module, f"{cls.name}.{node.name}")]
     return found
 
 
@@ -185,12 +206,15 @@ def _sites(func: ast.FunctionDef) -> list:
 
 
 def _statement(func: ast.FunctionDef, node: ast.AST) -> str:
-    """The innermost statement of ``func`` that holds ``node``, unparsed."""
+    """The innermost statement of ``func`` that holds ``node``, unparsed; an
+    ``if`` whose test holds it is given by its test alone."""
     best = None
     for stmt in ast.walk(func):
         if isinstance(stmt, ast.stmt) and stmt is not func and any(
                 child is node for child in ast.walk(stmt)):
             best = stmt
+    if isinstance(best, ast.If) and any(child is node for child in ast.walk(best.test)):
+        return f"if {ast.unparse(best.test)}:"
     return ast.unparse(best)
 
 
@@ -307,13 +331,41 @@ def _summand_broken() -> bool:
     return False
 
 
+# the plain walks the sequence mutants are held to, made once per family
+_walked = lru_cache(maxsize=None)(_util.walk_terms)
+
+
+def _window_broken(seq, walked: dict, reads) -> bool:
+    """True when a read of ``seq`` misses ``walked`` in value or exact type,
+    or leaves a window other than the one the walk policy gives: a read
+    within ``WALK_GAP`` of the window's edge that keeps it under
+    ``WINDOW_CAP`` terms extends it to the index; any other read leaves it."""
+    lo, hi = 0, 1
+    for j in reads:
+        value = seq.term(j)
+        if value != walked[j] or type(value) is not Fraction:
+            return True
+        if lo - sq.WALK_GAP <= j <= hi + sq.WALK_GAP and max(hi, j) - min(lo, j) < sq.WINDOW_CAP:
+            lo, hi = min(lo, j), max(hi, j)
+        if (seq._lo, seq._hi) != (lo, hi) or len(seq._memo) != hi - lo + 1:
+            return True
+    return set(seq._memo) != set(range(lo, hi + 1)) \
+        or any(seq._memo[k] != walked[k] for k in seq._memo)
+
+
 def _sequence_broken() -> bool:
-    """True when ``doubled_term`` misses a plain recurrence walk."""
+    """True when ``doubled_term`` misses a plain recurrence walk, or a fresh
+    window's reads do (see :func:`_window_broken`)."""
     for params in SEQUENCE_FAMILIES:
-        walked = _util.walk_terms(params, -300, 300)
+        walked = _walked(params, -300, 300)
         if any(sq.doubled_term(params, j) != walked[j] for j in range(-300, 301)):
             return True
-    return False
+        if _window_broken(sq.HoradamSequence(params), walked, WINDOW_READS):
+            return True
+    reads = [-sq.WALK_GAP, *range(sq.WALK_GAP, sq.WINDOW_CAP + 2 * sq.WALK_GAP, sq.WALK_GAP)]
+    return _window_broken(sq.HoradamSequence(CAP_FAMILY),
+                          _walked(CAP_FAMILY, reads[0], reads[-1]), reads)
+
 
 
 def _killed(tags: list, closed_terms: dict, oracle: bool = False) -> bool:
@@ -324,6 +376,10 @@ def _killed(tags: list, closed_terms: dict, oracle: bool = False) -> bool:
         return True
     for ident in tags:
         for one in _deep_instances(ident):
+            # rebuilt from its own fields (a fixed tag's family then given,
+            # not None), a point is the same point
+            if dataclasses.replace(one) != one:
+                return True
             # the line's part is made on a counter that already holds a
             # count, then read back with a fresh counter and with none
             used, fresh = EvalCounter(1), EvalCounter()
@@ -351,7 +407,7 @@ def main() -> int:
     registry = dict(ids._REGISTRY)
     ids.clear_line_memo()
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
-    callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS})
+    callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS + LINE_TARGETS})
     closed_terms: dict = {}
     ids.clear_line_memo()
     if _killed(list(ids.IdentityId), closed_terms, oracle=True) or _geometric_broken() \
@@ -377,11 +433,11 @@ def main() -> int:
                     dead = _geometric_broken()
                 elif module is sq:
                     dead = _sequence_broken()
-                elif owner is not module:
+                elif name in SUMMAND_TARGETS:
                     dead = _summand_broken() or _killed(list(ids.IdentityId), closed_terms) \
                         or _geometric_broken()
                 else:
-                    dead = _killed(callers[func.name], closed_terms, oracle=module is nc)
+                    dead = _killed(callers[name], closed_terms, oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
