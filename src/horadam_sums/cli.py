@@ -30,8 +30,8 @@ from .combinatorics import nested_ones
 from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VERIFIED,
                          FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
-                         evaluate_point, evaluate_rhs, fixed_family, grid_size,
-                         iter_sweep, lhs_spec, summarize, sweep_points)
+                         evaluate_line, evaluate_point, evaluate_rhs, fixed_family,
+                         grid_size, iter_sweep, lhs_spec, summarize, sweep_points)
 from .nestedcore import (ONES, EvalCounter, NaiveCapExceededError, NestedSumSpec,
                          geometric_term, master_E, oracle_nested, oracle_nested_naive)
 from .sequences import (HoradamParams, horadam, lemma3_residual,
@@ -313,8 +313,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     a_values = args.an or ()
     check_points(len(a_values),
                  ((args.n, a_n, args.c, args.r, args.s, args.d) for a_n in a_values))
-    reports = [evaluate_point(args.identity, params, args.n, a_n, args.c,
-                              args.r, args.s, args.d) for a_n in a_values]
+    reports = list(evaluate_line(args.identity, params, args.n, a_values, args.c,
+                                 args.r, args.s, args.d))
     rows = [(report.a_n, format_rational(report.lhs), format_rational(report.rhs),
              _TABLE_STATUS.get(report.classification,
                                f"{report.classification}: {report.detail}"))

@@ -35,24 +35,23 @@ reversed limits, sum_{k=a}^{b} = -sum_{k=b+1}^{a-1} when b < a - 1 (Karr,
 checks this at every such point of the default grids.
 
 The work of a grid line, one (tag, family, n, c, r, s, d) with a_n varying,
-that does not depend on a_n is done once per line and kept in a small memo
-of the ``LINE_CAP`` most recent lines: the precondition verdict, the
-left-hand summand, and the closed form's ratio, base and coefficients.
-Every point still goes through :class:`IdentityInstance`, :func:`lhs_spec`,
-:func:`evaluate_rhs` and :func:`verify`, and each part is filled when a
-point first needs it.
+that does not depend on a_n is done once per line: :func:`evaluate_line`
+validates the line by one instance and builds its points from it, so they
+share its :class:`_Line` (the left-hand summand and the closed form's ratio,
+base and coefficients, each made when a point first needs it). An instance
+built alone has a line of its own.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import binom
 from .nestedcore import EvalCounter, NestedSumSpec, PoleError, SumTerm, oracle_nested
@@ -110,48 +109,24 @@ FAMILIES: Dict[str, HoradamParams] = {
 }
 
 
-_COORDS = ("n", "a_n", "c", "r", "s", "d")
-
-LINE_CAP = 8
-"""Most grid lines whose a_n-free work is kept. A sweep runs a_n innermost,
-so it reads one line at a time."""
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 class _Line:
-    """The a_n-free work of one grid line, each part filled when a point of
-    the line first needs it: the ``verdict`` of the preconditions (the
-    violated one's reason, or "" when none is), the left-hand ``summand``,
+    """The a_n-free work of one instance's grid line, shared with the points
+    :meth:`IdentityInstance._at` builds from it: the left-hand ``summand``
     and the closed form's line part with the counter units it cost
-    (``closed``, see :func:`_lifted`). Each part is one attribute, written
-    once it is whole. Only numbers, the summand and the reason are kept,
+    (``closed``, see :func:`_lifted`), each filled when a point first needs
+    it and written once it is whole. Only numbers and the summand are kept,
     never a sequence or a counter."""
 
-    __slots__ = ("verdict", "summand", "closed")
+    __slots__ = ("summand", "closed")
 
     def __init__(self):
-        self.verdict: Optional[str] = None
         self.summand: Optional[SumTerm] = None
         self.closed: Optional[Tuple[tuple, int]] = None
-
-
-_LINES: "OrderedDict[tuple, _Line]" = OrderedDict()
-
-
-def _line(inst: IdentityInstance) -> _Line:
-    """The memo entry of the instance's grid line, made empty on a miss. The
-    oldest of more than ``LINE_CAP`` entries is dropped."""
-    key = (inst.identity, inst.params, inst.n, inst.c, inst.r, inst.s, inst.d)
-    line = _LINES.get(key)
-    if line is None:
-        line = _LINES[key] = _Line()
-        if len(_LINES) > LINE_CAP:
-            _LINES.popitem(last=False)
-    return line
-
-
-def clear_line_memo() -> None:
-    """Forget every grid line's a_n-free work."""
-    _LINES.clear()
 
 
 @dataclass(frozen=True)
@@ -176,9 +151,8 @@ class IdentityInstance:
     d: int = 0
 
     def __post_init__(self):
-        for name, value in zip(_COORDS, (self.n, self.a_n, self.c, self.r, self.s, self.d)):
-            if not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+        for name in ("n", "a_n", "c", "r", "s", "d"):
+            _check_int(name, getattr(self, name))
         ident = self.identity
         record = _REGISTRY[ident]
         if record.fixed is not None:
@@ -188,13 +162,19 @@ class IdentityInstance:
                 raise InvalidInstanceError(f"{ident} is specific to one fixed sequence family")
         elif self.params is None:
             raise TypeError(f"{ident} needs a family: params must not be None")
-        line = _line(self)
+        reason = _violation(self, record)
+        if reason:
+            raise InvalidInstanceError(f"{ident}: {reason}")
         # not a field: equality, hashing and the repr are the coordinates'
-        object.__setattr__(self, "_line", line)
-        if line.verdict is None:
-            line.verdict = _violation(self, record) or ""
-        if line.verdict:
-            raise InvalidInstanceError(f"{ident}: {line.verdict}")
+        object.__setattr__(self, "_line", _Line())
+
+    def _at(self, a_n: int) -> IdentityInstance:
+        """This instance at another a_n, sharing its line; unvalidated, as no
+        precondition reads a_n."""
+        _check_int("a_n", a_n)
+        point = object.__new__(IdentityInstance)
+        point.__dict__.update(self.__dict__, a_n=a_n)
+        return point
 
     def sequence(self) -> HoradamSequence:
         return HoradamSequence.of(self.params)
@@ -384,11 +364,11 @@ def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
 
     ratio and base do not depend on a, so ``ratio_base`` is called only when
     the line part, :func:`_lifted_line`, is made. That part is kept on the
-    instance's grid line with the counter units its lookups tallied, and
+    instance's :class:`_Line` with the counter units its lookups tallied, and
     :func:`_lifted_point` finishes each point from it. A later point of the
-    line adds those units as if it had made the lookups, so ``closed_terms``
-    counts uses, not cache misses. A call without a counter keeps nothing,
-    since its units are unknown.
+    line (see :func:`evaluate_line`) adds those units as if it had made the
+    lookups, so ``closed_terms`` counts uses, not cache misses. A call
+    without a counter keeps nothing, since its units are unknown.
     """
     line = inst._line
     closed = line.closed
@@ -579,9 +559,9 @@ class EvaluationReport:
     of a skipped point. ``oracle_terms`` and ``closed_terms`` count the
     summand-scale units (sequence terms, binomials, oracle additions) each
     route used for this point. The closed form's a_n-free lookups are made
-    once per grid line and kept (see :func:`_lifted`), but counted at every
-    point that uses them: the counts are uses, not cache misses, and a sweep
-    reports what the same points verified one at a time report.
+    once per line :func:`evaluate_line` runs (see :func:`_lifted`), but
+    counted at every point that uses them: the counts are uses, not cache
+    misses, and a sweep reports what its points verified alone report.
     """
 
     identity: IdentityId
@@ -680,13 +660,18 @@ def _sweep_axes(identity: IdentityId, grid: Optional[SweepGrid]) -> tuple:
     return (families, grid.n_values, c_values, r_values, s_values, d_values), grid
 
 
-def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
-    """The coordinates ``(params, n, a_n, c, r, s, d)`` of every grid point,
-    in grid order, before validation (see :func:`_sweep_axes`)."""
+def _sweep_lines(identity: IdentityId, grid: Optional[SweepGrid]) -> Iterator[tuple]:
+    """The lines ``(params, n, a_values, c, r, s, d)`` of a grid, in grid order."""
     axes, grid = _sweep_axes(identity, grid)
     for params, n, c, r, s, d in product(*axes):
         a_values = grid.a_values if grid.a_values is not None else tuple(
             c + off for off in grid.a_offsets)
+        yield params, n, a_values, c, r, s, d
+
+
+def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
+    """Every grid point ``(params, n, a_n, c, r, s, d)``, in grid order, unvalidated."""
+    for params, n, a_values, c, r, s, d in _sweep_lines(identity, grid):
         for a_n in a_values:
             yield params, n, a_n, c, r, s, d
 
@@ -704,29 +689,43 @@ def fixed_family(identity: IdentityId) -> Optional[HoradamParams]:
     return _REGISTRY[identity].fixed
 
 
-def evaluate_point(identity: IdentityId, params: Optional[HoradamParams], n: int,
-                   a_n: int, c: int = 1, r: int = 1, s: int = 0,
-                   d: int = 0) -> EvaluationReport:
-    """:func:`verify` at one point given by its coordinates. A point that
-    fails a precondition gives a ``skipped`` report with the reason as its
-    detail, never an exception; ``params`` None stands for the tag's fixed
-    family, and raises ``TypeError`` on a tag without one."""
+def evaluate_line(identity: IdentityId, params: Optional[HoradamParams], n: int,
+                  a_values: Sequence[int], c: int, r: int, s: int,
+                  d: int) -> Iterator[EvaluationReport]:
+    """Yield :func:`verify` at each a_n of one grid line, validated once by
+    one instance whose a_n-free work its points (:meth:`IdentityInstance._at`)
+    share. A line that fails a precondition gives a ``skipped`` report per
+    a_n with the reason as its detail, never an exception; ``params`` None
+    stands for the tag's fixed family, and raises ``TypeError`` on a tag
+    without one, as does an a_n that is not an int."""
+    if not a_values:
+        return
     try:
-        inst = IdentityInstance(identity, params, n, a_n, c, r, s, d)
+        line = IdentityInstance(identity, params, n, a_values[0], c, r, s, d)
     except InvalidInstanceError as exc:
         shown = params if params is not None else fixed_family(identity)
-        return EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
-    return verify(inst)
+        for a_n in a_values:
+            _check_int("a_n", a_n)
+            yield EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
+        return
+    for a_n in a_values:
+        yield verify(line._at(a_n))
+
+
+def evaluate_point(identity: IdentityId, params: Optional[HoradamParams], n: int,
+                   a_n: int, c: int = 1, r: int = 1, s: int = 0, d: int = 0) -> EvaluationReport:
+    """:func:`evaluate_line` at one point given by its coordinates."""
+    return next(evaluate_line(identity, params, n, (a_n,), c, r, s, d))
 
 
 def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
-    """Yield one :func:`evaluate_point` report per grid point, in grid order.
+    """Yield one report per grid point, in grid order, by :func:`evaluate_line`.
 
     Points that fail a precondition are yielded as ``skipped`` reports,
     never raised. Streaming keeps large sweeps at constant memory.
     """
-    for point in sweep_points(identity, grid):
-        yield evaluate_point(identity, *point)
+    for line in _sweep_lines(identity, grid):
+        yield from evaluate_line(identity, *line)
 
 
 def sweep(identity: IdentityId, grid: Optional[SweepGrid] = None) -> List[EvaluationReport]:

@@ -17,6 +17,7 @@ import pytest
 
 from _util import fib_list
 import horadam_sums.cli as cli
+import horadam_sums.identities as identities
 from horadam_sums.cli import (BENCH_CSV_COLUMNS, SWEEP_CSV_COLUMNS, format_rational,
                               main, parse_int_set)
 from horadam_sums.combinatorics import binom
@@ -533,6 +534,23 @@ class TestBenchCommand:
                              "--n", "1..3", "--an", "4,8", "--c", "1")
         assert code == 0
         assert built == {(n, a_n): 1 for n in (1, 2, 3) for a_n in (4, 8)}
+
+    def test_identity_point_times_its_own_line_part(self, capsys, monkeypatch):
+        # each row's closed form makes its own ratio, base and coefficients,
+        # so its wall time covers the work its summand_evals count
+        made = Counter()
+        real = identities._lifted_line
+
+        def counting(inst, *args):
+            made[(inst.n, inst.a_n)] += 1
+            return real(inst, *args)
+
+        monkeypatch.setattr(identities, "_lifted_line", counting)
+        code, _, _ = run_cli(capsys, "bench", "--kind", "identity",
+                             "--identity", "F3", "--family", "fibonacci",
+                             "--n", "1..3", "--an", "4,8,16,32")
+        assert code == 0
+        assert made == {(n, a_n): 1 for n in (1, 2, 3) for a_n in (4, 8, 16, 32)}
 
     @pytest.mark.parametrize("tag", ["F1b", "F2b", "F6_L_even", "F6_L_odd"])
     def test_identity_kind_runs_a_fixed_family_tag(self, capsys, tag):

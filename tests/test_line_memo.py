@@ -1,31 +1,31 @@
-"""The grid-line memo: a point reports the same whatever the memo holds.
+"""Grid lines: a point reports the same on its line as alone.
 
-A grid line's a_n-free work (precondition verdict, left-hand summand, closed
-form's coefficients) is kept for the ``LINE_CAP`` most recent lines. Every
-report of a sweep must equal, field by field, the report of the same point
-evaluated alone on an empty memo, in grid order, in a seeded shuffle of all
-tags' points, and with the lines of two tags or two families interleaved.
-Only the measured times may differ.
+``evaluate_line`` validates a grid line once and builds its points from that
+one instance (``IdentityInstance._at``), so they share the line's a_n-free
+work (left-hand summand, closed form's coefficients). Every report of a
+sweep must equal, field by field, the report of the same point evaluated
+alone; only the measured times may differ. Instances built apart share
+nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 
 from _util import karr_nested_sum, summand_fn
 import horadam_sums.identities as identities
-from horadam_sums.identities import (CLASS_OUTSIDE, FAMILIES, LINE_CAP, IdentityId,
-                                     clear_line_memo, default_grid, evaluate_point,
-                                     iter_sweep, lhs_spec, sweep, sweep_points)
-from horadam_sums.nestedcore import SumTerm
+from horadam_sums.identities import (CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VERIFIED, FAMILIES,
+                                     IdentityId, IdentityInstance, SweepGrid, evaluate_line,
+                                     evaluate_point, evaluate_rhs, iter_sweep, lhs_spec,
+                                     sweep_points)
+from horadam_sums.nestedcore import EvalCounter, SumTerm
 from horadam_sums.sequences import HoradamSequence
 
 _TIMES = ("oracle_ns", "closed_ns")
+FIB = FAMILIES["fibonacci"]
 
 
 def _fields(report) -> tuple:
@@ -33,63 +33,20 @@ def _fields(report) -> tuple:
                  if f.name not in _TIMES)
 
 
-def _alone(identity, point):
-    clear_line_memo()
-    return evaluate_point(identity, *point)
-
-
 @pytest.fixture(scope="module")
 def alone():
-    """(tag, point) -> its report on an empty memo, for every point of every
+    """(tag, point) -> its report evaluated alone, for every point of every
     default grid."""
-    return {(ident, point): _alone(ident, point)
+    return {(ident, point): evaluate_point(ident, *point)
             for ident in IdentityId for point in sweep_points(ident)}
 
 
-def _mismatches(pairs, alone) -> list:
-    return [(ident.value, point) for (ident, point), fields in pairs
-            if fields != _fields(alone[ident, point])]
-
-
 def test_sweep_equals_point_alone_in_grid_order(alone):
-    clear_line_memo()
     pairs = [((ident, point), _fields(report)) for ident in IdentityId
              for point, report in zip(sweep_points(ident), iter_sweep(ident))]
     assert len(pairs) == len(alone)
-    assert not _mismatches(pairs, alone)
-
-
-def test_sweep_equals_point_alone_in_shuffled_order(alone):
-    keys = list(alone)
-    random.Random(20221018).shuffle(keys)
-    clear_line_memo()
-    pairs = [(key, _fields(evaluate_point(key[0], *key[1]))) for key in keys]
-    assert not _mismatches(pairs, alone)
-
-
-def _interleaved(streams) -> list:
-    """Every point of the (tag, grid) streams, one from each in turn."""
-    rows = zip(*[[(ident, point) for point in sweep_points(ident, grid)]
-                 for ident, grid in streams])
-    return list(chain.from_iterable(rows))
-
-
-@pytest.mark.parametrize("streams", [
-    # one shape's coordinates and grid under two tags: the tag is in the key
-    ((IdentityId.F3, None), (IdentityId.F4, None)),
-    # one tag's grid on two families, with every coordinate swept: the
-    # family and each of n, c, r, s and d are in the key
-    ((IdentityId.F6A, dataclasses.replace(default_grid(IdentityId.F6A),
-                                          families=(FAMILIES["fibonacci"],))),
-     (IdentityId.F6A, dataclasses.replace(default_grid(IdentityId.F6A),
-                                          families=(FAMILIES["gibonacci31"],)))),
-], ids=["F3-F4", "F6a-two-families"])
-def test_interleaved_lines_equal_points_alone(streams, alone):
-    keys = _interleaved(streams)
-    assert len(keys) > 2 * LINE_CAP
-    clear_line_memo()
-    pairs = [(key, _fields(evaluate_point(key[0], *key[1]))) for key in keys]
-    assert not _mismatches(pairs, alone)
+    assert not [(ident.value, point) for (ident, point), fields in pairs
+                if fields != _fields(alone[ident, point])]
 
 
 def _leaves(value):
@@ -100,17 +57,82 @@ def _leaves(value):
         yield value
 
 
-def test_memo_stays_bounded_and_keeps_only_numbers():
-    clear_line_memo()
-    reports = sweep(IdentityId.F6A) + sweep(IdentityId.F7)
-    assert len(reports) > 100 * LINE_CAP
-    lines = list(identities._LINES.values())
-    assert 0 < len(lines) <= LINE_CAP
-    kept = [leaf for line in lines for slot in type(line).__slots__
-            for leaf in _leaves(getattr(line, slot))]
+@pytest.mark.parametrize("ident, params, coords", [
+    (IdentityId.F6A, FAMILIES["gibonacci31"], dict(n=2, c=-1, r=2, s=2, d=1)),
+    # F7's ratio and base read the sequence itself
+    (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1)),
+], ids=["F6a", "F7"])
+def test_line_keeps_only_numbers(ident, params, coords, monkeypatch):
+    lines = []
+    real = identities.verify
+
+    def recording(inst):
+        lines.append(inst._line)
+        return real(inst)
+
+    monkeypatch.setattr(identities, "verify", recording)
+    a_values = tuple(range(coords["c"] - 1, coords["c"] + 6))
+    reports = list(evaluate_line(ident, params, a_values=a_values, **coords))
+    assert [report.a_n for report in reports] == list(a_values)
+    assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
+    # one line, shared by every point
+    assert len(lines) == len(a_values) and all(line is lines[0] for line in lines)
+    kept = [leaf for slot in type(lines[0]).__slots__
+            for leaf in _leaves(getattr(lines[0], slot))]
     assert any(isinstance(leaf, SumTerm) for leaf in kept)
     assert not any(isinstance(leaf, HoradamSequence) for leaf in kept)
-    assert {type(leaf) for leaf in kept} <= {int, Fraction, str, SumTerm, type(None)}
+    assert {type(leaf) for leaf in kept} <= {int, Fraction, SumTerm, type(None)}
+
+
+def test_instances_built_apart_share_nothing():
+    one, two = (IdentityInstance(IdentityId.F3, FIB, 3, 5, 1, 2, 0, 0) for _ in range(2))
+    assert one == two and one._line is not two._line
+    lhs_spec(one)
+    evaluate_rhs(one, EvalCounter())
+    assert one._line.summand is not None and one._line.closed is not None
+    assert two._line.summand is None and two._line.closed is None
+
+
+@pytest.mark.parametrize("ident, params, coords", [
+    # a fixed-family tag given no family: the report names the fixed one
+    (IdentityId.H, None, dict(n=2, c=2, r=1, s=0, d=0)),
+    (IdentityId.F6A, FIB, dict(n=3, c=1, r=1, s=0, d=0)),
+    (IdentityId.F3_W, FAMILIES["integer_root"], dict(n=1, c=1, r=1, s=0, d=0)),
+    (IdentityId.F5, FIB, dict(n=2, c=1, r=1, s=0, d=-1)),
+], ids=["H-fixed-form", "F6a-parity", "F3_w-restricted", "F5-r+d"])
+def test_invalid_line_gives_each_point_its_skip(ident, params, coords):
+    a_values = (coords["c"] - 2, coords["c"], coords["c"] + 4)
+    reports = list(evaluate_line(ident, params, a_values=a_values, **coords))
+    assert reports == [evaluate_point(ident, params, a_n=a_n, **coords) for a_n in a_values]
+    assert all(report.classification == CLASS_SKIPPED and report.detail
+               and report.params is not None for report in reports)
+
+
+def test_empty_line_gives_no_reports():
+    assert list(evaluate_line(IdentityId.F3, FIB, 2, (), 1, 1, 0, 0)) == []
+
+
+@pytest.mark.parametrize("ident, params", [(IdentityId.H, None), (IdentityId.F3, FIB)],
+                         ids=["H", "F3"])
+def test_point_on_a_line_equals_one_built_alone(ident, params):
+    line = IdentityInstance(ident, params, 2, 3, 1, 1, 0, 0)
+    for a_n in (-1, 3, 7):
+        point, built = line._at(a_n), IdentityInstance(ident, params, 2, a_n, 1, 1, 0, 0)
+        assert point == built and hash(point) == hash(built) and repr(point) == repr(built)
+        assert point._line is line._line
+
+
+def test_point_on_a_line_refuses_a_non_int():
+    line = IdentityInstance(IdentityId.F3, FIB, 2, 3)
+    with pytest.raises(TypeError, match="a_n must be an int"):
+        line._at(2.0)
+
+
+@pytest.mark.parametrize("n_values", [(1,), (0,)], ids=["valid-line", "invalid-line"])
+def test_non_int_a_value_refused_by_sweep(n_values):
+    grid = SweepGrid(families=(FIB,), n_values=n_values, a_values=(1, 2.0))
+    with pytest.raises(TypeError, match="a_n must be an int"):
+        list(iter_sweep(IdentityId.F3, grid))
 
 
 def test_outside_domain_follows_the_reversed_sum_convention(alone):

@@ -1,5 +1,5 @@
-"""Mutation check of the closed-form evaluators, of the grid-line memo, of
-the nested-sum oracle and its summand, and of the sequence terms.
+"""Mutation check of the closed-form evaluators, of the grid-line sharing,
+of the nested-sum oracle and its summand, and of the sequence terms.
 
     python3 tools/mutate_rhs.py
 
@@ -11,9 +11,10 @@ and ``and`` and ``or`` swap; and each integer constant is raised by 1. The
 targets are the lifted master form (``_lifted`` with its line part
 ``_lifted_line`` and point part ``_lifted_point``) and the right-hand-side
 functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` with
-its grid-line memo (the key and eviction of ``_line``, the verdict caching
-in ``IdentityInstance.__post_init__`` and the summand caching in
-``lhs_spec``), and, in ``horadam_sums.nestedcore``,
+its grid-line sharing (``evaluate_line``, which validates a line once, the
+validation in ``IdentityInstance.__post_init__``, the point copy
+``IdentityInstance._at`` and the summand caching in ``lhs_spec``), and, in
+``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
@@ -29,16 +30,15 @@ and this script import it under, so a mutated ``oracle_nested`` is what the
 closed forms are compared with and a mutated ``f_closed`` is what the Binet
 route runs.
 
-The grid-line memo of ``identities`` is emptied before the callers of each
-target are found, before the unmutated run and before each mutant, so no
-mutant reads what another left there. A mutant is killed when, for any tag
-whose evaluation calls the mutated function (every tag, for the oracle and
-the memo), a point of the tier-1 deep-depth grid
-(``tests/test_identities.py::_deep_instances``) or of the tag's default-grid
-sweep shows a mismatch, an error report or an exception, or when it runs
-longer than ``TIMEOUT_S``. It is also killed when a point of the sweep
-reports other ``closed_terms`` than in the unmutated run, when a deep-depth
-point rebuilt from its own fields is not the same point, or when a
+A mutant is killed when, for any tag whose evaluation calls the mutated
+function (every tag, for the oracle and the grid-line sharing), a point of
+the tier-1 deep-depth grid (``tests/test_identities.py::_deep_instances``)
+or of the tag's default-grid sweep shows a mismatch, an error report or an
+exception, or when it runs longer than ``TIMEOUT_S``. It is also killed
+when a report of the sweep differs in any field but the two times from the
+unmutated run's, when ``evaluate_point`` at a deep-depth point differs in
+the same way from ``verify`` of it, when a deep-depth point rebuilt from
+its own fields is not the same point, or when a
 deep-depth point's closed form, evaluated first on a counter that already
 holds a count (which makes its grid line's part), then on a fresh counter
 and on none (which read that part back), gives another value or adds
@@ -110,8 +110,6 @@ KNOWN_SURVIVORS = {
     "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "HoradamSequence.term: if j >= hi:": "a miss lies outside [lo, hi], so j never equals hi",
-    "_line: if len(_LINES) >= LINE_CAP:": "keeping one line fewer changes what is remade, "
-    "never a value or a count: a memo hit adds the units its part tallied",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
 }
@@ -127,7 +125,8 @@ ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term")
-LINE_TARGETS = ("_line", "IdentityInstance.__post_init__", "lhs_spec")
+LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
+                "lhs_spec")
 
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
 # scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
@@ -368,10 +367,16 @@ def _sequence_broken() -> bool:
 
 
 
-def _killed(tags: list, closed_terms: dict, oracle: bool = False) -> bool:
+def _fields(report) -> tuple:
+    """Every field of a report but its two times."""
+    return tuple(getattr(report, f.name) for f in dataclasses.fields(report)
+                 if f.name not in ("oracle_ns", "closed_ns"))
+
+
+def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
     """True when a tag's deep-depth points or default sweep fail (see the
-    module docstring), or its sweep's per-point ``closed_terms`` differ from
-    ``closed_terms[tag]``; a tag not yet there has its counts recorded."""
+    module docstring), or its sweep's reports differ from ``swept[tag]``
+    but in their times; a tag not yet there has its reports recorded."""
     if oracle and _kernel_broken():
         return True
     for ident in tags:
@@ -387,12 +392,15 @@ def _killed(tags: list, closed_terms: dict, oracle: bool = False) -> bool:
             if value != oracle_nested(ids.lhs_spec(one)) or value != ids.evaluate_rhs(one, fresh) \
                     or value != ids.evaluate_rhs(one) or used.count - 1 != fresh.count:
                 return True
-        counts = []
+            coords = (one.params, one.n, one.a_n, one.c, one.r, one.s, one.d)
+            if _fields(ids.evaluate_point(ident, *coords)) != _fields(ids.verify(one)):
+                return True
+        reports = []
         for report in ids.iter_sweep(ident):
             if report.classification in (ids.CLASS_MISMATCH, ids.CLASS_ERROR):
                 return True
-            counts.append(report.closed_terms)
-        if closed_terms.setdefault(ident, counts) != counts:
+            reports.append(_fields(report))
+        if swept.setdefault(ident, reports) != reports:
             return True
     return False
 
@@ -405,12 +413,10 @@ def main() -> int:
     start = time.perf_counter()
     funcs = _targets(ids) + _targets(nc) + _targets(sq)
     registry = dict(ids._REGISTRY)
-    ids.clear_line_memo()
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS + LINE_TARGETS})
-    closed_terms: dict = {}
-    ids.clear_line_memo()
-    if _killed(list(ids.IdentityId), closed_terms, oracle=True) or _geometric_broken() \
+    swept: dict = {}
+    if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
             or _summand_broken() or _sequence_broken():
         print("the unmutated code already fails the check")
         return 2
@@ -425,7 +431,6 @@ def main() -> int:
             setattr(node, field, replacement)
             key = f"{name}: {_statement(func, node)}"
             total += 1
-            ids.clear_line_memo()
             signal.alarm(TIMEOUT_S)
             try:
                 _install(module, owner, func)
@@ -434,10 +439,10 @@ def main() -> int:
                 elif module is sq:
                     dead = _sequence_broken()
                 elif name in SUMMAND_TARGETS:
-                    dead = _summand_broken() or _killed(list(ids.IdentityId), closed_terms) \
+                    dead = _summand_broken() or _killed(list(ids.IdentityId), swept) \
                         or _geometric_broken()
                 else:
-                    dead = _killed(callers[name], closed_terms, oracle=module is nc)
+                    dead = _killed(callers[name], swept, oracle=module is nc)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
