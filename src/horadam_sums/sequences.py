@@ -18,9 +18,10 @@ index:
 * A dense window of consecutive terms, at most ``WINDOW_CAP`` long, serves
   the small indices that sweeps and oracles read again and again. A miss
   within ``WALK_GAP`` of the window's edge extends it by running the
-  recurrence forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``.
-  The walk runs on ints scaled by one common denominator, which grows by a
-  fixed int factor per step, and makes one normalised ``Fraction`` per
+  recurrence forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``,
+  itself a second-order recurrence (coefficients p/q and 1/q). Either way
+  it is one walk on ints scaled by a common denominator, which grows by a
+  fixed int factor per step, and it makes one normalised ``Fraction`` per
   term it stores.
 * Every other index is computed, not stored, by doubling the Lucas pair
   (U_j, V_j) of (p, q) in O(log |j|) integer products (Joye & Quisquater,
@@ -185,12 +186,14 @@ class HoradamSequence:
     what it passes, as long as the window stays within ``WINDOW_CAP`` terms;
     any other index comes from :func:`doubled_term` and is not stored.
 
-    The walk starts from the two edge terms over L, the lcm of their
-    denominators, and runs on ints: with m = lcm(den p, den q), P = m*p and
-    Q = m*m*q, upwards X_k = P*X_{k-1} - Q*X_{k-2} with
-    W_k = X_k / (L*m**(k-hi+1)), downwards Y_k = P*m*Y_{k+1} - m*m*Q*Y_{k+2}
-    with W_k = Y_k / (L*Q**(lo+1-k)). Each stored term is one ``Fraction``,
-    written before the window's edge moves past it.
+    The walk steps k by s from the edge e, (e, s) = (hi, 1) upwards and
+    (lo, -1) downwards, and starts from W_{e-s} and W_e over L, the lcm of
+    their denominators. With m = lcm(den p, den q), P = m*p and Q = m*m*q it
+    runs on ints X_k = A*X_{k-s} - B*X_{k-2s} with W_k = X_k / (L*g**(s*(k-e)+1)),
+    where (A, B, g) is (P, Q, m) upwards and (P*m, m*m*Q, Q) downwards, the
+    reversed recurrence W_k = (p/q)*W_{k+1} - (1/q)*W_{k+2} scaled by Q per
+    step. Each stored term is one ``Fraction``, written before the window's
+    edges move past it.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
     of the same underlying sequence hit one window. The registry ``_shared``
@@ -233,31 +236,20 @@ class HoradamSequence:
                 and max(hi, j) - min(lo, j) < WINDOW_CAP):
             return doubled_term(self.params, j)
         m, big_p, big_q = _scaled_pq(self.params)
-        if j > hi:
+        edge, step, mul, sub, grow = ((hi, 1, big_p, big_q, m) if j > hi
+                                      else (lo, -1, big_p * m, m * m * big_q, big_q))
+        w0, w1 = memo[edge - step], memo[edge]
+        scale = lcm(w0.denominator, w1.denominator)
+        x0 = w0.numerator * (scale // w0.denominator)
+        scale *= grow
+        x1 = w1.numerator * (scale // w1.denominator)
+        for k in range(edge + step, j + step, step):
+            x0, x1 = x1, mul * x1 - sub * x0
+            scale *= grow
             # over 1, Fraction(x) skips a gcd and a division by 1, which on a
             # 10**4-bit x cost several times a whole step
-            w0, w1 = memo[hi - 1], memo[hi]
-            scale = lcm(w0.denominator, w1.denominator)
-            x0 = w0.numerator * (scale // w0.denominator)
-            scale *= m
-            x1 = w1.numerator * (scale // w1.denominator)
-            for k in range(hi + 1, j + 1):
-                x0, x1 = x1, big_p * x1 - big_q * x0
-                scale *= m
-                memo[k] = Fraction(x1) if scale == 1 else Fraction(x1, scale)
-                self._hi = k
-        else:
-            w0, w1 = memo[lo + 1], memo[lo]
-            scale = lcm(w0.denominator, w1.denominator)
-            y0 = w0.numerator * (scale // w0.denominator)
-            y1 = w1.numerator * (scale // w1.denominator) * big_q
-            scale *= big_q
-            up, down = big_p * m, m * m * big_q
-            for k in range(lo - 1, j - 1, -1):
-                y0, y1 = y1, up * y1 - down * y0
-                scale *= big_q
-                memo[k] = Fraction(y1) if scale == 1 else Fraction(y1, scale)
-                self._lo = k
+            memo[k] = Fraction(x1) if scale == 1 else Fraction(x1, scale)
+        self._lo, self._hi = min(lo, j), max(hi, j)
         return memo[j]
 
     def __repr__(self) -> str:

@@ -600,6 +600,13 @@ class TestLemmasCommand:
         assert code == 0
         assert "degenerate discriminant" in out
 
+    @pytest.mark.parametrize("points,checks", [(400, 6156), (10, 1296)])
+    def test_points_set_the_family_count(self, capsys, points, checks):
+        # max(points // 20, 5) families, the D = 0 built-in skipped, 9 x 9 (r, d) x L1-L4
+        code, out, _ = run_cli(capsys, "lemmas", "--seed", "0", "--points", str(points))
+        assert code == 0
+        assert f"root-shift residuals: {checks} checks, 0 failures, 1 families skipped" in out
+
 
 @pytest.mark.parametrize("identity", [ident.value for ident in IdentityId])
 def test_default_sweep_matches_golden(capsys, identity):

@@ -118,6 +118,9 @@ class TestBoundedTerms:
            moves=st.lists(st.sampled_from(sorted(READ_STEPS)), min_size=1, max_size=8))
     @example(a=Fraction(1, 2), b=Fraction(3), p=Fraction(2), q=Fraction(1),  # D = 0
              moves=["up_edge", "up", "down_edge", "down", "up_past", "down_past"])
+    # a negative, non-integral q: the downward walk's scale grows by a negative Q
+    @example(a=Fraction(3, 2), b=Fraction(-1), p=Fraction(5, 2), q=Fraction(-2, 3),
+             moves=["down_edge", "down", "up_edge", "down_past"])
     def test_int_walk_matches_walk(self, a, b, p, q, moves):
         params = horadam(a, b, p, q)
         seq = HoradamSequence(params)

@@ -1,5 +1,6 @@
 """Mutation check of the closed-form evaluators, of the grid-line sharing,
-of the nested-sum oracle and its summand, and of the sequence terms.
+of the nested-sum oracle and its summand, of the sequence terms and of the
+binomials.
 
     python3 tools/mutate_rhs.py
 
@@ -7,9 +8,10 @@ Each mutant changes one operator or constant in one target function:
 ``+`` and ``-`` swap, ``*`` and ``/`` swap, ``%`` becomes ``//``, ``**``
 becomes ``*`` and ``//`` becomes ``/`` (augmented assignments included);
 ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and ``is not``,
-and ``and`` and ``or`` swap; and each integer constant is raised by 1. The
-targets are the lifted master form (``_lifted`` with its line part
-``_lifted_line`` and point part ``_lifted_point``) and the right-hand-side
+and ``and`` and ``or`` swap; and each integer constant of the function's
+body is raised by 1 (its signature, with defaults and annotations, is left
+as it is). The targets are the lifted master form (``_lifted`` with its
+line part ``_lifted_line`` and point part ``_lifted_point``) and the right-hand-side
 functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` with
 its grid-line sharing (``evaluate_line``, which validates a line once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
@@ -18,9 +20,10 @@ validation in ``IdentityInstance.__post_init__``, the point copy
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
-in ``horadam_sums.sequences``, the window walks of ``HoradamSequence.term``
+in ``horadam_sums.sequences``, the window walk of ``HoradamSequence.term``
 and the far-term doubling ``doubled_term`` with its Lucas pair
-``_lucas_pair``, and the int scaling ``_scaled_pq`` both share. An ``if``
+``_lucas_pair``, and the int scaling ``_scaled_pq`` both share, and
+``binom`` of ``horadam_sums.combinatorics``. An ``if``
 mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
 class), so every caller (the registry, ``_rhs_F5``'s and ``_rhs_F6``'s
@@ -66,6 +69,10 @@ walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or when a fresh
 and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a window other
 than the walk policy gives; both sides of an identity read the same terms,
 so lhs == rhs cannot see a wrong one.
+A ``binom`` mutant is killed when it misses
+``tests/_util.py::falling_binom``, in value or in exact type (int), at any
+top from -45 to 45 and k from 0 to 27, or when it no longer raises
+``ValueError`` for a negative k.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives (2 when the unmutated
@@ -88,6 +95,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import _util  # noqa: E402
+import horadam_sums.combinatorics as cb  # noqa: E402
 import horadam_sums.identities as ids  # noqa: E402
 import horadam_sums.nestedcore as nc  # noqa: E402
 import horadam_sums.sequences as sq  # noqa: E402
@@ -109,9 +117,15 @@ KNOWN_SURVIVORS = {
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
-    "HoradamSequence.term: if j >= hi:": "a miss lies outside [lo, hi], so j never equals hi",
+    "HoradamSequence.term: edge, step, mul, sub, grow = (hi, 1, big_p, big_q, m) if j >= hi "
+    "else (lo, -1, big_p * m, m * m * big_q, big_q)":
+    "a miss lies outside [lo, hi], so j never equals hi",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
+    "binom: if 0 < top < k:": "at top = 0 the loop's first factor top - i + 1 is 0, "
+    "so the loop returns the 0 the guard does",
+    "binom: if 1 <= top < k:": "at top = 0 the loop's first factor top - i + 1 is 0, "
+    "so the loop returns the 0 the guard does",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -127,6 +141,7 @@ GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec")
+BINOM_TARGETS = ("binom",)
 
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
 # scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
@@ -166,6 +181,8 @@ POLES = (("master_E", (Fraction(0),)), ("master_E", (Fraction(1),)),
 def _is_target(module, name: str) -> bool:
     if module is sq:
         return name in SEQUENCE_TARGETS
+    if module is cb:
+        return name in BINOM_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
     return name.startswith(("_lifted", "rhs_", "_rhs_")) or name in LINE_TARGETS
@@ -186,9 +203,11 @@ def _targets(module) -> list:
 
 
 def _sites(func: ast.FunctionDef) -> list:
-    """Every mutable (node, field, replacement) in ``func``, in source order."""
+    """Every mutable (node, field, replacement) in the body of ``func``,
+    statement by statement; the signature's defaults and annotations, which
+    no statement holds, are left out."""
     sites = []
-    for node in ast.walk(func):
+    for node in (node for stmt in func.body for node in ast.walk(stmt)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
             sites.append((node, "op", _SWAPS[type(node.op)]()))
         elif isinstance(node, ast.BoolOp):
@@ -366,6 +385,25 @@ def _sequence_broken() -> bool:
                           _walked(CAP_FAMILY, reads[0], reads[-1]), reads)
 
 
+# C(top, k) for every (top, k) a binom mutant is held to
+BINOMS = {(top, k): _util.falling_binom(top, k) for top in range(-45, 46) for k in range(28)}
+
+
+def _binom_broken() -> bool:
+    """True when ``binom`` misses the falling-factorial definition, in value
+    or exact type, or returns for a negative k instead of raising."""
+    for (top, k), expected in BINOMS.items():
+        value = cb.binom(top, k)
+        if value != expected or type(value) is not int:
+            return True
+    for top in (-3, 0, 3):
+        try:
+            cb.binom(top, -1)
+        except ValueError:
+            continue
+        return True
+    return False
+
 
 def _fields(report) -> tuple:
     """Every field of a report but its two times."""
@@ -411,13 +449,13 @@ def _on_alarm(signum, frame):
 
 def main() -> int:
     start = time.perf_counter()
-    funcs = _targets(ids) + _targets(nc) + _targets(sq)
+    funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb)
     registry = dict(ids._REGISTRY)
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS + LINE_TARGETS})
     swept: dict = {}
     if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
-            or _summand_broken() or _sequence_broken():
+            or _summand_broken() or _sequence_broken() or _binom_broken():
         print("the unmutated code already fails the check")
         return 2
     signal.signal(signal.SIGALRM, _on_alarm)
@@ -438,6 +476,8 @@ def main() -> int:
                     dead = _geometric_broken()
                 elif module is sq:
                     dead = _sequence_broken()
+                elif module is cb:
+                    dead = _binom_broken()
                 elif name in SUMMAND_TARGETS:
                     dead = _summand_broken() or _killed(list(ids.IdentityId), swept) \
                         or _geometric_broken()
