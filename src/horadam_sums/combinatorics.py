@@ -6,15 +6,12 @@ from __future__ import annotations
 def binom(top: int, k: int) -> int:
     """C(top, k) by the falling factorial top*(top-1)*...*(top-k+1) / k!.
 
-    Defined for any integer ``top`` and ``k >= 0``: zero when 0 <= top < k,
-    alternating-sign values when top is negative.
+    Defined for any integer ``top`` and ``k >= 0``: zero when 0 <= top < k
+    (the factor at i = top + 1 is 0), alternating-sign values when top is
+    negative.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return 1
-    if 0 <= top < k:
-        return 0
     result = 1
     for i in range(1, k + 1):
         # each prefix is itself a binomial coefficient, so // is exact

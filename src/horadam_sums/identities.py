@@ -237,7 +237,7 @@ def _f3_summand(inst: IdentityInstance) -> SumTerm:
 
 def _f4_summand(inst: IdentityInstance) -> SumTerm:
     return SumTerm(seq=inst.params, index_mul=2 * inst.r, index_add=inst.s,
-                   weight_base=inst.params.q ** -inst.r, alternating=True)
+                   weight_base=-inst.params.q ** -inst.r)
 
 
 def _f5_violation(inst: IdentityInstance) -> Optional[str]:
@@ -308,7 +308,7 @@ def _f7_r1d0_violation(inst: IdentityInstance) -> Optional[str]:
 _H = _Shape("", lambda inst: SumTerm(seq=inst.params), _h_violation)
 _F1 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s))
 _F2 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s,
-                                        alternating=True))
+                                        weight_base=-1))
 _F3 = _Shape("crs", _f3_summand, _v_r_violation)
 _F4 = _Shape("crs", _f4_summand, _v_r_violation)
 _F5 = _Shape("crsd", _f5_summand, _f5_violation)
@@ -640,17 +640,19 @@ class SweepGrid:
 
 def _sweep_axes(identity: IdentityId, grid: Optional[SweepGrid]) -> tuple:
     """The values ``(families, n, c, r, s, d)`` a grid sweeps for a tag, and
-    the grid. ``families`` is ``(None,)`` for a tag with a fixed family; the
-    coordinates the tag does not sweep keep their defaults."""
+    the grid. ``families`` is the grid's when it has any, so a family other
+    than a fixed tag's own is swept and skipped, and ``(None,)`` for a fixed
+    tag's grid without one; the coordinates the tag does not sweep keep
+    their defaults."""
     record = _REGISTRY[identity]
     if grid is None:
         grid = record.grid
     dims = record.shape.dims
     families: Tuple[Optional[HoradamParams], ...]
-    if record.fixed is not None:
-        families = (None,)
-    elif grid.families:
+    if grid.families:
         families = grid.families
+    elif record.fixed is not None:
+        families = (None,)
     else:
         raise ValueError(f"{identity} needs at least one parameter family")
     c_values = grid.c_values if "c" in dims else (1,)
@@ -854,14 +856,10 @@ _REGISTRY: Dict[IdentityId, _Record] = {
                                   family=_GIBONACCI, parity=0),
     IdentityId.F6_G_ODD: _Record(_F6, rhs_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
                                  family=_GIBONACCI, parity=1),
-    IdentityId.F6_F_EVEN: _Record(_F6, rhs_F6_F, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
-                                  fixed=FIBONACCI, parity=0),
-    IdentityId.F6_F_ODD: _Record(_F6, rhs_F6_F, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
-                                 fixed=FIBONACCI, parity=1),
-    IdentityId.F6_L_EVEN: _Record(_F6, rhs_F6_L, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
-                                  fixed=LUCAS, parity=0),
-    IdentityId.F6_L_ODD: _Record(_F6, rhs_F6_L, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
-                                 fixed=LUCAS, parity=1),
+    IdentityId.F6_F_EVEN: _Record(_F6, rhs_F6_F, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
+    IdentityId.F6_F_ODD: _Record(_F6, rhs_F6_F, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
+    IdentityId.F6_L_EVEN: _Record(_F6, rhs_F6_L, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
+    IdentityId.F6_L_ODD: _Record(_F6, rhs_F6_L, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
     IdentityId.F7_W: _Record(_F7, rhs_F7, _f7_special_grid(_RESTRICTED_FAMILIES),
                              family=_RESTRICTED),
     IdentityId.F7_G: _Record(_F7, rhs_F7, _f7_special_grid(_GIBONACCI_FAMILIES),

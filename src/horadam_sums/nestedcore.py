@@ -71,13 +71,13 @@ class EvalCounter:
 class SumTerm:
     """Innermost summand of a nested sum.
 
-    The value at index ``k`` is the product of up to three factors:
-    a sequence term ``seq[index_mul*k + index_add]``, a geometric weight
-    ``weight_base**k`` and, when ``alternating``, the sign ``(-1)**k``.
-    An omitted factor contributes 1. The weight base is an int or a
-    ``Fraction`` (an int becomes a ``Fraction``; any other type raises
-    ``TypeError``) and must be nonzero so that negative indices stay
-    well-defined. ``index_mul`` and ``index_add`` must be ints.
+    The value at index ``k`` is the product of up to two factors: a
+    sequence term ``seq[index_mul*k + index_add]`` and a geometric weight
+    ``weight_base**k``. An omitted factor contributes 1. A sign ``(-1)**k``
+    is a negative base: ``(-1)**k * b**k`` is ``(-b)**k``. The weight base
+    is an int or a ``Fraction`` (an int becomes a ``Fraction``; any other
+    type raises ``TypeError``) and must be nonzero so that negative indices
+    stay well-defined. ``index_mul`` and ``index_add`` must be ints.
 
     Construction also resolves the sequence's :class:`HoradamSequence` once
     (``_sequence``) and decides once whether the weight is read at all
@@ -89,7 +89,6 @@ class SumTerm:
     index_mul: int = 1
     index_add: int = 0
     weight_base: Optional[Fraction] = None
-    alternating: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.index_mul, int) and isinstance(self.index_add, int)):
@@ -113,8 +112,8 @@ class SumTerm:
     def value(self, k: int,
               weight: Union[int, Fraction, None] = None) -> Union[int, Fraction]:
         """The summand at ``k``. ``weight`` stands in for ``weight_base**k``:
-        the result is ``value(k) * weight / weight_base**k`` (the signed
-        weight itself when there is no sequence), so a caller may pass any
+        the result is ``value(k) * weight / weight_base**k`` (the weight
+        itself when there is no sequence), so a caller may pass any
         multiple of the power; :func:`oracle_nested` passes an int. A summand
         without a base, or with a base of 1, reads no weight.
 
@@ -137,17 +136,15 @@ class SumTerm:
                     result = result * weight
                     if type(weight) is int and result.denominator == 1:
                         result = result.numerator
-        if self.alternating and k % 2:
-            result = -result
         return result
 
 
 ONES = SumTerm()
 
 
-def geometric_term(base: Fraction, alternating: bool = False) -> SumTerm:
-    """Summand ``base**k`` (optionally times ``(-1)**k``)."""
-    return SumTerm(weight_base=base, alternating=alternating)
+def geometric_term(base: Fraction) -> SumTerm:
+    """Summand ``base**k``; an alternating one has a negative base."""
+    return SumTerm(weight_base=base)
 
 
 @dataclass(frozen=True)
@@ -341,7 +338,7 @@ def varied_limit_reduction(spec: NestedSumSpec,
     still evaluated as written, so callers can map that domain empirically.
     """
     summand = spec.term
-    if summand.seq is not None or summand.alternating or summand.weight_base is None:
+    if summand.seq is not None or summand.weight_base is None:
         raise ValueError("reduction applies to pure geometric summands x**k")
     x = summand.weight_base
     if x == 0 or x == 1:

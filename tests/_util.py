@@ -59,15 +59,14 @@ def _walked(params):
 
 
 def summand_fn(term):
-    """k -> W[m*k + s] * base**k, times (-1)**k when the summand alternates,
-    read off a summand's fields, with W from a plain recurrence walk
+    """k -> W[m*k + s] * base**k read off a summand's fields, an alternating
+    sign included in a negative base, with W from a plain recurrence walk
     (|m*k + s| <= 64) and none of the summand's own code."""
     base = Fraction(1) if term.weight_base is None else term.weight_base
-    sign = -1 if term.alternating else 1
 
     def value(k):
         w = 1 if term.seq is None else _walked(term.seq)[term.index_mul * k + term.index_add]
-        return w * (sign * base) ** k
+        return w * base ** k
 
     return value
 
@@ -124,11 +123,11 @@ def _binet_form(params):
 def binet_route(spec):
     """The nested sum ``spec`` through root powers, for a uniform lower limit.
 
-    The summand of ``spec.term`` is W[mk+s] * (eps*w)**k with eps = -1 when it
-    alternates, and W[j] = A*tau**j + B*sigma**j, so the sum splits into
-    A*tau**s*N(eps*w*tau**m) + B*sigma**s*N(eps*w*sigma**m), where N(y) is the
+    The summand of ``spec.term`` is W[mk+s] * w**k, with an alternating sign
+    in a negative base w, and W[j] = A*tau**j + B*sigma**j, so the sum splits
+    into A*tau**s*N(w*tau**m) + B*sigma**s*N(w*sigma**m), where N(y) is the
     depth-n nested sum of y**k: ``f_closed(y, 1, ...)``, or ``nested_ones`` at
-    y = 1. A summand with no sequence is N(eps*w). The value is a Fraction
+    y = 1. A summand with no sequence is N(w). The value is a Fraction
     when the roots are rational (or there are none) and a QuadExt otherwise;
     a QuadExt equals a Fraction only when its surd part is zero, so comparing
     it with the oracle also checks that part.
@@ -139,8 +138,6 @@ def binet_route(spec):
     n, upper, (c,) = spec.depth, spec.upper, limits
     term = spec.term
     base = Fraction(1) if term.weight_base is None else term.weight_base
-    if term.alternating:
-        base = -base
 
     def nested(y):
         return nested_ones(n, upper, c) if y == 1 else f_closed(y, 1, n, upper, c)

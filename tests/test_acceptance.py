@@ -300,7 +300,7 @@ def test_criterion_7_oracle_self_consistency():
              SumTerm(seq=FAMILIES["generic"], index_mul=2, index_add=-1),
              SumTerm(seq=FAMILIES["negative_d"], index_mul=-1, index_add=2),
              geometric_term(Fraction(2)),
-             geometric_term(Fraction(1, 2), alternating=True),
+             geometric_term(Fraction(-1, 2)),
              SumTerm(seq=FIBONACCI, weight_base=Fraction(-3, 2))]
     for summand in terms:
         for depth in range(1, 6):

@@ -325,6 +325,29 @@ class TestSweepCommand:
         assert all(row["class"] == "skipped" for row in rows)
         assert "skipped=3" in err
 
+    def test_other_family_on_a_fixed_family_tag_skipped_as_in_verify(self, capsys):
+        point = ("--identity", "F1a", "--family", "lucas", "--c", "1", "--s", "0",
+                 "--format", "jsonl")
+        code, out, err = run_cli(capsys, "sweep", *point, "--n", "1..2", "--an", "1..3")
+        assert code == 0 and "skipped=6" in err
+        rows = []
+        for n in (1, 2):
+            for a_n in (1, 2, 3):
+                _, row, _ = run_cli(capsys, "verify", *point, "--n", str(n), "--an", str(a_n))
+                assert json.loads(row)["class"] == "skipped"
+                rows.append(row)
+        assert out == "".join(rows)
+
+    def test_fixed_family_tag_sweeps_each_named_family(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--identity", "F6_F_even",
+                                 "--family", "fibonacci", "--family", "lucas", "--n", "2",
+                                 "--c", "1", "--r", "1", "--s", "0", "--d", "0",
+                                 "--an", "1..3")
+        assert code == 0 and "verified=3" in err and "skipped=3" in err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(row["params"]["a"], row["class"]) for row in rows] == \
+            [("0/1", "verified")] * 3 + [("2/1", "skipped")] * 3
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rows.jsonl"
         code, out, _ = run_cli(capsys, "sweep", "--identity", "F1a", "--n", "1",

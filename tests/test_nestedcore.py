@@ -33,7 +33,8 @@ class TestSumTerm:
         assert summand.value(2) == 21  # F[8]
 
     def test_weight_and_alternation(self):
-        summand = SumTerm(seq=FIBONACCI, weight_base=Fraction(1, 2), alternating=True)
+        # an alternating weight is a negative base
+        summand = SumTerm(seq=FIBONACCI, weight_base=Fraction(-1, 2))
         assert summand.value(3) == -Fraction(2, 8)
 
     def test_negative_index_weight(self):
@@ -45,8 +46,8 @@ class TestSumTerm:
             SumTerm(weight_base=Fraction(0))
 
     def test_unit_base_kept_as_a_field(self):
-        unit = SumTerm(seq=FIBONACCI, weight_base=Fraction(1), alternating=True)
-        plain = SumTerm(seq=FIBONACCI, alternating=True)
+        unit = SumTerm(seq=FIBONACCI, weight_base=Fraction(1))
+        plain = SumTerm(seq=FIBONACCI)
         assert unit.weight_base == 1 and unit != plain
         assert repr(unit) == repr(plain).replace("weight_base=None", "weight_base=Fraction(1, 1)")
         for k in range(-4, 5):
@@ -70,11 +71,10 @@ class TestSumTerm:
 @given(base=st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda x: x != 0),
        seq=st.none() | st.sampled_from([FIBONACCI, horadam(2, 5, 1, 3),
                                         horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
-       k=st.integers(-12, 12), alternating=st.booleans())
-def test_value_with_weight_matches_power(base, seq, k, alternating):
+       k=st.integers(-12, 12))
+def test_value_with_weight_matches_power(base, seq, k):
     """value(k, base**k) is value(k) exactly."""
-    summand = SumTerm(seq=seq, index_mul=2, index_add=-1, weight_base=base,
-                      alternating=alternating)
+    summand = SumTerm(seq=seq, index_mul=2, index_add=-1, weight_base=base)
     plain = summand.value(k)
     weighted = summand.value(k, base ** k)
     assert type(weighted) is type(plain) is Fraction
@@ -86,20 +86,19 @@ def test_value_with_weight_matches_power(base, seq, k, alternating):
            lambda x: x != 0),
        seq=st.none() | st.sampled_from([FIBONACCI, GENERIC, INTEGER_ROOT,
                                         horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
-       index_mul=st.integers(-2, 3), k=st.integers(-12, 12), alternating=st.booleans(),
+       index_mul=st.integers(-2, 3), k=st.integers(-12, 12),
        weight=st.integers(-10 ** 6, 10 ** 6))
-@example(base=Fraction(3), seq=INTEGER_ROOT, index_mul=1, k=0, alternating=False, weight=2)
-@example(base=Fraction(3), seq=INTEGER_ROOT, index_mul=1, k=0, alternating=False, weight=3)
-def test_value_is_linear_in_an_int_weight(base, seq, index_mul, k, alternating, weight):
+@example(base=Fraction(3), seq=INTEGER_ROOT, index_mul=1, k=0, weight=2)
+@example(base=Fraction(3), seq=INTEGER_ROOT, index_mul=1, k=0, weight=3)
+def test_value_is_linear_in_an_int_weight(base, seq, index_mul, k, weight):
     """value(k, w) is value(k) * w / weight_base**k for an int w, as the oracle
-    passes it; with no sequence that is the signed weight itself, and a summand
+    passes it; with no sequence that is the weight itself, and a summand
     without a base, or with a base of 1, reads no weight and gives a Fraction.
     A weight read gives an int exactly when the value is integral: an integral
     term takes the int product, and a non-integral one (W[j] at negative j
     when |q| != 1, as INTEGER_ROOT's W[-1] = -1/2, or over rational p, q) a
     Fraction product that may still be integral."""
-    summand = SumTerm(seq=seq, index_mul=index_mul, index_add=-1, weight_base=base,
-                      alternating=alternating)
+    summand = SumTerm(seq=seq, index_mul=index_mul, index_add=-1, weight_base=base)
     weighted = summand.value(k, weight)
     if base is None or base == 1:
         assert weighted == summand.value(k)
@@ -109,7 +108,7 @@ def test_value_is_linear_in_an_int_weight(base, seq, index_mul, k, alternating, 
         assert weighted == expected
         assert type(weighted) is (int if expected.denominator == 1 else Fraction)
         if seq is None:
-            assert weighted == (-weight if alternating and k % 2 else weight)
+            assert weighted == weight
 
 
 class TestSpec:
@@ -218,7 +217,7 @@ class TestOracles:
                  SumTerm(seq=FIBONACCI),
                  SumTerm(seq=GENERIC, index_mul=2, index_add=-1),
                  geometric_term(Fraction(3, 2)),
-                 geometric_term(Fraction(-2), alternating=True),
+                 geometric_term(Fraction(2)),
                  SumTerm(seq=FIBONACCI, index_mul=1, weight_base=Fraction(1, 2))]
         for summand in terms:
             for depth, c in product(range(1, 4), (-1, 1)):
@@ -259,8 +258,7 @@ def kernel_specs(draw):
                                      nonzero_small, nonzero_small))
     weight = draw(st.none() | nonzero_small)
     summand = SumTerm(seq=seq, index_mul=draw(st.integers(-2, 3)),
-                      index_add=draw(st.integers(-3, 3)), weight_base=weight,
-                      alternating=draw(st.booleans()))
+                      index_add=draw(st.integers(-3, 3)), weight_base=weight)
     return NestedSumSpec(depth, upper, limits, summand)
 
 
@@ -273,8 +271,7 @@ KERNEL_CASES = (
     NestedSumSpec(3, 3, (0, 5, 1), SumTerm(seq=FIBONACCI)),
     NestedSumSpec(2, 3, (0, 5), SumTerm(seq=FIBONACCI)),
     NestedSumSpec(4, 6, (-3, 2, -1, 0),
-                  SumTerm(seq=GENERIC, index_mul=-1, weight_base=Fraction(-2, 3),
-                          alternating=True)),
+                  SumTerm(seq=GENERIC, index_mul=-1, weight_base=Fraction(2, 3))),
     NestedSumSpec(3, 5, (1, -2, 2), SumTerm(seq=GENERIC, index_add=-4,
                                              weight_base=Fraction(-5, 3))),
     NestedSumSpec(2, 4, (2, 0), geometric_term(Fraction(3, 2))),
@@ -283,13 +280,12 @@ KERNEL_CASES = (
     # takes an lcm: a sequence over rational p, q at negative indices, weighted
     NestedSumSpec(3, 4, (-5, -1, -2),
                   SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)),
-                          weight_base=Fraction(3, 2), alternating=True)),
+                          weight_base=Fraction(-3, 2))),
     # a middle level's limit above the upper limit, the outermost's below it:
     # every chain count is zero, and the zero is a Fraction
     NestedSumSpec(4, 4, (0, 2, 6, 1), SumTerm(seq=GENERIC, weight_base=Fraction(1, 2))),
     # an int weight base (v = 1) under a negative lower limit, alternating
-    NestedSumSpec(3, 3, (-3, -1, 0), SumTerm(seq=GENERIC, index_add=1, weight_base=3,
-                                             alternating=True)),
+    NestedSumSpec(3, 3, (-3, -1, 0), SumTerm(seq=GENERIC, index_add=1, weight_base=-3)),
     # unweighted, over rational p, q at negative indices: the lcm with v = 1
     NestedSumSpec(2, 1, -6, SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)))),
     # |u| > 1 and v > 1 on a one-index range
@@ -345,8 +341,7 @@ def route_specs(draw):
                                      small_rationals, _square_pq | _any_pq))
     summand = SumTerm(seq=seq, index_mul=draw(st.integers(-2, 3)),
                       index_add=draw(st.integers(-3, 3)),
-                      weight_base=draw(st.none() | nonzero_small),
-                      alternating=draw(st.booleans()))
+                      weight_base=draw(st.none() | nonzero_small))
     return NestedSumSpec(depth, upper, c, summand)
 
 

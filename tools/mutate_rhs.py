@@ -1,6 +1,6 @@
 """Mutation check of the closed-form evaluators, of the grid-line sharing,
-of the nested-sum oracle and its summand, of the sequence terms and of the
-binomials.
+of the preconditions, of the nested-sum oracle and its summand, of the
+sequence terms and of the binomials.
 
     python3 tools/mutate_rhs.py
 
@@ -15,7 +15,8 @@ line part ``_lifted_line`` and point part ``_lifted_point``) and the right-hand-
 functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` with
 its grid-line sharing (``evaluate_line``, which validates a line once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
-``IdentityInstance._at`` and the summand caching in ``lhs_spec``), and, in
+``IdentityInstance._at`` and the summand caching in ``lhs_spec``) and its
+preconditions (``_violation`` and every ``_*_violation``), and, in
 ``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
@@ -26,9 +27,10 @@ and the far-term doubling ``doubled_term`` with its Lucas pair
 ``binom`` of ``horadam_sums.combinatorics``. An ``if``
 mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
-class), so every caller (the registry, ``_rhs_F5``'s and ``_rhs_F6``'s
-wrappers, ``verify``, ``f_closed``, ``HoradamSequence.term``, both oracles)
-runs it; it is also bound to the names ``identities``, ``tests/_util.py``
+class, a precondition also in the theorem shapes that hold it), so every
+caller (the registry, ``_rhs_F5``'s and ``_rhs_F6``'s wrappers, validation,
+``verify``, ``f_closed``, ``HoradamSequence.term``, both oracles) runs it;
+it is also bound to the names ``identities``, ``tests/_util.py``
 and this script import it under, so a mutated ``oracle_nested`` is what the
 closed forms are compared with and a mutated ``f_closed`` is what the Binet
 route runs.
@@ -49,8 +51,8 @@ another count the second time than the first. An oracle mutant is also killed wh
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
 count differs from the enumeration ``oracle_nested_naive``. A summand
 mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
-the product of a plain recurrence walk's term, the power ``base**k`` and the
-sign on ``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w;
+the product of a plain recurrence walk's term and the power ``base**k`` on
+``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w;
 or as a geometric one is, or when a closed form misses the oracle as above:
 ``oracle_nested_naive`` calls ``SumTerm.value`` too, so the kernel cases
 cannot see it. A geometric
@@ -58,7 +60,7 @@ mutant is killed when ``master_E`` misses ``((x-1)/x)**n`` times the
 oracle, or counts other than n binomial terms, on criterion 2's grid
 (``tests/test_acceptance.py::master_grid``); when ``f_closed`` misses the
 oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
-``(-1)**k * (x/y)**k``; when a pole is not refused with ``PoleError``; or
+``(-x/y)**k``; when a pole is not refused with ``PoleError``; or
 when ``tests/_util.py::binet_route``, which runs every tag's left side
 through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
 deep-depth grid of any tag. A sequence mutant is killed when
@@ -73,10 +75,16 @@ A ``binom`` mutant is killed when it misses
 ``tests/_util.py::falling_binom``, in value or in exact type (int), at any
 top from -45 to 45 and k from 0 to 27, or when it no longer raises
 ``ValueError`` for a negative k.
+A precondition mutant is judged by verdicts alone, never by evaluating
+either side: it is killed when the verdict (valid, or the
+``InvalidInstanceError`` text) on one point of any default-grid line, or
+of ``PRECONDITION_LINES``, differs from the unmutated code's; no
+precondition reads a_n.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
-runtime, and exits 1 when any other mutant survives (2 when the unmutated
-code already fails).
+runtime, and exits 1 when any other mutant survives or a listed survivor is
+stale, no longer made or now killed (2 when the unmutated code already
+fails).
 """
 
 from __future__ import annotations
@@ -122,10 +130,6 @@ KNOWN_SURVIVORS = {
     "a miss lies outside [lo, hi], so j never equals hi",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
-    "binom: if 0 < top < k:": "at top = 0 the loop's first factor top - i + 1 is 0, "
-    "so the loop returns the 0 the guard does",
-    "binom: if 1 <= top < k:": "at top = 0 the loop's first factor top - i + 1 is 0, "
-    "so the loop returns the 0 the guard does",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -143,6 +147,14 @@ LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInst
                 "lhs_spec")
 BINOM_TARGETS = ("binom",)
 
+# lines a precondition mutant is judged on besides the default grids': F3_G
+# on a family of the wrong shape, and (p, q) = (2, 2), whose V_2 = 0 stops F6
+# at (r, d) = (1, 1) as V_{r+d} and at (1, 2) as the weight base's V_d
+_V2_ZERO = sq.horadam(1, 1, 2, 2)
+PRECONDITION_LINES = ((ids.IdentityId.F3_G, ids.FAMILIES["generic"], 1, 2, 1, 1, 0, 0),
+                      *((ident, _V2_ZERO, n, 3, 1, 1, 0, d) for d in (1, 2)
+                        for ident, n in ((ids.IdentityId.F6A, 2), (ids.IdentityId.F6B, 1))))
+
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
 # scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
 # half-integral seed, so every walk stores its terms over the scale 2
@@ -159,14 +171,14 @@ WINDOW_READS = (2, 3, 3 + sq.WALK_GAP, 4 + 3 * sq.WALK_GAP, 4 + sq.WALK_GAP, 1, 
 CAP_FAMILY = sq.horadam(2, -1, 1, -1)
 
 # summands whose value SumTerm.value must give: rational bases (one of them
-# with a numerator other than 1), alternation, an index multiplier other
+# with a numerator other than 1), a negative base, an index multiplier other
 # than 1, negative indices with non-integral terms, and no sequence
 SUMMAND_CASES = (nc.SumTerm(seq=SEQUENCE_FAMILIES[0], index_mul=2, index_add=-1,
-                            weight_base=Fraction(-2, 3), alternating=True),
+                            weight_base=Fraction(2, 3)),
                  nc.SumTerm(seq=sq.horadam(1, 4, 3, 2), index_mul=1, index_add=0,
                             weight_base=Fraction(3, 2)),
                  nc.SumTerm(seq=sq.horadam(1, 4, 3, 2), index_mul=-1, index_add=1),
-                 nc.SumTerm(weight_base=Fraction(5, 2), alternating=True))
+                 nc.SumTerm(weight_base=Fraction(-5, 2)))
 SUMMAND_WEIGHTS = (1, 3, 2 ** 12)
 
 # (x, y) for f_closed, and (-x, y) for its alternating sum, against the
@@ -185,7 +197,8 @@ def _is_target(module, name: str) -> bool:
         return name in BINOM_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
-    return name.startswith(("_lifted", "rhs_", "_rhs_")) or name in LINE_TARGETS
+    return name.startswith(("_lifted", "rhs_", "_rhs_")) or name.endswith("_violation") \
+        or name in LINE_TARGETS
 
 
 def _targets(module) -> list:
@@ -267,8 +280,8 @@ def _rebind(name: str, fn) -> None:
 
 def _install(module, owner, func: ast.FunctionDef) -> None:
     """Compile ``func`` against its live module, set it on ``owner`` (the
-    module, or the class of a method) and point the registry and the
-    imported names at the result."""
+    module, or the class of a method) and point the registry's evaluators
+    and shape preconditions and the imported names at the result."""
     code = compile(ast.Module(body=[func], type_ignores=[]), module.__file__, "exec")
     compiled = {}
     exec(code, module.__dict__, compiled)
@@ -277,8 +290,11 @@ def _install(module, owner, func: ast.FunctionDef) -> None:
         return
     for ident, record in ids._REGISTRY.items():
         current = ids.__dict__[record.rhs.__name__]
-        if current is not record.rhs:
-            ids._REGISTRY[ident] = dataclasses.replace(record, rhs=current)
+        shape = record.shape
+        if shape.violation.__name__ == func.name:
+            shape = dataclasses.replace(shape, violation=compiled[func.name])
+        if current is not record.rhs or shape is not record.shape:
+            ids._REGISTRY[ident] = dataclasses.replace(record, rhs=current, shape=shape)
     _rebind(func.name, module.__dict__[func.name])
 
 
@@ -307,8 +323,8 @@ def _geometric_broken() -> bool:
             return True
     for (x, y), n, c in product(RATIONAL_XY, range(1, 4), (-1, 1)):
         for a_n in range(c - 1, c + 5):
-            for sign, alternating in ((1, False), (-1, True)):
-                spec = NestedSumSpec(n, a_n, c, geometric_term(x / y, alternating))
+            for sign in (1, -1):
+                spec = NestedSumSpec(n, a_n, c, geometric_term(sign * x / y))
                 if nc.f_closed(sign * x, y, n, a_n, c) != oracle_nested(spec):
                     return True
     for name, args in POLES:
@@ -328,7 +344,7 @@ def _geometric_broken() -> bool:
 
 def _summand_broken() -> bool:
     """True when ``SumTerm.value`` misses, in value or exact type, a walked
-    term times ``base**k`` and the sign (``tests/_util.py::summand_fn``), or
+    term times ``base**k`` (``tests/_util.py::summand_fn``), or
     ``value(k) * w / base**k`` for an int weight ``w`` (an int exactly when
     that is integral)."""
     for summand in SUMMAND_CASES:
@@ -405,6 +421,24 @@ def _binom_broken() -> bool:
     return False
 
 
+def _verdicts() -> list:
+    """The verdict on one point of each default-grid line and of
+    ``PRECONDITION_LINES``: None when the point is valid, else the
+    ``InvalidInstanceError`` text. No precondition reads a_n, and neither
+    side is evaluated."""
+    points = [(ident, params, n, a_values[0], c, r, s, d) for ident in ids.IdentityId
+              for params, n, a_values, c, r, s, d in ids._sweep_lines(ident, None)]
+    verdicts = []
+    for point in points + list(PRECONDITION_LINES):
+        try:
+            ids.IdentityInstance(*point)
+        except ids.InvalidInstanceError as exc:
+            verdicts.append(str(exc))
+        else:
+            verdicts.append(None)
+    return verdicts
+
+
 def _fields(report) -> tuple:
     """Every field of a report but its two times."""
     return tuple(getattr(report, f.name) for f in dataclasses.fields(report)
@@ -454,6 +488,7 @@ def main() -> int:
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS + LINE_TARGETS})
     swept: dict = {}
+    verdicts = _verdicts()
     if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
             or _summand_broken() or _sequence_broken() or _binom_broken():
         print("the unmutated code already fails the check")
@@ -478,6 +513,8 @@ def main() -> int:
                     dead = _sequence_broken()
                 elif module is cb:
                     dead = _binom_broken()
+                elif name.endswith("_violation"):
+                    dead = _verdicts() != verdicts
                 elif name in SUMMAND_TARGETS:
                     dead = _summand_broken() or _killed(list(ids.IdentityId), swept) \
                         or _geometric_broken()
@@ -498,14 +535,15 @@ def main() -> int:
                 survivors.append(key)
     elapsed = time.perf_counter() - start
     new = [key for key in survivors if key not in KNOWN_SURVIVORS]
+    stale = sorted(set(KNOWN_SURVIVORS) - set(survivors))
     for key in survivors:
         print(f"{'NEW SURVIVOR' if key in new else 'equivalent'}: {key}"
               + ("" if key in new else f"  ({KNOWN_SURVIVORS[key]})"))
-    for key in sorted(set(KNOWN_SURVIVORS) - set(survivors)):
-        print(f"note: known survivor no longer generated or now killed: {key}")
+    for key in stale:
+        print(f"STALE: known survivor no longer generated or now killed: {key}")
     print(f"{total} mutants, {killed} killed, {len(survivors)} survived "
-          f"({len(new)} new), {elapsed:.1f} s")
-    return 1 if new else 0
+          f"({len(new)} new, {len(stale)} stale), {elapsed:.1f} s")
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":
