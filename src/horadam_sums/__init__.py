@@ -18,8 +18,7 @@ from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstanc
                          evaluate_rhs, iter_sweep, lhs_spec, summarize, sweep, verify)
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
                          NestedSumSpec, PoleError, SumTerm, f_closed, geometric_term,
-                         master_E, oracle_nested, oracle_nested_naive,
-                         varied_limit_reduction)
+                         master_E, oracle_nested, oracle_nested_naive)
 from .sequences import (FIBONACCI, LUCAS, BinetView, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam,
                         lemma3_residual, lemma4_residual, lucas_first_kind,
@@ -42,5 +41,5 @@ __all__ = [
     "master_E", "nested_ones", "oracle_nested",
     "oracle_nested_naive",
     "restricted", "second_kind_term", "summarize", "sweep", "term",
-    "varied_limit_reduction", "verify",
+    "verify",
 ]

@@ -365,7 +365,8 @@ def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
     ratio and base do not depend on a, so ``ratio_base`` is called only when
     the line part, :func:`_lifted_line`, is made. That part is kept on the
     instance's :class:`_Line` with the counter units its lookups tallied, and
-    :func:`_lifted_point` finishes each point from it. A later point of the
+    :func:`_lifted_point` finishes each point from it on ints, in one
+    normalised ``Fraction``. A later point of the
     line (see :func:`evaluate_line`) adds those units as if it had made the
     lookups, so ``closed_terms`` counts uses, not cache misses. A call
     without a counter keeps nothing, since its units are unknown.
@@ -406,12 +407,24 @@ def _lifted_point(inst: IdentityInstance, counter: Optional[EvalCounter], part: 
                   step: int, mul: int, term: Callable[[int, int], Fraction]) -> Fraction:
     """:func:`_lifted` at the instance's a_n from its line part
     ``(ratio**n, base, K, D)``: the one term that depends on a, less one
-    dot product of K with the binomials C(a+j-c, j), over D."""
+    dot product of K with the binomials C(a+j-c, j), over D.
+
+    With ratio**n = rn/rd, T(n, step*n + mul*a + s) = tn/td and base = u/v,
+    where u and v swap and a becomes -a when a < 0, the point is the one
+    normalised ``Fraction(rn*u**a*tn*D - dot*rd*v**a*td, rd*v**a*td*D)``;
+    an int term has a numerator and a denominator too. ``counter`` tallies
+    the n binomials."""
     ratio_n, base, coefficients, den = part
-    bi = _counted(binom, counter)
     n, a, c = inst.n, inst.a_n, inst.c
-    dot = sum(k * bi(a + j - c, j) for j, k in enumerate(coefficients))
-    return ratio_n * base ** a * term(n, step * n + mul * a + inst.s) - Fraction(dot, den)
+    if counter is not None:
+        counter.add(n)
+    dot = sum(k * binom(a + j - c, j) for j, k in enumerate(coefficients))
+    t = term(n, step * n + mul * a + inst.s)
+    u, v = base.numerator, base.denominator
+    if a < 0:
+        u, v, a = v, u, -a
+    lead = ratio_n.denominator * v ** a * t.denominator
+    return Fraction(ratio_n.numerator * u ** a * t.numerator * den - dot * lead, lead * den)
 
 
 def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter]):

@@ -13,9 +13,10 @@ Two independent evaluators are provided. :func:`oracle_nested` evaluates
 the summand once per index of the innermost range, at an int weight in place
 of the rational weight power, and weights each value by the number of index
 chains that reach it; those counts are small-int suffix sums, one pass per
-level, and one Horner pass over Python ints folds the weighted values in,
-with a single division at the end. :func:`oracle_nested_naive` literally
-enumerates every index tuple in plain ``Fraction`` arithmetic. Their
+level, and one Horner pass over Python ints folds the weighted values in.
+The scale back to the rational weight power joins those ints, so the
+oracle ends in one normalised ``Fraction``. :func:`oracle_nested_naive`
+literally enumerates every index tuple in plain ``Fraction`` arithmetic. Their
 agreement guards against a shared bug, and both serve as ground truth for
 the closed forms in this module and in :mod:`horadam_sums.identities`.
 Here the geometric closed form is one loop, :func:`master_E`; the f-form
@@ -203,8 +204,10 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     The nested total is sum_k m_k * t(k), with the chain counts m_k of
     :func:`_chain_counts`; one Horner pass over Python ints folds the values
     in (an int value has denominator 1) on a common denominator that grows
-    only with the sequence terms' own, and one ``Fraction`` at the end divides by
-    it and by the power of ``v`` and scales by ``base**lo``. ``counter``
+    only with the sequence terms' own. ``base**lo``, whose numerator and
+    denominator are coprime powers, multiplies into the numerator and into
+    that denominator times the power of ``v``, so the result is one
+    normalised ``Fraction`` of two ints. ``counter``
     tallies one unit per addition of a value into a level, as a plain loop
     over the levels would: depth times range, not the multinomial blow-up of
     direct enumeration.
@@ -217,9 +220,10 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     lo = limits[0]
     base = summand._base
     if base is None:
-        weight, v = None, 1
+        weight, v, scale = None, 1, 1
     else:
         weight, u, v = 1, base.numerator, base.denominator
+        scale = base ** lo
     num, den = 0, 1
     made = 0
     # a summand that raises leaves the count of the values made before it,
@@ -244,8 +248,7 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
             counter.add(made)
     if counter is not None:
         counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
-    total = Fraction(num, den * v ** made)
-    return total if base is None else total * base ** lo
+    return Fraction(num * scale.numerator, den * v ** made * scale.denominator)
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,
@@ -317,38 +320,3 @@ def f_closed(x: Scalar, y: Scalar, n: int, a_n: int, c: int,
     if x == y:
         raise PoleError("x = y is a pole of the f-form")
     return (x / (x - y)) ** n * master_E(x / y, n, a_n, c, counter)
-
-
-def varied_limit_reduction(spec: NestedSumSpec,
-                           counter: Optional[EvalCounter] = None) -> Fraction:
-    """Reduce a geometric nested sum with per-level lower limits to unit counts.
-
-    ``spec.term`` must be a pure geometric summand ``x**k``. Returns
-
-        x**A - x**(c[n-1] - 1)
-            - sum_{j=1}^{n-1} ((x-1)/x)**j * x**(c[n-1-j] - 1) * N_j
-
-    where ``N_j`` is the j-level nested sum of 1 over the outermost j lower
-    limits (upper limit ``A``), evaluated exactly by :func:`oracle_nested`.
-
-    The result equals ``((x-1)/x)**n`` times the full nested sum of ``x**k``
-    whenever the limits do not cross: each ``c[k] >= c[k-1] - 1`` and
-    ``A >= c[n-1] - 1``. Crossing limits make some intermediate geometric
-    step range over empty sums where its closed form fails; the formula is
-    still evaluated as written, so callers can map that domain empirically.
-    """
-    summand = spec.term
-    if summand.seq is not None or summand.weight_base is None:
-        raise ValueError("reduction applies to pure geometric summands x**k")
-    x = summand.weight_base
-    if x == 0 or x == 1:
-        raise PoleError(f"x = {x} is a pole of the reduction")
-    n = spec.depth
-    limits = spec.lower_limits
-    ratio = (x - 1) / x
-    result = x ** spec.upper - x ** (limits[n - 1] - 1)
-    for j in range(1, n):
-        ones_spec = NestedSumSpec(j, spec.upper, limits[n - j:], ONES)
-        count = oracle_nested(ones_spec, counter=counter)
-        result = result - ratio ** j * x ** (limits[n - 1 - j] - 1) * count
-    return result

@@ -13,9 +13,9 @@ from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLAS
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
                                      IdentityId, IdentityInstance,
                                      InvalidInstanceError, SweepGrid, default_grid,
-                                     evaluate_rhs, lhs_spec, rhs_F1, rhs_F2, rhs_F3,
-                                     rhs_F5, rhs_F7, summarize,
-                                     sweep, verify, _REGISTRY)
+                                     evaluate_rhs, grid_size, lhs_spec, rhs_F1, rhs_F2,
+                                     rhs_F3, rhs_F5, rhs_F7, summarize,
+                                     sweep, sweep_points, verify, _REGISTRY)
 from horadam_sums.nestedcore import oracle_nested
 from horadam_sums.sequences import (FIBONACCI, LUCAS, horadam, restricted, term)
 
@@ -328,6 +328,16 @@ class TestSweep:
         stripped2 = [(r.identity, r.params, r.n, r.a_n, r.c, r.r, r.s, r.d,
                       r.lhs, r.rhs, r.equal, r.classification) for r in second]
         assert stripped == stripped2
+
+    @pytest.mark.parametrize("ident", list(IdentityId), ids=str)
+    def test_grid_size_counts_the_points(self, ident):
+        # the default grid, named families on every tag (a fixed tag sweeps
+        # them too), and pinned a values
+        named = SweepGrid(families=(FIB, GENERIC, LUCAS), n_values=(1, 2), c_values=(-1, 2),
+                          r_values=(1, 3), s_values=(0, 1), d_values=(0, -1), a_offsets=(0, 4))
+        pinned = SweepGrid(families=(GENERIC,), n_values=(2,), a_values=(-1, 5, 6))
+        for grid in (None, default_grid(ident), named, pinned):
+            assert grid_size(ident, grid) == len(list(sweep_points(ident, grid)))
 
     def test_summary_mismatch_exit_code(self):
         genuine = verify(inst(IdentityId.F3, params=FIB, n=1, a_n=2))

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _util import karr_nested_sum, summand_fn
+from _util import falling_binom, karr_nested_sum, summand_fn
 import horadam_sums.identities as identities
 from horadam_sums.identities import (CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VERIFIED, FAMILIES,
                                      IdentityId, IdentityInstance, SweepGrid, evaluate_line,
@@ -152,3 +155,37 @@ def test_outside_domain_follows_the_reversed_sum_convention(alone):
             bad.append((ident.value, point, report.rhs, expected))
     assert not bad
     assert outside == 5575 and nonzero == 554
+
+
+_nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio_n=_nonzero, base=_nonzero, t=st.just(1) | _nonzero,
+       coefficients=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=4),
+       den=st.integers(1, 10 ** 4), a=st.integers(-7, 9), c=st.integers(-3, 3),
+       s=st.integers(-3, 3), step=st.integers(-2, 2), mul=st.integers(-2, 2))
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=1, coefficients=[3, -4], den=6,
+         a=-1, c=1, s=0, step=1, mul=1)
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=Fraction(-9, 4), coefficients=[3, -4],
+         den=6, a=0, c=1, s=0, step=1, mul=1)
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=Fraction(-9, 4), coefficients=[3, -4],
+         den=6, a=1, c=-2, s=2, step=2, mul=-1)
+def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a, c, s, step, mul):
+    # the point finishes on ints; the plain Fraction formula, with the
+    # binomials from their definition, must agree for either sign of a
+    n = len(coefficients)
+    calls = []
+
+    def term(e, k):
+        calls.append((e, k))
+        return t
+
+    point = SimpleNamespace(n=n, a_n=a, c=c, s=s)
+    counter = EvalCounter(5)
+    value = identities._lifted_point(point, counter, (ratio_n, base, tuple(coefficients), den),
+                                     step, mul, term)
+    dot = sum(k * falling_binom(a + j - c, j) for j, k in enumerate(coefficients))
+    assert type(value) is Fraction
+    assert value == ratio_n * base ** a * t - Fraction(dot, den)
+    assert calls == [(n, step * n + mul * a + s)] and counter.count == 5 + n

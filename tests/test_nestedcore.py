@@ -17,7 +17,7 @@ from horadam_sums.identities import (CLASS_ERROR, FAMILIES, IdentityId, Identity
 from horadam_sums.nestedcore import (ONES, EvalCounter, NaiveCapExceededError,
                                      NestedSumSpec, PoleError, SumTerm, f_closed,
                                      geometric_term, master_E, oracle_nested,
-                                     oracle_nested_naive, varied_limit_reduction)
+                                     oracle_nested_naive)
 from horadam_sums.sequences import FIBONACCI, horadam
 
 GENERIC = horadam(2, 5, 1, 3)
@@ -236,6 +236,32 @@ class TestOracles:
                 assert oracle_nested(spec) == expected
                 assert oracle_nested_naive(spec) == expected
 
+    @pytest.mark.parametrize("x", [Fraction(2), Fraction(-3), Fraction(2, 5)])
+    def test_varied_limits_geometric(self, x):
+        # per-level limit profiles, the last two crossing, over x**k
+        summand = geometric_term(x)
+        limit_sets = [(1,), (0, 2), (2, 1), (1, 1, 3), (-1, -2, 0), (0, 1, 2, 1), (2, 0),
+                      (3, 0, 1)]
+        for limits in limit_sets:
+            n = len(limits)
+            for upper in range(min(limits) - 2, max(limits) + 5):
+                spec = NestedSumSpec(n, upper, limits, summand)
+                expected = literal_nested_sum(n, upper, limits, summand.value)
+                assert oracle_nested(spec) == expected
+                assert oracle_nested_naive(spec) == expected
+
+    @pytest.mark.parametrize("lo", (-3, 0, 2))
+    def test_base_power_at_the_innermost_limit(self, lo):
+        # the oracle scales by base**lo in its final ints: a base power with
+        # the wrong sign, or a dropped one, misses the enumeration
+        for seq, base in product((None, GENERIC), (None, 3, Fraction(-2), Fraction(3, 5),
+                                                   Fraction(-7, 4))):
+            summand = SumTerm(seq=seq, weight_base=base)
+            for limits in ((lo,), (lo, lo - 1, lo + 1)):
+                spec = NestedSumSpec(len(limits), lo + 4, limits, summand)
+                value = oracle_nested(spec)
+                assert type(value) is Fraction and value == oracle_nested_naive(spec)
+
     def test_dp_eval_count_linear(self):
         counter = EvalCounter()
         spec = NestedSumSpec(4, 13, 1, ONES)
@@ -422,52 +448,3 @@ class TestSummandCalls:
         assert report.classification == CLASS_ERROR
         assert report.oracle_terms == 2 and report.closed_terms == 0
         assert "k = 3" in report.detail
-
-
-class TestVariedLimitReduction:
-    def test_uniform_degenerates_to_master(self):
-        x = Fraction(2)
-        for n, c in product(range(1, 5), (0, 1, 2)):
-            for a_n in range(c, c + 6):
-                spec = NestedSumSpec(n, a_n, c, geometric_term(x))
-                assert varied_limit_reduction(spec) == master_E(x, n, a_n, c)
-
-    def test_two_level_example(self):
-        x = Fraction(2)
-        spec = NestedSumSpec(2, 3, (1, 2), geometric_term(x))
-        ratio = (x - 1) / x
-        assert varied_limit_reduction(spec) == ratio ** 2 * oracle_nested(spec)
-
-    def test_three_level_example(self):
-        x = Fraction(3, 2)
-        spec = NestedSumSpec(3, 4, (0, 1, 2), geometric_term(x))
-        ratio = (x - 1) / x
-        assert varied_limit_reduction(spec) == ratio ** 3 * oracle_nested(spec)
-
-    @pytest.mark.parametrize("x", [Fraction(2), Fraction(-3), Fraction(2, 5)])
-    def test_grid_against_oracle(self, x):
-        # non-crossing limit profiles: c[k] >= c[k-1] - 1 at every level
-        ratio = (x - 1) / x
-        limit_sets = [(1,), (0, 2), (2, 1), (1, 1, 3), (-1, -2, 0), (0, 1, 2, 1)]
-        for limits in limit_sets:
-            n = len(limits)
-            assert all(limits[k] >= limits[k - 1] - 1 for k in range(1, n))
-            for upper in range(limits[-1] - 1, max(limits) + 5):
-                spec = NestedSumSpec(n, upper, limits, geometric_term(x))
-                assert varied_limit_reduction(spec) == ratio ** n * oracle_nested(spec)
-
-    def test_crossing_limits_evaluate_without_crash(self):
-        # outside the reduction's validity domain the formula still evaluates;
-        # agreement there is mapped, not presumed
-        spec = NestedSumSpec(2, 2, (2, 0), geometric_term(Fraction(2)))
-        value = varied_limit_reduction(spec)
-        assert value == Fraction(1, 2)  # frozen: formula as written
-        assert oracle_nested(spec) * Fraction(1, 4) == 1  # true scaled sum differs
-
-    def test_rejects_non_geometric(self):
-        with pytest.raises(ValueError):
-            varied_limit_reduction(NestedSumSpec(2, 3, 1, SumTerm(seq=FIBONACCI)))
-
-    def test_rejects_pole(self):
-        with pytest.raises(PoleError):
-            varied_limit_reduction(NestedSumSpec(2, 3, 1, geometric_term(Fraction(1))))

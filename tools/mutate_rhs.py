@@ -125,6 +125,10 @@ KNOWN_SURVIVORS = {
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
+    "_lifted_point: if a <= 0:": "at a = 0 both branches raise u and v to the power 0, "
+    "which is 1",
+    "_lifted_point: if a < 1:": "at a = 0 both branches raise u and v to the power 0, "
+    "which is 1",
     "HoradamSequence.term: edge, step, mul, sub, grow = (hi, 1, big_p, big_q, m) if j >= hi "
     "else (lo, -1, big_p * m, m * m * big_q, big_q)":
     "a miss lies outside [lo, hi], so j never equals hi",
