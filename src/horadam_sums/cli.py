@@ -3,7 +3,9 @@
 Machine-readable output keeps every rational as an exact "num/den" string
 (never a float). Sweep rows stream one record at a time in a fixed field
 order, so identical configurations produce byte-identical output; summaries
-go to stderr to keep data streams clean.
+go to stderr to keep data streams clean. A jsonl row is, by definition,
+``json.dumps(report_row(report))`` and a newline; :func:`_emit_jsonl` writes
+it from its family's encoded text with those bytes unchanged.
 
 Exit status contract: 0 when everything verified or was skipped by a
 precondition, 1 when any in-domain mismatch (or evaluation error) was found,
@@ -93,11 +95,14 @@ def parse_int_set(text: str) -> Tuple[int, ...]:
 
 
 def _family_list(args: argparse.Namespace) -> Tuple[HoradamParams, ...]:
-    """Families named by --family, or the one given by --p/--q/--a/--b."""
+    """Families named by --family, or the one given by --p/--q/--a/--b;
+    naming both is a usage error."""
     explicit = [args.p, args.q, args.a, args.b]
     if any(value is not None for value in explicit):
         if any(value is None for value in explicit):
             raise argparse.ArgumentTypeError("--p/--q/--a/--b must be given together")
+        if args.family:
+            raise argparse.ArgumentTypeError("--family and --p/--q/--a/--b exclude each other")
         try:
             return (horadam(args.a, args.b, args.p, args.q),)
         except ValueError as exc:
@@ -172,9 +177,33 @@ def report_row(report: EvaluationReport) -> dict:
     }
 
 
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
+    """Write each report's jsonl row, by definition
+    ``json.dumps(report_row(report))`` and a newline, with one ``write`` per
+    row as the report arrives.
+
+    The row is written from its family's encoded text: the identity and the
+    params go through ``json.dumps``, again only when either differs from the
+    previous row's. Every other value is an int, a "num/den" string, a JSON
+    literal or a fixed class name, none of which needs escaping, so the bytes
+    are unchanged.
+    """
+    params = identity = head = None
     for report in reports:
-        out.write(json.dumps(report_row(report)) + "\n")
+        if report.params is not params or report.identity is not identity:
+            params, identity = report.params, report.identity
+            row = report_row(report)
+            head = (f'{{"identity": {json.dumps(row["identity"])}, '
+                    f'"params": {json.dumps(row["params"])}, "n": ')
+        out.write(f'{head}{report.n}, "a_n": {report.a_n}, "c": {report.c}, '
+                  f'"r": {report.r}, "s": {report.s}, "d": {report.d}, '
+                  f'"lhs": "{format_rational(report.lhs)}", '
+                  f'"rhs": "{format_rational(report.rhs)}", '
+                  f'"equal": {_JSON_LITERALS[report.equal]}, '
+                  f'"class": "{report.classification}"}}\n')
 
 
 def _flat_row(report: EvaluationReport) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ from horadam_sums.cli import (BENCH_CSV_COLUMNS, SWEEP_CSV_COLUMNS, format_ratio
                               main, parse_int_set)
 from horadam_sums.combinatorics import binom
 from horadam_sums.identities import IdentityId
+from horadam_sums.sequences import horadam
 
 GOLDEN_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "golden_sweep.json"
 
@@ -125,6 +127,18 @@ def test_missing_family_is_usage_error(capsys, command):
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and out == ""
     assert err == "error: F3 needs --family or --p/--q/--a/--b\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--identity", "F3", "--n", "1", "--an", "3"),
+    ("sweep", "--identity", "F3", "--n", "1", "--an", "3"),
+], ids=lambda command: command[0])
+def test_family_with_explicit_params_is_usage_error(capsys, command):
+    # neither source of families may silently win over the other
+    code, out, err = run_cli(capsys, *command, "--family", "lucas", "--family", "generic",
+                             "--p", "1", "--q", "-1", "--a", "0", "--b", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --family and --p/--q/--a/--b exclude each other\n"
 
 
 @pytest.mark.parametrize("zero", ["--p", "--q"])
@@ -439,6 +453,74 @@ class TestRowFormats:
             "class: error\n"
             "detail: pole here\n"
             "oracle_terms: 6 closed_terms: 0\n"), "")
+
+
+class _RecordingSink:
+    """An output stream that keeps each ``write`` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _every_kind_of_report() -> list:
+    """Reports of every class, on families A and B in the order A, B, A, and
+    then on another identity; B's seeds and coefficients are negative or
+    multi-digit rationals, and so are its values."""
+    family_a = identities.FAMILIES["fibonacci"]
+    family_b = horadam(Fraction(-7, 3), Fraction(12, 5), Fraction(3, 2), Fraction(-5, 4))
+    f3, f4 = IdentityId.F3, IdentityId.F4
+    on_a = [identities.evaluate_point(f3, family_a, 2, a_n, 1, 2, 1, 0) for a_n in (-1, 0, 4)]
+    on_b = [identities.evaluate_point(f3, family_b, 2, 3, -1, 2, 1, 1),
+            identities.evaluate_point(f3, family_b, 2, -4, 1, 2, 1, 1),
+            identities.evaluate_point(f3, family_b, 1, 2, 1, 0, 0, 0)]
+    genuine = on_a[-1]
+    mismatch = dataclasses.replace(genuine, rhs=genuine.rhs + 1, equal=False,
+                                   classification=identities.CLASS_MISMATCH)
+    error = identities.EvaluationReport(f3, family_a, 1, 2, 1, 1, 0, 0, oracle_terms=2,
+                                        classification=identities.CLASS_ERROR,
+                                        detail="pole here")
+    # the identity changes while the family stays
+    other = [identities.evaluate_point(f4, family_a, 2, 4, 1, 2, 1, 0),
+             identities.evaluate_point(f4, family_b, 2, 3, -1, 2, 1, 1),
+             identities.evaluate_point(IdentityId.F5, family_b, 1, 3, 1, 0, 0, 0)]
+    return on_a + on_b + [mismatch, error] + other
+
+
+def test_jsonl_row_is_json_dumps_of_report_row():
+    reports = _every_kind_of_report()
+    classes = {report.classification for report in reports}
+    assert classes == {"verified", "outside_domain", "skipped", "mismatch", "error"}
+    assert any(report.lhs is not None and report.lhs < -10 and report.lhs.denominator > 10
+               for report in reports)
+    sink = _RecordingSink()
+
+    def stream():
+        # each row is written before the next report is asked for
+        for count, report in enumerate(reports):
+            assert len(sink.writes) == count
+            yield report
+
+    cli._emit_jsonl(stream(), sink)
+    assert sink.writes == [json.dumps(cli.report_row(report)) + "\n" for report in reports]
+
+
+@pytest.mark.parametrize("point", [
+    ("--identity", "F3", "--family", "fibonacci", "--n", "2", "--an", "4", "--r", "2",
+     "--s", "1"),
+    ("--identity", "F3", "--p", "3/2", "--q=-5/4", "--a=-7/3", "--b", "12/5",
+     "--n", "2", "--an", "3", "--c", "-1", "--r", "2", "--s", "1", "--d", "1"),
+    ("--identity", "F5", "--family", "fibonacci", "--n", "1", "--an", "3", "--r", "0"),
+], ids=["verified", "rationals", "skipped"])
+def test_verify_jsonl_is_json_dumps_of_report_row(capsys, point):
+    code, out, _ = run_cli(capsys, "verify", *point, "--format", "jsonl")
+    args = cli.build_parser().parse_args(["verify", *point])
+    report = identities.evaluate_point(args.identity, cli._point_family(args.identity, args),
+                                       args.n, args.an, args.c, args.r, args.s, args.d)
+    assert code == 0
+    assert out == json.dumps(cli.report_row(report)) + "\n"
 
 
 class TestTableCommand:

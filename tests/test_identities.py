@@ -22,6 +22,13 @@ from horadam_sums.sequences import (FIBONACCI, LUCAS, horadam, restricted, term)
 FIB = FAMILIES["fibonacci"]
 GENERIC = FAMILIES["generic"]          # restricted family, q = 3
 
+# grids whose point count grid_size must give besides the default grids:
+# named families on every tag (a fixed tag sweeps them too), and pinned a values
+COUNTED_GRIDS = (SweepGrid(families=(FIB, GENERIC, LUCAS), n_values=(1, 2), c_values=(-1, 2),
+                           r_values=(1, 3), s_values=(0, 1), d_values=(0, -1),
+                           a_offsets=(0, 4)),
+                 SweepGrid(families=(GENERIC,), n_values=(2,), a_values=(-1, 5, 6)))
+
 
 def inst(identity, params=None, n=1, a_n=1, c=1, r=1, s=0, d=0):
     return IdentityInstance(identity, params, n, a_n, c, r, s, d)
@@ -331,12 +338,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("ident", list(IdentityId), ids=str)
     def test_grid_size_counts_the_points(self, ident):
-        # the default grid, named families on every tag (a fixed tag sweeps
-        # them too), and pinned a values
-        named = SweepGrid(families=(FIB, GENERIC, LUCAS), n_values=(1, 2), c_values=(-1, 2),
-                          r_values=(1, 3), s_values=(0, 1), d_values=(0, -1), a_offsets=(0, 4))
-        pinned = SweepGrid(families=(GENERIC,), n_values=(2,), a_values=(-1, 5, 6))
-        for grid in (None, default_grid(ident), named, pinned):
+        for grid in (None, default_grid(ident), *COUNTED_GRIDS):
             assert grid_size(ident, grid) == len(list(sweep_points(ident, grid)))
 
     def test_summary_mismatch_exit_code(self):

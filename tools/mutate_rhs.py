@@ -24,7 +24,8 @@ geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window walk of ``HoradamSequence.term``
 and the far-term doubling ``doubled_term`` with its Lucas pair
 ``_lucas_pair``, and the int scaling ``_scaled_pq`` both share, and
-``binom`` of ``horadam_sums.combinatorics``. An ``if``
+``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
+``grid_size`` of ``horadam_sums.identities``. An ``if``
 mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
 class, a precondition also in the theorem shapes that hold it), so every
@@ -75,6 +76,10 @@ A ``binom`` mutant is killed when it misses
 ``tests/_util.py::falling_binom``, in value or in exact type (int), at any
 top from -45 to 45 and k from 0 to 27, or when it no longer raises
 ``ValueError`` for a negative k.
+A ``grid_size`` mutant is killed when it misses the number of points
+``sweep_points`` yields, for any tag, on the tag's default grid (given as
+None and as ``default_grid``) or on
+``tests/test_identities.py::COUNTED_GRIDS``.
 A precondition mutant is judged by verdicts alone, never by evaluating
 either side: it is killed when the verdict (valid, or the
 ``InvalidInstanceError`` text) on one point of any default-grid line, or
@@ -110,7 +115,7 @@ import horadam_sums.sequences as sq  # noqa: E402
 from horadam_sums.nestedcore import (EvalCounter, NestedSumSpec, PoleError,  # noqa: E402
                                      geometric_term, oracle_nested, oracle_nested_naive)
 from test_acceptance import master_grid  # noqa: E402
-from test_identities import _deep_instances  # noqa: E402
+from test_identities import COUNTED_GRIDS, _deep_instances  # noqa: E402
 from test_nestedcore import KERNEL_CASES  # noqa: E402
 
 TIMEOUT_S = 60
@@ -150,6 +155,7 @@ SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequenc
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec")
 BINOM_TARGETS = ("binom",)
+GRID_TARGETS = ("grid_size",)
 
 # lines a precondition mutant is judged on besides the default grids': F3_G
 # on a family of the wrong shape, and (p, q) = (2, 2), whose V_2 = 0 stops F6
@@ -202,7 +208,7 @@ def _is_target(module, name: str) -> bool:
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
     return name.startswith(("_lifted", "rhs_", "_rhs_")) or name.endswith("_violation") \
-        or name in LINE_TARGETS
+        or name in LINE_TARGETS + GRID_TARGETS
 
 
 def _targets(module) -> list:
@@ -425,6 +431,16 @@ def _binom_broken() -> bool:
     return False
 
 
+def _grid_size_broken() -> bool:
+    """True when ``grid_size`` misses the number of points ``sweep_points``
+    yields on a tag's default grid or on ``COUNTED_GRIDS``."""
+    for ident in ids.IdentityId:
+        for grid in (None, ids.default_grid(ident), *COUNTED_GRIDS):
+            if ids.grid_size(ident, grid) != len(list(ids.sweep_points(ident, grid))):
+                return True
+    return False
+
+
 def _verdicts() -> list:
     """The verdict on one point of each default-grid line and of
     ``PRECONDITION_LINES``: None when the point is valid, else the
@@ -494,7 +510,8 @@ def main() -> int:
     swept: dict = {}
     verdicts = _verdicts()
     if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
-            or _summand_broken() or _sequence_broken() or _binom_broken():
+            or _summand_broken() or _sequence_broken() or _binom_broken() \
+            or _grid_size_broken():
         print("the unmutated code already fails the check")
         return 2
     signal.signal(signal.SIGALRM, _on_alarm)
@@ -517,6 +534,8 @@ def main() -> int:
                     dead = _sequence_broken()
                 elif module is cb:
                     dead = _binom_broken()
+                elif name in GRID_TARGETS:
+                    dead = _grid_size_broken()
                 elif name.endswith("_violation"):
                     dead = _verdicts() != verdicts
                 elif name in SUMMAND_TARGETS:
