@@ -37,9 +37,12 @@ checks this at every such point of the default grids.
 The work of a grid line, one (tag, family, n, c, r, s, d) with a_n varying,
 that does not depend on a_n is done once per line: :func:`evaluate_line`
 validates the line by one instance and builds its points from it, so they
-share its :class:`_Line` (the left-hand summand and the closed form's ratio,
-base and coefficients, each made when a point first needs it). An instance
-built alone has a line of its own.
+share its :class:`_Line` (the left-hand summand and the closed form's line
+part, each made when a point first needs it). An instance built alone has a
+line of its own. The closed form's terms are exchanged as (numerator,
+denominator) int pairs and its line part holds ints only, so a point is
+finished on ints in one normalised ``Fraction``; its left-hand spec and its
+report are built without their frozen dataclass constructors.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import binom
@@ -110,17 +113,18 @@ FAMILIES: Dict[str, HoradamParams] = {
 
 
 def _check_int(name: str, value) -> None:
-    if not isinstance(value, int):
+    # a bool is an int to isinstance, but not a coordinate
+    if type(value) is bool or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 class _Line:
     """The a_n-free work of one instance's grid line, shared with the points
     :meth:`IdentityInstance._at` builds from it: the left-hand ``summand``
-    and the closed form's line part with the counter units it cost
-    (``closed``, see :func:`_lifted`), each filled when a point first needs
-    it and written once it is whole. Only numbers and the summand are kept,
-    never a sequence or a counter."""
+    and the closed form's line part, all ints, with the counter units it
+    cost (``closed``, see :func:`_lifted`), each filled when a point first
+    needs it and written once it is whole. Only numbers and the summand are
+    kept, never a sequence or a counter."""
 
     __slots__ = ("summand", "closed")
 
@@ -136,9 +140,9 @@ class IdentityInstance:
     Construction validates every precondition of the chosen identity (family
     shape, parity, nonzero denominators and weight bases) and raises
     :class:`InvalidInstanceError` naming the violated condition. Evaluators
-    may therefore assume a valid instance. A coordinate that is not an int,
-    or no family for a tag without a fixed one, is a caller's bug, not a
-    failed precondition, and raises ``TypeError``.
+    may therefore assume a valid instance. A coordinate that is not an int
+    (a bool included), or no family for a tag without a fixed one, is a
+    caller's bug, not a failed precondition, and raises ``TypeError``.
     """
 
     identity: IdentityId
@@ -318,11 +322,20 @@ _F7_R1D0 = _Shape("cs", _f7_summand, _f7_r1d0_violation)
 
 
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
-    """The oracle-evaluable nested-sum shape matching the identity's left side."""
+    """The oracle-evaluable nested-sum shape matching the identity's left side.
+
+    The spec equals ``NestedSumSpec(n, a_n, c, summand)`` but is built as
+    :meth:`IdentityInstance._at` builds a point, by ``object.__new__`` and
+    ``__dict__.update``: a valid instance has n >= 1, so the frozen
+    ``__init__`` and ``__post_init__``, which check that and widen c to one
+    lower limit per level, would only repeat work at every point."""
     line = inst._line
     if line.summand is None:
         line.summand = _REGISTRY[inst.identity].shape.summand(inst)
-    return NestedSumSpec(inst.n, inst.a_n, inst.c, line.summand)
+    spec = object.__new__(NestedSumSpec)
+    spec.__dict__.update(depth=inst.n, upper=inst.a_n, lower_limits=(inst.c,) * inst.n,
+                         term=line.summand)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -334,39 +347,44 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # once per grid line), the index step and multiplier, and the term T(e, k).
 # Each tuple serves every specialization of its theorem:
 # H runs F3, F1/F2 run F5's tuple at fixed (r, d), and the F6 Fibonacci and
-# Lucas forms plug their own term lookups into F6's. The optional counter
-# tallies one unit per summand-family sequence term and per binomial
-# coefficient, so reported closed-form costs are measured, not assumed.
+# Lucas forms plug their own term lookups into F6's. A term is an int pair
+# (numerator, denominator): the denominator is nonzero but may be negative
+# and need not be reduced, so a term costs no normalised ``Fraction``. The
+# optional counter tallies one unit per summand-family sequence term and per
+# binomial coefficient, so reported closed-form costs are measured, not
+# assumed.
 # ---------------------------------------------------------------------------
 
-def _counted(fn: Callable, counter: Optional[EvalCounter]) -> Callable:
-    """``fn``, tallying one unit on ``counter`` per call."""
+def _counted(fn: Callable[[int], Fraction],
+             counter: Optional[EvalCounter]) -> Callable[[int], Tuple[int, int]]:
+    """The lookup ``fn(j)`` as a (numerator, denominator) int pair, tallying
+    one unit on ``counter`` per call."""
     if counter is None:
-        return fn
+        return lambda j: fn(j).as_integer_ratio()
 
-    def tallied(*args):
+    def tallied(j: int) -> Tuple[int, int]:
         counter.add()
-        return fn(*args)
+        return fn(j).as_integer_ratio()
 
     return tallied
 
 
 def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
             ratio_base: Callable[[], Tuple[Fraction, Fraction]], step: int, mul: int,
-            term: Callable[[int, int], Fraction]) -> Fraction:
+            term: Callable[[int, int], Tuple[int, int]]) -> Fraction:
     """The lifted master form every closed form evaluates.
 
-    With (ratio, base) = ``ratio_base()``, a = a_n and T(e, k) = ``term(e, k)``,
-    it returns
+    With (ratio, base) = ``ratio_base()``, a = a_n and T(e, k) the fraction
+    of the int pair ``term(e, k)``, it returns
     ratio**n * base**a * T(n, step*n + mul*a + s)
     - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
     * C(a+j-c, j).
 
     ratio and base do not depend on a, so ``ratio_base`` is called only when
-    the line part, :func:`_lifted_line`, is made. That part is kept on the
-    instance's :class:`_Line` with the counter units its lookups tallied, and
-    :func:`_lifted_point` finishes each point from it on ints, in one
-    normalised ``Fraction``. A later point of the
+    the line part, :func:`_lifted_line`, is made. That part, ints only, is
+    kept on the instance's :class:`_Line` with the counter units its lookups
+    tallied, and :func:`_lifted_point` finishes each point from it on ints,
+    in one normalised ``Fraction``. A later point of the
     line (see :func:`evaluate_line`) adds those units as if it had made the
     lookups, so ``closed_terms`` counts uses, not cache misses. A call
     without a counter keeps nothing, since its units are unknown.
@@ -386,49 +404,58 @@ def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
 
 
 def _lifted_line(inst: IdentityInstance, ratio: Fraction, base: Fraction, step: int,
-                 mul: int, term: Callable[[int, int], Fraction]) -> tuple:
-    """The part of :func:`_lifted` free of a_n: ``(ratio**n, base, K, D)``,
-    where the ints K[j] / D are the coefficients
+                 mul: int, term: Callable[[int, int], Tuple[int, int]]) -> tuple:
+    """The part of :func:`_lifted` free of a_n, in ints only:
+    ``(rn**n, rd**n, u, v, K, D)`` with ratio = rn/rd and base = u/v in
+    lowest terms, where K[j] / D are the coefficients
     base**(c-1) * ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s), j < n,
-    over one common denominator D."""
+    over their least common denominator D > 0. base**(c-1) is u**(c-1) over
+    v**(c-1), with u and v swapped when c - 1 < 0; each coefficient is an
+    unreduced product of int pairs until the one gcd that reduces K and D
+    together."""
     n = inst.n
-    shift = mul * (inst.c - 1) + inst.s
-    scale = base ** (inst.c - 1)
-    coefficients = [scale] * n
-    power = Fraction(1)
-    for j in reversed(range(n)):
-        power *= ratio  # ratio**(n - j)
-        coefficients[j] *= power * term(n - j, step * (n - j) + shift)
-    den = lcm(*(k.denominator for k in coefficients))
-    return power, base, tuple(k.numerator * (den // k.denominator) for k in coefficients), den
+    rn, rd = ratio.numerator, ratio.denominator
+    u, v = base.numerator, base.denominator
+    lift = inst.c - 1
+    shift = mul * lift + inst.s
+    sn, sd = (u ** lift, v ** lift) if lift >= 0 else (v ** -lift, u ** -lift)
+    pairs = []
+    pn, pd = 1, 1
+    for e in range(1, n + 1):
+        pn, pd = pn * rn, pd * rd  # ratio**e, at j = n - e
+        tn, td = term(e, step * e + shift)
+        pairs.append((sn * pn * tn, sd * pd * td))
+    pairs.reverse()
+    den = lcm(*(d for k, d in pairs))
+    coefficients = [k * (den // d) for k, d in pairs]
+    g = gcd(den, *coefficients)
+    return pn, pd, u, v, tuple(k // g for k in coefficients), den // g
 
 
 def _lifted_point(inst: IdentityInstance, counter: Optional[EvalCounter], part: tuple,
-                  step: int, mul: int, term: Callable[[int, int], Fraction]) -> Fraction:
+                  step: int, mul: int, term: Callable[[int, int], Tuple[int, int]]) -> Fraction:
     """:func:`_lifted` at the instance's a_n from its line part
-    ``(ratio**n, base, K, D)``: the one term that depends on a, less one
+    ``(rn**n, rd**n, u, v, K, D)``: the one term that depends on a, less one
     dot product of K with the binomials C(a+j-c, j), over D.
 
-    With ratio**n = rn/rd, T(n, step*n + mul*a + s) = tn/td and base = u/v,
-    where u and v swap and a becomes -a when a < 0, the point is the one
-    normalised ``Fraction(rn*u**a*tn*D - dot*rd*v**a*td, rd*v**a*td*D)``;
-    an int term has a numerator and a denominator too. ``counter`` tallies
-    the n binomials."""
-    ratio_n, base, coefficients, den = part
+    With T(n, step*n + mul*a + s) = tn/td, and u and v swapped and a made -a
+    when a < 0, the point is the one normalised
+    ``Fraction(rn**n*u**a*tn*D - dot*rd**n*v**a*td, rd**n*v**a*td*D)``.
+    ``counter`` tallies the n binomials."""
+    ratio_num, ratio_den, u, v, coefficients, den = part
     n, a, c = inst.n, inst.a_n, inst.c
     if counter is not None:
         counter.add(n)
     dot = sum(k * binom(a + j - c, j) for j, k in enumerate(coefficients))
-    t = term(n, step * n + mul * a + inst.s)
-    u, v = base.numerator, base.denominator
+    tn, td = term(n, step * n + mul * a + inst.s)
     if a < 0:
         u, v, a = v, u, -a
-    lead = ratio_n.denominator * v ** a * t.denominator
-    return Fraction(ratio_n.numerator * u ** a * t.numerator * den - dot * lead, lead * den)
+    lead = ratio_den * v ** a * td
+    return Fraction(ratio_num * u ** a * tn * den - dot * lead, lead * den)
 
 
 def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter]):
-    """T(e, k) = W[k], tallied."""
+    """T(e, k) = W[k] as an int pair, tallied."""
     w = _counted(inst.sequence().term, counter)
     return lambda e, k: w(k)
 
@@ -485,26 +512,30 @@ def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
 
 
 def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
-            main: Callable[[int], Fraction],
-            other: Callable[[int], Fraction]) -> Fraction:
+            main: Callable[[int], Tuple[int, int]],
+            other: Callable[[int], Tuple[int, int]]) -> Fraction:
     """Every F6 form, for the nested sum of (V_d/V_{r+d})**k W[rk+s].
 
-    ``main(k)`` is W[k] and ``other(k)`` equals W[k+1] - q*W[k-1]; both tally
-    their own terms. The display's delta = sqrt(D) occurs only in even powers,
-    which collapse to powers of the discriminant D, so the form is evaluated
-    over Q: a term of odd power e is ``other``, one of even e is ``main``, and
-    either is divided by D**ceil(e/2). This covers both parities of n.
+    ``main(k)`` is W[k] and ``other(k)`` equals W[k+1] - q*W[k-1], both as
+    int pairs; both tally their own terms. The display's delta = sqrt(D)
+    occurs only in even powers, which collapse to powers of the discriminant
+    D, so the form is evaluated over Q: a term of odd power e is ``other``,
+    one of even e is ``main``, and either is divided by D**ceil(e/2), whose
+    numerator goes to the pair's denominator (negative when D < 0 and the
+    power is odd). This covers both parities of n.
     """
     params, r, d = inst.params, inst.r, inst.d
-    disc = params.discriminant
+    disc_num, disc_den = params.discriminant.as_integer_ratio()
 
     def ratio_base() -> Tuple[Fraction, Fraction]:
         vd = second_kind_term(params, d)
         ratio = vd / (first_kind_term(params, r) * params.q ** d)
         return ratio, vd / second_kind_term(params, r + d)
 
-    def term(e: int, k: int) -> Fraction:
-        return (other if e % 2 else main)(k) / disc ** ((e + 1) // 2)
+    def term(e: int, k: int) -> Tuple[int, int]:
+        xn, xd = (other if e % 2 else main)(k)
+        h = (e + 1) // 2
+        return xn * disc_den ** h, xd * disc_num ** h
 
     return _lifted(inst, counter, ratio_base, r + d, r, term)
 
@@ -512,8 +543,13 @@ def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
 def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of (V_d/V_{r+d})**k W[rk+s]."""
     w = _counted(inst.sequence().term, counter)
-    q = inst.params.q
-    return _rhs_F6(inst, counter, w, lambda j: w(j + 1) - q * w(j - 1))
+    q_num, q_den = inst.params.q.as_integer_ratio()
+
+    def other(j: int) -> Tuple[int, int]:
+        (an, ad), (bn, bd) = w(j + 1), w(j - 1)
+        return an * bd * q_den - q_num * bn * ad, ad * bd * q_den
+
+    return _rhs_F6(inst, counter, w, other)
 
 
 def rhs_F6_F(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -527,7 +563,12 @@ def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> F
     """Lucas-number form of F6, using L[j+1] + L[j-1] = 5 F[j]."""
     fib = _counted(lambda j: first_kind_term(inst.params, j), counter)
     luc = _counted(lambda j: second_kind_term(inst.params, j), counter)
-    return _rhs_F6(inst, counter, luc, lambda j: 5 * fib(j))
+
+    def five_fib(j: int) -> Tuple[int, int]:
+        num, den = fib(j)
+        return 5 * num, den
+
+    return _rhs_F6(inst, counter, luc, five_fib)
 
 
 def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -539,11 +580,11 @@ def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
         w = _counted(inst.sequence().term, counter)
         q = params.q
         u0 = first_kind_term(params, r - d)
-        wsd1 = w(s + d - 1)
-        base = q * u0 / first_kind_term(params, r - d + 1) * wsd1 / w(s + d)
-        return -q * u0 * wsd1 / w(r + s), base
+        wsd1 = Fraction(*w(s + d - 1))
+        base = q * u0 / first_kind_term(params, r - d + 1) * wsd1 / Fraction(*w(s + d))
+        return -q * u0 * wsd1 / Fraction(*w(r + s)), base
 
-    return _lifted(inst, counter, ratio_base, 0, 0, lambda e, k: 1)
+    return _lifted(inst, counter, ratio_base, 0, 0, lambda e, k: (1, 1))
 
 
 def evaluate_rhs(inst: IdentityInstance,
@@ -604,11 +645,13 @@ def verify(inst: IdentityInstance) -> EvaluationReport:
 
     Evaluation-time failures (poles, division by zero) are folded into an
     ``error`` report rather than raised; any other exception is a bug and
-    propagates.
+    propagates. The report equals ``EvaluationReport(**fields)`` but is
+    built by ``object.__new__`` and ``__dict__.update``, as
+    :meth:`IdentityInstance._at` builds a point, without the frozen
+    ``__init__``'s one ``object.__setattr__`` per field.
     """
     oracle_counter = EvalCounter()
     closed_counter = EvalCounter()
-    coords = (inst.identity, inst.params, inst.n, inst.a_n, inst.c, inst.r, inst.s, inst.d)
     try:
         start = time.perf_counter_ns()
         lhs = oracle_nested(lhs_spec(inst), counter=oracle_counter)
@@ -617,19 +660,23 @@ def verify(inst: IdentityInstance) -> EvaluationReport:
         rhs = evaluate_rhs(inst, counter=closed_counter)
         closed_ns = time.perf_counter_ns() - start
     except _EVALUATION_ERRORS as exc:
-        return EvaluationReport(*coords, oracle_terms=oracle_counter.count,
-                                closed_terms=closed_counter.count,
-                                classification=CLASS_ERROR, detail=str(exc))
-    equal = lhs == rhs
-    if inst.a_n >= inst.c:
-        classification = CLASS_VERIFIED if equal else CLASS_MISMATCH
+        lhs = rhs = equal = None
+        oracle_ns = closed_ns = 0
+        classification, detail = CLASS_ERROR, str(exc)
     else:
-        classification = CLASS_OUTSIDE
-    return EvaluationReport(*coords, lhs=lhs, rhs=rhs, equal=equal,
-                            oracle_terms=oracle_counter.count,
-                            closed_terms=closed_counter.count,
-                            oracle_ns=oracle_ns, closed_ns=closed_ns,
-                            classification=classification)
+        equal = lhs == rhs
+        if inst.a_n >= inst.c:
+            classification = CLASS_VERIFIED if equal else CLASS_MISMATCH
+        else:
+            classification = CLASS_OUTSIDE
+        detail = ""
+    report = object.__new__(EvaluationReport)
+    report.__dict__.update(identity=inst.identity, params=inst.params, n=inst.n, a_n=inst.a_n,
+                           c=inst.c, r=inst.r, s=inst.s, d=inst.d, lhs=lhs, rhs=rhs,
+                           equal=equal, oracle_terms=oracle_counter.count,
+                           closed_terms=closed_counter.count, oracle_ns=oracle_ns,
+                           closed_ns=closed_ns, classification=classification, detail=detail)
+    return report
 
 
 @dataclass(frozen=True)

@@ -204,10 +204,11 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     The nested total is sum_k m_k * t(k), with the chain counts m_k of
     :func:`_chain_counts`; one Horner pass over Python ints folds the values
     in (an int value has denominator 1) on a common denominator that grows
-    only with the sequence terms' own. ``base**lo``, whose numerator and
-    denominator are coprime powers, multiplies into the numerator and into
-    that denominator times the power of ``v``, so the result is one
-    normalised ``Fraction`` of two ints. ``counter``
+    only with the sequence terms' own. ``base**lo`` is folded in as ints,
+    ``u**lo`` into the numerator and ``v**lo`` into that denominator times
+    the power of ``v`` (the two swapped, and negative when ``u`` is and the
+    power odd, for lo < 0), so the result is one normalised ``Fraction`` of
+    two ints and ``SumTerm.value`` runs exactly once per index. ``counter``
     tallies one unit per addition of a value into a level, as a plain loop
     over the levels would: depth times range, not the multinomial blow-up of
     direct enumeration.
@@ -220,10 +221,10 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     lo = limits[0]
     base = summand._base
     if base is None:
-        weight, v, scale = None, 1, 1
+        weight, v, scale_num, scale_den = None, 1, 1, 1
     else:
         weight, u, v = 1, base.numerator, base.denominator
-        scale = base ** lo
+        scale_num, scale_den = (u ** lo, v ** lo) if lo >= 0 else (v ** -lo, u ** -lo)
     num, den = 0, 1
     made = 0
     # a summand that raises leaves the count of the values made before it,
@@ -248,7 +249,7 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
             counter.add(made)
     if counter is not None:
         counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
-    return Fraction(num * scale.numerator, den * v ** made * scale.denominator)
+    return Fraction(num * scale_num, den * v ** made * scale_den)
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -16,8 +17,8 @@ from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLAS
                                      evaluate_rhs, grid_size, lhs_spec, rhs_F1, rhs_F2,
                                      rhs_F3, rhs_F5, rhs_F7, summarize,
                                      sweep, sweep_points, verify, _REGISTRY)
-from horadam_sums.nestedcore import oracle_nested
-from horadam_sums.sequences import (FIBONACCI, LUCAS, horadam, restricted, term)
+from horadam_sums.nestedcore import NestedSumSpec, oracle_nested
+from horadam_sums.sequences import (FIBONACCI, LUCAS, gibonacci, horadam, restricted, term)
 
 FIB = FAMILIES["fibonacci"]
 GENERIC = FAMILIES["generic"]          # restricted family, q = 3
@@ -28,6 +29,28 @@ COUNTED_GRIDS = (SweepGrid(families=(FIB, GENERIC, LUCAS), n_values=(1, 2), c_va
                            r_values=(1, 3), s_values=(0, 1), d_values=(0, -1),
                            a_offsets=(0, 4)),
                  SweepGrid(families=(GENERIC,), n_values=(2,), a_values=(-1, 5, 6)))
+
+
+# one family of rational p, q and seeds per family shape (a tag's
+# ``_REGISTRY`` family: None, restricted or gibonacci); every FAMILIES entry
+# is integral, so these are what run the closed forms' int pairs on
+# non-integral terms, ratios, bases and discriminants
+RATIONAL_FAMILIES = {
+    None: horadam(Fraction(-7, 3), Fraction(12, 5), Fraction(3, 2), Fraction(-5, 4)),
+    "restricted": horadam(Fraction(2, 3), Fraction(-5, 7), 1, Fraction(3, 2)),
+    "gibonacci": gibonacci(Fraction(-2, 3), Fraction(5, 4)),
+}
+# every tag without a fixed family
+RATIONAL_TAGS = tuple(ident for ident in IdentityId if _REGISTRY[ident].fixed is None)
+
+
+def rational_grid(ident) -> SweepGrid:
+    """The grid ``ident`` is swept on over its own shape's rational family."""
+    record = _REGISTRY[ident]
+    return SweepGrid(families=(RATIONAL_FAMILIES[record.family],),
+                     n_values=tuple(n for n in range(1, 5) if record.parity in (None, n % 2)),
+                     c_values=(-1, 1), r_values=(-1, 1, 2), s_values=(0, 2),
+                     d_values=(-1, 0, 1), a_offsets=tuple(range(-1, 5)))
 
 
 def inst(identity, params=None, n=1, a_n=1, c=1, r=1, s=0, d=0):
@@ -504,3 +527,64 @@ class TestBinetRoutes:
     @pytest.mark.parametrize("params", [FIB, GENERIC])
     def test_g_route_reproduces_alternating_sum(self, params):
         self._check_route(IdentityId.F4, params)
+
+
+@pytest.mark.parametrize("ident", RATIONAL_TAGS, ids=str)
+def test_rational_families_verify(ident):
+    # rational p, q and seeds: terms, ratios, bases and (for F6) the
+    # discriminant all have denominators other than 1
+    summary = summarize(sweep(ident, rational_grid(ident)))
+    assert summary.total == grid_size(ident, rational_grid(ident))
+    assert summary.mismatched == 0 and summary.errors == 0 and summary.verified > 0
+
+
+@pytest.mark.parametrize("name", ["n", "a_n", "c", "r", "s", "d"])
+@pytest.mark.parametrize("params", [FIB, FAMILIES["integer_root"]],
+                         ids=["valid-line", "skipped-line"])
+def test_bool_coordinate_refused(name, params):
+    # a bool is an int to isinstance, and a row would print it as True;
+    # F3_w verifies on the Fibonacci numbers and is skipped on p = 3
+    coords = dict(n=1, c=1, r=1, s=0, d=0)
+    a_values = (2, True) if name == "a_n" else (2,)
+    if name != "a_n":
+        coords[name] = True
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not bool$"):
+        list(identities.evaluate_line(IdentityId.F3_W, params, a_values=a_values, **coords))
+
+
+def _same_as_constructed(fast, built) -> None:
+    """``fast`` behaves as the dataclass ``built`` by its constructor."""
+    assert fast == built and built == fast and hash(fast) == hash(built)
+    assert repr(fast) == repr(built) and list(vars(fast).items()) == list(vars(built).items())
+    assert dataclasses.fields(fast) == dataclasses.fields(built)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(built)
+    assert dataclasses.replace(fast) == built
+    name = dataclasses.fields(fast)[-1].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(fast, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(fast, name)
+
+
+@pytest.mark.parametrize("a_n, broken, classification", [
+    (3, False, CLASS_VERIFIED), (-2, False, CLASS_OUTSIDE), (3, True, CLASS_ERROR),
+], ids=["verified", "outside_domain", "error"])
+def test_verify_report_is_a_constructed_report(a_n, broken, classification, monkeypatch):
+    if broken:
+        def divide_by_zero(one, counter=None):
+            raise ZeroDivisionError("pole here")
+
+        monkeypatch.setattr(identities, "evaluate_rhs", divide_by_zero)
+    report = verify(inst(IdentityId.F3, params=FIB, n=2, a_n=a_n, r=2, s=1))
+    assert report.classification == classification
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(EvaluationReport)}
+    _same_as_constructed(report, EvaluationReport(**fields))
+
+
+@pytest.mark.parametrize("ident, params, n, c", [
+    (IdentityId.F3, FIB, 3, -1), (IdentityId.F7, GENERIC, 1, 2), (IdentityId.F2A, None, 2, 0),
+], ids=["F3", "F7", "F2a"])
+def test_lhs_spec_is_a_constructed_spec(ident, params, n, c):
+    one = inst(ident, params=params, n=n, a_n=c + 3, c=c)
+    spec = lhs_spec(one)
+    _same_as_constructed(spec, NestedSumSpec(n, c + 3, c, spec.term))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -158,18 +159,20 @@ def test_outside_domain_follows_the_reversed_sum_convention(alone):
 
 
 _nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+# a term as its int pair: any nonzero denominator, of either sign, unreduced
+_pairs = st.tuples(st.integers(-30, 30), st.integers(-24, 24).filter(bool))
 
 
 @settings(max_examples=200, deadline=None)
-@given(ratio_n=_nonzero, base=_nonzero, t=st.just(1) | _nonzero,
+@given(ratio_n=_nonzero, base=_nonzero, t=st.just((1, 1)) | _pairs,
        coefficients=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=4),
        den=st.integers(1, 10 ** 4), a=st.integers(-7, 9), c=st.integers(-3, 3),
        s=st.integers(-3, 3), step=st.integers(-2, 2), mul=st.integers(-2, 2))
-@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=1, coefficients=[3, -4], den=6,
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=(1, 1), coefficients=[3, -4], den=6,
          a=-1, c=1, s=0, step=1, mul=1)
-@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=Fraction(-9, 4), coefficients=[3, -4],
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=(9, -4), coefficients=[3, -4],
          den=6, a=0, c=1, s=0, step=1, mul=1)
-@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=Fraction(-9, 4), coefficients=[3, -4],
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=(-18, 8), coefficients=[3, -4],
          den=6, a=1, c=-2, s=2, step=2, mul=-1)
 def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a, c, s, step, mul):
     # the point finishes on ints; the plain Fraction formula, with the
@@ -183,9 +186,68 @@ def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a,
 
     point = SimpleNamespace(n=n, a_n=a, c=c, s=s)
     counter = EvalCounter(5)
-    value = identities._lifted_point(point, counter, (ratio_n, base, tuple(coefficients), den),
-                                     step, mul, term)
+    part = (ratio_n.numerator, ratio_n.denominator, base.numerator, base.denominator,
+            tuple(coefficients), den)
+    value = identities._lifted_point(point, counter, part, step, mul, term)
     dot = sum(k * falling_binom(a + j - c, j) for j, k in enumerate(coefficients))
     assert type(value) is Fraction
-    assert value == ratio_n * base ** a * t - Fraction(dot, den)
+    assert value == ratio_n * base ** a * Fraction(*t) - Fraction(dot, den)
     assert calls == [(n, step * n + mul * a + s)] and counter.count == 5 + n
+
+
+def _plain_line(n, c, s, ratio, base, step, mul, term):
+    """K and D of the line part from plain ``Fraction`` products: the
+    coefficients over their least common denominator."""
+    coefficients = [base ** (c - 1) * ratio ** (n - j)
+                    * Fraction(*term(n - j, step * (n - j) + mul * (c - 1) + s))
+                    for j in range(n)]
+    den = lcm(*(k.denominator for k in coefficients))
+    return tuple(k.numerator * (den // k.denominator) for k in coefficients), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio=_nonzero, base=_nonzero, terms=st.lists(_pairs, min_size=8, max_size=8),
+       n=st.integers(1, 4), c=st.integers(-4, 4), s=st.integers(-3, 3),
+       step=st.integers(-2, 2), mul=st.integers(-2, 2))
+@example(ratio=Fraction(-2, 7), base=Fraction(-5, 3), terms=[(9, -4)] * 8, n=3, c=-1, s=0,
+         step=1, mul=1)
+@example(ratio=Fraction(3, 2), base=Fraction(-1, 2), terms=[(0, -3), (5, -10)] * 4, n=2,
+         c=0, s=1, step=2, mul=-1)
+def test_line_part_is_the_plain_formula(ratio, base, terms, n, c, s, step, mul):
+    # int pairs in, ints out: c - 1 < 0 swaps the base, negative base
+    # numerators and term denominators carry their signs, and the least
+    # common denominator is the plain one
+    def term(e, k):
+        return terms[(e * 3 + k) % len(terms)]
+
+    point = SimpleNamespace(n=n, c=c, s=s)
+    part = identities._lifted_line(point, ratio, base, step, mul, term)
+    assert all(type(x) is int for x in _leaves(part))
+    ratio_num, ratio_den, u, v, coefficients, den = part
+    assert Fraction(ratio_num, ratio_den) == ratio ** n and (u, v) == base.as_integer_ratio()
+    assert (coefficients, den) == _plain_line(n, c, s, ratio, base, step, mul, term)
+
+
+@pytest.mark.parametrize("ident, n", [(IdentityId.F6A, 2), (IdentityId.F6B, 3)], ids=["F6a", "F6b"])
+@pytest.mark.parametrize("c", [-1, 1])
+def test_f6_line_part_at_negative_discriminant(ident, n, c):
+    # D = -3: an odd power of D puts a negative numerator in a term's
+    # denominator; the line part is still the plain one, and the points verify
+    params = FAMILIES["negative_d"]
+    assert params.discriminant < 0
+    line = IdentityInstance(ident, params, n, c, c, 1, 0, 1)
+    captured = []
+    real = identities._lifted_line
+
+    def capturing(inst, ratio, base, step, mul, term):
+        captured.append((ratio, base, step, mul, term))
+        return real(inst, ratio, base, step, mul, term)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_lifted_line", capturing)
+        reports = [identities.verify(line._at(a_n)) for a_n in range(c - 1, c + 5)]
+    assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
+    (ratio, base, step, mul, term), = captured
+    assert any(term(e, 0)[1] < 0 for e in (1, 3))
+    ratio_num, ratio_den, u, v, coefficients, den = line._line.closed[0]
+    assert (coefficients, den) == _plain_line(n, c, 0, ratio, base, step, mul, term)

@@ -38,11 +38,15 @@ route runs.
 
 A mutant is killed when, for any tag whose evaluation calls the mutated
 function (every tag, for the oracle and the grid-line sharing), a point of
-the tier-1 deep-depth grid (``tests/test_identities.py::_deep_instances``)
-or of the tag's default-grid sweep shows a mismatch, an error report or an
-exception, or when it runs longer than ``TIMEOUT_S``. It is also killed
-when a report of the sweep differs in any field but the two times from the
-unmutated run's, when ``evaluate_point`` at a deep-depth point differs in
+the tier-1 deep-depth grid (``tests/test_identities.py::_deep_instances``),
+of the tag's default-grid sweep or, for a tag without a fixed family, of its
+sweep over rational p, q and seeds
+(``tests/test_identities.py::rational_grid``) shows a mismatch, an error
+report or an exception, or when it runs longer than ``TIMEOUT_S``. Every
+built-in family is integral, so the rational sweep is what holds the
+closed forms' int-pair denominators. It is also killed
+when a report of either sweep differs in any field but the two times from
+the unmutated run's, when ``evaluate_point`` at a deep-depth point differs in
 the same way from ``verify`` of it, when a deep-depth point rebuilt from
 its own fields is not the same point, or when a
 deep-depth point's closed form, evaluated first on a counter that already
@@ -115,21 +119,30 @@ import horadam_sums.sequences as sq  # noqa: E402
 from horadam_sums.nestedcore import (EvalCounter, NestedSumSpec, PoleError,  # noqa: E402
                                      geometric_term, oracle_nested, oracle_nested_naive)
 from test_acceptance import master_grid  # noqa: E402
-from test_identities import COUNTED_GRIDS, _deep_instances  # noqa: E402
+from test_identities import (COUNTED_GRIDS, RATIONAL_TAGS, _deep_instances,  # noqa: E402
+                             rational_grid)
 from test_nestedcore import KERNEL_CASES  # noqa: E402
 
 TIMEOUT_S = 60
 
 # "function: mutated statement" -> why the mutant cannot change a value
 KNOWN_SURVIVORS = {
-    "rhs_F7: return _lifted(inst, counter, ratio_base, 1, 0, lambda e, k: 1)":
+    "rhs_F7: return _lifted(inst, counter, ratio_base, 1, 0, lambda e, k: (1, 1))":
     "F7's term ignores its index, so the index step is unread",
-    "rhs_F7: return _lifted(inst, counter, ratio_base, 0, 1, lambda e, k: 1)":
+    "rhs_F7: return _lifted(inst, counter, ratio_base, 0, 1, lambda e, k: (1, 1))":
     "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
+    "_lifted_line: sn, sd = (u ** lift, v ** lift) if lift > 0 else (v ** (-lift), "
+    "u ** (-lift))": "at c - 1 = 0 both branches raise u and v to the power 0, which is 1",
+    "_lifted_line: sn, sd = (u ** lift, v ** lift) if lift >= 1 else (v ** (-lift), "
+    "u ** (-lift))": "at c - 1 = 0 both branches raise u and v to the power 0, which is 1",
+    "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo > 0 else (v ** (-lo), "
+    "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
+    "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo >= 1 else (v ** (-lo), "
+    "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
     "_lifted_point: if a <= 0:": "at a = 0 both branches raise u and v to the power 0, "
     "which is 1",
     "_lifted_point: if a < 1:": "at a = 0 both branches raise u and v to the power 0, "
@@ -466,9 +479,10 @@ def _fields(report) -> tuple:
 
 
 def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
-    """True when a tag's deep-depth points or default sweep fail (see the
-    module docstring), or its sweep's reports differ from ``swept[tag]``
-    but in their times; a tag not yet there has its reports recorded."""
+    """True when a tag's deep-depth points, default sweep or rational sweep
+    fail (see the module docstring), or its sweeps' reports differ from
+    ``swept[tag]`` but in their times; a tag not yet there has its reports
+    recorded."""
     if oracle and _kernel_broken():
         return True
     for ident in tags:
@@ -488,10 +502,11 @@ def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
             if _fields(ids.evaluate_point(ident, *coords)) != _fields(ids.verify(one)):
                 return True
         reports = []
-        for report in ids.iter_sweep(ident):
-            if report.classification in (ids.CLASS_MISMATCH, ids.CLASS_ERROR):
-                return True
-            reports.append(_fields(report))
+        for grid in (None, rational_grid(ident)) if ident in RATIONAL_TAGS else (None,):
+            for report in ids.iter_sweep(ident, grid):
+                if report.classification in (ids.CLASS_MISMATCH, ids.CLASS_ERROR):
+                    return True
+                reports.append(_fields(report))
         if swept.setdefault(ident, reports) != reports:
             return True
     return False
