@@ -33,7 +33,7 @@ from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VER
                          FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_line, evaluate_point, evaluate_rhs, fixed_family,
-                         grid_size, iter_sweep, lhs_spec, summarize, sweep_points)
+                         grid_size, iter_sweep, lhs_spec, summarize, sweep_lines)
 from .nestedcore import (ONES, EvalCounter, NaiveCapExceededError, NestedSumSpec,
                          geometric_term, master_E, oracle_nested, oracle_nested_naive)
 from .sequences import (ROOT_SHIFT_IDENTITIES, HoradamParams, horadam, lemma3_residual,
@@ -145,15 +145,30 @@ def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
             f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
 
 
-def check_points(count: int, points: Iterable[Tuple[int, ...]]) -> None:
+def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int, int, int]]
+                 ) -> None:
     """Refuse a run of more than MAX_GRID_POINTS points, or any point that
-    :func:`check_cost` refuses, before any work. ``points`` yields each
-    point's (n, a_n, c, r, s, d) and is read only once ``count`` passes."""
+    :func:`check_cost` refuses, before any work. ``lines`` yields each grid
+    line as (n, a_values, c, r, s, d) and is read only once ``count`` passes.
+
+    A line is checked at its smallest and its largest a_n. The term count
+    n * (a_n - c + 1) is linear in a_n, and the reach grows with |a_n|, so
+    on a line both are largest at one of the two. Only a line refused there
+    is checked point by point, in order, so the first point refused, and
+    its message, are those of a check of every point in grid order."""
     if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"a grid of {count} points exceeds the cap {MAX_GRID_POINTS}")
-    for point in points:
-        check_cost(*point)
+    for n, a_values, c, r, s, d in lines:
+        if not a_values:
+            continue
+        try:
+            check_cost(n, min(a_values), c, r, s, d)
+            check_cost(n, max(a_values), c, r, s, d)
+        except argparse.ArgumentTypeError:
+            for a_n in a_values:
+                check_cost(n, a_n, c, r, s, d)
+            raise  # not reached: the refused extreme is one of the points
 
 
 def report_row(report: EvaluationReport) -> dict:
@@ -189,7 +204,9 @@ def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
     params go through ``json.dumps``, again only when either differs from the
     previous row's. Every other value is an int, a "num/den" string, a JSON
     literal or a fixed class name, none of which needs escaping, so the bytes
-    are unchanged.
+    are unchanged. A report whose ``rhs`` is its ``lhs`` object, as
+    :func:`~horadam_sums.identities.verify` gives when the two agree, has
+    that value formatted once for both.
     """
     params = identity = head = None
     for report in reports:
@@ -198,10 +215,11 @@ def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
             row = report_row(report)
             head = (f'{{"identity": {json.dumps(row["identity"])}, '
                     f'"params": {json.dumps(row["params"])}, "n": ')
+        lhs = format_rational(report.lhs)
+        rhs = lhs if report.rhs is report.lhs else format_rational(report.rhs)
         out.write(f'{head}{report.n}, "a_n": {report.a_n}, "c": {report.c}, '
                   f'"r": {report.r}, "s": {report.s}, "d": {report.d}, '
-                  f'"lhs": "{format_rational(report.lhs)}", '
-                  f'"rhs": "{format_rational(report.rhs)}", '
+                  f'"lhs": "{lhs}", "rhs": "{rhs}", '
                   f'"equal": {_JSON_LITERALS[report.equal]}, '
                   f'"class": "{report.classification}"}}\n')
 
@@ -303,11 +321,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     A grid carries families, so a sweep given no --family or --p/--q/--a/--b
     keeps the default grid's; a point has one family, so verify, table and
     bench need it named for a tag with no fixed family (see _point_family).
+    Before any work the grid passes :func:`check_points` one line at a time,
+    checked at each line's extreme a_n, and a refusal names the first
+    refused point in grid order.
     """
     identity = args.identity
     grid = _grid_from_args(identity, args)
     check_points(grid_size(identity, grid),
-                 (point[1:] for point in sweep_points(identity, grid)))
+                 (line[1:] for line in sweep_lines(identity, grid)))
     tally: Counter = Counter()
 
     def stream():
@@ -340,8 +361,7 @@ _TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
 def cmd_table(args: argparse.Namespace) -> int:
     params = _point_family(args.identity, args)
     a_values = args.an or ()
-    check_points(len(a_values),
-                 ((args.n, a_n, args.c, args.r, args.s, args.d) for a_n in a_values))
+    check_points(len(a_values), [(args.n, a_values, args.c, args.r, args.s, args.d)])
     reports = list(evaluate_line(args.identity, params, args.n, a_values, args.c,
                                  args.r, args.s, args.d))
     rows = [(report.a_n, format_rational(report.lhs), format_rational(report.rhs),
@@ -431,8 +451,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
     check_points(len(n_values) * len(a_values),
-                 ((n, a_n, args.c, args.r, args.s, args.d)
-                  for n in n_values for a_n in a_values))
+                 ((n, a_values, args.c, args.r, args.s, args.d) for n in n_values))
     rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")

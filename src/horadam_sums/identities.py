@@ -42,7 +42,10 @@ part, each made when a point first needs it). An instance built alone has a
 line of its own. The closed form's terms are exchanged as (numerator,
 denominator) int pairs and its line part holds ints only, so a point is
 finished on ints in one normalised ``Fraction``; its left-hand spec and its
-report are built without their frozen dataclass constructors.
+report are built without their frozen dataclass constructors. The closed
+form's parts are module functions given the instance and the counter, so a
+point builds no closure, and the two sides are compared as ints: an
+agreeing report holds one value object as both its sides.
 """
 
 from __future__ import annotations
@@ -350,32 +353,26 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # Lucas forms plug their own term lookups into F6's. A term is an int pair
 # (numerator, denominator): the denominator is nonzero but may be negative
 # and need not be reduced, so a term costs no normalised ``Fraction``. The
-# optional counter tallies one unit per summand-family sequence term and per
-# binomial coefficient, so reported closed-form costs are measured, not
-# assumed.
+# ratio-and-base and term functions are module functions that take the
+# instance and the counter as arguments, so a point that reads its line's
+# part builds no closure. The optional counter tallies one unit per
+# summand-family sequence term and per binomial coefficient, so reported
+# closed-form costs are measured, not assumed.
 # ---------------------------------------------------------------------------
 
-def _counted(fn: Callable[[int], Fraction],
-             counter: Optional[EvalCounter]) -> Callable[[int], Tuple[int, int]]:
-    """The lookup ``fn(j)`` as a (numerator, denominator) int pair, tallying
-    one unit on ``counter`` per call."""
-    if counter is None:
-        return lambda j: fn(j).as_integer_ratio()
-
-    def tallied(j: int) -> Tuple[int, int]:
-        counter.add()
-        return fn(j).as_integer_ratio()
-
-    return tallied
+# (inst, counter, r, d) -> (ratio, base), and (inst, counter, e, k) -> T(e, k)
+RatioBase = Callable[[IdentityInstance, Optional[EvalCounter], int, int],
+                     Tuple[Fraction, Fraction]]
+Term = Callable[[IdentityInstance, Optional[EvalCounter], int, int], Tuple[int, int]]
 
 
-def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
-            ratio_base: Callable[[], Tuple[Fraction, Fraction]], step: int, mul: int,
-            term: Callable[[int, int], Tuple[int, int]]) -> Fraction:
+def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter], ratio_base: RatioBase,
+            r: int, d: int, step: int, mul: int, term: Term) -> Fraction:
     """The lifted master form every closed form evaluates.
 
-    With (ratio, base) = ``ratio_base()``, a = a_n and T(e, k) the fraction
-    of the int pair ``term(e, k)``, it returns
+    With (ratio, base) = ``ratio_base(inst, counter, r, d)``, a = a_n and
+    T(e, k) the fraction of the int pair ``term(inst, counter, e, k)``, it
+    returns
     ratio**n * base**a * T(n, step*n + mul*a + s)
     - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
     * C(a+j-c, j).
@@ -393,7 +390,7 @@ def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
     closed = line.closed
     if closed is None:
         before = None if counter is None else counter.count
-        part = _lifted_line(inst, *ratio_base(), step, mul, term)
+        part = _lifted_line(inst, counter, *ratio_base(inst, counter, r, d), step, mul, term)
         if counter is not None:
             line.closed = part, counter.count - before
     else:
@@ -403,8 +400,8 @@ def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter],
     return _lifted_point(inst, counter, part, step, mul, term)
 
 
-def _lifted_line(inst: IdentityInstance, ratio: Fraction, base: Fraction, step: int,
-                 mul: int, term: Callable[[int, int], Tuple[int, int]]) -> tuple:
+def _lifted_line(inst: IdentityInstance, counter: Optional[EvalCounter], ratio: Fraction,
+                 base: Fraction, step: int, mul: int, term: Term) -> tuple:
     """The part of :func:`_lifted` free of a_n, in ints only:
     ``(rn**n, rd**n, u, v, K, D)`` with ratio = rn/rd and base = u/v in
     lowest terms, where K[j] / D are the coefficients
@@ -423,7 +420,7 @@ def _lifted_line(inst: IdentityInstance, ratio: Fraction, base: Fraction, step: 
     pn, pd = 1, 1
     for e in range(1, n + 1):
         pn, pd = pn * rn, pd * rd  # ratio**e, at j = n - e
-        tn, td = term(e, step * e + shift)
+        tn, td = term(inst, counter, e, step * e + shift)
         pairs.append((sn * pn * tn, sd * pd * td))
     pairs.reverse()
     den = lcm(*(d for k, d in pairs))
@@ -433,7 +430,7 @@ def _lifted_line(inst: IdentityInstance, ratio: Fraction, base: Fraction, step: 
 
 
 def _lifted_point(inst: IdentityInstance, counter: Optional[EvalCounter], part: tuple,
-                  step: int, mul: int, term: Callable[[int, int], Tuple[int, int]]) -> Fraction:
+                  step: int, mul: int, term: Term) -> Fraction:
     """:func:`_lifted` at the instance's a_n from its line part
     ``(rn**n, rd**n, u, v, K, D)``: the one term that depends on a, less one
     dot product of K with the binomials C(a+j-c, j), over D.
@@ -441,53 +438,65 @@ def _lifted_point(inst: IdentityInstance, counter: Optional[EvalCounter], part: 
     With T(n, step*n + mul*a + s) = tn/td, and u and v swapped and a made -a
     when a < 0, the point is the one normalised
     ``Fraction(rn**n*u**a*tn*D - dot*rd**n*v**a*td, rd**n*v**a*td*D)``.
-    ``counter`` tallies the n binomials."""
+    ``counter`` tallies the n binomials, and ``term`` its own lookups."""
     ratio_num, ratio_den, u, v, coefficients, den = part
     n, a, c = inst.n, inst.a_n, inst.c
     if counter is not None:
         counter.add(n)
-    dot = sum(k * binom(a + j - c, j) for j, k in enumerate(coefficients))
-    tn, td = term(n, step * n + mul * a + inst.s)
+    dot = 0
+    top = a - c
+    for j, k in enumerate(coefficients):
+        dot += k * binom(top + j, j)
+    tn, td = term(inst, counter, n, step * n + mul * a + inst.s)
     if a < 0:
         u, v, a = v, u, -a
     lead = ratio_den * v ** a * td
     return Fraction(ratio_num * u ** a * tn * den - dot * lead, lead * den)
 
 
-def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter]):
-    """T(e, k) = W[k] as an int pair, tallied."""
-    w = _counted(inst.sequence().term, counter)
-    return lambda e, k: w(k)
+def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
+            k: int) -> Tuple[int, int]:
+    """T(e, k) = W[k], tallied."""
+    if counter is not None:
+        counter.add()
+    return HoradamSequence.of(inst.params).term(k).as_integer_ratio()
+
+
+def _f3_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+                   d: int) -> Tuple[Fraction, Fraction]:
+    return -1 / inst.params.q ** r, 1 / second_kind_term(inst.params, r)
 
 
 def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of W[rk+s] / V_r**k (also H)."""
-    q, r = inst.params.q, inst.r
-    return _lifted(inst, counter, lambda: (-1 / q ** r, 1 / second_kind_term(inst.params, r)),
-                   2 * r, r, _w_term(inst, counter))
+    r = inst.r
+    return _lifted(inst, counter, _f3_ratio_base, r, inst.d, 2 * r, r, _w_term)
+
+
+def _f4_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+                   d: int) -> Tuple[Fraction, Fraction]:
+    return 1 / second_kind_term(inst.params, r), -1 / inst.params.q ** r
 
 
 def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of (-1)**k W[2rk+s] / q**(rk)."""
-    q, r = inst.params.q, inst.r
-    return _lifted(inst, counter, lambda: (1 / second_kind_term(inst.params, r), -1 / q ** r),
-                   r, 2 * r, _w_term(inst, counter))
+    r = inst.r
+    return _lifted(inst, counter, _f4_ratio_base, r, inst.d, r, 2 * r, _w_term)
+
+
+def _f5_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+                   d: int) -> Tuple[Fraction, Fraction]:
+    """The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``."""
+    params = inst.params
+    ud = first_kind_term(params, d)
+    ratio = -ud / (first_kind_term(params, r) * params.q ** d)
+    return ratio, ud / first_kind_term(params, r + d)
 
 
 def _rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter],
             r: int, d: int) -> Fraction:
-    """F5 at the given r and d, for the nested sum of (U_d/U_{r+d})**k W[rk+s].
-
-    The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``.
-    """
-    params = inst.params
-
-    def ratio_base() -> Tuple[Fraction, Fraction]:
-        ud = first_kind_term(params, d)
-        ratio = -ud / (first_kind_term(params, r) * params.q ** d)
-        return ratio, ud / first_kind_term(params, r + d)
-
-    return _lifted(inst, counter, ratio_base, r + d, r, _w_term(inst, counter))
+    """F5 at the given r and d, for the nested sum of (U_d/U_{r+d})**k W[rk+s]."""
+    return _lifted(inst, counter, _f5_ratio_base, r, d, r + d, r, _w_term)
 
 
 def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -511,80 +520,112 @@ def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fra
     return _rhs_F5(inst, counter, 3, -2)
 
 
-def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter],
-            main: Callable[[int], Tuple[int, int]],
-            other: Callable[[int], Tuple[int, int]]) -> Fraction:
+def _f6_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+                   d: int) -> Tuple[Fraction, Fraction]:
+    params = inst.params
+    vd = second_kind_term(params, d)
+    ratio = vd / (first_kind_term(params, r) * params.q ** d)
+    return ratio, vd / second_kind_term(params, r + d)
+
+
+def _over_disc(inst: IdentityInstance, e: int, xn: int, xd: int) -> Tuple[int, int]:
+    """xn/xd divided by D**ceil(e/2) as an int pair: the numerator of D goes
+    to the denominator, which is negative when D < 0 and the power odd."""
+    disc_num, disc_den = inst.params.discriminant.as_integer_ratio()
+    h = (e + 1) // 2
+    return xn * disc_den ** h, xd * disc_num ** h
+
+
+def _f6_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
+             k: int) -> Tuple[int, int]:
+    """rhs_F6's T(e, k): W[k] at even e and W[k+1] - q*W[k-1] at odd e, each
+    tallied per term read."""
+    sequence = HoradamSequence.of(inst.params)
+    if e % 2:
+        if counter is not None:
+            counter.add(2)
+        (an, ad), (bn, bd) = (sequence.term(k + 1).as_integer_ratio(),
+                              sequence.term(k - 1).as_integer_ratio())
+        q_num, q_den = inst.params.q.as_integer_ratio()
+        return _over_disc(inst, e, an * bd * q_den - q_num * bn * ad, ad * bd * q_den)
+    if counter is not None:
+        counter.add()
+    return _over_disc(inst, e, *sequence.term(k).as_integer_ratio())
+
+
+def _f6_fib_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
+                 k: int) -> Tuple[int, int]:
+    """rhs_F6_F's T(e, k): F[k] at even e, and L[k] = F[k+1] + F[k-1] at odd e."""
+    if counter is not None:
+        counter.add()
+    kind = second_kind_term if e % 2 else first_kind_term
+    return _over_disc(inst, e, *kind(inst.params, k).as_integer_ratio())
+
+
+def _f6_luc_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
+                 k: int) -> Tuple[int, int]:
+    """rhs_F6_L's T(e, k): L[k] at even e, and 5 F[k] = L[k+1] + L[k-1] at odd e."""
+    if counter is not None:
+        counter.add()
+    if e % 2:
+        num, den = first_kind_term(inst.params, k).as_integer_ratio()
+        return _over_disc(inst, e, 5 * num, den)
+    return _over_disc(inst, e, *second_kind_term(inst.params, k).as_integer_ratio())
+
+
+def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter], term: Term) -> Fraction:
     """Every F6 form, for the nested sum of (V_d/V_{r+d})**k W[rk+s].
 
-    ``main(k)`` is W[k] and ``other(k)`` equals W[k+1] - q*W[k-1], both as
-    int pairs; both tally their own terms. The display's delta = sqrt(D)
-    occurs only in even powers, which collapse to powers of the discriminant
-    D, so the form is evaluated over Q: a term of odd power e is ``other``,
-    one of even e is ``main``, and either is divided by D**ceil(e/2), whose
-    numerator goes to the pair's denominator (negative when D < 0 and the
-    power is odd). This covers both parities of n.
+    ``term`` is T(e, k): a "main" term at even e (W[k] for the general form)
+    and an "other" one equal to W[k+1] - q*W[k-1] at odd e. The display's
+    delta = sqrt(D) occurs only in even powers, which collapse to powers of
+    the discriminant D, so the form is evaluated over Q: either term is
+    divided by D**ceil(e/2) (:func:`_over_disc`). This covers both parities
+    of n.
     """
-    params, r, d = inst.params, inst.r, inst.d
-    disc_num, disc_den = params.discriminant.as_integer_ratio()
-
-    def ratio_base() -> Tuple[Fraction, Fraction]:
-        vd = second_kind_term(params, d)
-        ratio = vd / (first_kind_term(params, r) * params.q ** d)
-        return ratio, vd / second_kind_term(params, r + d)
-
-    def term(e: int, k: int) -> Tuple[int, int]:
-        xn, xd = (other if e % 2 else main)(k)
-        h = (e + 1) // 2
-        return xn * disc_den ** h, xd * disc_num ** h
-
-    return _lifted(inst, counter, ratio_base, r + d, r, term)
+    r, d = inst.r, inst.d
+    return _lifted(inst, counter, _f6_ratio_base, r, d, r + d, r, term)
 
 
 def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the nested sum of (V_d/V_{r+d})**k W[rk+s]."""
-    w = _counted(inst.sequence().term, counter)
-    q_num, q_den = inst.params.q.as_integer_ratio()
-
-    def other(j: int) -> Tuple[int, int]:
-        (an, ad), (bn, bd) = w(j + 1), w(j - 1)
-        return an * bd * q_den - q_num * bn * ad, ad * bd * q_den
-
-    return _rhs_F6(inst, counter, w, other)
+    return _rhs_F6(inst, counter, _f6_term)
 
 
 def rhs_F6_F(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Fibonacci-number form of F6, using F[j+1] + F[j-1] = L[j]."""
-    fib = _counted(lambda j: first_kind_term(inst.params, j), counter)
-    luc = _counted(lambda j: second_kind_term(inst.params, j), counter)
-    return _rhs_F6(inst, counter, fib, luc)
+    return _rhs_F6(inst, counter, _f6_fib_term)
 
 
 def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Lucas-number form of F6, using L[j+1] + L[j-1] = 5 F[j]."""
-    fib = _counted(lambda j: first_kind_term(inst.params, j), counter)
-    luc = _counted(lambda j: second_kind_term(inst.params, j), counter)
+    return _rhs_F6(inst, counter, _f6_luc_term)
 
-    def five_fib(j: int) -> Tuple[int, int]:
-        num, den = fib(j)
-        return 5 * num, den
 
-    return _rhs_F6(inst, counter, luc, five_fib)
+def _f7_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+                   d: int) -> Tuple[Fraction, Fraction]:
+    """F7's ratio and base, which read three terms W of the summand's family."""
+    params, s = inst.params, inst.s
+    sequence = HoradamSequence.of(params)
+    if counter is not None:
+        counter.add(3)
+    q = params.q
+    u0 = first_kind_term(params, r - d)
+    wsd1 = sequence.term(s + d - 1)
+    base = q * u0 / first_kind_term(params, r - d + 1) * wsd1 / sequence.term(s + d)
+    return -q * u0 * wsd1 / sequence.term(r + s), base
+
+
+def _unit_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
+               k: int) -> Tuple[int, int]:
+    """F7's T(e, k) = 1: its summand has no sequence factor."""
+    return 1, 1
 
 
 def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """General closed form for the purely geometric nested sum with base
     q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d})."""
-    params, r, s, d = inst.params, inst.r, inst.s, inst.d
-
-    def ratio_base() -> Tuple[Fraction, Fraction]:
-        w = _counted(inst.sequence().term, counter)
-        q = params.q
-        u0 = first_kind_term(params, r - d)
-        wsd1 = Fraction(*w(s + d - 1))
-        base = q * u0 / first_kind_term(params, r - d + 1) * wsd1 / Fraction(*w(s + d))
-        return -q * u0 * wsd1 / Fraction(*w(r + s)), base
-
-    return _lifted(inst, counter, ratio_base, 0, 0, lambda e, k: (1, 1))
+    return _lifted(inst, counter, _f7_ratio_base, inst.r, inst.d, 0, 0, _unit_term)
 
 
 def evaluate_rhs(inst: IdentityInstance,
@@ -645,7 +686,11 @@ def verify(inst: IdentityInstance) -> EvaluationReport:
 
     Evaluation-time failures (poles, division by zero) are folded into an
     ``error`` report rather than raised; any other exception is a bug and
-    propagates. The report equals ``EvaluationReport(**fields)`` but is
+    propagates. Both routes end in a normalised ``Fraction``, so they are
+    compared by numerator and denominator, as ints, which is ``==`` without
+    ``Fraction.__eq__``'s type dispatch. When they agree, the report's
+    ``rhs`` is the ``lhs`` object itself, which an emitter may use to write
+    one value once. The report equals ``EvaluationReport(**fields)`` but is
     built by ``object.__new__`` and ``__dict__.update``, as
     :meth:`IdentityInstance._at` builds a point, without the frozen
     ``__init__``'s one ``object.__setattr__`` per field.
@@ -664,7 +709,10 @@ def verify(inst: IdentityInstance) -> EvaluationReport:
         oracle_ns = closed_ns = 0
         classification, detail = CLASS_ERROR, str(exc)
     else:
-        equal = lhs == rhs
+        if lhs.numerator == rhs.numerator and lhs.denominator == rhs.denominator:
+            equal, rhs = True, lhs
+        else:
+            equal = False
         if inst.a_n >= inst.c:
             classification = CLASS_VERIFIED if equal else CLASS_MISMATCH
         else:
@@ -722,8 +770,9 @@ def _sweep_axes(identity: IdentityId, grid: Optional[SweepGrid]) -> tuple:
     return (families, grid.n_values, c_values, r_values, s_values, d_values), grid
 
 
-def _sweep_lines(identity: IdentityId, grid: Optional[SweepGrid]) -> Iterator[tuple]:
-    """The lines ``(params, n, a_values, c, r, s, d)`` of a grid, in grid order."""
+def sweep_lines(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
+    """The lines ``(params, n, a_values, c, r, s, d)`` of a grid, in grid
+    order, unvalidated."""
     axes, grid = _sweep_axes(identity, grid)
     for params, n, c, r, s, d in product(*axes):
         a_values = grid.a_values if grid.a_values is not None else tuple(
@@ -733,7 +782,7 @@ def _sweep_lines(identity: IdentityId, grid: Optional[SweepGrid]) -> Iterator[tu
 
 def sweep_points(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:
     """Every grid point ``(params, n, a_n, c, r, s, d)``, in grid order, unvalidated."""
-    for params, n, a_values, c, r, s, d in _sweep_lines(identity, grid):
+    for params, n, a_values, c, r, s, d in sweep_lines(identity, grid):
         for a_n in a_values:
             yield params, n, a_n, c, r, s, d
 
@@ -759,16 +808,24 @@ def evaluate_line(identity: IdentityId, params: Optional[HoradamParams], n: int,
     share. A line that fails a precondition gives a ``skipped`` report per
     a_n with the reason as its detail, never an exception; ``params`` None
     stands for the tag's fixed family, and raises ``TypeError`` on a tag
-    without one, as does an a_n that is not an int."""
+    without one, as does an a_n that is not an int. A skipped report is
+    built as :func:`verify` builds its own, from the line's fields with
+    only a_n set per point."""
     if not a_values:
         return
     try:
         line = IdentityInstance(identity, params, n, a_values[0], c, r, s, d)
     except InvalidInstanceError as exc:
-        shown = params if params is not None else fixed_family(identity)
+        skipped = dict(identity=identity,
+                       params=params if params is not None else fixed_family(identity),
+                       n=n, a_n=None, c=c, r=r, s=s, d=d, lhs=None, rhs=None, equal=None,
+                       oracle_terms=0, closed_terms=0, oracle_ns=0, closed_ns=0,
+                       classification=CLASS_SKIPPED, detail=str(exc))
         for a_n in a_values:
             _check_int("a_n", a_n)
-            yield EvaluationReport(identity, shown, n, a_n, c, r, s, d, detail=str(exc))
+            report = object.__new__(EvaluationReport)
+            report.__dict__.update(skipped, a_n=a_n)
+            yield report
         return
     for a_n in a_values:
         yield verify(line._at(a_n))
@@ -786,7 +843,7 @@ def iter_sweep(identity: IdentityId, grid: Optional[SweepGrid] = None):
     Points that fail a precondition are yielded as ``skipped`` reports,
     never raised. Streaming keeps large sweeps at constant memory.
     """
-    for line in _sweep_lines(identity, grid):
+    for line in sweep_lines(identity, grid):
         yield from evaluate_line(identity, *line)
 
 

@@ -181,16 +181,20 @@ def _chain_counts(limits: Tuple[int, ...], upper: int) -> list:
     k = a_0 <= a_1 <= ... <= a_{n-1} <= upper with each a_i >= limits[i].
     From the outermost level inwards, level i's counts are the suffix sums
     of level i + 1's, zeroed below level i + 1's own lower limit. The counts
-    are ints far shorter than the summand values they weight.
+    are kept from ``upper`` down to ``limits[0]``, so every level's suffix
+    sums are one running sum in list order and its zeroed indices are the
+    list's tail, and the list is reversed once at the end. The counts are
+    ints far shorter than the summand values they weight.
     """
     lo = limits[0]
     size = upper - lo + 1
-    counts = [1] * size
+    counts = [1] * size  # counts[i] belongs to k = upper - i
     for start in reversed(limits[1:]):
         if start > lo:
-            counts[:start - lo] = [0] * min(start - lo, size)
-        counts = list(accumulate(reversed(counts)))
-        counts.reverse()
+            kept = max(upper - start + 1, 0)
+            counts[kept:] = [0] * (size - kept)
+        counts = list(accumulate(counts))
+    counts.reverse()
     return counts
 
 
@@ -211,7 +215,8 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     two ints and ``SumTerm.value`` runs exactly once per index. ``counter``
     tallies one unit per addition of a value into a level, as a plain loop
     over the levels would: depth times range, not the multinomial blow-up of
-    direct enumeration.
+    direct enumeration: the values as they are made, then the outer levels'
+    additions, summed on ints level by level.
     """
     summand = spec.term
     limits = spec.lower_limits
@@ -248,7 +253,11 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
         if counter is not None:
             counter.add(made)
     if counter is not None:
-        counter.add(sum(max(0, hi - start + 1) for start in limits[1:]))
+        added = 0
+        for start in limits[1:]:
+            if start <= hi:
+                added += hi - start + 1
+        counter.add(added)
     return Fraction(num * scale_num, den * v ** made * scale_den)
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import fib_list
 import horadam_sums.cli as cli
@@ -172,6 +174,48 @@ def test_runaway_point_refused_before_any_work(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceed" in err
+
+
+@pytest.mark.parametrize("coords, expected", [
+    # n = 1 passes its whole line; at n = 7 the middle a_n is the first point
+    # refused, by its term count, and the last would be refused too
+    (("--n", "1,7", "--an", "5,28600,29000"),
+     "error: n * (a_n - c + 1) = 200200 oracle terms exceeds the cap 200000\n"),
+    # the largest a_n passes and the smallest is refused by its reach, but
+    # the negative a_n before it is the first point refused
+    (("--n", "2", "--an=3,-29999,-40000,4"),
+     "error: sequence indices and powers up to about 150005 exceed the cap 150000\n"),
+], ids=["middle-of-line", "reach-at-negative-a_n"])
+def test_sweep_names_the_first_point_refused(capsys, coords, expected):
+    # the message of a check of every point in grid order, byte for byte
+    code, out, err = run_cli(capsys, "sweep", "--identity", "F3", "--family", "fibonacci",
+                             "--c", "1", "--r", "1", "--s", "0", *coords)
+    assert (code, out, err) == (2, "", expected)
+
+
+def _refusal(check, *args):
+    """The message ``check(*args)`` refuses with, or None."""
+    try:
+        check(*args)
+    except argparse.ArgumentTypeError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(st.integers(-3, 9), st.lists(st.integers(-40000, 40000),
+                                                             max_size=5),
+                                st.integers(-50, 50), st.integers(-3, 3),
+                                st.integers(-9, 9), st.integers(-3, 3)), max_size=4))
+def test_line_gate_refuses_as_the_point_gate(lines):
+    # checking each line at its extremes refuses the same first point, with
+    # the same message, as checking every point in order
+    def every_point():
+        for n, a_values, c, r, s, d in lines:
+            for a_n in a_values:
+                cli.check_cost(n, a_n, c, r, s, d)
+
+    assert _refusal(cli.check_points, 0, lines) == _refusal(every_point)
 
 
 def test_sweep_caps_only_swept_coordinates(capsys):
@@ -495,6 +539,16 @@ def test_jsonl_row_is_json_dumps_of_report_row():
     assert classes == {"verified", "outside_domain", "skipped", "mismatch", "error"}
     assert any(report.lhs is not None and report.lhs < -10 and report.lhs.denominator > 10
                for report in reports)
+    # a verified report's rhs is its lhs object; fabricated reports that say
+    # equal while their rhs is another object, of the same value or not,
+    # have their own rhs written
+    genuine = next(report for report in reports if report.classification == "verified")
+    assert genuine.rhs is genuine.lhs
+    copied = dataclasses.replace(genuine, rhs=Fraction(genuine.lhs.numerator,
+                                                       genuine.lhs.denominator))
+    lying = dataclasses.replace(genuine, rhs=genuine.lhs + Fraction(1, 3))
+    assert copied.rhs is not copied.lhs and lying.equal
+    reports += [copied, lying]
     sink = _RecordingSink()
 
     def stream():

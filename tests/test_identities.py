@@ -581,6 +581,46 @@ def test_verify_report_is_a_constructed_report(a_n, broken, classification, monk
     _same_as_constructed(report, EvaluationReport(**fields))
 
 
+@pytest.mark.parametrize("ident, params, n, shown, detail", [
+    (IdentityId.F6A, GENERIC, 3, GENERIC, "F6a: n must be even for this variant"),
+    (IdentityId.F1A, None, 0, FIB, "F1a: n must be a positive integer"),
+], ids=["parity", "fixed-family"])
+def test_skipped_report_is_a_constructed_report(ident, params, n, shown, detail):
+    # a line that fails a precondition gives each point a skipped report,
+    # built as verify builds its own; a fixed tag's family is shown
+    a_values = (4, -1)
+    reports = list(identities.evaluate_line(ident, params, n, a_values, 1, 1, 0, 1))
+    assert [report.a_n for report in reports] == list(a_values)
+    for a_n, report in zip(a_values, reports):
+        assert report.classification == CLASS_SKIPPED and report.detail == detail
+        _same_as_constructed(report, EvaluationReport(ident, shown, n, a_n, 1, 1, 0, 1,
+                                                      detail=detail))
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (Fraction(3, 7), Fraction(3, 8)),
+    (Fraction(3, 7), Fraction(4, 7)),
+    (Fraction(3, 7), Fraction(-3, 7)),
+    (Fraction(0), Fraction(0, 5)),
+    (Fraction(-12, 5), Fraction(24, -10)),
+], ids=["same-numerator", "same-denominator", "opposite-signs", "zeros", "equal"])
+@pytest.mark.parametrize("a_n", [4, -2], ids=["in-domain", "outside"])
+def test_verify_compares_as_fraction_equality(lhs, rhs, a_n, monkeypatch):
+    # on patched routes, equal and the class follow Fraction's ==, and an
+    # agreeing rhs is the lhs object itself
+    assert rhs is not lhs
+    monkeypatch.setattr(identities, "oracle_nested", lambda spec, counter=None: lhs)
+    monkeypatch.setattr(identities, "evaluate_rhs", lambda one, counter=None: rhs)
+    report = verify(inst(IdentityId.F3, params=FIB, n=2, a_n=a_n))
+    agree = lhs == rhs
+    assert report.equal is agree and report.lhs is lhs
+    assert report.rhs is (lhs if agree else rhs)
+    if a_n < 1:
+        assert report.classification == CLASS_OUTSIDE
+    else:
+        assert report.classification == (CLASS_VERIFIED if agree else CLASS_MISMATCH)
+
+
 @pytest.mark.parametrize("ident, params, n, c", [
     (IdentityId.F3, FIB, 3, -1), (IdentityId.F7, GENERIC, 1, 2), (IdentityId.F2A, None, 2, 0),
 ], ids=["F3", "F7", "F2a"])

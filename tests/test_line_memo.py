@@ -180,8 +180,8 @@ def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a,
     n = len(coefficients)
     calls = []
 
-    def term(e, k):
-        calls.append((e, k))
+    def term(inst, counter, e, k):
+        calls.append((inst, counter, e, k))
         return t
 
     point = SimpleNamespace(n=n, a_n=a, c=c, s=s)
@@ -192,14 +192,15 @@ def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a,
     dot = sum(k * falling_binom(a + j - c, j) for j, k in enumerate(coefficients))
     assert type(value) is Fraction
     assert value == ratio_n * base ** a * Fraction(*t) - Fraction(dot, den)
-    assert calls == [(n, step * n + mul * a + s)] and counter.count == 5 + n
+    assert calls == [(point, counter, n, step * n + mul * a + s)] and counter.count == 5 + n
 
 
-def _plain_line(n, c, s, ratio, base, step, mul, term):
+def _plain_line(point, ratio, base, step, mul, term):
     """K and D of the line part from plain ``Fraction`` products: the
     coefficients over their least common denominator."""
+    n, c, s = point.n, point.c, point.s
     coefficients = [base ** (c - 1) * ratio ** (n - j)
-                    * Fraction(*term(n - j, step * (n - j) + mul * (c - 1) + s))
+                    * Fraction(*term(point, None, n - j, step * (n - j) + mul * (c - 1) + s))
                     for j in range(n)]
     den = lcm(*(k.denominator for k in coefficients))
     return tuple(k.numerator * (den // k.denominator) for k in coefficients), den
@@ -217,15 +218,15 @@ def test_line_part_is_the_plain_formula(ratio, base, terms, n, c, s, step, mul):
     # int pairs in, ints out: c - 1 < 0 swaps the base, negative base
     # numerators and term denominators carry their signs, and the least
     # common denominator is the plain one
-    def term(e, k):
+    def term(inst, counter, e, k):
         return terms[(e * 3 + k) % len(terms)]
 
     point = SimpleNamespace(n=n, c=c, s=s)
-    part = identities._lifted_line(point, ratio, base, step, mul, term)
+    part = identities._lifted_line(point, None, ratio, base, step, mul, term)
     assert all(type(x) is int for x in _leaves(part))
     ratio_num, ratio_den, u, v, coefficients, den = part
     assert Fraction(ratio_num, ratio_den) == ratio ** n and (u, v) == base.as_integer_ratio()
-    assert (coefficients, den) == _plain_line(n, c, s, ratio, base, step, mul, term)
+    assert (coefficients, den) == _plain_line(point, ratio, base, step, mul, term)
 
 
 @pytest.mark.parametrize("ident, n", [(IdentityId.F6A, 2), (IdentityId.F6B, 3)], ids=["F6a", "F6b"])
@@ -239,15 +240,15 @@ def test_f6_line_part_at_negative_discriminant(ident, n, c):
     captured = []
     real = identities._lifted_line
 
-    def capturing(inst, ratio, base, step, mul, term):
+    def capturing(inst, counter, ratio, base, step, mul, term):
         captured.append((ratio, base, step, mul, term))
-        return real(inst, ratio, base, step, mul, term)
+        return real(inst, counter, ratio, base, step, mul, term)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "_lifted_line", capturing)
         reports = [identities.verify(line._at(a_n)) for a_n in range(c - 1, c + 5)]
     assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
     (ratio, base, step, mul, term), = captured
-    assert any(term(e, 0)[1] < 0 for e in (1, 3))
+    assert any(term(line, None, e, 0)[1] < 0 for e in (1, 3))
     ratio_num, ratio_den, u, v, coefficients, den = line._line.closed[0]
-    assert (coefficients, den) == _plain_line(n, c, 0, ratio, base, step, mul, term)
+    assert (coefficients, den) == _plain_line(line, ratio, base, step, mul, term)

@@ -34,3 +34,19 @@ def test_sites_lie_in_the_body(tool, source):
         setattr(node, field, replacement)
         assert isinstance(tool._statement(func, node), str)
         setattr(node, field, saved)
+
+
+def test_products_lose_either_operand(tool):
+    # x * y becomes x and y wherever it is held: a statement's field, an
+    # element of a tuple, or an operand of another product
+    func = ast.parse("def f(x, y, z):\n    a, b = x * y, z\n    return a * b * z\n").body[0]
+    dropped = []
+    for node, field, replacement in tool._sites(func):
+        if not (isinstance(replacement, ast.expr) or field not in ("op", "ops", "value")):
+            continue  # an operator swap or a raised constant
+        saved = getattr(node, field)
+        setattr(node, field, replacement)
+        dropped.append(tool._statement(func, node))
+        setattr(node, field, saved)
+    assert dropped == ["a, b = (x, z)", "a, b = (y, z)", "return a * b", "return z",
+                       "return a * z", "return b * z"]

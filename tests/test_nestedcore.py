@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import binet_route, literal_nested_sum
+import horadam_sums.nestedcore as nestedcore
 from horadam_sums.combinatorics import nested_ones
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.identities import (CLASS_ERROR, FAMILIES, IdentityId, IdentityInstance,
@@ -271,6 +273,35 @@ class TestOracles:
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 nonzero_small = small_rationals.filter(lambda x: x != 0)
+
+
+def _enumerated_chain_counts(limits, upper):
+    """How many index chains k = a_0 <= a_1 <= ... <= a_{n-1} <= upper, with
+    each a_i >= limits[i], start at each k from limits[0] to upper, by
+    walking every chain from the outermost index in."""
+    counts = Counter()
+
+    def walk(level, top):
+        for a in range(limits[level], top + 1):
+            if level == 0:
+                counts[a] += 1
+            else:
+                walk(level - 1, a)
+
+    walk(len(limits) - 1, upper)
+    return [counts[k] for k in range(limits[0], upper + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(limits=st.lists(st.integers(-3, 6), min_size=1, max_size=5), upper=st.integers(-5, 9))
+@example(limits=[1, 1, 1], upper=4)
+@example(limits=[-2, 0, 5], upper=4)
+@example(limits=[4, 2, 0], upper=3)
+@example(limits=[2, 3], upper=1)
+def test_chain_counts_enumerate_the_chains(limits, upper):
+    # per-level and crossing limits, and upper limits below them
+    assert nestedcore._chain_counts(tuple(limits), upper) \
+        == _enumerated_chain_counts(limits, upper)
 
 
 @st.composite

@@ -8,14 +8,19 @@ Each mutant changes one operator or constant in one target function:
 ``+`` and ``-`` swap, ``*`` and ``/`` swap, ``%`` becomes ``//``, ``**``
 becomes ``*`` and ``//`` becomes ``/`` (augmented assignments included);
 ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and ``is not``,
-and ``and`` and ``or`` swap; and each integer constant of the function's
+and ``and`` and ``or`` swap; each integer constant of the function's
 body is raised by 1 (its signature, with defaults and annotations, is left
-as it is). The targets are the lifted master form (``_lifted`` with its
-line part ``_lifted_line`` and point part ``_lifted_point``) and the right-hand-side
-functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` with
+as it is); and a product ``x * y`` loses one operand, becoming ``x`` or
+``y``, which is how a factor of an int-pair denominator goes missing. The
+targets are the lifted master form (``_lifted`` with its
+line part ``_lifted_line`` and point part ``_lifted_point``), the right-hand-side
+functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` and the
+parts they hand to ``_lifted`` (every ``*_ratio_base``, every ``*_term``
+and ``_over_disc``), with
 its grid-line sharing (``evaluate_line``, which validates a line once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
-``IdentityInstance._at`` and the summand caching in ``lhs_spec``) and its
+``IdentityInstance._at`` and the summand caching in ``lhs_spec``), the
+comparison and classification in ``verify``, and its
 preconditions (``_violation`` and every ``_*_violation``), and, in
 ``horadam_sums.nestedcore``,
 ``oracle_nested`` (its int weights and its Horner pass) with its chain
@@ -52,7 +57,13 @@ its own fields is not the same point, or when a
 deep-depth point's closed form, evaluated first on a counter that already
 holds a count (which makes its grid line's part), then on a fresh counter
 and on none (which read that part back), gives another value or adds
-another count the second time than the first. An oracle mutant is also killed when, on a case
+another count the second time than the first. A report's two times, which
+no comparison reads, are judged apart: they must not be negative, must be
+0 on a report that evaluated neither side, and must add up to no more
+than the wall time of the ``verify`` call of a deep-depth point; and a
+deep-depth point whose closed form raises ``ZeroDivisionError`` must give
+an ``error`` report with the message, no values and both times 0. An
+oracle mutant is also killed when, on a case
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
 count differs from the enumeration ``oracle_nested_naive``. A summand
 mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
@@ -107,6 +118,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -127,9 +139,9 @@ TIMEOUT_S = 60
 
 # "function: mutated statement" -> why the mutant cannot change a value
 KNOWN_SURVIVORS = {
-    "rhs_F7: return _lifted(inst, counter, ratio_base, 1, 0, lambda e, k: (1, 1))":
+    "rhs_F7: return _lifted(inst, counter, _f7_ratio_base, inst.r, inst.d, 1, 0, _unit_term)":
     "F7's term ignores its index, so the index step is unread",
-    "rhs_F7: return _lifted(inst, counter, ratio_base, 0, 1, lambda e, k: (1, 1))":
+    "rhs_F7: return _lifted(inst, counter, _f7_ratio_base, inst.r, inst.d, 0, 1, _unit_term)":
     "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
@@ -150,6 +162,8 @@ KNOWN_SURVIVORS = {
     "HoradamSequence.term: edge, step, mul, sub, grow = (hi, 1, big_p, big_q, m) if j >= hi "
     "else (lo, -1, big_p * m, m * m * big_q, big_q)":
     "a miss lies outside [lo, hi], so j never equals hi",
+    "master_E: total = 0": "n >= 1, so the first addition makes the total a value of x's "
+    "type whether it starts from 0 or from x * 0",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
 }
@@ -166,7 +180,9 @@ SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
-                "lhs_spec")
+                "lhs_spec", "verify")
+# the closed forms' parts besides _lifted* and rhs_*: ratio and base, terms
+CLOSED_PART_SUFFIXES = ("_ratio_base", "_term")
 BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
 
@@ -220,7 +236,8 @@ def _is_target(module, name: str) -> bool:
         return name in BINOM_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
-    return name.startswith(("_lifted", "rhs_", "_rhs_")) or name.endswith("_violation") \
+    return name.startswith(("_lifted", "rhs_", "_rhs_")) or name == "_over_disc" \
+        or name.endswith(CLOSED_PART_SUFFIXES + ("_violation",)) \
         or name in LINE_TARGETS + GRID_TARGETS
 
 
@@ -238,12 +255,24 @@ def _targets(module) -> list:
     return found
 
 
+def _is_product(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
 def _sites(func: ast.FunctionDef) -> list:
     """Every mutable (node, field, replacement) in the body of ``func``,
     statement by statement; the signature's defaults and annotations, which
-    no statement holds, are left out."""
+    no statement holds, are left out. A product ``x * y`` is also replaced,
+    in the field of the node that holds it, by ``x`` and by ``y``."""
     sites = []
     for node in (node for stmt in func.body for node in ast.walk(stmt)):
+        for name, value in ast.iter_fields(node):
+            if _is_product(value):
+                sites += [(node, name, operand) for operand in (value.left, value.right)]
+            elif isinstance(value, list):
+                sites += [(node, name, value[:i] + [operand] + value[i + 1:])
+                          for i, item in enumerate(value) if _is_product(item)
+                          for operand in (item.left, item.right)]
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
             sites.append((node, "op", _SWAPS[type(node.op)]()))
         elif isinstance(node, ast.BoolOp):
@@ -460,7 +489,7 @@ def _verdicts() -> list:
     ``InvalidInstanceError`` text. No precondition reads a_n, and neither
     side is evaluated."""
     points = [(ident, params, n, a_values[0], c, r, s, d) for ident in ids.IdentityId
-              for params, n, a_values, c, r, s, d in ids._sweep_lines(ident, None)]
+              for params, n, a_values, c, r, s, d in ids.sweep_lines(ident, None)]
     verdicts = []
     for point in points + list(PRECONDITION_LINES):
         try:
@@ -478,12 +507,42 @@ def _fields(report) -> tuple:
                  if f.name not in ("oracle_ns", "closed_ns"))
 
 
+def _times_wrong(report, elapsed: Optional[int] = None) -> bool:
+    """True when a report's two times are negative, are not both 0 on a
+    report that evaluated neither side (skipped or error), or add up to
+    more than ``elapsed``, the wall time of the call that made the report."""
+    times = (report.oracle_ns, report.closed_ns)
+    if min(times) < 0 or (report.classification in (ids.CLASS_SKIPPED, ids.CLASS_ERROR)
+                          and any(times)):
+        return True
+    return elapsed is not None and sum(times) > elapsed
+
+
+def _error_report_wrong() -> bool:
+    """True when a point whose closed form raises ``ZeroDivisionError`` does
+    not give an ``error`` report with the message as its detail, no values
+    and both times 0."""
+    one = _deep_instances(ids.IdentityId.F3)[0]
+    real = ids.evaluate_rhs
+
+    def pole(inst, counter=None):
+        raise ZeroDivisionError("pole here")
+
+    ids.evaluate_rhs = pole
+    try:
+        report = ids.verify(one)
+    finally:
+        ids.evaluate_rhs = real
+    return (report.classification, report.detail, report.lhs, report.rhs, report.equal) \
+        != (ids.CLASS_ERROR, "pole here", None, None, None) or _times_wrong(report)
+
+
 def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
     """True when a tag's deep-depth points, default sweep or rational sweep
     fail (see the module docstring), or its sweeps' reports differ from
     ``swept[tag]`` but in their times; a tag not yet there has its reports
     recorded."""
-    if oracle and _kernel_broken():
+    if oracle and _kernel_broken() or _error_report_wrong():
         return True
     for ident in tags:
         for one in _deep_instances(ident):
@@ -498,13 +557,18 @@ def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
             if value != oracle_nested(ids.lhs_spec(one)) or value != ids.evaluate_rhs(one, fresh) \
                     or value != ids.evaluate_rhs(one) or used.count - 1 != fresh.count:
                 return True
+            start = time.perf_counter_ns()
+            report = ids.verify(one)
+            if _times_wrong(report, time.perf_counter_ns() - start):
+                return True
             coords = (one.params, one.n, one.a_n, one.c, one.r, one.s, one.d)
-            if _fields(ids.evaluate_point(ident, *coords)) != _fields(ids.verify(one)):
+            if _fields(ids.evaluate_point(ident, *coords)) != _fields(report):
                 return True
         reports = []
         for grid in (None, rational_grid(ident)) if ident in RATIONAL_TAGS else (None,):
             for report in ids.iter_sweep(ident, grid):
-                if report.classification in (ids.CLASS_MISMATCH, ids.CLASS_ERROR):
+                if report.classification in (ids.CLASS_MISMATCH, ids.CLASS_ERROR) \
+                        or _times_wrong(report):
                     return True
                 reports.append(_fields(report))
         if swept.setdefault(ident, reports) != reports:
