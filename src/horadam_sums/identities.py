@@ -60,7 +60,8 @@ from math import gcd, lcm, prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import binom
-from .nestedcore import EvalCounter, NestedSumSpec, PoleError, SumTerm, oracle_nested
+from .nestedcore import (EvalCounter, NestedSumSpec, PoleError, SumTerm, _check_int,
+                         oracle_nested)
 from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence,
                         first_kind_term, gibonacci, horadam, second_kind_term)
 
@@ -113,12 +114,6 @@ FAMILIES: Dict[str, HoradamParams] = {
     "negative_d": horadam(1, 4, 1, 1),     # discriminant -3, period 6
     "generic": horadam(2, 5, 1, 3),        # discriminant -11, restricted
 }
-
-
-def _check_int(name: str, value) -> None:
-    # a bool is an int to isinstance, but not a coordinate
-    if type(value) is bool or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 class _Line:

@@ -13,12 +13,15 @@ Two independent evaluators are provided. :func:`oracle_nested` evaluates
 the summand once per index of the innermost range, at an int weight in place
 of the rational weight power, and weights each value by the number of index
 chains that reach it; those counts are small-int suffix sums, one pass per
-level, and one Horner pass over Python ints folds the weighted values in.
-The scale back to the rational weight power joins those ints, so the
-oracle ends in one normalised ``Fraction``. :func:`oracle_nested_naive`
-literally enumerates every index tuple in plain ``Fraction`` arithmetic. Their
-agreement guards against a shared bug, and both serve as ground truth for
-the closed forms in this module and in :mod:`horadam_sums.identities`.
+level. Horner's rule over Python ints folds the weighted values in, by
+blocks of consecutive indices, so an index's weight is a power of the base's
+numerator bounded by the block, not by the range, and one product per block
+shifts its part into the total. The scale back to the rational weight power
+joins those ints, so the oracle ends in one normalised ``Fraction``.
+:func:`oracle_nested_naive` literally enumerates every index tuple in plain
+``Fraction`` arithmetic. Their agreement guards against a shared bug, and
+both serve as ground truth for the closed forms in this module and in
+:mod:`horadam_sums.identities`.
 Here the geometric closed form is one loop, :func:`master_E`; the f-form
 substitutes into it, and an alternating geometric sum is the f-form at -x.
 
@@ -33,6 +36,7 @@ arguments, for the root-power routes that run in Q(sqrt(D)).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -49,6 +53,10 @@ DEFAULT_NAIVE_CAP = 500_000
 
 _ONE = Fraction(1)
 
+# indices per block of oracle_nested's weighted fold: an index's int weight
+# is a product of fewer than this many factors of the base's numerator
+_BLOCK = 32
+
 
 class PoleError(ValueError):
     """A closed form was evaluated at a parameter value where it divides by zero."""
@@ -56,6 +64,12 @@ class PoleError(ValueError):
 
 class NaiveCapExceededError(RuntimeError):
     """A naive enumeration would exceed the configured summand budget."""
+
+
+def _check_int(name: str, value) -> None:
+    # a bool is an int to isinstance, but never an index, a limit or a count
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 @dataclass
@@ -77,8 +91,9 @@ class SumTerm:
     ``weight_base**k``. An omitted factor contributes 1. A sign ``(-1)**k``
     is a negative base: ``(-1)**k * b**k`` is ``(-b)**k``. The weight base
     is an int or a ``Fraction`` (an int becomes a ``Fraction``; any other
-    type raises ``TypeError``) and must be nonzero so that negative indices
-    stay well-defined. ``index_mul`` and ``index_add`` must be ints.
+    type, a bool included, raises ``TypeError``) and must be nonzero so that negative indices
+    stay well-defined. ``index_mul`` and ``index_add`` must be ints, not
+    bools; any other type raises ``TypeError`` naming the field.
 
     Construction also resolves the sequence's :class:`HoradamSequence` once
     (``_sequence``) and decides once whether the weight is read at all
@@ -92,11 +107,11 @@ class SumTerm:
     weight_base: Optional[Fraction] = None
 
     def __post_init__(self):
-        if not (isinstance(self.index_mul, int) and isinstance(self.index_add, int)):
-            raise TypeError("index_mul and index_add must be ints")
+        _check_int("index_mul", self.index_mul)
+        _check_int("index_add", self.index_add)
         base = self.weight_base
         if base is not None:
-            if isinstance(base, int):
+            if isinstance(base, int) and type(base) is not bool:
                 base = Fraction(base)
                 object.__setattr__(self, "weight_base", base)
             elif not isinstance(base, Fraction):
@@ -115,13 +130,16 @@ class SumTerm:
         """The summand at ``k``. ``weight`` stands in for ``weight_base**k``:
         the result is ``value(k) * weight / weight_base**k`` (the weight
         itself when there is no sequence), so a caller may pass any
-        multiple of the power; :func:`oracle_nested` passes an int. A summand
-        without a base, or with a base of 1, reads no weight.
+        multiple of the power; :func:`oracle_nested` passes the int
+        ``u**(k - s)``, with ``s`` the first index of ``k``'s block, so the
+        weight is a product of fewer than ``_BLOCK`` factors of ``u`` however
+        long the range. A summand without a base, or with a base of 1, reads
+        no weight.
 
         With an int weight read, the result is an int whenever it is integral
-        and a ``Fraction`` otherwise, so an integral sequence term costs one
-        int product and no normalised ``Fraction``. Every other call returns
-        a ``Fraction``."""
+        and a ``Fraction`` otherwise, so an integral sequence term, read once
+        as an int pair, costs one int product and no normalised
+        ``Fraction``. Every other call returns a ``Fraction``."""
         base = self._base
         if base is not None and weight is None:
             weight = base ** k
@@ -131,8 +149,9 @@ class SumTerm:
         else:
             result = sequence.term(self.index_mul * k + self.index_add)
             if base is not None:
-                if result.denominator == 1:
-                    result = result.numerator * weight
+                n, d = result.as_integer_ratio()
+                if d == 1:
+                    result = n * weight
                 else:
                     result = result * weight
                     if type(weight) is int and result.denominator == 1:
@@ -153,7 +172,9 @@ class NestedSumSpec:
     """Shape of a nested sum: depth, outer upper limit, per-level lower limits, summand.
 
     ``lower_limits`` may be a single int (shared by every level) or one value
-    per level ordered innermost first.
+    per level ordered innermost first. The depth, the upper limit and every
+    lower limit must be ints; any other type, a bool included, raises
+    ``TypeError`` naming the field.
     """
 
     depth: int
@@ -162,15 +183,16 @@ class NestedSumSpec:
     term: SumTerm = ONES
 
     def __post_init__(self):
+        _check_int("depth", self.depth)
+        _check_int("upper", self.upper)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         limits = self.lower_limits
-        if isinstance(limits, int):
-            limits = (limits,) * self.depth
-        else:
-            limits = tuple(limits)
+        limits = tuple(limits) if isinstance(limits, Iterable) else (limits,) * self.depth
         if len(limits) != self.depth:
             raise ValueError(f"need {self.depth} lower limits, got {len(limits)}")
+        for limit in limits:
+            _check_int("lower_limits", limit)
         object.__setattr__(self, "lower_limits", limits)
 
 
@@ -202,21 +224,28 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     """Exact nested-sum value as one weighted sum of the level-0 summands.
 
     Each index ``k`` from the innermost lower limit ``lo`` to the outer upper
-    limit is evaluated once. With the weight base written ``u/v`` (``v > 0``),
-    ``value(k, u**(k - lo))`` is ``t(k) * v**(k - lo) / base**lo``, an int
-    weight in place of a rational power, and an int whenever it is integral.
-    The nested total is sum_k m_k * t(k), with the chain counts m_k of
-    :func:`_chain_counts`; one Horner pass over Python ints folds the values
-    in (an int value has denominator 1) on a common denominator that grows
-    only with the sequence terms' own. ``base**lo`` is folded in as ints,
-    ``u**lo`` into the numerator and ``v**lo`` into that denominator times
+    limit is evaluated once, in order, and read once as an int pair. The
+    nested total is sum_k m_k * t(k), with the chain counts m_k of
+    :func:`_chain_counts`, folded in over Python ints (an int value has
+    denominator 1) on a common denominator that grows only with the sequence
+    terms' own. A summand without a weight base is summed as it comes.
+
+    With the weight base written ``u/v`` (``v > 0``), the range is folded by
+    blocks of ``_BLOCK`` indices, by Horner's rule in ``v``. Inside the
+    block that starts at ``s``, ``value(k, u**(k - s))`` is
+    ``t(k) * v**(k - s) / base**s``: an int weight of fewer than ``_BLOCK``
+    factors of ``u`` in place of a rational power, and an int whenever it
+    is integral. A block's part is folded forward in ``v`` and joins the
+    total as ``total * v**size + u**(s - lo) * part``, so the one product
+    that grows with the range is made once per block, not once per index,
+    and no list of the values is held. ``base**lo`` is folded in as ints,
+    ``u**lo`` into the numerator and ``v**lo`` into the denominator times
     the power of ``v`` (the two swapped, and negative when ``u`` is and the
     power odd, for lo < 0), so the result is one normalised ``Fraction`` of
-    two ints and ``SumTerm.value`` runs exactly once per index. ``counter``
-    tallies one unit per addition of a value into a level, as a plain loop
-    over the levels would: depth times range, not the multinomial blow-up of
-    direct enumeration: the values as they are made, then the outer levels'
-    additions, summed on ints level by level.
+    two ints and ``SumTerm.value`` runs exactly once per index. ``counter`` tallies one unit per addition of a value into a
+    level, as a plain loop over the levels would: depth times range, not
+    the multinomial blow-up of direct enumeration: the values as they are
+    made, then the outer levels' additions, summed on ints level by level.
     """
     summand = spec.term
     limits = spec.lower_limits
@@ -224,31 +253,44 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     if hi < limits[-1]:
         return Fraction(0)
     lo = limits[0]
+    counts = _chain_counts(limits, hi)
     base = summand._base
-    if base is None:
-        weight, v, scale_num, scale_den = None, 1, 1, 1
-    else:
-        weight, u, v = 1, base.numerator, base.denominator
-        scale_num, scale_den = (u ** lo, v ** lo) if lo >= 0 else (v ** -lo, u ** -lo)
+    u, v = (1, 1) if base is None else base.as_integer_ratio()
     num, den = 0, 1
     made = 0
     # a summand that raises leaves the count of the values made before it,
     # which verify reports with the error
     try:
-        for k, m in enumerate(_chain_counts(limits, hi), lo):
-            term = summand.value(k, weight)
-            made += 1
-            d = term.denominator
-            if d == den:
-                num += m * term.numerator
-            else:
-                common = lcm(den, d)
-                num = num * (common // den) + m * term.numerator * (common // d)
-                den = common
-            # sum_k m_k * value_k * v**(hi + 1 - k), one power of v per step
-            if weight is not None:
-                num *= v
-                weight *= u
+        if base is None:
+            for k, m in enumerate(counts, lo):
+                n, d = summand.value(k).as_integer_ratio()
+                made += 1
+                if d == den:
+                    num += m * n
+                else:
+                    common = lcm(den, d)
+                    num = num * (common // den) + m * n * (common // d)
+                    den = common
+        else:
+            power = 1  # u**(s - lo) at the block that starts at index s
+            for first in range(0, len(counts), _BLOCK):
+                block = counts[first:first + _BLOCK]
+                part, weight = 0, 1
+                for k, m in enumerate(block, lo + first):
+                    n, d = summand.value(k, weight).as_integer_ratio()
+                    made += 1
+                    if d == den:
+                        part += m * n
+                    else:
+                        # the total and the part share one denominator
+                        common = lcm(den, d)
+                        num *= common // den
+                        part = part * (common // den) + m * n * (common // d)
+                        den = common
+                    part *= v
+                    weight *= u
+                num = num * v ** len(block) + power * part
+                power *= weight  # u**len(block) by now
     finally:
         if counter is not None:
             counter.add(made)
@@ -258,6 +300,7 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
             if start <= hi:
                 added += hi - start + 1
         counter.add(added)
+    scale_num, scale_den = (u ** lo, v ** lo) if lo >= 0 else (v ** -lo, u ** -lo)
     return Fraction(num * scale_num, den * v ** made * scale_den)
 
 

@@ -55,9 +55,11 @@ class TestSumTerm:
         for k in range(-4, 5):
             assert unit.value(k) == plain.value(k) == unit.value(k, Fraction(1))
 
-    @pytest.mark.parametrize("base", [QuadExt(1, 1, 5), QuadExt(3, 0, 5), 1.5, "2"])
+    @pytest.mark.parametrize("base", [QuadExt(1, 1, 5), QuadExt(3, 0, 5), 1.5, "2", True, False])
     def test_non_rational_weight_rejected(self, base):
-        # the oracles add Fractions only; a root-power base belongs to master_E
+        # the oracles add Fractions only; a root-power base belongs to master_E.
+        # A bool is an int to isinstance, but True is no base 1 and False no
+        # zero base
         with pytest.raises(TypeError):
             SumTerm(weight_base=base)
 
@@ -67,6 +69,13 @@ class TestSumTerm:
         # a float key 3.0 would read the int key 3: F[3] for index_mul=1.5 at k=2
         with pytest.raises(TypeError):
             SumTerm(seq=FIBONACCI, **coords)
+
+    @pytest.mark.parametrize("field", ["index_mul", "index_add"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_index_map_rejected(self, field, flag):
+        # a bool is an int to isinstance, but not an index map
+        with pytest.raises(TypeError, match=f"^{field} must be an int, not bool"):
+            SumTerm(seq=FIBONACCI, **{field: flag})
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,6 +138,17 @@ class TestSpec:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             NestedSumSpec(0, 5, 1, ONES)
+
+    @pytest.mark.parametrize("args,field", [
+        ((True, 5, 1), "depth"), ((2.0, 5, 1), "depth"),
+        ((2, 5.0, 1), "upper"), ((2, False, 1), "upper"), ((2, Fraction(5), 1), "upper"),
+        ((2, 5, 1.0), "lower_limits"), ((2, 5, True), "lower_limits"),
+        ((2, 5, (0, 1.5)), "lower_limits"), ((2, 5, (True, 0)), "lower_limits")])
+    def test_non_int_shape_rejected(self, args, field):
+        # unchecked, a float upper limit fails only inside the chain counts,
+        # and a bool counts as 0 or 1
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            NestedSumSpec(*args, ONES)
 
 
 class TestMasterClosedForm:
@@ -352,6 +372,35 @@ KERNEL_CASES = (
     # non-integral -5/4), then -29/2 and -125/4, so the lcm follows an int run
     NestedSumSpec(3, 3, (-1, 0, -1), SumTerm(seq=INTEGER_ROOT, index_mul=-2,
                                               weight_base=Fraction(2, 3))),
+    # Long ranges, folded by blocks of nestedcore._BLOCK = 32 indices, at
+    # depth 2 at most so the enumeration stays cheap. A range of exactly one
+    # full block, at |u| > 1 and v > 1, over Fraction terms at negative
+    # indices under rational p, q
+    NestedSumSpec(1, 31, 0, SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)),
+                                    index_mul=-1, weight_base=Fraction(-5, 3))),
+    # no base over 4 blocks, the last partial: W[40] down to W[-60] of q = 2
+    # are ints until k = 1, mid-way through the second block, where the
+    # common denominator first grows; the outer level starts later
+    NestedSumSpec(2, 60, (-40, -35), SumTerm(seq=INTEGER_ROOT, index_mul=-1)),
+    # u = -1 with v = 1 over 2 blocks, the second partial; the outer level
+    # starts later
+    NestedSumSpec(2, 40, (-5, 3), SumTerm(seq=FIBONACCI, index_add=2, weight_base=-1)),
+    # u = -1 with v = 3 over 3 blocks, the last partial
+    NestedSumSpec(2, 75, 0, SumTerm(seq=GENERIC, weight_base=Fraction(-1, 3))),
+    # an int base with |u| > 1: 3 blocks with a sequence, the last of one
+    # index, then 4 full blocks with none
+    NestedSumSpec(1, 50, -14, SumTerm(seq=GENERIC, index_mul=2, weight_base=-3)),
+    NestedSumSpec(2, 124, (-3, 0), geometric_term(Fraction(2))),
+    # a rational base with |u| > 1 and v > 1 over 3 blocks, the last
+    # partial: W[35] down to W[-40] of q = 2 are ints until k = 1, in the
+    # second block, and times odd weights (-5)**(k - s) they stay Fractions
+    NestedSumSpec(2, 40, (-35, -37), SumTerm(seq=INTEGER_ROOT, index_mul=-1,
+                                              weight_base=Fraction(-5, 3))),
+    # over rational p, q from W[-42] up, 3 blocks with the limits crossing:
+    # every value is a Fraction, the common denominator takes an lcm at every
+    # index and grows again mid-way through the second block
+    NestedSumSpec(2, 30, (-45, -50), SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)),
+                                              index_add=3, weight_base=Fraction(7, 2))),
 )
 
 
@@ -425,12 +474,14 @@ class TestBinetRoute:
 
 class TestSummandCalls:
     """The oracle calls ``SumTerm.value`` exactly once per index of the
-    innermost range, in order: the benchmark's traced run checks its oracle
-    terms against depth times these calls, and a batch summand path would
-    break that. Each call passes an int weight (None when the summand reads
-    none), so no index costs a normalised ``Fraction`` power, and an index
-    whose sequence term is integral gets an int back and builds no
-    ``Fraction`` at all."""
+    innermost range, in order, on ranges of one block and of several: the
+    benchmark's traced run checks its oracle terms against depth times these
+    calls, and a batch summand path would break that. Each call passes an
+    int weight (None when the summand reads none), so no index costs a
+    normalised ``Fraction`` power, and an index whose sequence term is
+    integral gets an int back and builds no ``Fraction`` at all. The weight
+    is a power of the base's numerator that restarts at each block, so it
+    is bounded by the block, not by the range."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -460,6 +511,13 @@ class TestSummandCalls:
             else:
                 assert type(weight) is int
 
+    @pytest.mark.parametrize("spec", KERNEL_CASES)
+    def test_weights_are_bounded_by_the_block(self, spec, calls):
+        oracle_nested(spec)
+        if spec.term.weight_base not in (None, 1):
+            bound = abs(spec.term.weight_base.numerator) ** (nestedcore._BLOCK - 1)
+            assert all(abs(weight) <= bound for _, weight in calls)
+
     def test_no_call_when_outermost_sum_is_empty(self, calls):
         spec = NestedSumSpec(3, 4, (-2, 0, 5), SumTerm(seq=FIBONACCI, weight_base=Fraction(2)))
         assert oracle_nested(spec) == 0
@@ -467,15 +525,23 @@ class TestSummandCalls:
 
     def test_raising_summand_leaves_partial_count(self, monkeypatch):
         value = SumTerm.value
+        pole = 3
 
-        def fails_at_three(summand, k, weight=None):
-            if k == 3:
-                raise ZeroDivisionError("summand pole at k = 3")
+        def fails_at_pole(summand, k, weight=None):
+            if k == pole:
+                raise ZeroDivisionError(f"summand pole at k = {k}")
             return value(summand, k, weight)
 
-        monkeypatch.setattr(SumTerm, "value", fails_at_three)
+        monkeypatch.setattr(SumTerm, "value", fails_at_pole)
         # F3 over Fibonacci at n = 2, c = 1: indices 1, 2 are made before the pole
         report = verify(IdentityInstance(IdentityId.F3, FIBONACCI, 2, 6, 1, 1, 0, 0))
         assert report.classification == CLASS_ERROR
         assert report.oracle_terms == 2 and report.closed_terms == 0
         assert "k = 3" in report.detail
+        # at r = 2 the weight base is 1/V_2 = 1/3, and a_n = 80 makes 3 blocks:
+        # a pole in the second block leaves the 39 values made before it
+        pole = 40
+        report = verify(IdentityInstance(IdentityId.F3, FIBONACCI, 2, 80, 1, 2, 0, 0))
+        assert report.classification == CLASS_ERROR
+        assert report.oracle_terms == 39 and report.closed_terms == 0
+        assert "k = 40" in report.detail

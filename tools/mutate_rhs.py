@@ -23,7 +23,7 @@ validation in ``IdentityInstance.__post_init__``, the point copy
 comparison and classification in ``verify``, and its
 preconditions (``_violation`` and every ``_*_violation``), and, in
 ``horadam_sums.nestedcore``,
-``oracle_nested`` (its int weights and its Horner pass) with its chain
+``oracle_nested`` (its int weights and its Horner fold by blocks) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window walk of ``HoradamSequence.term``
@@ -65,7 +65,8 @@ deep-depth point whose closed form raises ``ZeroDivisionError`` must give
 an ``error`` report with the message, no values and both times 0. An
 oracle mutant is also killed when, on a case
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
-count differs from the enumeration ``oracle_nested_naive``. A summand
+count differs from the enumeration ``oracle_nested_naive`` (made once per
+case; the long cases span one, two and several blocks of the fold). A summand
 mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
 the product of a plain recurrence walk's term and the power ``base**k`` on
 ``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w;
@@ -350,12 +351,17 @@ def _install(module, owner, func: ast.FunctionDef) -> None:
     _rebind(func.name, module.__dict__[func.name])
 
 
+# the enumeration of each kernel case, made once: uncapped, it calls neither
+# oracle_nested nor _chain_counts, so no oracle mutant can change it
+_naive = lru_cache(maxsize=None)(lambda spec: oracle_nested_naive(spec, cap=None))
+
+
 def _kernel_broken() -> bool:
     """True when the oracle disagrees with the naive enumeration on a kernel case."""
     for spec in KERNEL_CASES:
         counter = EvalCounter()
         fast = oracle_nested(spec, counter=counter)
-        slow = oracle_nested_naive(spec, cap=None)
+        slow = _naive(spec)
         limits = spec.lower_limits
         count = (sum(max(0, spec.upper - limit + 1) for limit in limits)
                  if spec.upper >= limits[-1] else 0)
