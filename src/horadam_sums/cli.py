@@ -61,6 +61,9 @@ MAX_REACH = 150_000
 MAX_GRID_POINTS = 100_000
 MAX_LEMMA_POINTS = 4_000
 
+# a single point's --c/--r/--s/--d when the flag is not given
+_COORD_DEFAULTS = (("c", 1), ("r", 1), ("s", 0), ("d", 0))
+
 
 def format_rational(value: Optional[Fraction]) -> str:
     """Serialize exactly as "num/den"; None becomes the empty string."""
@@ -439,16 +442,34 @@ def bench_rows(kind: str, inst_args: dict, n_values: Sequence[int],
     return rows
 
 
+def _check_bench_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag that the bench kind would ignore: the identity flags
+    (--identity, the family flags and non-default --r/--s/--d) without
+    ``--kind identity``, and --x without ``--kind geometric``."""
+    if args.kind != "identity":
+        given = [f"--{name}" for name in ("identity", "family", "p", "q", "a", "b")
+                 if getattr(args, name) is not None]
+        given += [f"--{name}" for name, default in _COORD_DEFAULTS
+                  if name != "c" and getattr(args, name) != default]
+        if given:
+            raise argparse.ArgumentTypeError(f"--kind identity is required by {', '.join(given)}")
+    if args.kind != "geometric" and args.x is not None:
+        raise argparse.ArgumentTypeError("--kind geometric is required by --x")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_bench_flags(args)
     n_values = args.n or (1, 2, 3, 4, 5)
     if min(n_values) < 1:
         raise argparse.ArgumentTypeError("--n values must be at least 1")
-    inst_args = {"x": args.x}
+    x = Fraction(2) if args.x is None else args.x
+    if args.kind == "geometric" and x in (0, 1):
+        raise argparse.ArgumentTypeError(f"x = {x} is a pole of the master closed form")
+    inst_args = {"x": x}
     if args.kind == "identity":
-        inst_args.update(identity=args.identity, params=_point_family(args.identity, args),
+        identity = args.identity or IdentityId.F3
+        inst_args.update(identity=identity, params=_point_family(identity, args),
                          r=args.r, s=args.s, d=args.d)
-    if args.kind == "geometric" and args.x in (0, 1):
-        raise argparse.ArgumentTypeError(f"x = {args.x} is a pole of the master closed form")
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
     check_points(len(n_values) * len(a_values),
                  ((n, a_values, args.c, args.r, args.s, args.d) for n in n_values))
@@ -560,7 +581,7 @@ def _add_point_flags(parser: argparse.ArgumentParser, grid: bool, n: dict, an: d
     parser.add_argument("--n", **n)
     parser.add_argument("--an", **an)
     coord_help = {"c": 'lower limits, e.g. "-2,0,1,3"' if grid else "lower limit (default 1)"}
-    for name, default in (("c", 1), ("r", 1), ("s", 0), ("d", 0)):
+    for name, default in _COORD_DEFAULTS:
         parser.add_argument(f"--{name}", type=parse_int_set if grid else int,
                             default=None if grid else default, help=coord_help.get(name))
 
@@ -603,12 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="closed form vs oracle cost comparison")
     p_bench.add_argument("--kind", choices=("ones", "geometric", "identity"),
                          default="ones")
-    p_bench.add_argument("--identity", type=IdentityId, default="F3",
-                         help="identity for --kind identity")
+    p_bench.add_argument("--identity", type=IdentityId, default=None,
+                         help="identity for --kind identity (default F3)")
     _add_point_flags(p_bench, grid=False, n=dict(type=parse_int_set, default=None),
                      an=dict(type=parse_int_set, default=None))
-    p_bench.add_argument("--x", type=parse_rational, default=Fraction(2),
-                         help="geometric base for --kind geometric")
+    p_bench.add_argument("--x", type=parse_rational, default=None,
+                         help="geometric base for --kind geometric (default 2)")
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

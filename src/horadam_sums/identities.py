@@ -10,19 +10,20 @@ The catalog covers the general four-parameter family (tags F3..F7), the
 Fibonacci/Lucas cubic-index forms (F1*/F2*), and their specializations for
 the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
 described once, by one record in ``_REGISTRY``: its fixed family or family
-shape, the F6 depth parity, the theorem shape it shares with its parent
-(swept coordinates, preconditions, left-hand summand), its right-hand
-evaluator and its default grid. As in the paper, which evaluates the nested
-geometric sum once and derives every display from it, the closed forms of
-F3..F7 are one lifted master form at a parameter tuple per theorem. Every
-restricted and gibonacci specialization runs its parent's tuple, since
-validation already pins its parameters (and, for F7_r1d0_*, its r and d).
-The classic form H is F3 on the Fibonacci numbers at r = 1, s = 0, c = 1,
-and F1/F2 are F5 at (r, d) = (3, -1) and (3, -2). All eight F6 tags share
-F6's tuple over Q: the display's sqrt(D) occurs only in even powers, which
-become powers of D, and the Fibonacci and Lucas forms only swap in their own
-term lookups. The left-hand summands are built apart from the master form,
-so every closed form is checked against the oracle, never against another
+shape, the F6 depth parity, its default grid and the theorem shape it
+shares with its parent (swept coordinates, preconditions, left-hand summand
+and the closed form's parameter tuple). As in the paper, which evaluates the
+nested geometric sum once and derives every display from it, every closed
+form is one lifted master form at its shape's tuple, which
+:func:`evaluate_rhs` reads off the registry. Every restricted and gibonacci
+specialization holds its parent's shape, since validation already pins its
+parameters (and, for F7_r1d0_*, its r and d). The classic form H is F3 on
+the Fibonacci numbers at r = 1, s = 0, c = 1, and F1/F2 hold F5's tuple at
+the fixed (r, d) = (3, -1) and (3, -2). All eight F6 tags share F6's tuple
+over Q: the display's sqrt(D) occurs only in even powers, which become
+powers of D, and the Fibonacci and Lucas forms only swap in their own
+terms. The left-hand summands are built apart from the master form, so
+every closed form is checked against the oracle, never against another
 evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -204,19 +205,31 @@ def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
 # Theorem shapes: what a theorem and its specializations share
 # ---------------------------------------------------------------------------
 
+# (inst, counter, r, d) -> (ratio, base), and (inst, counter, e, k) -> T(e, k)
+RatioBase = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[Fraction, Fraction]]
+Term = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class _Shape:
-    """Swept coordinates, kind-specific preconditions and left-hand summand.
+    """Swept coordinates, kind-specific preconditions, left-hand summand and
+    the closed form's tuple.
 
     ``dims`` names the coordinates among c, r, s, d that a sweep varies; the
     others stay at their defaults. ``violation`` returns the first violated
     precondition as a reason, or None. ``summand`` builds the oracle-evaluable
-    innermost term of the left-hand side.
+    innermost term of the left-hand side. :func:`evaluate_rhs` runs
+    :func:`_lifted` at ``ratio_base``, ``index(r, d)`` (the index step and
+    multiplier) and ``term``, with r and d the instance's or, if set, ``at``.
     """
 
     dims: str
     summand: Callable[[IdentityInstance], SumTerm]
+    ratio_base: RatioBase
+    index: Callable[[int, int], Tuple[int, int]]
+    term: Term
     violation: Callable[[IdentityInstance], Optional[str]] = lambda inst: None
+    at: Optional[Tuple[int, int]] = None
 
 
 def _h_violation(inst: IdentityInstance) -> Optional[str]:
@@ -307,18 +320,6 @@ def _f7_r1d0_violation(inst: IdentityInstance) -> Optional[str]:
     return _f7_violation(inst)
 
 
-_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _h_violation)
-_F1 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s))
-_F2 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s,
-                                        weight_base=-1))
-_F3 = _Shape("crs", _f3_summand, _v_r_violation)
-_F4 = _Shape("crs", _f4_summand, _v_r_violation)
-_F5 = _Shape("crsd", _f5_summand, _f5_violation)
-_F6 = _Shape("crsd", _f6_summand, _f6_violation)
-_F7 = _Shape("crsd", _f7_summand, _f7_violation)
-_F7_R1D0 = _Shape("cs", _f7_summand, _f7_r1d0_violation)
-
-
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
     """The oracle-evaluable nested-sum shape matching the identity's left side.
 
@@ -340,28 +341,20 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # Right-hand sides
 #
 # The paper evaluates the nested geometric sum once and reads every display
-# off it, so F3..F7 are one lifted master form, ``_lifted``, at a parameter
-# tuple per theorem: the ratio and the base (a function giving both, called
-# once per grid line), the index step and multiplier, and the term T(e, k).
-# Each tuple serves every specialization of its theorem:
-# H runs F3, F1/F2 run F5's tuple at fixed (r, d), and the F6 Fibonacci and
-# Lucas forms plug their own term lookups into F6's. A term is an int pair
+# off it, so every closed form is one lifted master form, ``_lifted``, at
+# the tuple its theorem shape holds: the ratio and the base (a function
+# giving both, called once per grid line), the index step and multiplier (a
+# function of r and d), and the term T(e, k). A term is an int pair
 # (numerator, denominator): the denominator is nonzero but may be negative
 # and need not be reduced, so a term costs no normalised ``Fraction``. The
 # ratio-and-base and term functions are module functions that take the
 # instance and the counter as arguments, so a point that reads its line's
-# part builds no closure. The optional counter tallies one unit per
-# summand-family sequence term and per binomial coefficient, so reported
-# closed-form costs are measured, not assumed.
+# part builds no closure. The counter tallies one unit per summand-family
+# sequence term and per binomial coefficient, so reported closed-form costs
+# are measured, not assumed.
 # ---------------------------------------------------------------------------
 
-# (inst, counter, r, d) -> (ratio, base), and (inst, counter, e, k) -> T(e, k)
-RatioBase = Callable[[IdentityInstance, Optional[EvalCounter], int, int],
-                     Tuple[Fraction, Fraction]]
-Term = Callable[[IdentityInstance, Optional[EvalCounter], int, int], Tuple[int, int]]
-
-
-def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter], ratio_base: RatioBase,
+def _lifted(inst: IdentityInstance, counter: EvalCounter, ratio_base: RatioBase,
             r: int, d: int, step: int, mul: int, term: Term) -> Fraction:
     """The lifted master form every closed form evaluates.
 
@@ -376,33 +369,34 @@ def _lifted(inst: IdentityInstance, counter: Optional[EvalCounter], ratio_base: 
     the line part, :func:`_lifted_line`, is made. That part, ints only, is
     kept on the instance's :class:`_Line` with the counter units its lookups
     tallied, and :func:`_lifted_point` finishes each point from it on ints,
-    in one normalised ``Fraction``. A later point of the
-    line (see :func:`evaluate_line`) adds those units as if it had made the
-    lookups, so ``closed_terms`` counts uses, not cache misses. A call
-    without a counter keeps nothing, since its units are unknown.
+    in one normalised ``Fraction``. A later point of the line (see
+    :func:`evaluate_line`) adds those units as if it had made the lookups,
+    so ``closed_terms`` counts uses, not cache misses.
     """
     line = inst._line
     closed = line.closed
     if closed is None:
-        before = None if counter is None else counter.count
+        before = counter.count
         part = _lifted_line(inst, counter, *ratio_base(inst, counter, r, d), step, mul, term)
-        if counter is not None:
-            line.closed = part, counter.count - before
+        line.closed = part, counter.count - before
     else:
         part, units = closed
-        if counter is not None:
-            counter.add(units)
+        counter.add(units)
     return _lifted_point(inst, counter, part, step, mul, term)
 
 
-def _lifted_line(inst: IdentityInstance, counter: Optional[EvalCounter], ratio: Fraction,
+def _lifted_power(u: int, v: int, e: int) -> Tuple[int, int]:
+    """(u/v)**e as an int pair: (u**e, v**e), or (v**-e, u**-e) when e < 0."""
+    return (u ** e, v ** e) if e >= 0 else (v ** -e, u ** -e)
+
+
+def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Fraction,
                  base: Fraction, step: int, mul: int, term: Term) -> tuple:
     """The part of :func:`_lifted` free of a_n, in ints only:
     ``(rn**n, rd**n, u, v, K, D)`` with ratio = rn/rd and base = u/v in
     lowest terms, where K[j] / D are the coefficients
     base**(c-1) * ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s), j < n,
-    over their least common denominator D > 0. base**(c-1) is u**(c-1) over
-    v**(c-1), with u and v swapped when c - 1 < 0; each coefficient is an
+    over their least common denominator D > 0. Each coefficient is an
     unreduced product of int pairs until the one gcd that reduces K and D
     together."""
     n = inst.n
@@ -410,7 +404,7 @@ def _lifted_line(inst: IdentityInstance, counter: Optional[EvalCounter], ratio: 
     u, v = base.numerator, base.denominator
     lift = inst.c - 1
     shift = mul * lift + inst.s
-    sn, sd = (u ** lift, v ** lift) if lift >= 0 else (v ** -lift, u ** -lift)
+    sn, sd = _lifted_power(u, v, lift)
     pairs = []
     pn, pd = 1, 1
     for e in range(1, n + 1):
@@ -424,62 +418,54 @@ def _lifted_line(inst: IdentityInstance, counter: Optional[EvalCounter], ratio: 
     return pn, pd, u, v, tuple(k // g for k in coefficients), den // g
 
 
-def _lifted_point(inst: IdentityInstance, counter: Optional[EvalCounter], part: tuple,
+def _lifted_point(inst: IdentityInstance, counter: EvalCounter, part: tuple,
                   step: int, mul: int, term: Term) -> Fraction:
     """:func:`_lifted` at the instance's a_n from its line part
     ``(rn**n, rd**n, u, v, K, D)``: the one term that depends on a, less one
     dot product of K with the binomials C(a+j-c, j), over D.
 
-    With T(n, step*n + mul*a + s) = tn/td, and u and v swapped and a made -a
-    when a < 0, the point is the one normalised
-    ``Fraction(rn**n*u**a*tn*D - dot*rd**n*v**a*td, rd**n*v**a*td*D)``.
+    With T(n, step*n + mul*a + s) = tn/td and base**a = bn/bd, the point is
+    the one normalised
+    ``Fraction(rn**n*bn*tn*D - dot*rd**n*bd*td, rd**n*bd*td*D)``.
     ``counter`` tallies the n binomials, and ``term`` its own lookups."""
     ratio_num, ratio_den, u, v, coefficients, den = part
     n, a, c = inst.n, inst.a_n, inst.c
-    if counter is not None:
-        counter.add(n)
+    counter.add(n)
     dot = 0
     top = a - c
     for j, k in enumerate(coefficients):
         dot += k * binom(top + j, j)
     tn, td = term(inst, counter, n, step * n + mul * a + inst.s)
-    if a < 0:
-        u, v, a = v, u, -a
-    lead = ratio_den * v ** a * td
-    return Fraction(ratio_num * u ** a * tn * den - dot * lead, lead * den)
+    bn, bd = _lifted_power(u, v, a)
+    lead = ratio_den * bd * td
+    return Fraction(ratio_num * bn * tn * den - dot * lead, lead * den)
 
 
-def _w_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
-            k: int) -> Tuple[int, int]:
+def _w_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
     """T(e, k) = W[k], tallied."""
-    if counter is not None:
-        counter.add()
+    counter.add()
     return HoradamSequence.of(inst.params).term(k).as_integer_ratio()
 
 
-def _f3_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+def _f3_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
                    d: int) -> Tuple[Fraction, Fraction]:
     return -1 / inst.params.q ** r, 1 / second_kind_term(inst.params, r)
 
 
-def rhs_F3(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the nested sum of W[rk+s] / V_r**k (also H)."""
-    r = inst.r
-    return _lifted(inst, counter, _f3_ratio_base, r, inst.d, 2 * r, r, _w_term)
+def _f3_index(r: int, d: int) -> Tuple[int, int]:
+    return 2 * r, r
 
 
-def _f4_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+def _f4_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
                    d: int) -> Tuple[Fraction, Fraction]:
     return 1 / second_kind_term(inst.params, r), -1 / inst.params.q ** r
 
 
-def rhs_F4(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the nested sum of (-1)**k W[2rk+s] / q**(rk)."""
-    r = inst.r
-    return _lifted(inst, counter, _f4_ratio_base, r, inst.d, r, 2 * r, _w_term)
+def _f4_index(r: int, d: int) -> Tuple[int, int]:
+    return r, 2 * r
 
 
-def _f5_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+def _f5_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
                    d: int) -> Tuple[Fraction, Fraction]:
     """The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``."""
     params = inst.params
@@ -488,34 +474,12 @@ def _f5_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: in
     return ratio, ud / first_kind_term(params, r + d)
 
 
-def _rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter],
-            r: int, d: int) -> Fraction:
-    """F5 at the given r and d, for the nested sum of (U_d/U_{r+d})**k W[rk+s]."""
-    return _lifted(inst, counter, _f5_ratio_base, r, d, r + d, r, _w_term)
+def _f5_index(r: int, d: int) -> Tuple[int, int]:
+    """F5's and F6's index step and multiplier."""
+    return r + d, r
 
 
-def rhs_F5(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the nested sum of (U_d/U_{r+d})**k W[rk+s].
-
-    On the Fibonacci recurrence, (r, d) = (3, -1) has U_{-1}/U_2 = 1 and
-    U_3 = 2, which give F1's powers of 2, and (3, -2) has U_{-2}/U_1 = -1,
-    which gives F2's alternating sign; ``rhs_F1``/``rhs_F2`` run F5's tuple
-    there.
-    """
-    return _rhs_F5(inst, counter, inst.r, inst.d)
-
-
-def rhs_F1(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """F1a/F1b: the nested sum of F[3k+s] or L[3k+s], F5 at (r, d) = (3, -1)."""
-    return _rhs_F5(inst, counter, 3, -1)
-
-
-def rhs_F2(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """F2a/F2b: the alternating nested sum of F[3k+s] or L[3k+s], F5 at (3, -2)."""
-    return _rhs_F5(inst, counter, 3, -2)
-
-
-def _f6_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+def _f6_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
                    d: int) -> Tuple[Fraction, Fraction]:
     params = inst.params
     vd = second_kind_term(params, d)
@@ -531,79 +495,44 @@ def _over_disc(inst: IdentityInstance, e: int, xn: int, xd: int) -> Tuple[int, i
     return xn * disc_den ** h, xd * disc_num ** h
 
 
-def _f6_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
-             k: int) -> Tuple[int, int]:
-    """rhs_F6's T(e, k): W[k] at even e and W[k+1] - q*W[k-1] at odd e, each
+def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
+    """F6's T(e, k): W[k] at even e and W[k+1] - q*W[k-1] at odd e, each
     tallied per term read."""
     sequence = HoradamSequence.of(inst.params)
     if e % 2:
-        if counter is not None:
-            counter.add(2)
+        counter.add(2)
         (an, ad), (bn, bd) = (sequence.term(k + 1).as_integer_ratio(),
                               sequence.term(k - 1).as_integer_ratio())
         q_num, q_den = inst.params.q.as_integer_ratio()
         return _over_disc(inst, e, an * bd * q_den - q_num * bn * ad, ad * bd * q_den)
-    if counter is not None:
-        counter.add()
+    counter.add()
     return _over_disc(inst, e, *sequence.term(k).as_integer_ratio())
 
 
-def _f6_fib_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
-                 k: int) -> Tuple[int, int]:
-    """rhs_F6_F's T(e, k): F[k] at even e, and L[k] = F[k+1] + F[k-1] at odd e."""
-    if counter is not None:
-        counter.add()
+def _f6_fib_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
+    """F6's T(e, k) in Fibonacci numbers: F[k] at even e, and
+    L[k] = F[k+1] + F[k-1] at odd e."""
+    counter.add()
     kind = second_kind_term if e % 2 else first_kind_term
     return _over_disc(inst, e, *kind(inst.params, k).as_integer_ratio())
 
 
-def _f6_luc_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
-                 k: int) -> Tuple[int, int]:
-    """rhs_F6_L's T(e, k): L[k] at even e, and 5 F[k] = L[k+1] + L[k-1] at odd e."""
-    if counter is not None:
-        counter.add()
+def _f6_luc_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
+    """F6's T(e, k) in Lucas numbers: L[k] at even e, and
+    5 F[k] = L[k+1] + L[k-1] at odd e."""
+    counter.add()
     if e % 2:
         num, den = first_kind_term(inst.params, k).as_integer_ratio()
         return _over_disc(inst, e, 5 * num, den)
     return _over_disc(inst, e, *second_kind_term(inst.params, k).as_integer_ratio())
 
 
-def _rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter], term: Term) -> Fraction:
-    """Every F6 form, for the nested sum of (V_d/V_{r+d})**k W[rk+s].
-
-    ``term`` is T(e, k): a "main" term at even e (W[k] for the general form)
-    and an "other" one equal to W[k+1] - q*W[k-1] at odd e. The display's
-    delta = sqrt(D) occurs only in even powers, which collapse to powers of
-    the discriminant D, so the form is evaluated over Q: either term is
-    divided by D**ceil(e/2) (:func:`_over_disc`). This covers both parities
-    of n.
-    """
-    r, d = inst.r, inst.d
-    return _lifted(inst, counter, _f6_ratio_base, r, d, r + d, r, term)
-
-
-def rhs_F6(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the nested sum of (V_d/V_{r+d})**k W[rk+s]."""
-    return _rhs_F6(inst, counter, _f6_term)
-
-
-def rhs_F6_F(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Fibonacci-number form of F6, using F[j+1] + F[j-1] = L[j]."""
-    return _rhs_F6(inst, counter, _f6_fib_term)
-
-
-def rhs_F6_L(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """Lucas-number form of F6, using L[j+1] + L[j-1] = 5 F[j]."""
-    return _rhs_F6(inst, counter, _f6_luc_term)
-
-
-def _f7_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: int,
+def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
                    d: int) -> Tuple[Fraction, Fraction]:
     """F7's ratio and base, which read three terms W of the summand's family."""
     params, s = inst.params, inst.s
     sequence = HoradamSequence.of(params)
-    if counter is not None:
-        counter.add(3)
+    counter.add(3)
     q = params.q
     u0 = first_kind_term(params, r - d)
     wsd1 = sequence.term(s + d - 1)
@@ -611,22 +540,55 @@ def _f7_ratio_base(inst: IdentityInstance, counter: Optional[EvalCounter], r: in
     return -q * u0 * wsd1 / sequence.term(r + s), base
 
 
-def _unit_term(inst: IdentityInstance, counter: Optional[EvalCounter], e: int,
-               k: int) -> Tuple[int, int]:
+def _f7_index(r: int, d: int) -> Tuple[int, int]:
+    return 0, 0
+
+
+def _unit_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
     """F7's T(e, k) = 1: its summand has no sequence factor."""
     return 1, 1
 
 
-def rhs_F7(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
-    """General closed form for the purely geometric nested sum with base
-    q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d})."""
-    return _lifted(inst, counter, _f7_ratio_base, inst.r, inst.d, 0, 0, _unit_term)
+# H is F3 on the Fibonacci numbers at r = 1, s = 0, c = 1, and runs F3's tuple.
+_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _f3_ratio_base, _f3_index, _w_term,
+            _h_violation)
+# F1 and F2 run F5's tuple at a fixed (r, d). On the Fibonacci recurrence,
+# (3, -1) has U_{-1}/U_2 = 1 and U_3 = 2, which give F1's powers of 2, and
+# (3, -2) has U_{-2}/U_1 = -1, which gives F2's alternating sign.
+_F1 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s),
+             _f5_ratio_base, _f5_index, _w_term, at=(3, -1))
+_F2 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s,
+                                        weight_base=-1),
+             _f5_ratio_base, _f5_index, _w_term, at=(3, -2))
+# F3: the nested sum of W[rk+s] / V_r**k; F4: of (-1)**k W[2rk+s] / q**(rk);
+# F5: of (U_d/U_{r+d})**k W[rk+s].
+_F3 = _Shape("crs", _f3_summand, _f3_ratio_base, _f3_index, _w_term, _v_r_violation)
+_F4 = _Shape("crs", _f4_summand, _f4_ratio_base, _f4_index, _w_term, _v_r_violation)
+_F5 = _Shape("crsd", _f5_summand, _f5_ratio_base, _f5_index, _w_term, _f5_violation)
+# F6: the nested sum of (V_d/V_{r+d})**k W[rk+s]. Its term is W[k] at even e
+# and W[k+1] - q*W[k-1] at odd e. The display's delta = sqrt(D) occurs only in
+# even powers, so the form runs over Q for both parities of n, each term
+# divided by D**ceil(e/2) (_over_disc). The Fibonacci and Lucas forms swap in
+# their own terms, by F[j+1] + F[j-1] = L[j] and L[j+1] + L[j-1] = 5 F[j].
+_F6 = _Shape("crsd", _f6_summand, _f6_ratio_base, _f5_index, _f6_term, _f6_violation)
+_F6_F = replace(_F6, term=_f6_fib_term)
+_F6_L = replace(_F6, term=_f6_luc_term)
+# F7: the geometric nested sum of base q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d}).
+_F7 = _Shape("crsd", _f7_summand, _f7_ratio_base, _f7_index, _unit_term, _f7_violation)
+_F7_R1D0 = replace(_F7, dims="cs", violation=_f7_r1d0_violation)
 
 
-def evaluate_rhs(inst: IdentityInstance,
-                 counter: Optional[EvalCounter] = None) -> Fraction:
-    """Evaluate the closed form matching the instance's identity."""
-    return _REGISTRY[inst.identity].rhs(inst, counter)
+def evaluate_rhs(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
+    """Evaluate the closed form matching the instance's identity: the lifted
+    master form at the tuple its shape holds. Without a counter the units
+    are tallied on a fresh one, so the line part is kept either way; a
+    failed call leaves the units it made on ``counter``."""
+    if counter is None:
+        counter = EvalCounter()
+    shape = _REGISTRY[inst.identity].shape
+    r, d = shape.at or (inst.r, inst.d)
+    step, mul = shape.index(r, d)
+    return _lifted(inst, counter, shape.ratio_base, r, d, step, mul, shape.term)
 
 
 # ---------------------------------------------------------------------------
@@ -888,11 +850,10 @@ class _Record:
 
     ``fixed`` pins the sequence family; otherwise ``family`` may require the
     restricted or gibonacci shape. ``parity`` is the required ``n % 2`` of
-    the F6 forms. ``shape`` is shared with the tag's parent theorem.
+    the F6 forms. ``shape`` is its parent theorem's, or a variant of it.
     """
 
     shape: _Shape
-    rhs: Callable[[IdentityInstance, Optional[EvalCounter]], Fraction]
     grid: SweepGrid
     fixed: Optional[HoradamParams] = None
     family: Optional[str] = None
@@ -937,47 +898,40 @@ def _f7_r1d0_grid(families: Tuple[HoradamParams, ...]) -> SweepGrid:
 
 
 _REGISTRY: Dict[IdentityId, _Record] = {
-    IdentityId.H: _Record(
-        _H, rhs_F3, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
-        fixed=FIBONACCI),
-    IdentityId.F1A: _Record(_F1, rhs_F1, _CUBIC_GRID, fixed=FIBONACCI),
-    IdentityId.F1B: _Record(_F1, rhs_F1, _CUBIC_GRID, fixed=LUCAS),
-    IdentityId.F2A: _Record(_F2, rhs_F2, _CUBIC_GRID, fixed=FIBONACCI),
-    IdentityId.F2B: _Record(_F2, rhs_F2, _CUBIC_GRID, fixed=LUCAS),
-    IdentityId.F3: _Record(_F3, rhs_F3, _F3_GRID),
-    IdentityId.F4: _Record(_F4, rhs_F4, _F3_GRID),
-    IdentityId.F5: _Record(_F5, rhs_F5, SweepGrid(
+    IdentityId.H: _Record(_H, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
+                          fixed=FIBONACCI),
+    IdentityId.F1A: _Record(_F1, _CUBIC_GRID, fixed=FIBONACCI),
+    IdentityId.F1B: _Record(_F1, _CUBIC_GRID, fixed=LUCAS),
+    IdentityId.F2A: _Record(_F2, _CUBIC_GRID, fixed=FIBONACCI),
+    IdentityId.F2B: _Record(_F2, _CUBIC_GRID, fixed=LUCAS),
+    IdentityId.F3: _Record(_F3, _F3_GRID),
+    IdentityId.F4: _Record(_F4, _F3_GRID),
+    IdentityId.F5: _Record(_F5, SweepGrid(
         families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(0, 2), d_values=(-1, 1, 2), a_offsets=tuple(range(-2, 7)))),
-    IdentityId.F6A: _Record(_F6, rhs_F6, _f6_grid(_STD_FAMILIES, (2, 4)), parity=0),
-    IdentityId.F6B: _Record(_F6, rhs_F6, _f6_grid(_STD_FAMILIES, (1, 3)), parity=1),
-    IdentityId.F7: _Record(_F7, rhs_F7, SweepGrid(
+    IdentityId.F6A: _Record(_F6, _f6_grid(_STD_FAMILIES, (2, 4)), parity=0),
+    IdentityId.F6B: _Record(_F6, _f6_grid(_STD_FAMILIES, (1, 3)), parity=1),
+    IdentityId.F7: _Record(_F7, SweepGrid(
         families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(-1, 0, 2), d_values=(-1, 0, 1), a_offsets=tuple(range(-2, 7)))),
-    IdentityId.F3_W: _Record(_F3, rhs_F3, _f3_special_grid(_RESTRICTED_FAMILIES),
-                             family=_RESTRICTED),
-    IdentityId.F3_G: _Record(_F3, rhs_F3, _f3_special_grid(_GIBONACCI_FAMILIES),
-                             family=_GIBONACCI),
-    IdentityId.F4_G: _Record(_F4, rhs_F4, _f3_special_grid(_GIBONACCI_FAMILIES),
-                             family=_GIBONACCI),
-    IdentityId.F5_G: _Record(_F5, rhs_F5, SweepGrid(
+    IdentityId.F3_W: _Record(_F3, _f3_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
+    IdentityId.F3_G: _Record(_F3, _f3_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    IdentityId.F4_G: _Record(_F4, _f3_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    IdentityId.F5_G: _Record(_F5, SweepGrid(
         families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(0, 2), d_values=(1, 2), a_offsets=tuple(range(-1, 7))),
         family=_GIBONACCI),
-    IdentityId.F6_G_EVEN: _Record(_F6, rhs_F6, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
+    IdentityId.F6_G_EVEN: _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
                                   family=_GIBONACCI, parity=0),
-    IdentityId.F6_G_ODD: _Record(_F6, rhs_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
+    IdentityId.F6_G_ODD: _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
                                  family=_GIBONACCI, parity=1),
-    IdentityId.F6_F_EVEN: _Record(_F6, rhs_F6_F, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
-    IdentityId.F6_F_ODD: _Record(_F6, rhs_F6_F, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
-    IdentityId.F6_L_EVEN: _Record(_F6, rhs_F6_L, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
-    IdentityId.F6_L_ODD: _Record(_F6, rhs_F6_L, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
-    IdentityId.F7_W: _Record(_F7, rhs_F7, _f7_special_grid(_RESTRICTED_FAMILIES),
-                             family=_RESTRICTED),
-    IdentityId.F7_G: _Record(_F7, rhs_F7, _f7_special_grid(_GIBONACCI_FAMILIES),
-                             family=_GIBONACCI),
-    IdentityId.F7_R1D0_W: _Record(_F7_R1D0, rhs_F7, _f7_r1d0_grid(_RESTRICTED_FAMILIES),
+    IdentityId.F6_F_EVEN: _Record(_F6_F, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
+    IdentityId.F6_F_ODD: _Record(_F6_F, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
+    IdentityId.F6_L_EVEN: _Record(_F6_L, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
+    IdentityId.F6_L_ODD: _Record(_F6_L, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
+    IdentityId.F7_W: _Record(_F7, _f7_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
+    IdentityId.F7_G: _Record(_F7, _f7_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    IdentityId.F7_R1D0_W: _Record(_F7_R1D0, _f7_r1d0_grid(_RESTRICTED_FAMILIES),
                                   family=_RESTRICTED),
-    IdentityId.F7_R1D0_G: _Record(_F7_R1D0, rhs_F7, _f7_r1d0_grid(_GIBONACCI_FAMILIES),
-                                  family=_GIBONACCI),
+    IdentityId.F7_R1D0_G: _Record(_F7_R1D0, _f7_r1d0_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
 }

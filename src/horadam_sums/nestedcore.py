@@ -242,10 +242,11 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     ``u**lo`` into the numerator and ``v**lo`` into the denominator times
     the power of ``v`` (the two swapped, and negative when ``u`` is and the
     power odd, for lo < 0), so the result is one normalised ``Fraction`` of
-    two ints and ``SumTerm.value`` runs exactly once per index. ``counter`` tallies one unit per addition of a value into a
-    level, as a plain loop over the levels would: depth times range, not
-    the multinomial blow-up of direct enumeration: the values as they are
-    made, then the outer levels' additions, summed on ints level by level.
+    two ints and ``SumTerm.value`` runs exactly once per index.
+    ``counter`` tallies one unit per addition of a value into a level, as a
+    plain loop over the levels would: depth times range, not the
+    multinomial blow-up of direct enumeration: the values as they are made,
+    then the outer levels' additions, summed on ints level by level.
     """
     summand = spec.term
     limits = spec.lower_limits

@@ -16,8 +16,7 @@ from horadam_sums.cli import bench_rows
 from horadam_sums.combinatorics import binom, binom_column_sum, nested_ones
 from horadam_sums.identities import (FAMILIES, IdentityId, IdentityInstance,
                                      InvalidInstanceError, default_grid,
-                                     evaluate_rhs, lhs_spec, rhs_F5, rhs_F6,
-                                     summarize, sweep)
+                                     evaluate_rhs, lhs_spec, summarize, sweep)
 from horadam_sums.nestedcore import (ONES, NestedSumSpec, SumTerm, geometric_term,
                                      master_E, oracle_nested, oracle_nested_naive)
 from horadam_sums.sequences import (FIBONACCI, LUCAS, gibonacci, horadam,
@@ -123,7 +122,7 @@ def test_criterion_4_degenerations():
                 three = IdentityInstance(IdentityId.F3, params, n, a_n, 1, r, s, 0)
             except InvalidInstanceError:
                 continue
-            if rhs_F5(five) != oracle_nested(lhs_spec(three)):
+            if evaluate_rhs(five) != oracle_nested(lhs_spec(three)):
                 failures.append(("F5->F3", params, n, a_n, r, s))
             reduction_points += 1
     if reduction_points < 200:
@@ -282,7 +281,7 @@ def test_criterion_6_f6_rationality():
                     one = IdentityInstance(ident, params, n, c + off, c, r, s, d)
                 except InvalidInstanceError:
                     continue
-                if binet_route(lhs_spec(one)) != rhs_F6(one):
+                if binet_route(lhs_spec(one)) != evaluate_rhs(one):
                     failures.append((ident.value, params, n, c + off, c, r, s, d))
                 points += 1
     elapsed = time.perf_counter() - start

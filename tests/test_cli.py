@@ -330,6 +330,17 @@ def test_values_past_the_int_digit_limit_print_exactly(capsys):
     (("--kind", "geometric", "--x", "0"), 2, "error: x = 0 is a pole"),
     (("--kind", "identity", "--identity", "F6a", "--family", "fibonacci"), 0,
      "skipped: F6a: n must be even"),
+    # a flag the kind would ignore is refused, not dropped
+    (("--identity", "F3", "--family", "fibonacci", "--n", "1..2", "--an", "5"), 2,
+     "error: --kind identity is required by --identity, --family"),
+    (("--kind", "geometric", "--p", "1", "--q", "-1", "--a", "0", "--b", "1"), 2,
+     "error: --kind identity is required by --p, --q, --a, --b"),
+    (("--r", "2"), 2, "error: --kind identity is required by --r"),
+    (("--kind", "ones", "--s", "1", "--d", "-1"), 2,
+     "error: --kind identity is required by --s, --d"),
+    (("--x", "3"), 2, "error: --kind geometric is required by --x"),
+    (("--kind", "identity", "--family", "fibonacci", "--x", "3"), 2,
+     "error: --kind geometric is required by --x"),
 ])
 def test_bench_bad_point_follows_exit_contract(capsys, argv, code, message):
     got, out, err = run_cli(capsys, "bench", *argv)
@@ -677,6 +688,15 @@ class TestBenchCommand:
             if row["method"] == "closed":
                 n = int(row["n"])
                 assert int(row["summand_evals"]) == 2 * n + 1
+
+    def test_identity_kind_defaults_to_f3(self, capsys):
+        point = ("bench", "--kind", "identity", "--family", "fibonacci", "--n", "1..2",
+                 "--an", "3,5")
+        code, out, _ = run_cli(capsys, *point)
+        named_code, named, _ = run_cli(capsys, *point, "--identity", "F3")
+        assert code == named_code == 0
+        strip = lambda text: [row.rsplit(",", 1)[0] for row in text.splitlines()]
+        assert strip(out) == strip(named) and len(strip(out)) == 1 + 2 * 2 * 3
 
     def test_identity_point_built_once(self, capsys, monkeypatch):
         # the instance is validated once per point, before the timed closed form

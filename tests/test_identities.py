@@ -14,8 +14,7 @@ from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLAS
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
                                      IdentityId, IdentityInstance,
                                      InvalidInstanceError, SweepGrid, default_grid,
-                                     evaluate_rhs, grid_size, lhs_spec, rhs_F1, rhs_F2,
-                                     rhs_F3, rhs_F5, rhs_F7, summarize,
+                                     evaluate_rhs, grid_size, lhs_spec, summarize,
                                      sweep, sweep_points, verify, _REGISTRY)
 from horadam_sums.nestedcore import NestedSumSpec, oracle_nested
 from horadam_sums.sequences import (FIBONACCI, LUCAS, gibonacci, horadam, restricted, term)
@@ -178,7 +177,7 @@ class TestClosedForms:
     def test_f1_empty_sum_is_zero(self):
         for ident in (IdentityId.F1A, IdentityId.F1B):
             for n, c, s in product((1, 2, 3), (-1, 0, 1, 2), (-2, 0, 3)):
-                assert rhs_F1(inst(ident, n=n, a_n=c - 1, c=c, s=s)) == 0
+                assert evaluate_rhs(inst(ident, n=n, a_n=c - 1, c=c, s=s)) == 0
 
     def test_f2a_value(self):
         report = verify(inst(IdentityId.F2A, n=1, a_n=2))
@@ -191,9 +190,22 @@ class TestClosedForms:
     def test_f2a_single_term(self):
         for c, s in product((-1, 1, 2), (-2, 0, 1)):
             one = inst(IdentityId.F2A, n=1, a_n=c, c=c, s=s)
-            value = rhs_F2(one)
+            value = evaluate_rhs(one)
             sign = -1 if c % 2 else 1
             assert value == sign * term(FIBONACCI, 3 * c + s)
+
+    @pytest.mark.parametrize("ident, at", [(IdentityId.F1A, (3, -1)), (IdentityId.F1B, (3, -1)),
+                                           (IdentityId.F2A, (3, -2)), (IdentityId.F2B, (3, -2))])
+    def test_cubic_forms_are_f5_at_fixed_r_d(self, ident, at):
+        # F1 and F2 hold F5's tuple at a fixed (r, d): on every default-grid
+        # point their closed form is F5's on the same family and (n, a_n, c, s)
+        points = 0
+        for params, n, a_n, c, r, s, d in sweep_points(ident):
+            one = inst(ident, params, n, a_n, c, r, s, d)
+            five = inst(IdentityId.F5, one.params, n, a_n, c, at[0], s, at[1])
+            assert evaluate_rhs(one) == evaluate_rhs(five)
+            points += 1
+        assert points == grid_size(ident) == 704
 
     def test_f3_classic_double_sum(self):
         report = verify(inst(IdentityId.F3, params=FIB, n=2, a_n=3))
@@ -204,13 +216,13 @@ class TestClosedForms:
             one = inst(IdentityId.F3, params=GENERIC, n=1, a_n=c, c=c, r=2, s=1)
             seq_val = term(GENERIC, 2 * c + 1)
             v2 = term(horadam(2, 1, 1, 3), 2)
-            assert rhs_F3(one) == seq_val / v2 ** c
+            assert evaluate_rhs(one) == seq_val / v2 ** c
 
     def test_f3_generic_family_against_literal(self):
         one = inst(IdentityId.F3, params=GENERIC, n=2, a_n=4, c=0, r=2, s=1)
         spec = lhs_spec(one)
         literal = literal_nested_sum(2, 4, 0, spec.term.value)
-        assert rhs_F3(one) == literal
+        assert evaluate_rhs(one) == literal
 
     def test_f4_value(self):
         report = verify(inst(IdentityId.F4, params=FIB, n=1, a_n=2))
@@ -235,7 +247,7 @@ class TestClosedForms:
     def test_f5_empty_sum_is_zero(self):
         for c in (-1, 1, 2):
             one = inst(IdentityId.F5, params=FIB, n=2, a_n=c - 1, c=c, r=2, d=1)
-            assert rhs_F5(one) == 0
+            assert evaluate_rhs(one) == 0
 
     def test_f6b_hand_value(self):
         report = verify(inst(IdentityId.F6B, params=FIB, n=1, a_n=2, r=1, d=0))
@@ -253,13 +265,13 @@ class TestClosedForms:
     def test_f7_empty_sum_is_zero(self):
         for c in (-1, 1, 2):
             one = inst(IdentityId.F7, params=GENERIC, n=2, a_n=c - 1, c=c, r=2, s=1, d=1)
-            assert rhs_F7(one) == 0
+            assert evaluate_rhs(one) == 0
 
     def test_f7_restricted_against_literal(self):
         one = inst(IdentityId.F7, params=restricted(2, 3, 2), n=2, a_n=3, c=0,
                    r=3, s=1, d=1)
         spec = lhs_spec(one)
-        assert rhs_F7(one) == literal_nested_sum(2, 3, 0, spec.term.value)
+        assert evaluate_rhs(one) == literal_nested_sum(2, 3, 0, spec.term.value)
 
 
 class TestEqHRegression:
@@ -286,8 +298,8 @@ class TestEqHRegression:
     def test_s_shift_relates_grids(self):
         # bumping s by 3 re-indexes every level: value(s+3, a, c) == value(s, a+1, c+1)
         for n, c, s, a in product((1, 2, 3), (0, 1), (-2, 0, 1), range(0, 6)):
-            shifted = rhs_F1(inst(IdentityId.F1A, n=n, a_n=c + a, c=c, s=s + 3))
-            moved = rhs_F1(inst(IdentityId.F1A, n=n, a_n=c + a + 1, c=c + 1, s=s))
+            shifted = evaluate_rhs(inst(IdentityId.F1A, n=n, a_n=c + a, c=c, s=s + 3))
+            moved = evaluate_rhs(inst(IdentityId.F1A, n=n, a_n=c + a + 1, c=c + 1, s=s))
             assert shifted == moved
 
 
@@ -315,6 +327,17 @@ class TestVerify:
         report = verify(inst(IdentityId.F3, params=FIB, n=1, a_n=2))
         assert report.classification == CLASS_ERROR
         assert report.detail == "pole here"
+
+    def test_error_report_keeps_the_partial_closed_count(self, monkeypatch):
+        # the line part's 2 terms and the point's 2 binomials are counted
+        # before the first binomial raises
+        def pole(top, k):
+            raise ZeroDivisionError("pole here")
+
+        monkeypatch.setattr(identities, "binom", pole)
+        report = verify(inst(IdentityId.F3, params=FIB, n=2, a_n=3))
+        assert report.classification == CLASS_ERROR
+        assert (report.oracle_terms, report.closed_terms) == (2 * 3, 2 + 2)
 
     def test_value_error_propagates(self, monkeypatch):
         # a ValueError from an evaluator is a bug, not a mathematical outcome

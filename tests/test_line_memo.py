@@ -98,6 +98,26 @@ def test_instances_built_apart_share_nothing():
 
 
 @pytest.mark.parametrize("ident, params, coords", [
+    (IdentityId.F3, FAMILIES["generic"], dict(n=3, c=-1, r=2, s=1, d=0)),
+    (IdentityId.F6B, FAMILIES["negative_d"], dict(n=3, c=1, r=1, s=0, d=1)),
+    # F7's ratio and base read the sequence itself
+    (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1)),
+], ids=["F3", "F6b", "F7"])
+def test_call_without_a_counter_keeps_the_line_part(ident, params, coords):
+    # a call without a counter makes the line part on a fresh one and keeps
+    # it with its units, so a later counted point of the line adds what a
+    # fresh line's first counted call adds
+    line = IdentityInstance(ident, params, a_n=coords["c"] + 1, **coords)
+    first = evaluate_rhs(line)
+    assert line._line.closed is not None
+    later, fresh = EvalCounter(), EvalCounter()
+    value = evaluate_rhs(line._at(coords["c"] + 4), later)
+    alone = IdentityInstance(ident, params, a_n=coords["c"] + 4, **coords)
+    assert value == evaluate_rhs(alone, fresh) and later.count == fresh.count > coords["n"]
+    assert first == evaluate_rhs(line, EvalCounter())
+
+
+@pytest.mark.parametrize("ident, params, coords", [
     # a fixed-family tag given no family: the report names the fixed one
     (IdentityId.H, None, dict(n=2, c=2, r=1, s=0, d=0)),
     (IdentityId.F6A, FIB, dict(n=3, c=1, r=1, s=0, d=0)),
@@ -199,8 +219,9 @@ def _plain_line(point, ratio, base, step, mul, term):
     """K and D of the line part from plain ``Fraction`` products: the
     coefficients over their least common denominator."""
     n, c, s = point.n, point.c, point.s
+    counter = EvalCounter()
     coefficients = [base ** (c - 1) * ratio ** (n - j)
-                    * Fraction(*term(point, None, n - j, step * (n - j) + mul * (c - 1) + s))
+                    * Fraction(*term(point, counter, n - j, step * (n - j) + mul * (c - 1) + s))
                     for j in range(n)]
     den = lcm(*(k.denominator for k in coefficients))
     return tuple(k.numerator * (den // k.denominator) for k in coefficients), den
@@ -222,7 +243,7 @@ def test_line_part_is_the_plain_formula(ratio, base, terms, n, c, s, step, mul):
         return terms[(e * 3 + k) % len(terms)]
 
     point = SimpleNamespace(n=n, c=c, s=s)
-    part = identities._lifted_line(point, None, ratio, base, step, mul, term)
+    part = identities._lifted_line(point, EvalCounter(), ratio, base, step, mul, term)
     assert all(type(x) is int for x in _leaves(part))
     ratio_num, ratio_den, u, v, coefficients, den = part
     assert Fraction(ratio_num, ratio_den) == ratio ** n and (u, v) == base.as_integer_ratio()
@@ -249,6 +270,6 @@ def test_f6_line_part_at_negative_discriminant(ident, n, c):
         reports = [identities.verify(line._at(a_n)) for a_n in range(c - 1, c + 5)]
     assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
     (ratio, base, step, mul, term), = captured
-    assert any(term(line, None, e, 0)[1] < 0 for e in (1, 3))
+    assert any(term(line, EvalCounter(), e, 0)[1] < 0 for e in (1, 3))
     ratio_num, ratio_den, u, v, coefficients, den = line._line.closed[0]
     assert (coefficients, den) == _plain_line(line, ratio, base, step, mul, term)

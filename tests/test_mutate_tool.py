@@ -50,3 +50,35 @@ def test_products_lose_either_operand(tool):
         setattr(node, field, saved)
     assert dropped == ["a, b = (x, z)", "a, b = (y, z)", "return a * b", "return z",
                        "return a * z", "return b * z"]
+
+
+def test_install_reaches_every_shape_that_held_the_part(tool):
+    # a closed-form part is called through the theorem shapes that hold it,
+    # so a mutant installed only on the module would never run
+    ids = tool.ids
+    (module, owner, func), = [target for target in tool._targets(ids)
+                              if target[2].name == "_f3_index"]
+    original, registry = ids._f3_index, dict(ids._REGISTRY)
+    # a fresh instance each time, since a line keeps its closed-form part
+    point = lambda: ids.IdentityInstance(ids.IdentityId.F3, ids.FAMILIES["fibonacci"], 2, 3, r=2)
+    holders = {ident for ident, record in registry.items() if record.shape.index is original}
+    assert holders == {ids.IdentityId.H, ids.IdentityId.F3, ids.IdentityId.F3_W,
+                       ids.IdentityId.F3_G}
+    # the first site is the product 2 * r losing its second operand: (2, r)
+    node, field, replacement = tool._sites(func)[0]
+    saved = getattr(node, field)
+    setattr(node, field, replacement)
+    try:
+        tool._install(module, owner, func)
+        mutant = ids._f3_index
+        assert mutant is not original and mutant(2, 0) == (2, 2)
+        assert {ident for ident, record in ids._REGISTRY.items()
+                if record.shape.index is mutant} == holders
+        assert all(ids._REGISTRY[ident] is registry[ident] for ident in registry.keys() - holders)
+        assert ids.verify(point()).classification == ids.CLASS_MISMATCH
+    finally:
+        setattr(node, field, saved)
+        ids._f3_index = original
+        ids._REGISTRY.update(registry)
+        tool._rebind("_f3_index", original)
+    assert ids.verify(point()).classification == ids.CLASS_VERIFIED

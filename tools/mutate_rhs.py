@@ -12,11 +12,12 @@ and ``and`` and ``or`` swap; each integer constant of the function's
 body is raised by 1 (its signature, with defaults and annotations, is left
 as it is); and a product ``x * y`` loses one operand, becoming ``x`` or
 ``y``, which is how a factor of an int-pair denominator goes missing. The
-targets are the lifted master form (``_lifted`` with its
-line part ``_lifted_line`` and point part ``_lifted_point``), the right-hand-side
-functions (``rhs_*`` and ``_rhs_*``) of ``horadam_sums.identities`` and the
-parts they hand to ``_lifted`` (every ``*_ratio_base``, every ``*_term``
-and ``_over_disc``), with
+targets are the lifted master form of ``horadam_sums.identities``
+(``_lifted`` with its line part ``_lifted_line``, its point part
+``_lifted_point`` and their signed power ``_lifted_power``), ``evaluate_rhs``,
+which runs it at the tuple of each tag's theorem shape, and the parts those
+tuples hold (every ``*_ratio_base``, ``*_index`` and ``*_term``, and
+``_over_disc``), with
 its grid-line sharing (``evaluate_line``, which validates a line once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
 ``IdentityInstance._at`` and the summand caching in ``lhs_spec``), the
@@ -33,9 +34,9 @@ and the far-term doubling ``doubled_term`` with its Lucas pair
 ``grid_size`` of ``horadam_sums.identities``. An ``if``
 mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
-class, a precondition also in the theorem shapes that hold it), so every
-caller (the registry, ``_rhs_F5``'s and ``_rhs_F6``'s wrappers, validation,
-``verify``, ``f_closed``, ``HoradamSequence.term``, both oracles) runs it;
+class, a precondition or closed-form part also in every field of the theorem
+shapes that hold it), so every caller (``evaluate_rhs`` through the registry,
+validation, ``verify``, ``f_closed``, ``HoradamSequence.term``, both oracles) runs it;
 it is also bound to the names ``identities``, ``tests/_util.py``
 and this script import it under, so a mutated ``oracle_nested`` is what the
 closed forms are compared with and a mutated ``f_closed`` is what the Binet
@@ -140,26 +141,20 @@ TIMEOUT_S = 60
 
 # "function: mutated statement" -> why the mutant cannot change a value
 KNOWN_SURVIVORS = {
-    "rhs_F7: return _lifted(inst, counter, _f7_ratio_base, inst.r, inst.d, 1, 0, _unit_term)":
-    "F7's term ignores its index, so the index step is unread",
-    "rhs_F7: return _lifted(inst, counter, _f7_ratio_base, inst.r, inst.d, 0, 1, _unit_term)":
-    "F7's term ignores its index, so the index multiplier is unread",
+    "_f7_index: return (1, 0)": "F7's term ignores its index, so the index step is unread",
+    "_f7_index: return (0, 1)": "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
-    "_lifted_line: sn, sd = (u ** lift, v ** lift) if lift > 0 else (v ** (-lift), "
-    "u ** (-lift))": "at c - 1 = 0 both branches raise u and v to the power 0, which is 1",
-    "_lifted_line: sn, sd = (u ** lift, v ** lift) if lift >= 1 else (v ** (-lift), "
-    "u ** (-lift))": "at c - 1 = 0 both branches raise u and v to the power 0, which is 1",
+    "_lifted_power: return (u ** e, v ** e) if e > 0 else (v ** (-e), u ** (-e))":
+    "at e = 0 both branches raise u and v to the power 0, which is 1",
+    "_lifted_power: return (u ** e, v ** e) if e >= 1 else (v ** (-e), u ** (-e))":
+    "at e = 0 both branches raise u and v to the power 0, which is 1",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo > 0 else (v ** (-lo), "
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo >= 1 else (v ** (-lo), "
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
-    "_lifted_point: if a <= 0:": "at a = 0 both branches raise u and v to the power 0, "
-    "which is 1",
-    "_lifted_point: if a < 1:": "at a = 0 both branches raise u and v to the power 0, "
-    "which is 1",
     "HoradamSequence.term: edge, step, mul, sub, grow = (hi, 1, big_p, big_q, m) if j >= hi "
     "else (lo, -1, big_p * m, m * m * big_q, big_q)":
     "a miss lies outside [lo, hi], so j never equals hi",
@@ -182,8 +177,10 @@ GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
-# the closed forms' parts besides _lifted* and rhs_*: ratio and base, terms
-CLOSED_PART_SUFFIXES = ("_ratio_base", "_term")
+# the closed forms besides the parts of the theorem shapes' tuples (ratio and
+# base, index step and multiplier, terms)
+CLOSED_TARGETS = ("evaluate_rhs", "_over_disc")
+CLOSED_PART_SUFFIXES = ("_ratio_base", "_index", "_term")
 BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
 
@@ -237,9 +234,8 @@ def _is_target(module, name: str) -> bool:
         return name in BINOM_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
-    return name.startswith(("_lifted", "rhs_", "_rhs_")) or name == "_over_disc" \
-        or name.endswith(CLOSED_PART_SUFFIXES + ("_violation",)) \
-        or name in LINE_TARGETS + GRID_TARGETS
+    return name.startswith("_lifted") or name.endswith(CLOSED_PART_SUFFIXES + ("_violation",)) \
+        or name in CLOSED_TARGETS + LINE_TARGETS + GRID_TARGETS
 
 
 def _targets(module) -> list:
@@ -333,22 +329,24 @@ def _rebind(name: str, fn) -> None:
 
 def _install(module, owner, func: ast.FunctionDef) -> None:
     """Compile ``func`` against its live module, set it on ``owner`` (the
-    module, or the class of a method) and point the registry's evaluators
-    and shape preconditions and the imported names at the result."""
+    module, or the class of a method) and point every theorem-shape field
+    that held the function, and the imported names, at the result."""
     code = compile(ast.Module(body=[func], type_ignores=[]), module.__file__, "exec")
     compiled = {}
     exec(code, module.__dict__, compiled)
-    setattr(owner, func.name, compiled[func.name])
+    original = vars(owner)[func.name]
+    mutant = compiled[func.name]
+    setattr(owner, func.name, mutant)
     if owner is not module:
         return
     for ident, record in ids._REGISTRY.items():
-        current = ids.__dict__[record.rhs.__name__]
         shape = record.shape
-        if shape.violation.__name__ == func.name:
-            shape = dataclasses.replace(shape, violation=compiled[func.name])
-        if current is not record.rhs or shape is not record.shape:
-            ids._REGISTRY[ident] = dataclasses.replace(record, rhs=current, shape=shape)
-    _rebind(func.name, module.__dict__[func.name])
+        held = {field.name: mutant for field in dataclasses.fields(shape)
+                if getattr(shape, field.name) is original}
+        if held:
+            ids._REGISTRY[ident] = dataclasses.replace(
+                record, shape=dataclasses.replace(shape, **held))
+    _rebind(func.name, mutant)
 
 
 # the enumeration of each kernel case, made once: uncapped, it calls neither
