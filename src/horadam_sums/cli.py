@@ -30,7 +30,7 @@ from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, T
 
 from .combinatorics import nested_ones
 from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VERIFIED,
-                         FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
+                         COORD_DEFAULTS, FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_line, evaluate_point, evaluate_rhs, fixed_family,
                          grid_size, iter_sweep, lhs_spec, summarize, sweep_lines)
@@ -60,9 +60,6 @@ MAX_REACH = 150_000
 # --points (default 400) on a 2-core x86-64 host.
 MAX_GRID_POINTS = 100_000
 MAX_LEMMA_POINTS = 4_000
-
-# a single point's --c/--r/--s/--d when the flag is not given
-_COORD_DEFAULTS = (("c", 1), ("r", 1), ("s", 0), ("d", 0))
 
 
 def format_rational(value: Optional[Fraction]) -> str:
@@ -449,7 +446,7 @@ def _check_bench_flags(args: argparse.Namespace) -> None:
     if args.kind != "identity":
         given = [f"--{name}" for name in ("identity", "family", "p", "q", "a", "b")
                  if getattr(args, name) is not None]
-        given += [f"--{name}" for name, default in _COORD_DEFAULTS
+        given += [f"--{name}" for name, default in COORD_DEFAULTS.items()
                   if name != "c" and getattr(args, name) != default]
         if given:
             raise argparse.ArgumentTypeError(f"--kind identity is required by {', '.join(given)}")
@@ -581,7 +578,7 @@ def _add_point_flags(parser: argparse.ArgumentParser, grid: bool, n: dict, an: d
     parser.add_argument("--n", **n)
     parser.add_argument("--an", **an)
     coord_help = {"c": 'lower limits, e.g. "-2,0,1,3"' if grid else "lower limit (default 1)"}
-    for name, default in _COORD_DEFAULTS:
+    for name, default in COORD_DEFAULTS.items():
         parser.add_argument(f"--{name}", type=parse_int_set if grid else int,
                             default=None if grid else default, help=coord_help.get(name))
 

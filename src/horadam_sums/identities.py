@@ -11,20 +11,22 @@ Fibonacci/Lucas cubic-index forms (F1*/F2*), and their specializations for
 the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
 described once, by one record in ``_REGISTRY``: its fixed family or family
 shape, the F6 depth parity, its default grid and the theorem shape it
-shares with its parent (swept coordinates, preconditions, left-hand summand
-and the closed form's parameter tuple). As in the paper, which evaluates the
-nested geometric sum once and derives every display from it, every closed
-form is one lifted master form at its shape's tuple, which
+shares with its parent (the coordinates it reads, preconditions, left-hand
+summand and the closed form's parameter tuple). As in the paper, which
+evaluates the nested geometric sum once and derives every display from it,
+every closed form is one lifted master form at its shape's tuple, which
 :func:`evaluate_rhs` reads off the registry. Every restricted and gibonacci
 specialization holds its parent's shape, since validation already pins its
-parameters (and, for F7_r1d0_*, its r and d). The classic form H is F3 on
-the Fibonacci numbers at r = 1, s = 0, c = 1, and F1/F2 hold F5's tuple at
-the fixed (r, d) = (3, -1) and (3, -2). All eight F6 tags share F6's tuple
-over Q: the display's sqrt(D) occurs only in even powers, which become
-powers of D, and the Fibonacci and Lucas forms only swap in their own
-terms. The left-hand summands are built apart from the master form, so
-every closed form is checked against the oracle, never against another
-evaluator.
+parameters, and F7_r1d0_* holds F7's reading only c and s. One rule of
+validation holds each coordinate among c, r, s and d that a shape does not
+read at its default. So the classic form H, which reads none, is F3 on the
+Fibonacci numbers at r = 1, s = 0, c = 1, and F1/F2, which read c and s,
+hold F5's tuple at the fixed (r, d) = (3, -1) and (3, -2). All eight F6
+tags share F6's tuple over Q: the display's sqrt(D) occurs only in even
+powers, which become powers of D, and the Fibonacci and Lucas forms only
+swap in their own terms. The left-hand summands are built apart from the
+master form, so every closed form is checked against the oracle, never
+against another evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -137,7 +139,8 @@ class IdentityInstance:
     """One concrete evaluation point of an identity.
 
     Construction validates every precondition of the chosen identity (family
-    shape, parity, nonzero denominators and weight bases) and raises
+    shape, parity, the coordinates its form does not read held at their
+    defaults, nonzero denominators and weight bases) and raises
     :class:`InvalidInstanceError` naming the violated condition. Evaluators
     may therefore assume a valid instance. A coordinate that is not an int
     (a bool included), or no family for a tag without a fixed one, is a
@@ -186,6 +189,10 @@ class IdentityInstance:
 _RESTRICTED = "restricted"
 _GIBONACCI = "gibonacci"
 
+# each of the coordinates c, r, s, d with its default: the value it must
+# hold for a form that does not read it, and a single point's when unset
+COORD_DEFAULTS = {"c": 1, "r": 1, "s": 0, "d": 0}
+
 
 def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
     """The first precondition of ``record`` that ``inst`` violates, if any."""
@@ -198,6 +205,9 @@ def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
         return "gibonacci form requires p = 1, q = -1"
     if record.parity is not None and inst.n % 2 != record.parity:
         return f"n must be {('even', 'odd')[record.parity]} for this variant"
+    for name, default in COORD_DEFAULTS.items():
+        if name not in record.shape.dims and getattr(inst, name) != default:
+            return f"this form does not read {name}, which must be {default}"
     return record.shape.violation(inst)
 
 
@@ -212,15 +222,16 @@ Term = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[int, int]]
 
 @dataclass(frozen=True)
 class _Shape:
-    """Swept coordinates, kind-specific preconditions, left-hand summand and
-    the closed form's tuple.
+    """The coordinates a form reads, kind-specific preconditions, left-hand
+    summand and the closed form's tuple.
 
-    ``dims`` names the coordinates among c, r, s, d that a sweep varies; the
-    others stay at their defaults. ``violation`` returns the first violated
-    precondition as a reason, or None. ``summand`` builds the oracle-evaluable
-    innermost term of the left-hand side. :func:`evaluate_rhs` runs
-    :func:`_lifted` at ``ratio_base``, ``index(r, d)`` (the index step and
-    multiplier) and ``term``, with r and d the instance's or, if set, ``at``.
+    ``dims`` names the coordinates among c, r, s, d that the form reads;
+    validation holds each of the others at its default (``COORD_DEFAULTS``).
+    ``violation`` returns the first violated kind-specific precondition as a
+    reason, or None. ``summand`` builds the oracle-evaluable innermost term
+    of the left-hand side. :func:`evaluate_rhs` runs :func:`_lifted` at
+    ``ratio_base``, ``index(r, d)`` (the index step and multiplier) and
+    ``term``, with r and d the instance's or, if set, ``at``.
     """
 
     dims: str
@@ -230,12 +241,6 @@ class _Shape:
     term: Term
     violation: Callable[[IdentityInstance], Optional[str]] = lambda inst: None
     at: Optional[Tuple[int, int]] = None
-
-
-def _h_violation(inst: IdentityInstance) -> Optional[str]:
-    if (inst.r, inst.s, inst.c) != (1, 0, 1):
-        return "this form is fixed at r = 1, s = 0, c = 1"
-    return None
 
 
 def _v_r_violation(inst: IdentityInstance) -> Optional[str]:
@@ -312,12 +317,6 @@ def _f7_summand(inst: IdentityInstance) -> SumTerm:
     seq = inst.sequence()
     return SumTerm(weight_base=params.q * first_kind_term(params, r - d)
                    / first_kind_term(params, r - d + 1) * seq.term(s + d - 1) / seq.term(s + d))
-
-
-def _f7_r1d0_violation(inst: IdentityInstance) -> Optional[str]:
-    if (inst.r, inst.d) != (1, 0):
-        return "this form is fixed at r = 1, d = 0"
-    return _f7_violation(inst)
 
 
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
@@ -550,8 +549,7 @@ def _unit_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> 
 
 
 # H is F3 on the Fibonacci numbers at r = 1, s = 0, c = 1, and runs F3's tuple.
-_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _f3_ratio_base, _f3_index, _w_term,
-            _h_violation)
+_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _f3_ratio_base, _f3_index, _w_term)
 # F1 and F2 run F5's tuple at a fixed (r, d). On the Fibonacci recurrence,
 # (3, -1) has U_{-1}/U_2 = 1 and U_3 = 2, which give F1's powers of 2, and
 # (3, -2) has U_{-2}/U_1 = -1, which gives F2's alternating sign.
@@ -575,7 +573,7 @@ _F6_F = replace(_F6, term=_f6_fib_term)
 _F6_L = replace(_F6, term=_f6_luc_term)
 # F7: the geometric nested sum of base q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d}).
 _F7 = _Shape("crsd", _f7_summand, _f7_ratio_base, _f7_index, _unit_term, _f7_violation)
-_F7_R1D0 = replace(_F7, dims="cs", violation=_f7_r1d0_violation)
+_F7_R1D0 = replace(_F7, dims="cs")
 
 
 def evaluate_rhs(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
@@ -690,7 +688,9 @@ class SweepGrid:
 
     ``a_offsets`` positions the outer upper limit relative to each lower
     limit (``a_n = c + offset``); ``a_values`` may instead pin absolute
-    values. Dimensions an identity does not use are collapsed to one point.
+    values. Every value is swept as given: a point that holds a coordinate
+    its tag does not read off that coordinate's default is ``skipped``, as
+    validation refuses it.
     """
 
     families: Tuple[HoradamParams, ...] = ()
@@ -707,12 +707,11 @@ def _sweep_axes(identity: IdentityId, grid: Optional[SweepGrid]) -> tuple:
     """The values ``(families, n, c, r, s, d)`` a grid sweeps for a tag, and
     the grid. ``families`` is the grid's when it has any, so a family other
     than a fixed tag's own is swept and skipped, and ``(None,)`` for a fixed
-    tag's grid without one; the coordinates the tag does not sweep keep
-    their defaults."""
+    tag's grid without one; c, r, s and d are the grid's, as validation
+    judges a coordinate the tag does not read."""
     record = _REGISTRY[identity]
     if grid is None:
         grid = record.grid
-    dims = record.shape.dims
     families: Tuple[Optional[HoradamParams], ...]
     if grid.families:
         families = grid.families
@@ -720,11 +719,8 @@ def _sweep_axes(identity: IdentityId, grid: Optional[SweepGrid]) -> tuple:
         families = (None,)
     else:
         raise ValueError(f"{identity} needs at least one parameter family")
-    c_values = grid.c_values if "c" in dims else (1,)
-    r_values = grid.r_values if "r" in dims else (1,)
-    s_values = grid.s_values if "s" in dims else (0,)
-    d_values = grid.d_values if "d" in dims else (0,)
-    return (families, grid.n_values, c_values, r_values, s_values, d_values), grid
+    return (families, grid.n_values, grid.c_values, grid.r_values, grid.s_values,
+            grid.d_values), grid
 
 
 def sweep_lines(identity: IdentityId, grid: Optional[SweepGrid] = None) -> Iterator[tuple]:

@@ -218,11 +218,16 @@ def test_line_gate_refuses_as_the_point_gate(lines):
     assert _refusal(cli.check_points, 0, lines) == _refusal(every_point)
 
 
-def test_sweep_caps_only_swept_coordinates(capsys):
-    # H sweeps no r, so a huge --r never reaches an instance
-    code, out, _ = run_cli(capsys, "sweep", "--identity", "H", "--n", "1",
-                           "--an", "1..3", "--r", "1000000")
-    assert code == 0 and len(out.splitlines()) == 3
+def test_sweep_caps_an_unread_coordinate_as_verify_does(capsys):
+    # H reads no r, yet a huge --r is a point's coordinate all the same: the
+    # sweep refuses its first point with the line verify gives for it
+    swept = run_cli(capsys, "sweep", "--identity", "H", "--n", "1", "--an", "1..3",
+                    "--r", "1000000")
+    one = run_cli(capsys, "verify", "--identity", "H", "--n", "1", "--an", "1",
+                  "--r", "1000000")
+    assert swept == one
+    code, out, err = one
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cost_caps_leave_tenfold_headroom():
@@ -528,8 +533,8 @@ def _every_kind_of_report() -> list:
     family_b = horadam(Fraction(-7, 3), Fraction(12, 5), Fraction(3, 2), Fraction(-5, 4))
     f3, f4 = IdentityId.F3, IdentityId.F4
     on_a = [identities.evaluate_point(f3, family_a, 2, a_n, 1, 2, 1, 0) for a_n in (-1, 0, 4)]
-    on_b = [identities.evaluate_point(f3, family_b, 2, 3, -1, 2, 1, 1),
-            identities.evaluate_point(f3, family_b, 2, -4, 1, 2, 1, 1),
+    on_b = [identities.evaluate_point(f3, family_b, 2, 3, -1, 2, 1, 0),
+            identities.evaluate_point(f3, family_b, 2, -4, 1, 2, 1, 0),
             identities.evaluate_point(f3, family_b, 1, 2, 1, 0, 0, 0)]
     genuine = on_a[-1]
     mismatch = dataclasses.replace(genuine, rhs=genuine.rhs + 1, equal=False,
@@ -539,7 +544,7 @@ def _every_kind_of_report() -> list:
                                         detail="pole here")
     # the identity changes while the family stays
     other = [identities.evaluate_point(f4, family_a, 2, 4, 1, 2, 1, 0),
-             identities.evaluate_point(f4, family_b, 2, 3, -1, 2, 1, 1),
+             identities.evaluate_point(f4, family_b, 2, 3, -1, 2, 1, 0),
              identities.evaluate_point(IdentityId.F5, family_b, 1, 3, 1, 0, 0, 0)]
     return on_a + on_b + [mismatch, error] + other
 
@@ -576,7 +581,7 @@ def test_jsonl_row_is_json_dumps_of_report_row():
     ("--identity", "F3", "--family", "fibonacci", "--n", "2", "--an", "4", "--r", "2",
      "--s", "1"),
     ("--identity", "F3", "--p", "3/2", "--q=-5/4", "--a=-7/3", "--b", "12/5",
-     "--n", "2", "--an", "3", "--c", "-1", "--r", "2", "--s", "1", "--d", "1"),
+     "--n", "2", "--an", "3", "--c", "-1", "--r", "2", "--s", "1"),
     ("--identity", "F5", "--family", "fibonacci", "--n", "1", "--an", "3", "--r", "0"),
 ], ids=["verified", "rationals", "skipped"])
 def test_verify_jsonl_is_json_dumps_of_report_row(capsys, point):
@@ -586,6 +591,39 @@ def test_verify_jsonl_is_json_dumps_of_report_row(capsys, point):
                                        args.n, args.an, args.c, args.r, args.s, args.d)
     assert code == 0
     assert out == json.dumps(cli.report_row(report)) + "\n"
+
+
+# a value off each coordinate's default; F5's weight base U_d needs d != 0,
+# so its point without that flag has d = 1
+_OFF_DEFAULT = {"c": 2, "r": 2, "s": 1, "d": -1}
+_VERIFYING_D = {IdentityId.F5: 1, IdentityId.F5_G: 1}
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=str)
+def test_verify_and_one_point_sweep_agree_off_the_defaults(capsys, ident):
+    # each of --c/--r/--s/--d off its default, whether the tag reads that
+    # coordinate or not, gives verify and a one-point sweep the same row:
+    # the same class, and the coordinates as given
+    family = [] if identities.fixed_family(ident) else ["--family", "gibonacci31"]
+    n = identities.default_grid(ident).n_values[0]
+    base = dict(identities.COORD_DEFAULTS, d=_VERIFYING_D.get(ident, 0))
+
+    def rows(coords):
+        flags = [*family, "--n", str(n), "--an", "3"]
+        flags += [f"--{name}={value}" for name, value in coords.items()]
+        argv = ["--identity", ident.value, *flags, "--format", "jsonl"]
+        verified = run_cli(capsys, "verify", *argv)
+        swept = run_cli(capsys, "sweep", *argv)
+        assert verified[0] == swept[0] in (0, 1)
+        return json.loads(verified[1]), json.loads(swept[1])
+
+    one, swept = rows(base)
+    assert one == swept and one["class"] == "verified"
+    for name, value in _OFF_DEFAULT.items():
+        coords = dict(base, **{name: value})
+        one, swept = rows(coords)
+        assert one == swept
+        assert {key: one[key] for key in coords} == coords
 
 
 class TestTableCommand:

@@ -31,7 +31,8 @@ in ``horadam_sums.sequences``, the window walk of ``HoradamSequence.term``
 and the far-term doubling ``doubled_term`` with its Lucas pair
 ``_lucas_pair``, and the int scaling ``_scaled_pq`` both share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
-``grid_size`` of ``horadam_sums.identities``. An ``if``
+``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
+``horadam_sums.identities``. An ``if``
 mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
 class, a precondition or closed-form part also in every field of the theorem
@@ -43,7 +44,8 @@ closed forms are compared with and a mutated ``f_closed`` is what the Binet
 route runs.
 
 A mutant is killed when, for any tag whose evaluation calls the mutated
-function (every tag, for the oracle and the grid-line sharing), a point of
+function (every tag, for the oracle, the grid-line sharing and the sweep
+axes), a point of
 the tier-1 deep-depth grid (``tests/test_identities.py::_deep_instances``),
 of the tag's default-grid sweep or, for a tag without a fixed family, of its
 sweep over rational p, q and seeds
@@ -52,7 +54,8 @@ report or an exception, or when it runs longer than ``TIMEOUT_S``. Every
 built-in family is integral, so the rational sweep is what holds the
 closed forms' int-pair denominators. It is also killed
 when a report of either sweep differs in any field but the two times from
-the unmutated run's, when ``evaluate_point`` at a deep-depth point differs in
+the unmutated run's (so a sweep with more or fewer points kills), when
+``evaluate_point`` at a deep-depth point differs in
 the same way from ``verify`` of it, when a deep-depth point rebuilt from
 its own fields is not the same point, or when a
 deep-depth point's closed form, evaluated first on a counter that already
@@ -101,7 +104,8 @@ A precondition mutant is judged by verdicts alone, never by evaluating
 either side: it is killed when the verdict (valid, or the
 ``InvalidInstanceError`` text) on one point of any default-grid line, or
 of ``PRECONDITION_LINES``, differs from the unmutated code's; no
-precondition reads a_n.
+precondition reads a_n. Those lines also hold one coordinate a form does not
+read off its default, which no default grid does.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives or a listed survivor is
@@ -183,14 +187,24 @@ CLOSED_TARGETS = ("evaluate_rhs", "_over_disc")
 CLOSED_PART_SUFFIXES = ("_ratio_base", "_index", "_term")
 BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
+SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
 
 # lines a precondition mutant is judged on besides the default grids': F3_G
-# on a family of the wrong shape, and (p, q) = (2, 2), whose V_2 = 0 stops F6
-# at (r, d) = (1, 1) as V_{r+d} and at (1, 2) as the weight base's V_d
+# on a family of the wrong shape; (p, q) = (2, 2), whose V_2 = 0 stops F6 at
+# (r, d) = (1, 1) as V_{r+d} and at (1, 2) as the weight base's V_d; and one
+# coordinate a form does not read off its default, each on a line that is
+# valid at the default: H at c = 2, F3 at d = 1, F1a at r = 2, F7_r1d0_w at
+# r = 2 and at d = -1
 _V2_ZERO = sq.horadam(1, 1, 2, 2)
+_GIB31 = ids.FAMILIES["gibonacci31"]
 PRECONDITION_LINES = ((ids.IdentityId.F3_G, ids.FAMILIES["generic"], 1, 2, 1, 1, 0, 0),
                       *((ident, _V2_ZERO, n, 3, 1, 1, 0, d) for d in (1, 2)
-                        for ident, n in ((ids.IdentityId.F6A, 2), (ids.IdentityId.F6B, 1))))
+                        for ident, n in ((ids.IdentityId.F6A, 2), (ids.IdentityId.F6B, 1))),
+                      (ids.IdentityId.H, None, 1, 2, 2, 1, 0, 0),
+                      (ids.IdentityId.F3, ids.FAMILIES["fibonacci"], 1, 2, 1, 1, 0, 1),
+                      (ids.IdentityId.F1A, None, 1, 2, 1, 2, 0, 0),
+                      (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 2, 0, 0),
+                      (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 1, 0, -1))
 
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
 # scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
@@ -235,7 +249,7 @@ def _is_target(module, name: str) -> bool:
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
     return name.startswith("_lifted") or name.endswith(CLOSED_PART_SUFFIXES + ("_violation",)) \
-        or name in CLOSED_TARGETS + LINE_TARGETS + GRID_TARGETS
+        or name in CLOSED_TARGETS + LINE_TARGETS + GRID_TARGETS + SWEEP_TARGETS
 
 
 def _targets(module) -> list:
@@ -589,7 +603,8 @@ def main() -> int:
     funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb)
     registry = dict(ids._REGISTRY)
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
-    callers.update({name: list(ids.IdentityId) for name in ORACLE_TARGETS + LINE_TARGETS})
+    callers.update({name: list(ids.IdentityId)
+                    for name in ORACLE_TARGETS + LINE_TARGETS + SWEEP_TARGETS})
     swept: dict = {}
     verdicts = _verdicts()
     if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
