@@ -44,7 +44,9 @@ share its :class:`_Line` (the left-hand summand and the closed form's line
 part, each made when a point first needs it). An instance built alone has a
 line of its own. The closed form's terms are exchanged as (numerator,
 denominator) int pairs and its line part holds ints only, so a point is
-finished on ints in one normalised ``Fraction``; its left-hand spec and its
+finished on ints in one normalised ``Fraction``, reduced by the factors of
+its denominator rather than by one gcd with the whole of it (see
+:func:`_lifted_reduced`); its left-hand spec and its
 report are built without their frozen dataclass constructors. The closed
 form's parts are module functions given the instance and the counter, so a
 point builds no closure, and the two sides are compared as ints: an
@@ -368,7 +370,8 @@ def _lifted(inst: IdentityInstance, counter: EvalCounter, ratio_base: RatioBase,
     the line part, :func:`_lifted_line`, is made. That part, ints only, is
     kept on the instance's :class:`_Line` with the counter units its lookups
     tallied, and :func:`_lifted_point` finishes each point from it on ints,
-    in one normalised ``Fraction``. A later point of the line (see
+    in one normalised ``Fraction`` that :func:`_lifted_reduced` reduces by
+    the factors of its denominator. A later point of the line (see
     :func:`evaluate_line`) adds those units as if it had made the lookups,
     so ``closed_terms`` counts uses, not cache misses.
     """
@@ -384,9 +387,10 @@ def _lifted(inst: IdentityInstance, counter: EvalCounter, ratio_base: RatioBase,
     return _lifted_point(inst, counter, part, step, mul, term)
 
 
-def _lifted_power(u: int, v: int, e: int) -> Tuple[int, int]:
-    """(u/v)**e as an int pair: (u**e, v**e), or (v**-e, u**-e) when e < 0."""
-    return (u ** e, v ** e) if e >= 0 else (v ** -e, u ** -e)
+def _lifted_power(u: int, v: int, e: int) -> Tuple[int, int, int]:
+    """(u/v)**e as an int pair and the root of its denominator: (u**e, v**e, v),
+    or (v**-e, u**-e, u) when e < 0."""
+    return (u ** e, v ** e, v) if e >= 0 else (v ** -e, u ** -e, u)
 
 
 def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Fraction,
@@ -403,7 +407,7 @@ def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Fraction,
     u, v = base.numerator, base.denominator
     lift = inst.c - 1
     shift = mul * lift + inst.s
-    sn, sd = _lifted_power(u, v, lift)
+    sn, sd, _ = _lifted_power(u, v, lift)
     pairs = []
     pn, pd = 1, 1
     for e in range(1, n + 1):
@@ -424,8 +428,9 @@ def _lifted_point(inst: IdentityInstance, counter: EvalCounter, part: tuple,
     dot product of K with the binomials C(a+j-c, j), over D.
 
     With T(n, step*n + mul*a + s) = tn/td and base**a = bn/bd, the point is
-    the one normalised
-    ``Fraction(rn**n*bn*tn*D - dot*rd**n*bd*td, rd**n*bd*td*D)``.
+    ``(rn**n*bn*tn*D - dot*rd**n*td*bd) / (rd**n*td*D * bd)``, reduced by
+    :func:`_lifted_reduced` factor by factor: bd = root**|a| is as large as
+    the whole point at a far a_n, while rd**n*td*D stays small.
     ``counter`` tallies the n binomials, and ``term`` its own lookups."""
     ratio_num, ratio_den, u, v, coefficients, den = part
     n, a, c = inst.n, inst.a_n, inst.c
@@ -435,9 +440,43 @@ def _lifted_point(inst: IdentityInstance, counter: EvalCounter, part: tuple,
     for j, k in enumerate(coefficients):
         dot += k * binom(top + j, j)
     tn, td = term(inst, counter, n, step * n + mul * a + inst.s)
-    bn, bd = _lifted_power(u, v, a)
-    lead = ratio_den * bd * td
-    return Fraction(ratio_num * bn * tn * den - dot * lead, lead * den)
+    bn, bd, root = _lifted_power(u, v, a)
+    lead = ratio_den * td
+    return _lifted_reduced(ratio_num * bn * tn * den - dot * lead * bd, lead * den, root,
+                           abs(a), bd)
+
+
+def _lifted_reduced(num: int, small: int, root: int, e: int, big: int) -> Fraction:
+    """``num / (small * big)`` in lowest terms, where big = root**e, e >= 0,
+    and small and root are nonzero, without one gcd of num and the whole
+    denominator.
+
+    After num and small are divided by their gcd, they are coprime. The
+    primes of root are then stripped from num one ``h = gcd(num, root)`` at
+    a time, and big is divided by their product. That stops when h is 1, or
+    after e strips: then each strip took a prime's full share of root, so a
+    prime still in num is gone from what is left of big. Either way num is
+    left coprime to the whole denominator, and the ``Fraction`` is built
+    from the pair with no further gcd."""
+    if not num:
+        return Fraction(0)
+    g = gcd(num, small)
+    num, small = num // g, small // g
+    stripped = 1
+    for _ in range(e):
+        h = gcd(num, root)
+        if h == 1:
+            break
+        num //= h
+        stripped *= h
+    den = small * (big // stripped)
+    if den < 0:
+        num, den = -num, -den
+    # Fraction(num, den) would take the gcd again, and its _normalize flag is
+    # gone from Python 3.12 on; _numerator and _denominator are its slots
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 def _w_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:

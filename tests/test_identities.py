@@ -517,6 +517,17 @@ def test_h_far_outer_limits_match_oracle():
         assert evaluate_rhs(one) == oracle_nested(lhs_spec(one))
 
 
+@pytest.mark.parametrize("ident, n, a_n, d", [
+    (IdentityId.F3, 2, 4000, 0), (IdentityId.F4, 2, 2000, 0), (IdentityId.F5, 2, 3000, 1),
+    (IdentityId.F6A, 2, 3000, 1), (IdentityId.F6B, 3, 2000, 1)],
+    ids=["F3", "F4", "F5", "F6a", "F6b"])
+def test_far_outer_limits_verify(ident, n, a_n, d):
+    # the default grids stop at a_n = 9; here the closed form's denominator
+    # reaches 2,000-7,000 bits, and the point is reduced factor by factor
+    report = verify(inst(ident, FAMILIES["integer_root"], n=n, a_n=a_n, d=d))
+    assert report.classification == CLASS_VERIFIED
+
+
 class TestBinetRoutes:
     """The root-power route reproduces every tag's left side at depths 1-4,
     through the f-form over quadratic-extension values. Criterion 6 runs it

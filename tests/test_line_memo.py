@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -194,9 +194,29 @@ _pairs = st.tuples(st.integers(-30, 30), st.integers(-24, 24).filter(bool))
          den=6, a=0, c=1, s=0, step=1, mul=1)
 @example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=(-18, 8), coefficients=[3, -4],
          den=6, a=1, c=-2, s=2, step=2, mul=-1)
+# far a: the numerator carries the base denominator's primes below, at and
+# past their multiplicity in bd = v**a (2 and 3 in 6**300)
+@example(ratio_n=Fraction(-2, 7), base=Fraction(1, 6), t=(2 ** 150 * 3 ** 7 * 5, 1),
+         coefficients=[3, -4], den=6, a=300, c=1, s=0, step=1, mul=1)
+@example(ratio_n=Fraction(-5, 7), base=Fraction(1, 6), t=(6 ** 300, 1), coefficients=[0],
+         den=1, a=300, c=1, s=0, step=1, mul=1)
+@example(ratio_n=Fraction(3, 7), base=Fraction(1, 6), t=(2 ** 400 * 3 ** 100, -1),
+         coefficients=[0], den=1, a=300, c=-2, s=1, step=2, mul=-1)
+# a < 0 with u < 0: the root is u, bd = u**251 is negative, and 2 is past
+# its multiplicity
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-12, 5), t=(2 ** 600 * 3 ** 40 * 7, -9),
+         coefficients=[3, -4], den=6, a=-251, c=1, s=0, step=1, mul=1)
+# v = 1, a = 0, and a zero from the cancellation of two 200-bit products
+@example(ratio_n=Fraction(-2, 7), base=Fraction(3), t=(9, -4), coefficients=[3, -4], den=6,
+         a=200, c=1, s=0, step=1, mul=1)
+@example(ratio_n=Fraction(-2, 7), base=Fraction(-5, 3), t=(2 ** 10, 6), coefficients=[5],
+         den=4, a=0, c=2, s=0, step=1, mul=1)
+@example(ratio_n=Fraction(1), base=Fraction(1, 2), t=(2 ** 200, 1), coefficients=[3], den=3,
+         a=200, c=1, s=0, step=1, mul=1)
 def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a, c, s, step, mul):
     # the point finishes on ints; the plain Fraction formula, with the
-    # binomials from their definition, must agree for either sign of a
+    # binomials from their definition, must agree for either sign of a, in
+    # lowest terms over a positive denominator
     n = len(coefficients)
     calls = []
 
@@ -211,8 +231,25 @@ def test_point_part_is_the_plain_formula(ratio_n, base, t, coefficients, den, a,
     value = identities._lifted_point(point, counter, part, step, mul, term)
     dot = sum(k * falling_binom(a + j - c, j) for j, k in enumerate(coefficients))
     assert type(value) is Fraction
+    assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
     assert value == ratio_n * base ** a * Fraction(*t) - Fraction(dot, den)
     assert calls == [(point, counter, n, step * n + mul * a + s)] and counter.count == 5 + n
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(-10 ** 6, 10 ** 6), small=st.integers(-10 ** 4, 10 ** 4).filter(bool),
+       root=st.integers(-60, 60).filter(bool), e=st.integers(0, 40), m=st.integers(0, 50))
+@example(k=5, small=-7, root=12, e=3, m=3)
+@example(k=-3, small=9, root=-12, e=3, m=7)
+@example(k=0, small=4, root=6, e=5, m=0)
+def test_point_reduction_is_the_normalised_fraction(k, small, root, e, m):
+    # the numerator k * root**m carries root's primes below, at or past
+    # their multiplicity in root**e; the reduced pair is Fraction's own
+    num, big = k * root ** m, root ** e
+    value = identities._lifted_reduced(num, small, root, e, big)
+    expected = Fraction(num, small * big)
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
 def _plain_line(point, ratio, base, step, mul, term):

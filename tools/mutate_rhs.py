@@ -14,7 +14,8 @@ as it is); and a product ``x * y`` loses one operand, becoming ``x`` or
 ``y``, which is how a factor of an int-pair denominator goes missing. The
 targets are the lifted master form of ``horadam_sums.identities``
 (``_lifted`` with its line part ``_lifted_line``, its point part
-``_lifted_point`` and their signed power ``_lifted_power``), ``evaluate_rhs``,
+``_lifted_point`` with its reduction ``_lifted_reduced``, and their signed
+power ``_lifted_power``), ``evaluate_rhs``,
 which runs it at the tuple of each tag's theorem shape, and the parts those
 tuples hold (every ``*_ratio_base``, ``*_index`` and ``*_term``, and
 ``_over_disc``), with
@@ -151,10 +152,14 @@ KNOWN_SURVIVORS = {
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
-    "_lifted_power: return (u ** e, v ** e) if e > 0 else (v ** (-e), u ** (-e))":
-    "at e = 0 both branches raise u and v to the power 0, which is 1",
-    "_lifted_power: return (u ** e, v ** e) if e >= 1 else (v ** (-e), u ** (-e))":
-    "at e = 0 both branches raise u and v to the power 0, which is 1",
+    "_lifted_power: return (u ** e, v ** e, v) if e > 0 else (v ** (-e), u ** (-e), u)":
+    "at e = 0 both branches raise u and v to the power 0, which is 1, and a root read "
+    "with it is stripped 0 times",
+    "_lifted_power: return (u ** e, v ** e, v) if e >= 1 else (v ** (-e), u ** (-e), u)":
+    "at e = 0 both branches raise u and v to the power 0, which is 1, and a root read "
+    "with it is stripped 0 times",
+    "_lifted_reduced: if den <= 0:": "den is a product of nonzero ints, so it is never 0",
+    "_lifted_reduced: if den < 1:": "den is a nonzero int, so den < 1 is den < 0",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo > 0 else (v ** (-lo), "
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo >= 1 else (v ** (-lo), "
