@@ -23,11 +23,13 @@ index:
   it is one walk on ints scaled by a common denominator, which grows by a
   fixed int factor per step, and it makes one normalised ``Fraction`` per
   term it stores.
-* Every other index is computed, not stored, by doubling the Lucas pair
-  (U_j, V_j) of (p, q) in O(log |j|) integer products (Joye & Quisquater,
-  "Efficient computation of full Lucas sequences", Electronics Letters
-  32(6), 1996), from which ``W[j] = b*U_j - a*q*U_{j-1}`` is summed over
-  ints into one ``Fraction``.
+* Every other index is computed, not stored, from the Lucas pair of
+  (p, q) at half the index. Index doubling (Joye & Quisquater, "Efficient
+  computation of full Lucas sequences", Electronics Letters 32(6), 1996)
+  gives (U_k, V_k, q**k) at k = j // 2 in O(log |j|) integer products, and
+  one product at full size, ``W[2k+o] = V_k*W[k+o] - q**k*W[o]``, gives the
+  term, summed over ints into one ``Fraction``. A negative index is read as
+  a positive one of the reversed recurrence.
 * At most ``SHARED_CAP`` sequences are kept, least recently used first out.
   The U/V companion parameters of at most ``COMPANIONS_CAP`` pairs (p, q)
   are kept too, keyed on the parameters' cached ints; their sequences come
@@ -140,42 +142,52 @@ def _scaled_pq(params: HoradamParams) -> Tuple[int, int, int]:
     return m, pn * (m // pd), qn * (m * m // qd)
 
 
-def _lucas_pair(m: int, big_p: int, big_q: int, j: int) -> Tuple[int, int, int]:
-    """(u, v, den) with U_j = u/den and V_j = v/den, by index doubling, for
-    any integer ``j``; (m, P, Q) are :func:`_scaled_pq`'s.
+def _lucas_pair(big_p: int, big_q: int, n: int) -> Tuple[int, int, int]:
+    """(U_n, V_n, Q**n) of the int pair (P, Q), for n >= 0, by index doubling.
 
-    The doubling runs on integers: U_j(p, q) = U_j(P, Q) / m**(j-1) and
-    V_j(p, q) = V_j(P, Q) / m**j. Each bit of |j| maps k to 2k by
-    U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*Q**k, then, when the bit is
-    set, to 2k + 1 by U_{k+1} = (P*U_k + V_k)/2 and
-    V_{k+1} = (D*U_k + P*V_k)/2, both exact integer halvings. Negative
-    indices use U_{-j} = -U_j/q**j and V_{-j} = V_j/q**j. Nothing divides
+    Each bit of n maps k to 2k by U_{2k} = U_k*V_k and V_{2k} = V_k**2 - 2*Q**k,
+    then, when the bit is set, to 2k + 1 by U_{k+1} = (P*U_k + V_k)/2 and
+    V_{k+1} = (D*U_k + P*V_k)/2, both exact integer halvings. Nothing divides
     by D, so D = 0 needs no special case.
     """
     disc = big_p * big_p - 4 * big_q
-    n = abs(j)
     u, v, qk = 0, 2, 1
     for bit in bin(n)[2:]:
         u, v, qk = u * v, v * v - 2 * qk, qk * qk
         if bit == "1":
             u, v, qk = (big_p * u + v) // 2, (disc * u + big_p * v) // 2, qk * big_q
-    mn = m ** n
-    if j >= 0:
-        return u * m, v, mn
-    return -u * m * mn, v * mn, qk
+    return u, v, qk
 
 
 def doubled_term(params: HoradamParams, j: int) -> Fraction:
-    """W[j] by index doubling, with no walk and no memo.
+    """W[j] from the Lucas pair at half of j, with no walk and no memo.
 
-    With U_{j-1} = (p*U_j - V_j) / (2q), W[j] = b*U_j - a*q*U_{j-1} is
-    ((2b - a*p)*U_j + a*V_j) / 2. It is summed over ints, on the
-    denominator of a, b and p times the Lucas pair's, into one Fraction.
+    With (m, P, Q) from :func:`_scaled_pq` and L = den a * den b, the ints
+    Y_i = L*m**i*W[i] obey the recurrence (P, Q) from Y_0 = L*a and
+    Y_1 = L*m*b. For j = 2k + o, o in {0, 1}, the index-addition identity
+    Y_{i+n} = V_n*Y_i - Q**n*Y_{i-n} at i = k + o, n = k gives
+    Y_j = V_k*Y_{k+o} - Q**k*Y_o, where, with U_{k-1} = (P*U_k - V_k)/(2Q)
+    and U_{k+1} = (P*U_k + V_k)/2, 2*Y_k = (2*Y_1 - P*Y_0)*U_k + Y_0*V_k and
+    2*Y_{k+1} = (P*Y_1 - 2*Q*Y_0)*U_k + Y_1*V_k. So the doubling stops at k,
+    and its last, largest squarings are one product. A negative j reads
+    W[j] as term -j of the reversed recurrence, with seeds a and
+    (p*a - b)/q and coefficients p/q and 1/q.
     """
-    (an, ad), (bn, bd), (pn, pd), _ = params._key
-    u, v, den = _lucas_pair(*_scaled_pq(params), j)
-    return Fraction((2 * bn * ad * pd - an * pn * bd) * u + an * bd * pd * v,
-                    2 * ad * bd * pd * den)
+    if j < 0:
+        a, b, p, q = params.a, params.b, params.p, params.q
+        return doubled_term(HoradamParams(a, (p * a - b) / q, p / q, 1 / q), -j)
+    (an, ad), (bn, bd), _, _ = params._key
+    m, big_p, big_q = _scaled_pq(params)
+    y0, y1 = an * bd, bn * ad * m
+    k, odd = divmod(j, 2)
+    u, v, qk = _lucas_pair(big_p, big_q, k)
+    if odd:
+        y, c = y1, big_p * y1 - 2 * big_q * y0
+    else:
+        y, c = y0, 2 * y1 - big_p * y0
+    num, den = v * ((c * u + y * v) // 2) - qk * y, ad * bd * m ** j
+    # over 1, as in the window's walk, Fraction(num) skips a gcd and a division
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 class HoradamSequence:

@@ -98,6 +98,28 @@ nonzero_small = small_rationals.filter(lambda x: x != 0)
 READ_STEPS = {"up": (1, 1), "down": (-1, 1), "up_edge": (1, WALK_GAP),
               "down_edge": (-1, WALK_GAP), "up_past": (1, WALK_GAP + 1),
               "down_past": (-1, WALK_GAP + 1)}
+# the far term's half step at its edges: k = j // 2 is 0 or -1 and j has
+# either parity, on an integer family, a rational one, D = 0 and D < 0
+HALF_STEP_EDGES = [dict(a=Fraction(a), b=Fraction(b), p=Fraction(p), q=Fraction(q), j=j)
+                   for a, b, p, q in ((2, -1, 3, 2), (Fraction(3, 2), -1, Fraction(5, 2),
+                                      Fraction(-2, 3)), (1, 3, 2, 1), (2, -1, 1, 3))
+                   for j in range(-3, 4)]
+
+
+def _with_examples(cases):
+    """Hypothesis ``@example`` for each keyword dict of ``cases``."""
+    def decorate(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return decorate
+
+
+def _int_walk(p: int, q: int, x0: int, x1: int, steps: int):
+    """(X[steps], X[steps + 1]) of X[i] = p*X[i-1] - q*X[i-2] from (x0, x1)."""
+    for _ in range(steps):
+        x0, x1 = x1, p * x1 - q * x0
+    return x0, x1
 
 
 class TestBoundedTerms:
@@ -107,11 +129,25 @@ class TestBoundedTerms:
     @example(a=Fraction(1), b=Fraction(3), p=Fraction(2), q=Fraction(1), j=-300)  # D = 0
     @example(a=Fraction(1), b=Fraction(3), p=Fraction(2), q=Fraction(1), j=300)
     @example(a=Fraction(0), b=Fraction(1), p=Fraction(1), q=Fraction(-1), j=0)
+    @_with_examples(HALF_STEP_EDGES)
     def test_doubling_matches_walk(self, a, b, p, q, j):
         params = horadam(a, b, p, q)
         walked = walk_terms(params, min(j, 0), max(j + 1, 1))
         assert doubled_term(params, j) == walked[j]
         assert doubled_term(params, j + 1) == walked[j + 1]
+
+    @pytest.mark.parametrize("p,q", [(int(p), int(q)) for p, q in TEST_PQ
+                                     if p.denominator == q.denominator == 1])
+    def test_far_terms_match_int_walk(self, p, q):
+        # W[2k+o] = V_k*W[k+o] - q**k*W[o]: both parities, both signs of j
+        a, b, far = 2, -1, 2 ** 15
+        w_far, w_next = _int_walk(p, q, a, b, far)
+        params = horadam(a, b, p, q)
+        assert doubled_term(params, far) == w_far
+        assert doubled_term(params, far + 1) == w_next
+        # q**i * W[-i] obeys the same recurrence, from a and q*W[-1] = p*a - b
+        _, z_next = _int_walk(p, q, a, p * a - b, far)
+        assert doubled_term(params, -far - 1) == Fraction(z_next, q ** (far + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(a=small_rationals, b=small_rationals, p=nonzero_small, q=nonzero_small,

@@ -29,7 +29,8 @@ preconditions (``_violation`` and every ``_*_violation``), and, in
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window walk of ``HoradamSequence.term``
-and the far-term doubling ``doubled_term`` with its Lucas pair
+and the far term ``doubled_term`` (one product on the Lucas pair at half
+the index, and the reversed recurrence for a negative one) with its ladder
 ``_lucas_pair``, and the int scaling ``_scaled_pq`` both share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
 ``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
@@ -150,8 +151,6 @@ KNOWN_SURVIVORS = {
     "_f7_index: return (0, 1)": "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
-    "_lucas_pair: if j >= 1:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
-    "_lucas_pair: if j > 0:": "j = 0 gives (U_0, V_0) = (0, 2) over 1 on both branches",
     "_lifted_power: return (u ** e, v ** e, v) if e > 0 else (v ** (-e), u ** (-e), u)":
     "at e = 0 both branches raise u and v to the power 0, which is 1, and a root read "
     "with it is stripped 0 times",
