@@ -26,6 +26,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
@@ -34,8 +35,9 @@ from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VER
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
                          evaluate_line, evaluate_point, evaluate_rhs, fixed_family,
                          grid_size, iter_sweep, lhs_spec, summarize, sweep_lines)
-from .nestedcore import (ONES, EvalCounter, NaiveCapExceededError, NestedSumSpec,
-                         geometric_term, master_E, oracle_nested, oracle_nested_naive)
+from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
+                         NestedSumSpec, geometric_term, master_E, oracle_nested,
+                         oracle_nested_naive)
 from .sequences import (ROOT_SHIFT_IDENTITIES, HoradamParams, horadam, lemma3_residual,
                         lemma4_residual)
 
@@ -60,6 +62,15 @@ MAX_REACH = 150_000
 # --points (default 400) on a 2-core x86-64 host.
 MAX_GRID_POINTS = 100_000
 MAX_LEMMA_POINTS = 4_000
+
+# Cap on one command's summed cost (see check_points): the oracle terms of
+# all its points, and for bench also the tuples of each naive row. The 25
+# default grids total 267,570 terms, the largest (F7's) 45,360. A far term
+# near MAX_REACH costs about 36 us on a 2-core x86-64 host, so the largest
+# command accepted runs about 3 minutes. The cap is 25 times MAX_ORACLE_TERMS, so one point with
+# its naive row (at most DEFAULT_NAIVE_CAP tuples) is refused only where
+# check_cost refuses it.
+MAX_COMMAND_TERMS = 5_000_000
 
 
 def format_rational(value: Optional[Fraction]) -> str:
@@ -145,20 +156,26 @@ def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
             f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
 
 
-def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int, int, int]]
-                 ) -> None:
-    """Refuse a run of more than MAX_GRID_POINTS points, or any point that
-    :func:`check_cost` refuses, before any work. ``lines`` yields each grid
-    line as (n, a_values, c, r, s, d) and is read only once ``count`` passes.
+def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int, int, int]],
+                 naive: bool = False) -> None:
+    """Refuse a run of more than MAX_GRID_POINTS points, any point that
+    :func:`check_cost` refuses, or a run whose summed cost exceeds
+    MAX_COMMAND_TERMS, before any work. ``lines`` yields each grid line as
+    (n, a_values, c, r, s, d) and is read only once ``count`` passes.
 
     A line is checked at its smallest and its largest a_n. The term count
     n * (a_n - c + 1) is linear in a_n, and the reach grows with |a_n|, so
     on a line both are largest at one of the two. Only a line refused there
     is checked point by point, in order, so the first point refused, and
-    its message, are those of a check of every point in grid order."""
+    its message, are those of a check of every point in grid order.
+
+    The summed cost is the oracle terms n * (a_n - c + 1) of each point with
+    a_n >= c and, with ``naive``, the C(a_n - c + n, n) tuples of each such
+    point that the naive enumeration runs, at most DEFAULT_NAIVE_CAP."""
     if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"a grid of {count} points exceeds the cap {MAX_GRID_POINTS}")
+    total = 0
     for n, a_values, c, r, s, d in lines:
         if not a_values:
             continue
@@ -169,6 +186,15 @@ def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int,
             for a_n in a_values:
                 check_cost(n, a_n, c, r, s, d)
             raise  # not reached: the refused extreme is one of the points
+        ranges = [a_n - c + 1 for a_n in a_values if a_n >= c]
+        total += n * sum(ranges)
+        if naive:
+            tuples = [comb(size + n - 1, n) for size in ranges]
+            total += sum(t for t in tuples if t <= DEFAULT_NAIVE_CAP)
+    if total > MAX_COMMAND_TERMS:
+        summed = "oracle terms and naive tuples" if naive else "oracle terms"
+        raise argparse.ArgumentTypeError(
+            f"a command of {total} {summed} exceeds the cap {MAX_COMMAND_TERMS}")
 
 
 def report_row(report: EvaluationReport) -> dict:
@@ -469,7 +495,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          r=args.r, s=args.s, d=args.d)
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
     check_points(len(n_values) * len(a_values),
-                 ((n, a_values, args.c, args.r, args.s, args.d) for n in n_values))
+                 ((n, a_values, args.c, args.r, args.s, args.d) for n in n_values), naive=True)
     rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")

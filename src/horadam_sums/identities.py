@@ -124,16 +124,17 @@ FAMILIES: Dict[str, HoradamParams] = {
 class _Line:
     """The a_n-free work of one instance's grid line, shared with the points
     :meth:`IdentityInstance._at` builds from it: the left-hand ``summand``
-    and the closed form's line part, all ints, with the counter units it
-    cost (``closed``, see :func:`_lifted`), each filled when a point first
-    needs it and written once it is whole. Only numbers and the summand are
-    kept, never a sequence or a counter."""
+    and the closed form's line part, all ints, with its index step and
+    multiplier and the counter units it cost (``closed``, see
+    :func:`evaluate_rhs`), each filled when a point first needs it and
+    written once it is whole. Only numbers and the summand are kept, never
+    a sequence, a function or a counter."""
 
     __slots__ = ("summand", "closed")
 
     def __init__(self):
         self.summand: Optional[SumTerm] = None
-        self.closed: Optional[Tuple[tuple, int]] = None
+        self.closed: Optional[Tuple[tuple, int, int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,6 @@ class IdentityInstance:
         point.__dict__.update(self.__dict__, a_n=a_n)
         return point
 
-    def sequence(self) -> HoradamSequence:
-        return HoradamSequence.of(self.params)
-
 
 _RESTRICTED = "restricted"
 _GIBONACCI = "gibonacci"
@@ -231,8 +229,8 @@ class _Shape:
     validation holds each of the others at its default (``COORD_DEFAULTS``).
     ``violation`` returns the first violated kind-specific precondition as a
     reason, or None. ``summand`` builds the oracle-evaluable innermost term
-    of the left-hand side. :func:`evaluate_rhs` runs :func:`_lifted` at
-    ``ratio_base``, ``index(r, d)`` (the index step and multiplier) and
+    of the left-hand side. :func:`evaluate_rhs` runs the lifted master form
+    at ``ratio_base``, ``index(r, d)`` (the index step and multiplier) and
     ``term``, with r and d the instance's or, if set, ``at``.
     """
 
@@ -307,7 +305,7 @@ def _f7_violation(inst: IdentityInstance) -> Optional[str]:
     for j, note in ((r - d + 1, ""), (r - d, " (degenerate weight base)")):
         if first_kind_term(inst.params, j) == 0:
             return f"U_{j} = 0{note}"
-    seq = inst.sequence()
+    seq = HoradamSequence.of(inst.params)
     for j, note in ((s + d, ""), (s + d - 1, " (degenerate weight base)"), (r + s, "")):
         if seq.term(j) == 0:
             return f"W_{j} = 0{note}"
@@ -316,7 +314,7 @@ def _f7_violation(inst: IdentityInstance) -> Optional[str]:
 
 def _f7_summand(inst: IdentityInstance) -> SumTerm:
     params, r, s, d = inst.params, inst.r, inst.s, inst.d
-    seq = inst.sequence()
+    seq = HoradamSequence.of(params)
     return SumTerm(weight_base=params.q * first_kind_term(params, r - d)
                    / first_kind_term(params, r - d + 1) * seq.term(s + d - 1) / seq.term(s + d))
 
@@ -342,10 +340,10 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # Right-hand sides
 #
 # The paper evaluates the nested geometric sum once and reads every display
-# off it, so every closed form is one lifted master form, ``_lifted``, at
-# the tuple its theorem shape holds: the ratio and the base (a function
-# giving both, called once per grid line), the index step and multiplier (a
-# function of r and d), and the term T(e, k). A term is an int pair
+# off it, so every closed form is one lifted master form, :func:`evaluate_rhs`,
+# at the tuple its theorem shape holds: the ratio and the base (a function
+# giving both) and the index step and multiplier (a function of r and d),
+# each called once per grid line, and the term T(e, k). A term is an int pair
 # (numerator, denominator): the denominator is nonzero but may be negative
 # and need not be reduced, so a term costs no normalised ``Fraction``. The
 # ratio-and-base and term functions are module functions that take the
@@ -355,38 +353,6 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # are measured, not assumed.
 # ---------------------------------------------------------------------------
 
-def _lifted(inst: IdentityInstance, counter: EvalCounter, ratio_base: RatioBase,
-            r: int, d: int, step: int, mul: int, term: Term) -> Fraction:
-    """The lifted master form every closed form evaluates.
-
-    With (ratio, base) = ``ratio_base(inst, counter, r, d)``, a = a_n and
-    T(e, k) the fraction of the int pair ``term(inst, counter, e, k)``, it
-    returns
-    ratio**n * base**a * T(n, step*n + mul*a + s)
-    - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
-    * C(a+j-c, j).
-
-    ratio and base do not depend on a, so ``ratio_base`` is called only when
-    the line part, :func:`_lifted_line`, is made. That part, ints only, is
-    kept on the instance's :class:`_Line` with the counter units its lookups
-    tallied, and :func:`_lifted_point` finishes each point from it on ints,
-    in one normalised ``Fraction`` that :func:`_lifted_reduced` reduces by
-    the factors of its denominator. A later point of the line (see
-    :func:`evaluate_line`) adds those units as if it had made the lookups,
-    so ``closed_terms`` counts uses, not cache misses.
-    """
-    line = inst._line
-    closed = line.closed
-    if closed is None:
-        before = counter.count
-        part = _lifted_line(inst, counter, *ratio_base(inst, counter, r, d), step, mul, term)
-        line.closed = part, counter.count - before
-    else:
-        part, units = closed
-        counter.add(units)
-    return _lifted_point(inst, counter, part, step, mul, term)
-
-
 def _lifted_power(u: int, v: int, e: int) -> Tuple[int, int, int]:
     """(u/v)**e as an int pair and the root of its denominator: (u**e, v**e, v),
     or (v**-e, u**-e, u) when e < 0."""
@@ -395,7 +361,8 @@ def _lifted_power(u: int, v: int, e: int) -> Tuple[int, int, int]:
 
 def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Fraction,
                  base: Fraction, step: int, mul: int, term: Term) -> tuple:
-    """The part of :func:`_lifted` free of a_n, in ints only:
+    """The part of the closed form (see :func:`evaluate_rhs`) free of a_n,
+    in ints only:
     ``(rn**n, rd**n, u, v, K, D)`` with ratio = rn/rd and base = u/v in
     lowest terms, where K[j] / D are the coefficients
     base**(c-1) * ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s), j < n,
@@ -423,7 +390,7 @@ def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Fraction,
 
 def _lifted_point(inst: IdentityInstance, counter: EvalCounter, part: tuple,
                   step: int, mul: int, term: Term) -> Fraction:
-    """:func:`_lifted` at the instance's a_n from its line part
+    """The closed form at the instance's a_n from its line part
     ``(rn**n, rd**n, u, v, K, D)``: the one term that depends on a, less one
     dot product of K with the binomials C(a+j-c, j), over D.
 
@@ -617,15 +584,43 @@ _F7_R1D0 = replace(_F7, dims="cs")
 
 def evaluate_rhs(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Evaluate the closed form matching the instance's identity: the lifted
-    master form at the tuple its shape holds. Without a counter the units
-    are tallied on a fresh one, so the line part is kept either way; a
-    failed call leaves the units it made on ``counter``."""
+    master form at the tuple its shape holds.
+
+    With (ratio, base) = ``ratio_base(inst, counter, r, d)``, (step, mul) =
+    ``index(r, d)``, r and d the shape's ``at`` or the instance's, a = a_n
+    and T(e, k) the fraction of the int pair ``term(inst, counter, e, k)``,
+    it returns
+    ratio**n * base**a * T(n, step*n + mul*a + s)
+    - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
+    * C(a+j-c, j).
+
+    Only the last term and the binomials depend on a, so (r, d), the index
+    and ``ratio_base`` are resolved once per grid line, when the line part,
+    :func:`_lifted_line`, is made. That part, ints only, is kept on the
+    instance's :class:`_Line` with its step, multiplier and the counter
+    units its lookups tallied, and :func:`_lifted_point` finishes each point
+    from it on ints, in one normalised ``Fraction`` that
+    :func:`_lifted_reduced` reduces by the factors of its denominator. A
+    later point of the line (see :func:`evaluate_line`) adds those units as
+    if it had made the lookups, so ``closed_terms`` counts uses, not cache
+    misses. Without a counter the units are tallied on a fresh one, so the
+    line part is kept either way; a failed call leaves the units it made on
+    ``counter``."""
     if counter is None:
         counter = EvalCounter()
     shape = _REGISTRY[inst.identity].shape
-    r, d = shape.at or (inst.r, inst.d)
-    step, mul = shape.index(r, d)
-    return _lifted(inst, counter, shape.ratio_base, r, d, step, mul, shape.term)
+    line = inst._line
+    if line.closed is None:
+        r, d = shape.at or (inst.r, inst.d)
+        step, mul = shape.index(r, d)
+        before = counter.count
+        part = _lifted_line(inst, counter, *shape.ratio_base(inst, counter, r, d), step, mul,
+                            shape.term)
+        line.closed = part, step, mul, counter.count - before
+    else:
+        part, step, mul, units = line.closed
+        counter.add(units)
+    return _lifted_point(inst, counter, part, step, mul, shape.term)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +643,7 @@ class EvaluationReport:
     of a skipped point. ``oracle_terms`` and ``closed_terms`` count the
     summand-scale units (sequence terms, binomials, oracle additions) each
     route used for this point. The closed form's a_n-free lookups are made
-    once per line :func:`evaluate_line` runs (see :func:`_lifted`), but
+    once per line :func:`evaluate_line` runs (see :func:`evaluate_rhs`), but
     counted at every point that uses them: the counts are uses, not cache
     misses, and a sweep reports what its points verified alone report.
     """

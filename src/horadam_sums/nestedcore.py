@@ -248,6 +248,8 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     multinomial blow-up of direct enumeration: the values as they are made,
     then the outer levels' additions, summed on ints level by level.
     """
+    if counter is None:
+        counter = EvalCounter()
     summand = spec.term
     limits = spec.lower_limits
     hi = spec.upper
@@ -293,14 +295,12 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
                 num = num * v ** len(block) + power * part
                 power *= weight  # u**len(block) by now
     finally:
-        if counter is not None:
-            counter.add(made)
-    if counter is not None:
-        added = 0
-        for start in limits[1:]:
-            if start <= hi:
-                added += hi - start + 1
-        counter.add(added)
+        counter.add(made)
+    added = 0
+    for start in limits[1:]:
+        if start <= hi:
+            added += hi - start + 1
+    counter.add(added)
     scale_num, scale_den = (u ** lo, v ** lo) if lo >= 0 else (v ** -lo, u ** -lo)
     return Fraction(num * scale_num, den * v ** made * scale_den)
 
@@ -313,6 +313,8 @@ def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_
     C(range + depth, depth); instances whose tuple count exceeds ``cap``
     are rejected rather than run.
     """
+    if counter is None:
+        counter = EvalCounter()
     if cap is not None:
         expected = oracle_nested(NestedSumSpec(spec.depth, spec.upper, spec.lower_limits, ONES))
         if expected > cap:
@@ -326,8 +328,7 @@ def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_
         if level == 0:
             for k in range(limits[0], upper + 1):
                 total = total + summand.value(k)
-                if counter is not None:
-                    counter.add()
+                counter.add()
         else:
             for k in range(limits[level], upper + 1):
                 total = total + descend(level - 1, k)
@@ -346,17 +347,18 @@ def master_E(x: Scalar, n: int, a_n: int, c: int,
     module's one geometric closed-form loop: :func:`f_closed` is a
     substitution into it, and ``counter`` tallies one unit per binomial term.
     """
+    if counter is None:
+        counter = EvalCounter()
     if x == 0 or x == 1:
         raise PoleError(f"x = {x} is a pole of the master closed form")
     if n < 1:
         raise ValueError("n must be >= 1")
     ratio = (x - 1) / x
-    power = x ** 0
-    total = x * 0
+    power = 1
+    total = 0
     for j in range(n):
         total = total + power * binom(a_n + j - c, j)
-        if counter is not None:
-            counter.add()
+        counter.add()
         power = power * ratio
     return x ** a_n - x ** (c - 1) * total
 

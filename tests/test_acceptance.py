@@ -74,6 +74,42 @@ def test_criterion_2_master_identity_grid():
               f"{points} points exact, {elapsed:.2f}s" if not failures else str(failures))
 
 
+def _distinct_x(count: int) -> list:
+    """``count`` distinct rationals, none 0 or 1: x = i + 2 at even i and
+    x = -(i + 1)/3 at odd i, so 2, -2/3, 4, -4/3, 6, -2, ..."""
+    return [Fraction(i + 2) if i % 2 == 0 else Fraction(-(i + 1), 3) for i in range(count)]
+
+
+def test_master_identity_holds_for_every_x():
+    """Criterion 2's master identity at each (n, a_n, c) of its grid, proved
+    for every complex x not 0 or 1 from finitely many rational x.
+
+    Let D(x) = master_E(x, n, a_n, c) - ((x-1)/x)**n * S(x), where S(x) is
+    the depth-n nested sum of x**k with lower limit c and upper limit
+    a_n >= c. Every power of x in D lies between c - n and a_n:
+    - master_E is x**a_n less x**(c-1) * ((x-1)/x)**j * C(a_n+j-c, j) for
+      j < n, whose powers run from c-1-j >= c-n up to c-1;
+    - S's powers run from c to a_n, and ((x-1)/x)**n moves them down by at
+      most n and up by none.
+    So P(x) = x**(n-c) * D(x) is a polynomial in x of degree at most
+    a_n - c + n. A nonzero polynomial has no more roots than its degree, so
+    P vanishing at a_n - c + n + 1 distinct x makes P the zero polynomial,
+    and D(x) = 0 wherever x**(n-c) is nonzero: at every x != 0, hence at
+    every x outside master_E's poles 0 and 1."""
+    triples = sorted({(n, a_n, c) for _, n, a_n, c in master_grid()})
+    assert len(triples) == 220
+    used = {}
+    for n, a_n, c in triples:
+        xs = _distinct_x(a_n - c + n + 1)
+        for x in xs:
+            spec = NestedSumSpec(n, a_n, c, geometric_term(x))
+            scaled = ((x - 1) / x) ** n * oracle_nested(spec)
+            assert master_E(x, n, a_n, c) == scaled, (x, n, a_n, c)
+        used[n, a_n, c] = len(set(xs) - {0, 1})
+    assert all(used[n, a_n, c] == a_n - c + n + 1 for n, a_n, c in triples)
+    assert sum(used.values()) == 1980
+
+
 def test_criterion_3_theorem_suite():
     start = time.perf_counter()
     suite = (IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B,

@@ -167,13 +167,16 @@ def test_zero_coefficient_is_usage_error(capsys, command, zero):
     ("sweep", "--identity", "F4", "--family", "fibonacci", "--r", "1,100000"),
     ("table", "--identity", "F3", "--family", "fibonacci", "--an", "1,10000000"),
     ("bench", "--kind", "ones", "--n", "1", "--an", "10000000"),
+    # each point passes check_cost, but the whole command would run for a day
+    ("sweep", "--identity", "F4", "--family", "integer_root", "--n", "5", "--c", "1",
+     "--r", "1", "--s", "0", "--d", "0", "--an", "1..29995"),
 ])
 def test_runaway_point_refused_before_any_work(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "exceed" in err
+    assert err.startswith("error:") and "exceed" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("coords, expected", [
@@ -284,6 +287,59 @@ def test_size_caps_leave_tenfold_headroom():
     assert cli.MAX_GRID_POINTS >= 10 * largest
     default_points = cli.build_parser().parse_args(["lemmas"]).points
     assert cli.MAX_LEMMA_POINTS >= 10 * default_points
+
+
+def _a_list(*runs) -> str:
+    """An --an comma list of each (value, count) run in turn."""
+    return ",".join(str(value) for value, count in runs for _ in range(count))
+
+
+# (command, its work in cli, argv at the cap, argv one past it, what it sums)
+_AT_THE_CAP = [
+    # 200 points of 25,000 oracle terms each, then one a_n one larger
+    ("sweep", "iter_sweep",
+     ("--identity", "F3", "--family", "fibonacci", "--n", "1", "--c", "1", "--r", "1", "--s", "0",
+      "--an", _a_list((25000, 200))),
+     ("--identity", "F3", "--family", "fibonacci", "--n", "1", "--c", "1", "--r", "1", "--s", "0",
+      "--an", _a_list((25000, 199), (25001, 1))),
+     "oracle terms"),
+    ("table", "evaluate_line",
+     ("--identity", "F3", "--family", "fibonacci", "--n", "1", "--an", _a_list((25000, 200))),
+     ("--identity", "F3", "--family", "fibonacci", "--n", "1",
+      "--an", _a_list((25000, 199), (25001, 1))),
+     "oracle terms"),
+    # at n = 2 a range of 25,000 runs no naive row, C(25001, 2) tuples being
+    # past the naive cap; a_n = 1 adds 2 oracle terms and its 1 naive tuple
+    ("bench", "bench_rows",
+     ("--kind", "ones", "--n", "2", "--an", _a_list((25000, 100))),
+     ("--kind", "ones", "--n", "2", "--an", _a_list((25000, 99), (24999, 1), (1, 1))),
+     "oracle terms and naive tuples"),
+]
+
+
+@pytest.mark.parametrize("command, work, at_cap, past_cap, summed", _AT_THE_CAP,
+                         ids=[case[0] for case in _AT_THE_CAP])
+def test_command_budget_accepts_the_cap_and_refuses_one_past(capsys, monkeypatch, command,
+                                                             work, at_cap, past_cap, summed):
+    assert cli.MAX_COMMAND_TERMS == 5_000_000  # the argv above are sized to it
+    reached = []
+    monkeypatch.setattr(cli, work, lambda *args: reached.append(args) or [])
+    code, _, err = run_cli(capsys, command, *at_cap)
+    assert code == 0 and len(reached) == 1 and not err.startswith("error:")
+    code, out, err = run_cli(capsys, command, *past_cap)
+    assert (code, out, len(reached)) == (2, "", 1)
+    assert err == f"error: a command of 5000001 {summed} exceeds the cap 5000000\n"
+
+
+def test_command_cap_leaves_headroom():
+    # every default grid fits, ten times over, and one point refused by no
+    # check_cost is never refused by the command's sum, naive row included
+    terms = {ident: sum(n * sum(a_n - c + 1 for a_n in a_values if a_n >= c)
+                        for _, n, a_values, c, _, _, _ in identities.sweep_lines(ident))
+             for ident in IdentityId}
+    assert sum(terms.values()) == 267_570 and max(terms.values()) == terms[IdentityId.F7] == 45_360
+    assert cli.MAX_COMMAND_TERMS >= 10 * sum(terms.values())
+    assert cli.MAX_COMMAND_TERMS >= cli.MAX_ORACLE_TERMS + cli.DEFAULT_NAIVE_CAP
 
 
 def test_output_file_closed_when_the_work_raises(tmp_path):

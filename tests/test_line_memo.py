@@ -11,6 +11,7 @@ nothing.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -115,6 +116,38 @@ def test_call_without_a_counter_keeps_the_line_part(ident, params, coords):
     alone = IdentityInstance(ident, params, a_n=coords["c"] + 4, **coords)
     assert value == evaluate_rhs(alone, fresh) and later.count == fresh.count > coords["n"]
     assert first == evaluate_rhs(line, EvalCounter())
+
+
+@pytest.mark.parametrize("ident, params, coords", [
+    (IdentityId.F5, FAMILIES["generic"], dict(n=3, c=-1, r=2, s=1, d=1)),
+    # F1a holds F5's tuple at a fixed (r, d)
+    (IdentityId.F1A, None, dict(n=2, c=0, r=1, s=2, d=0)),
+    (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1)),
+], ids=["F5", "F1a", "F7"])
+def test_line_resolves_its_tuple_once(ident, params, coords, monkeypatch):
+    # the index step and multiplier and the ratio and base are free of a_n:
+    # one line makes them once, however many points it has, and each point
+    # still counts the units it uses, as it does alone
+    record = identities._REGISTRY[ident]
+    shape, calls = record.shape, Counter()
+
+    def counting(name):
+        real = getattr(shape, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setitem(identities._REGISTRY, ident, dataclasses.replace(
+        record, shape=dataclasses.replace(shape, index=counting("index"),
+                                          ratio_base=counting("ratio_base"))))
+    a_values = tuple(range(coords["c"] - 1, coords["c"] + 6))
+    reports = list(evaluate_line(ident, params, a_values=a_values, **coords))
+    assert calls == {"index": 1, "ratio_base": 1}
+    assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
+    assert [report.closed_terms for report in reports] == [
+        evaluate_point(ident, params, a_n=a_n, **coords).closed_terms for a_n in a_values]
 
 
 @pytest.mark.parametrize("ident, params, coords", [

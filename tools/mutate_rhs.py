@@ -13,12 +13,11 @@ body is raised by 1 (its signature, with defaults and annotations, is left
 as it is); and a product ``x * y`` loses one operand, becoming ``x`` or
 ``y``, which is how a factor of an int-pair denominator goes missing. The
 targets are the lifted master form of ``horadam_sums.identities``
-(``_lifted`` with its line part ``_lifted_line``, its point part
-``_lifted_point`` with its reduction ``_lifted_reduced``, and their signed
-power ``_lifted_power``), ``evaluate_rhs``,
-which runs it at the tuple of each tag's theorem shape, and the parts those
-tuples hold (every ``*_ratio_base``, ``*_index`` and ``*_term``, and
-``_over_disc``), with
+(``evaluate_rhs``, which runs it at the tuple of each tag's theorem shape,
+with its line part ``_lifted_line``, its point part ``_lifted_point`` with
+its reduction ``_lifted_reduced``, and their signed power
+``_lifted_power``), and the parts those tuples hold (every
+``*_ratio_base``, ``*_index`` and ``*_term``, and ``_over_disc``), with
 its grid-line sharing (``evaluate_line``, which validates a line once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
 ``IdentityInstance._at`` and the summand caching in ``lhs_spec``), the
@@ -166,8 +165,6 @@ KNOWN_SURVIVORS = {
     "HoradamSequence.term: edge, step, mul, sub, grow = (hi, 1, big_p, big_q, m) if j >= hi "
     "else (lo, -1, big_p * m, m * m * big_q, big_q)":
     "a miss lies outside [lo, hi], so j never equals hi",
-    "master_E: total = 0": "n >= 1, so the first addition makes the total a value of x's "
-    "type whether it starts from 0 or from x * 0",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
 }
