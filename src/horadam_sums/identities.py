@@ -22,11 +22,11 @@ validation holds each coordinate among c, r, s and d that a shape does not
 read at its default. So the classic form H, which reads none, is F3 on the
 Fibonacci numbers at r = 1, s = 0, c = 1, and F1/F2, which read c and s,
 hold F5's tuple at the fixed (r, d) = (3, -1) and (3, -2). All eight F6
-tags share F6's tuple over Q: the display's sqrt(D) occurs only in even
-powers, which become powers of D, and the Fibonacci and Lucas forms only
-swap in their own terms. The left-hand summands are built apart from the
-master form, so every closed form is checked against the oracle, never
-against another evaluator.
+tags run F6's shape over Q: the display's sqrt(D) occurs only in even
+powers, which become powers of D, and the Fibonacci and Lucas forms' own
+terms are F6's on their families. The left-hand summands are built apart
+from the master form, so every closed form is checked against the oracle,
+never against another evaluator.
 
 Closed forms are evaluated anywhere their denominators permit, including
 points with an empty left-hand side (outer upper limit below the lower
@@ -514,24 +514,6 @@ def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tu
     return _over_disc(inst, e, *sequence.term(k).as_integer_ratio())
 
 
-def _f6_fib_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
-    """F6's T(e, k) in Fibonacci numbers: F[k] at even e, and
-    L[k] = F[k+1] + F[k-1] at odd e."""
-    counter.add()
-    kind = second_kind_term if e % 2 else first_kind_term
-    return _over_disc(inst, e, *kind(inst.params, k).as_integer_ratio())
-
-
-def _f6_luc_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
-    """F6's T(e, k) in Lucas numbers: L[k] at even e, and
-    5 F[k] = L[k+1] + L[k-1] at odd e."""
-    counter.add()
-    if e % 2:
-        num, den = first_kind_term(inst.params, k).as_integer_ratio()
-        return _over_disc(inst, e, 5 * num, den)
-    return _over_disc(inst, e, *second_kind_term(inst.params, k).as_integer_ratio())
-
-
 def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
                    d: int) -> Tuple[Fraction, Fraction]:
     """F7's ratio and base, which read three terms W of the summand's family."""
@@ -572,11 +554,10 @@ _F5 = _Shape("crsd", _f5_summand, _f5_ratio_base, _f5_index, _w_term, _f5_violat
 # F6: the nested sum of (V_d/V_{r+d})**k W[rk+s]. Its term is W[k] at even e
 # and W[k+1] - q*W[k-1] at odd e. The display's delta = sqrt(D) occurs only in
 # even powers, so the form runs over Q for both parities of n, each term
-# divided by D**ceil(e/2) (_over_disc). The Fibonacci and Lucas forms swap in
-# their own terms, by F[j+1] + F[j-1] = L[j] and L[j+1] + L[j-1] = 5 F[j].
+# divided by D**ceil(e/2) (_over_disc). All eight F6 tags run this shape: on
+# the Fibonacci and Lucas numbers the odd term is the display's L[k] and 5 F[k],
+# by F[k+1] + F[k-1] = L[k] and L[k+1] + L[k-1] = 5 F[k].
 _F6 = _Shape("crsd", _f6_summand, _f6_ratio_base, _f5_index, _f6_term, _f6_violation)
-_F6_F = replace(_F6, term=_f6_fib_term)
-_F6_L = replace(_F6, term=_f6_luc_term)
 # F7: the geometric nested sum of base q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d}).
 _F7 = _Shape("crsd", _f7_summand, _f7_ratio_base, _f7_index, _unit_term, _f7_violation)
 _F7_R1D0 = replace(_F7, dims="cs")
@@ -955,10 +936,10 @@ _REGISTRY: Dict[IdentityId, _Record] = {
                                   family=_GIBONACCI, parity=0),
     IdentityId.F6_G_ODD: _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
                                  family=_GIBONACCI, parity=1),
-    IdentityId.F6_F_EVEN: _Record(_F6_F, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
-    IdentityId.F6_F_ODD: _Record(_F6_F, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
-    IdentityId.F6_L_EVEN: _Record(_F6_L, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
-    IdentityId.F6_L_ODD: _Record(_F6_L, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
+    IdentityId.F6_F_EVEN: _Record(_F6, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
+    IdentityId.F6_F_ODD: _Record(_F6, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
+    IdentityId.F6_L_EVEN: _Record(_F6, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
+    IdentityId.F6_L_ODD: _Record(_F6, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
     IdentityId.F7_W: _Record(_F7, _f7_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
     IdentityId.F7_G: _Record(_F7, _f7_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
     IdentityId.F7_R1D0_W: _Record(_F7_R1D0, _f7_r1d0_grid(_RESTRICTED_FAMILIES),

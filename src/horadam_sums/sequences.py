@@ -170,15 +170,16 @@ def doubled_term(params: HoradamParams, j: int) -> Fraction:
     and U_{k+1} = (P*U_k + V_k)/2, 2*Y_k = (2*Y_1 - P*Y_0)*U_k + Y_0*V_k and
     2*Y_{k+1} = (P*Y_1 - 2*Q*Y_0)*U_k + Y_1*V_k. So the doubling stops at k,
     and its last, largest squarings are one product. A negative j reads
-    W[j] as term -j of the reversed recurrence, with seeds a and
-    (p*a - b)/q and coefficients p/q and 1/q.
+    W[j] as term -j of the reversed recurrence, on ints as the window walks
+    downwards: L*Q**i*W[-i] obeys (P*m, m*m*Q) from Y_0 and m*(P*Y_0 - Y_1),
+    so the scale Q takes m's place, and the denominator L*Q**-j may be
+    negative.
     """
-    if j < 0:
-        a, b, p, q = params.a, params.b, params.p, params.q
-        return doubled_term(HoradamParams(a, (p * a - b) / q, p / q, 1 / q), -j)
     (an, ad), (bn, bd), _, _ = params._key
     m, big_p, big_q = _scaled_pq(params)
     y0, y1 = an * bd, bn * ad * m
+    if j < 0:
+        y1, big_p, big_q, m, j = m * (big_p * y0 - y1), big_p * m, m * m * big_q, big_q, -j
     k, odd = divmod(j, 2)
     u, v, qk = _lucas_pair(big_p, big_q, k)
     if odd:

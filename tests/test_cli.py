@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import signal
 import sys
 import time
 from collections import Counter
@@ -30,8 +31,32 @@ from horadam_sums.sequences import horadam
 GOLDEN_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "golden_sweep.json"
 
 
+# the slowest command a test runs takes about 1.3 s on a 2-core x86-64 host
+CLI_DEADLINE_S = 20
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError
+
+
+def call_main(argv):
+    """``main(argv)`` under a ``CLI_DEADLINE_S`` alarm, so a command that
+    should be refused but runs on fails the test, naming its argv, instead of
+    hanging the suite."""
+    argv = list(argv)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(CLI_DEADLINE_S)
+    try:
+        return main(argv)
+    except TimeoutError:
+        pytest.fail(f"main({argv}) still ran after {CLI_DEADLINE_S} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = call_main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -104,7 +129,7 @@ class TestVerifyCommand:
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--identity", "NOPE", "--n", "1", "--an", "2"])
+            call_main(["verify", "--identity", "NOPE", "--n", "1", "--an", "2"])
         assert excinfo.value.code == 2
 
     def test_unknown_family_exit_code(self, capsys):
@@ -115,7 +140,7 @@ class TestVerifyCommand:
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
-            main([])
+            call_main([])
         assert excinfo.value.code == 2
 
 
@@ -156,6 +181,24 @@ def test_zero_coefficient_is_usage_error(capsys, command, zero):
                            *(item for pair in coefficients.items() for item in pair))
     assert code == 2
     assert err.startswith("error:") and "must be nonzero" in err
+
+
+def test_partial_explicit_params_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--identity", "F3", "--n", "1", "--an", "2",
+                             "--p", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --p/--q/--a/--b must be given together\n"
+
+
+def test_unparsable_rational_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        call_main(["verify", "--identity", "F3", "--n", "1", "--an", "2",
+                   "--p", "1/0", "--q", "1", "--a", "0", "--b", "1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1
+    assert errors[0].endswith("argument --p: not a rational: '1/0' (Fraction(1, 0))")
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,7 +292,7 @@ def test_cost_caps_leave_tenfold_headroom():
 def test_overlong_range_refused_while_parsing(capsys, argv):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as excinfo:
-        main(list(argv))
+        call_main(argv)
     assert time.perf_counter() - start < 1
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
@@ -695,6 +738,17 @@ class TestTableCommand:
             assert row["lhs"] == row["rhs"] == f"{expected}/1"
             assert row["status"] == "ok"
 
+    def test_default_human_table(self, capsys):
+        # H at n = 2 over a_n 1..10: the double sum F[m+4] - F[4] - m
+        code, out, _ = run_cli(capsys, "table")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header.split() == ["a_n", "oracle", "lhs", "closed", "rhs", "status"]
+        fib = fib_list(20)
+        assert [row.split() for row in rows] == [
+            [str(m), f"{fib[m + 4] - fib[4] - m}/1", f"{fib[m + 4] - fib[4] - m}/1", "ok"]
+            for m in range(1, 11)]
+
     def test_triple_sum_column(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "3", "--an", "1..5",
                                "--format", "csv")
@@ -765,6 +819,25 @@ class TestBenchCommand:
                 assert evals <= 2 * n + 2
             seen += 1
         assert seen == 3 * 4 * 3
+
+    def test_geometric_counts(self, capsys):
+        # master_E reads one binomial per level; the naive count is the
+        # number of nested tuples, C(a_n - c + n, n)
+        code, out, _ = run_cli(capsys, "bench", "--kind", "geometric",
+                               "--n", "1..3", "--an", "5,9", "--c", "0")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3 * 2 * 3
+        for row in rows:
+            n, a_n = int(row["n"]), int(row["instance_id"].rsplit("-a", 1)[1])
+            evals = int(row["summand_evals"])
+            assert int(row["range"]) == a_n + 1
+            if row["method"] == "closed":
+                assert evals == n
+            elif row["method"] == "naive":
+                assert evals == binom(a_n + n, n)
+            else:
+                assert evals <= n * (a_n + 2)
 
     def test_counts_deterministic(self, capsys):
         argv = ("bench", "--kind", "ones", "--n", "1..3", "--an", "4,8", "--c", "0")
@@ -856,7 +929,7 @@ class TestBenchCommand:
 
     def test_naive_cap_is_not_a_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--kind", "ones", "--n", "1", "--an", "3", "--naive-cap", "1000"])
+            call_main(["bench", "--kind", "ones", "--n", "1", "--an", "3", "--naive-cap", "1000"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --naive-cap" in capsys.readouterr().err
 

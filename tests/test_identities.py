@@ -88,6 +88,15 @@ class TestInstanceValidation:
                                match=r"V_2 = 0 \(degenerate weight base\)"):
                 inst(ident, params=params, n=n, a_n=3, r=1, d=2)
 
+    def test_f6_first_refusals(self):
+        # r = 0, a repeated root ((p, q) = (2, 1), D = 0), and U_3 = 0 on the
+        # period-6 negative_d family, each refused before the V checks
+        for params, r, reason in ((FAMILIES["integer_root"], 0, "r must be nonzero"),
+                                  (horadam(1, 1, 2, 1), 1, "discriminant must be nonzero"),
+                                  (FAMILIES["negative_d"], 3, "U_3 = 0")):
+            with pytest.raises(InvalidInstanceError, match=f"^F6a: {reason}$"):
+                inst(IdentityId.F6A, params=params, n=2, a_n=3, r=r)
+
     def test_f6_parity(self):
         with pytest.raises(InvalidInstanceError, match="even"):
             inst(IdentityId.F6A, params=FIB, n=1, a_n=2)
@@ -361,6 +370,11 @@ class TestSweep:
         grid = SweepGrid(families=(FIB,), n_values=(), a_offsets=(0,))
         assert sweep(IdentityId.F3, grid) == []
 
+    def test_grid_without_families_refused_for_an_open_tag(self):
+        # F3 has no fixed family, so a grid naming none has nothing to sweep
+        with pytest.raises(ValueError, match="F3 needs at least one parameter family"):
+            sweep(IdentityId.F3, SweepGrid())
+
     def test_all_invalid_grid_all_skipped(self):
         # V[2] = 0 for (p, q) = (2, 2): every point skipped, none failed
         grid = SweepGrid(families=(horadam(1, 1, 2, 2),), n_values=(1, 2),
@@ -424,6 +438,17 @@ class TestDegenerations:
                 count += 1
         assert count >= 100
 
+    def test_every_tag_runs_a_theorem_closed_form(self):
+        # a specialization reads its parent theorem's closed form, never code
+        # of its own: only the summand, the dims and a fixed (r, d) may differ
+        theorems = {(shape.ratio_base, shape.index, shape.term)
+                    for shape in (identities._F3, identities._F4, identities._F5,
+                                  identities._F6, identities._F7)}
+        own = [ident.value for ident, record in _REGISTRY.items()
+               if (record.shape.ratio_base, record.shape.index, record.shape.term)
+               not in theorems]
+        assert not own
+
 
 # (sum of closed_terms, sum of oracle_terms) over each default grid; the
 # counts are deterministic, so a change to an evaluator's lookups shows here
@@ -435,10 +460,10 @@ _DEFAULT_GRID_TERM_COUNTS = {
     IdentityId.F5_G: (5120, 6720),
     IdentityId.F6_G_EVEN: (13056, 16128),
     IdentityId.F6_G_ODD: (11520, 10752),
-    IdentityId.F6_F_EVEN: (2688, 4032),
-    IdentityId.F6_F_ODD: (1920, 2688),
-    IdentityId.F6_L_EVEN: (2688, 4032),
-    IdentityId.F6_L_ODD: (1920, 2688),
+    IdentityId.F6_F_EVEN: (3264, 4032),
+    IdentityId.F6_F_ODD: (2880, 2688),
+    IdentityId.F6_L_EVEN: (3264, 4032),
+    IdentityId.F6_L_ODD: (2880, 2688),
     IdentityId.F7_W: (4464, 5208),
     IdentityId.F7_G: (6048, 7056),
     IdentityId.F7_R1D0_W: (3960, 5544),

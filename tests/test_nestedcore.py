@@ -169,6 +169,10 @@ class TestMasterClosedForm:
             with pytest.raises(PoleError):
                 master_E(x, 2, 3, 1)
 
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            master_E(Fraction(2), 0, 3, 1)
+
     @pytest.mark.parametrize("x", [Fraction(2), Fraction(3), Fraction(1, 2),
                                    Fraction(-2), Fraction(5, 3)])
     def test_equals_scaled_oracle(self, x):

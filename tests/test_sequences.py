@@ -13,7 +13,7 @@ from _util import fib_list, walk_terms
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
-                                    HoradamSequence, _companions, doubled_term,
+                                    HoradamParams, HoradamSequence, _companions, doubled_term,
                                     first_kind_term, gibonacci, horadam,
                                     lemma3_residual, lemma4_residual,
                                     lucas_first_kind, lucas_second_kind,
@@ -148,6 +148,19 @@ class TestBoundedTerms:
         # q**i * W[-i] obeys the same recurrence, from a and q*W[-1] = p*a - b
         _, z_next = _int_walk(p, q, a, p * a - b, far)
         assert doubled_term(params, -far - 1) == Fraction(z_next, q ** (far + 1))
+
+    def test_negative_far_term_builds_no_params(self, monkeypatch):
+        # the reversed recurrence runs on the params' ints, not on new params
+        p, q, a, b = 3, 2, 2, -1
+        params = horadam(a, b, p, q)
+        built = []
+        post_init = HoradamParams.__post_init__
+        monkeypatch.setattr(HoradamParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        value = doubled_term(params, -8001)
+        assert not built
+        _, z_next = _int_walk(p, q, a, p * a - b, 8000)
+        assert value == Fraction(z_next, q ** 8001)
 
     @settings(max_examples=40, deadline=None)
     @given(a=small_rationals, b=small_rationals, p=nonzero_small, q=nonzero_small,

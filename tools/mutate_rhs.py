@@ -106,7 +106,8 @@ either side: it is killed when the verdict (valid, or the
 ``InvalidInstanceError`` text) on one point of any default-grid line, or
 of ``PRECONDITION_LINES``, differs from the unmutated code's; no
 precondition reads a_n. Those lines also hold one coordinate a form does not
-read off its default, which no default grid does.
+read off its default, which no default grid does, and F6a's refusals at
+r = 0, D = 0 and U_r = 0, which no default grid meets.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives or a listed survivor is
@@ -167,6 +168,10 @@ KNOWN_SURVIVORS = {
     "a miss lies outside [lo, hi], so j never equals hi",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
+    "doubled_term: if j <= 0:": "at j = 0 the reversed recurrence's term 0 is a, as the "
+    "forward one's is",
+    "doubled_term: if j < 1:": "at j = 0 the reversed recurrence's term 0 is a, as the "
+    "forward one's is",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -195,7 +200,8 @@ SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
 # (r, d) = (1, 1) as V_{r+d} and at (1, 2) as the weight base's V_d; and one
 # coordinate a form does not read off its default, each on a line that is
 # valid at the default: H at c = 2, F3 at d = 1, F1a at r = 2, F7_r1d0_w at
-# r = 2 and at d = -1
+# r = 2 and at d = -1; and F6a's first three refusals, which no default grid
+# meets: r = 0, D = 0 on (p, q) = (2, 1), and U_3 = 0 on negative_d
 _V2_ZERO = sq.horadam(1, 1, 2, 2)
 _GIB31 = ids.FAMILIES["gibonacci31"]
 PRECONDITION_LINES = ((ids.IdentityId.F3_G, ids.FAMILIES["generic"], 1, 2, 1, 1, 0, 0),
@@ -205,7 +211,10 @@ PRECONDITION_LINES = ((ids.IdentityId.F3_G, ids.FAMILIES["generic"], 1, 2, 1, 1,
                       (ids.IdentityId.F3, ids.FAMILIES["fibonacci"], 1, 2, 1, 1, 0, 1),
                       (ids.IdentityId.F1A, None, 1, 2, 1, 2, 0, 0),
                       (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 2, 0, 0),
-                      (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 1, 0, -1))
+                      (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 1, 0, -1),
+                      (ids.IdentityId.F6A, ids.FAMILIES["integer_root"], 2, 3, 1, 0, 0, 0),
+                      (ids.IdentityId.F6A, sq.horadam(1, 1, 2, 1), 2, 3, 1, 1, 0, 0),
+                      (ids.IdentityId.F6A, ids.FAMILIES["negative_d"], 2, 3, 1, 3, 0, 0))
 
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
 # scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
