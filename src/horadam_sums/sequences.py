@@ -16,13 +16,15 @@ one :class:`HoradamSequence`. Its terms cost a bounded amount whatever the
 index:
 
 * A dense window of consecutive terms, at most ``WINDOW_CAP`` long, serves
-  the small indices that sweeps and oracles read again and again. A miss
-  within ``WALK_GAP`` of the window's edge extends it by running the
-  recurrence forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``,
-  itself a second-order recurrence (coefficients p/q and 1/q). Either way
-  it is one walk on ints scaled by a common denominator, which grows by a
-  fixed int factor per step, and it makes one normalised ``Fraction`` per
-  term it stores.
+  the small indices that sweeps and oracles read again and again. It is
+  held in two lists that only grow, one per direction from the seeds, so a
+  stored term costs one list slot and no index key. A miss within
+  ``WALK_GAP`` of the window's edge extends it by running the recurrence
+  forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``, itself a
+  second-order recurrence (coefficients p/q and 1/q). Either way it is one
+  walk on ints scaled by a common denominator, which grows by a fixed int
+  factor per step, and it makes one normalised ``Fraction`` per term it
+  stores.
 * Every other index is computed, not stored, from the Lucas pair of
   (p, q) at half the index. Index doubling (Joye & Quisquater, "Efficient
   computation of full Lucas sequences", Electronics Letters 32(6), 1996)
@@ -48,7 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Tuple
+from threading import Lock
+from typing import List, Tuple
 
 from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
 
@@ -125,7 +128,8 @@ WALK_GAP = 64
 WINDOW_CAP = 1 << 14
 """Most terms one sequence's window holds. The benchmark's deep oracle reads
 windows of up to about 6,000 terms; a full window of a sequence growing by
-one bit per index takes about 18 MB."""
+one bit per index takes about 19 MB, nearly all of it the terms' ints (the
+two lists take 0.14 MB of it)."""
 
 SHARED_CAP = 64
 """Most sequences kept in the shared registry. A sweep or an oracle run
@@ -194,26 +198,36 @@ def doubled_term(params: HoradamParams, j: int) -> Fraction:
 class HoradamSequence:
     """Term evaluation at any integer index, in bounded memory.
 
-    ``_memo`` is the dense window ``[_lo, _hi]`` of normalised ``Fraction``
-    terms. A miss within ``WALK_GAP`` of it walks the recurrence and stores
-    what it passes, as long as the window stays within ``WINDOW_CAP`` terms;
-    any other index comes from :func:`doubled_term` and is not stored.
+    The window ``[lo, hi]`` of stored terms is two lists of normalised
+    ``Fraction`` terms that only grow, each the walk in one direction from
+    the seeds: ``_up[i]`` is W[i] and ``_down[i]`` is W[1 - i], so both start
+    with W[0] and W[1], which the window always holds. A stored term costs
+    one list slot and no index key. ``lo`` and ``hi`` are read off the
+    lists' lengths (``_lo``, ``_hi``, and ``_memo``, the range of stored
+    indices), so they cannot drift from what is stored. A miss within
+    ``WALK_GAP`` of the window walks the recurrence and appends what it
+    passes, as long as the window stays within ``WINDOW_CAP`` terms; any
+    other index comes from :func:`doubled_term` and is not stored.
 
     The walk steps k by s from the edge e, (e, s) = (hi, 1) upwards and
-    (lo, -1) downwards, and starts from W_{e-s} and W_e over L, the lcm of
-    their denominators. With m = lcm(den p, den q), P = m*p and Q = m*m*q it
-    runs on ints X_k = A*X_{k-s} - B*X_{k-2s} with W_k = X_k / (L*g**(s*(k-e)+1)),
-    where (A, B, g) is (P, Q, m) upwards and (P*m, m*m*Q, Q) downwards, the
+    (lo, -1) downwards, and starts from W_{e-s} and W_e, its list's last two
+    terms, over L, the lcm of their denominators. With (m, P, Q) from
+    :func:`_scaled_pq`, made once per sequence, it runs on ints
+    X_k = A*X_{k-s} - B*X_{k-2s} with W_k = X_k / (L*g**(s*(k-e)+1)), where
+    (A, B, g) is (P, Q, m) upwards and (P*m, m*m*Q, Q) downwards, the
     reversed recurrence W_k = (p/q)*W_{k+1} - (1/q)*W_{k+2} scaled by Q per
-    step. Each stored term is one ``Fraction``, written before the window's
-    edges move past it.
+    step. Each term is appended once it is whole.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
     of the same underlying sequence hit one window. The registry ``_shared``
     keeps the ``SHARED_CAP`` most recently used sequences. Concurrent readers
-    get correct values: a window only ever gains terms, and a sequence
-    evicted from the registry stays usable by whoever holds it; callers
-    observe a pure function of the index.
+    get correct values. A read of a stored term takes no lock, and neither
+    does a read that the policy sends to doubling. A walk runs under the
+    sequence's lock and checks the policy again once it holds it, since
+    another walker may have moved the edges: two walkers appending the same
+    index would shift every later term of the list. A sequence evicted from
+    the registry stays usable by whoever holds it; callers observe a pure
+    function of the index.
     """
 
     _shared: "OrderedDict[HoradamParams, HoradamSequence]" = OrderedDict()
@@ -235,35 +249,65 @@ class HoradamSequence:
 
     def __init__(self, params: HoradamParams):
         self.params = params
-        self._memo: Dict[int, Fraction] = {0: params.a, 1: params.b}
-        self._lo = 0
-        self._hi = 1
+        self._up: List[Fraction] = [params.a, params.b]
+        self._down: List[Fraction] = [params.b, params.a]
+        self._lock = Lock()
+        self._scaled = _scaled_pq(params)
+
+    @property
+    def _memo(self) -> range:
+        """The stored indices, lo to hi, read off the lists' lengths; their
+        number is the number of stored terms."""
+        return range(2 - len(self._down), len(self._up))
+
+    @property
+    def _lo(self) -> int:
+        return self._memo[0]
+
+    @property
+    def _hi(self) -> int:
+        return self._memo[-1]
 
     def term(self, j: int) -> Fraction:
-        memo = self._memo
-        value = memo.get(j)
-        if value is not None:
-            return value
-        lo, hi = self._lo, self._hi
-        if not (lo - WALK_GAP <= j <= hi + WALK_GAP
-                and max(hi, j) - min(lo, j) < WINDOW_CAP):
-            return doubled_term(self.params, j)
-        m, big_p, big_q = _scaled_pq(self.params)
-        edge, step, mul, sub, grow = ((hi, 1, big_p, big_q, m) if j > hi
-                                      else (lo, -1, big_p * m, m * m * big_q, big_q))
-        w0, w1 = memo[edge - step], memo[edge]
+        try:
+            return self._up[j] if j >= 0 else self._down[1 - j]
+        except IndexError:
+            pass
+        if self._reaches(j):
+            with self._lock:
+                # another walker may have moved the edges since the check
+                if self._reaches(j):
+                    return self._walk(j)
+        return doubled_term(self.params, j)
+
+    def _reaches(self, j: int) -> bool:
+        """Whether ``j`` is within ``WALK_GAP`` of the window and a walk to it
+        keeps the window within ``WINDOW_CAP`` terms."""
+        # the bounds as _memo reads them, without its range on the miss path
+        lo, hi = 2 - len(self._down), len(self._up) - 1
+        return lo - WALK_GAP <= j <= hi + WALK_GAP and max(hi, j) - min(lo, j) < WINDOW_CAP
+
+    def _walk(self, j: int) -> Fraction:
+        """W[j], walked to from the window's edge on ``_up`` or ``_down``,
+        which gain every term it passes; run under the lock. A ``j`` that
+        another walker stored since the caller's check walks no step."""
+        m, big_p, big_q = self._scaled
+        if j >= 0:
+            terms, i, mul, sub, grow = self._up, j, big_p, big_q, m
+        else:
+            terms, i, mul, sub, grow = self._down, 1 - j, big_p * m, m * m * big_q, big_q
+        w0, w1 = terms[-2], terms[-1]
         scale = lcm(w0.denominator, w1.denominator)
         x0 = w0.numerator * (scale // w0.denominator)
         scale *= grow
         x1 = w1.numerator * (scale // w1.denominator)
-        for k in range(edge + step, j + step, step):
+        for _ in range(len(terms), i + 1):
             x0, x1 = x1, mul * x1 - sub * x0
             scale *= grow
             # over 1, Fraction(x) skips a gcd and a division by 1, which on a
             # 10**4-bit x cost several times a whole step
-            memo[k] = Fraction(x1) if scale == 1 else Fraction(x1, scale)
-        self._lo, self._hi = min(lo, j), max(hi, j)
-        return memo[j]
+            terms.append(Fraction(x1) if scale == 1 else Fraction(x1, scale))
+        return terms[i]
 
     def __repr__(self) -> str:
         pr = self.params

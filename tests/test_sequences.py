@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from dataclasses import fields
 from fractions import Fraction
 
@@ -181,10 +184,12 @@ class TestBoundedTerms:
             value = seq.term(j)
             assert value == walked[j] and type(value) is Fraction
             assert len(seq._memo) == seq._hi - seq._lo + 1 <= WINDOW_CAP
-            assert (j in seq._memo) == (step <= WALK_GAP)
+            assert (seq._lo <= j <= seq._hi) == (step <= WALK_GAP)
             doubled = doubled_term(params, j)
             assert doubled == walked[j] and type(doubled) is Fraction
-        assert all(seq._memo[k] == walked[k] for k in seq._memo)
+        window = range(seq._lo, seq._hi + 1)
+        assert all(seq.term(k) == walked[k] for k in window)
+        assert range(seq._lo, seq._hi + 1) == window  # reading stored terms stores none
 
     def test_far_term_leaves_window_bounded(self):
         f_prev, f = 0, 1  # F[j-1], F[j], from the bare recurrence
@@ -238,8 +243,85 @@ class TestBoundedTerms:
         hits = _companions.cache_info().hits
         first_kind_term(FIBONACCI, 40)
         assert _companions.cache_info().hits == hits + 1
-        assert 40 in fib._memo
+        assert fib._lo <= 40 <= fib._hi
         assert HoradamSequence.of(FIBONACCI) is fib
+
+    def test_memo_length_counts_stored_terms(self):
+        # perfbench's term hit ratio and new_terms read len(seq._memo)
+        seq = HoradamSequence(horadam(1, 2, 1, 1))
+
+        def stored(lo, hi):
+            return (seq._lo, seq._hi, len(seq._memo)) == (lo, hi, hi - lo + 1)
+
+        assert stored(0, 1)
+        for j in range(2, 41):
+            seq.term(j)
+        assert stored(0, 40)
+        for j in range(-1, -31, -1):
+            seq.term(j)
+        assert stored(-30, 40)
+        seq.term(40 + WALK_GAP)
+        seq.term(-30 - WALK_GAP)
+        assert stored(-30 - WALK_GAP, 40 + WALK_GAP)
+        for j in (41 + 2 * WALK_GAP, -31 - 2 * WALK_GAP, 10 ** 4, -(10 ** 4)):
+            seq.term(j)
+        assert stored(-30 - WALK_GAP, 40 + WALK_GAP)
+        hi = WINDOW_CAP - 31 - WALK_GAP  # the window's last slot
+        for j in range(40 + 2 * WALK_GAP, hi, WALK_GAP):
+            seq.term(j)
+        seq.term(hi)
+        assert stored(-30 - WALK_GAP, hi) and len(seq._memo) == WINDOW_CAP
+        seq.term(hi + 1)
+        seq.term(-31 - WALK_GAP)
+        assert stored(-30 - WALK_GAP, hi)
+
+    @pytest.mark.parametrize("params", [
+        horadam(2, -1, 1, -1),
+        horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3)),
+    ], ids=["int", "rational"])
+    def test_concurrent_readers_agree_with_the_walk(self, params):
+        seq = HoradamSequence(params)
+        reach = 500
+        walked = walk_terms(params, -reach, reach)
+        misses = []
+        start = threading.Barrier(4)
+
+        def edge_read(rng):
+            edge, sign = (seq._hi, 1) if rng.random() < 0.5 else (seq._lo, -1)
+            return [max(-reach, min(reach, edge + sign * rng.randint(1, WALK_GAP)))]
+
+        def reader(seed):
+            rng = random.Random(seed)
+            plan = [range(k, k + 40) for k in range(0, reach - 40, 60)]
+            plan += [range(-k, -k - 40, -1) for k in range(0, reach - 40, 60)]
+            plan += [edge_read] * 20
+            plan += [[rng.randint(-reach, reach)] for _ in range(20)]
+            rng.shuffle(plan)
+            start.wait()
+            try:
+                for reads in plan:
+                    for j in reads(rng) if callable(reads) else reads:
+                        value = seq.term(j)
+                        if value != walked[j] or type(value) is not Fraction:
+                            misses.append((j, value))
+            except Exception as exc:  # a reader's error fails the test, not just its thread
+                misses.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not misses
+        lo, hi = seq._lo, seq._hi
+        assert len(seq._memo) == hi - lo + 1 <= WINDOW_CAP
+        assert seq._up == [walked.get(k) for k in range(hi + 1)]
+        assert seq._down == [walked.get(k) for k in range(1, lo - 1, -1)]
 
 
 class TestBinetView:

@@ -27,9 +27,11 @@ preconditions (``_violation`` and every ``_*_violation``), and, in
 ``oracle_nested`` (its int weights and its Horner fold by blocks) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
-in ``horadam_sums.sequences``, the window walk of ``HoradamSequence.term``
-and the far term ``doubled_term`` (one product on the Lucas pair at half
-the index, and the reversed recurrence for a negative one) with its ladder
+in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (``term``,
+its policy ``_reaches``, its walk ``_walk`` and the bounds ``_lo``, ``_hi``
+and ``_memo`` read off its lists) and the far term ``doubled_term`` (one
+product on the Lucas pair at half the index, and the reversed recurrence
+for a negative one) with its ladder
 ``_lucas_pair``, and the int scaling ``_scaled_pq`` both share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
 ``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
@@ -90,9 +92,10 @@ deep-depth grid of any tag. A sequence mutant is killed when
 walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or when a fresh
 ``HoradamSequence`` misses it, in value or exact type, on the reads
 ``WINDOW_READS`` of each of those families and on reads a gap apart up to
-and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a window other
-than the walk policy gives; both sides of an identity read the same terms,
-so lhs == rhs cannot see a wrong one.
+and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a window, in its
+bounds, its length or the terms its two lists hold, other than the walk
+policy gives; both sides of an identity read the same terms, so lhs == rhs
+cannot see a wrong one.
 A ``binom`` mutant is killed when it misses
 ``tests/_util.py::falling_binom``, in value or in exact type (int), at any
 top from -45 to 45 and k from 0 to 27, or when it no longer raises
@@ -163,11 +166,16 @@ KNOWN_SURVIVORS = {
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo >= 1 else (v ** (-lo), "
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
-    "HoradamSequence.term: edge, step, mul, sub, grow = (hi, 1, big_p, big_q, m) if j >= hi "
-    "else (lo, -1, big_p * m, m * m * big_q, big_q)":
-    "a miss lies outside [lo, hi], so j never equals hi",
     "_chain_counts: if start >= lo:":
     "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
+    "HoradamSequence.term: return self._up[j] if j > 0 else self._down[1 - j]":
+    "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
+    "HoradamSequence.term: return self._up[j] if j >= 1 else self._down[1 - j]":
+    "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
+    "HoradamSequence._walk: if j > 0:": "a walk's j lies outside [lo, hi], which holds 0 "
+    "and 1, so j is never 0",
+    "HoradamSequence._walk: if j >= 1:": "a walk's j lies outside [lo, hi], which holds 0 "
+    "and 1, so j is never 0",
     "doubled_term: if j <= 0:": "at j = 0 the reversed recurrence's term 0 is a, as the "
     "forward one's is",
     "doubled_term: if j < 1:": "at j = 0 the reversed recurrence's term 0 is a, as the "
@@ -184,7 +192,9 @@ _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term")
+SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term",
+                    "HoradamSequence._reaches", "HoradamSequence._walk",
+                    "HoradamSequence._lo", "HoradamSequence._hi", "HoradamSequence._memo")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
@@ -225,9 +235,12 @@ SEQUENCE_FAMILIES = (sq.horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2,
                      sq.horadam(1, 2, 3, Fraction(9, 4)),
                      sq.horadam(Fraction(1, 2), 3, 3, 1))
 # reads of a fresh window: unit steps, jumps to the gap's edge (walked and
-# stored) and one past it (doubled, not stored), upwards then downwards
-WINDOW_READS = (2, 3, 3 + sq.WALK_GAP, 4 + 3 * sq.WALK_GAP, 4 + sq.WALK_GAP, 1, -1, -2,
-                -2 - sq.WALK_GAP, -3 - 3 * sq.WALK_GAP, 0, -2 - sq.WALK_GAP)
+# stored) and past it, by a gap and one and further (doubled, not stored),
+# upwards then downwards, and last a stored term below 0 away from the
+# window's edge
+WINDOW_READS = (2, 3, 3 + sq.WALK_GAP, 4 + 3 * sq.WALK_GAP, 4 + 2 * sq.WALK_GAP,
+                4 + sq.WALK_GAP, 1, -1, -2, -2 - sq.WALK_GAP, -3 - 3 * sq.WALK_GAP,
+                -3 - 2 * sq.WALK_GAP, 0, -2 - sq.WALK_GAP, -1)
 # an int family read up to its window cap, after one read below zero
 CAP_FAMILY = sq.horadam(2, -1, 1, -1)
 
@@ -453,7 +466,9 @@ def _window_broken(seq, walked: dict, reads) -> bool:
     """True when a read of ``seq`` misses ``walked`` in value or exact type,
     or leaves a window other than the one the walk policy gives: a read
     within ``WALK_GAP`` of the window's edge that keeps it under
-    ``WINDOW_CAP`` terms extends it to the index; any other read leaves it."""
+    ``WINDOW_CAP`` terms extends it to the index; any other read leaves it.
+    The window [lo, hi] is held as ``_up``, W[0..hi] in order, and
+    ``_down``, W[1], W[0], W[-1], ... down to W[lo]."""
     lo, hi = 0, 1
     for j in reads:
         value = seq.term(j)
@@ -463,8 +478,8 @@ def _window_broken(seq, walked: dict, reads) -> bool:
             lo, hi = min(lo, j), max(hi, j)
         if (seq._lo, seq._hi) != (lo, hi) or len(seq._memo) != hi - lo + 1:
             return True
-    return set(seq._memo) != set(range(lo, hi + 1)) \
-        or any(seq._memo[k] != walked[k] for k in seq._memo)
+    return seq._up != [walked[k] for k in range(hi + 1)] \
+        or seq._down != [walked[k] for k in range(1, lo - 1, -1)]
 
 
 def _sequence_broken() -> bool:
