@@ -33,9 +33,8 @@ index:
   term, summed over ints into one ``Fraction``. A negative index is read as
   a positive one of the reversed recurrence.
 * At most ``SHARED_CAP`` sequences are kept, least recently used first out.
-  The U/V companion parameters of at most ``COMPANIONS_CAP`` pairs (p, q)
-  are kept too, keyed on the parameters' cached ints; their sequences come
-  from the same registry.
+* U and V are values, not sequences: (U_j, V_j) comes off the same ladder,
+  at most ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
 
 :class:`BinetView` exposes the closed form ``W[j] = A*tau**j + B*sigma**j``
 over Q(sqrt(D)) with D = p**2 - 4*q, where tau and sigma are the roots of
@@ -132,16 +131,17 @@ one bit per index takes about 19 MB, nearly all of it the terms' ints (the
 two lists take 0.14 MB of it)."""
 
 SHARED_CAP = 64
-"""Most sequences kept in the shared registry. A sweep or an oracle run
-reads about 15 (its families and their U/V companions)."""
+"""Most sequences kept in the shared registry. It holds summand families
+only: the 25 default sweeps leave 7 there, the built-in families."""
 
 COMPANIONS_CAP = 64
-"""Most (p, q) pairs whose U/V companion parameters are kept."""
+"""Most (p, q, j) entries (U_j, V_j) kept, the latest at any |j|; the default sweeps read 28.
+On (3, 2) one at +/-``cli.MAX_REACH`` takes 40/80 KB, 64 take 2.6-5.1 MB, past it more."""
 
 
-def _scaled_pq(params: HoradamParams) -> Tuple[int, int, int]:
-    """(m, P, Q): m = lcm(den p, den q), P = m*p and Q = m*m*q, all ints."""
-    (pn, pd), (qn, qd) = params._key[2:]
+def _scaled_pq(pq: tuple) -> Tuple[int, int, int]:
+    """(m, P, Q) = (lcm(den p, den q), m*p, m*m*q), ints, of ``pq``, a params' ``_key[2:]``."""
+    (pn, pd), (qn, qd) = pq
     m = lcm(pd, qd)
     return m, pn * (m // pd), qn * (m * m // qd)
 
@@ -180,7 +180,7 @@ def doubled_term(params: HoradamParams, j: int) -> Fraction:
     negative.
     """
     (an, ad), (bn, bd), _, _ = params._key
-    m, big_p, big_q = _scaled_pq(params)
+    m, big_p, big_q = _scaled_pq(params._key[2:])
     y0, y1 = an * bd, bn * ad * m
     if j < 0:
         y1, big_p, big_q, m, j = m * (big_p * y0 - y1), big_p * m, m * m * big_q, big_q, -j
@@ -252,7 +252,7 @@ class HoradamSequence:
         self._up: List[Fraction] = [params.a, params.b]
         self._down: List[Fraction] = [params.b, params.a]
         self._lock = Lock()
-        self._scaled = _scaled_pq(params)
+        self._scaled = _scaled_pq(params._key[2:])
 
     @property
     def _memo(self) -> range:
@@ -320,26 +320,26 @@ def term(params: HoradamParams, j: int) -> Fraction:
 
 
 @lru_cache(maxsize=COMPANIONS_CAP)
-def _companions(pq: tuple) -> Tuple[HoradamParams, HoradamParams]:
-    """The U and V parameters of one (p, q), built once per pair.
-
-    The key is p and q as (numerator, denominator) ints, read off the
-    parameters' cached ``_key``: hashing it runs no Python code, where a
-    ``Fraction``'s hash does, and every seed pair on one (p, q) shares it,
-    where a key on the whole quadruple would build the two companions anew
-    for each new seed pair."""
-    p, q = (Fraction(*part) for part in pq)
-    return lucas_first_kind(p, q), lucas_second_kind(p, q)
+def _lucas_terms(pq: tuple, j: int) -> Tuple[Fraction, Fraction]:
+    """(U_j, V_j) of the (p, q) keyed by ``pq``, whose hash runs no Python
+    code, off the ladder: U_j = U_j(P, Q)/m**(j-1), V_j = V_j(P, Q)/m**j, and
+    U_{-k} = -U_k/q**k, V_{-k} = V_k/q**k with q**k = Q**k/m**(2k)."""
+    m, big_p, big_q = _scaled_pq(pq)
+    u, v, qk = _lucas_pair(big_p, big_q, abs(j))
+    scale = m ** abs(j)
+    if j < 0:
+        return Fraction(-u * m * scale, qk), Fraction(v * scale, qk)
+    return Fraction(u * m, scale), Fraction(v, scale)
 
 
 def first_kind_term(params: HoradamParams, j: int) -> Fraction:
     """U[j] for the recurrence coefficients (p, q) of ``params``."""
-    return HoradamSequence.of(_companions(params._key[2:])[0]).term(j)
+    return _lucas_terms(params._key[2:], j)[0]
 
 
 def second_kind_term(params: HoradamParams, j: int) -> Fraction:
     """V[j] for the recurrence coefficients (p, q) of ``params``."""
-    return HoradamSequence.of(_companions(params._key[2:])[1]).term(j)
+    return _lucas_terms(params._key[2:], j)[1]
 
 
 class BinetView:
@@ -392,8 +392,8 @@ def lemma3_residual(p: RationalLike, q: RationalLike, r: int, d: int, which: str
     * L3:  V[r+d] - tau**r * V[d]  ==  -sigma**d * U[r] * delta
     * L4:  V[r+d] - sigma**r * V[d]  ==  tau**d * U[r] * delta
 
-    The U/V values are computed by recurrence and lifted into the extension,
-    so a zero residual cross-checks the recurrence against the root powers.
+    U and V come off the index-doubling ladder that every far term uses, so
+    a zero residual checks that ladder against the root powers.
     """
     view = BinetView(lucas_first_kind(p, q))
     disc = view.disc

@@ -16,7 +16,7 @@ from _util import fib_list, walk_terms
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
-                                    HoradamParams, HoradamSequence, _companions, doubled_term,
+                                    HoradamParams, HoradamSequence, _lucas_terms, doubled_term,
                                     first_kind_term, gibonacci, horadam,
                                     lemma3_residual, lemma4_residual,
                                     lucas_first_kind, lucas_second_kind,
@@ -233,18 +233,21 @@ class TestBoundedTerms:
             term(params, 10 ** 4)
             first_kind_term(params, 10 ** 4)
             assert len(HoradamSequence._shared) <= SHARED_CAP
-            assert _companions.cache_info().currsize <= COMPANIONS_CAP
+            assert _lucas_terms.cache_info().currsize <= COMPANIONS_CAP
 
-    def test_companions_share_the_registry_window(self):
-        first_kind_term(FIBONACCI, 5)
-        for i in range(SHARED_CAP + 10):
-            term(horadam(i, 1, 2, 3), 2)
-        fib = HoradamSequence.of(FIBONACCI)
-        hits = _companions.cache_info().hits
-        first_kind_term(FIBONACCI, 40)
-        assert _companions.cache_info().hits == hits + 1
-        assert fib._lo <= 40 <= fib._hi
-        assert HoradamSequence.of(FIBONACCI) is fib
+    def test_companion_reads_build_nothing(self, monkeypatch):
+        # U and V come off the ladder: no companion params, sequence or window
+        params = horadam(1, 2, Fraction(7, 3), Fraction(-11, 5))
+        shared = {key: seq._memo for key, seq in HoradamSequence._shared.items()}
+        built = []
+        post_init = HoradamParams.__post_init__
+        monkeypatch.setattr(HoradamParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        for j in (-70, -3, 0, 1, 2, 5, 40, 10 ** 3):
+            first_kind_term(params, j)
+            second_kind_term(params, j)
+        assert not built
+        assert {key: seq._memo for key, seq in HoradamSequence._shared.items()} == shared
 
     def test_memo_length_counts_stored_terms(self):
         # perfbench's term hit ratio and new_terms read len(seq._memo)
@@ -322,6 +325,30 @@ class TestBoundedTerms:
         assert len(seq._memo) == hi - lo + 1 <= WINDOW_CAP
         assert seq._up == [walked.get(k) for k in range(hi + 1)]
         assert seq._down == [walked.get(k) for k in range(1, lo - 1, -1)]
+
+
+# an integer pair, a rational pair with m > 1, D < 0 and D = 0
+COMPANION_PQ = [(Fraction(3), Fraction(2)), (Fraction(5, 2), Fraction(-2, 3)),
+                (Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))]
+
+
+class TestLucasCompanions:
+    @pytest.mark.parametrize("p,q", COMPANION_PQ)
+    def test_ladder_matches_walk(self, p, q):
+        params = horadam(Fraction(3, 2), -1, p, q)
+        walked_u = walk_terms(lucas_first_kind(p, q), -300, 300)
+        walked_v = walk_terms(lucas_second_kind(p, q), -300, 300)
+        for j in range(-300, 301):
+            u, v = first_kind_term(params, j), second_kind_term(params, j)
+            assert u == walked_u[j] and type(u) is Fraction
+            assert v == walked_v[j] and type(v) is Fraction
+
+    @pytest.mark.parametrize("p,q", COMPANION_PQ)
+    def test_far_companions_match_doubled_term(self, p, q):
+        params = horadam(Fraction(3, 2), -1, p, q)
+        for j in (10 ** 4, -10 ** 4):
+            assert first_kind_term(params, j) == doubled_term(lucas_first_kind(p, q), j)
+            assert second_kind_term(params, j) == doubled_term(lucas_second_kind(p, q), j)
 
 
 class TestBinetView:

@@ -32,7 +32,8 @@ its policy ``_reaches``, its walk ``_walk`` and the bounds ``_lo``, ``_hi``
 and ``_memo`` read off its lists) and the far term ``doubled_term`` (one
 product on the Lucas pair at half the index, and the reversed recurrence
 for a negative one) with its ladder
-``_lucas_pair``, and the int scaling ``_scaled_pq`` both share, and
+``_lucas_pair``, the Lucas companions ``_lucas_terms`` read off that ladder,
+and the int scaling ``_scaled_pq`` they all share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
 ``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
 ``horadam_sums.identities``. An ``if``
@@ -89,13 +90,19 @@ when ``tests/_util.py::binet_route``, which runs every tag's left side
 through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
 deep-depth grid of any tag. A sequence mutant is killed when
 ``doubled_term`` misses ``tests/_util.py::walk_terms``, a plain recurrence
-walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or when a fresh
+walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or
+``_lucas_terms`` misses, in value or exact type, the walks of
+``lucas_first_kind`` and ``lucas_second_kind`` of those families' (p, q)
+there, or when a fresh
 ``HoradamSequence`` misses it, in value or exact type, on the reads
 ``WINDOW_READS`` of each of those families and on reads a gap apart up to
 and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a window, in its
 bounds, its length or the terms its two lists hold, other than the walk
 policy gives; both sides of an identity read the same terms, so lhs == rhs
-cannot see a wrong one.
+cannot see a wrong one. ``_lucas_terms`` is judged through its
+``__wrapped__``, past its cache, so a value made while a ``_lucas_pair`` or
+``_scaled_pq`` mutant is installed is never cached for later readers, and a
+value cached before it cannot hide it.
 A ``binom`` mutant is killed when it misses
 ``tests/_util.py::falling_binom``, in value or in exact type (int), at any
 top from -45 to 45 and k from 0 to 27, or when it no longer raises
@@ -180,6 +187,8 @@ KNOWN_SURVIVORS = {
     "forward one's is",
     "doubled_term: if j < 1:": "at j = 0 the reversed recurrence's term 0 is a, as the "
     "forward one's is",
+    "_lucas_terms: if j <= 0:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
+    "_lucas_terms: if j < 1:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -192,7 +201,8 @@ _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "doubled_term", "HoradamSequence.term",
+SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lucas_terms", "doubled_term",
+                    "HoradamSequence.term",
                     "HoradamSequence._reaches", "HoradamSequence._walk",
                     "HoradamSequence._lo", "HoradamSequence._hi", "HoradamSequence._memo")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
@@ -482,12 +492,30 @@ def _window_broken(seq, walked: dict, reads) -> bool:
         or seq._down != [walked[k] for k in range(1, lo - 1, -1)]
 
 
+def _companions_broken(params) -> bool:
+    """True when ``_lucas_terms``, past its cache, misses the walks of U and
+    V on the (p, q) of ``params`` at any j from -300 to 300, in value or
+    exact type."""
+    lucas_terms = sq._lucas_terms.__wrapped__
+    walked_u = _walked(sq.lucas_first_kind(params.p, params.q), -300, 300)
+    walked_v = _walked(sq.lucas_second_kind(params.p, params.q), -300, 300)
+    for j in range(-300, 301):
+        u, v = lucas_terms(params._key[2:], j)
+        if (u, v) != (walked_u[j], walked_v[j]) or type(u) is not Fraction \
+                or type(v) is not Fraction:
+            return True
+    return False
+
+
 def _sequence_broken() -> bool:
-    """True when ``doubled_term`` misses a plain recurrence walk, or a fresh
-    window's reads do (see :func:`_window_broken`)."""
+    """True when ``doubled_term`` or ``_lucas_terms`` misses a plain
+    recurrence walk, or a fresh window's reads do (see
+    :func:`_window_broken`)."""
     for params in SEQUENCE_FAMILIES:
         walked = _walked(params, -300, 300)
         if any(sq.doubled_term(params, j) != walked[j] for j in range(-300, 301)):
+            return True
+        if _companions_broken(params):
             return True
         if _window_broken(sq.HoradamSequence(params), walked, WINDOW_READS):
             return True
