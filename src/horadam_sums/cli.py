@@ -221,10 +221,10 @@ def report_row(report: EvaluationReport) -> dict:
 _JSON_LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
+def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> Counter:
     """Write each report's jsonl row, by definition
     ``json.dumps(report_row(report))`` and a newline, with one ``write`` per
-    row as the report arrives.
+    row as the report arrives, and return the tally of the rows' classes.
 
     The row is written from its family's encoded text: the identity and the
     params go through ``json.dumps``, again only when either differs from the
@@ -234,8 +234,10 @@ def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
     :func:`~horadam_sums.identities.verify` gives when the two agree, has
     that value formatted once for both.
     """
+    tally: Counter = Counter()
     params = identity = head = None
     for report in reports:
+        tally[report.classification] += 1
         if report.params is not params or report.identity is not identity:
             params, identity = report.params, report.identity
             row = report_row(report)
@@ -248,6 +250,7 @@ def _emit_jsonl(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
                   f'"lhs": "{lhs}", "rhs": "{rhs}", '
                   f'"equal": {_JSON_LITERALS[report.equal]}, '
                   f'"class": "{report.classification}"}}\n')
+    return tally
 
 
 def _flat_row(report: EvaluationReport) -> dict:
@@ -265,19 +268,25 @@ def _pairs(row: dict, names: Sequence[str]) -> str:
     return " ".join(f"{name}={row[name]}" for name in names)
 
 
-def _emit_csv(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
+def _emit_csv(reports: Iterable[EvaluationReport], out: IO[str]) -> Counter:
+    tally: Counter = Counter()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
     for report in reports:
+        tally[report.classification] += 1
         row = _flat_row(report)
         row["equal"] = _equal_text(row["equal"])
         writer.writerow(row.values())
+    return tally
 
 
-def _emit_human(reports: Iterable[EvaluationReport], out: IO[str]) -> None:
+def _emit_human(reports: Iterable[EvaluationReport], out: IO[str]) -> Counter:
+    tally: Counter = Counter()
     for report in reports:
+        tally[report.classification] += 1
         row = _flat_row(report)
         out.write(f"{row['identity']} {_pairs(row, SWEEP_CSV_COLUMNS[1:])}\n")
+    return tally
 
 
 @contextlib.contextmanager
@@ -355,21 +364,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _grid_from_args(identity, args)
     check_points(grid_size(identity, grid),
                  (line[1:] for line in sweep_lines(identity, grid)))
-    tally: Counter = Counter()
-
-    def stream():
-        # rows are written as they are produced; only counters accumulate
-        for report in iter_sweep(identity, grid):
-            tally[report.classification] += 1
-            yield report
-
+    # rows are written as they are produced; each emitter returns the tally
+    # of the classes it wrote
+    reports = iter_sweep(identity, grid)
     with _output(args.out) as out:
         if args.format == "csv":
-            _emit_csv(stream(), out)
+            tally = _emit_csv(reports, out)
         elif args.format == "human":
-            _emit_human(stream(), out)
+            tally = _emit_human(reports, out)
         else:
-            _emit_jsonl(stream(), out)
+            tally = _emit_jsonl(reports, out)
     summary = SweepSummary.of(tally)
     counts = " ".join(f"{name}={count}" for name, count in dataclasses.asdict(summary).items())
     print(f"sweep {identity.value}: {counts}", file=sys.stderr)
@@ -419,7 +423,7 @@ def _bench_point(kind: str, inst_args: dict, n: int, a_n: int,
     """
     if kind == "ones":
         def closed(counter: EvalCounter) -> Fraction:
-            counter.add()  # a single binomial evaluation
+            counter.count += 1  # a single binomial evaluation
             return nested_ones(n, a_n, c)
         return closed, NestedSumSpec(n, a_n, c, ONES)
     if kind == "geometric":

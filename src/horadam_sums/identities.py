@@ -137,6 +137,11 @@ class _Line:
         self.closed: Optional[Tuple[tuple, int, int, int]] = None
 
 
+# each of the coordinates c, r, s, d with its default: the value it must
+# hold for a form that does not read it, and a single point's when unset
+COORD_DEFAULTS = {"c": 1, "r": 1, "s": 0, "d": 0}
+
+
 @dataclass(frozen=True)
 class IdentityInstance:
     """One concrete evaluation point of an identity.
@@ -154,10 +159,10 @@ class IdentityInstance:
     params: Optional[HoradamParams]
     n: int
     a_n: int
-    c: int = 1
-    r: int = 1
-    s: int = 0
-    d: int = 0
+    c: int = COORD_DEFAULTS["c"]
+    r: int = COORD_DEFAULTS["r"]
+    s: int = COORD_DEFAULTS["s"]
+    d: int = COORD_DEFAULTS["d"]
 
     def __post_init__(self):
         for name in ("n", "a_n", "c", "r", "s", "d"):
@@ -188,11 +193,6 @@ class IdentityInstance:
 
 _RESTRICTED = "restricted"
 _GIBONACCI = "gibonacci"
-
-# each of the coordinates c, r, s, d with its default: the value it must
-# hold for a form that does not read it, and a single point's when unset
-COORD_DEFAULTS = {"c": 1, "r": 1, "s": 0, "d": 0}
-
 
 def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
     """The first precondition of ``record`` that ``inst`` violates, if any."""
@@ -401,7 +401,7 @@ def _lifted_point(inst: IdentityInstance, counter: EvalCounter, part: tuple,
     ``counter`` tallies the n binomials, and ``term`` its own lookups."""
     ratio_num, ratio_den, u, v, coefficients, den = part
     n, a, c = inst.n, inst.a_n, inst.c
-    counter.add(n)
+    counter.count += n
     dot = 0
     top = a - c
     for j, k in enumerate(coefficients):
@@ -448,7 +448,7 @@ def _lifted_reduced(num: int, small: int, root: int, e: int, big: int) -> Fracti
 
 def _w_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
     """T(e, k) = W[k], tallied."""
-    counter.add()
+    counter.count += 1
     return HoradamSequence.of(inst.params).term(k).as_integer_ratio()
 
 
@@ -505,12 +505,12 @@ def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tu
     tallied per term read."""
     sequence = HoradamSequence.of(inst.params)
     if e % 2:
-        counter.add(2)
+        counter.count += 2
         (an, ad), (bn, bd) = (sequence.term(k + 1).as_integer_ratio(),
                               sequence.term(k - 1).as_integer_ratio())
         q_num, q_den = inst.params.q.as_integer_ratio()
         return _over_disc(inst, e, an * bd * q_den - q_num * bn * ad, ad * bd * q_den)
-    counter.add()
+    counter.count += 1
     return _over_disc(inst, e, *sequence.term(k).as_integer_ratio())
 
 
@@ -519,7 +519,7 @@ def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
     """F7's ratio and base, which read three terms W of the summand's family."""
     params, s = inst.params, inst.s
     sequence = HoradamSequence.of(params)
-    counter.add(3)
+    counter.count += 3
     q = params.q
     u0 = first_kind_term(params, r - d)
     wsd1 = sequence.term(s + d - 1)
@@ -600,7 +600,7 @@ def evaluate_rhs(inst: IdentityInstance, counter: Optional[EvalCounter] = None) 
         line.closed = part, step, mul, counter.count - before
     else:
         part, step, mul, units = line.closed
-        counter.add(units)
+        counter.count += units
     return _lifted_point(inst, counter, part, step, mul, shape.term)
 
 
@@ -710,10 +710,10 @@ class SweepGrid:
 
     families: Tuple[HoradamParams, ...] = ()
     n_values: Tuple[int, ...] = (1, 2, 3)
-    c_values: Tuple[int, ...] = (1,)
-    r_values: Tuple[int, ...] = (1,)
-    s_values: Tuple[int, ...] = (0,)
-    d_values: Tuple[int, ...] = (0,)
+    c_values: Tuple[int, ...] = (COORD_DEFAULTS["c"],)
+    r_values: Tuple[int, ...] = (COORD_DEFAULTS["r"],)
+    s_values: Tuple[int, ...] = (COORD_DEFAULTS["s"],)
+    d_values: Tuple[int, ...] = (COORD_DEFAULTS["d"],)
     a_offsets: Tuple[int, ...] = tuple(range(-2, 9))
     a_values: Optional[Tuple[int, ...]] = None
 
@@ -800,7 +800,8 @@ def evaluate_line(identity: IdentityId, params: Optional[HoradamParams], n: int,
 
 
 def evaluate_point(identity: IdentityId, params: Optional[HoradamParams], n: int,
-                   a_n: int, c: int = 1, r: int = 1, s: int = 0, d: int = 0) -> EvaluationReport:
+                   a_n: int, c: int = COORD_DEFAULTS["c"], r: int = COORD_DEFAULTS["r"],
+                   s: int = COORD_DEFAULTS["s"], d: int = COORD_DEFAULTS["d"]) -> EvaluationReport:
     """:func:`evaluate_line` at one point given by its coordinates."""
     return next(evaluate_line(identity, params, n, (a_n,), c, r, s, d))
 

@@ -19,9 +19,10 @@ numerator bounded by the block, not by the range, and one product per block
 shifts its part into the total. The scale back to the rational weight power
 joins those ints, so the oracle ends in one normalised ``Fraction``.
 :func:`oracle_nested_naive` literally enumerates every index tuple in plain
-``Fraction`` arithmetic. Their agreement guards against a shared bug, and
-both serve as ground truth for the closed forms in this module and in
-:mod:`horadam_sums.identities`.
+``Fraction`` arithmetic, sized against its cap by the chain counts alone,
+with no call into :func:`oracle_nested`. Their agreement guards against a
+shared bug, and both serve as ground truth for the closed forms in this
+module and in :mod:`horadam_sums.identities`.
 Here the geometric closed form is one loop, :func:`master_E`; the f-form
 substitutes into it, and an alternating geometric sum is the f-form at -x.
 
@@ -74,12 +75,9 @@ def _check_int(name: str, value) -> None:
 
 @dataclass
 class EvalCounter:
-    """Mutable tally of summand-scale evaluations (terms, binomials)."""
+    """Mutable tally of summand-scale evaluations (terms, binomials), added to ``count``."""
 
     count: int = 0
-
-    def add(self, k: int = 1) -> None:
-        self.count += k
 
 
 @dataclass(frozen=True)
@@ -212,9 +210,9 @@ def _chain_counts(limits: Tuple[int, ...], upper: int) -> list:
     size = upper - lo + 1
     counts = [1] * size  # counts[i] belongs to k = upper - i
     for start in reversed(limits[1:]):
-        if start > lo:
-            kept = max(upper - start + 1, 0)
-            counts[kept:] = [0] * (size - kept)
+        # for start <= lo, kept >= size and the zeroed tail is empty
+        kept = max(upper - start + 1, 0)
+        counts[kept:] = [0] * (size - kept)
         counts = list(accumulate(counts))
     counts.reverse()
     return counts
@@ -295,12 +293,12 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
                 num = num * v ** len(block) + power * part
                 power *= weight  # u**len(block) by now
     finally:
-        counter.add(made)
+        counter.count += made
     added = 0
     for start in limits[1:]:
         if start <= hi:
             added += hi - start + 1
-    counter.add(added)
+    counter.count += added
     scale_num, scale_den = (u ** lo, v ** lo) if lo >= 0 else (v ** -lo, u ** -lo)
     return Fraction(num * scale_num, den * v ** made * scale_den)
 
@@ -311,24 +309,28 @@ def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_
 
     Costs one summand evaluation per tuple, which grows like
     C(range + depth, depth); instances whose tuple count exceeds ``cap``
-    are rejected rather than run.
+    are rejected rather than run. The tuple count is the sum of
+    :func:`_chain_counts`, taken before any summand call and never by
+    :func:`oracle_nested`. The values never read it, and the mutation gate
+    judges the kernel against the uncapped enumeration, so no kernel mutant
+    reaches the reference's values.
     """
     if counter is None:
         counter = EvalCounter()
+    limits = spec.lower_limits
     if cap is not None:
-        expected = oracle_nested(NestedSumSpec(spec.depth, spec.upper, spec.lower_limits, ONES))
+        expected = sum(_chain_counts(limits, spec.upper)) if spec.upper >= limits[-1] else 0
         if expected > cap:
             raise NaiveCapExceededError(
                 f"{expected} summand evaluations exceed the naive cap {cap}")
     summand = spec.term
-    limits = spec.lower_limits
 
     def descend(level: int, upper: int) -> Fraction:
         total = Fraction(0)
         if level == 0:
             for k in range(limits[0], upper + 1):
                 total = total + summand.value(k)
-                counter.add()
+                counter.count += 1
         else:
             for k in range(limits[level], upper + 1):
                 total = total + descend(level - 1, k)
@@ -358,7 +360,7 @@ def master_E(x: Scalar, n: int, a_n: int, c: int,
     total = 0
     for j in range(n):
         total = total + power * binom(a_n + j - c, j)
-        counter.add()
+        counter.count += 1
         power = power * ratio
     return x ** a_n - x ** (c - 1) * total
 

@@ -203,8 +203,8 @@ class HoradamSequence:
     the seeds: ``_up[i]`` is W[i] and ``_down[i]`` is W[1 - i], so both start
     with W[0] and W[1], which the window always holds. A stored term costs
     one list slot and no index key. ``lo`` and ``hi`` are read off the
-    lists' lengths (``_lo``, ``_hi``, and ``_memo``, the range of stored
-    indices), so they cannot drift from what is stored. A miss within
+    lists' lengths (``_memo``, the range of stored indices, from ``_memo[0]``
+    to ``_memo[-1]``), so they cannot drift from what is stored. A miss within
     ``WALK_GAP`` of the window walks the recurrence and appends what it
     passes, as long as the window stays within ``WINDOW_CAP`` terms; any
     other index comes from :func:`doubled_term` and is not stored.
@@ -259,14 +259,6 @@ class HoradamSequence:
         """The stored indices, lo to hi, read off the lists' lengths; their
         number is the number of stored terms."""
         return range(2 - len(self._down), len(self._up))
-
-    @property
-    def _lo(self) -> int:
-        return self._memo[0]
-
-    @property
-    def _hi(self) -> int:
-        return self._memo[-1]
 
     def term(self, j: int) -> Fraction:
         try:

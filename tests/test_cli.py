@@ -676,6 +676,18 @@ def test_jsonl_row_is_json_dumps_of_report_row():
     assert sink.writes == [json.dumps(cli.report_row(report)) + "\n" for report in reports]
 
 
+@pytest.mark.parametrize("emit", ["_emit_jsonl", "_emit_csv", "_emit_human"])
+def test_emitter_returns_the_tally_of_the_classes_it_wrote(emit):
+    reports = _every_kind_of_report()
+    sink = io.StringIO()
+    tally = getattr(cli, emit)(iter(reports), sink)
+    assert type(tally) is Counter
+    assert tally == Counter(report.classification for report in reports)
+    assert set(tally) == {"verified", "outside_domain", "skipped", "mismatch", "error"}
+    rows = sink.getvalue().splitlines()
+    assert len(rows) == len(reports) + (emit == "_emit_csv")  # the csv header
+
+
 @pytest.mark.parametrize("point", [
     ("--identity", "F3", "--family", "fibonacci", "--n", "2", "--an", "4", "--r", "2",
      "--s", "1"),

@@ -549,3 +549,46 @@ class TestSummandCalls:
         assert report.classification == CLASS_ERROR
         assert report.oracle_terms == 39 and report.closed_terms == 0
         assert "k = 40" in report.detail
+
+
+class TestNaiveStandsAlone:
+    """The enumeration sizes itself against its cap with no call into the
+    kernel it checks and no summand call, then calls ``SumTerm.value`` once
+    per index tuple, so its values owe nothing to ``oracle_nested``."""
+
+    @staticmethod
+    def _without_kernel(monkeypatch) -> list:
+        def kernel(*args, **kwargs):
+            raise AssertionError("the enumeration ran oracle_nested")
+
+        seen = []
+        value = SumTerm.value
+
+        def counted(summand, k, weight=None):
+            seen.append(k)
+            return value(summand, k, weight)
+
+        monkeypatch.setattr(nestedcore, "oracle_nested", kernel)
+        monkeypatch.setattr(SumTerm, "value", counted)
+        return seen
+
+    # crossing limits, a middle level above the upper limit, the upper limit
+    # below the outermost's, every chain count zero, and one level
+    @pytest.mark.parametrize("spec", [KERNEL_CASES[i] for i in (0, 1, 2, 8, 6)])
+    def test_values_at_the_default_cap(self, spec, monkeypatch):
+        expected = oracle_nested(spec)
+        tuples = sum(_enumerated_chain_counts(spec.lower_limits, spec.upper))
+        calls = self._without_kernel(monkeypatch)
+        counter = EvalCounter()
+        value = oracle_nested_naive(spec, counter=counter)
+        assert type(value) is Fraction and value == expected
+        assert len(calls) == counter.count == tuples
+
+    def test_refusal_makes_no_summand_call(self, monkeypatch):
+        spec = NestedSumSpec(6, 40, 1, SumTerm(seq=FIBONACCI))
+        calls = self._without_kernel(monkeypatch)
+        with pytest.raises(NaiveCapExceededError) as refused:
+            oracle_nested_naive(spec)
+        assert str(refused.value) == (f"{nested_ones(6, 40, 1)} summand evaluations exceed "
+                                      f"the naive cap {nestedcore.DEFAULT_NAIVE_CAP}")
+        assert calls == []

@@ -180,16 +180,16 @@ class TestBoundedTerms:
         walked = walk_terms(params, -reach, reach)
         for move in moves:
             sign, step = READ_STEPS[move]
-            j = seq._hi + step if sign > 0 else seq._lo - step
+            j = seq._memo[-1] + step if sign > 0 else seq._memo[0] - step
             value = seq.term(j)
             assert value == walked[j] and type(value) is Fraction
-            assert len(seq._memo) == seq._hi - seq._lo + 1 <= WINDOW_CAP
-            assert (seq._lo <= j <= seq._hi) == (step <= WALK_GAP)
+            assert len(seq._memo) == seq._memo[-1] - seq._memo[0] + 1 <= WINDOW_CAP
+            assert (seq._memo[0] <= j <= seq._memo[-1]) == (step <= WALK_GAP)
             doubled = doubled_term(params, j)
             assert doubled == walked[j] and type(doubled) is Fraction
-        window = range(seq._lo, seq._hi + 1)
+        window = range(seq._memo[0], seq._memo[-1] + 1)
         assert all(seq.term(k) == walked[k] for k in window)
-        assert range(seq._lo, seq._hi + 1) == window  # reading stored terms stores none
+        assert range(seq._memo[0], seq._memo[-1] + 1) == window  # reading stored terms stores none
 
     def test_far_term_leaves_window_bounded(self):
         f_prev, f = 0, 1  # F[j-1], F[j], from the bare recurrence
@@ -197,7 +197,7 @@ class TestBoundedTerms:
             f_prev, f = f, f + f_prev
         assert term(FIBONACCI, 10 ** 5) == f
         seq = HoradamSequence.of(FIBONACCI)
-        assert len(seq._memo) == seq._hi - seq._lo + 1 <= WINDOW_CAP
+        assert len(seq._memo) == seq._memo[-1] - seq._memo[0] + 1 <= WINDOW_CAP
 
     @pytest.mark.parametrize("p,q", TEST_PQ)
     def test_far_reads_are_not_stored(self, p, q):
@@ -206,9 +206,9 @@ class TestBoundedTerms:
         walked = walk_terms(params, -400, 400)
         for j in (400, -400, 2 + WALK_GAP, -1 - WALK_GAP, 300, -300):
             assert seq.term(j) == walked[j]
-        assert (seq._lo, seq._hi) == (0, 1)
+        assert (seq._memo[0], seq._memo[-1]) == (0, 1)
         assert seq.term(1 + WALK_GAP) == walked[1 + WALK_GAP]
-        assert (seq._lo, seq._hi) == (0, 1 + WALK_GAP)
+        assert (seq._memo[0], seq._memo[-1]) == (0, 1 + WALK_GAP)
 
     def test_window_stops_at_cap(self):
         seq = HoradamSequence(horadam(1, 2, 1, 3))
@@ -254,7 +254,7 @@ class TestBoundedTerms:
         seq = HoradamSequence(horadam(1, 2, 1, 1))
 
         def stored(lo, hi):
-            return (seq._lo, seq._hi, len(seq._memo)) == (lo, hi, hi - lo + 1)
+            return (seq._memo[0], seq._memo[-1], len(seq._memo)) == (lo, hi, hi - lo + 1)
 
         assert stored(0, 1)
         for j in range(2, 41):
@@ -290,7 +290,7 @@ class TestBoundedTerms:
         start = threading.Barrier(4)
 
         def edge_read(rng):
-            edge, sign = (seq._hi, 1) if rng.random() < 0.5 else (seq._lo, -1)
+            edge, sign = (seq._memo[-1], 1) if rng.random() < 0.5 else (seq._memo[0], -1)
             return [max(-reach, min(reach, edge + sign * rng.randint(1, WALK_GAP)))]
 
         def reader(seed):
@@ -321,7 +321,7 @@ class TestBoundedTerms:
         finally:
             sys.setswitchinterval(interval)
         assert not misses
-        lo, hi = seq._lo, seq._hi
+        lo, hi = seq._memo[0], seq._memo[-1]
         assert len(seq._memo) == hi - lo + 1 <= WINDOW_CAP
         assert seq._up == [walked.get(k) for k in range(hi + 1)]
         assert seq._down == [walked.get(k) for k in range(1, lo - 1, -1)]

@@ -28,8 +28,8 @@ preconditions (``_violation`` and every ``_*_violation``), and, in
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (``term``,
-its policy ``_reaches``, its walk ``_walk`` and the bounds ``_lo``, ``_hi``
-and ``_memo`` read off its lists) and the far term ``doubled_term`` (one
+its policy ``_reaches``, its walk ``_walk`` and the range of stored indices
+``_memo`` read off its lists) and the far term ``doubled_term`` (one
 product on the Lucas pair at half the index, and the reversed recurrence
 for a negative one) with its ladder
 ``_lucas_pair``, the Lucas companions ``_lucas_terms`` read off that ladder,
@@ -173,8 +173,6 @@ KNOWN_SURVIVORS = {
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo >= 1 else (v ** (-lo), "
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
-    "_chain_counts: if start >= lo:":
-    "at start = lo the slice counts[:0] is empty, so the zeroing it guards changes nothing",
     "HoradamSequence.term: return self._up[j] if j > 0 else self._down[1 - j]":
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
     "HoradamSequence.term: return self._up[j] if j >= 1 else self._down[1 - j]":
@@ -204,7 +202,7 @@ GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lucas_terms", "doubled_term",
                     "HoradamSequence.term",
                     "HoradamSequence._reaches", "HoradamSequence._walk",
-                    "HoradamSequence._lo", "HoradamSequence._hi", "HoradamSequence._memo")
+                    "HoradamSequence._memo")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
@@ -486,7 +484,7 @@ def _window_broken(seq, walked: dict, reads) -> bool:
             return True
         if lo - sq.WALK_GAP <= j <= hi + sq.WALK_GAP and max(hi, j) - min(lo, j) < sq.WINDOW_CAP:
             lo, hi = min(lo, j), max(hi, j)
-        if (seq._lo, seq._hi) != (lo, hi) or len(seq._memo) != hi - lo + 1:
+        if (seq._memo[0], seq._memo[-1]) != (lo, hi) or len(seq._memo) != hi - lo + 1:
             return True
     return seq._up != [walked[k] for k in range(hi + 1)] \
         or seq._down != [walked[k] for k in range(1, lo - 1, -1)]
