@@ -307,7 +307,7 @@ def _f7_violation(inst: IdentityInstance) -> Optional[str]:
             return f"U_{j} = 0{note}"
     seq = HoradamSequence.of(inst.params)
     for j, note in ((s + d, ""), (s + d - 1, " (degenerate weight base)"), (r + s, "")):
-        if seq.term(j) == 0:
+        if seq.exact(j) == 0:
             return f"W_{j} = 0{note}"
     return None
 
@@ -449,7 +449,7 @@ def _lifted_reduced(num: int, small: int, root: int, e: int, big: int) -> Fracti
 def _w_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
     """T(e, k) = W[k], tallied."""
     counter.count += 1
-    return HoradamSequence.of(inst.params).term(k).as_integer_ratio()
+    return HoradamSequence.of(inst.params).exact(k).as_integer_ratio()
 
 
 def _f3_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
@@ -506,12 +506,12 @@ def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tu
     sequence = HoradamSequence.of(inst.params)
     if e % 2:
         counter.count += 2
-        (an, ad), (bn, bd) = (sequence.term(k + 1).as_integer_ratio(),
-                              sequence.term(k - 1).as_integer_ratio())
+        (an, ad), (bn, bd) = (sequence.exact(k + 1).as_integer_ratio(),
+                              sequence.exact(k - 1).as_integer_ratio())
         q_num, q_den = inst.params.q.as_integer_ratio()
         return _over_disc(inst, e, an * bd * q_den - q_num * bn * ad, ad * bd * q_den)
     counter.count += 1
-    return _over_disc(inst, e, *sequence.term(k).as_integer_ratio())
+    return _over_disc(inst, e, *sequence.exact(k).as_integer_ratio())
 
 
 def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,

@@ -29,10 +29,11 @@ substitutes into it, and an alternating geometric sum is the f-form at -x.
 All values are exact. Summands and both oracles are rational: a
 :class:`SumTerm` takes an int or :class:`~fractions.Fraction` weight base,
 so every value the oracles add is an int or a ``Fraction`` (an int only
-where :func:`oracle_nested` passes an int weight and the value is
-integral), and both oracles return a ``Fraction``. Only :func:`master_E` and
-:func:`f_closed` also take :class:`~horadam_sums.exactnum.QuadExt`
-arguments, for the root-power routes that run in Q(sqrt(D)).
+where :func:`oracle_nested` passes an int weight, as it always does, and
+the value is integral), and both oracles return a ``Fraction``. Only
+:func:`master_E` and :func:`f_closed` also take
+:class:`~horadam_sums.exactnum.QuadExt` arguments, for the root-power
+routes that run in Q(sqrt(D)).
 """
 
 from __future__ import annotations
@@ -132,29 +133,32 @@ class SumTerm:
         ``u**(k - s)``, with ``s`` the first index of ``k``'s block, so the
         weight is a product of fewer than ``_BLOCK`` factors of ``u`` however
         long the range. A summand without a base, or with a base of 1, reads
-        no weight.
+        only whether the weight is an int, and :func:`oracle_nested` passes
+        it the int 1.
 
-        With an int weight read, the result is an int whenever it is integral
-        and a ``Fraction`` otherwise, so an integral sequence term, read once
-        as an int pair, costs one int product and no normalised
-        ``Fraction``. Every other call returns a ``Fraction``."""
+        With an int weight, the result is an int whenever it is integral
+        and a ``Fraction`` otherwise: the sequence term is read as its
+        window holds it (:meth:`~horadam_sums.sequences.HoradamSequence.exact`),
+        so an integral term costs one int product, none without a base, and
+        no ``Fraction`` at all. Every other call returns a ``Fraction``."""
         base = self._base
+        sequence = self._sequence
+        if type(weight) is int:
+            if sequence is None:
+                return 1 if base is None else weight
+            result = sequence.exact(self.index_mul * k + self.index_add)
+            if base is None:
+                return result
+            result = result * weight
+            # an int term gives an int product; a Fraction one may be integral
+            return result.numerator if result.denominator == 1 else result
         if base is not None and weight is None:
             weight = base ** k
-        sequence = self._sequence
         if sequence is None:
-            result = _ONE if base is None else weight
-        else:
-            result = sequence.term(self.index_mul * k + self.index_add)
-            if base is not None:
-                n, d = result.as_integer_ratio()
-                if d == 1:
-                    result = n * weight
-                else:
-                    result = result * weight
-                    if type(weight) is int and result.denominator == 1:
-                        result = result.numerator
-        return result
+            return _ONE if base is None else weight
+        j = self.index_mul * k + self.index_add
+        # the weight is a Fraction here, so the product is one
+        return sequence.term(j) if base is None else sequence.exact(j) * weight
 
 
 ONES = SumTerm()
@@ -226,7 +230,10 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     nested total is sum_k m_k * t(k), with the chain counts m_k of
     :func:`_chain_counts`, folded in over Python ints (an int value has
     denominator 1) on a common denominator that grows only with the sequence
-    terms' own. A summand without a weight base is summed as it comes.
+    terms' own. A summand without a weight base is read at the int weight 1,
+    which it multiplies by nothing, and summed as it comes: an integral term
+    arrives as the int its window holds, so neither loop builds or unwraps a
+    ``Fraction`` for it.
 
     With the weight base written ``u/v`` (``v > 0``), the range is folded by
     blocks of ``_BLOCK`` indices, by Horner's rule in ``v``. Inside the
@@ -264,7 +271,7 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     try:
         if base is None:
             for k, m in enumerate(counts, lo):
-                n, d = summand.value(k).as_integer_ratio()
+                n, d = summand.value(k, 1).as_integer_ratio()
                 made += 1
                 if d == den:
                     num += m * n
@@ -313,13 +320,22 @@ def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_
     :func:`_chain_counts`, taken before any summand call and never by
     :func:`oracle_nested`. The values never read it, and the mutation gate
     judges the kernel against the uncapped enumeration, so no kernel mutant
-    reaches the reference's values.
+    reaches the reference's values. When no lower limit passes the upper
+    one, every index of the innermost range heads at least one tuple, so a
+    range longer than ``cap`` is refused on that lower bound before any
+    count is made: the refusal costs the same at any range.
     """
     if counter is None:
         counter = EvalCounter()
     limits = spec.lower_limits
     if cap is not None:
-        expected = sum(_chain_counts(limits, spec.upper)) if spec.upper >= limits[-1] else 0
+        reached = max(limits) <= spec.upper
+        least = spec.upper - limits[0] + 1
+        if reached and least > cap:
+            raise NaiveCapExceededError(
+                f"at least {least} summand evaluations exceed the naive cap {cap}")
+        # a lower limit past the upper one leaves no tuple at all
+        expected = sum(_chain_counts(limits, spec.upper)) if reached else 0
         if expected > cap:
             raise NaiveCapExceededError(
                 f"{expected} summand evaluations exceed the naive cap {cap}")

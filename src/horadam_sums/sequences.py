@@ -23,15 +23,21 @@ index:
   forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``, itself a
   second-order recurrence (coefficients p/q and 1/q). Either way it is one
   walk on ints scaled by a common denominator, which grows by a fixed int
-  factor per step, and it makes one normalised ``Fraction`` per term it
-  stores.
+  factor per step. A stored term is its exact value: an int when it is
+  integral, as every term of an integral family read upwards is, and a
+  normalised ``Fraction`` only when it is not.
 * Every other index is computed, not stored, from the Lucas pair of
   (p, q) at half the index. Index doubling (Joye & Quisquater, "Efficient
   computation of full Lucas sequences", Electronics Letters 32(6), 1996)
   gives (U_k, V_k, q**k) at k = j // 2 in O(log |j|) integer products, and
   one product at full size, ``W[2k+o] = V_k*W[k+o] - q**k*W[o]``, gives the
-  term, summed over ints into one ``Fraction``. A negative index is read as
-  a positive one of the reversed recurrence.
+  term as an int numerator and denominator. A negative index is read as a
+  positive one of the reversed recurrence.
+* :meth:`HoradamSequence.term` and :func:`term` return the term as a
+  ``Fraction``; the package's own hot reads, the oracle's summand
+  and the closed forms' terms, take the exact value itself
+  (:meth:`HoradamSequence.exact`) and build no ``Fraction`` for an
+  integral term.
 * At most ``SHARED_CAP`` sequences are kept, least recently used first out.
 * U and V are values, not sequences: (U_j, V_j) comes off the same ladder,
   at most ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
@@ -50,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from threading import Lock
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
 
@@ -127,8 +133,9 @@ WALK_GAP = 64
 WINDOW_CAP = 1 << 14
 """Most terms one sequence's window holds. The benchmark's deep oracle reads
 windows of up to about 6,000 terms; a full window of a sequence growing by
-one bit per index takes about 19 MB, nearly all of it the terms' ints (the
-two lists take 0.14 MB of it)."""
+one bit per index takes about 18.3 MB, nearly all of it the terms' ints,
+each held as an int with no ``Fraction`` around it (the two lists take
+0.14 MB of it)."""
 
 SHARED_CAP = 64
 """Most sequences kept in the shared registry. It holds summand families
@@ -163,8 +170,28 @@ def _lucas_pair(big_p: int, big_q: int, n: int) -> Tuple[int, int, int]:
     return u, v, qk
 
 
+def _slot(num: int, den: int) -> Union[int, Fraction]:
+    """num/den as the window holds a term: an int when it is integral, else
+    a normalised ``Fraction``."""
+    # over 1 the term is num itself: no gcd and no division by 1, which on a
+    # 10**4-bit num cost several times a whole step of the window's walk
+    if den == 1:
+        return num
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
+
+
 def doubled_term(params: HoradamParams, j: int) -> Fraction:
-    """W[j] from the Lucas pair at half of j, with no walk and no memo.
+    """W[j] from the Lucas pair at half of j, with no walk and no memo."""
+    num, den = _doubled(params, j)
+    # over 1, Fraction(num) skips a gcd and a division
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _doubled(params: HoradamParams, j: int) -> Tuple[int, int]:
+    """W[j] as ints (num, den), den nonzero and not reduced, from the Lucas
+    pair at half of j: what :func:`doubled_term` and a far read of
+    :meth:`HoradamSequence.exact` are made of.
 
     With (m, P, Q) from :func:`_scaled_pq` and L = den a * den b, the ints
     Y_i = L*m**i*W[i] obey the recurrence (P, Q) from Y_0 = L*a and
@@ -190,24 +217,24 @@ def doubled_term(params: HoradamParams, j: int) -> Fraction:
         y, c = y1, big_p * y1 - 2 * big_q * y0
     else:
         y, c = y0, 2 * y1 - big_p * y0
-    num, den = v * ((c * u + y * v) // 2) - qk * y, ad * bd * m ** j
-    # over 1, as in the window's walk, Fraction(num) skips a gcd and a division
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    return v * ((c * u + y * v) // 2) - qk * y, ad * bd * m ** j
 
 
 class HoradamSequence:
     """Term evaluation at any integer index, in bounded memory.
 
-    The window ``[lo, hi]`` of stored terms is two lists of normalised
-    ``Fraction`` terms that only grow, each the walk in one direction from
-    the seeds: ``_up[i]`` is W[i] and ``_down[i]`` is W[1 - i], so both start
-    with W[0] and W[1], which the window always holds. A stored term costs
+    The window ``[lo, hi]`` of stored terms is two lists of exact terms
+    that only grow, each the walk in one direction from the seeds:
+    ``_up[i]`` is W[i] and ``_down[i]`` is W[1 - i], so both start with
+    W[0] and W[1], which the window always holds. A stored term costs
     one list slot and no index key. ``lo`` and ``hi`` are read off the
     lists' lengths (``_memo``, the range of stored indices, from ``_memo[0]``
     to ``_memo[-1]``), so they cannot drift from what is stored. A miss within
     ``WALK_GAP`` of the window walks the recurrence and appends what it
     passes, as long as the window stays within ``WINDOW_CAP`` terms; any
-    other index comes from :func:`doubled_term` and is not stored.
+    other index comes from index doubling and is not stored. A term is held
+    as an int when it is integral and as a normalised ``Fraction`` only when
+    it is not; :meth:`exact` reads it so, and :meth:`term` as a ``Fraction``.
 
     The walk steps k by s from the edge e, (e, s) = (hi, 1) upwards and
     (lo, -1) downwards, and starts from W_{e-s} and W_e, its list's last two
@@ -216,7 +243,8 @@ class HoradamSequence:
     X_k = A*X_{k-s} - B*X_{k-2s} with W_k = X_k / (L*g**(s*(k-e)+1)), where
     (A, B, g) is (P, Q, m) upwards and (P*m, m*m*Q, Q) downwards, the
     reversed recurrence W_k = (p/q)*W_{k+1} - (1/q)*W_{k+2} scaled by Q per
-    step. Each term is appended once it is whole.
+    step. Each term is appended once it is whole: ``X_k`` itself when the
+    scale is 1, as it always is upwards on an integral family.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
     of the same underlying sequence hit one window. The registry ``_shared``
@@ -249,8 +277,9 @@ class HoradamSequence:
 
     def __init__(self, params: HoradamParams):
         self.params = params
-        self._up: List[Fraction] = [params.a, params.b]
-        self._down: List[Fraction] = [params.b, params.a]
+        a, b = (_slot(num, den) for num, den in params._key[:2])
+        self._up: List[Union[int, Fraction]] = [a, b]
+        self._down: List[Union[int, Fraction]] = [b, a]
         self._lock = Lock()
         self._scaled = _scaled_pq(params._key[2:])
 
@@ -261,6 +290,13 @@ class HoradamSequence:
         return range(2 - len(self._down), len(self._up))
 
     def term(self, j: int) -> Fraction:
+        """W[j] as a ``Fraction``."""
+        value = self.exact(j)
+        return Fraction(value) if type(value) is int else value
+
+    def exact(self, j: int) -> Union[int, Fraction]:
+        """W[j] as the window holds it, from the window, a walk or doubling:
+        an int when it is integral, else a normalised ``Fraction``."""
         try:
             return self._up[j] if j >= 0 else self._down[1 - j]
         except IndexError:
@@ -270,7 +306,7 @@ class HoradamSequence:
                 # another walker may have moved the edges since the check
                 if self._reaches(j):
                     return self._walk(j)
-        return doubled_term(self.params, j)
+        return _slot(*_doubled(self.params, j))
 
     def _reaches(self, j: int) -> bool:
         """Whether ``j`` is within ``WALK_GAP`` of the window and a walk to it
@@ -279,7 +315,7 @@ class HoradamSequence:
         lo, hi = 2 - len(self._down), len(self._up) - 1
         return lo - WALK_GAP <= j <= hi + WALK_GAP and max(hi, j) - min(lo, j) < WINDOW_CAP
 
-    def _walk(self, j: int) -> Fraction:
+    def _walk(self, j: int) -> Union[int, Fraction]:
         """W[j], walked to from the window's edge on ``_up`` or ``_down``,
         which gain every term it passes; run under the lock. A ``j`` that
         another walker stored since the caller's check walks no step."""
@@ -296,9 +332,7 @@ class HoradamSequence:
         for _ in range(len(terms), i + 1):
             x0, x1 = x1, mul * x1 - sub * x0
             scale *= grow
-            # over 1, Fraction(x) skips a gcd and a division by 1, which on a
-            # 10**4-bit x cost several times a whole step
-            terms.append(Fraction(x1) if scale == 1 else Fraction(x1, scale))
+            terms.append(_slot(x1, scale))
         return terms[i]
 
     def __repr__(self) -> str:

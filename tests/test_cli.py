@@ -958,6 +958,35 @@ class TestLemmasCommand:
         assert code == 0
         assert "degenerate discriminant" in out
 
+    def test_each_failure_is_counted(self, capsys, monkeypatch):
+        # one wrong result from each of the four checked routes: the two unit
+        # counts, a root-shift residual and an odd-combination residual
+        import horadam_sums.combinatorics as combinatorics
+
+        argv = ("lemmas", "--seed", "0", "--points", "10")
+        code, passing, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def wrong_once(fn):
+            calls = []
+
+            def first_call_off_by_one(*args):
+                calls.append(args)
+                return fn(*args) + (1 if len(calls) == 1 else 0)
+            return first_call_off_by_one
+
+        for module, name in ((combinatorics, "binom_column_sum"), (cli, "nested_ones"),
+                             (cli, "lemma3_residual"), (cli, "lemma4_residual")):
+            monkeypatch.setattr(module, name, wrong_once(getattr(module, name)))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == cli.EXIT_MISMATCH
+        expected = passing.replace("unit-count identities: 776 checks, 0 failures",
+                                   "unit-count identities: 776 checks, 2 failures")
+        expected = expected.replace("1296 checks, 0 failures", "1296 checks, 1 failures")
+        expected = expected.replace("68 checks, 0 failures", "68 checks, 1 failures")
+        expected = expected.replace("lemmas: PASS", "lemmas: FAIL")
+        assert out == expected != passing
+
     @pytest.mark.parametrize("points,checks", [(400, 6156), (10, 1296)])
     def test_points_set_the_family_count(self, capsys, points, checks):
         # max(points // 20, 5) families, the D = 0 built-in skipped, 9 x 9 (r, d) x L1-L4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _util import binet_route, literal_nested_sum
+from _util import binet_route, literal_nested_sum, summand_fn
 import horadam_sums.nestedcore as nestedcore
 from horadam_sums.combinatorics import nested_ones
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
@@ -104,22 +105,46 @@ def test_value_with_weight_matches_power(base, seq, k):
 def test_value_is_linear_in_an_int_weight(base, seq, index_mul, k, weight):
     """value(k, w) is value(k) * w / weight_base**k for an int w, as the oracle
     passes it; with no sequence that is the weight itself, and a summand
-    without a base, or with a base of 1, reads no weight and gives a Fraction.
-    A weight read gives an int exactly when the value is integral: an integral
-    term takes the int product, and a non-integral one (W[j] at negative j
-    when |q| != 1, as INTEGER_ROOT's W[-1] = -1/2, or over rational p, q) a
-    Fraction product that may still be integral."""
+    without a base, or with a base of 1, reads only the weight's type and
+    gives value(k). Either way an int weight gives an int exactly when the
+    value is integral: an integral term takes the int product, or none, and
+    a non-integral one (W[j] at negative j when |q| != 1, as INTEGER_ROOT's
+    W[-1] = -1/2, or over rational p, q) a Fraction product that may still
+    be integral."""
     summand = SumTerm(seq=seq, index_mul=index_mul, index_add=-1, weight_base=base)
     weighted = summand.value(k, weight)
     if base is None or base == 1:
-        assert weighted == summand.value(k)
-        assert type(weighted) is Fraction
+        expected = summand.value(k)
+        assert weighted == expected
+        assert type(weighted) is (int if expected.denominator == 1 else Fraction)
     else:
         expected = summand.value(k) * weight / base ** k
         assert weighted == expected
         assert type(weighted) is (int if expected.denominator == 1 else Fraction)
         if seq is None:
             assert weighted == weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.none() | st.sampled_from([FIBONACCI, GENERIC, INTEGER_ROOT,
+                                        horadam(1, Fraction(1, 2), Fraction(-1, 3), 2)]),
+       index_mul=st.integers(-3, 3),
+       index_add=st.integers(-4, 4), k=st.integers(-12, 12),
+       weight=st.integers(-10 ** 30, 10 ** 30))
+@example(seq=INTEGER_ROOT, index_mul=1, index_add=0, k=-1, weight=1)   # W[-1] = -1/2
+@example(seq=INTEGER_ROOT, index_mul=1, index_add=0, k=2, weight=7)    # W[2] = 10
+@example(seq=None, index_mul=1, index_add=0, k=3, weight=0)
+def test_no_base_int_weight_gives_the_exact_term(seq, index_mul, index_add, k, weight):
+    """Without a base, an int weight of any size is read for its type alone:
+    value(k, w) is W[mk+s] (1 with no sequence), an int exactly when that
+    is integral, and value(k) is the same value as a Fraction."""
+    summand = SumTerm(seq=seq, index_mul=index_mul, index_add=index_add)
+    expected = summand_fn(summand)(k)
+    value = summand.value(k, weight)
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+    plain = summand.value(k)
+    assert plain == expected and type(plain) is Fraction
 
 
 class TestSpec:
@@ -481,9 +506,9 @@ class TestSummandCalls:
     innermost range, in order, on ranges of one block and of several: the
     benchmark's traced run checks its oracle terms against depth times these
     calls, and a batch summand path would break that. Each call passes an
-    int weight (None when the summand reads none), so no index costs a
-    normalised ``Fraction`` power, and an index whose sequence term is
-    integral gets an int back and builds no ``Fraction`` at all. The weight
+    int weight, so no index costs a normalised ``Fraction`` power, and an
+    index whose sequence term is integral gets an int back and builds no
+    ``Fraction`` at all, with a base or without one. The weight
     is a power of the base's numerator that restarts at each block, so it
     is bounded by the block, not by the range."""
 
@@ -510,10 +535,7 @@ class TestSummandCalls:
     def test_weights_are_ints(self, spec, calls):
         oracle_nested(spec)
         for _, weight in calls:
-            if spec.term.weight_base in (None, 1):
-                assert weight is None
-            else:
-                assert type(weight) is int
+            assert type(weight) is int
 
     @pytest.mark.parametrize("spec", KERNEL_CASES)
     def test_weights_are_bounded_by_the_block(self, spec, calls):
@@ -583,6 +605,33 @@ class TestNaiveStandsAlone:
         value = oracle_nested_naive(spec, counter=counter)
         assert type(value) is Fraction and value == expected
         assert len(calls) == counter.count == tuples
+
+    def test_long_range_refused_in_bounded_memory(self, monkeypatch):
+        # 2,000,001 indices each head a chain: refused on that bound alone,
+        # with no chain-count list of the range's length
+        spec = NestedSumSpec(3, 2_000_000, 0)
+        calls = self._without_kernel(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NaiveCapExceededError) as refused:
+                oracle_nested_naive(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(refused.value) == ("at least 2000001 summand evaluations exceed "
+                                      f"the naive cap {nestedcore.DEFAULT_NAIVE_CAP}")
+        assert calls == []
+
+    def test_a_limit_past_the_upper_one_counts_no_tuple(self, monkeypatch):
+        # a middle level above the upper limit leaves no chain, however long
+        # the innermost range; a cap of 0 still admits it
+        spec = NestedSumSpec(3, 2_000_000, (0, 2_000_001, 0))
+        calls = self._without_kernel(monkeypatch)
+        assert oracle_nested_naive(NestedSumSpec(3, 50, (0, 51, 0)), cap=0) == 0
+        with pytest.raises(NaiveCapExceededError, match="^0 summand evaluations exceed"):
+            oracle_nested_naive(spec, cap=-1)
+        assert calls == []
 
     def test_refusal_makes_no_summand_call(self, monkeypatch):
         spec = NestedSumSpec(6, 40, 1, SumTerm(seq=FIBONACCI))

@@ -351,6 +351,89 @@ class TestLucasCompanions:
             assert second_kind_term(params, j) == doubled_term(lucas_second_kind(p, q), j)
 
 
+RATIONAL = horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3))
+
+
+def _exact_type(value: Fraction) -> type:
+    """The type the window holds a term of this value as."""
+    return int if value.denominator == 1 else Fraction
+
+
+class TestExactSlots:
+    """A window slot holds its term's exact value: an int when the term is
+    integral, a normalised ``Fraction`` only when it is not. ``exact`` reads
+    it so from the window, a walk or doubling, and ``term`` as a Fraction."""
+
+    @pytest.mark.parametrize("params,lo,hi", [
+        (FIBONACCI, -600, 6002),                  # |q| = 1: ints both ways
+        (horadam(1, 4, 3, 2), -600, 6002),        # integer_root: W[-1] = -1/2
+        (RATIONAL, -300, 300),
+    ], ids=["fibonacci", "integer_root", "rational"])
+    def test_slots_are_ints_exactly_when_integral(self, params, lo, hi):
+        # one index at a time, as the oracle reads a deep-oracle-sized window
+        seq = HoradamSequence(params)
+        walked = walk_terms(params, lo, hi)
+        for j in [*range(2, hi + 1), *range(-1, lo - 1, -1)]:
+            seq.exact(j)
+        assert (seq._memo[0], seq._memo[-1]) == (lo, hi)
+        slots = {**{j: x for j, x in enumerate(seq._up)},
+                 **{1 - i: x for i, x in enumerate(seq._down)}}
+        assert slots == walked
+        types = {type(x) for x in slots.values()}
+        assert all(type(x) is _exact_type(walked[j]) for j, x in slots.items())
+        if params == FIBONACCI:
+            assert types == {int}
+        else:
+            assert types == {int, Fraction}
+        if params == horadam(1, 4, 3, 2):
+            assert slots[-1] == Fraction(-1, 2) and all(type(x) is int for x in seq._up)
+
+    @pytest.mark.parametrize("p,q", COMPANION_PQ)
+    @pytest.mark.parametrize("family", ["horadam", "first_kind", "second_kind"])
+    def test_exact_read_matches_walk(self, p, q, family):
+        # (1, 1)'s U and V are integral at every j, (3, 2)'s only upwards;
+        # reading -300 upwards from a fresh window doubles, then walks down
+        # from the gap's edge, hits, and walks up one step at a time
+        params = {"horadam": horadam(Fraction(3, 2), -1, p, q),
+                  "first_kind": lucas_first_kind(p, q),
+                  "second_kind": lucas_second_kind(p, q)}[family]
+        seq = HoradamSequence(params)
+        walked = walk_terms(params, -300, 300)
+        for _ in range(2):  # the second pass hits the window or doubles again
+            for j in range(-300, 301):
+                value = seq.exact(j)
+                assert value == walked[j] and type(value) is _exact_type(walked[j])
+
+    def test_term_is_a_fraction_on_every_path(self):
+        seq = HoradamSequence(horadam(1, 4, 3, 2))
+        reads = {"hit": 1, "walk": 40, "hit after walk": 20, "doubled": 10 ** 4,
+                 "doubled below": -10 ** 3, "walk below": -5}
+        for path, j in reads.items():
+            value = seq.term(j)
+            assert type(value) is Fraction, path
+            assert value == doubled_term(seq.params, j)
+        assert type(seq.exact(40)) is int and type(seq.exact(-5)) is Fraction
+        assert type(term(FIBONACCI, 7)) is Fraction
+        assert type(doubled_term(FIBONACCI, 10 ** 4)) is Fraction
+
+    def test_a_wrong_slot_shows_in_lemma4(self):
+        # lemma4_residual reads W[j+1] and W[j-1] through term(): a wrong int
+        # in the window's slot for W[6] must give a nonzero residual at j = 5
+        params = horadam(2, 5, 1, 3)  # the built-in "generic" restricted family
+        seq = HoradamSequence.of(params)
+        seq.term(8)
+        slot = seq._up[6]
+        assert type(slot) is int
+        assert lemma4_residual(params, 5) == 0
+        seq._up[6] = slot + 1
+        try:
+            assert lemma4_residual(params, 5) != 0
+            assert lemma4_residual(params, 3) == 0  # W[4], W[2] untouched
+        finally:
+            seq._up[6] = slot
+        assert lemma4_residual(params, 5) == 0
+
+
 class TestBinetView:
     def test_fibonacci_term(self):
         view = BinetView(FIBONACCI)

@@ -27,11 +27,14 @@ preconditions (``_violation`` and every ``_*_violation``), and, in
 ``oracle_nested`` (its int weights and its Horner fold by blocks) with its chain
 counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
-in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (``term``,
-its policy ``_reaches``, its walk ``_walk`` and the range of stored indices
-``_memo`` read off its lists) and the far term ``doubled_term`` (one
-product on the Lucas pair at half the index, and the reversed recurrence
-for a negative one) with its ladder
+in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (its
+read ``exact``, which gives a term as the window holds it, an int when it
+is integral, and ``term``, which gives it as a ``Fraction``, its policy
+``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as
+and the range of stored indices ``_memo`` read off its lists) and the far
+term ``doubled_term`` with its ints ``_doubled`` (one product on the Lucas
+pair at half the index, and the reversed recurrence for a negative one)
+with its ladder
 ``_lucas_pair``, the Lucas companions ``_lucas_terms`` read off that ladder,
 and the int scaling ``_scaled_pq`` they all share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
@@ -41,7 +44,7 @@ mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
 class, a precondition or closed-form part also in every field of the theorem
 shapes that hold it), so every caller (``evaluate_rhs`` through the registry,
-validation, ``verify``, ``f_closed``, ``HoradamSequence.term``, both oracles) runs it;
+validation, ``verify``, ``f_closed``, ``HoradamSequence.exact``, both oracles) runs it;
 it is also bound to the names ``identities``, ``tests/_util.py``
 and this script import it under, so a mutated ``oracle_nested`` is what the
 closed forms are compared with and a mutated ``f_closed`` is what the Binet
@@ -77,7 +80,8 @@ count differs from the enumeration ``oracle_nested_naive`` (made once per
 case; the long cases span one, two and several blocks of the fold). A summand
 mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
 the product of a plain recurrence walk's term and the power ``base**k`` on
-``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w;
+``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w (the
+walked term itself, at every int w, for a summand without a base);
 or as a geometric one is, or when a closed form misses the oracle as above:
 ``oracle_nested_naive`` calls ``SumTerm.value`` too, so the kernel cases
 cannot see it. A geometric
@@ -94,12 +98,13 @@ walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or
 ``_lucas_terms`` misses, in value or exact type, the walks of
 ``lucas_first_kind`` and ``lucas_second_kind`` of those families' (p, q)
 there, or when a fresh
-``HoradamSequence`` misses it, in value or exact type, on the reads
-``WINDOW_READS`` of each of those families and on reads a gap apart up to
-and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a window, in its
-bounds, its length or the terms its two lists hold, other than the walk
-policy gives; both sides of an identity read the same terms, so lhs == rhs
-cannot see a wrong one. ``_lucas_terms`` is judged through its
+``HoradamSequence`` misses it, in value or exact type (from ``exact`` an
+int exactly when the term is integral, from ``term`` a ``Fraction``), on
+the reads ``WINDOW_READS`` of each of those families and on reads a gap
+apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a
+window, in its bounds, its length or the terms its two lists hold and
+their types, other than the walk policy gives; both sides of an identity
+read the same terms, so lhs == rhs cannot see a wrong one. ``_lucas_terms`` is judged through its
 ``__wrapped__``, past its cache, so a value made while a ``_lucas_pair`` or
 ``_scaled_pq`` mutant is installed is never cached for later readers, and a
 value cached before it cannot hide it.
@@ -173,17 +178,19 @@ KNOWN_SURVIVORS = {
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
     "oracle_nested: scale_num, scale_den = (u ** lo, v ** lo) if lo >= 1 else (v ** (-lo), "
     "u ** (-lo))": "at lo = 0 both branches raise u and v to the power 0, which is 1",
-    "HoradamSequence.term: return self._up[j] if j > 0 else self._down[1 - j]":
+    "HoradamSequence.exact: return self._up[j] if j > 0 else self._down[1 - j]":
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
-    "HoradamSequence.term: return self._up[j] if j >= 1 else self._down[1 - j]":
+    "HoradamSequence.exact: return self._up[j] if j >= 1 else self._down[1 - j]":
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
+    "oracle_nested: n, d = summand.value(k, 2).as_integer_ratio()": "a summand without "
+    "a base reads only whether its weight is an int, and 2 is one as 1 is",
     "HoradamSequence._walk: if j > 0:": "a walk's j lies outside [lo, hi], which holds 0 "
     "and 1, so j is never 0",
     "HoradamSequence._walk: if j >= 1:": "a walk's j lies outside [lo, hi], which holds 0 "
     "and 1, so j is never 0",
-    "doubled_term: if j <= 0:": "at j = 0 the reversed recurrence's term 0 is a, as the "
+    "_doubled: if j <= 0:": "at j = 0 the reversed recurrence's term 0 is a, as the "
     "forward one's is",
-    "doubled_term: if j < 1:": "at j = 0 the reversed recurrence's term 0 is a, as the "
+    "_doubled: if j < 1:": "at j = 0 the reversed recurrence's term 0 is a, as the "
     "forward one's is",
     "_lucas_terms: if j <= 0:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
     "_lucas_terms: if j < 1:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
@@ -199,8 +206,8 @@ _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lucas_terms", "doubled_term",
-                    "HoradamSequence.term",
+SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lucas_terms", "doubled_term", "_doubled",
+                    "_slot", "HoradamSequence.term", "HoradamSequence.exact",
                     "HoradamSequence._reaches", "HoradamSequence._walk",
                     "HoradamSequence._memo")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
@@ -254,13 +261,15 @@ CAP_FAMILY = sq.horadam(2, -1, 1, -1)
 
 # summands whose value SumTerm.value must give: rational bases (one of them
 # with a numerator other than 1), a negative base, an index multiplier other
-# than 1, negative indices with non-integral terms, and no sequence
+# than 1, negative indices with non-integral terms, no sequence, and no base
+# on a family whose window holds ints (k <= 1) and Fractions (k >= 2)
 SUMMAND_CASES = (nc.SumTerm(seq=SEQUENCE_FAMILIES[0], index_mul=2, index_add=-1,
                             weight_base=Fraction(2, 3)),
                  nc.SumTerm(seq=sq.horadam(1, 4, 3, 2), index_mul=1, index_add=0,
                             weight_base=Fraction(3, 2)),
                  nc.SumTerm(seq=sq.horadam(1, 4, 3, 2), index_mul=-1, index_add=1),
-                 nc.SumTerm(weight_base=Fraction(-5, 2)))
+                 nc.SumTerm(weight_base=Fraction(-5, 2)),
+                 nc.SumTerm())
 SUMMAND_WEIGHTS = (1, 3, 2 ** 12)
 
 # (x, y) for f_closed, and (-x, y) for its alternating sum, against the
@@ -447,7 +456,8 @@ def _summand_broken() -> bool:
     """True when ``SumTerm.value`` misses, in value or exact type, a walked
     term times ``base**k`` (``tests/_util.py::summand_fn``), or
     ``value(k) * w / base**k`` for an int weight ``w`` (an int exactly when
-    that is integral)."""
+    that is integral); a summand without a base reads only whether ``w`` is
+    an int, so it must give the walked term itself at every int ``w``."""
     for summand in SUMMAND_CASES:
         expected_at = _util.summand_fn(summand)
         for k in range(-12, 13):
@@ -455,10 +465,9 @@ def _summand_broken() -> bool:
             value = summand.value(k)
             if value != expected or type(value) is not Fraction:
                 return True
-            if summand.weight_base is None:
-                continue
             for weight in SUMMAND_WEIGHTS:
-                scaled = expected * weight / summand.weight_base ** k
+                scaled = expected if summand.weight_base is None \
+                    else expected * weight / summand.weight_base ** k
                 value = summand.value(k, weight)
                 if value != scaled or type(value) is not (
                         int if scaled.denominator == 1 else Fraction):
@@ -470,15 +479,25 @@ def _summand_broken() -> bool:
 _walked = lru_cache(maxsize=None)(_util.walk_terms)
 
 
+def _exact_type(value: Fraction) -> type:
+    """int when ``value`` is integral, else Fraction: how a window holds it."""
+    return int if value.denominator == 1 else Fraction
+
+
 def _window_broken(seq, walked: dict, reads) -> bool:
-    """True when a read of ``seq`` misses ``walked`` in value or exact type,
-    or leaves a window other than the one the walk policy gives: a read
-    within ``WALK_GAP`` of the window's edge that keeps it under
+    """True when a read of ``seq`` misses ``walked`` in value or exact type
+    (``exact`` an int exactly when the term is integral, ``term`` a
+    Fraction), or leaves a window other than the one the walk policy gives:
+    a read within ``WALK_GAP`` of the window's edge that keeps it under
     ``WINDOW_CAP`` terms extends it to the index; any other read leaves it.
     The window [lo, hi] is held as ``_up``, W[0..hi] in order, and
-    ``_down``, W[1], W[0], W[-1], ... down to W[lo]."""
+    ``_down``, W[1], W[0], W[-1], ... down to W[lo], each slot in its
+    term's exact type."""
     lo, hi = 0, 1
     for j in reads:
+        value = seq.exact(j)
+        if value != walked[j] or type(value) is not _exact_type(walked[j]):
+            return True
         value = seq.term(j)
         if value != walked[j] or type(value) is not Fraction:
             return True
@@ -486,8 +505,10 @@ def _window_broken(seq, walked: dict, reads) -> bool:
             lo, hi = min(lo, j), max(hi, j)
         if (seq._memo[0], seq._memo[-1]) != (lo, hi) or len(seq._memo) != hi - lo + 1:
             return True
+    slots = [*zip(seq._up, range(hi + 1)), *zip(seq._down, range(1, lo - 1, -1))]
     return seq._up != [walked[k] for k in range(hi + 1)] \
-        or seq._down != [walked[k] for k in range(1, lo - 1, -1)]
+        or seq._down != [walked[k] for k in range(1, lo - 1, -1)] \
+        or any(type(slot) is not _exact_type(walked[k]) for slot, k in slots)
 
 
 def _companions_broken(params) -> bool:
