@@ -183,9 +183,9 @@ def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int,
             check_cost(n, min(a_values), c, r, s, d)
             check_cost(n, max(a_values), c, r, s, d)
         except argparse.ArgumentTypeError:
+            # the refused extreme is one of the points, so this loop raises
             for a_n in a_values:
                 check_cost(n, a_n, c, r, s, d)
-            raise  # not reached: the refused extreme is one of the points
         ranges = [a_n - c + 1 for a_n in a_values if a_n >= c]
         total += n * sum(ranges)
         if naive:
@@ -672,11 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:  # pragma: no cover - argparse exits first
-        parser.error(str(exc))
+    args = build_parser().parse_args(argv)
     # Values the cost caps accept can run past the interpreter's limit on
     # int-to-str digits (4300 by default; F[25001] has 5225). The command
     # prints them in full and puts the limit back for library callers.

@@ -90,10 +90,6 @@ class QuadExt:
     def surd_part(self) -> Fraction:
         return self._v
 
-    @property
-    def disc(self) -> Fraction:
-        return self._d
-
     def conjugate(self) -> QuadExt:
         return QuadExt._of(self._u, -self._v, self._d)
 

@@ -335,10 +335,6 @@ class HoradamSequence:
             terms.append(_slot(x1, scale))
         return terms[i]
 
-    def __repr__(self) -> str:
-        pr = self.params
-        return f"HoradamSequence(a={pr.a}, b={pr.b}, p={pr.p}, q={pr.q})"
-
 
 def term(params: HoradamParams, j: int) -> Fraction:
     """Exact term at index ``j`` (negative indices allowed)."""

@@ -385,6 +385,26 @@ def test_command_cap_leaves_headroom():
     assert cli.MAX_COMMAND_TERMS >= cli.MAX_ORACLE_TERMS + cli.DEFAULT_NAIVE_CAP
 
 
+def test_out_dash_writes_to_stdout(capsys):
+    point = ("verify", "--identity", "F3", "--family", "fibonacci", "--n", "2", "--an", "3")
+    plain = run_cli(capsys, *point)
+    assert plain[0] == 0 and plain[1]
+    assert run_cli(capsys, *point, "--out", "-") == plain
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--identity", "F3", "--family", "fibonacci", "--n", "2", "--an", "3"], 0),
+    (["verify", "--identity", "F3", "--n", "1", "--an", "3"], 2),
+], ids=["verified", "usage"])
+def test_console_script_exits_with_the_command_status(capsys, monkeypatch, argv, code):
+    # the console script reads sys.argv and exits with main's status
+    monkeypatch.setattr(sys, "argv", ["horadam-sums", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.entrypoint()
+    assert excinfo.value.code == code
+    assert capsys.readouterr() == run_cli(capsys, *argv)[1:]
+
+
 def test_output_file_closed_when_the_work_raises(tmp_path):
     with pytest.raises(RuntimeError):
         with cli._output(str(tmp_path / "out.txt")) as out:

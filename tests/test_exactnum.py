@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,36 @@ class TestQuadExtBasics:
     def test_str(self):
         assert str(QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)) == "1/2 - 1/2*sqrt(5)"
         assert str(QuadExt(2, 0, 5)) == "2"
+
+    def test_repr(self):
+        assert repr(QuadExt(Fraction(1, 2), -3, 5)) == "QuadExt(1/2, -3, disc=5)"
+
+    def test_missing_discriminant_is_a_type_error(self):
+        with pytest.raises(TypeError, match="explicit discriminant"):
+            QuadExt(1, 2)
+
+    def test_irrational_hash_is_structural(self):
+        x = QuadExt(1, 2, 5)
+        assert hash(x) == hash(QuadExt(Fraction(3, 3), Fraction(4, 2), 5))
+        assert len({x, QuadExt(1, 2, 5), QuadExt(1, 2, 7), QuadExt(1, -2, 5)}) == 3
+
+    @pytest.mark.parametrize("other", [object(), 0.5], ids=["object", "float"])
+    @pytest.mark.parametrize("method", ["__eq__", "__add__", "__radd__", "__sub__", "__rsub__",
+                                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                                        "__pow__"])
+    def test_an_inexact_operand_is_not_implemented(self, method, other):
+        # only ints, Fractions and QuadExt combine; anything else, a float
+        # too, is left to the other operand, so Python refuses the mix
+        x = QuadExt(1, 2, 5)
+        assert getattr(x, method)(other) is NotImplemented
+        if method == "__eq__":
+            assert x != other and other != x
+        elif method.startswith("__r"):
+            with pytest.raises(TypeError):
+                getattr(operator, method.replace("__r", "__"))(other, x)
+        else:
+            with pytest.raises(TypeError):
+                getattr(operator, method)(x, other)
 
 
 class TestQuadExtPow:

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from _util import binet_route, literal_nested_sum
+import horadam_sums.cli as cli
 import horadam_sums.identities as identities
 from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE,
                                      CLASS_SKIPPED, CLASS_VERIFIED, EvaluationReport,
@@ -133,6 +134,19 @@ class TestInstanceValidation:
     def test_gibonacci_shape_enforced(self):
         with pytest.raises(InvalidInstanceError):
             inst(IdentityId.F3_G, params=GENERIC, n=1, a_n=2)
+
+    @pytest.mark.parametrize("family", ["negative_d", "generic"])
+    def test_gibonacci_form_refuses_p_one_with_another_q(self, capsys, family):
+        # p = 1 passes the check's first half, so q != -1 alone refuses,
+        # in the library and as the CLI's skipped point
+        params = FAMILIES[family]
+        assert params.p == 1 and params.q != -1
+        with pytest.raises(InvalidInstanceError,
+                           match="^F3_G: gibonacci form requires p = 1, q = -1$"):
+            inst(IdentityId.F3_G, params=params, n=1, a_n=2)
+        assert cli.main(["verify", "--identity", "F3_G", "--family", family,
+                         "--n", "1", "--an", "2"]) == 0
+        assert capsys.readouterr().out == "skipped: F3_G: gibonacci form requires p = 1, q = -1\n"
 
     def test_restricted_shape_enforced(self):
         with pytest.raises(InvalidInstanceError):

@@ -226,6 +226,9 @@ class TestFandG:
             f_closed(Fraction(2), Fraction(2), 1, 3, 1)
         with pytest.raises(PoleError):
             f_closed(Fraction(0), Fraction(2), 1, 3, 1)
+        # not a bare ZeroDivisionError from x / y in master_E
+        with pytest.raises(PoleError, match="nonzero"):
+            f_closed(Fraction(2), Fraction(0), 1, 3, 1)
 
     @pytest.mark.parametrize("x,y", [(Fraction(3), Fraction(2)), (Fraction(1), Fraction(3)),
                                      (Fraction(-2), Fraction(5)), (Fraction(1, 2), Fraction(3))])

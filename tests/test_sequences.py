@@ -56,6 +56,11 @@ class TestParams:
         assert repr(params) == ("HoradamParams(a=Fraction(3, 2), b=Fraction(-1, 1), "
                                 "p=Fraction(5, 2), q=Fraction(-2, 3))")
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        # not even the tuple of its own fields: no coercion across types
+        assert FIBONACCI.__eq__((0, 1, 1, -1)) is NotImplemented
+        assert FIBONACCI != (0, 1, 1, -1) and FIBONACCI != object()
+
 
 class TestTerm:
     def test_fibonacci(self):
@@ -490,6 +495,19 @@ class TestLemma3:
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             lemma3_residual(1, -1, 1, 1, "L5")
+
+    @pytest.mark.parametrize("which", ["L1", "L2", "L3", "L4"])
+    def test_a_wrong_ladder_shows_in_each_residual(self, monkeypatch, which):
+        # U and V each read one too high: at r = 0 the residuals are -sigma**d,
+        # -tau**d, sigma**d * delta and -tau**d * delta, never zero, so a
+        # residual that does not read the ladder fails here
+        monkeypatch.setattr("horadam_sums.sequences.first_kind_term",
+                            lambda params, j: first_kind_term(params, j) + 1)
+        monkeypatch.setattr("horadam_sums.sequences.second_kind_term",
+                            lambda params, j: second_kind_term(params, j) + 1)
+        for p, q in TEST_PQ:
+            for d in range(-3, 4):
+                assert lemma3_residual(p, q, 0, d, which) != 0
 
     @pytest.mark.parametrize("which", ["L1", "L2", "L3", "L4"])
     @pytest.mark.parametrize("p,q", TEST_PQ)
