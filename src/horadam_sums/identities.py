@@ -38,15 +38,24 @@ reversed limits, sum_{k=a}^{b} = -sum_{k=b+1}^{a-1} when b < a - 1 (Karr,
 checks this at every such point of the default grids.
 
 The work of a grid line, one (tag, family, n, c, r, s, d) with a_n varying,
-that does not depend on a_n is done once per line: :func:`evaluate_line`
-validates the line by one instance and builds its points from it, so they
-share its :class:`_Line` (the left-hand summand and the closed form's line
-part, each made when a point first needs it). An instance built alone has a
-line of its own. The closed form's terms are exchanged as (numerator,
-denominator) int pairs and its line part holds ints only, so a point is
-finished on ints in one normalised ``Fraction``, reduced by the factors of
-its denominator rather than by one gcd with the whole of it (see
-:func:`_lifted_reduced`); its left-hand spec and its
+that does not depend on a_n is done once per line, on ints:
+:func:`evaluate_line` validates the line by one instance and builds its
+points from it, so they share its :class:`_Line` (the left-hand summand and
+the closed form's line part, each made when a point first needs it). An
+instance built alone has a line of its own. Validation tests the int pairs
+(numerator, denominator) of U_j and V_j (``first_kind_pair``,
+``second_kind_pair``), of p, q and D and the exact terms W_j for zero; each
+shape's ratio and base are int pairs in lowest terms over a positive
+denominator, built from those of U_j, V_j, q**j and W_j; and each left-hand
+summand builds its one ``Fraction``, its weight base, from the same ints
+but apart from the closed form's base, so the oracle stays independent of
+the closed form. On a family whose terms are all integers, an instance and
+its closed form run no ``Fraction`` code. The closed form's terms are
+exchanged as int pairs too and its line part holds ints only, read from
+the far end of the line so that a cold window walks once (see
+:func:`_lifted_line`); a point is finished on ints in one ``Fraction``,
+reduced by the factors of its denominator rather than by one gcd with the
+whole of it (see :func:`_lifted_reduced`); its left-hand spec and its
 report are built without their frozen dataclass constructors. The closed
 form's parts are module functions given the instance and the counter, so a
 point builds no closure, and the two sides are compared as ints: an
@@ -67,8 +76,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .combinatorics import binom
 from .nestedcore import (EvalCounter, NestedSumSpec, PoleError, SumTerm, _check_int,
                          oracle_nested)
-from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence,
-                        first_kind_term, gibonacci, horadam, second_kind_term)
+from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence, _lowest,
+                        first_kind_pair, gibonacci, horadam, second_kind_pair)
 
 
 class IdentityId(str, Enum):
@@ -123,8 +132,10 @@ FAMILIES: Dict[str, HoradamParams] = {
 
 class _Line:
     """The a_n-free work of one instance's grid line, shared with the points
-    :meth:`IdentityInstance._at` builds from it: the left-hand ``summand``
-    and the closed form's line part, all ints, with its index step and
+    :meth:`IdentityInstance._at` builds from it: the left-hand ``summand``,
+    whose weight base is the line's one ``Fraction`` built from ints, and
+    the closed form's line part (:func:`_lifted_line`), all ints, made from
+    the int pairs of the shape's ratio and base, with its index step and
     multiplier and the counter units it cost (``closed``, see
     :func:`evaluate_rhs`), each filled when a point first needs it and
     written once it is whole. Only numbers and the summand are kept, never
@@ -195,13 +206,15 @@ _RESTRICTED = "restricted"
 _GIBONACCI = "gibonacci"
 
 def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
-    """The first precondition of ``record`` that ``inst`` violates, if any."""
-    p, q = inst.params.p, inst.params.q
+    """The first precondition of ``record`` that ``inst`` violates, if any.
+    Every test is made on ints: p and q as their (numerator, denominator)
+    pairs, and U, V, W and D by their numerators."""
+    p, q = inst.params._key[2:]
     if inst.n < 1:
         return "n must be a positive integer"
-    if record.family == _RESTRICTED and p != 1:
+    if record.family == _RESTRICTED and p != (1, 1):
         return "restricted form requires p = 1"
-    if record.family == _GIBONACCI and (p != 1 or q != -1):
+    if record.family == _GIBONACCI and (p != (1, 1) or q != (-1, 1)):
         return "gibonacci form requires p = 1, q = -1"
     if record.parity is not None and inst.n % 2 != record.parity:
         return f"n must be {('even', 'odd')[record.parity]} for this variant"
@@ -215,9 +228,11 @@ def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
 # Theorem shapes: what a theorem and its specializations share
 # ---------------------------------------------------------------------------
 
-# (inst, counter, r, d) -> (ratio, base), and (inst, counter, e, k) -> T(e, k)
-RatioBase = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[Fraction, Fraction]]
-Term = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[int, int]]
+# (inst, counter, r, d) -> (ratio, base), and (inst, counter, e, k) -> T(e, k),
+# each value an int pair (numerator, denominator)
+Pair = Tuple[int, int]
+RatioBase = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[Pair, Pair]]
+Term = Callable[[IdentityInstance, EvalCounter, int, int], Pair]
 
 
 @dataclass(frozen=True)
@@ -244,20 +259,25 @@ class _Shape:
 
 
 def _v_r_violation(inst: IdentityInstance) -> Optional[str]:
-    if second_kind_term(inst.params, inst.r) == 0:
+    if second_kind_pair(inst.params, inst.r)[0] == 0:
         return f"V_{inst.r} = 0"
     return None
 
 
+# The summands' weight bases are read off the left-hand displays, apart from
+# the closed forms' ratios and bases, each built as one Fraction from ints.
+
 def _f3_summand(inst: IdentityInstance) -> SumTerm:
     params = inst.params
+    vn, vd = second_kind_pair(params, inst.r)
     return SumTerm(seq=params, index_mul=inst.r, index_add=inst.s,
-                   weight_base=1 / second_kind_term(params, inst.r))
+                   weight_base=Fraction(vd, vn))
 
 
 def _f4_summand(inst: IdentityInstance) -> SumTerm:
+    qn, qd, _ = _lifted_power(*inst.params._key[3], -inst.r)
     return SumTerm(seq=inst.params, index_mul=2 * inst.r, index_add=inst.s,
-                   weight_base=-inst.params.q ** -inst.r)
+                   weight_base=Fraction(-qn, qd))
 
 
 def _f5_violation(inst: IdentityInstance) -> Optional[str]:
@@ -267,35 +287,37 @@ def _f5_violation(inst: IdentityInstance) -> Optional[str]:
     if r + d == 0:
         return "r + d must be nonzero"
     for j, note in ((r, ""), (r + d, ""), (d, " (degenerate weight base)")):
-        if first_kind_term(inst.params, j) == 0:
+        if first_kind_pair(inst.params, j)[0] == 0:
             return f"U_{j} = 0{note}"
     return None
 
 
 def _f5_summand(inst: IdentityInstance) -> SumTerm:
     params, r, d = inst.params, inst.r, inst.d
+    (un, ud), (wn, wd) = first_kind_pair(params, d), first_kind_pair(params, r + d)
     return SumTerm(seq=params, index_mul=r, index_add=inst.s,
-                   weight_base=first_kind_term(params, d) / first_kind_term(params, r + d))
+                   weight_base=Fraction(un * wd, ud * wn))
 
 
 def _f6_violation(inst: IdentityInstance) -> Optional[str]:
     r, d = inst.r, inst.d
     if r == 0:
         return "r must be nonzero"
-    if inst.params.discriminant == 0:
+    if inst.params._discriminant[0] == 0:
         return "discriminant must be nonzero"
-    if first_kind_term(inst.params, r) == 0:
+    if first_kind_pair(inst.params, r)[0] == 0:
         return f"U_{r} = 0"
     for j, note in ((r + d, ""), (d, " (degenerate weight base)")):
-        if second_kind_term(inst.params, j) == 0:
+        if second_kind_pair(inst.params, j)[0] == 0:
             return f"V_{j} = 0{note}"
     return None
 
 
 def _f6_summand(inst: IdentityInstance) -> SumTerm:
     params, r, d = inst.params, inst.r, inst.d
+    (vn, vd), (wn, wd) = second_kind_pair(params, d), second_kind_pair(params, r + d)
     return SumTerm(seq=params, index_mul=r, index_add=inst.s,
-                   weight_base=second_kind_term(params, d) / second_kind_term(params, r + d))
+                   weight_base=Fraction(vn * wd, vd * wn))
 
 
 def _f7_violation(inst: IdentityInstance) -> Optional[str]:
@@ -303,7 +325,7 @@ def _f7_violation(inst: IdentityInstance) -> Optional[str]:
     if r + 1 == d:
         return "r + 1 = d makes the leading denominator index zero"
     for j, note in ((r - d + 1, ""), (r - d, " (degenerate weight base)")):
-        if first_kind_term(inst.params, j) == 0:
+        if first_kind_pair(inst.params, j)[0] == 0:
             return f"U_{j} = 0{note}"
     seq = HoradamSequence.of(inst.params)
     for j, note in ((s + d, ""), (s + d - 1, " (degenerate weight base)"), (r + s, "")):
@@ -315,8 +337,11 @@ def _f7_violation(inst: IdentityInstance) -> Optional[str]:
 def _f7_summand(inst: IdentityInstance) -> SumTerm:
     params, r, s, d = inst.params, inst.r, inst.s, inst.d
     seq = HoradamSequence.of(params)
-    return SumTerm(weight_base=params.q * first_kind_term(params, r - d)
-                   / first_kind_term(params, r - d + 1) * seq.term(s + d - 1) / seq.term(s + d))
+    (qn, qd), (un, ud), (vn, vd) = (params._key[3], first_kind_pair(params, r - d),
+                                    first_kind_pair(params, r - d + 1))
+    (an, ad), (bn, bd) = (seq.exact(s + d - 1).as_integer_ratio(),
+                          seq.exact(s + d).as_integer_ratio())
+    return SumTerm(weight_base=Fraction(qn * un * vd * an * bd, qd * ud * vn * ad * bn))
 
 
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
@@ -342,8 +367,9 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 # The paper evaluates the nested geometric sum once and reads every display
 # off it, so every closed form is one lifted master form, :func:`evaluate_rhs`,
 # at the tuple its theorem shape holds: the ratio and the base (a function
-# giving both) and the index step and multiplier (a function of r and d),
-# each called once per grid line, and the term T(e, k). A term is an int pair
+# giving both as int pairs in lowest terms over positive denominators) and
+# the index step and multiplier (a function of r and d), each called once
+# per grid line, and the term T(e, k). A term is an int pair
 # (numerator, denominator): the denominator is nonzero but may be negative
 # and need not be reduced, so a term costs no normalised ``Fraction``. The
 # ratio-and-base and term functions are module functions that take the
@@ -359,33 +385,36 @@ def _lifted_power(u: int, v: int, e: int) -> Tuple[int, int, int]:
     return (u ** e, v ** e, v) if e >= 0 else (v ** -e, u ** -e, u)
 
 
-def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Fraction,
-                 base: Fraction, step: int, mul: int, term: Term) -> tuple:
+def _lifted_line(inst: IdentityInstance, counter: EvalCounter, ratio: Pair, base: Pair,
+                 step: int, mul: int, term: Term) -> tuple:
     """The part of the closed form (see :func:`evaluate_rhs`) free of a_n,
-    in ints only:
-    ``(rn**n, rd**n, u, v, K, D)`` with ratio = rn/rd and base = u/v in
-    lowest terms, where K[j] / D are the coefficients
+    in ints only, from ``ratio`` = (rn, rd) and ``base`` = (u, v), each in
+    lowest terms over a positive denominator:
+    ``(rn**n, rd**n, u, v, K, D)``, where K[j] / D are the coefficients
     base**(c-1) * ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s), j < n,
     over their least common denominator D > 0. Each coefficient is an
     unreduced product of int pairs until the one gcd that reduces K and D
-    together."""
+    together.
+
+    The terms are read in the order of j, from e = n - j = n down, so a line
+    whose terms grow away from the seeds with e reads its farthest term
+    first: a cold window walks once, to the farthest one it can reach, and
+    holds the nearer ones, where reading them nearest first would walk once
+    per term."""
     n = inst.n
-    rn, rd = ratio.numerator, ratio.denominator
-    u, v = base.numerator, base.denominator
+    rn, rd = ratio
+    u, v = base
     lift = inst.c - 1
     shift = mul * lift + inst.s
     sn, sd, _ = _lifted_power(u, v, lift)
     pairs = []
-    pn, pd = 1, 1
-    for e in range(1, n + 1):
-        pn, pd = pn * rn, pd * rd  # ratio**e, at j = n - e
+    for e in range(n, 0, -1):
         tn, td = term(inst, counter, e, step * e + shift)
-        pairs.append((sn * pn * tn, sd * pd * td))
-    pairs.reverse()
+        pairs.append((sn * rn ** e * tn, sd * rd ** e * td))
     den = lcm(*(d for k, d in pairs))
     coefficients = [k * (den // d) for k, d in pairs]
     g = gcd(den, *coefficients)
-    return pn, pd, u, v, tuple(k // g for k in coefficients), den // g
+    return rn ** n, rd ** n, u, v, tuple(k // g for k in coefficients), den // g
 
 
 def _lifted_point(inst: IdentityInstance, counter: EvalCounter, part: tuple,
@@ -424,21 +453,21 @@ def _lifted_reduced(num: int, small: int, root: int, e: int, big: int) -> Fracti
     after e strips: then each strip took a prime's full share of root, so a
     prime still in num is gone from what is left of big. Either way num is
     left coprime to the whole denominator, and the ``Fraction`` is built
-    from the pair with no further gcd."""
-    if not num:
-        return Fraction(0)
-    g = gcd(num, small)
-    num, small = num // g, small // g
-    stripped = 1
-    for _ in range(e):
-        h = gcd(num, root)
-        if h == 1:
-            break
-        num //= h
-        stripped *= h
-    den = small * (big // stripped)
-    if den < 0:
-        num, den = -num, -den
+    from the pair with no further gcd, 0 as 0/1."""
+    den = 1
+    if num:
+        g = gcd(num, small)
+        num, small = num // g, small // g
+        stripped = 1
+        for _ in range(e):
+            h = gcd(num, root)
+            if h == 1:
+                break
+            num //= h
+            stripped *= h
+        den = small * (big // stripped)
+        if den < 0:
+            num, den = -num, -den
     # Fraction(num, den) would take the gcd again, and its _normalize flag is
     # gone from Python 3.12 on; _numerator and _denominator are its slots
     value = object.__new__(Fraction)
@@ -453,8 +482,11 @@ def _w_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tup
 
 
 def _f3_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Fraction, Fraction]:
-    return -1 / inst.params.q ** r, 1 / second_kind_term(inst.params, r)
+                   d: int) -> Tuple[Pair, Pair]:
+    """F3's ratio -1/q**r and base 1/V_r."""
+    qn, qd, _ = _lifted_power(*inst.params._key[3], r)
+    vn, vd = second_kind_pair(inst.params, r)
+    return _lowest(-qd, qn), _lowest(vd, vn)
 
 
 def _f3_index(r: int, d: int) -> Tuple[int, int]:
@@ -462,8 +494,11 @@ def _f3_index(r: int, d: int) -> Tuple[int, int]:
 
 
 def _f4_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Fraction, Fraction]:
-    return 1 / second_kind_term(inst.params, r), -1 / inst.params.q ** r
+                   d: int) -> Tuple[Pair, Pair]:
+    """F4's ratio 1/V_r and base -1/q**r."""
+    qn, qd, _ = _lifted_power(*inst.params._key[3], r)
+    vn, vd = second_kind_pair(inst.params, r)
+    return _lowest(vd, vn), _lowest(-qd, qn)
 
 
 def _f4_index(r: int, d: int) -> Tuple[int, int]:
@@ -471,12 +506,14 @@ def _f4_index(r: int, d: int) -> Tuple[int, int]:
 
 
 def _f5_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Fraction, Fraction]:
-    """The display's factor (-1)**m (U_d/U_r)**m / q**(dm) is ``ratio**m``."""
+                   d: int) -> Tuple[Pair, Pair]:
+    """F5's ratio -U_d/(U_r*q**d), whose m-th power is the display's factor
+    (-1)**m (U_d/U_r)**m / q**(dm), and base U_d/U_{r+d}."""
     params = inst.params
-    ud = first_kind_term(params, d)
-    ratio = -ud / (first_kind_term(params, r) * params.q ** d)
-    return ratio, ud / first_kind_term(params, r + d)
+    qn, qd, _ = _lifted_power(*params._key[3], d)
+    (un, ud), (rn, rd), (wn, wd) = (first_kind_pair(params, d), first_kind_pair(params, r),
+                                    first_kind_pair(params, r + d))
+    return _lowest(-un * rd * qd, ud * rn * qn), _lowest(un * wd, ud * wn)
 
 
 def _f5_index(r: int, d: int) -> Tuple[int, int]:
@@ -485,46 +522,54 @@ def _f5_index(r: int, d: int) -> Tuple[int, int]:
 
 
 def _f6_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Fraction, Fraction]:
+                   d: int) -> Tuple[Pair, Pair]:
+    """F6's ratio V_d/(U_r*q**d) and base V_d/V_{r+d}."""
     params = inst.params
-    vd = second_kind_term(params, d)
-    ratio = vd / (first_kind_term(params, r) * params.q ** d)
-    return ratio, vd / second_kind_term(params, r + d)
+    qn, qd, _ = _lifted_power(*params._key[3], d)
+    (vn, vd), (rn, rd), (wn, wd) = (second_kind_pair(params, d), first_kind_pair(params, r),
+                                    second_kind_pair(params, r + d))
+    return _lowest(vn * rd * qd, vd * rn * qn), _lowest(vn * wd, vd * wn)
 
 
-def _over_disc(inst: IdentityInstance, e: int, xn: int, xd: int) -> Tuple[int, int]:
+def _over_disc(inst: IdentityInstance, e: int, xn: int, xd: int) -> Pair:
     """xn/xd divided by D**ceil(e/2) as an int pair: the numerator of D goes
     to the denominator, which is negative when D < 0 and the power odd."""
-    disc_num, disc_den = inst.params.discriminant.as_integer_ratio()
+    disc_num, disc_den = inst.params._discriminant
     h = (e + 1) // 2
     return xn * disc_den ** h, xd * disc_num ** h
 
 
-def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
-    """F6's T(e, k): W[k] at even e and W[k+1] - q*W[k-1] at odd e, each
-    tallied per term read."""
+def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Pair:
+    """F6's T(e, k): W[k] at even e, and at odd e the display's
+    W[k+1] - q*W[k-1], read as 2*W[k+1] - p*W[k] (since q*W[k-1] =
+    p*W[k] - W[k+1]) off one :meth:`~HoradamSequence.exact_pair`, so a far k
+    runs one index-doubling ladder, not two; tallied 2 and 1, the terms the
+    display reads."""
     sequence = HoradamSequence.of(inst.params)
     if e % 2:
         counter.count += 2
-        (an, ad), (bn, bd) = (sequence.exact(k + 1).as_integer_ratio(),
-                              sequence.exact(k - 1).as_integer_ratio())
-        q_num, q_den = inst.params.q.as_integer_ratio()
-        return _over_disc(inst, e, an * bd * q_den - q_num * bn * ad, ad * bd * q_den)
+        here, after = sequence.exact_pair(k)
+        (an, ad), (bn, bd) = after.as_integer_ratio(), here.as_integer_ratio()
+        pn, pd = inst.params._key[2]
+        return _over_disc(inst, e, 2 * an * pd * bd - pn * bn * ad, ad * pd * bd)
     counter.count += 1
     return _over_disc(inst, e, *sequence.exact(k).as_integer_ratio())
 
 
 def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Fraction, Fraction]:
-    """F7's ratio and base, which read three terms W of the summand's family."""
+                   d: int) -> Tuple[Pair, Pair]:
+    """F7's ratio -q*U_{r-d}*W_{s+d-1}/W_{r+s} and base
+    q*U_{r-d}*W_{s+d-1}/(U_{r-d+1}*W_{s+d}), which read three terms W of the
+    summand's family."""
     params, s = inst.params, inst.s
     sequence = HoradamSequence.of(params)
     counter.count += 3
-    q = params.q
-    u0 = first_kind_term(params, r - d)
-    wsd1 = sequence.term(s + d - 1)
-    base = q * u0 / first_kind_term(params, r - d + 1) * wsd1 / sequence.term(s + d)
-    return -q * u0 * wsd1 / sequence.term(r + s), base
+    (qn, qd), (un, ud), (vn, vd) = (params._key[3], first_kind_pair(params, r - d),
+                                    first_kind_pair(params, r - d + 1))
+    (an, ad), (bn, bd), (cn, cd) = (sequence.exact(j).as_integer_ratio()
+                                    for j in (s + d - 1, s + d, r + s))
+    top, bottom = qn * un * an, qd * ud * ad  # q*U_{r-d}*W_{s+d-1}
+    return _lowest(-top * cd, bottom * cn), _lowest(top * vd * bd, bottom * vn * bn)
 
 
 def _f7_index(r: int, d: int) -> Tuple[int, int]:
@@ -567,7 +612,8 @@ def evaluate_rhs(inst: IdentityInstance, counter: Optional[EvalCounter] = None) 
     """Evaluate the closed form matching the instance's identity: the lifted
     master form at the tuple its shape holds.
 
-    With (ratio, base) = ``ratio_base(inst, counter, r, d)``, (step, mul) =
+    With (ratio, base) the fractions of the int pairs
+    ``ratio_base(inst, counter, r, d)``, (step, mul) =
     ``index(r, d)``, r and d the shape's ``at`` or the instance's, a = a_n
     and T(e, k) the fraction of the int pair ``term(inst, counter, e, k)``,
     it returns

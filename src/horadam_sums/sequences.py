@@ -37,10 +37,14 @@ index:
   ``Fraction``; the package's own hot reads, the oracle's summand
   and the closed forms' terms, take the exact value itself
   (:meth:`HoradamSequence.exact`) and build no ``Fraction`` for an
-  integral term.
+  integral term. :meth:`HoradamSequence.exact_pair` reads W[j] and W[j+1]
+  together, off one ladder when neither is in the window's reach.
 * At most ``SHARED_CAP`` sequences are kept, least recently used first out.
-* U and V are values, not sequences: (U_j, V_j) comes off the same ladder,
-  at most ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
+* U and V are values, not sequences: (U_j, V_j) comes off the same ladder
+  as two int pairs in lowest terms (:func:`first_kind_pair`,
+  :func:`second_kind_pair`; :func:`first_kind_term` and
+  :func:`second_kind_term` give them as ``Fraction``), at most
+  ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
 
 :class:`BinetView` exposes the closed form ``W[j] = A*tau**j + B*sigma**j``
 over Q(sqrt(D)) with D = p**2 - 4*q, where tau and sigma are the roots of
@@ -54,7 +58,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from threading import Lock
 from typing import List, Tuple, Union
 
@@ -82,8 +86,10 @@ class HoradamParams:
         values = (self.a, self.b, self.p, self.q)
         object.__setattr__(self, "_hash", hash(values))
         object.__setattr__(self, "_key", tuple((x.numerator, x.denominator) for x in values))
-        # F6 reads D at every point; not a field, so equality, hash and repr ignore it
-        object.__setattr__(self, "_discriminant", self.p * self.p - 4 * self.q)
+        # F6 reads D at every point, as a reduced int pair; not a field, so
+        # equality, hash and repr ignore it
+        object.__setattr__(self, "_discriminant",
+                           (self.p * self.p - 4 * self.q).as_integer_ratio())
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,8 +101,8 @@ class HoradamParams:
 
     @property
     def discriminant(self) -> Fraction:
-        """D = p**2 - 4*q, computed once."""
-        return self._discriminant
+        """D = p**2 - 4*q, from its int pair, which is computed once."""
+        return Fraction(*self._discriminant)
 
 
 def horadam(a: RationalLike, b: RationalLike, p: RationalLike, q: RationalLike) -> HoradamParams:
@@ -173,10 +179,11 @@ def _lucas_pair(big_p: int, big_q: int, n: int) -> Tuple[int, int, int]:
 def _slot(num: int, den: int) -> Union[int, Fraction]:
     """num/den as the window holds a term: an int when it is integral, else
     a normalised ``Fraction``."""
-    # over 1 the term is num itself: no gcd and no division by 1, which on a
-    # 10**4-bit num cost several times a whole step of the window's walk
-    if den == 1:
-        return num
+    # over 1 or -1 the term is num or -num: no gcd and no division, which on
+    # a 10**4-bit num cost several times a whole step of the window's walk;
+    # at q = -1 a downward walk's scale and a negative far read's den are -1
+    if abs(den) == 1:
+        return num if den == 1 else -num
     value = Fraction(num, den)
     return value.numerator if value.denominator == 1 else value
 
@@ -186,6 +193,18 @@ def doubled_term(params: HoradamParams, j: int) -> Fraction:
     num, den = _doubled(params, j)
     # over 1, Fraction(num) skips a gcd and a division
     return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _scaled_seeds(params: HoradamParams, j: int) -> Tuple[int, int, int, int, int, int, int]:
+    """(L, Y_0, Y_1, A, B, g, i) with W[j] = Y_i / (L*g**i), where the ints
+    Y_i obey Y_{i+1} = A*Y_i - B*Y_{i-1}: the forward recurrence at i = j
+    when j >= 0, else the reversed one at i = -j (see :func:`_doubled`)."""
+    (an, ad), (bn, bd), _, _ = params._key
+    m, big_p, big_q = _scaled_pq(params._key[2:])
+    y0, y1 = an * bd, bn * ad * m
+    if j < 0:
+        return ad * bd, y0, m * (big_p * y0 - y1), big_p * m, m * m * big_q, big_q, -j
+    return ad * bd, y0, y1, big_p, big_q, m, j
 
 
 def _doubled(params: HoradamParams, j: int) -> Tuple[int, int]:
@@ -204,20 +223,40 @@ def _doubled(params: HoradamParams, j: int) -> Tuple[int, int]:
     W[j] as term -j of the reversed recurrence, on ints as the window walks
     downwards: L*Q**i*W[-i] obeys (P*m, m*m*Q) from Y_0 and m*(P*Y_0 - Y_1),
     so the scale Q takes m's place, and the denominator L*Q**-j may be
-    negative.
+    negative (:func:`_scaled_seeds`).
     """
-    (an, ad), (bn, bd), _, _ = params._key
-    m, big_p, big_q = _scaled_pq(params._key[2:])
-    y0, y1 = an * bd, bn * ad * m
-    if j < 0:
-        y1, big_p, big_q, m, j = m * (big_p * y0 - y1), big_p * m, m * m * big_q, big_q, -j
+    scale, y0, y1, big_p, big_q, m, j = _scaled_seeds(params, j)
     k, odd = divmod(j, 2)
     u, v, qk = _lucas_pair(big_p, big_q, k)
     if odd:
         y, c = y1, big_p * y1 - 2 * big_q * y0
     else:
         y, c = y0, 2 * y1 - big_p * y0
-    return v * ((c * u + y * v) // 2) - qk * y, ad * bd * m ** j
+    return v * ((c * u + y * v) // 2) - qk * y, scale * m ** j
+
+
+def _doubled_pair(params: HoradamParams, j: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(W[j], W[j+1]) as two int pairs like :func:`_doubled`'s, from one
+    ladder.
+
+    For i = 2k + o, Y_i and Y_{i+1} are V_k*Y_{k+o} - Q**k*Y_o and
+    V_k*Y_{k+o+1} - Q**k*Y_{o+1}, with Y_k and Y_{k+1} from (U_k, V_k) as in
+    :func:`_doubled`, one recurrence step past them when o = 1. A negative j
+    reads the reversed recurrence's terms -j - 1 and -j, which are W[j+1]
+    and W[j]."""
+    scale, y0, y1, big_p, big_q, m, i = _scaled_seeds(params, j)
+    if j < 0:
+        i -= 1
+    k, odd = divmod(i, 2)
+    u, v, qk = _lucas_pair(big_p, big_q, k)
+    yk = ((2 * y1 - big_p * y0) * u + y0 * v) // 2
+    yk1 = ((big_p * y1 - 2 * big_q * y0) * u + y1 * v) // 2
+    if odd:
+        yk, yk1 = yk1, big_p * yk1 - big_q * yk
+        y0, y1 = y1, big_p * y1 - big_q * y0
+    first = v * yk - qk * y0, scale * m ** i
+    second = v * yk1 - qk * y1, scale * m ** (i + 1)
+    return (second, first) if j < 0 else (first, second)
 
 
 class HoradamSequence:
@@ -308,6 +347,18 @@ class HoradamSequence:
                     return self._walk(j)
         return _slot(*_doubled(self.params, j))
 
+    def exact_pair(self, j: int) -> Tuple[Union[int, Fraction], Union[int, Fraction]]:
+        """(W[j], W[j+1]) as :meth:`exact` reads each. When W[j+1] is within
+        reach of the window (:meth:`_reaches`), it is read first and then
+        W[j], so an upward walk to the pair is one walk; otherwise neither
+        is stored and both come from one ladder (:func:`_doubled_pair`),
+        not two."""
+        if self._reaches(j + 1):
+            after = self.exact(j + 1)
+            return self.exact(j), after
+        first, second = _doubled_pair(self.params, j)
+        return _slot(*first), _slot(*second)
+
     def _reaches(self, j: int) -> bool:
         """Whether ``j`` is within ``WALK_GAP`` of the window and a walk to it
         keeps the window within ``WINDOW_CAP`` terms."""
@@ -329,6 +380,13 @@ class HoradamSequence:
         x0 = w0.numerator * (scale // w0.denominator)
         scale *= grow
         x1 = w1.numerator * (scale // w1.denominator)
+        if scale == 1:
+            # so grow is 1 too, as upwards on an integral family: every term
+            # is X_k itself
+            for _ in range(len(terms), i + 1):
+                x0, x1 = x1, mul * x1 - sub * x0
+                terms.append(x1)
+            return terms[i]
         for _ in range(len(terms), i + 1):
             x0, x1 = x1, mul * x1 - sub * x0
             scale *= grow
@@ -341,27 +399,47 @@ def term(params: HoradamParams, j: int) -> Fraction:
     return HoradamSequence.of(params).term(j)
 
 
+def _lowest(num: int, den: int) -> Tuple[int, int]:
+    """num/den, den nonzero, as an int pair in lowest terms over a positive
+    denominator: the pair a normalised ``Fraction`` holds."""
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
 @lru_cache(maxsize=COMPANIONS_CAP)
-def _lucas_terms(pq: tuple, j: int) -> Tuple[Fraction, Fraction]:
+def _lucas_terms(pq: tuple, j: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """(U_j, V_j) of the (p, q) keyed by ``pq``, whose hash runs no Python
-    code, off the ladder: U_j = U_j(P, Q)/m**(j-1), V_j = V_j(P, Q)/m**j, and
-    U_{-k} = -U_k/q**k, V_{-k} = V_k/q**k with q**k = Q**k/m**(2k)."""
+    code, off the ladder, each a reduced int pair (see :func:`_lowest`):
+    U_j = U_j(P, Q)/m**(j-1), V_j = V_j(P, Q)/m**j, and U_{-k} = -U_k/q**k,
+    V_{-k} = V_k/q**k with q**k = Q**k/m**(2k)."""
     m, big_p, big_q = _scaled_pq(pq)
     u, v, qk = _lucas_pair(big_p, big_q, abs(j))
     scale = m ** abs(j)
     if j < 0:
-        return Fraction(-u * m * scale, qk), Fraction(v * scale, qk)
-    return Fraction(u * m, scale), Fraction(v, scale)
+        return _lowest(-u * m * scale, qk), _lowest(v * scale, qk)
+    return _lowest(u * m, scale), _lowest(v, scale)
+
+
+def first_kind_pair(params: HoradamParams, j: int) -> Tuple[int, int]:
+    """U[j] for the recurrence coefficients (p, q) of ``params``, as the int
+    pair of its normalised ``Fraction``."""
+    return _lucas_terms(params._key[2:], j)[0]
+
+
+def second_kind_pair(params: HoradamParams, j: int) -> Tuple[int, int]:
+    """V[j] for the recurrence coefficients (p, q) of ``params``, as the int
+    pair of its normalised ``Fraction``."""
+    return _lucas_terms(params._key[2:], j)[1]
 
 
 def first_kind_term(params: HoradamParams, j: int) -> Fraction:
     """U[j] for the recurrence coefficients (p, q) of ``params``."""
-    return _lucas_terms(params._key[2:], j)[0]
+    return Fraction(*first_kind_pair(params, j))
 
 
 def second_kind_term(params: HoradamParams, j: int) -> Fraction:
     """V[j] for the recurrence coefficients (p, q) of ``params``."""
-    return _lucas_terms(params._key[2:], j)[1]
+    return Fraction(*second_kind_pair(params, j))
 
 
 class BinetView:

@@ -306,14 +306,16 @@ def _plain_line(point, ratio, base, step, mul, term):
 @example(ratio=Fraction(3, 2), base=Fraction(-1, 2), terms=[(0, -3), (5, -10)] * 4, n=2,
          c=0, s=1, step=2, mul=-1)
 def test_line_part_is_the_plain_formula(ratio, base, terms, n, c, s, step, mul):
-    # int pairs in, ints out: c - 1 < 0 swaps the base, negative base
+    # int pairs in, ints out: the ratio and the base come as the reduced
+    # pairs of their Fractions, c - 1 < 0 swaps the base, negative base
     # numerators and term denominators carry their signs, and the least
     # common denominator is the plain one
     def term(inst, counter, e, k):
         return terms[(e * 3 + k) % len(terms)]
 
     point = SimpleNamespace(n=n, c=c, s=s)
-    part = identities._lifted_line(point, EvalCounter(), ratio, base, step, mul, term)
+    part = identities._lifted_line(point, EvalCounter(), ratio.as_integer_ratio(),
+                                   base.as_integer_ratio(), step, mul, term)
     assert all(type(x) is int for x in _leaves(part))
     ratio_num, ratio_den, u, v, coefficients, den = part
     assert Fraction(ratio_num, ratio_den) == ratio ** n and (u, v) == base.as_integer_ratio()
@@ -342,4 +344,5 @@ def test_f6_line_part_at_negative_discriminant(ident, n, c):
     (ratio, base, step, mul, term), = captured
     assert any(term(line, EvalCounter(), e, 0)[1] < 0 for e in (1, 3))
     ratio_num, ratio_den, u, v, coefficients, den = line._line.closed[0]
-    assert (coefficients, den) == _plain_line(line, ratio, base, step, mul, term)
+    assert (coefficients, den) == _plain_line(line, Fraction(*ratio), Fraction(*base), step,
+                                              mul, term)

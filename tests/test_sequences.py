@@ -13,14 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import fib_list, walk_terms
+import horadam_sums.sequences as sequences
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
-                                    HoradamParams, HoradamSequence, _lucas_terms, doubled_term,
+                                    HoradamParams, HoradamSequence, _doubled_pair,
+                                    _lucas_terms, doubled_term, first_kind_pair,
                                     first_kind_term, gibonacci, horadam,
                                     lemma3_residual, lemma4_residual,
                                     lucas_first_kind, lucas_second_kind,
-                                    restricted, second_kind_term, term)
+                                    restricted, second_kind_pair, second_kind_term, term)
 
 TEST_PQ = [(Fraction(1), Fraction(-1)), (Fraction(3), Fraction(2)),
            (Fraction(1), Fraction(1)), (Fraction(1), Fraction(3)),
@@ -349,6 +351,17 @@ class TestLucasCompanions:
             assert v == walked_v[j] and type(v) is Fraction
 
     @pytest.mark.parametrize("p,q", COMPANION_PQ)
+    def test_pairs_are_the_normalised_fractions(self, p, q):
+        # the int pairs the closed forms and preconditions read: the
+        # numerator and positive denominator of U_j and V_j in lowest terms
+        params = horadam(Fraction(3, 2), -1, p, q)
+        for j in range(-40, 41):
+            for pair, value in ((first_kind_pair(params, j), first_kind_term(params, j)),
+                                (second_kind_pair(params, j), second_kind_term(params, j))):
+                assert pair == (value.numerator, value.denominator)
+                assert all(type(x) is int for x in pair)
+
+    @pytest.mark.parametrize("p,q", COMPANION_PQ)
     def test_far_companions_match_doubled_term(self, p, q):
         params = horadam(Fraction(3, 2), -1, p, q)
         for j in (10 ** 4, -10 ** 4):
@@ -420,6 +433,59 @@ class TestExactSlots:
         assert type(seq.exact(40)) is int and type(seq.exact(-5)) is Fraction
         assert type(term(FIBONACCI, 7)) is Fraction
         assert type(doubled_term(FIBONACCI, 10 ** 4)) is Fraction
+
+    def test_unit_scale_walk_appends_ints_without_slot(self, monkeypatch):
+        # upwards on an integral family the scale stays 1, so a walk appends
+        # each X_k itself; downwards at q = 2 each term goes through _slot
+        params = horadam(1, 4, 3, 2)
+        seq = HoradamSequence(params)
+        calls = []
+        real = sequences._slot
+        monkeypatch.setattr(sequences, "_slot",
+                            lambda num, den: calls.append(den) or real(num, den))
+        walked = walk_terms(params, -5, 60)
+        assert seq.exact(60) == walked[60] and not calls
+        assert all(type(x) is int for x in seq._up) and seq._up == [walked[j] for j in range(61)]
+        assert seq.exact(-5) == walked[-5] and len(calls) == 5
+
+    @pytest.mark.parametrize("params", [horadam(1, 4, 3, 2), FIBONACCI, RATIONAL],
+                             ids=["integer_root", "fibonacci", "rational"])
+    def test_doubled_pair_matches_walk(self, params):
+        # both terms off one ladder, at either sign and parity of j
+        walked = walk_terms(params, -301, 301)
+        for j in range(-300, 301):
+            (an, ad), (bn, bd) = _doubled_pair(params, j)
+            assert (Fraction(an, ad), Fraction(bn, bd)) == (walked[j], walked[j + 1]), j
+
+    @pytest.mark.parametrize("params", [horadam(1, 4, 3, 2), RATIONAL],
+                             ids=["integer_root", "rational"])
+    def test_exact_pair_reads_as_two_exact_reads(self, params):
+        # near, at the gap's edge, far and below zero: the values and types
+        # of exact(j) and exact(j + 1), and the window those two reads leave
+        # when W[j+1] is in reach; a far pair is one ladder and stores nothing
+        walked = walk_terms(params, -1000, 2001)
+        reads = (3, 1 + WALK_GAP, 2000, 2 * WALK_GAP, 2 * WALK_GAP + 2, -2, -WALK_GAP - 3, -1000)
+        seq, alone = HoradamSequence(params), HoradamSequence(params)
+        for j in reads:
+            pair = seq.exact_pair(j)
+            assert pair == (walked[j], walked[j + 1]), j
+            assert [type(x) for x in pair] == [_exact_type(walked[j]), _exact_type(walked[j + 1])]
+            if alone._reaches(j + 1):
+                alone.exact(j + 1)
+                alone.exact(j)
+            assert seq._memo == alone._memo and seq._up == alone._up and seq._down == alone._down
+        assert seq._memo == range(-WALK_GAP - 3, 2 * WALK_GAP + 4)
+
+    def test_exact_pair_far_is_one_ladder(self, monkeypatch):
+        # a far pair runs the index-doubling ladder once, where two far reads
+        # run it twice
+        ladders = []
+        real = sequences._lucas_pair
+        monkeypatch.setattr(sequences, "_lucas_pair",
+                            lambda *args: ladders.append(args[2]) or real(*args))
+        seq = HoradamSequence(horadam(1, 4, 3, 2))
+        assert seq.exact_pair(9001) == (seq.exact(9001), seq.exact(9002))
+        assert ladders == [4500, 4500, 4501]
 
     def test_a_wrong_slot_shows_in_lemma4(self):
         # lemma4_residual reads W[j+1] and W[j-1] through term(): a wrong int

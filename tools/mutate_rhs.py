@@ -17,7 +17,9 @@ targets are the lifted master form of ``horadam_sums.identities``
 with its line part ``_lifted_line``, its point part ``_lifted_point`` with
 its reduction ``_lifted_reduced``, and their signed power
 ``_lifted_power``), and the parts those tuples hold (every
-``*_ratio_base``, ``*_index`` and ``*_term``, and ``_over_disc``), with
+``*_ratio_base``, whose int pairs read U, V, q and W as ints, ``*_index``
+and ``*_term``, and ``_over_disc``), and every left-hand ``*_summand``
+function, with
 its grid-line sharing (``evaluate_line``, which validates a line once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
 ``IdentityInstance._at`` and the summand caching in ``lhs_spec``), the
@@ -30,13 +32,16 @@ geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (its
 read ``exact``, which gives a term as the window holds it, an int when it
 is integral, and ``term``, which gives it as a ``Fraction``, its policy
-``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as
-and the range of stored indices ``_memo`` read off its lists) and the far
-term ``doubled_term`` with its ints ``_doubled`` (one product on the Lucas
-pair at half the index, and the reversed recurrence for a negative one)
-with its ladder
-``_lucas_pair``, the Lucas companions ``_lucas_terms`` read off that ladder,
-and the int scaling ``_scaled_pq`` they all share, and
+``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as,
+the range of stored indices ``_memo`` read off its lists and the pair read
+``exact_pair``) and the far term ``doubled_term`` with its ints
+``_doubled`` (one product on the Lucas pair at half the index, and the
+reversed recurrence for a negative one, both set up by ``_scaled_seeds``)
+and its pair ``_doubled_pair`` off one ladder, with its ladder
+``_lucas_pair``, the Lucas companions ``_lucas_terms`` read off that ladder
+as reduced int pairs (``_lowest``) and their readers ``first_kind_pair``
+and ``second_kind_pair``, and the int scaling ``_scaled_pq`` they all
+share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
 ``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
 ``horadam_sums.identities``. An ``if``
@@ -50,9 +55,9 @@ and this script import it under, so a mutated ``oracle_nested`` is what the
 closed forms are compared with and a mutated ``f_closed`` is what the Binet
 route runs.
 
-A mutant is killed when, for any tag whose evaluation calls the mutated
-function (every tag, for the oracle, the grid-line sharing and the sweep
-axes), a point of
+A mutant is killed when, for any tag whose evaluation (``verify``, both
+sides) calls the mutated function (every tag, for the oracle, the
+grid-line sharing and the sweep axes), a point of
 the tier-1 deep-depth grid (``tests/test_identities.py::_deep_instances``),
 of the tag's default-grid sweep or, for a tag without a fixed family, of its
 sweep over rational p, q and seeds
@@ -95,19 +100,24 @@ through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
 deep-depth grid of any tag. A sequence mutant is killed when
 ``doubled_term`` misses ``tests/_util.py::walk_terms``, a plain recurrence
 walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or
-``_lucas_terms`` misses, in value or exact type, the walks of
+``_doubled_pair`` misses the walk's W[j] and W[j+1] there, or
+``_lucas_terms``, ``first_kind_pair`` or ``second_kind_pair`` miss the int
+pairs, in lowest terms over a positive denominator, of the walks of
 ``lucas_first_kind`` and ``lucas_second_kind`` of those families' (p, q)
 there, or when a fresh
 ``HoradamSequence`` misses it, in value or exact type (from ``exact`` an
 int exactly when the term is integral, from ``term`` a ``Fraction``), on
-the reads ``WINDOW_READS`` of each of those families and on reads a gap
-apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or is left with a
-window, in its bounds, its length or the terms its two lists hold and
-their types, other than the walk policy gives; both sides of an identity
-read the same terms, so lhs == rhs cannot see a wrong one. ``_lucas_terms`` is judged through its
-``__wrapped__``, past its cache, so a value made while a ``_lucas_pair`` or
-``_scaled_pq`` mutant is installed is never cached for later readers, and a
-value cached before it cannot hide it.
+the reads ``WINDOW_READS`` of each of those families, on the pair reads
+``PAIR_READS`` (``exact_pair``, which must read as ``exact`` at j + 1
+and then j when j + 1 is within reach, and store nothing otherwise) and
+on reads a gap apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or
+is left with a window, in its bounds, its length or the terms its two
+lists hold and their types, other than the walk policy gives; both sides
+of an identity read the same terms, so lhs == rhs cannot see a wrong one.
+``_lucas_terms`` is judged through its ``__wrapped__``, past its cache,
+and the cache is cleared after every mutant, so a pair made while a
+mutant is installed is never read after it, and a pair cached before it
+cannot hide it.
 A ``binom`` mutant is killed when it misses
 ``tests/_util.py::falling_binom``, in value or in exact type (int), at any
 top from -45 to 45 and k from 0 to 27, or when it no longer raises
@@ -122,7 +132,7 @@ either side: it is killed when the verdict (valid, or the
 of ``PRECONDITION_LINES``, differs from the unmutated code's; no
 precondition reads a_n. Those lines also hold one coordinate a form does not
 read off its default, which no default grid does, and F6a's refusals at
-r = 0, D = 0 and U_r = 0, which no default grid meets.
+r = 0, D = 0 and U_r = 0 and F3's at V_r = 0, which no default grid meets.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives or a listed survivor is
@@ -188,10 +198,8 @@ KNOWN_SURVIVORS = {
     "and 1, so j is never 0",
     "HoradamSequence._walk: if j >= 1:": "a walk's j lies outside [lo, hi], which holds 0 "
     "and 1, so j is never 0",
-    "_doubled: if j <= 0:": "at j = 0 the reversed recurrence's term 0 is a, as the "
-    "forward one's is",
-    "_doubled: if j < 1:": "at j = 0 the reversed recurrence's term 0 is a, as the "
-    "forward one's is",
+    "_lowest: return (num // g, den // g) if den >= 0 else (-num // g, -den // g)":
+    "den is nonzero, so den >= 0 is den > 0",
     "_lucas_terms: if j <= 0:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
     "_lucas_terms: if j < 1:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
 }
@@ -206,23 +214,25 @@ _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lucas_terms", "doubled_term", "_doubled",
-                    "_slot", "HoradamSequence.term", "HoradamSequence.exact",
-                    "HoradamSequence._reaches", "HoradamSequence._walk",
-                    "HoradamSequence._memo")
+SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
+                    "second_kind_pair", "doubled_term", "_scaled_seeds", "_doubled",
+                    "_doubled_pair", "_slot", "HoradamSequence.term", "HoradamSequence.exact",
+                    "HoradamSequence.exact_pair", "HoradamSequence._reaches",
+                    "HoradamSequence._walk", "HoradamSequence._memo")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
-# base, index step and multiplier, terms)
+# base, index step and multiplier, terms) and the left-hand summands
 CLOSED_TARGETS = ("evaluate_rhs", "_over_disc")
-CLOSED_PART_SUFFIXES = ("_ratio_base", "_index", "_term")
+CLOSED_PART_SUFFIXES = ("_ratio_base", "_index", "_term", "_summand")
 BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
 SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
 
 # lines a precondition mutant is judged on besides the default grids': F3_G
 # on a family of the wrong shape; (p, q) = (2, 2), whose V_2 = 0 stops F6 at
-# (r, d) = (1, 1) as V_{r+d} and at (1, 2) as the weight base's V_d; and one
+# (r, d) = (1, 1) as V_{r+d} and at (1, 2) as the weight base's V_d, and F3
+# at r = 2, which no default grid's V_r meets; and one
 # coordinate a form does not read off its default, each on a line that is
 # valid at the default: H at c = 2, F3 at d = 1, F1a at r = 2, F7_r1d0_w at
 # r = 2 and at d = -1; and F6a's first three refusals, which no default grid
@@ -234,6 +244,7 @@ PRECONDITION_LINES = ((ids.IdentityId.F3_G, ids.FAMILIES["generic"], 1, 2, 1, 1,
                         for ident, n in ((ids.IdentityId.F6A, 2), (ids.IdentityId.F6B, 1))),
                       (ids.IdentityId.H, None, 1, 2, 2, 1, 0, 0),
                       (ids.IdentityId.F3, ids.FAMILIES["fibonacci"], 1, 2, 1, 1, 0, 1),
+                      (ids.IdentityId.F3, _V2_ZERO, 1, 2, 1, 2, 0, 0),
                       (ids.IdentityId.F1A, None, 1, 2, 1, 2, 0, 0),
                       (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 2, 0, 0),
                       (ids.IdentityId.F7_R1D0_W, _GIB31, 1, 2, 1, 1, 0, -1),
@@ -242,13 +253,15 @@ PRECONDITION_LINES = ((ids.IdentityId.F3_G, ids.FAMILIES["generic"], 1, 2, 1, 1,
                       (ids.IdentityId.F6A, ids.FAMILIES["negative_d"], 2, 3, 1, 3, 0, 0))
 
 # a != 0 so both Lucas terms count, p not +-1 and rational p or q so the lcm
-# scaling runs; the fourth has D = 0; the last has int p and q = 1 and a
-# half-integral seed, so every walk stores its terms over the scale 2
+# scaling runs; the fourth has D = 0; the fifth has int p and q = 1 and a
+# half-integral seed, so every walk stores its terms over the scale 2; the
+# last is integral with p not +-1, so its upward walks run at the scale 1
 SEQUENCE_FAMILIES = (sq.horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3)),
                      sq.horadam(2, Fraction(1, 3), 3, Fraction(7, 4)),
                      sq.horadam(-1, 2, Fraction(-3, 2), 2),
                      sq.horadam(1, 2, 3, Fraction(9, 4)),
-                     sq.horadam(Fraction(1, 2), 3, 3, 1))
+                     sq.horadam(Fraction(1, 2), 3, 3, 1),
+                     sq.horadam(1, 4, 3, 2))
 # reads of a fresh window: unit steps, jumps to the gap's edge (walked and
 # stored) and past it, by a gap and one and further (doubled, not stored),
 # upwards then downwards, and last a stored term below 0 away from the
@@ -256,6 +269,12 @@ SEQUENCE_FAMILIES = (sq.horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2,
 WINDOW_READS = (2, 3, 3 + sq.WALK_GAP, 4 + 3 * sq.WALK_GAP, 4 + 2 * sq.WALK_GAP,
                 4 + sq.WALK_GAP, 1, -1, -2, -2 - sq.WALK_GAP, -3 - 3 * sq.WALK_GAP,
                 -3 - 2 * sq.WALK_GAP, 0, -2 - sq.WALK_GAP, -1)
+# pair reads of a fresh window: a near pair (walked), W[j+1] one past the
+# gap's edge (doubled) and at it (walked to, W[j] then a hit), a far pair
+# (doubled), W[j+1] at the lower gap's edge (walked to, W[j] one more step),
+# W[j+1] one past it (doubled), and two stored pairs
+PAIR_READS = (2, 3 + sq.WALK_GAP, 2 + sq.WALK_GAP, 4 * sq.WALK_GAP, -1 - sq.WALK_GAP,
+              -3 - 2 * sq.WALK_GAP, 0, -1)
 # an int family read up to its window cap, after one read below zero
 CAP_FAMILY = sq.horadam(2, -1, 1, -1)
 
@@ -353,7 +372,8 @@ def _statement(func: ast.FunctionDef, node: ast.AST) -> str:
 
 
 def _callers(names: set) -> dict:
-    """For each target function, the tags whose evaluation calls it."""
+    """For each target function, the tags whose evaluation (``verify``, both
+    sides) calls it."""
     callers = {name: [] for name in names}
     for ident in ids.IdentityId:
         seen = set()
@@ -365,7 +385,7 @@ def _callers(names: set) -> dict:
         one = _deep_instances(ident)[0]
         sys.setprofile(profile)
         try:
-            ids.evaluate_rhs(one)
+            ids.verify(one)
         finally:
             sys.setprofile(None)
         for name in seen & names:
@@ -484,25 +504,41 @@ def _exact_type(value: Fraction) -> type:
     return int if value.denominator == 1 else Fraction
 
 
-def _window_broken(seq, walked: dict, reads) -> bool:
+def _window_broken(seq, walked: dict, reads, pairs: bool = False) -> bool:
     """True when a read of ``seq`` misses ``walked`` in value or exact type
     (``exact`` an int exactly when the term is integral, ``term`` a
     Fraction), or leaves a window other than the one the walk policy gives:
     a read within ``WALK_GAP`` of the window's edge that keeps it under
     ``WINDOW_CAP`` terms extends it to the index; any other read leaves it.
+    With ``pairs``, each read is ``exact_pair(j)``, which must give
+    ``exact(j)`` and ``exact(j + 1)`` and, when j + 1 is within reach, leave
+    the window the reads of j + 1 and then j leave, else leave it as it is.
     The window [lo, hi] is held as ``_up``, W[0..hi] in order, and
     ``_down``, W[1], W[0], W[-1], ... down to W[lo], each slot in its
     term's exact type."""
     lo, hi = 0, 1
+
+    def reaches(j: int) -> bool:
+        return lo - sq.WALK_GAP <= j <= hi + sq.WALK_GAP and max(hi, j) - min(lo, j) < sq.WINDOW_CAP
+
     for j in reads:
-        value = seq.exact(j)
-        if value != walked[j] or type(value) is not _exact_type(walked[j]):
-            return True
-        value = seq.term(j)
-        if value != walked[j] or type(value) is not Fraction:
-            return True
-        if lo - sq.WALK_GAP <= j <= hi + sq.WALK_GAP and max(hi, j) - min(lo, j) < sq.WINDOW_CAP:
-            lo, hi = min(lo, j), max(hi, j)
+        if pairs:
+            values = seq.exact_pair(j)
+            if values != (walked[j], walked[j + 1]) or [type(x) for x in values] != [
+                    _exact_type(walked[j]), _exact_type(walked[j + 1])]:
+                return True
+            stored = (j + 1, j) if reaches(j + 1) else ()
+        else:
+            value = seq.exact(j)
+            if value != walked[j] or type(value) is not _exact_type(walked[j]):
+                return True
+            value = seq.term(j)
+            if value != walked[j] or type(value) is not Fraction:
+                return True
+            stored = (j,)
+        for i in stored:
+            if reaches(i):
+                lo, hi = min(lo, i), max(hi, i)
         if (seq._memo[0], seq._memo[-1]) != (lo, hi) or len(seq._memo) != hi - lo + 1:
             return True
     slots = [*zip(seq._up, range(hi + 1)), *zip(seq._down, range(1, lo - 1, -1))]
@@ -512,31 +548,41 @@ def _window_broken(seq, walked: dict, reads) -> bool:
 
 
 def _companions_broken(params) -> bool:
-    """True when ``_lucas_terms``, past its cache, misses the walks of U and
-    V on the (p, q) of ``params`` at any j from -300 to 300, in value or
-    exact type."""
+    """True when ``_lucas_terms``, past its cache, or its readers
+    ``first_kind_pair`` and ``second_kind_pair`` miss the walks of U and V
+    on the (p, q) of ``params`` at any j from -300 to 300: each must be the
+    int pair of the walked Fraction, in lowest terms over a positive
+    denominator."""
     lucas_terms = sq._lucas_terms.__wrapped__
     walked_u = _walked(sq.lucas_first_kind(params.p, params.q), -300, 300)
     walked_v = _walked(sq.lucas_second_kind(params.p, params.q), -300, 300)
     for j in range(-300, 301):
-        u, v = lucas_terms(params._key[2:], j)
-        if (u, v) != (walked_u[j], walked_v[j]) or type(u) is not Fraction \
-                or type(v) is not Fraction:
-            return True
+        expected = ((walked_u[j].numerator, walked_u[j].denominator),
+                    (walked_v[j].numerator, walked_v[j].denominator))
+        for pairs in (lucas_terms(params._key[2:], j),
+                      (sq.first_kind_pair(params, j), sq.second_kind_pair(params, j))):
+            if pairs != expected or any(type(x) is not int for pair in pairs for x in pair):
+                return True
     return False
 
 
 def _sequence_broken() -> bool:
-    """True when ``doubled_term`` or ``_lucas_terms`` misses a plain
-    recurrence walk, or a fresh window's reads do (see
-    :func:`_window_broken`)."""
+    """True when ``doubled_term``, ``_doubled_pair`` or ``_lucas_terms``
+    misses a plain recurrence walk, or a fresh window's reads, one term or
+    one pair at a time, do (see :func:`_window_broken`)."""
     for params in SEQUENCE_FAMILIES:
-        walked = _walked(params, -300, 300)
+        walked = _walked(params, -301, 301)
         if any(sq.doubled_term(params, j) != walked[j] for j in range(-300, 301)):
             return True
+        for j in range(-300, 301):
+            (an, ad), (bn, bd) = sq._doubled_pair(params, j)
+            if (Fraction(an, ad), Fraction(bn, bd)) != (walked[j], walked[j + 1]):
+                return True
         if _companions_broken(params):
             return True
         if _window_broken(sq.HoradamSequence(params), walked, WINDOW_READS):
+            return True
+        if _window_broken(sq.HoradamSequence(params), walked, PAIR_READS, pairs=True):
             return True
     reads = [-sq.WALK_GAP, *range(sq.WALK_GAP, sq.WINDOW_CAP + 2 * sq.WALK_GAP, sq.WALK_GAP)]
     return _window_broken(sq.HoradamSequence(CAP_FAMILY),
@@ -719,6 +765,8 @@ def main() -> int:
                 signal.alarm(0)
                 setattr(node, field, saved)
                 setattr(owner, func.name, original)
+                # no (U, V) pair made under the mutant is read after it
+                sq._lucas_terms.cache_clear()
                 if owner is module:
                     ids._REGISTRY.update(registry)
                     _rebind(func.name, original)
