@@ -12,39 +12,26 @@ the same parameter quadruple:
 * Fibonacci / Lucas numbers:   gibonacci seeds (0, 1) and (2, 1)
 
 Because the aliases normalise, all views of one underlying sequence share
-one :class:`HoradamSequence`. Its terms cost a bounded amount whatever the
-index:
+one :class:`HoradamSequence`; at most ``SHARED_CAP`` are kept, least
+recently used first out. A term costs a bounded amount whatever the index,
+by one of two routes:
 
-* A dense window of consecutive terms, at most ``WINDOW_CAP`` long, serves
-  the small indices that sweeps and oracles read again and again. It is
-  held in two lists that only grow, one per direction from the seeds, so a
-  stored term costs one list slot and no index key. A miss within
-  ``WALK_GAP`` of the window's edge extends it by running the recurrence
-  forwards, or backwards by ``W[j] = (p*W[j+1] - W[j+2]) / q``, itself a
-  second-order recurrence (coefficients p/q and 1/q). Either way it is one
-  walk on ints scaled by a common denominator, which grows by a fixed int
-  factor per step. A stored term is its exact value: an int when it is
-  integral, as every term of an integral family read upwards is, and a
-  normalised ``Fraction`` only when it is not.
-* Every other index is computed, not stored, from the Lucas pair of
-  (p, q) at half the index. Index doubling (Joye & Quisquater, "Efficient
-  computation of full Lucas sequences", Electronics Letters 32(6), 1996)
-  gives (U_k, V_k, q**k) at k = j // 2 in O(log |j|) integer products, and
-  one product at full size, ``W[2k+o] = V_k*W[k+o] - q**k*W[o]``, gives the
-  term as an int numerator and denominator. A negative index is read as a
-  positive one of the reversed recurrence.
-* :meth:`HoradamSequence.term` and :func:`term` return the term as a
-  ``Fraction``; the package's own hot reads, the oracle's summand
-  and the closed forms' terms, take the exact value itself
-  (:meth:`HoradamSequence.exact`) and build no ``Fraction`` for an
-  integral term. :meth:`HoradamSequence.exact_pair` reads W[j] and W[j+1]
-  together, off one ladder when neither is in the window's reach.
-* At most ``SHARED_CAP`` sequences are kept, least recently used first out.
-* U and V are values, not sequences: (U_j, V_j) comes off the same ladder
-  as two int pairs in lowest terms (:func:`first_kind_pair`,
-  :func:`second_kind_pair`; :func:`first_kind_term` and
-  :func:`second_kind_term` give them as ``Fraction``), at most
-  ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
+* the window: consecutive terms, at most ``WINDOW_CAP`` of them, which a
+  miss within ``WALK_GAP`` of its edge extends by walking the recurrence,
+  upwards or downwards, on ints (:func:`_steps`);
+* the ladder: any other index is computed, not stored, from the Lucas pair
+  of (p, q) at half the index by index doubling (Joye & Quisquater,
+  "Efficient computation of full Lucas sequences", Electronics Letters
+  32(6), 1996), in O(log |j|) int products (:meth:`HoradamSequence._far`).
+
+:meth:`HoradamSequence.exact` gives W[j] as its exact value, an int when it
+is integral and else a normalised ``Fraction``, and
+:meth:`HoradamSequence.exact_pair` gives (W[j], W[j+1]) so;
+:meth:`HoradamSequence.term` and :func:`term` give a ``Fraction``. U and V
+are values, not sequences: (U_j, V_j) comes off the same ladder as two int
+pairs in lowest terms (:func:`first_kind_pair`, :func:`second_kind_pair`;
+:func:`first_kind_term` and :func:`second_kind_term` give ``Fraction``), at
+most ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
 
 :class:`BinetView` exposes the closed form ``W[j] = A*tau**j + B*sigma**j``
 over Q(sqrt(D)) with D = p**2 - 4*q, where tau and sigma are the roots of
@@ -152,11 +139,20 @@ COMPANIONS_CAP = 64
 On (3, 2) one at +/-``cli.MAX_REACH`` takes 40/80 KB, 64 take 2.6-5.1 MB, past it more."""
 
 
-def _scaled_pq(pq: tuple) -> Tuple[int, int, int]:
-    """(m, P, Q) = (lcm(den p, den q), m*p, m*m*q), ints, of ``pq``, a params' ``_key[2:]``."""
+def _steps(pq: tuple) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
+    """The recurrence of the (p, q) keyed by ``pq``, a params' ``_key[2:]``,
+    on ints, upwards and downwards, each as (A, B, g): ints X_i with
+    W[i] = X_i/(L*g**i) upwards, or W[-i] = X_i/(L*g**i) downwards, for a
+    fixed L, obey X_{i+1} = A*X_i - B*X_{i-1}.
+
+    With m = lcm(den p, den q), P = m*p and Q = m*m*q, that is (P, Q, m)
+    upwards and (P*m, m*m*Q, Q) downwards, the reversed recurrence
+    W[k] = (p/q)*W[k+1] - (1/q)*W[k+2] scaled by Q per step.
+    """
     (pn, pd), (qn, qd) = pq
     m = lcm(pd, qd)
-    return m, pn * (m // pd), qn * (m * m // qd)
+    big_p, big_q = pn * (m // pd), qn * (m * m // qd)
+    return (big_p, big_q, m), (big_p * m, m * m * big_q, big_q)
 
 
 def _lucas_pair(big_p: int, big_q: int, n: int) -> Tuple[int, int, int]:
@@ -188,77 +184,6 @@ def _slot(num: int, den: int) -> Union[int, Fraction]:
     return value.numerator if value.denominator == 1 else value
 
 
-def doubled_term(params: HoradamParams, j: int) -> Fraction:
-    """W[j] from the Lucas pair at half of j, with no walk and no memo."""
-    num, den = _doubled(params, j)
-    # over 1, Fraction(num) skips a gcd and a division
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
-def _scaled_seeds(params: HoradamParams, j: int) -> Tuple[int, int, int, int, int, int, int]:
-    """(L, Y_0, Y_1, A, B, g, i) with W[j] = Y_i / (L*g**i), where the ints
-    Y_i obey Y_{i+1} = A*Y_i - B*Y_{i-1}: the forward recurrence at i = j
-    when j >= 0, else the reversed one at i = -j (see :func:`_doubled`)."""
-    (an, ad), (bn, bd), _, _ = params._key
-    m, big_p, big_q = _scaled_pq(params._key[2:])
-    y0, y1 = an * bd, bn * ad * m
-    if j < 0:
-        return ad * bd, y0, m * (big_p * y0 - y1), big_p * m, m * m * big_q, big_q, -j
-    return ad * bd, y0, y1, big_p, big_q, m, j
-
-
-def _doubled(params: HoradamParams, j: int) -> Tuple[int, int]:
-    """W[j] as ints (num, den), den nonzero and not reduced, from the Lucas
-    pair at half of j: what :func:`doubled_term` and a far read of
-    :meth:`HoradamSequence.exact` are made of.
-
-    With (m, P, Q) from :func:`_scaled_pq` and L = den a * den b, the ints
-    Y_i = L*m**i*W[i] obey the recurrence (P, Q) from Y_0 = L*a and
-    Y_1 = L*m*b. For j = 2k + o, o in {0, 1}, the index-addition identity
-    Y_{i+n} = V_n*Y_i - Q**n*Y_{i-n} at i = k + o, n = k gives
-    Y_j = V_k*Y_{k+o} - Q**k*Y_o, where, with U_{k-1} = (P*U_k - V_k)/(2Q)
-    and U_{k+1} = (P*U_k + V_k)/2, 2*Y_k = (2*Y_1 - P*Y_0)*U_k + Y_0*V_k and
-    2*Y_{k+1} = (P*Y_1 - 2*Q*Y_0)*U_k + Y_1*V_k. So the doubling stops at k,
-    and its last, largest squarings are one product. A negative j reads
-    W[j] as term -j of the reversed recurrence, on ints as the window walks
-    downwards: L*Q**i*W[-i] obeys (P*m, m*m*Q) from Y_0 and m*(P*Y_0 - Y_1),
-    so the scale Q takes m's place, and the denominator L*Q**-j may be
-    negative (:func:`_scaled_seeds`).
-    """
-    scale, y0, y1, big_p, big_q, m, j = _scaled_seeds(params, j)
-    k, odd = divmod(j, 2)
-    u, v, qk = _lucas_pair(big_p, big_q, k)
-    if odd:
-        y, c = y1, big_p * y1 - 2 * big_q * y0
-    else:
-        y, c = y0, 2 * y1 - big_p * y0
-    return v * ((c * u + y * v) // 2) - qk * y, scale * m ** j
-
-
-def _doubled_pair(params: HoradamParams, j: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """(W[j], W[j+1]) as two int pairs like :func:`_doubled`'s, from one
-    ladder.
-
-    For i = 2k + o, Y_i and Y_{i+1} are V_k*Y_{k+o} - Q**k*Y_o and
-    V_k*Y_{k+o+1} - Q**k*Y_{o+1}, with Y_k and Y_{k+1} from (U_k, V_k) as in
-    :func:`_doubled`, one recurrence step past them when o = 1. A negative j
-    reads the reversed recurrence's terms -j - 1 and -j, which are W[j+1]
-    and W[j]."""
-    scale, y0, y1, big_p, big_q, m, i = _scaled_seeds(params, j)
-    if j < 0:
-        i -= 1
-    k, odd = divmod(i, 2)
-    u, v, qk = _lucas_pair(big_p, big_q, k)
-    yk = ((2 * y1 - big_p * y0) * u + y0 * v) // 2
-    yk1 = ((big_p * y1 - 2 * big_q * y0) * u + y1 * v) // 2
-    if odd:
-        yk, yk1 = yk1, big_p * yk1 - big_q * yk
-        y0, y1 = y1, big_p * y1 - big_q * y0
-    first = v * yk - qk * y0, scale * m ** i
-    second = v * yk1 - qk * y1, scale * m ** (i + 1)
-    return (second, first) if j < 0 else (first, second)
-
-
 class HoradamSequence:
     """Term evaluation at any integer index, in bounded memory.
 
@@ -269,27 +194,17 @@ class HoradamSequence:
     one list slot and no index key. ``lo`` and ``hi`` are read off the
     lists' lengths (``_memo``, the range of stored indices, from ``_memo[0]``
     to ``_memo[-1]``), so they cannot drift from what is stored. A miss within
-    ``WALK_GAP`` of the window walks the recurrence and appends what it
-    passes, as long as the window stays within ``WINDOW_CAP`` terms; any
-    other index comes from index doubling and is not stored. A term is held
-    as an int when it is integral and as a normalised ``Fraction`` only when
-    it is not; :meth:`exact` reads it so, and :meth:`term` as a ``Fraction``.
-
-    The walk steps k by s from the edge e, (e, s) = (hi, 1) upwards and
-    (lo, -1) downwards, and starts from W_{e-s} and W_e, its list's last two
-    terms, over L, the lcm of their denominators. With (m, P, Q) from
-    :func:`_scaled_pq`, made once per sequence, it runs on ints
-    X_k = A*X_{k-s} - B*X_{k-2s} with W_k = X_k / (L*g**(s*(k-e)+1)), where
-    (A, B, g) is (P, Q, m) upwards and (P*m, m*m*Q, Q) downwards, the
-    reversed recurrence W_k = (p/q)*W_{k+1} - (1/q)*W_{k+2} scaled by Q per
-    step. Each term is appended once it is whole: ``X_k`` itself when the
-    scale is 1, as it always is upwards on an integral family.
+    ``WALK_GAP`` of the window walks the recurrence (:meth:`_walk`, on the
+    int recurrences of :func:`_steps`, made once per sequence) and appends
+    what it passes, as long as the window stays within ``WINDOW_CAP`` terms;
+    any other index comes off the ladder (:meth:`_far`) and is not stored. A
+    term is held as an int when it is integral and as a normalised
+    ``Fraction`` only when it is not.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
-    of the same underlying sequence hit one window. The registry ``_shared``
-    keeps the ``SHARED_CAP`` most recently used sequences. Concurrent readers
+    of the same underlying sequence hit one window. Concurrent readers
     get correct values. A read of a stored term takes no lock, and neither
-    does a read that the policy sends to doubling. A walk runs under the
+    does a read that the policy sends to the ladder. A walk runs under the
     sequence's lock and checks the policy again once it holds it, since
     another walker may have moved the edges: two walkers appending the same
     index would shift every later term of the list. A sequence evicted from
@@ -320,7 +235,7 @@ class HoradamSequence:
         self._up: List[Union[int, Fraction]] = [a, b]
         self._down: List[Union[int, Fraction]] = [b, a]
         self._lock = Lock()
-        self._scaled = _scaled_pq(params._key[2:])
+        self._steps = _steps(params._key[2:])
 
     @property
     def _memo(self) -> range:
@@ -334,8 +249,8 @@ class HoradamSequence:
         return Fraction(value) if type(value) is int else value
 
     def exact(self, j: int) -> Union[int, Fraction]:
-        """W[j] as the window holds it, from the window, a walk or doubling:
-        an int when it is integral, else a normalised ``Fraction``."""
+        """W[j] as the window holds it, from the window, a walk or the
+        ladder: an int when it is integral, else a normalised ``Fraction``."""
         try:
             return self._up[j] if j >= 0 else self._down[1 - j]
         except IndexError:
@@ -345,18 +260,17 @@ class HoradamSequence:
                 # another walker may have moved the edges since the check
                 if self._reaches(j):
                     return self._walk(j)
-        return _slot(*_doubled(self.params, j))
+        return _slot(*self._far(j))
 
     def exact_pair(self, j: int) -> Tuple[Union[int, Fraction], Union[int, Fraction]]:
         """(W[j], W[j+1]) as :meth:`exact` reads each. When W[j+1] is within
         reach of the window (:meth:`_reaches`), it is read first and then
         W[j], so an upward walk to the pair is one walk; otherwise neither
-        is stored and both come from one ladder (:func:`_doubled_pair`),
-        not two."""
+        is stored and both come off one ladder, not two."""
         if self._reaches(j + 1):
             after = self.exact(j + 1)
             return self.exact(j), after
-        first, second = _doubled_pair(self.params, j)
+        first, second = self._far(j, pair=True)
         return _slot(*first), _slot(*second)
 
     def _reaches(self, j: int) -> bool:
@@ -369,12 +283,19 @@ class HoradamSequence:
     def _walk(self, j: int) -> Union[int, Fraction]:
         """W[j], walked to from the window's edge on ``_up`` or ``_down``,
         which gain every term it passes; run under the lock. A ``j`` that
-        another walker stored since the caller's check walks no step."""
-        m, big_p, big_q = self._scaled
+        another walker stored since the caller's check walks no step.
+
+        The walk starts from its list's last two terms over L, the lcm of
+        their denominators, and steps the direction's ints (A, B, g) of
+        :func:`_steps`, so the term t steps past the edge is X/(L*g**(t+1)).
+        Each term is appended once it is whole: X itself when the scale is 1,
+        as it always is upwards on an integral family.
+        """
+        up, down = self._steps
         if j >= 0:
-            terms, i, mul, sub, grow = self._up, j, big_p, big_q, m
+            terms, i, (mul, sub, grow) = self._up, j, up
         else:
-            terms, i, mul, sub, grow = self._down, 1 - j, big_p * m, m * m * big_q, big_q
+            terms, i, (mul, sub, grow) = self._down, 1 - j, down
         w0, w1 = terms[-2], terms[-1]
         scale = lcm(w0.denominator, w1.denominator)
         x0 = w0.numerator * (scale // w0.denominator)
@@ -392,6 +313,46 @@ class HoradamSequence:
             scale *= grow
             terms.append(_slot(x1, scale))
         return terms[i]
+
+    def _far(self, j: int, pair: bool = False) -> tuple:
+        """W[j] as ints (num, den), den nonzero and not reduced, off the Lucas
+        ladder at half the index, with no walk and nothing stored; with
+        ``pair``, (W[j], W[j+1]) as two such int pairs off one ladder.
+
+        With (A, B, g) of :func:`_steps` in j's direction, m the upward g
+        and L = den a * den b, the ints Y_i = L*g**i*W[i] upwards, or
+        L*g**i*W[-i] downwards, obey Y_{i+1} = A*Y_i - B*Y_{i-1} from
+        Y_0 = L*a and Y_1 = L*m*b upwards, or A*Y_0 - m*L*m*b downwards. A
+        negative j reads i = -j downwards, and a pair i = -j - 1 and -j,
+        which are W[j+1] and W[j]. For i = 2k + o, o in {0, 1}, the seeds are
+        first shifted by o, so that one formula serves both parities. With
+        (U_k, V_k, B**k) from :func:`_lucas_pair`,
+        Y_{k+o} = U_k*Y_{o+1} - B*U_{k-1}*Y_o and 2*B*U_{k-1} = A*U_k - V_k give
+        2*Y_{k+o} = (2*Y_{o+1} - A*Y_o)*U_k + Y_o*V_k, and the index-addition
+        identity Y_{t+n} = V_n*Y_t - B**n*Y_{t-n} at (t, n) = (k + o, k) gives
+        Y_i = V_k*Y_{k+o} - B**k*Y_o. So the doubling stops at k, and its
+        last, largest squarings are one product. Only a pair makes a second,
+        Y_{i+1}, from 2*Y_{k+o+1} = (A*Y_{o+1} - 2*B*Y_o)*U_k + Y_{o+1}*V_k.
+        """
+        (an, ad), (bn, bd) = self.params._key[:2]
+        up, down = self._steps
+        m = up[2]
+        y0, y1 = an * bd, bn * ad * m
+        if j < 0:
+            big_a, big_b, g = down
+            y1, i = big_a * y0 - m * y1, -j - 1 if pair else -j
+        else:
+            (big_a, big_b, g), i = up, j
+        k, odd = divmod(i, 2)
+        if odd:
+            y0, y1 = y1, big_a * y1 - big_b * y0
+        u, v, bk = _lucas_pair(big_a, big_b, k)
+        scale = ad * bd * g ** i
+        first = v * (((2 * y1 - big_a * y0) * u + y0 * v) // 2) - bk * y0, scale
+        if not pair:
+            return first
+        second = v * (((big_a * y1 - 2 * big_b * y0) * u + y1 * v) // 2) - bk * y1, scale * g
+        return (second, first) if j < 0 else (first, second)
 
 
 def term(params: HoradamParams, j: int) -> Fraction:
@@ -412,7 +373,7 @@ def _lucas_terms(pq: tuple, j: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     code, off the ladder, each a reduced int pair (see :func:`_lowest`):
     U_j = U_j(P, Q)/m**(j-1), V_j = V_j(P, Q)/m**j, and U_{-k} = -U_k/q**k,
     V_{-k} = V_k/q**k with q**k = Q**k/m**(2k)."""
-    m, big_p, big_q = _scaled_pq(pq)
+    (big_p, big_q, m), _ = _steps(pq)
     u, v, qk = _lucas_pair(big_p, big_q, abs(j))
     scale = m ** abs(j)
     if j < 0:

@@ -7,7 +7,8 @@ values are generated by a fresh recurrence. The root-power route
 nested sum that ``identities.lhs_spec`` builds into two nested geometric sums
 and runs ``nestedcore.f_closed`` on each, over Q(sqrt(D)) or, when D is a
 square, over Q. Agreement between these and the library is the point of the
-tests.
+tests. ``doubled_term`` alone reads the package's own code, its
+index-doubling ladder, so that tests can hold that ladder to these.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import factorial, isqrt, prod
 from horadam_sums.combinatorics import nested_ones
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.nestedcore import f_closed
+from horadam_sums.sequences import HoradamSequence
 
 
 def literal_nested_sum(depth, upper, lower_limits, term_fn):
@@ -97,6 +99,12 @@ def walk_terms(params, lo: int, hi: int) -> dict:
     for j in range(-1, lo - 1, -1):
         values[j] = (p * values[j + 1] - values[j + 2]) / q
     return values
+
+
+def doubled_term(params, j: int) -> Fraction:
+    """W[j] off the index-doubling ladder of a fresh ``HoradamSequence``, as
+    a ``Fraction``: no walk and no window."""
+    return Fraction(*HoradamSequence(params)._far(j))
 
 
 @lru_cache(maxsize=64)

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _util import fib_list, walk_terms
+from _util import doubled_term, fib_list, walk_terms
 import horadam_sums.sequences as sequences
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
-                                    HoradamParams, HoradamSequence, _doubled_pair,
-                                    _lucas_terms, doubled_term, first_kind_pair,
+                                    HoradamParams, HoradamSequence,
+                                    _lucas_terms, first_kind_pair,
                                     first_kind_term, gibonacci, horadam,
                                     lemma3_residual, lemma4_residual,
                                     lucas_first_kind, lucas_second_kind,
@@ -370,6 +370,9 @@ class TestLucasCompanions:
 
 
 RATIONAL = horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3))
+# a random rational family's parts: numerators -7..7 over 1, 2, 3 or 5
+family_parts = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 5)))
+nonzero_parts = family_parts.filter(bool)
 
 
 def _exact_type(value: Fraction) -> type:
@@ -453,9 +456,27 @@ class TestExactSlots:
     def test_doubled_pair_matches_walk(self, params):
         # both terms off one ladder, at either sign and parity of j
         walked = walk_terms(params, -301, 301)
+        seq = HoradamSequence(params)
         for j in range(-300, 301):
-            (an, ad), (bn, bd) = _doubled_pair(params, j)
+            (an, ad), (bn, bd) = seq._far(j, pair=True)
             assert (Fraction(an, ad), Fraction(bn, bd)) == (walked[j], walked[j + 1]), j
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=family_parts, b=family_parts, p=nonzero_parts, q=nonzero_parts,
+           j=st.integers(-700, 700))
+    @example(a=Fraction(1), b=Fraction(4), p=Fraction(3), q=Fraction(2), j=-699)
+    @example(a=Fraction(1), b=Fraction(4), p=Fraction(3), q=Fraction(2), j=700)
+    @example(a=Fraction(1, 2), b=Fraction(3), p=Fraction(2), q=Fraction(1), j=-700)  # D = 0
+    @example(a=Fraction(-7, 5), b=Fraction(2, 3), p=Fraction(7, 2), q=Fraction(-5, 3), j=699)
+    def test_reads_match_walk_on_random_families(self, a, b, p, q, j):
+        # exact(j) and exact_pair(j) of a fresh window, walked near it and
+        # off the ladder past the gap, at either sign and parity of j
+        params = horadam(a, b, p, q)
+        walked = walk_terms(params, min(j, 0), max(j + 1, 1))
+        reads = ((HoradamSequence(params).exact(j), j),
+                 *zip(HoradamSequence(params).exact_pair(j), (j, j + 1)))
+        for value, k in reads:
+            assert value == walked[k] and type(value) is _exact_type(walked[k]), k
 
     @pytest.mark.parametrize("params", [horadam(1, 4, 3, 2), RATIONAL],
                              ids=["integer_root", "rational"])

@@ -34,14 +34,12 @@ read ``exact``, which gives a term as the window holds it, an int when it
 is integral, and ``term``, which gives it as a ``Fraction``, its policy
 ``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as,
 the range of stored indices ``_memo`` read off its lists and the pair read
-``exact_pair``) and the far term ``doubled_term`` with its ints
-``_doubled`` (one product on the Lucas pair at half the index, and the
-reversed recurrence for a negative one, both set up by ``_scaled_seeds``)
-and its pair ``_doubled_pair`` off one ladder, with its ladder
-``_lucas_pair``, the Lucas companions ``_lucas_terms`` read off that ladder
-as reduced int pairs (``_lowest``) and their readers ``first_kind_pair``
-and ``second_kind_pair``, and the int scaling ``_scaled_pq`` they all
-share, and
+``exact_pair``) and its far read ``_far``, which gives W[j], or W[j] and
+W[j+1], as int pairs off the index-doubling ladder ``_lucas_pair``, with the
+Lucas companions ``_lucas_terms`` read off that ladder as reduced int pairs
+(``_lowest``) and their readers ``first_kind_pair`` and
+``second_kind_pair``, and ``_steps``, the int recurrences upwards and
+downwards that the walk, the far read and the companions share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
 ``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
 ``horadam_sums.identities``. An ``if``
@@ -98,9 +96,10 @@ oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
 when ``tests/_util.py::binet_route``, which runs every tag's left side
 through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
 deep-depth grid of any tag. A sequence mutant is killed when
-``doubled_term`` misses ``tests/_util.py::walk_terms``, a plain recurrence
-walk, at any j from -300 to 300 on ``SEQUENCE_FAMILIES``, or
-``_doubled_pair`` misses the walk's W[j] and W[j+1] there, or
+``HoradamSequence._far`` of a fresh sequence misses
+``tests/_util.py::walk_terms``, a plain recurrence walk, at any j from
+-300 to 300 on ``SEQUENCE_FAMILIES``, as W[j] alone or as the pair W[j]
+and W[j+1], or
 ``_lucas_terms``, ``first_kind_pair`` or ``second_kind_pair`` miss the int
 pairs, in lowest terms over a positive denominator, of the walks of
 ``lucas_first_kind`` and ``lucas_second_kind`` of those families' (p, q)
@@ -214,11 +213,10 @@ _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_scaled_pq", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
-                    "second_kind_pair", "doubled_term", "_scaled_seeds", "_doubled",
-                    "_doubled_pair", "_slot", "HoradamSequence.term", "HoradamSequence.exact",
+SEQUENCE_TARGETS = ("_steps", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
+                    "second_kind_pair", "_slot", "HoradamSequence.term", "HoradamSequence.exact",
                     "HoradamSequence.exact_pair", "HoradamSequence._reaches",
-                    "HoradamSequence._walk", "HoradamSequence._memo")
+                    "HoradamSequence._walk", "HoradamSequence._far", "HoradamSequence._memo")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
@@ -567,16 +565,16 @@ def _companions_broken(params) -> bool:
 
 
 def _sequence_broken() -> bool:
-    """True when ``doubled_term``, ``_doubled_pair`` or ``_lucas_terms``
-    misses a plain recurrence walk, or a fresh window's reads, one term or
-    one pair at a time, do (see :func:`_window_broken`)."""
+    """True when ``HoradamSequence._far``, one term or a pair, or
+    ``_lucas_terms`` misses a plain recurrence walk, or a fresh window's
+    reads, one term or one pair at a time, do (see :func:`_window_broken`)."""
     for params in SEQUENCE_FAMILIES:
         walked = _walked(params, -301, 301)
-        if any(sq.doubled_term(params, j) != walked[j] for j in range(-300, 301)):
-            return True
+        far = sq.HoradamSequence(params)._far
         for j in range(-300, 301):
-            (an, ad), (bn, bd) = sq._doubled_pair(params, j)
-            if (Fraction(an, ad), Fraction(bn, bd)) != (walked[j], walked[j + 1]):
+            (an, ad), (bn, bd) = far(j, pair=True)
+            if Fraction(*far(j)) != walked[j] \
+                    or (Fraction(an, ad), Fraction(bn, bd)) != (walked[j], walked[j + 1]):
                 return True
         if _companions_broken(params):
             return True
