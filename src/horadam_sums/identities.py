@@ -38,27 +38,27 @@ reversed limits, sum_{k=a}^{b} = -sum_{k=b+1}^{a-1} when b < a - 1 (Karr,
 checks this at every such point of the default grids.
 
 The work of a grid line, one (tag, family, n, c, r, s, d) with a_n varying,
-that does not depend on a_n is done once per line, on ints:
-:func:`evaluate_line` validates the line by one instance and builds its
-points from it, so they share its :class:`_Line` (the left-hand summand and
-the closed form's line part, each made when a point first needs it). An
-instance built alone has a line of its own. Validation tests the int pairs
-(numerator, denominator) of U_j and V_j (``first_kind_pair``,
-``second_kind_pair``), of p, q and D and the exact terms W_j for zero; each
-shape's ratio and base are int pairs in lowest terms over a positive
-denominator, built from those of U_j, V_j, q**j and W_j; and each left-hand
-summand builds its one ``Fraction``, its weight base, from the same ints
-but apart from the closed form's base, so the oracle stays independent of
-the closed form. On a family whose terms are all integers, an instance and
-its closed form run no ``Fraction`` code. The closed form's terms are
-exchanged as int pairs too and its line part holds ints only, read from
-the far end of the line so that a cold window walks once (see
-:func:`_lifted_line`); a point is finished on ints in one ``Fraction``,
-reduced by the factors of its denominator rather than by one gcd with the
-whole of it (see :func:`_lifted_reduced`); its left-hand spec and its
-report are built without their frozen dataclass constructors. The closed
-form's parts are module functions given the instance and the counter, so a
-point builds no closure, and the two sides are compared as ints: an
+that does not depend on a_n is done once per line, on ints, in one place:
+:func:`evaluate_line` validates the line by one instance, makes the
+left-hand summand and the closed form's line part right after, and builds
+its points from that instance, each carrying the two. An instance built
+alone keeps nothing: :func:`lhs_spec` and :func:`evaluate_rhs` make what
+each call needs. Validation tests the int pairs (numerator, denominator) of
+U_j and V_j (``first_kind_pair``, ``second_kind_pair``), of p, q and D and
+the exact terms W_j for zero; each shape's ratio and base are int pairs in
+lowest terms over a positive denominator, built from those of U_j, V_j, q**j
+and W_j; and each left-hand summand builds its one ``Fraction``, its weight
+base, from the same ints but apart from the closed form's base, so the
+oracle stays independent of the closed form. On a family whose terms are all
+integers, an instance and its closed form run no ``Fraction`` code. The
+closed form's terms are exchanged as int pairs too and its line part holds
+ints only, read from the far end of the line so that a cold window walks
+once (see :func:`_lifted_line`); a point is finished on ints in one
+``Fraction``, reduced by the factors of its denominator rather than by one
+gcd with the whole of it (see :func:`_lifted_reduced`); its left-hand spec
+and its report are built without their frozen dataclass constructors. The
+closed form's parts are module functions given the instance and the counter,
+so a point builds no closure, and the two sides are compared as ints: an
 agreeing report holds one value object as both its sides.
 """
 
@@ -130,24 +130,6 @@ FAMILIES: Dict[str, HoradamParams] = {
 }
 
 
-class _Line:
-    """The a_n-free work of one instance's grid line, shared with the points
-    :meth:`IdentityInstance._at` builds from it: the left-hand ``summand``,
-    whose weight base is the line's one ``Fraction`` built from ints, and
-    the closed form's line part (:func:`_lifted_line`), all ints, made from
-    the int pairs of the shape's ratio and base, with its index step and
-    multiplier and the counter units it cost (``closed``, see
-    :func:`evaluate_rhs`), each filled when a point first needs it and
-    written once it is whole. Only numbers and the summand are kept, never
-    a sequence, a function or a counter."""
-
-    __slots__ = ("summand", "closed")
-
-    def __init__(self):
-        self.summand: Optional[SumTerm] = None
-        self.closed: Optional[Tuple[tuple, int, int, int]] = None
-
-
 # each of the coordinates c, r, s, d with its default: the value it must
 # hold for a form that does not read it, and a single point's when unset
 COORD_DEFAULTS = {"c": 1, "r": 1, "s": 0, "d": 0}
@@ -190,12 +172,10 @@ class IdentityInstance:
         reason = _violation(self, record)
         if reason:
             raise InvalidInstanceError(f"{ident}: {reason}")
-        # not a field: equality, hashing and the repr are the coordinates'
-        object.__setattr__(self, "_line", _Line())
 
     def _at(self, a_n: int) -> IdentityInstance:
-        """This instance at another a_n, sharing its line; unvalidated, as no
-        precondition reads a_n."""
+        """This instance at another a_n, with the line parts it carries (see
+        :func:`evaluate_line`); unvalidated, as no precondition reads a_n."""
         _check_int("a_n", a_n)
         point = object.__new__(IdentityInstance)
         point.__dict__.update(self.__dict__, a_n=a_n)
@@ -228,10 +208,11 @@ def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
 # Theorem shapes: what a theorem and its specializations share
 # ---------------------------------------------------------------------------
 
-# (inst, counter, r, d) -> (ratio, base), and (inst, counter, e, k) -> T(e, k),
-# each value an int pair (numerator, denominator)
+# (inst, counter, r, d) -> (ratio, base, step, mul), and (inst, counter, e, k)
+# -> T(e, k); the ratio, the base and T are int pairs (numerator, denominator)
 Pair = Tuple[int, int]
-RatioBase = Callable[[IdentityInstance, EvalCounter, int, int], Tuple[Pair, Pair]]
+ClosedTuple = Tuple[Pair, Pair, int, int]
+RatioBase = Callable[[IdentityInstance, EvalCounter, int, int], ClosedTuple]
 Term = Callable[[IdentityInstance, EvalCounter, int, int], Pair]
 
 
@@ -245,14 +226,13 @@ class _Shape:
     ``violation`` returns the first violated kind-specific precondition as a
     reason, or None. ``summand`` builds the oracle-evaluable innermost term
     of the left-hand side. :func:`evaluate_rhs` runs the lifted master form
-    at ``ratio_base``, ``index(r, d)`` (the index step and multiplier) and
+    at ``ratio_base`` (the ratio, base, index step and multiplier) and
     ``term``, with r and d the instance's or, if set, ``at``.
     """
 
     dims: str
     summand: Callable[[IdentityInstance], SumTerm]
     ratio_base: RatioBase
-    index: Callable[[int, int], Tuple[int, int]]
     term: Term
     violation: Callable[[IdentityInstance], Optional[str]] = lambda inst: None
     at: Optional[Tuple[int, int]] = None
@@ -347,17 +327,17 @@ def _f7_summand(inst: IdentityInstance) -> SumTerm:
 def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
     """The oracle-evaluable nested-sum shape matching the identity's left side.
 
-    The spec equals ``NestedSumSpec(n, a_n, c, summand)`` but is built as
+    Its summand is the one a point of :func:`evaluate_line` carries, or is
+    made for this call on an instance built alone. The spec equals
+    ``NestedSumSpec(n, a_n, c, summand)`` but is built as
     :meth:`IdentityInstance._at` builds a point, by ``object.__new__`` and
     ``__dict__.update``: a valid instance has n >= 1, so the frozen
     ``__init__`` and ``__post_init__``, which check that and widen c to one
     lower limit per level, would only repeat work at every point."""
-    line = inst._line
-    if line.summand is None:
-        line.summand = _REGISTRY[inst.identity].shape.summand(inst)
     spec = object.__new__(NestedSumSpec)
     spec.__dict__.update(depth=inst.n, upper=inst.a_n, lower_limits=(inst.c,) * inst.n,
-                         term=line.summand)
+                         term=inst.__dict__.get("_summand")
+                         or _REGISTRY[inst.identity].shape.summand(inst))
     return spec
 
 
@@ -366,10 +346,10 @@ def lhs_spec(inst: IdentityInstance) -> NestedSumSpec:
 #
 # The paper evaluates the nested geometric sum once and reads every display
 # off it, so every closed form is one lifted master form, :func:`evaluate_rhs`,
-# at the tuple its theorem shape holds: the ratio and the base (a function
-# giving both as int pairs in lowest terms over positive denominators) and
-# the index step and multiplier (a function of r and d), each called once
-# per grid line, and the term T(e, k). A term is an int pair
+# at the tuple its theorem shape holds: the ratio, the base, the index step
+# and the multiplier (one function of the instance, r and d, giving the ratio
+# and base as int pairs in lowest terms over positive denominators), called
+# once per grid line, and the term T(e, k). A term is an int pair
 # (numerator, denominator): the denominator is nonzero but may be negative
 # and need not be reduced, so a term costs no normalised ``Fraction``. The
 # ratio-and-base and term functions are module functions that take the
@@ -482,53 +462,40 @@ def _w_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tup
 
 
 def _f3_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Pair, Pair]:
-    """F3's ratio -1/q**r and base 1/V_r."""
+                   d: int) -> ClosedTuple:
+    """F3's ratio -1/q**r and base 1/V_r, index step 2r and multiplier r."""
     qn, qd, _ = _lifted_power(*inst.params._key[3], r)
     vn, vd = second_kind_pair(inst.params, r)
-    return _lowest(-qd, qn), _lowest(vd, vn)
-
-
-def _f3_index(r: int, d: int) -> Tuple[int, int]:
-    return 2 * r, r
+    return _lowest(-qd, qn), _lowest(vd, vn), 2 * r, r
 
 
 def _f4_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Pair, Pair]:
-    """F4's ratio 1/V_r and base -1/q**r."""
+                   d: int) -> ClosedTuple:
+    """F4's ratio 1/V_r and base -1/q**r, index step r and multiplier 2r."""
     qn, qd, _ = _lifted_power(*inst.params._key[3], r)
     vn, vd = second_kind_pair(inst.params, r)
-    return _lowest(vd, vn), _lowest(-qd, qn)
-
-
-def _f4_index(r: int, d: int) -> Tuple[int, int]:
-    return r, 2 * r
+    return _lowest(vd, vn), _lowest(-qd, qn), r, 2 * r
 
 
 def _f5_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Pair, Pair]:
+                   d: int) -> ClosedTuple:
     """F5's ratio -U_d/(U_r*q**d), whose m-th power is the display's factor
-    (-1)**m (U_d/U_r)**m / q**(dm), and base U_d/U_{r+d}."""
+    (-1)**m (U_d/U_r)**m / q**(dm), base U_d/U_{r+d}, step r + d and mul r."""
     params = inst.params
     qn, qd, _ = _lifted_power(*params._key[3], d)
     (un, ud), (rn, rd), (wn, wd) = (first_kind_pair(params, d), first_kind_pair(params, r),
                                     first_kind_pair(params, r + d))
-    return _lowest(-un * rd * qd, ud * rn * qn), _lowest(un * wd, ud * wn)
-
-
-def _f5_index(r: int, d: int) -> Tuple[int, int]:
-    """F5's and F6's index step and multiplier."""
-    return r + d, r
+    return _lowest(-un * rd * qd, ud * rn * qn), _lowest(un * wd, ud * wn), r + d, r
 
 
 def _f6_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Pair, Pair]:
-    """F6's ratio V_d/(U_r*q**d) and base V_d/V_{r+d}."""
+                   d: int) -> ClosedTuple:
+    """F6's ratio V_d/(U_r*q**d), base V_d/V_{r+d}, and F5's step and mul."""
     params = inst.params
     qn, qd, _ = _lifted_power(*params._key[3], d)
     (vn, vd), (rn, rd), (wn, wd) = (second_kind_pair(params, d), first_kind_pair(params, r),
                                     second_kind_pair(params, r + d))
-    return _lowest(vn * rd * qd, vd * rn * qn), _lowest(vn * wd, vd * wn)
+    return _lowest(vn * rd * qd, vd * rn * qn), _lowest(vn * wd, vd * wn), r + d, r
 
 
 def _over_disc(inst: IdentityInstance, e: int, xn: int, xd: int) -> Pair:
@@ -557,10 +524,10 @@ def _f6_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Pa
 
 
 def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
-                   d: int) -> Tuple[Pair, Pair]:
+                   d: int) -> ClosedTuple:
     """F7's ratio -q*U_{r-d}*W_{s+d-1}/W_{r+s} and base
     q*U_{r-d}*W_{s+d-1}/(U_{r-d+1}*W_{s+d}), which read three terms W of the
-    summand's family."""
+    summand's family; its term ignores its index, so step and mul are 0."""
     params, s = inst.params, inst.s
     sequence = HoradamSequence.of(params)
     counter.count += 3
@@ -569,11 +536,7 @@ def _f7_ratio_base(inst: IdentityInstance, counter: EvalCounter, r: int,
     (an, ad), (bn, bd), (cn, cd) = (sequence.exact(j).as_integer_ratio()
                                     for j in (s + d - 1, s + d, r + s))
     top, bottom = qn * un * an, qd * ud * ad  # q*U_{r-d}*W_{s+d-1}
-    return _lowest(-top * cd, bottom * cn), _lowest(top * vd * bd, bottom * vn * bn)
-
-
-def _f7_index(r: int, d: int) -> Tuple[int, int]:
-    return 0, 0
+    return _lowest(-top * cd, bottom * cn), _lowest(top * vd * bd, bottom * vn * bn), 0, 0
 
 
 def _unit_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> Tuple[int, int]:
@@ -582,72 +545,73 @@ def _unit_term(inst: IdentityInstance, counter: EvalCounter, e: int, k: int) -> 
 
 
 # H is F3 on the Fibonacci numbers at r = 1, s = 0, c = 1, and runs F3's tuple.
-_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _f3_ratio_base, _f3_index, _w_term)
+_H = _Shape("", lambda inst: SumTerm(seq=inst.params), _f3_ratio_base, _w_term)
 # F1 and F2 run F5's tuple at a fixed (r, d). On the Fibonacci recurrence,
 # (3, -1) has U_{-1}/U_2 = 1 and U_3 = 2, which give F1's powers of 2, and
 # (3, -2) has U_{-2}/U_1 = -1, which gives F2's alternating sign.
 _F1 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s),
-             _f5_ratio_base, _f5_index, _w_term, at=(3, -1))
+             _f5_ratio_base, _w_term, at=(3, -1))
 _F2 = _Shape("cs", lambda inst: SumTerm(seq=inst.params, index_mul=3, index_add=inst.s,
                                         weight_base=-1),
-             _f5_ratio_base, _f5_index, _w_term, at=(3, -2))
+             _f5_ratio_base, _w_term, at=(3, -2))
 # F3: the nested sum of W[rk+s] / V_r**k; F4: of (-1)**k W[2rk+s] / q**(rk);
 # F5: of (U_d/U_{r+d})**k W[rk+s].
-_F3 = _Shape("crs", _f3_summand, _f3_ratio_base, _f3_index, _w_term, _v_r_violation)
-_F4 = _Shape("crs", _f4_summand, _f4_ratio_base, _f4_index, _w_term, _v_r_violation)
-_F5 = _Shape("crsd", _f5_summand, _f5_ratio_base, _f5_index, _w_term, _f5_violation)
+_F3 = _Shape("crs", _f3_summand, _f3_ratio_base, _w_term, _v_r_violation)
+_F4 = _Shape("crs", _f4_summand, _f4_ratio_base, _w_term, _v_r_violation)
+_F5 = _Shape("crsd", _f5_summand, _f5_ratio_base, _w_term, _f5_violation)
 # F6: the nested sum of (V_d/V_{r+d})**k W[rk+s]. Its term is W[k] at even e
 # and W[k+1] - q*W[k-1] at odd e. The display's delta = sqrt(D) occurs only in
 # even powers, so the form runs over Q for both parities of n, each term
 # divided by D**ceil(e/2) (_over_disc). All eight F6 tags run this shape: on
 # the Fibonacci and Lucas numbers the odd term is the display's L[k] and 5 F[k],
 # by F[k+1] + F[k-1] = L[k] and L[k+1] + L[k-1] = 5 F[k].
-_F6 = _Shape("crsd", _f6_summand, _f6_ratio_base, _f5_index, _f6_term, _f6_violation)
+_F6 = _Shape("crsd", _f6_summand, _f6_ratio_base, _f6_term, _f6_violation)
 # F7: the geometric nested sum of base q * (U_{r-d}/U_{r-d+1}) * (W_{s+d-1}/W_{s+d}).
-_F7 = _Shape("crsd", _f7_summand, _f7_ratio_base, _f7_index, _unit_term, _f7_violation)
+_F7 = _Shape("crsd", _f7_summand, _f7_ratio_base, _unit_term, _f7_violation)
 _F7_R1D0 = replace(_F7, dims="cs")
+
+
+def _line_part(inst: IdentityInstance, counter: EvalCounter) -> Tuple[tuple, int, int]:
+    """The closed form's line part (:func:`_lifted_line`) at its shape's
+    tuple, with its index step and multiplier; r and d are the shape's
+    ``at`` or the instance's, and ``counter`` tallies the lookups."""
+    shape = _REGISTRY[inst.identity].shape
+    r, d = shape.at or (inst.r, inst.d)
+    ratio, base, step, mul = shape.ratio_base(inst, counter, r, d)
+    return _lifted_line(inst, counter, ratio, base, step, mul, shape.term), step, mul
 
 
 def evaluate_rhs(inst: IdentityInstance, counter: Optional[EvalCounter] = None) -> Fraction:
     """Evaluate the closed form matching the instance's identity: the lifted
     master form at the tuple its shape holds.
 
-    With (ratio, base) the fractions of the int pairs
-    ``ratio_base(inst, counter, r, d)``, (step, mul) =
-    ``index(r, d)``, r and d the shape's ``at`` or the instance's, a = a_n
-    and T(e, k) the fraction of the int pair ``term(inst, counter, e, k)``,
-    it returns
+    With (ratio, base, step, mul) from ``ratio_base(inst, counter, r, d)``,
+    the ratio and base the fractions of its int pairs, r and d the shape's
+    ``at`` or the instance's, a = a_n and T(e, k) the fraction of the int
+    pair ``term(inst, counter, e, k)``, it returns
     ratio**n * base**a * T(n, step*n + mul*a + s)
     - base**(c-1) * sum_{j<n} ratio**(n-j) * T(n-j, step*(n-j) + mul*(c-1) + s)
     * C(a+j-c, j).
 
-    Only the last term and the binomials depend on a, so (r, d), the index
-    and ``ratio_base`` are resolved once per grid line, when the line part,
-    :func:`_lifted_line`, is made. That part, ints only, is kept on the
-    instance's :class:`_Line` with its step, multiplier and the counter
-    units its lookups tallied, and :func:`_lifted_point` finishes each point
-    from it on ints, in one normalised ``Fraction`` that
-    :func:`_lifted_reduced` reduces by the factors of its denominator. A
-    later point of the line (see :func:`evaluate_line`) adds those units as
-    if it had made the lookups, so ``closed_terms`` counts uses, not cache
-    misses. Without a counter the units are tallied on a fresh one, so the
-    line part is kept either way; a failed call leaves the units it made on
-    ``counter``."""
+    Only the last term and the binomials depend on a, so the rest, the line
+    part, is made by :func:`_line_part`, ints only, and
+    :func:`_lifted_point` finishes the point from it on ints, in one
+    normalised ``Fraction`` that :func:`_lifted_reduced` reduces by the
+    factors of its denominator. A point of :func:`evaluate_line` carries its
+    line's part, with the counter units its lookups tallied, and adds those
+    units as if it had made the lookups, so ``closed_terms`` counts uses,
+    not cache misses. An instance built alone makes the part on ``counter``,
+    or on a fresh one without it, and keeps nothing; a failed call leaves
+    the units it made on ``counter``."""
     if counter is None:
         counter = EvalCounter()
-    shape = _REGISTRY[inst.identity].shape
-    line = inst._line
-    if line.closed is None:
-        r, d = shape.at or (inst.r, inst.d)
-        step, mul = shape.index(r, d)
-        before = counter.count
-        part = _lifted_line(inst, counter, *shape.ratio_base(inst, counter, r, d), step, mul,
-                            shape.term)
-        line.closed = part, step, mul, counter.count - before
+    carried = inst.__dict__.get("_closed")
+    if carried is None:
+        part, step, mul = _line_part(inst, counter)
     else:
-        part, step, mul, units = line.closed
+        part, step, mul, units = carried
         counter.count += units
-    return _lifted_point(inst, counter, part, step, mul, shape.term)
+    return _lifted_point(inst, counter, part, step, mul, _REGISTRY[inst.identity].shape.term)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +634,10 @@ class EvaluationReport:
     of a skipped point. ``oracle_terms`` and ``closed_terms`` count the
     summand-scale units (sequence terms, binomials, oracle additions) each
     route used for this point. The closed form's a_n-free lookups are made
-    once per line :func:`evaluate_line` runs (see :func:`evaluate_rhs`), but
-    counted at every point that uses them: the counts are uses, not cache
-    misses, and a sweep reports what its points verified alone report.
+    once per line by :func:`evaluate_line`, before its first point, so no
+    ``closed_ns`` times them, but they are counted at every point that uses
+    them (see :func:`evaluate_rhs`): the counts are uses, not cache misses,
+    and a sweep reports what its points verified alone report.
     """
 
     identity: IdentityId
@@ -818,13 +783,16 @@ def evaluate_line(identity: IdentityId, params: Optional[HoradamParams], n: int,
                   a_values: Sequence[int], c: int, r: int, s: int,
                   d: int) -> Iterator[EvaluationReport]:
     """Yield :func:`verify` at each a_n of one grid line, validated once by
-    one instance whose a_n-free work its points (:meth:`IdentityInstance._at`)
-    share. A line that fails a precondition gives a ``skipped`` report per
-    a_n with the reason as its detail, never an exception; ``params`` None
-    stands for the tag's fixed family, and raises ``TypeError`` on a tag
-    without one, as does an a_n that is not an int. A skipped report is
-    built as :func:`verify` builds its own, from the line's fields with
-    only a_n set per point."""
+    one instance. Right after, its left-hand summand and its closed form's
+    line part (:func:`_line_part`, on a fresh counter whose units are kept)
+    are made once, and its points (:meth:`IdentityInstance._at`) carry them,
+    the summand and ints only, for :func:`lhs_spec` and :func:`evaluate_rhs`.
+    If either raises, the points carry nothing. A line that fails
+    a precondition gives a ``skipped`` report per a_n with the reason as
+    its detail, never an exception; ``params`` None stands for the tag's
+    fixed family, and raises ``TypeError`` on a tag without one, as does an
+    a_n that is not an int. A skipped report is built as :func:`verify`
+    builds its own, from the line's fields with only a_n set per point."""
     if not a_values:
         return
     try:
@@ -841,6 +809,12 @@ def evaluate_line(identity: IdentityId, params: Optional[HoradamParams], n: int,
             report.__dict__.update(skipped, a_n=a_n)
             yield report
         return
+    counter = EvalCounter()
+    try:
+        summand = _REGISTRY[identity].shape.summand(line)
+        line.__dict__.update(_summand=summand, _closed=(*_line_part(line, counter), counter.count))
+    except _EVALUATION_ERRORS:
+        pass  # each point then makes its own parts and fails as it does alone
     for a_n in a_values:
         yield verify(line._at(a_n))
 

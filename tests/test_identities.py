@@ -455,12 +455,11 @@ class TestDegenerations:
     def test_every_tag_runs_a_theorem_closed_form(self):
         # a specialization reads its parent theorem's closed form, never code
         # of its own: only the summand, the dims and a fixed (r, d) may differ
-        theorems = {(shape.ratio_base, shape.index, shape.term)
+        theorems = {(shape.ratio_base, shape.term)
                     for shape in (identities._F3, identities._F4, identities._F5,
                                   identities._F6, identities._F7)}
         own = [ident.value for ident, record in _REGISTRY.items()
-               if (record.shape.ratio_base, record.shape.index, record.shape.term)
-               not in theorems]
+               if (record.shape.ratio_base, record.shape.term) not in theorems]
         assert not own
 
 

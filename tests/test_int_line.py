@@ -1,7 +1,8 @@
 """A grid line is set up on ints.
 
-Every closed form's ratio and base are reduced int pairs built from the int
-pairs of U_j, V_j and q**j and from the exact terms W_j; the preconditions
+Every closed form's ratio and base are reduced int pairs, given with its
+index step and multiplier by one function and built from the int pairs of
+U_j, V_j and q**j and from the exact terms W_j; the preconditions
 test those ints for zero, and each summand builds its one ``Fraction``
 weight base from ints, apart from the closed form's base. So on an integral
 family the instance and the closed form at a line's first point run no
@@ -43,22 +44,23 @@ def _uvw(params):
 
 
 def _display(inst, r, d):
-    """The (ratio, base) of the instance's closed form as the displays give
-    them, in Fraction arithmetic on walked U, V and W."""
+    """The (ratio, base, step, mul) of the instance's closed form as the
+    displays give them, the ratio and base in Fraction arithmetic on walked
+    U, V and W."""
     u, v, w = _uvw(inst.params)
     q, s = inst.params.q, inst.s
     ratio_base = _REGISTRY[inst.identity].shape.ratio_base
     if ratio_base is identities._f3_ratio_base:
-        return -1 / q ** r, 1 / v[r]
+        return -1 / q ** r, 1 / v[r], 2 * r, r
     if ratio_base is identities._f4_ratio_base:
-        return 1 / v[r], -1 / q ** r
+        return 1 / v[r], -1 / q ** r, r, 2 * r
     if ratio_base is identities._f5_ratio_base:
-        return -u[d] / (u[r] * q ** d), u[d] / u[r + d]
+        return -u[d] / (u[r] * q ** d), u[d] / u[r + d], r + d, r
     if ratio_base is identities._f6_ratio_base:
-        return v[d] / (u[r] * q ** d), v[d] / v[r + d]
+        return v[d] / (u[r] * q ** d), v[d] / v[r + d], r + d, r
     assert ratio_base is identities._f7_ratio_base
     lead = q * u[r - d] * w[s + d - 1]
-    return -lead / w[r + s], lead / (u[r - d + 1] * w[s + d])
+    return -lead / w[r + s], lead / (u[r - d + 1] * w[s + d]), 0, 0
 
 
 def _valid_lines():
@@ -82,15 +84,17 @@ def _is_reduced(pair) -> bool:
 def test_ratio_and_base_are_the_displays_reduced():
     # every tag at every valid line of its default grid and on the rational
     # families: the int pairs are the displays' Fractions in lowest terms
-    # over a positive denominator
+    # over a positive denominator, given with the displays' index step and
+    # multiplier
     checked = set()
     for inst in _valid_lines():
         shape = _REGISTRY[inst.identity].shape
         r, d = shape.at or (inst.r, inst.d)
-        pairs = shape.ratio_base(inst, EvalCounter(), r, d)
-        ratio, base = _display(inst, r, d)
+        *pairs, step, mul = shape.ratio_base(inst, EvalCounter(), r, d)
+        ratio, base, *index = _display(inst, r, d)
         assert all(_is_reduced(pair) for pair in pairs), (inst, pairs)
-        assert pairs == (ratio.as_integer_ratio(), base.as_integer_ratio()), inst
+        assert pairs == [ratio.as_integer_ratio(), base.as_integer_ratio()], inst
+        assert [step, mul] == index, inst
         checked.add((inst.identity, inst.params in RATIONAL_FAMILIES.values()))
     assert {ident for ident, _ in checked} == set(IdentityId)
     assert {ident for ident, rational in checked if rational} == set(RATIONAL_TAGS)
@@ -201,7 +205,7 @@ def test_cold_line_part_walks_once(ident, coords, monkeypatch):
     inst = IdentityInstance(ident, params, 3, coords["c"] + 900, **coords)
     value = evaluate_rhs(inst)
     shape = _REGISTRY[ident].shape
-    step, mul = shape.index(inst.r, inst.d)
+    step, mul = shape.ratio_base(inst, EvalCounter(), inst.r, inst.d)[2:]
     shift = mul * (inst.c - 1) + inst.s
     farthest = step * 3 + shift + (1 if ident is IdentityId.F6B else 0)
     assert line.walks == [farthest]

@@ -1,17 +1,17 @@
 """Grid lines: a point reports the same on its line as alone.
 
-``evaluate_line`` validates a grid line once and builds its points from that
-one instance (``IdentityInstance._at``), so they share the line's a_n-free
-work (left-hand summand, closed form's coefficients). Every report of a
-sweep must equal, field by field, the report of the same point evaluated
-alone; only the measured times may differ. Instances built apart share
-nothing.
+``evaluate_line`` validates a grid line once, makes its a_n-free work (the
+left-hand summand and the closed form's line part) once right after, and
+builds its points from that one instance (``IdentityInstance._at``), each
+carrying that work. Every report of a sweep must equal, field by field, the
+report of the same point evaluated alone; only the measured times may
+differ. An instance built alone keeps nothing, and a line whose parts raise
+gives each point the report it gives alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -22,15 +22,17 @@ from hypothesis import strategies as st
 
 from _util import falling_binom, karr_nested_sum, summand_fn
 import horadam_sums.identities as identities
-from horadam_sums.identities import (CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VERIFIED, FAMILIES,
-                                     IdentityId, IdentityInstance, SweepGrid, evaluate_line,
-                                     evaluate_point, evaluate_rhs, iter_sweep, lhs_spec,
+from horadam_sums.identities import (CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED,
+                                     CLASS_VERIFIED, COORD_DEFAULTS, FAMILIES, IdentityId,
+                                     IdentityInstance, SweepGrid, evaluate_line, evaluate_point,
+                                     evaluate_rhs, fixed_family, iter_sweep, lhs_spec,
                                      sweep_points)
 from horadam_sums.nestedcore import EvalCounter, SumTerm
-from horadam_sums.sequences import HoradamSequence
+from horadam_sums.sequences import HoradamSequence, horadam
 
 _TIMES = ("oracle_ns", "closed_ns")
 FIB = FAMILIES["fibonacci"]
+_FIELDS = {field.name for field in dataclasses.fields(IdentityInstance)}
 
 
 def _fields(report) -> tuple:
@@ -62,60 +64,81 @@ def _leaves(value):
         yield value
 
 
+def _carried(inst) -> dict:
+    """What an instance holds besides its eight fields."""
+    return {name: value for name, value in vars(inst).items() if name not in _FIELDS}
+
+
+def _points(monkeypatch, ident, params, a_values, coords) -> tuple:
+    """The reports of one grid line and the points ``verify`` was given."""
+    points = []
+    real = identities.verify
+
+    def recording(inst):
+        points.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(identities, "verify", recording)
+    return list(evaluate_line(ident, params, a_values=a_values, **coords)), points
+
+
 @pytest.mark.parametrize("ident, params, coords", [
     (IdentityId.F6A, FAMILIES["gibonacci31"], dict(n=2, c=-1, r=2, s=2, d=1)),
     # F7's ratio and base read the sequence itself
     (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1)),
 ], ids=["F6a", "F7"])
 def test_line_keeps_only_numbers(ident, params, coords, monkeypatch):
-    lines = []
-    real = identities.verify
-
-    def recording(inst):
-        lines.append(inst._line)
-        return real(inst)
-
-    monkeypatch.setattr(identities, "verify", recording)
     a_values = tuple(range(coords["c"] - 1, coords["c"] + 6))
-    reports = list(evaluate_line(ident, params, a_values=a_values, **coords))
+    reports, points = _points(monkeypatch, ident, params, a_values, coords)
     assert [report.a_n for report in reports] == list(a_values)
     assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
-    # one line, shared by every point
-    assert len(lines) == len(a_values) and all(line is lines[0] for line in lines)
-    kept = [leaf for slot in type(lines[0]).__slots__
-            for leaf in _leaves(getattr(lines[0], slot))]
+    # one line's parts, the same objects at every point
+    first = _carried(points[0])
+    assert len(points) == len(a_values) and set(first) == {"_summand", "_closed"}
+    assert all(_carried(point).keys() == first.keys()
+               and all(point.__dict__[name] is part for name, part in first.items())
+               for point in points)
+    kept = list(_leaves(tuple(first.values())))
     assert any(isinstance(leaf, SumTerm) for leaf in kept)
     assert not any(isinstance(leaf, HoradamSequence) for leaf in kept)
-    assert {type(leaf) for leaf in kept} <= {int, Fraction, SumTerm, type(None)}
+    assert {type(leaf) for leaf in kept} <= {int, Fraction, SumTerm}
 
 
 def test_instances_built_apart_share_nothing():
+    # an instance built alone keeps no part, so two equal ones share none
     one, two = (IdentityInstance(IdentityId.F3, FIB, 3, 5, 1, 2, 0, 0) for _ in range(2))
-    assert one == two and one._line is not two._line
-    lhs_spec(one)
-    evaluate_rhs(one, EvalCounter())
-    assert one._line.summand is not None and one._line.closed is not None
-    assert two._line.summand is None and two._line.closed is None
+    first, second = lhs_spec(one).term, lhs_spec(two).term
+    assert one == two and first == second and first is not second
 
 
-@pytest.mark.parametrize("ident, params, coords", [
+_ALONE = pytest.mark.parametrize("ident, params, coords", [
     (IdentityId.F3, FAMILIES["generic"], dict(n=3, c=-1, r=2, s=1, d=0)),
     (IdentityId.F6B, FAMILIES["negative_d"], dict(n=3, c=1, r=1, s=0, d=1)),
     # F7's ratio and base read the sequence itself
     (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1)),
 ], ids=["F3", "F6b", "F7"])
-def test_call_without_a_counter_keeps_the_line_part(ident, params, coords):
-    # a call without a counter makes the line part on a fresh one and keeps
-    # it with its units, so a later counted point of the line adds what a
-    # fresh line's first counted call adds
-    line = IdentityInstance(ident, params, a_n=coords["c"] + 1, **coords)
-    first = evaluate_rhs(line)
-    assert line._line.closed is not None
+
+
+@_ALONE
+def test_instance_built_alone_keeps_only_its_fields(ident, params, coords):
+    inst = IdentityInstance(ident, params, a_n=coords["c"] + 3, **coords)
+    lhs_spec(inst)
+    evaluate_rhs(inst)
+    evaluate_rhs(inst, EvalCounter())
+    assert set(vars(inst)) == _FIELDS and len(_FIELDS) == 8
+
+
+@_ALONE
+def test_call_without_a_counter_keeps_later_counts_whole(ident, params, coords):
+    # a call without a counter tallies on a fresh one, so a later counted
+    # call on the same instance adds every unit, as a fresh instance's does
+    inst = IdentityInstance(ident, params, a_n=coords["c"] + 4, **coords)
+    first = evaluate_rhs(inst)
     later, fresh = EvalCounter(), EvalCounter()
-    value = evaluate_rhs(line._at(coords["c"] + 4), later)
+    value = evaluate_rhs(inst, later)
     alone = IdentityInstance(ident, params, a_n=coords["c"] + 4, **coords)
-    assert value == evaluate_rhs(alone, fresh) and later.count == fresh.count > coords["n"]
-    assert first == evaluate_rhs(line, EvalCounter())
+    assert first == value == evaluate_rhs(alone, fresh)
+    assert later.count == fresh.count > coords["n"]
 
 
 @pytest.mark.parametrize("ident, params, coords", [
@@ -125,29 +148,54 @@ def test_call_without_a_counter_keeps_the_line_part(ident, params, coords):
     (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1)),
 ], ids=["F5", "F1a", "F7"])
 def test_line_resolves_its_tuple_once(ident, params, coords, monkeypatch):
-    # the index step and multiplier and the ratio and base are free of a_n:
-    # one line makes them once, however many points it has, and each point
-    # still counts the units it uses, as it does alone
+    # the ratio, base, index step and multiplier are free of a_n: one line
+    # makes them once, however many points it has, and each point still
+    # counts the units it uses, as it does alone
     record = identities._REGISTRY[ident]
-    shape, calls = record.shape, Counter()
+    shape, calls = record.shape, []
 
-    def counting(name):
-        real = getattr(shape, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def counting(*args):
+        calls.append(args)
+        return shape.ratio_base(*args)
 
     monkeypatch.setitem(identities._REGISTRY, ident, dataclasses.replace(
-        record, shape=dataclasses.replace(shape, index=counting("index"),
-                                          ratio_base=counting("ratio_base"))))
+        record, shape=dataclasses.replace(shape, ratio_base=counting)))
     a_values = tuple(range(coords["c"] - 1, coords["c"] + 6))
     reports = list(evaluate_line(ident, params, a_values=a_values, **coords))
-    assert calls == {"index": 1, "ratio_base": 1}
+    assert len(calls) == 1
     assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
     assert [report.closed_terms for report in reports] == [
         evaluate_point(ident, params, a_n=a_n, **coords).closed_terms for a_n in a_values]
+
+
+@pytest.mark.parametrize("ident, params, coords, units", [
+    (IdentityId.F3, FAMILIES["generic"], dict(n=3, c=-1, r=2, s=1, d=0), 0),
+    # F7's ratio and base count three terms before they raise
+    (IdentityId.F7, FAMILIES["generic"], dict(n=3, c=1, r=2, s=-1, d=1), 3),
+], ids=["F3", "F7"])
+def test_line_part_that_raises_gives_each_point_its_error(ident, params, coords, units,
+                                                          monkeypatch):
+    # the points of a line whose closed-form part raises carry nothing: each
+    # makes its own parts and gives the error report, partial counts
+    # included, that it gives built alone
+    record = identities._REGISTRY[ident]
+    real = record.shape.ratio_base
+
+    def pole(inst, counter, r, d):
+        real(inst, counter, r, d)
+        raise ZeroDivisionError("a pole in the ratio")
+
+    monkeypatch.setitem(identities._REGISTRY, ident, dataclasses.replace(
+        record, shape=dataclasses.replace(record.shape, ratio_base=pole)))
+    a_values = tuple(range(coords["c"] - 1, coords["c"] + 4))
+    alone = [identities.verify(IdentityInstance(ident, params, a_n=a_n, **coords))
+             for a_n in a_values]
+    reports, points = _points(monkeypatch, ident, params, a_values, coords)
+    assert [_fields(report) for report in reports] == [_fields(report) for report in alone]
+    assert not any(_carried(point) for point in points)
+    assert all(report.classification == CLASS_ERROR and report.detail == "a pole in the ratio"
+               and report.closed_terms == units for report in reports)
+    assert any(report.oracle_terms for report in reports)
 
 
 @pytest.mark.parametrize("ident, params, coords", [
@@ -171,12 +219,15 @@ def test_empty_line_gives_no_reports():
 
 @pytest.mark.parametrize("ident, params", [(IdentityId.H, None), (IdentityId.F3, FIB)],
                          ids=["H", "F3"])
-def test_point_on_a_line_equals_one_built_alone(ident, params):
-    line = IdentityInstance(ident, params, 2, 3, 1, 1, 0, 0)
-    for a_n in (-1, 3, 7):
-        point, built = line._at(a_n), IdentityInstance(ident, params, 2, a_n, 1, 1, 0, 0)
+def test_point_on_a_line_equals_one_built_alone(ident, params, monkeypatch):
+    coords = dict(n=2, c=1, r=1, s=0, d=0)
+    _, points = _points(monkeypatch, ident, params, (-1, 3, 7), coords)
+    for point in points:
+        built = IdentityInstance(ident, params, a_n=point.a_n, **coords)
         assert point == built and hash(point) == hash(built) and repr(point) == repr(built)
-        assert point._line is line._line
+        # the point carries its line's parts, which one built alone does not
+        assert _carried(point) and _carried(point) == _carried(points[0])
+        assert not _carried(built)
 
 
 def test_point_on_a_line_refuses_a_non_int():
@@ -209,6 +260,45 @@ def test_outside_domain_follows_the_reversed_sum_convention(alone):
             bad.append((ident.value, point, report.rhs, expected))
     assert not bad
     assert outside == 5575 and nonzero == 554
+
+
+# a random rational family's parts: numerators -7..7 over 1, 2, 3 or 5
+_family_parts = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 5)))
+
+
+@st.composite
+def _random_points(draw) -> tuple:
+    """A point (tag, family, n, a_n, c, r, s, d) of a random tag: a random
+    rational family, None for a fixed tag, with p = 1 (and q = -1) where the
+    tag's family shape needs it, n of the tag's parity, and each coordinate
+    the tag does not read at its default."""
+    ident = draw(st.sampled_from(list(IdentityId)))
+    record = identities._REGISTRY[ident]
+    params = None
+    if fixed_family(ident) is None:
+        p = 1 if record.family else draw(_family_parts.filter(bool))
+        q = -1 if record.family == identities._GIBONACCI else draw(_family_parts.filter(bool))
+        params = horadam(draw(_family_parts), draw(_family_parts), p, q)
+    n = draw(st.sampled_from([n for n in range(1, 5)
+                              if record.parity is None or n % 2 == record.parity]))
+    ranges = dict(c=st.integers(-3, 3), r=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                  s=st.integers(-4, 4), d=st.integers(-3, 3))
+    coords = {name: draw(ranges[name]) if name in record.shape.dims else default
+              for name, default in COORD_DEFAULTS.items()}
+    return ident, params, n, draw(st.integers(coords["c"] - 3, coords["c"] + 8)), *coords.values()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(point=_random_points())
+def test_random_points_agree_or_follow_the_reversed_sum(point):
+    # on families and coordinates no default grid holds, a point alone never
+    # mismatches or fails, and outside the domain it is Karr's reversed sum
+    report = evaluate_point(*point)
+    assert report.classification not in (CLASS_MISMATCH, CLASS_ERROR), (point, report.detail)
+    if report.classification == CLASS_OUTSIDE:
+        spec = lhs_spec(IdentityInstance(*point))
+        assert report.rhs == karr_nested_sum(spec.depth, spec.upper, report.c,
+                                             summand_fn(spec.term)), point
 
 
 _nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
@@ -329,20 +419,22 @@ def test_f6_line_part_at_negative_discriminant(ident, n, c):
     # denominator; the line part is still the plain one, and the points verify
     params = FAMILIES["negative_d"]
     assert params.discriminant < 0
-    line = IdentityInstance(ident, params, n, c, c, 1, 0, 1)
     captured = []
     real = identities._lifted_line
 
     def capturing(inst, counter, ratio, base, step, mul, term):
-        captured.append((ratio, base, step, mul, term))
-        return real(inst, counter, ratio, base, step, mul, term)
+        part = real(inst, counter, ratio, base, step, mul, term)
+        captured.append((ratio, base, step, mul, term, part))
+        return part
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "_lifted_line", capturing)
-        reports = [identities.verify(line._at(a_n)) for a_n in range(c - 1, c + 5)]
+        reports = list(evaluate_line(ident, params, n, tuple(range(c - 1, c + 5)), c, 1, 0, 1))
     assert {report.classification for report in reports} == {CLASS_OUTSIDE, CLASS_VERIFIED}
-    (ratio, base, step, mul, term), = captured
+    # one line part for the line's six points
+    (ratio, base, step, mul, term, part), = captured
+    line = IdentityInstance(ident, params, n, c, c, 1, 0, 1)
     assert any(term(line, EvalCounter(), e, 0)[1] < 0 for e in (1, 3))
-    ratio_num, ratio_den, u, v, coefficients, den = line._line.closed[0]
+    ratio_num, ratio_den, u, v, coefficients, den = part
     assert (coefficients, den) == _plain_line(line, Fraction(*ratio), Fraction(*base), step,
                                               mul, term)

@@ -57,28 +57,31 @@ def test_install_reaches_every_shape_that_held_the_part(tool):
     # so a mutant installed only on the module would never run
     ids = tool.ids
     (module, owner, func), = [target for target in tool._targets(ids)
-                              if target[2].name == "_f3_index"]
-    original, registry = ids._f3_index, dict(ids._REGISTRY)
-    # a fresh instance each time, since a line keeps its closed-form part
-    point = lambda: ids.IdentityInstance(ids.IdentityId.F3, ids.FAMILIES["fibonacci"], 2, 3, r=2)
-    holders = {ident for ident, record in registry.items() if record.shape.index is original}
-    assert holders == {ids.IdentityId.H, ids.IdentityId.F3, ids.IdentityId.F3_W,
-                       ids.IdentityId.F3_G}
-    # the first site is the product 2 * r losing its second operand: (2, r)
-    node, field, replacement = tool._sites(func)[0]
+                              if target[2].name == "_f5_ratio_base"]
+    original, registry = ids._f5_ratio_base, dict(ids._REGISTRY)
+    point = lambda: ids.IdentityInstance(ids.IdentityId.F5, ids.FAMILIES["fibonacci"], 2, 3,
+                                         r=2, d=1)
+    holders = {ident for ident, record in registry.items()
+               if record.shape.ratio_base is original}
+    assert holders == {ids.IdentityId.F1A, ids.IdentityId.F1B, ids.IdentityId.F2A,
+                       ids.IdentityId.F2B, ids.IdentityId.F5, ids.IdentityId.F5_G}
+    # the one + the return statement holds, r + d, becomes r - d: the index step
+    (node, field, replacement), = [site for site in tool._sites(func)
+                                   if isinstance(site[2], ast.Sub)
+                                   and tool._statement(func, site[0]).startswith("return")]
     saved = getattr(node, field)
     setattr(node, field, replacement)
     try:
         tool._install(module, owner, func)
-        mutant = ids._f3_index
-        assert mutant is not original and mutant(2, 0) == (2, 2)
+        mutant = ids._f5_ratio_base
+        assert mutant is not original and mutant(point(), ids.EvalCounter(), 2, 1)[2:] == (1, 2)
         assert {ident for ident, record in ids._REGISTRY.items()
-                if record.shape.index is mutant} == holders
+                if record.shape.ratio_base is mutant} == holders
         assert all(ids._REGISTRY[ident] is registry[ident] for ident in registry.keys() - holders)
         assert ids.verify(point()).classification == ids.CLASS_MISMATCH
     finally:
         setattr(node, field, saved)
-        ids._f3_index = original
+        ids._f5_ratio_base = original
         ids._REGISTRY.update(registry)
-        tool._rebind("_f3_index", original)
+        tool._rebind("_f5_ratio_base", original)
     assert ids.verify(point()).classification == ids.CLASS_VERIFIED

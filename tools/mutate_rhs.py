@@ -14,15 +14,17 @@ as it is); and a product ``x * y`` loses one operand, becoming ``x`` or
 ``y``, which is how a factor of an int-pair denominator goes missing. The
 targets are the lifted master form of ``horadam_sums.identities``
 (``evaluate_rhs``, which runs it at the tuple of each tag's theorem shape,
-with its line part ``_lifted_line``, its point part ``_lifted_point`` with
-its reduction ``_lifted_reduced``, and their signed power
-``_lifted_power``), and the parts those tuples hold (every
-``*_ratio_base``, whose int pairs read U, V, q and W as ints, ``*_index``
-and ``*_term``, and ``_over_disc``), and every left-hand ``*_summand``
-function, with
-its grid-line sharing (``evaluate_line``, which validates a line once, the
+with ``_line_part``, which makes its line part ``_lifted_line`` at that
+tuple, its point part ``_lifted_point`` with its reduction
+``_lifted_reduced``, and their signed power ``_lifted_power``), and the
+parts those tuples hold (every ``*_ratio_base``, which gives the ratio and
+the base as int pairs, reading U, V, q and W as ints, with the index step
+and multiplier, every ``*_term``, and ``_over_disc``), and every left-hand
+``*_summand`` function, with its grid-line sharing (``evaluate_line``,
+which validates a line once and makes its summand and line part once, the
 validation in ``IdentityInstance.__post_init__``, the point copy
-``IdentityInstance._at`` and the summand caching in ``lhs_spec``), the
+``IdentityInstance._at``, which carries those parts, and ``lhs_spec``,
+which reads a point's summand or makes one), the
 comparison and classification in ``verify``, and its
 preconditions (``_violation`` and every ``_*_violation``), and, in
 ``horadam_sums.nestedcore``,
@@ -69,8 +71,8 @@ the unmutated run's (so a sweep with more or fewer points kills), when
 the same way from ``verify`` of it, when a deep-depth point rebuilt from
 its own fields is not the same point, or when a
 deep-depth point's closed form, evaluated first on a counter that already
-holds a count (which makes its grid line's part), then on a fresh counter
-and on none (which read that part back), gives another value or adds
+holds a count, then on a fresh counter and on none (a point built alone
+keeps no part, so each call makes its own), gives another value or adds
 another count the second time than the first. A report's two times, which
 no comparison reads, are judged apart: they must not be negative, must be
 0 on a report that evaluated neither side, and must add up to no more
@@ -171,8 +173,10 @@ TIMEOUT_S = 60
 
 # "function: mutated statement" -> why the mutant cannot change a value
 KNOWN_SURVIVORS = {
-    "_f7_index: return (1, 0)": "F7's term ignores its index, so the index step is unread",
-    "_f7_index: return (0, 1)": "F7's term ignores its index, so the index multiplier is unread",
+    "_f7_ratio_base: return (_lowest(-top * cd, bottom * cn), _lowest(top * vd * bd, "
+    "bottom * vn * bn), 1, 0)": "F7's term ignores its index, so the index step is unread",
+    "_f7_ratio_base: return (_lowest(-top * cd, bottom * cn), _lowest(top * vd * bd, "
+    "bottom * vn * bn), 0, 1)": "F7's term ignores its index, so the index multiplier is unread",
     "oracle_nested: num, den = (0, 2)": "any positive starting denominator is a "
     "common denominator of the partial sums, and the returned Fraction is normalised",
     "_lifted_power: return (u ** e, v ** e, v) if e > 0 else (v ** (-e), u ** (-e), u)":
@@ -221,8 +225,8 @@ LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInst
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
 # base, index step and multiplier, terms) and the left-hand summands
-CLOSED_TARGETS = ("evaluate_rhs", "_over_disc")
-CLOSED_PART_SUFFIXES = ("_ratio_base", "_index", "_term", "_summand")
+CLOSED_TARGETS = ("evaluate_rhs", "_line_part", "_over_disc")
+CLOSED_PART_SUFFIXES = ("_ratio_base", "_term", "_summand")
 BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
 SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
@@ -684,8 +688,8 @@ def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
             # not None), a point is the same point
             if dataclasses.replace(one) != one:
                 return True
-            # the line's part is made on a counter that already holds a
-            # count, then read back with a fresh counter and with none
+            # each call makes the point's own line part: on a counter that
+            # already holds a count, on a fresh counter and on none
             used, fresh = EvalCounter(1), EvalCounter()
             value = ids.evaluate_rhs(one, used)
             if value != oracle_nested(ids.lhs_spec(one)) or value != ids.evaluate_rhs(one, fresh) \
