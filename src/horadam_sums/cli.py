@@ -66,8 +66,10 @@ MAX_LEMMA_POINTS = 4_000
 # Cap on one command's summed cost (see check_points): the oracle terms of
 # all its points, and for bench also the tuples of each naive row. The 25
 # default grids total 267,570 terms, the largest (F7's) 45,360. A far term
-# near MAX_REACH costs about 36 us on a 2-core x86-64 host, so the largest
-# command accepted runs about 3 minutes. The cap is 25 times MAX_ORACLE_TERMS, so one point with
+# of an integral family near MAX_REACH costs about 3 us on a 2-core x86-64
+# host (F4 on integer_root at a_n = 29,990), so the largest such command
+# accepted runs about 15 s; a far term of a rational family costs
+# milliseconds. The cap is 25 times MAX_ORACLE_TERMS, so one point with
 # its naive row (at most DEFAULT_NAIVE_CAP tuples) is refused only where
 # check_cost refuses it.
 MAX_COMMAND_TERMS = 5_000_000

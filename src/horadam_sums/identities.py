@@ -189,7 +189,7 @@ def _violation(inst: IdentityInstance, record: _Record) -> Optional[str]:
     """The first precondition of ``record`` that ``inst`` violates, if any.
     Every test is made on ints: p and q as their (numerator, denominator)
     pairs, and U, V, W and D by their numerators."""
-    p, q = inst.params._key[2:]
+    p, q = inst.params._pq
     if inst.n < 1:
         return "n must be a positive integer"
     if record.family == _RESTRICTED and p != (1, 1):

@@ -12,12 +12,16 @@ limit are empty and contribute zero.
 Two independent evaluators are provided. :func:`oracle_nested` evaluates
 the summand once per index of the innermost range, at an int weight in place
 of the rational weight power, and weights each value by the number of index
-chains that reach it; those counts are small-int suffix sums, one pass per
-level. Horner's rule over Python ints folds the weighted values in, by
-blocks of consecutive indices, so an index's weight is a power of the base's
-numerator bounded by the block, not by the range, and one product per block
-shifts its part into the total. The scale back to the rational weight power
-joins those ints, so the oracle ends in one normalised ``Fraction``.
+chains that reach it, which :func:`_chain_counts` makes with ``math.comb``
+where the limits allow and by suffix sums otherwise. Horner's rule over
+Python ints folds the weighted values in, an int value by one multiply-add,
+by blocks of consecutive indices, so an index's weight is a power of the
+base's numerator bounded by the block, not by the range, and one product
+per block shifts its part into the total. The scale back to the rational
+weight power joins those ints, so the oracle ends in one normalised
+``Fraction``. A summand reads its sequence through a
+:class:`~horadam_sums.sequences.Stride`, which keeps the window's layout to
+itself and steps far terms by their own recurrence.
 :func:`oracle_nested_naive` literally enumerates every index tuple in plain
 ``Fraction`` arithmetic, sized against its cap by the chain counts alone,
 with no call into :func:`oracle_nested`. Their agreement guards against a
@@ -41,13 +45,13 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, repeat
+from math import comb, lcm
 from typing import Optional, Tuple, Union
 
 from .combinatorics import binom
 from .exactnum import QuadExt
-from .sequences import HoradamParams, HoradamSequence
+from .sequences import HoradamParams, HoradamSequence, Stride
 
 Scalar = Union[Fraction, QuadExt]
 
@@ -94,10 +98,12 @@ class SumTerm:
     stay well-defined. ``index_mul`` and ``index_add`` must be ints, not
     bools; any other type raises ``TypeError`` naming the field.
 
-    Construction also resolves the sequence's :class:`HoradamSequence` once
-    (``_sequence``) and decides once whether the weight is read at all
-    (``_base``): a base equal to 1 is dropped. Neither attribute is a field,
-    so equality, hashing and the repr are those of the fields alone.
+    Construction also makes the reader of the sequence's line once, the
+    ``read`` of a :class:`~horadam_sums.sequences.Stride` of the shared
+    :class:`HoradamSequence` in steps of ``index_mul`` (``_read``), and
+    decides once whether the weight is read at all (``_base``): a base equal
+    to 1 is dropped. Neither attribute is a field, so equality, hashing and
+    the repr are those of the fields alone.
     """
 
     seq: Optional[HoradamParams] = None
@@ -121,44 +127,43 @@ class SumTerm:
             if base == 1:
                 base = None
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_sequence",
-                           None if self.seq is None else HoradamSequence.of(self.seq))
+        object.__setattr__(self, "_read", None if self.seq is None
+                           else Stride(HoradamSequence.of(self.seq), self.index_mul).read)
 
     def value(self, k: int,
               weight: Union[int, Fraction, None] = None) -> Union[int, Fraction]:
         """The summand at ``k``. ``weight`` stands in for ``weight_base**k``:
         the result is ``value(k) * weight / weight_base**k`` (the weight
         itself when there is no sequence), so a caller may pass any
-        multiple of the power; :func:`oracle_nested` passes the int
-        ``u**(k - s)``, with ``s`` the first index of ``k``'s block, so the
-        weight is a product of fewer than ``_BLOCK`` factors of ``u`` however
-        long the range. A summand without a base, or with a base of 1, reads
-        only whether the weight is an int, and :func:`oracle_nested` passes
-        it the int 1.
+        multiple of the power, as :func:`oracle_nested` does. A summand
+        without a base, or with a base of 1, reads only whether the weight
+        is an int.
 
         With an int weight, the result is an int whenever it is integral
-        and a ``Fraction`` otherwise: the sequence term is read as its
-        window holds it (:meth:`~horadam_sums.sequences.HoradamSequence.exact`),
-        so an integral term costs one int product, none without a base, and
-        no ``Fraction`` at all. Every other call returns a ``Fraction``."""
+        and a ``Fraction`` otherwise: the sequence term is read as the
+        window holds it, through the summand's
+        :class:`~horadam_sums.sequences.Stride`, so an integral term costs
+        one int product, none without a base, and no ``Fraction`` at all.
+        Every other call returns a ``Fraction``."""
         base = self._base
-        sequence = self._sequence
+        read = self._read
         if type(weight) is int:
-            if sequence is None:
+            if read is None:
                 return 1 if base is None else weight
-            result = sequence.exact(self.index_mul * k + self.index_add)
+            result = read(self.index_mul * k + self.index_add)
             if base is None:
                 return result
             result = result * weight
             # an int term gives an int product; a Fraction one may be integral
-            return result.numerator if result.denominator == 1 else result
+            return result if type(result) is int or result.denominator != 1 \
+                else result.numerator
         if base is not None and weight is None:
             weight = base ** k
-        if sequence is None:
+        if read is None:
             return _ONE if base is None else weight
-        j = self.index_mul * k + self.index_add
+        result = read(self.index_mul * k + self.index_add)
         # the weight is a Fraction here, so the product is one
-        return sequence.term(j) if base is None else sequence.exact(j) * weight
+        return Fraction(result) if base is None else result * weight
 
 
 ONES = SumTerm()
@@ -203,8 +208,23 @@ def _chain_counts(limits: Tuple[int, ...], upper: int) -> list:
 
     The nested total is sum_k m_k * t(k), where m_k counts the index chains
     k = a_0 <= a_1 <= ... <= a_{n-1} <= upper with each a_i >= limits[i].
-    From the outermost level inwards, level i's counts are the suffix sums
-    of level i + 1's, zeroed below level i + 1's own lower limit. The counts
+    When no outer lower limit exceeds ``limits[0]``, every a_i >= k is above
+    its own limit, so m_k counts the multisets of n - 1 indices in
+    k .. upper, C(upper - k + n - 1, n - 1), made by ``math.comb`` and not
+    by the binomial the closed forms use. Crossing limits, and depths 1 and
+    2, where they cost less, take :func:`_suffix_counts`.
+    """
+    depth = len(limits)
+    if depth > 2 and max(limits) == limits[0]:
+        size = upper - limits[0] + 1
+        return list(map(comb, range(size + depth - 2, depth - 2, -1), repeat(depth - 1)))
+    return _suffix_counts(limits, upper)
+
+
+def _suffix_counts(limits: Tuple[int, ...], upper: int) -> list:
+    """The chain counts of :func:`_chain_counts`, one pass per level: from
+    the outermost level inwards, level i's counts are the suffix sums of
+    level i + 1's, zeroed below level i + 1's own lower limit. The counts
     are kept from ``upper`` down to ``limits[0]``, so every level's suffix
     sums are one running sum in list order and its zeroed indices are the
     list's tail, and the list is reversed once at the end. The counts are
@@ -226,14 +246,15 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     """Exact nested-sum value as one weighted sum of the level-0 summands.
 
     Each index ``k`` from the innermost lower limit ``lo`` to the outer upper
-    limit is evaluated once, in order, and read once as an int pair. The
-    nested total is sum_k m_k * t(k), with the chain counts m_k of
-    :func:`_chain_counts`, folded in over Python ints (an int value has
-    denominator 1) on a common denominator that grows only with the sequence
-    terms' own. A summand without a weight base is read at the int weight 1,
-    which it multiplies by nothing, and summed as it comes: an integral term
-    arrives as the int its window holds, so neither loop builds or unwraps a
-    ``Fraction`` for it.
+    limit is evaluated once, in order, by ``SumTerm.value`` at an int weight.
+    The nested total is sum_k m_k * t(k), with the chain counts m_k of
+    :func:`_chain_counts`, folded in over Python ints on a common
+    denominator that grows only with the values' own: an int value joins
+    the total as ``m_k * den * t(k)``, one multiply-add, and only a
+    ``Fraction`` takes the lcm path. A summand without a weight base is read
+    at the int weight 1, which it multiplies by nothing, and summed as it
+    comes, so an integral term arrives as the int its window holds and
+    neither loop builds or unwraps a ``Fraction`` for it.
 
     With the weight base written ``u/v`` (``v > 0``), the range is folded by
     blocks of ``_BLOCK`` indices, by Horner's rule in ``v``. Inside the
@@ -247,11 +268,14 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     ``u**lo`` into the numerator and ``v**lo`` into the denominator times
     the power of ``v`` (the two swapped, and negative when ``u`` is and the
     power odd, for lo < 0), so the result is one normalised ``Fraction`` of
-    two ints and ``SumTerm.value`` runs exactly once per index.
+    two ints.
+
     ``counter`` tallies one unit per addition of a value into a level, as a
     plain loop over the levels would: depth times range, not the
-    multinomial blow-up of direct enumeration: the values as they are made,
-    then the outer levels' additions, summed on ints level by level.
+    multinomial blow-up of direct enumeration. The values made are read off
+    the index reached, not counted one by one, so a summand that raises
+    leaves the count of the values made before it, which verify reports
+    with the error.
     """
     if counter is None:
         counter = EvalCounter()
@@ -264,18 +288,17 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
     counts = _chain_counts(limits, hi)
     base = summand._base
     u, v = (1, 1) if base is None else base.as_integer_ratio()
+    value = summand.value
     num, den = 0, 1
-    made = 0
-    # a summand that raises leaves the count of the values made before it,
-    # which verify reports with the error
+    k = lo
     try:
         if base is None:
             for k, m in enumerate(counts, lo):
-                n, d = summand.value(k, 1).as_integer_ratio()
-                made += 1
-                if d == den:
-                    num += m * n
+                t = value(k, 1)
+                if type(t) is int:
+                    num += m * den * t
                 else:
+                    n, d = t.as_integer_ratio()
                     common = lcm(den, d)
                     num = num * (common // den) + m * n * (common // d)
                     den = common
@@ -285,12 +308,12 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
                 block = counts[first:first + _BLOCK]
                 part, weight = 0, 1
                 for k, m in enumerate(block, lo + first):
-                    n, d = summand.value(k, weight).as_integer_ratio()
-                    made += 1
-                    if d == den:
-                        part += m * n
+                    t = value(k, weight)
+                    if type(t) is int:
+                        part += m * den * t
                     else:
                         # the total and the part share one denominator
+                        n, d = t.as_integer_ratio()
                         common = lcm(den, d)
                         num *= common // den
                         part = part * (common // den) + m * n * (common // d)
@@ -299,15 +322,19 @@ def oracle_nested(spec: NestedSumSpec, counter: Optional[EvalCounter] = None) ->
                     weight *= u
                 num = num * v ** len(block) + power * part
                 power *= weight  # u**len(block) by now
-    finally:
-        counter.count += made
+    except BaseException:
+        # the values made before the index reached; verify reports them with
+        # the summand's error
+        counter.count += k - lo
+        raise
+    # one unit per value added into a level, the values made included
     added = 0
-    for start in limits[1:]:
+    for start in limits:
         if start <= hi:
-            added += hi - start + 1
+            added += hi + 1 - start
     counter.count += added
     scale_num, scale_den = (u ** lo, v ** lo) if lo >= 0 else (v ** -lo, u ** -lo)
-    return Fraction(num * scale_num, den * v ** made * scale_den)
+    return Fraction(num * scale_num, den * v ** len(counts) * scale_den)
 
 
 def oracle_nested_naive(spec: NestedSumSpec, cap: Optional[int] = DEFAULT_NAIVE_CAP,

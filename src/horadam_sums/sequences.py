@@ -27,7 +27,9 @@ by one of two routes:
 :meth:`HoradamSequence.exact` gives W[j] as its exact value, an int when it
 is integral and else a normalised ``Fraction``, and
 :meth:`HoradamSequence.exact_pair` gives (W[j], W[j+1]) so;
-:meth:`HoradamSequence.term` and :func:`term` give a ``Fraction``. U and V
+:meth:`HoradamSequence.term` and :func:`term` give a ``Fraction``. A
+summand reads its line of indices through a :class:`Stride`, which past the
+window's reach steps the line's own recurrence rather than the ladder. U and V
 are values, not sequences: (U_j, V_j) comes off the same ladder as two int
 pairs in lowest terms (:func:`first_kind_pair`, :func:`second_kind_pair`;
 :func:`first_kind_term` and :func:`second_kind_term` give ``Fraction``), at
@@ -72,7 +74,10 @@ class HoradamParams:
         # Fraction's own __hash__ and __eq__ run in Python, so both are cached
         values = (self.a, self.b, self.p, self.q)
         object.__setattr__(self, "_hash", hash(values))
-        object.__setattr__(self, "_key", tuple((x.numerator, x.denominator) for x in values))
+        key = tuple((x.numerator, x.denominator) for x in values)
+        object.__setattr__(self, "_key", key)
+        # (p, q) alone, which the U/V values and every precondition look up
+        object.__setattr__(self, "_pq", key[2:])
         # F6 reads D at every point, as a reduced int pair; not a field, so
         # equality, hash and repr ignore it
         object.__setattr__(self, "_discriminant",
@@ -140,7 +145,7 @@ On (3, 2) one at +/-``cli.MAX_REACH`` takes 40/80 KB, 64 take 2.6-5.1 MB, past i
 
 
 def _steps(pq: tuple) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
-    """The recurrence of the (p, q) keyed by ``pq``, a params' ``_key[2:]``,
+    """The recurrence of the (p, q) keyed by ``pq``, a params' ``_pq``,
     on ints, upwards and downwards, each as (A, B, g): ints X_i with
     W[i] = X_i/(L*g**i) upwards, or W[-i] = X_i/(L*g**i) downwards, for a
     fixed L, obey X_{i+1} = A*X_i - B*X_{i-1}.
@@ -235,7 +240,7 @@ class HoradamSequence:
         self._up: List[Union[int, Fraction]] = [a, b]
         self._down: List[Union[int, Fraction]] = [b, a]
         self._lock = Lock()
-        self._steps = _steps(params._key[2:])
+        self._steps = _steps(params._pq)
 
     @property
     def _memo(self) -> range:
@@ -355,6 +360,78 @@ class HoradamSequence:
         return (second, first) if j < 0 else (first, second)
 
 
+@dataclass(frozen=True)
+class Stride:
+    """The terms W[j] of ``sequence`` on a line of indices j = m*k + s, read
+    in steps of m = ``step``, each as :meth:`HoradamSequence.exact` gives it.
+
+    A read the window holds is one list index, and a miss within reach walks
+    the window, both as ``exact`` reads. Past reach the line's terms obey
+    their own recurrence, W[j + m] = V_m*W[j] - q**m*W[j - m], which a cursor
+    steps on ints. With (A, B, g) the ints of :func:`_steps` in m's
+    direction, (V, C) = (V_|m|, B**|m|) of :func:`_lucas_pair` and
+    G = g**|m|, the ints Z_i = L*G**(i + 1)*W[j0 + i*m] obey
+    Z_{i+1} = V*Z_i - C*Z_{i-1}, where j0 is the index the cursor was last
+    reset at and L the lcm of the denominators of W[j0 - m] and W[j0]; so
+    W[j0 + i*m] = Z_i/(L*G**(i + 1)), and each step multiplies that scale by
+    G. The cursor is one tuple (j, Z at j, Z at j - m, the scale,
+    (V, C, G)), replaced whole by one ``object.__setattr__``, so a reader
+    racing another reads one consistent cursor and at worst resets it. A
+    read anywhere but one step past the cursor resets it at j from W[j - m]
+    and W[j]: one :meth:`HoradamSequence.exact_pair` at |m| = 1, two
+    ``exact`` reads otherwise, which store what ``exact`` would. A step
+    stores nothing.
+    """
+
+    sequence: HoradamSequence
+    step: int
+
+    def __post_init__(self):
+        # the window's lists only grow, so they are held once
+        object.__setattr__(self, "_up", self.sequence._up)
+        object.__setattr__(self, "_down", self.sequence._down)
+        object.__setattr__(self, "_cursor", (None,))
+
+    def read(self, j: int) -> Union[int, Fraction]:
+        """W[j]: an int when it is integral, else a normalised ``Fraction``."""
+        try:
+            return self._up[j] if j >= 0 else self._down[1 - j]
+        except IndexError:
+            return self._miss(j)
+
+    def _miss(self, j: int) -> Union[int, Fraction]:
+        """W[j] outside the window: walked to within reach, else one step of
+        the cursor from j - m or a reset at j."""
+        sequence = self.sequence
+        if sequence._reaches(j):
+            return sequence.exact(j)
+        m = self.step
+        cursor = self._cursor
+        if cursor[0] == j - m:
+            _, z1, z0, scale, steps = cursor
+            big_v, big_c, grow = steps
+            z0, z1 = z1, big_v * z1 - big_c * z0
+            scale *= grow
+            value = _slot(z1, scale)
+        else:
+            if m == 1:
+                before, value = sequence.exact_pair(j - 1)
+            elif m == -1:
+                value, before = sequence.exact_pair(j)
+            else:
+                before, value = sequence.exact(j - m), sequence.exact(j)
+            up, down = sequence._steps
+            big_a, big_b, g = up if m >= 0 else down
+            _, big_v, big_c = _lucas_pair(big_a, big_b, abs(m))
+            steps = big_v, big_c, g ** abs(m)
+            scale = lcm(before.denominator, value.denominator)
+            z0 = before.numerator * (scale // before.denominator)
+            scale *= steps[2]
+            z1 = value.numerator * (scale // value.denominator)
+        object.__setattr__(self, "_cursor", (j, z1, z0, scale, steps))
+        return value
+
+
 def term(params: HoradamParams, j: int) -> Fraction:
     """Exact term at index ``j`` (negative indices allowed)."""
     return HoradamSequence.of(params).term(j)
@@ -384,13 +461,13 @@ def _lucas_terms(pq: tuple, j: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 def first_kind_pair(params: HoradamParams, j: int) -> Tuple[int, int]:
     """U[j] for the recurrence coefficients (p, q) of ``params``, as the int
     pair of its normalised ``Fraction``."""
-    return _lucas_terms(params._key[2:], j)[0]
+    return _lucas_terms(params._pq, j)[0]
 
 
 def second_kind_pair(params: HoradamParams, j: int) -> Tuple[int, int]:
     """V[j] for the recurrence coefficients (p, q) of ``params``, as the int
     pair of its normalised ``Fraction``."""
-    return _lucas_terms(params._key[2:], j)[1]
+    return _lucas_terms(params._pq, j)[1]
 
 
 def first_kind_term(params: HoradamParams, j: int) -> Fraction:

@@ -6,12 +6,14 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import binet_route, literal_nested_sum, summand_fn
+import horadam_sums.combinatorics as combinatorics
 import horadam_sums.nestedcore as nestedcore
 from horadam_sums.combinatorics import nested_ones
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
@@ -357,6 +359,59 @@ def test_chain_counts_enumerate_the_chains(limits, upper):
 
 
 @st.composite
+def count_shapes(draw):
+    """(limits, upper) up to depth 8 and a range of 2,000: limits all equal,
+    outer ones below the innermost (both counted by binomials), crossing
+    limits, or an outer limit above ``upper``, over ranges that may be empty."""
+    depth = draw(st.integers(1, 8))
+    lo = draw(st.integers(-60, 60))
+    upper = lo - 1 + draw(st.integers(-3, 2000))
+    kind = draw(st.sampled_from(("uniform", "below", "crossing", "above")))
+    outer = {"uniform": st.just(lo), "below": st.integers(lo - 40, lo),
+             "crossing": st.integers(lo - 40, lo + 40),
+             "above": st.integers(upper + 1, upper + 5)}[kind]
+    limits = (lo, *draw(st.lists(outer, min_size=depth - 1, max_size=depth - 1)))
+    return limits, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=count_shapes())
+@example(shape=((3,) * 8, 2002))
+@example(shape=((0, -5, 0, -1), -1))
+@example(shape=((2, 2, 2, 9), 8))
+def test_binomial_counts_equal_the_passes(shape):
+    # the naive oracle's cap keeps it far from these sizes, so this is the
+    # only check of the binomial route at deep-oracle scale
+    limits, upper = shape
+    passes = nestedcore._suffix_counts(limits, upper)
+    if len(limits) > 2 and max(limits) == limits[0]:
+        with patch.object(nestedcore, "_suffix_counts", side_effect=AssertionError):
+            counts = nestedcore._chain_counts(limits, upper)
+    else:
+        counts = nestedcore._chain_counts(limits, upper)
+    assert counts == passes
+    assert all(type(m) is int for m in counts)
+    if sum(passes) <= 3000:
+        assert counts == _enumerated_chain_counts(limits, upper)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_oracle_counts_share_no_binomial_with_the_closed_forms(depth, monkeypatch):
+    # the counts come from math.comb or their own passes, never from the
+    # binomial of the closed forms they are compared with
+    def refuse(*args):
+        raise AssertionError("the oracle called the closed forms' binomial")
+
+    monkeypatch.setattr(combinatorics, "binom", refuse)
+    monkeypatch.setattr(nestedcore, "binom", refuse)
+    summand = SumTerm(seq=GENERIC, weight_base=Fraction(-2, 3))
+    for limits in ((1,) * depth, tuple(range(2, 2 - depth, -1)), (1, *range(3, 3 + depth - 1))):
+        upper = 2 + 12 // depth
+        spec = NestedSumSpec(depth, upper, limits, summand)
+        assert oracle_nested(spec) == literal_nested_sum(depth, upper, limits, summand.value)
+
+
+@st.composite
 def kernel_specs(draw):
     """Small nested sums over every summand shape, with per-level limits that
     may cross, an upper limit that may fall below them, and negative indices."""
@@ -404,16 +459,29 @@ KERNEL_CASES = (
     # non-integral -5/4), then -29/2 and -125/4, so the lcm follows an int run
     NestedSumSpec(3, 3, (-1, 0, -1), SumTerm(seq=INTEGER_ROOT, index_mul=-2,
                                               weight_base=Fraction(2, 3))),
-    # Long ranges, folded by blocks of nestedcore._BLOCK = 32 indices, at
-    # depth 2 at most so the enumeration stays cheap. A range of exactly one
-    # full block, at |u| > 1 and v > 1, over Fraction terms at negative
-    # indices under rational p, q
+    # Long ranges, folded by blocks of nestedcore._BLOCK = 32 indices where
+    # there is a base, at depth 2 at most so the enumeration stays cheap. A
+    # range of exactly one full block, at |u| > 1 and v > 1, over Fraction
+    # terms at negative indices under rational p, q
     NestedSumSpec(1, 31, 0, SumTerm(seq=horadam(1, 2, Fraction(1, 2), Fraction(3, 4)),
                                     index_mul=-1, weight_base=Fraction(-5, 3))),
-    # no base over 4 blocks, the last partial: W[40] down to W[-60] of q = 2
-    # are ints until k = 1, mid-way through the second block, where the
-    # common denominator first grows; the outer level starts later
+    # no base, which the oracle folds with no blocks: W[40] down to W[-60]
+    # of q = 2 are ints until k = 1, where the common denominator first
+    # grows; the outer level starts later
     NestedSumSpec(2, 60, (-40, -35), SumTerm(seq=INTEGER_ROOT, index_mul=-1)),
+    # no base the other way: W[-300] up to W[300] of q = 2 are Fractions
+    # until k = 0, so the ints after them join a total whose denominator is
+    # not 1
+    NestedSumSpec(1, 300, -300, SumTerm(seq=INTEGER_ROOT)),
+    # W[-1] = -1/2 alone makes the common denominator 2, and every value
+    # after it, in its block and the next, is an int
+    NestedSumSpec(2, 40, (-1, 2), SumTerm(seq=INTEGER_ROOT, weight_base=Fraction(3, 2))),
+    # uniform limits, and outer limits below the innermost one, at depth 3
+    # and more: the chain counts are binomials
+    NestedSumSpec(3, 25, (5, -2, 5), SumTerm(seq=FIBONACCI)),
+    NestedSumSpec(4, 9, 2, SumTerm(seq=GENERIC, weight_base=Fraction(-5, 3))),
+    NestedSumSpec(5, 7, (1, 0, -3, 1, 0), SumTerm(seq=INTEGER_ROOT, index_add=-3,
+                                                  weight_base=Fraction(2, 3))),
     # u = -1 with v = 1 over 2 blocks, the second partial; the outer level
     # starts later
     NestedSumSpec(2, 40, (-5, 3), SumTerm(seq=FIBONACCI, index_add=2, weight_base=-1)),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from _util import doubled_term, fib_list, walk_terms
 import horadam_sums.sequences as sequences
 from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
+from horadam_sums.nestedcore import SumTerm
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
                                     HoradamParams, HoradamSequence,
@@ -57,6 +58,20 @@ class TestParams:
         assert hash(params) == hash((params.a, params.b, params.p, params.q))
         assert repr(params) == ("HoradamParams(a=Fraction(3, 2), b=Fraction(-1, 1), "
                                 "p=Fraction(5, 2), q=Fraction(-2, 3))")
+
+    def test_pq_key_is_held_once_and_read_by_the_lookups(self):
+        # (p, q) is held as a non-field beside _key, and the U/V values and a
+        # new sequence's recurrence read it rather than slicing _key again
+        params = horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3))
+        assert params._pq == ((5, 2), (-2, 3)) == params._key[2:]
+        assert [f.name for f in fields(params)] == ["a", "b", "p", "q"]
+        twin = horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3))
+        object.__setattr__(twin, "_key", twin._key[:2] + ((7, 1), (1, 1)))
+        _lucas_terms.cache_clear()
+        assert first_kind_pair(twin, 9) == first_kind_pair(params, 9)
+        assert second_kind_pair(twin, -9) == second_kind_pair(params, -9)
+        assert HoradamSequence(twin)._steps == HoradamSequence(params)._steps
+        _lucas_terms.cache_clear()
 
     def test_equality_with_another_type_is_not_implemented(self):
         # not even the tuple of its own fields: no coercion across types
@@ -524,6 +539,118 @@ class TestExactSlots:
         finally:
             seq._up[6] = slot
         assert lemma4_residual(params, 5) == 0
+
+
+class TestStride:
+    """A summand's reader of W[j] on its line j = m*k + s: the window and its
+    walks within reach, as ``exact`` reads them, and past reach a cursor
+    stepped by the line's own recurrence, reset by one pair ladder at
+    |m| = 1 and two reads otherwise, storing nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=family_parts, b=family_parts, p=nonzero_parts, q=nonzero_parts,
+           step=st.integers(-3, 3), start=st.integers(-60, 60),
+           jumps=st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+    @example(a=Fraction(1), b=Fraction(4), p=Fraction(3), q=Fraction(2), step=2,
+             start=40, jumps=[0, -30, 35])
+    @example(a=Fraction(3, 2), b=Fraction(-1), p=Fraction(5, 2), q=Fraction(-2, 3), step=-1,
+             start=70, jumps=[0, 5])
+    @example(a=Fraction(0), b=Fraction(1), p=Fraction(1), q=Fraction(-1), step=0,
+             start=80, jumps=[0, 3])
+    def test_reads_on_a_line_match_the_walk(self, a, b, p, q, step, start, jumps):
+        # runs of 12 consecutive k from a fresh window, each run after a jump:
+        # far from the window the first read resets the cursor and the rest
+        # step it, and a run that comes back in reach reads the window
+        params = horadam(a, b, p, q)
+        seq = HoradamSequence(params)
+        stride = sequences.Stride(seq, step)
+        offset = 1 if step == 0 else 0
+        walked = walk_terms(params, -500, 500)
+        k = start
+        for jump in jumps:
+            k += jump
+            for i in range(k, k + 12):
+                j = step * i + offset
+                window = seq._memo
+                reached = j in window or seq._reaches(j)
+                stepped = not reached and stride._cursor[0] == j - step
+                value = stride.read(j)
+                assert value == walked[j] and type(value) is _exact_type(walked[j]), (j, i)
+                # a read in reach is walked to, and a step stores nothing
+                assert j in seq._memo if reached else not stepped or seq._memo == window
+
+    @pytest.mark.parametrize("step", [1, -1, 2, -3])
+    def test_past_reach_steps_without_a_ladder(self, step, monkeypatch):
+        # after one reset a run past reach makes no ladder and no walk, and
+        # a reset reads one pair ladder at |m| = 1 and two far reads otherwise
+        params = horadam(1, 4, 3, 2)
+        seq = HoradamSequence(params)
+        reader = sequences.Stride(seq, step).read
+        walked = walk_terms(params, -2000, 2000)
+        ladders = []
+        real = sequences._lucas_pair
+        monkeypatch.setattr(sequences, "_lucas_pair",
+                            lambda *args: ladders.append(args[2]) or real(*args))
+        first = 500 // abs(step)
+        for k in range(first, first + 100):
+            j = step * k + 1
+            assert reader(j) == walked[j]
+        resets = [n for n in ladders if n > abs(step)]
+        assert len(resets) == (1 if abs(step) == 1 else 2)
+        assert seq._memo == range(0, 2)
+
+    @pytest.mark.parametrize("params", [
+        horadam(3, -2, 1, -1),
+        horadam(Fraction(5, 2), -1, Fraction(5, 2), Fraction(-2, 3)),
+    ], ids=["int", "rational"])
+    def test_concurrent_readers_past_reach_agree_with_the_walk(self, params):
+        # one shared summand, as the oracle's readers share it: runs past
+        # reach step one cursor that another thread may replace at any
+        # point, which can cost a reset but never a wrong value
+        summand = SumTerm(seq=params, index_mul=3, index_add=1)
+        window = HoradamSequence.of(params)._memo
+        reach = 400
+        walked = walk_terms(params, -3 * reach - 1, 3 * reach + 1)
+        misses = []
+        start = threading.Barrier(4, timeout=60)
+
+        def reader(seed):
+            rng = random.Random(seed)
+            # every index past the walk's gap, so no read walks: runs, the
+            # same runs downwards (a reset at each index) and single reads,
+            # in an order of the thread's own, after runs every thread reads
+            # in the same order, so that they step one line together
+            far = [sign * k for k in range(40, reach) for sign in (1, -1)]
+            plan = [range(k, k + 20) for k in range(40, reach - 20, 50)]
+            plan += [range(-k, -k - 20, -1) for k in range(40, reach - 20, 50)]
+            plan += [range(k + 20, k, -1) for k in range(40, reach - 20, 50)]
+            plan += [[rng.choice(far)] for _ in range(20)]
+            rng.shuffle(plan)
+            plan[:0] = [range(40, reach), range(-40, -reach, -1)] * 3
+            try:
+                start.wait()
+                for run in plan:
+                    for k in run:
+                        value = summand.value(k, 1)
+                        expected = walked[3 * k + 1]
+                        if value != expected or type(value) is not _exact_type(expected):
+                            misses.append((k, value))
+            except Exception as exc:  # a reader's error fails the test, not just its thread
+                misses.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not misses
+        assert HoradamSequence.of(params)._memo == window
 
 
 class TestBinetView:

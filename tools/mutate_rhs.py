@@ -28,15 +28,20 @@ which reads a point's summand or makes one), the
 comparison and classification in ``verify``, and its
 preconditions (``_violation`` and every ``_*_violation``), and, in
 ``horadam_sums.nestedcore``,
-``oracle_nested`` (its int weights and its Horner fold by blocks) with its chain
-counts ``_chain_counts`` and the summand method ``SumTerm.value``, and the
+``oracle_nested`` (its int weights, one value per index, and its int
+fold, Horner's rule in blocks where there is a base) with its chain counts
+``_chain_counts`` (binomials) and ``_suffix_counts`` (one pass per level),
+and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (its
 read ``exact``, which gives a term as the window holds it, an int when it
 is integral, and ``term``, which gives it as a ``Fraction``, its policy
 ``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as,
 the range of stored indices ``_memo`` read off its lists and the pair read
-``exact_pair``) and its far read ``_far``, which gives W[j], or W[j] and
+``exact_pair``), a summand's reader of its line ``Stride`` (``read``, the
+window's own read, and ``_miss``, its walk within reach and past it its
+cursor, stepped by the line's recurrence), and the window's far read
+``_far``, which gives W[j], or W[j] and
 W[j+1], as int pairs off the index-doubling ladder ``_lucas_pair``, with the
 Lucas companions ``_lucas_terms`` read off that ladder as reduced int pairs
 (``_lowest``) and their readers ``first_kind_pair`` and
@@ -82,7 +87,11 @@ an ``error`` report with the message, no values and both times 0. An
 oracle mutant is also killed when, on a case
 of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
 count differs from the enumeration ``oracle_nested_naive`` (made once per
-case; the long cases span one, two and several blocks of the fold). A summand
+case; the long cases span one, two and several blocks of the fold), or
+when, there, it calls ``SumTerm.value`` other than once per index, in
+order, at an int weight bounded by the block, adds two ``Fraction``s, or,
+with a summand that raises mid-range, counts other than the values made
+before it. A summand
 mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
 the product of a plain recurrence walk's term and the power ``base**k`` on
 ``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w (the
@@ -113,7 +122,10 @@ the reads ``WINDOW_READS`` of each of those families, on the pair reads
 and then j when j + 1 is within reach, and store nothing otherwise) and
 on reads a gap apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or
 is left with a window, in its bounds, its length or the terms its two
-lists hold and their types, other than the walk policy gives; both sides
+lists hold and their types, other than the walk policy gives, or when a
+``Stride`` reader of a fresh window misses the walk, in value or exact type,
+on the lines ``STRIDE_LINES`` of those families, past reach (where it must
+store nothing) or in reach (where it must walk the window); both sides
 of an identity read the same terms, so lhs == rhs cannot see a wrong one.
 ``_lucas_terms`` is judged through its ``__wrapped__``, past its cache,
 and the cache is cleared after every mutant, so a pair made while a
@@ -195,8 +207,20 @@ KNOWN_SURVIVORS = {
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
     "HoradamSequence.exact: return self._up[j] if j >= 1 else self._down[1 - j]":
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
-    "oracle_nested: n, d = summand.value(k, 2).as_integer_ratio()": "a summand without "
-    "a base reads only whether its weight is an int, and 2 is one as 1 is",
+    "Stride.read: return self._up[j] if j > 0 else self._down[1 - j]":
+    "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
+    "Stride.read: return self._up[j] if j >= 1 else self._down[1 - j]":
+    "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
+    "Stride._miss: big_a, big_b, g = up if m > 0 else down": "at m = 0 either direction "
+    "gives V_0 = 2, B**0 = 1 and g**0 = 1, so the cursor's steps are the same",
+    "Stride._miss: big_a, big_b, g = up if m >= 1 else down": "at m = 0 either direction "
+    "gives V_0 = 2, B**0 = 1 and g**0 = 1, so the cursor's steps are the same",
+    "_chain_counts: if depth >= 2 and max(limits) == limits[0]:": "where no outer limit "
+    "exceeds the innermost, the binomials and the passes give the same counts at any "
+    "depth; the depth picks the cheaper",
+    "_chain_counts: if depth > 3 and max(limits) == limits[0]:": "where no outer limit "
+    "exceeds the innermost, the binomials and the passes give the same counts at any "
+    "depth; the depth picks the cheaper",
     "HoradamSequence._walk: if j > 0:": "a walk's j lies outside [lo, hi], which holds 0 "
     "and 1, so j is never 0",
     "HoradamSequence._walk: if j >= 1:": "a walk's j lies outside [lo, hi], which holds 0 "
@@ -214,13 +238,14 @@ _COMPARE_SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: as
 _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 
 
-ORACLE_TARGETS = ("oracle_nested", "_chain_counts")
+ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_suffix_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_steps", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
                     "second_kind_pair", "_slot", "HoradamSequence.term", "HoradamSequence.exact",
                     "HoradamSequence.exact_pair", "HoradamSequence._reaches",
-                    "HoradamSequence._walk", "HoradamSequence._far", "HoradamSequence._memo")
+                    "HoradamSequence._walk", "HoradamSequence._far", "HoradamSequence._memo",
+                    "Stride.read", "Stride._miss")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
@@ -279,6 +304,12 @@ PAIR_READS = (2, 3 + sq.WALK_GAP, 2 + sq.WALK_GAP, 4 * sq.WALK_GAP, -1 - sq.WALK
               -3 - 2 * sq.WALK_GAP, 0, -1)
 # an int family read up to its window cap, after one read below zero
 CAP_FAMILY = sq.horadam(2, -1, 1, -1)
+# lines j = m*k + 1 a summand's reader reads from a fresh window, as
+# (m, first k): j and j - m start past the walk's gap, so the first read
+# resets the cursor; runs of k then step it, jump back (a reset), read
+# downwards (a reset at each k) and read one far index, and last the line's
+# terms in reach walk the window
+STRIDE_LINES = ((1, 70), (-1, 70), (2, 35), (-2, 35), (-3, 24))
 
 # summands whose value SumTerm.value must give: rational bases (one of them
 # with a numerator other than 1), a negative base, an index multiplier other
@@ -431,16 +462,63 @@ _naive = lru_cache(maxsize=None)(lambda spec: oracle_nested_naive(spec, cap=None
 
 
 def _kernel_broken() -> bool:
-    """True when the oracle disagrees with the naive enumeration on a kernel case."""
-    for spec in KERNEL_CASES:
-        counter = EvalCounter()
-        fast = oracle_nested(spec, counter=counter)
-        slow = _naive(spec)
-        limits = spec.lower_limits
-        count = (sum(max(0, spec.upper - limit + 1) for limit in limits)
-                 if spec.upper >= limits[-1] else 0)
-        if type(fast) is not type(slow) or fast != slow or counter.count != count:
-            return True
+    """True when the oracle disagrees with the naive enumeration on a kernel
+    case, in value, type or count, or calls ``SumTerm.value`` other than once
+    per index of the innermost range, in order, at an int weight u**(k - s)
+    bounded by the block, as ``TestSummandCalls`` pins: 1 without a base; or
+    adds two ``Fraction``s, where its fold keeps to ints; or when a summand
+    that raises at the range's middle index does not leave the count of the
+    values made before it."""
+    calls = []
+    value = nc.SumTerm.value
+    adds = Fraction.__add__, Fraction.__radd__
+    pole = None
+
+    def no_add(*args):
+        raise TypeError("the fold added Fractions")
+
+    def counted(summand, k, weight=None):
+        if k == pole:
+            raise ZeroDivisionError(f"summand pole at k = {k}")
+        calls.append((k, weight))
+        return value(summand, k, weight)
+
+    nc.SumTerm.value = counted
+    try:
+        for spec in KERNEL_CASES:
+            slow = _naive(spec)  # its own calls, once per tuple, are not counted
+            calls.clear()
+            counter = EvalCounter()
+            Fraction.__add__ = Fraction.__radd__ = no_add
+            try:
+                fast = oracle_nested(spec, counter=counter)
+            finally:
+                Fraction.__add__, Fraction.__radd__ = adds
+            limits = spec.lower_limits
+            reached = spec.upper >= limits[-1]
+            count = sum(max(0, spec.upper - limit + 1) for limit in limits) if reached else 0
+            if type(fast) is not type(slow) or fast != slow or counter.count != count:
+                return True
+            base = spec.term._base
+            bound = 1 if base is None else abs(base.numerator) ** (nc._BLOCK - 1)
+            indices = range(limits[0], spec.upper + 1) if reached else ()
+            if [k for k, _ in calls] != list(indices) \
+                    or any(type(w) is not int or abs(w) > bound for _, w in calls):
+                return True
+            if indices:
+                pole = indices[len(indices) // 2]
+                counter = EvalCounter()
+                try:
+                    oracle_nested(spec, counter=counter)
+                except ZeroDivisionError:
+                    if counter.count != pole - limits[0]:
+                        return True
+                else:
+                    return True
+                finally:
+                    pole = None
+    finally:
+        nc.SumTerm.value = value
     return False
 
 
@@ -561,9 +639,36 @@ def _companions_broken(params) -> bool:
     for j in range(-300, 301):
         expected = ((walked_u[j].numerator, walked_u[j].denominator),
                     (walked_v[j].numerator, walked_v[j].denominator))
-        for pairs in (lucas_terms(params._key[2:], j),
+        for pairs in (lucas_terms(params._pq, j),
                       (sq.first_kind_pair(params, j), sq.second_kind_pair(params, j))):
             if pairs != expected or any(type(x) is not int for pair in pairs for x in pair):
+                return True
+    return False
+
+
+def _stride_broken(params, walked: dict) -> bool:
+    """True when a summand's reader of a fresh window (``Stride.read``)
+    misses ``walked`` in value or exact type on a line of ``STRIDE_LINES``,
+    stores a term it read past reach, or leaves a term it read in reach
+    unstored. Its runs past reach step and reset the cursor, and no other
+    read reaches those indices."""
+    for step, first in STRIDE_LINES:
+        seq = sq.HoradamSequence(params)
+        read = sq.Stride(seq, step).read
+        runs = (range(first, first + 30), range(first + 5, first + 15),
+                range(first + 40, first + 34, -1), (first + 60,))
+        for k in (k for run in runs for k in run):
+            j = step * k + 1
+            value = read(j)
+            if value != walked[j] or type(value) is not _exact_type(walked[j]):
+                return True
+        if seq._memo != range(0, 2):
+            return True
+        for k in range(-12 // abs(step), 12 // abs(step)):
+            j = step * k + 1
+            value = read(j)
+            if value != walked[j] or type(value) is not _exact_type(walked[j]) \
+                    or j not in seq._memo:
                 return True
     return False
 
@@ -571,7 +676,8 @@ def _companions_broken(params) -> bool:
 def _sequence_broken() -> bool:
     """True when ``HoradamSequence._far``, one term or a pair, or
     ``_lucas_terms`` misses a plain recurrence walk, or a fresh window's
-    reads, one term or one pair at a time, do (see :func:`_window_broken`)."""
+    reads, one term or one pair at a time, do (see :func:`_window_broken`),
+    or a summand's reader does on a line (see :func:`_stride_broken`)."""
     for params in SEQUENCE_FAMILIES:
         walked = _walked(params, -301, 301)
         far = sq.HoradamSequence(params)._far
@@ -585,6 +691,8 @@ def _sequence_broken() -> bool:
         if _window_broken(sq.HoradamSequence(params), walked, WINDOW_READS):
             return True
         if _window_broken(sq.HoradamSequence(params), walked, PAIR_READS, pairs=True):
+            return True
+        if _stride_broken(params, walked):
             return True
     reads = [-sq.WALK_GAP, *range(sq.WALK_GAP, sq.WINDOW_CAP + 2 * sq.WALK_GAP, sq.WALK_GAP)]
     return _window_broken(sq.HoradamSequence(CAP_FAMILY),
