@@ -26,7 +26,8 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import ceil, comb, lcm, log2
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
@@ -55,6 +56,15 @@ EXIT_USAGE = 2
 MAX_ORACLE_TERMS = 200_000
 MAX_REACH = 150_000
 
+# Cap on the bits a point's term denominators grow to on either side of 0
+# (see check_cost): its reach on that side on a family whose denominators
+# double per index, as integer_root's do below 0. There a term costs more
+# the farther out it is. On a 2-core x86-64 host the slowest point accepted,
+# F4 on integer_root at r = 3 and c = -5994, ran 16 s (11 s at r = 1 and
+# c = -10794); a family whose denominators grow faster reaches the cap at
+# fewer indices and runs faster (F4 at p = 5/2, q = -2/3: 1.7 s).
+MAX_DENOMINATOR_BITS = 54_000
+
 # Caps on how many points one command runs; check_cost bounds each point.
 # A sweep, table or bench grid holds at most MAX_GRID_POINTS points (the
 # largest default grid, F7's, holds 7,290), and a start..end range longer
@@ -66,12 +76,12 @@ MAX_LEMMA_POINTS = 4_000
 # Cap on one command's summed cost (see check_points): the oracle terms of
 # all its points, and for bench also the tuples of each naive row. The 25
 # default grids total 267,570 terms, the largest (F7's) 45,360. A far term
-# of an integral family near MAX_REACH costs about 3 us on a 2-core x86-64
-# host (F4 on integer_root at a_n = 29,990), so the largest such command
-# accepted runs about 15 s; a far term of a rational family costs
-# milliseconds. The cap is 25 times MAX_ORACLE_TERMS, so one point with
-# its naive row (at most DEFAULT_NAIVE_CAP tuples) is refused only where
-# check_cost refuses it.
+# of an integral family near MAX_REACH costs about 2 us on a 2-core x86-64
+# host (F4 on integer_root at a_n = 29,957..29,989, 33 points), so the
+# largest such command accepted runs about 11 s; a term near
+# MAX_DENOMINATOR_BITS costs about 0.5 ms. The cap is 25 times
+# MAX_ORACLE_TERMS, so one point with its naive row (at most
+# DEFAULT_NAIVE_CAP tuples) is refused only where check_cost refuses it.
 MAX_COMMAND_TERMS = 5_000_000
 
 
@@ -139,35 +149,79 @@ def _point_family(identity: IdentityId, args: argparse.Namespace) -> HoradamPara
     return family
 
 
-def check_cost(n: int, a_n: int, c: int, r: int, s: int, d: int) -> None:
+@lru_cache(maxsize=64)
+def _growth_bits(pq: tuple) -> Tuple[float, float, float]:
+    """log2 of the factor a term's denominator grows by per index, above 0
+    and below it, and the larger of the two, for the (p, q) keyed by ``pq``,
+    a params' ``_pq``: m = lcm(den p, den q) above and |m*m*q| below, the
+    scales of the walk's int recurrences. Cached, as :func:`check_points`
+    asks twice per grid line."""
+    (_, pd), (qn, qd) = pq
+    m = lcm(pd, qd)
+    up, down = log2(m), log2(abs(qn * (m * m // qd)))
+    return up, down, max(up, down)
+
+
+def check_cost(family: Optional[HoradamParams], n: int, a_n: int, c: int, r: int, s: int,
+               d: int) -> None:
     """Refuse a point whose evaluation would run away, before any work.
 
     The oracle adds n * (a_n - c + 1) summand values. The reach,
-    (2|r| + |d| + 3) * (n + max(|a_n|, |c|)) + |s|, bounds the largest
-    sequence index and power exponent that the oracle, the closed forms and
-    validation read: a closed form reads W[step*n + mul*a_n + s] with step
-    at most 2|r| + |d| and mul at most 2|r| (3 for F1/F2).
+    X * (n + max(|a_n|, |c|)) + |s| with X = 2|r| + |d| + 3, bounds the
+    largest sequence index and power exponent that the oracle, the closed
+    forms and validation read: a closed form reads W[step*e + mul*v + s]
+    for 1 <= e <= n and v = a_n or c - 1, with step at most 2|r| + |d| and
+    mul at most 2|r| (3 for F1/F2) and of r's sign, and the oracle reads
+    W[mul*k + s] for c <= k <= a_n.
+
+    So the indices above 0 stay under X * (n + max(a_n, c, 0)) + max(s, 0)
+    when r >= 0, and those below 0 over -X * (n + max(-a_n, 1 - c, 0)) +
+    min(s, 0); a negative r swaps the two products. Each side's bound is at
+    most the reach plus X. On a side where a term's denominator grows by a
+    factor g > 1 per index (:func:`_growth_bits`), the side's bound times
+    log2(g), the bits its farthest denominator may hold, is capped by
+    MAX_DENOMINATOR_BITS. Each bound is the largest of a few linear
+    functions of a_n, so on a line of a_n it is largest at an end.
     """
     terms = n * (a_n - c + 1)
     if terms > MAX_ORACLE_TERMS:
         raise argparse.ArgumentTypeError(
             f"n * (a_n - c + 1) = {terms} oracle terms exceeds the cap {MAX_ORACLE_TERMS}")
-    reach = (2 * abs(r) + abs(d) + 3) * (n + max(abs(a_n), abs(c))) + abs(s)
+    width = 2 * abs(r) + abs(d) + 3
+    reach = width * (n + max(abs(a_n), abs(c))) + abs(s)
     if reach > MAX_REACH:
         raise argparse.ArgumentTypeError(
             f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
+    if family is None:
+        return
+    up, down, most = _growth_bits(family._pq)
+    if (reach + width) * most <= MAX_DENOMINATOR_BITS:
+        return
+    ahead, behind = width * (n + max(a_n, c, 0)), width * (n + max(-a_n, 1 - c, 0))
+    if r < 0:
+        ahead, behind = behind, ahead
+    for rate, side, name in ((up, ahead + max(s, 0), "above"),
+                            (down, behind + max(-s, 0), "below")):
+        bits = ceil(side * rate)
+        if bits > MAX_DENOMINATOR_BITS:
+            raise argparse.ArgumentTypeError(
+                f"term denominators of about {bits} bits at sequence indices up to about "
+                f"{side} {name} 0 exceed the cap {MAX_DENOMINATOR_BITS}")
 
 
-def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int, int, int]],
+def check_points(count: int,
+                 lines: Iterable[Tuple[Optional[HoradamParams], int, Sequence[int], int, int,
+                                       int, int]],
                  naive: bool = False) -> None:
     """Refuse a run of more than MAX_GRID_POINTS points, any point that
     :func:`check_cost` refuses, or a run whose summed cost exceeds
     MAX_COMMAND_TERMS, before any work. ``lines`` yields each grid line as
-    (n, a_values, c, r, s, d) and is read only once ``count`` passes.
+    (family, n, a_values, c, r, s, d) and is read only once ``count`` passes.
 
     A line is checked at its smallest and its largest a_n. The term count
-    n * (a_n - c + 1) is linear in a_n, and the reach grows with |a_n|, so
-    on a line both are largest at one of the two. Only a line refused there
+    n * (a_n - c + 1) is linear in a_n, and the reach and its bound on
+    either side are each the largest of linear functions of a_n, so on a
+    line each is largest at one of the two. Only a line refused there
     is checked point by point, in order, so the first point refused, and
     its message, are those of a check of every point in grid order.
 
@@ -178,16 +232,16 @@ def check_points(count: int, lines: Iterable[Tuple[int, Sequence[int], int, int,
         raise argparse.ArgumentTypeError(
             f"a grid of {count} points exceeds the cap {MAX_GRID_POINTS}")
     total = 0
-    for n, a_values, c, r, s, d in lines:
+    for family, n, a_values, c, r, s, d in lines:
         if not a_values:
             continue
         try:
-            check_cost(n, min(a_values), c, r, s, d)
-            check_cost(n, max(a_values), c, r, s, d)
+            check_cost(family, n, min(a_values), c, r, s, d)
+            check_cost(family, n, max(a_values), c, r, s, d)
         except argparse.ArgumentTypeError:
             # the refused extreme is one of the points, so this loop raises
             for a_n in a_values:
-                check_cost(n, a_n, c, r, s, d)
+                check_cost(family, n, a_n, c, r, s, d)
         ranges = [a_n - c + 1 for a_n in a_values if a_n >= c]
         total += n * sum(ranges)
         if naive:
@@ -307,7 +361,7 @@ def _output(path: Optional[str]) -> Iterator[IO[str]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _point_family(args.identity, args)
-    check_cost(args.n, args.an, args.c, args.r, args.s, args.d)
+    check_cost(params, args.n, args.an, args.c, args.r, args.s, args.d)
     report = evaluate_point(args.identity, params, args.n, args.an, args.c,
                             args.r, args.s, args.d)
     with _output(args.out) as out:
@@ -364,8 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """
     identity = args.identity
     grid = _grid_from_args(identity, args)
-    check_points(grid_size(identity, grid),
-                 (line[1:] for line in sweep_lines(identity, grid)))
+    check_points(grid_size(identity, grid), sweep_lines(identity, grid))
     # rows are written as they are produced; each emitter returns the tally
     # of the classes it wrote
     reports = iter_sweep(identity, grid)
@@ -393,7 +446,7 @@ _TABLE_STATUS = {CLASS_VERIFIED: "ok", CLASS_MISMATCH: "MISMATCH",
 def cmd_table(args: argparse.Namespace) -> int:
     params = _point_family(args.identity, args)
     a_values = args.an or ()
-    check_points(len(a_values), [(args.n, a_values, args.c, args.r, args.s, args.d)])
+    check_points(len(a_values), [(params, args.n, a_values, args.c, args.r, args.s, args.d)])
     reports = list(evaluate_line(args.identity, params, args.n, a_values, args.c,
                                  args.r, args.s, args.d))
     rows = [(report.a_n, format_rational(report.lhs), format_rational(report.rhs),
@@ -500,8 +553,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         inst_args.update(identity=identity, params=_point_family(identity, args),
                          r=args.r, s=args.s, d=args.d)
     a_values = args.an or tuple(args.c + off for off in (4, 8, 16, 32))
+    family = inst_args.get("params")
     check_points(len(n_values) * len(a_values),
-                 ((n, a_values, args.c, args.r, args.s, args.d) for n in n_values), naive=True)
+                 ((family, n, a_values, args.c, args.r, args.s, args.d) for n in n_values),
+                 naive=True)
     rows = bench_rows(args.kind, inst_args, n_values, a_values, args.c)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")

@@ -19,9 +19,9 @@ by blocks of consecutive indices, so an index's weight is a power of the
 base's numerator bounded by the block, not by the range, and one product
 per block shifts its part into the total. The scale back to the rational
 weight power joins those ints, so the oracle ends in one normalised
-``Fraction``. A summand reads its sequence through a
-:class:`~horadam_sums.sequences.Stride`, which keeps the window's layout to
-itself and steps far terms by their own recurrence.
+``Fraction``. A summand reads its sequence through ``exact`` with its
+line's :class:`~horadam_sums.sequences.Stride`, whose cursor steps far
+terms by their own recurrence.
 :func:`oracle_nested_naive` literally enumerates every index tuple in plain
 ``Fraction`` arithmetic, sized against its cap by the chain counts alone,
 with no call into :func:`oracle_nested`. Their agreement guards against a
@@ -98,12 +98,12 @@ class SumTerm:
     stay well-defined. ``index_mul`` and ``index_add`` must be ints, not
     bools; any other type raises ``TypeError`` naming the field.
 
-    Construction also makes the reader of the sequence's line once, the
-    ``read`` of a :class:`~horadam_sums.sequences.Stride` of the shared
-    :class:`HoradamSequence` in steps of ``index_mul`` (``_read``), and
-    decides once whether the weight is read at all (``_base``): a base equal
-    to 1 is dropped. Neither attribute is a field, so equality, hashing and
-    the repr are those of the fields alone.
+    Construction also makes the reader of the sequence once, the shared
+    :class:`HoradamSequence`'s ``exact`` (``_read``), given the line's
+    :class:`~horadam_sums.sequences.Stride` in steps of ``index_mul``
+    (``_line``), and decides once whether the weight is read at all
+    (``_base``): a base equal to 1 is dropped. None of the three is a
+    field, so equality, hashing and the repr are those of the fields alone.
     """
 
     seq: Optional[HoradamParams] = None
@@ -127,8 +127,9 @@ class SumTerm:
             if base == 1:
                 base = None
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_read", None if self.seq is None
-                           else Stride(HoradamSequence.of(self.seq), self.index_mul).read)
+        line = None if self.seq is None else Stride(HoradamSequence.of(self.seq), self.index_mul)
+        object.__setattr__(self, "_line", line)
+        object.__setattr__(self, "_read", None if line is None else line.sequence.exact)
 
     def value(self, k: int,
               weight: Union[int, Fraction, None] = None) -> Union[int, Fraction]:
@@ -141,16 +142,15 @@ class SumTerm:
 
         With an int weight, the result is an int whenever it is integral
         and a ``Fraction`` otherwise: the sequence term is read as the
-        window holds it, through the summand's
-        :class:`~horadam_sums.sequences.Stride`, so an integral term costs
-        one int product, none without a base, and no ``Fraction`` at all.
-        Every other call returns a ``Fraction``."""
+        window holds it, by ``exact`` with the summand's line, so an
+        integral term costs one int product, none without a base, and no
+        ``Fraction`` at all. Every other call returns a ``Fraction``."""
         base = self._base
         read = self._read
         if type(weight) is int:
             if read is None:
                 return 1 if base is None else weight
-            result = read(self.index_mul * k + self.index_add)
+            result = read(self.index_mul * k + self.index_add, self._line)
             if base is None:
                 return result
             result = result * weight
@@ -161,7 +161,7 @@ class SumTerm:
             weight = base ** k
         if read is None:
             return _ONE if base is None else weight
-        result = read(self.index_mul * k + self.index_add)
+        result = read(self.index_mul * k + self.index_add, self._line)
         # the weight is a Fraction here, so the product is one
         return Fraction(result) if base is None else result * weight
 

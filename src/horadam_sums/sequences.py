@@ -28,8 +28,8 @@ by one of two routes:
 is integral and else a normalised ``Fraction``, and
 :meth:`HoradamSequence.exact_pair` gives (W[j], W[j+1]) so;
 :meth:`HoradamSequence.term` and :func:`term` give a ``Fraction``. A
-summand reads its line of indices through a :class:`Stride`, which past the
-window's reach steps the line's own recurrence rather than the ladder. U and V
+summand reads through ``exact`` with its line's :class:`Stride`, whose
+cursor steps past reach the line's own recurrence, not the ladder. U and V
 are values, not sequences: (U_j, V_j) comes off the same ladder as two int
 pairs in lowest terms (:func:`first_kind_pair`, :func:`second_kind_pair`;
 :func:`first_kind_term` and :func:`second_kind_term` give ``Fraction``), at
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from threading import Lock
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
 
@@ -180,13 +180,23 @@ def _lucas_pair(big_p: int, big_q: int, n: int) -> Tuple[int, int, int]:
 def _slot(num: int, den: int) -> Union[int, Fraction]:
     """num/den as the window holds a term: an int when it is integral, else
     a normalised ``Fraction``."""
-    # over 1 or -1 the term is num or -num: no gcd and no division, which on
-    # a 10**4-bit num cost several times a whole step of the window's walk;
-    # at q = -1 a downward walk's scale and a negative far read's den are -1
+    # over 1 or -1 the term is num or -num, with no gcd and no division, which
+    # on a 10**4-bit num cost several times a step of the walk: the walk's scale
+    # is 1 upwards on an integral family, and -1 (as a far read's den) at q = -1
     if abs(den) == 1:
         return num if den == 1 else -num
     value = Fraction(num, den)
     return value.numerator if value.denominator == 1 else value
+
+
+def _on_scale(w0, w1, grow: int) -> Tuple[int, int, int]:
+    """Two exact terms W0, W1 on one int scale, for a recurrence that steps
+    it by ``grow``: (X0, X1, S) with W0 = X0*grow/S and W1 = X1/S, S being
+    ``grow`` times the lcm of their denominators."""
+    scale = lcm(w0.denominator, w1.denominator)
+    x0 = w0.numerator * (scale // w0.denominator)
+    scale *= grow
+    return x0, w1.numerator * (scale // w1.denominator), scale
 
 
 class HoradamSequence:
@@ -202,14 +212,14 @@ class HoradamSequence:
     ``WALK_GAP`` of the window walks the recurrence (:meth:`_walk`, on the
     int recurrences of :func:`_steps`, made once per sequence) and appends
     what it passes, as long as the window stays within ``WINDOW_CAP`` terms;
-    any other index comes off the ladder (:meth:`_far`) and is not stored. A
-    term is held as an int when it is integral and as a normalised
-    ``Fraction`` only when it is not.
+    any other index comes off the ladder (:meth:`_far`), or a summand's
+    cursor (:class:`Stride`), and is not stored. A term is held as an int
+    when it is integral and as a normalised ``Fraction`` only when it is not.
 
     Instances are shared per parameter quadruple (see :meth:`of`), so aliases
     of the same underlying sequence hit one window. Concurrent readers
     get correct values. A read of a stored term takes no lock, and neither
-    does a read that the policy sends to the ladder. A walk runs under the
+    does a read that the policy sends past reach. A walk runs under the
     sequence's lock and checks the policy again once it holds it, since
     another walker may have moved the edges: two walkers appending the same
     index would shift every later term of the list. A sequence evicted from
@@ -253,9 +263,10 @@ class HoradamSequence:
         value = self.exact(j)
         return Fraction(value) if type(value) is int else value
 
-    def exact(self, j: int) -> Union[int, Fraction]:
-        """W[j] as the window holds it, from the window, a walk or the
-        ladder: an int when it is integral, else a normalised ``Fraction``."""
+    def exact(self, j: int, line: Optional[Stride] = None) -> Union[int, Fraction]:
+        """W[j] as the window holds it, from the window, a walk, and past
+        reach the cursor of ``line`` if given, else the ladder: an int when
+        it is integral, else a normalised ``Fraction``."""
         try:
             return self._up[j] if j >= 0 else self._down[1 - j]
         except IndexError:
@@ -265,7 +276,7 @@ class HoradamSequence:
                 # another walker may have moved the edges since the check
                 if self._reaches(j):
                     return self._walk(j)
-        return _slot(*self._far(j))
+        return _slot(*self._far(j)) if line is None else line.past(j)
 
     def exact_pair(self, j: int) -> Tuple[Union[int, Fraction], Union[int, Fraction]]:
         """(W[j], W[j+1]) as :meth:`exact` reads each. When W[j+1] is within
@@ -290,29 +301,17 @@ class HoradamSequence:
         which gain every term it passes; run under the lock. A ``j`` that
         another walker stored since the caller's check walks no step.
 
-        The walk starts from its list's last two terms over L, the lcm of
-        their denominators, and steps the direction's ints (A, B, g) of
-        :func:`_steps`, so the term t steps past the edge is X/(L*g**(t+1)).
-        Each term is appended once it is whole: X itself when the scale is 1,
-        as it always is upwards on an integral family.
+        The walk puts its list's last two terms on one int scale
+        (:func:`_on_scale`) and steps the direction's ints (A, B, g) of
+        :func:`_steps`, so the term t steps past the edge is X/(L*g**(t+1)),
+        L the lcm of those two terms' denominators.
         """
         up, down = self._steps
         if j >= 0:
             terms, i, (mul, sub, grow) = self._up, j, up
         else:
             terms, i, (mul, sub, grow) = self._down, 1 - j, down
-        w0, w1 = terms[-2], terms[-1]
-        scale = lcm(w0.denominator, w1.denominator)
-        x0 = w0.numerator * (scale // w0.denominator)
-        scale *= grow
-        x1 = w1.numerator * (scale // w1.denominator)
-        if scale == 1:
-            # so grow is 1 too, as upwards on an integral family: every term
-            # is X_k itself
-            for _ in range(len(terms), i + 1):
-                x0, x1 = x1, mul * x1 - sub * x0
-                terms.append(x1)
-            return terms[i]
+        x0, x1, scale = _on_scale(terms[-2], terms[-1], grow)
         for _ in range(len(terms), i + 1):
             x0, x1 = x1, mul * x1 - sub * x0
             scale *= grow
@@ -360,75 +359,51 @@ class HoradamSequence:
         return (second, first) if j < 0 else (first, second)
 
 
-@dataclass(frozen=True)
 class Stride:
-    """The terms W[j] of ``sequence`` on a line of indices j = m*k + s, read
-    in steps of m = ``step``, each as :meth:`HoradamSequence.exact` gives it.
+    """The cursor of a summand's line j = m*k + s, m = ``step``, that
+    :meth:`HoradamSequence.exact` steps past the window's reach in place of
+    the ladder (:meth:`past`).
 
-    A read the window holds is one list index, and a miss within reach walks
-    the window, both as ``exact`` reads. Past reach the line's terms obey
-    their own recurrence, W[j + m] = V_m*W[j] - q**m*W[j - m], which a cursor
-    steps on ints. With (A, B, g) the ints of :func:`_steps` in m's
-    direction, (V, C) = (V_|m|, B**|m|) of :func:`_lucas_pair` and
-    G = g**|m|, the ints Z_i = L*G**(i + 1)*W[j0 + i*m] obey
-    Z_{i+1} = V*Z_i - C*Z_{i-1}, where j0 is the index the cursor was last
-    reset at and L the lcm of the denominators of W[j0 - m] and W[j0]; so
-    W[j0 + i*m] = Z_i/(L*G**(i + 1)), and each step multiplies that scale by
-    G. The cursor is one tuple (j, Z at j, Z at j - m, the scale,
-    (V, C, G)), replaced whole by one ``object.__setattr__``, so a reader
-    racing another reads one consistent cursor and at worst resets it. A
-    read anywhere but one step past the cursor resets it at j from W[j - m]
-    and W[j]: one :meth:`HoradamSequence.exact_pair` at |m| = 1, two
-    ``exact`` reads otherwise, which store what ``exact`` would. A step
-    stores nothing.
+    There the line's terms obey W[j + m] = V_m*W[j] - q**m*W[j - m]. With
+    (A, B, g) the ints of :func:`_steps` in m's direction,
+    (V, C) = (V_|m|, B**|m|) of :func:`_lucas_pair` and G = g**|m|, the ints
+    Z_i = L*G**(i + 1)*W[j0 + i*m] obey Z_{i+1} = V*Z_i - C*Z_{i-1}, where
+    j0 is the index the cursor was last reset at and L the lcm of the
+    denominators of W[j0 - m] and W[j0]; so W[j0 + i*m] = Z_i/(L*G**(i + 1)),
+    and each step multiplies that scale by G. The cursor is one tuple
+    (j, Z at j, Z at j - m, the scale, (V, C, G)), replaced whole, so a
+    reader racing another reads one consistent cursor and at worst resets
+    it. A read anywhere but one step past the cursor resets it at j by two
+    ``exact`` reads, of W[j - m] and W[j], which store what ``exact`` would;
+    a step stores nothing.
     """
 
-    sequence: HoradamSequence
-    step: int
+    __slots__ = ("sequence", "step", "_cursor")
 
-    def __post_init__(self):
-        # the window's lists only grow, so they are held once
-        object.__setattr__(self, "_up", self.sequence._up)
-        object.__setattr__(self, "_down", self.sequence._down)
-        object.__setattr__(self, "_cursor", (None,))
+    def __init__(self, sequence: HoradamSequence, step: int):
+        self.sequence = sequence
+        self.step = step
+        self._cursor = (None,)
 
-    def read(self, j: int) -> Union[int, Fraction]:
-        """W[j]: an int when it is integral, else a normalised ``Fraction``."""
-        try:
-            return self._up[j] if j >= 0 else self._down[1 - j]
-        except IndexError:
-            return self._miss(j)
-
-    def _miss(self, j: int) -> Union[int, Fraction]:
-        """W[j] outside the window: walked to within reach, else one step of
-        the cursor from j - m or a reset at j."""
-        sequence = self.sequence
-        if sequence._reaches(j):
-            return sequence.exact(j)
+    def past(self, j: int) -> Union[int, Fraction]:
+        """W[j], past the window's reach: one step of the cursor from j - m,
+        else a reset at j."""
         m = self.step
         cursor = self._cursor
         if cursor[0] == j - m:
             _, z1, z0, scale, steps = cursor
             big_v, big_c, grow = steps
-            z0, z1 = z1, big_v * z1 - big_c * z0
-            scale *= grow
+            z0, z1, scale = z1, big_v * z1 - big_c * z0, scale * grow
             value = _slot(z1, scale)
         else:
-            if m == 1:
-                before, value = sequence.exact_pair(j - 1)
-            elif m == -1:
-                value, before = sequence.exact_pair(j)
-            else:
-                before, value = sequence.exact(j - m), sequence.exact(j)
+            sequence = self.sequence
+            before, value = sequence.exact(j - m), sequence.exact(j)
             up, down = sequence._steps
             big_a, big_b, g = up if m >= 0 else down
             _, big_v, big_c = _lucas_pair(big_a, big_b, abs(m))
             steps = big_v, big_c, g ** abs(m)
-            scale = lcm(before.denominator, value.denominator)
-            z0 = before.numerator * (scale // before.denominator)
-            scale *= steps[2]
-            z1 = value.numerator * (scale // value.denominator)
-        object.__setattr__(self, "_cursor", (j, z1, z0, scale, steps))
+            z0, z1, scale = _on_scale(before, value, steps[2])
+        self._cursor = (j, z1, z0, scale, steps)
         return value
 
 

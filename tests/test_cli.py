@@ -213,6 +213,12 @@ def test_unparsable_rational_is_usage_error(capsys):
     # each point passes check_cost, but the whole command would run for a day
     ("sweep", "--identity", "F4", "--family", "integer_root", "--n", "5", "--c", "1",
      "--r", "1", "--s", "0", "--d", "0", "--an", "1..29995"),
+    # within MAX_REACH, but far out on a side where the term denominators
+    # grow: below 0 on integer_root (q = 2), above 0 on p = 5/2, q = -2/3
+    ("verify", "--identity", "F3", "--family", "integer_root", "--n", "5", "--an", "0",
+     "--c", "-29000"),
+    ("sweep", "--identity", "F3", "--p=5/2", "--q=-2/3", "--a=3/2", "--b=-1", "--n", "5",
+     "--an", "29990..29991", "--c", "1", "--r", "1", "--s", "0", "--d", "0"),
 ])
 def test_runaway_point_refused_before_any_work(capsys, argv):
     start = time.perf_counter()
@@ -248,18 +254,27 @@ def _refusal(check, *args):
     return None
 
 
+# a family whose term denominators double per index above 0 (m = 2), and
+# grow 4-fold per index below it (m*m*q = -4)
+HALF = horadam(1, 1, Fraction(1, 2), -1)
+# the families a cost check is given: none (no sequence), integral ones with
+# and without growth below 0, HALF, and one that grows on both sides
+CHECKED_FAMILIES = (None, identities.FAMILIES["fibonacci"], identities.FAMILIES["integer_root"],
+                    HALF, horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(lines=st.lists(st.tuples(st.integers(-3, 9), st.lists(st.integers(-40000, 40000),
-                                                             max_size=5),
+@given(lines=st.lists(st.tuples(st.sampled_from(CHECKED_FAMILIES), st.integers(-3, 9),
+                                st.lists(st.integers(-40000, 40000), max_size=5),
                                 st.integers(-50, 50), st.integers(-3, 3),
                                 st.integers(-9, 9), st.integers(-3, 3)), max_size=4))
 def test_line_gate_refuses_as_the_point_gate(lines):
     # checking each line at its extremes refuses the same first point, with
     # the same message, as checking every point in order
     def every_point():
-        for n, a_values, c, r, s, d in lines:
+        for family, n, a_values, c, r, s, d in lines:
             for a_n in a_values:
-                cli.check_cost(n, a_n, c, r, s, d)
+                cli.check_cost(family, n, a_n, c, r, s, d)
 
     assert _refusal(cli.check_points, 0, lines) == _refusal(every_point)
 
@@ -278,10 +293,39 @@ def test_sweep_caps_an_unread_coordinate_as_verify_does(capsys):
 
 def test_cost_caps_leave_tenfold_headroom():
     # the benchmark's deepest oracle request: depth 8, range 2000, d up to 2
-    cli.check_cost(8, 2000, 1, 1, 3, 2)
-    cli.check_cost(8, 20000, 1, 1, 3, 2)
+    root = identities.FAMILIES["integer_root"]
+    cli.check_cost(root, 8, 2000, 1, 1, 3, 2)
+    cli.check_cost(root, 8, 20000, 1, 1, 3, 2)
     with pytest.raises(argparse.ArgumentTypeError):
-        cli.check_cost(8, 200000, 1, 1, 3, 2)
+        cli.check_cost(root, 8, 200000, 1, 1, 3, 2)
+
+
+@pytest.mark.parametrize("family, coords, side", [
+    # integer_root's denominators double per index below 0: at n = 5 and
+    # r = 1 the side's bound is 5 * (6 - c) - min(s, 0), 54,000 at c = -10794
+    ("integer_root", (5, 0, -10794, 1, 0, 0), "below"),
+    # a negative r reads a positive a_n below 0: 5 * (5 + a_n)
+    ("integer_root", (5, 10795, 1, -1, 0, 0), "below"),
+    # HALF's double above 0: 5 * (5 + a_n) + max(s, 0)
+    ("half", (5, 10795, 1, 1, 0, 0), "above"),
+])
+def test_denominator_cap_accepts_the_cap_and_refuses_one_past(family, coords, side):
+    assert cli.MAX_DENOMINATOR_BITS == 54_000  # the coordinates above are sized to it
+    params = HALF if family == "half" else identities.FAMILIES[family]
+    n, a_n, c, r, s, d = coords
+    cli.check_cost(params, *coords)
+    past = (n, a_n, c, r, s - 1 if side == "below" else s + 1, d)
+    assert _refusal(cli.check_cost, params, *past) == (
+        f"term denominators of about 54001 bits at sequence indices up to about 54001 "
+        f"{side} 0 exceed the cap 54000")
+    # the same point on a family whose denominators grow on neither side
+    cli.check_cost(identities.FAMILIES["fibonacci"], *past)
+
+
+def test_denominator_cap_leaves_integral_sides_to_the_reach():
+    # upwards on integer_root the terms are ints, so only MAX_REACH applies:
+    # F4 at a_n = 28,000 reaches 140,025 and is accepted
+    cli.check_cost(identities.FAMILIES["integer_root"], 5, 28000, 1, 1, 0, 0)
 
 
 @pytest.mark.parametrize("argv", [

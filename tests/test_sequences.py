@@ -452,19 +452,14 @@ class TestExactSlots:
         assert type(term(FIBONACCI, 7)) is Fraction
         assert type(doubled_term(FIBONACCI, 10 ** 4)) is Fraction
 
-    def test_unit_scale_walk_appends_ints_without_slot(self, monkeypatch):
+    def test_unit_scale_walk_appends_ints(self):
         # upwards on an integral family the scale stays 1, so a walk appends
-        # each X_k itself; downwards at q = 2 each term goes through _slot
+        # each X_k as an int
         params = horadam(1, 4, 3, 2)
         seq = HoradamSequence(params)
-        calls = []
-        real = sequences._slot
-        monkeypatch.setattr(sequences, "_slot",
-                            lambda num, den: calls.append(den) or real(num, den))
-        walked = walk_terms(params, -5, 60)
-        assert seq.exact(60) == walked[60] and not calls
+        walked = walk_terms(params, 0, 60)
+        assert seq.exact(60) == walked[60]
         assert all(type(x) is int for x in seq._up) and seq._up == [walked[j] for j in range(61)]
-        assert seq.exact(-5) == walked[-5] and len(calls) == 5
 
     @pytest.mark.parametrize("params", [horadam(1, 4, 3, 2), FIBONACCI, RATIONAL],
                              ids=["integer_root", "fibonacci", "rational"])
@@ -542,10 +537,10 @@ class TestExactSlots:
 
 
 class TestStride:
-    """A summand's reader of W[j] on its line j = m*k + s: the window and its
-    walks within reach, as ``exact`` reads them, and past reach a cursor
-    stepped by the line's own recurrence, reset by one pair ladder at
-    |m| = 1 and two reads otherwise, storing nothing."""
+    """A summand's read of W[j] on its line j = m*k + s, ``exact(j, line)``:
+    the window and its walks within reach, and past reach the line's cursor
+    stepped by the line's own recurrence, reset by two reads, storing
+    nothing."""
 
     @settings(max_examples=100, deadline=None)
     @given(a=family_parts, b=family_parts, p=nonzero_parts, q=nonzero_parts,
@@ -574,7 +569,7 @@ class TestStride:
                 window = seq._memo
                 reached = j in window or seq._reaches(j)
                 stepped = not reached and stride._cursor[0] == j - step
-                value = stride.read(j)
+                value = seq.exact(j, stride)
                 assert value == walked[j] and type(value) is _exact_type(walked[j]), (j, i)
                 # a read in reach is walked to, and a step stores nothing
                 assert j in seq._memo if reached else not stepped or seq._memo == window
@@ -582,10 +577,10 @@ class TestStride:
     @pytest.mark.parametrize("step", [1, -1, 2, -3])
     def test_past_reach_steps_without_a_ladder(self, step, monkeypatch):
         # after one reset a run past reach makes no ladder and no walk, and
-        # a reset reads one pair ladder at |m| = 1 and two far reads otherwise
+        # a reset reads two far terms, each off its own ladder
         params = horadam(1, 4, 3, 2)
         seq = HoradamSequence(params)
-        reader = sequences.Stride(seq, step).read
+        stride = sequences.Stride(seq, step)
         walked = walk_terms(params, -2000, 2000)
         ladders = []
         real = sequences._lucas_pair
@@ -594,9 +589,9 @@ class TestStride:
         first = 500 // abs(step)
         for k in range(first, first + 100):
             j = step * k + 1
-            assert reader(j) == walked[j]
+            assert seq.exact(j, stride) == walked[j]
         resets = [n for n in ladders if n > abs(step)]
-        assert len(resets) == (1 if abs(step) == 1 else 2)
+        assert len(resets) == 2
         assert seq._memo == range(0, 2)
 
     @pytest.mark.parametrize("params", [

@@ -35,13 +35,14 @@ and the summand method ``SumTerm.value``, and the
 geometric closed form ``master_E`` with its substitution ``f_closed``, and,
 in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (its
 read ``exact``, which gives a term as the window holds it, an int when it
-is integral, and ``term``, which gives it as a ``Fraction``, its policy
+is integral, and past reach steps a summand's line cursor when given one,
+and ``term``, which gives it as a ``Fraction``, its policy
 ``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as,
+the int set-up ``_on_scale`` that the walk and the cursor share,
 the range of stored indices ``_memo`` read off its lists and the pair read
-``exact_pair``), a summand's reader of its line ``Stride`` (``read``, the
-window's own read, and ``_miss``, its walk within reach and past it its
-cursor, stepped by the line's recurrence), and the window's far read
-``_far``, which gives W[j], or W[j] and
+``exact_pair``), a summand's line cursor ``Stride`` (``past``, one step
+by the line's recurrence or a reset by two ``exact`` reads), and the
+window's far read ``_far``, which gives W[j], or W[j] and
 W[j+1], as int pairs off the index-doubling ladder ``_lucas_pair``, with the
 Lucas companions ``_lucas_terms`` read off that ladder as reduced int pairs
 (``_lowest``) and their readers ``first_kind_pair`` and
@@ -122,10 +123,10 @@ the reads ``WINDOW_READS`` of each of those families, on the pair reads
 and then j when j + 1 is within reach, and store nothing otherwise) and
 on reads a gap apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or
 is left with a window, in its bounds, its length or the terms its two
-lists hold and their types, other than the walk policy gives, or when a
-``Stride`` reader of a fresh window misses the walk, in value or exact type,
-on the lines ``STRIDE_LINES`` of those families, past reach (where it must
-store nothing) or in reach (where it must walk the window); both sides
+lists hold and their types, other than the walk policy gives, or when
+``exact`` with a ``Stride`` of a fresh window misses the walk, in value or
+exact type, on the lines ``STRIDE_LINES`` of those families, past reach
+(where it must store nothing) or in reach (where it must walk the window); both sides
 of an identity read the same terms, so lhs == rhs cannot see a wrong one.
 ``_lucas_terms`` is judged through its ``__wrapped__``, past its cache,
 and the cache is cleared after every mutant, so a pair made while a
@@ -207,13 +208,9 @@ KNOWN_SURVIVORS = {
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
     "HoradamSequence.exact: return self._up[j] if j >= 1 else self._down[1 - j]":
     "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
-    "Stride.read: return self._up[j] if j > 0 else self._down[1 - j]":
-    "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
-    "Stride.read: return self._up[j] if j >= 1 else self._down[1 - j]":
-    "at j = 0 both lists give the same W[0], since _down[1] is _up[0]",
-    "Stride._miss: big_a, big_b, g = up if m > 0 else down": "at m = 0 either direction "
+    "Stride.past: big_a, big_b, g = up if m > 0 else down": "at m = 0 either direction "
     "gives V_0 = 2, B**0 = 1 and g**0 = 1, so the cursor's steps are the same",
-    "Stride._miss: big_a, big_b, g = up if m >= 1 else down": "at m = 0 either direction "
+    "Stride.past: big_a, big_b, g = up if m >= 1 else down": "at m = 0 either direction "
     "gives V_0 = 2, B**0 = 1 and g**0 = 1, so the cursor's steps are the same",
     "_chain_counts: if depth >= 2 and max(limits) == limits[0]:": "where no outer limit "
     "exceeds the innermost, the binomials and the passes give the same counts at any "
@@ -242,10 +239,10 @@ ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_suffix_counts")
 SUMMAND_TARGETS = ("SumTerm.value",)
 GEOMETRIC_TARGETS = ("master_E", "f_closed")
 SEQUENCE_TARGETS = ("_steps", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
-                    "second_kind_pair", "_slot", "HoradamSequence.term", "HoradamSequence.exact",
-                    "HoradamSequence.exact_pair", "HoradamSequence._reaches",
+                    "second_kind_pair", "_slot", "_on_scale", "HoradamSequence.term",
+                    "HoradamSequence.exact", "HoradamSequence.exact_pair", "HoradamSequence._reaches",
                     "HoradamSequence._walk", "HoradamSequence._far", "HoradamSequence._memo",
-                    "Stride.read", "Stride._miss")
+                    "Stride.past")
 LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
                 "lhs_spec", "verify")
 # the closed forms besides the parts of the theorem shapes' tuples (ratio and
@@ -647,26 +644,27 @@ def _companions_broken(params) -> bool:
 
 
 def _stride_broken(params, walked: dict) -> bool:
-    """True when a summand's reader of a fresh window (``Stride.read``)
-    misses ``walked`` in value or exact type on a line of ``STRIDE_LINES``,
+    """True when a summand's read of a fresh window, ``exact(j, line)`` with
+    the line's ``Stride``, misses ``walked`` in value or exact type on a line
+    of ``STRIDE_LINES``,
     stores a term it read past reach, or leaves a term it read in reach
     unstored. Its runs past reach step and reset the cursor, and no other
     read reaches those indices."""
     for step, first in STRIDE_LINES:
         seq = sq.HoradamSequence(params)
-        read = sq.Stride(seq, step).read
+        line = sq.Stride(seq, step)
         runs = (range(first, first + 30), range(first + 5, first + 15),
                 range(first + 40, first + 34, -1), (first + 60,))
         for k in (k for run in runs for k in run):
             j = step * k + 1
-            value = read(j)
+            value = seq.exact(j, line)
             if value != walked[j] or type(value) is not _exact_type(walked[j]):
                 return True
         if seq._memo != range(0, 2):
             return True
         for k in range(-12 // abs(step), 12 // abs(step)):
             j = step * k + 1
-            value = read(j)
+            value = seq.exact(j, line)
             if value != walked[j] or type(value) is not _exact_type(walked[j]) \
                     or j not in seq._memo:
                 return True
