@@ -10,9 +10,11 @@ it from its family's encoded text with those bytes unchanged.
 Exit status contract: 0 when everything verified or was skipped by a
 precondition, 1 when any in-domain mismatch (or evaluation error) was found,
 2 for usage errors, including a point whose cost estimate exceeds a cap
-(see :func:`check_cost`) and a grid, range or lemma run larger than its cap.
-``sweep``, ``table`` and ``bench`` pass their points through one gate,
-:func:`check_points`, before any work.
+(see :func:`check_cost`), a grid, range or lemma run larger than its cap,
+and a command whose points' summed cost, each oracle term weighted by the
+bits its point's term denominators may grow to, exceeds MAX_COMMAND_TERMS.
+``verify``, ``sweep``, ``table`` and ``bench`` pass their points through one
+gate, :func:`check_points`, before any work.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, lcm, log2
+from math import ceil, comb, log2
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import nested_ones
@@ -39,8 +41,8 @@ from .identities import (CLASS_MISMATCH, CLASS_OUTSIDE, CLASS_SKIPPED, CLASS_VER
 from .nestedcore import (DEFAULT_NAIVE_CAP, ONES, EvalCounter, NaiveCapExceededError,
                          NestedSumSpec, geometric_term, master_E, oracle_nested,
                          oracle_nested_naive)
-from .sequences import (ROOT_SHIFT_IDENTITIES, HoradamParams, horadam, lemma3_residual,
-                        lemma4_residual)
+from .sequences import (ROOT_SHIFT_IDENTITIES, HoradamParams, _steps, horadam,
+                        lemma3_residual, lemma4_residual)
 
 SWEEP_CSV_COLUMNS = ("identity", "a", "b", "p", "q", "n", "a_n", "c", "r", "s",
                      "d", "lhs", "rhs", "equal", "class")
@@ -73,15 +75,20 @@ MAX_DENOMINATOR_BITS = 54_000
 MAX_GRID_POINTS = 100_000
 MAX_LEMMA_POINTS = 4_000
 
-# Cap on one command's summed cost (see check_points): the oracle terms of
-# all its points, and for bench also the tuples of each naive row. The 25
-# default grids total 267,570 terms, the largest (F7's) 45,360. A far term
-# of an integral family near MAX_REACH costs about 2 us on a 2-core x86-64
-# host (F4 on integer_root at a_n = 29,957..29,989, 33 points), so the
-# largest such command accepted runs about 11 s; a term near
-# MAX_DENOMINATOR_BITS costs about 0.5 ms. The cap is 25 times
-# MAX_ORACLE_TERMS, so one point with its naive row (at most
-# DEFAULT_NAIVE_CAP tuples) is refused only where check_cost refuses it.
+# Cap on one command's summed cost (see check_points): its points' oracle
+# terms, and for bench also each naive row's tuples. Each term of a point
+# weighs 1 + bits // FAR_BITS_PER_WEIGHT, bits those of its heavier side of
+# 0 where denominators grow (check_cost): every term alike, as the side a
+# term's index lies on turns on the form's multiplier and s. On a 2-core
+# x86-64 host an integral far term costs about 2 us (33 points of F4 on
+# integer_root at a_n = 29,957..29,989: 11 s); at MAX_DENOMINATOR_BITS one
+# weighs 91 and costs 20 us (F3, r = 1, c = -10,794, a_n = 29,205: 4 s) to
+# 550 us (F4, r = 3, c = -5,994, a_n = 0: 16 s), so two such F4 points are
+# refused; the slowest command accepted that was measured, F4 at r = 5 and
+# c = -4,147, -4,146, -3,000, ran 30 s. A point counts at most
+# MAX_COMMAND_TERMS - DEFAULT_NAIVE_CAP, so any point check_cost accepts is
+# accepted alone, naive row included.
+FAR_BITS_PER_WEIGHT = 600
 MAX_COMMAND_TERMS = 5_000_000
 
 
@@ -153,18 +160,18 @@ def _point_family(identity: IdentityId, args: argparse.Namespace) -> HoradamPara
 def _growth_bits(pq: tuple) -> Tuple[float, float, float]:
     """log2 of the factor a term's denominator grows by per index, above 0
     and below it, and the larger of the two, for the (p, q) keyed by ``pq``,
-    a params' ``_pq``: m = lcm(den p, den q) above and |m*m*q| below, the
-    scales of the walk's int recurrences. Cached, as :func:`check_points`
-    asks twice per grid line."""
-    (_, pd), (qn, qd) = pq
-    m = lcm(pd, qd)
-    up, down = log2(m), log2(abs(qn * (m * m // qd)))
+    a params' ``_pq``: the scales of the walk's int recurrences upwards and
+    downwards (:func:`~horadam_sums.sequences._steps`). Cached, as
+    :func:`check_points` asks twice per grid line."""
+    (_, _, up), (_, _, down) = _steps(pq)
+    up, down = log2(up), log2(abs(down))
     return up, down, max(up, down)
 
 
 def check_cost(family: Optional[HoradamParams], n: int, a_n: int, c: int, r: int, s: int,
-               d: int) -> None:
-    """Refuse a point whose evaluation would run away, before any work.
+               d: int) -> int:
+    """Refuse a point whose evaluation would run away, before any work, and
+    give its oracle terms' weight in a command's sum (see :func:`check_points`).
 
     The oracle adds n * (a_n - c + 1) summand values. The reach,
     X * (n + max(|a_n|, |c|)) + |s| with X = 2|r| + |d| + 3, bounds the
@@ -182,6 +189,10 @@ def check_cost(family: Optional[HoradamParams], n: int, a_n: int, c: int, r: int
     log2(g), the bits its farthest denominator may hold, is capped by
     MAX_DENOMINATOR_BITS. Each bound is the largest of a few linear
     functions of a_n, so on a line of a_n it is largest at an end.
+
+    The weight is 1 + bits // FAR_BITS_PER_WEIGHT, bits the larger side's.
+    On a line's points with a_n >= c it never falls as a_n rises: one bound
+    is nondecreasing in a_n there, and the other is constant.
     """
     terms = n * (a_n - c + 1)
     if terms > MAX_ORACLE_TERMS:
@@ -193,13 +204,14 @@ def check_cost(family: Optional[HoradamParams], n: int, a_n: int, c: int, r: int
         raise argparse.ArgumentTypeError(
             f"sequence indices and powers up to about {reach} exceed the cap {MAX_REACH}")
     if family is None:
-        return
+        return 1
     up, down, most = _growth_bits(family._pq)
-    if (reach + width) * most <= MAX_DENOMINATOR_BITS:
-        return
+    if ceil((reach + width) * most) < FAR_BITS_PER_WEIGHT:
+        return 1  # no side's bits reach a second unit of weight
     ahead, behind = width * (n + max(a_n, c, 0)), width * (n + max(-a_n, 1 - c, 0))
     if r < 0:
         ahead, behind = behind, ahead
+    heaviest = 0
     for rate, side, name in ((up, ahead + max(s, 0), "above"),
                             (down, behind + max(-s, 0), "below")):
         bits = ceil(side * rate)
@@ -207,6 +219,8 @@ def check_cost(family: Optional[HoradamParams], n: int, a_n: int, c: int, r: int
             raise argparse.ArgumentTypeError(
                 f"term denominators of about {bits} bits at sequence indices up to about "
                 f"{side} {name} 0 exceed the cap {MAX_DENOMINATOR_BITS}")
+        heaviest = max(heaviest, bits)
+    return 1 + heaviest // FAR_BITS_PER_WEIGHT
 
 
 def check_points(count: int,
@@ -225,9 +239,12 @@ def check_points(count: int,
     is checked point by point, in order, so the first point refused, and
     its message, are those of a check of every point in grid order.
 
-    The summed cost is the oracle terms n * (a_n - c + 1) of each point with
-    a_n >= c and, with ``naive``, the C(a_n - c + n, n) tuples of each such
-    point that the naive enumeration runs, at most DEFAULT_NAIVE_CAP."""
+    The summed cost is, over each point with a_n >= c, its oracle terms
+    n * (a_n - c + 1) times the weight :func:`check_cost` gives them, at
+    most MAX_COMMAND_TERMS - DEFAULT_NAIVE_CAP, and, with ``naive``, the
+    C(a_n - c + n, n) tuples that the naive enumeration runs, at most
+    DEFAULT_NAIVE_CAP. A line whose largest a_n weighs 1 weighs 1 at every
+    point, and only another line is weighed point by point."""
     if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"a grid of {count} points exceeds the cap {MAX_GRID_POINTS}")
@@ -237,13 +254,18 @@ def check_points(count: int,
             continue
         try:
             check_cost(family, n, min(a_values), c, r, s, d)
-            check_cost(family, n, max(a_values), c, r, s, d)
+            weight = check_cost(family, n, max(a_values), c, r, s, d)
         except argparse.ArgumentTypeError:
             # the refused extreme is one of the points, so this loop raises
             for a_n in a_values:
                 check_cost(family, n, a_n, c, r, s, d)
         ranges = [a_n - c + 1 for a_n in a_values if a_n >= c]
-        total += n * sum(ranges)
+        if weight == 1:
+            total += n * sum(ranges)
+        else:
+            total += sum(min(n * (a_n - c + 1) * check_cost(family, n, a_n, c, r, s, d),
+                             MAX_COMMAND_TERMS - DEFAULT_NAIVE_CAP)
+                         for a_n in a_values if a_n >= c)
         if naive:
             tuples = [comb(size + n - 1, n) for size in ranges]
             total += sum(t for t in tuples if t <= DEFAULT_NAIVE_CAP)
@@ -361,7 +383,7 @@ def _output(path: Optional[str]) -> Iterator[IO[str]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _point_family(args.identity, args)
-    check_cost(params, args.n, args.an, args.c, args.r, args.s, args.d)
+    check_points(1, [(params, args.n, (args.an,), args.c, args.r, args.s, args.d)])
     report = evaluate_point(args.identity, params, args.n, args.an, args.c,
                             args.r, args.s, args.d)
     with _output(args.out) as out:

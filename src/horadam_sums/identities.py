@@ -9,10 +9,13 @@ the closed form; :func:`verify` demands bit-exact agreement.
 The catalog covers the general four-parameter family (tags F3..F7), the
 Fibonacci/Lucas cubic-index forms (F1*/F2*), and their specializations for
 the restricted (p = 1) and gibonacci (p = 1, q = -1) families. Every tag is
-described once, by one record in ``_REGISTRY``: its fixed family or family
-shape, the F6 depth parity, its default grid and the theorem shape it
+described once, by one record keyed by the tag's string: its fixed family or
+family shape, the F6 depth parity, its default grid and the theorem shape it
 shares with its parent (the coordinates it reads, preconditions, left-hand
-summand and the closed form's parameter tuple). As in the paper, which
+summand and the closed form's parameter tuple). :class:`IdentityId` is built
+from those keys, in their order, each member named by its tag upper-cased
+(``IdentityId.F6_G_EVEN`` is ``"F6_G_even"``), and ``_REGISTRY`` is keyed
+by the members, so a tag is written in one place only. As in the paper, which
 evaluates the nested geometric sum once and derives every display from it,
 every closed form is one lifted master form at its shape's tuple, which
 :func:`evaluate_rhs` reads off the registry. Every restricted and gibonacci
@@ -80,32 +83,8 @@ from .sequences import (FIBONACCI, LUCAS, HoradamParams, HoradamSequence, _lowes
                         first_kind_pair, gibonacci, horadam, second_kind_pair)
 
 
-class IdentityId(str, Enum):
-    H = "H"
-    F1A = "F1a"
-    F1B = "F1b"
-    F2A = "F2a"
-    F2B = "F2b"
-    F3 = "F3"
-    F4 = "F4"
-    F5 = "F5"
-    F6A = "F6a"
-    F6B = "F6b"
-    F7 = "F7"
-    F3_W = "F3_w"
-    F3_G = "F3_G"
-    F4_G = "F4_G"
-    F5_G = "F5_G"
-    F6_G_EVEN = "F6_G_even"
-    F6_G_ODD = "F6_G_odd"
-    F6_F_EVEN = "F6_F_even"
-    F6_F_ODD = "F6_F_odd"
-    F6_L_EVEN = "F6_L_even"
-    F6_L_ODD = "F6_L_odd"
-    F7_W = "F7_w"
-    F7_G = "F7_G"
-    F7_R1D0_W = "F7_r1d0_w"
-    F7_R1D0_G = "F7_r1d0_G"
+class _Tag(str, Enum):
+    """The base of :class:`IdentityId`, built from the registry's tags below."""
 
     def __str__(self) -> str:  # "F3" rather than "IdentityId.F3" in messages
         return self.value
@@ -929,41 +908,45 @@ def _f7_r1d0_grid(families: Tuple[HoradamParams, ...]) -> SweepGrid:
                      s_values=(-2, 2, 3), a_offsets=tuple(range(-1, 7)))
 
 
-_REGISTRY: Dict[IdentityId, _Record] = {
-    IdentityId.H: _Record(_H, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
-                          fixed=FIBONACCI),
-    IdentityId.F1A: _Record(_F1, _CUBIC_GRID, fixed=FIBONACCI),
-    IdentityId.F1B: _Record(_F1, _CUBIC_GRID, fixed=LUCAS),
-    IdentityId.F2A: _Record(_F2, _CUBIC_GRID, fixed=FIBONACCI),
-    IdentityId.F2B: _Record(_F2, _CUBIC_GRID, fixed=LUCAS),
-    IdentityId.F3: _Record(_F3, _F3_GRID),
-    IdentityId.F4: _Record(_F4, _F3_GRID),
-    IdentityId.F5: _Record(_F5, SweepGrid(
+_RECORDS: Dict[str, _Record] = {
+    "H": _Record(_H, SweepGrid(n_values=(1, 2, 3), a_offsets=tuple(range(0, 13))),
+                 fixed=FIBONACCI),
+    "F1a": _Record(_F1, _CUBIC_GRID, fixed=FIBONACCI),
+    "F1b": _Record(_F1, _CUBIC_GRID, fixed=LUCAS),
+    "F2a": _Record(_F2, _CUBIC_GRID, fixed=FIBONACCI),
+    "F2b": _Record(_F2, _CUBIC_GRID, fixed=LUCAS),
+    "F3": _Record(_F3, _F3_GRID),
+    "F4": _Record(_F4, _F3_GRID),
+    "F5": _Record(_F5, SweepGrid(
         families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(0, 2), d_values=(-1, 1, 2), a_offsets=tuple(range(-2, 7)))),
-    IdentityId.F6A: _Record(_F6, _f6_grid(_STD_FAMILIES, (2, 4)), parity=0),
-    IdentityId.F6B: _Record(_F6, _f6_grid(_STD_FAMILIES, (1, 3)), parity=1),
-    IdentityId.F7: _Record(_F7, SweepGrid(
+    "F6a": _Record(_F6, _f6_grid(_STD_FAMILIES, (2, 4)), parity=0),
+    "F6b": _Record(_F6, _f6_grid(_STD_FAMILIES, (1, 3)), parity=1),
+    "F7": _Record(_F7, SweepGrid(
         families=_STD_FAMILIES, n_values=(1, 2, 3), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(-1, 0, 2), d_values=(-1, 0, 1), a_offsets=tuple(range(-2, 7)))),
-    IdentityId.F3_W: _Record(_F3, _f3_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
-    IdentityId.F3_G: _Record(_F3, _f3_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
-    IdentityId.F4_G: _Record(_F4, _f3_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
-    IdentityId.F5_G: _Record(_F5, SweepGrid(
+    "F3_w": _Record(_F3, _f3_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
+    "F3_G": _Record(_F3, _f3_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    "F4_G": _Record(_F4, _f3_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    "F5_G": _Record(_F5, SweepGrid(
         families=_GIBONACCI_FAMILIES, n_values=(1, 2), c_values=(-1, 1), r_values=(-1, 1, 2),
         s_values=(0, 2), d_values=(1, 2), a_offsets=tuple(range(-1, 7))),
         family=_GIBONACCI),
-    IdentityId.F6_G_EVEN: _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)),
-                                  family=_GIBONACCI, parity=0),
-    IdentityId.F6_G_ODD: _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)),
-                                 family=_GIBONACCI, parity=1),
-    IdentityId.F6_F_EVEN: _Record(_F6, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
-    IdentityId.F6_F_ODD: _Record(_F6, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
-    IdentityId.F6_L_EVEN: _Record(_F6, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
-    IdentityId.F6_L_ODD: _Record(_F6, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
-    IdentityId.F7_W: _Record(_F7, _f7_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
-    IdentityId.F7_G: _Record(_F7, _f7_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
-    IdentityId.F7_R1D0_W: _Record(_F7_R1D0, _f7_r1d0_grid(_RESTRICTED_FAMILIES),
-                                  family=_RESTRICTED),
-    IdentityId.F7_R1D0_G: _Record(_F7_R1D0, _f7_r1d0_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    "F6_G_even": _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (2, 4)), family=_GIBONACCI,
+                         parity=0),
+    "F6_G_odd": _Record(_F6, _f6_grid(_GIBONACCI_FAMILIES, (1, 3)), family=_GIBONACCI,
+                        parity=1),
+    "F6_F_even": _Record(_F6, _f6_grid((), (2, 4)), fixed=FIBONACCI, parity=0),
+    "F6_F_odd": _Record(_F6, _f6_grid((), (1, 3)), fixed=FIBONACCI, parity=1),
+    "F6_L_even": _Record(_F6, _f6_grid((), (2, 4)), fixed=LUCAS, parity=0),
+    "F6_L_odd": _Record(_F6, _f6_grid((), (1, 3)), fixed=LUCAS, parity=1),
+    "F7_w": _Record(_F7, _f7_special_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
+    "F7_G": _Record(_F7, _f7_special_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
+    "F7_r1d0_w": _Record(_F7_R1D0, _f7_r1d0_grid(_RESTRICTED_FAMILIES), family=_RESTRICTED),
+    "F7_r1d0_G": _Record(_F7_R1D0, _f7_r1d0_grid(_GIBONACCI_FAMILIES), family=_GIBONACCI),
 }
+
+# The tags, in the records' order, each a member named by the tag upper-cased
+IdentityId = _Tag("IdentityId", [(tag.upper(), tag) for tag in _RECORDS], module=__name__)
+_REGISTRY: Dict[IdentityId, _Record] = {IdentityId(tag): record
+                                        for tag, record in _RECORDS.items()}

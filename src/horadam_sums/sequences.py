@@ -483,14 +483,6 @@ class BinetView:
     def term(self, j: int) -> QuadExt:
         return self.coef_a * self.tau ** j + self.coef_b * self.sigma ** j
 
-    def first_kind_term(self, j: int) -> QuadExt:
-        """(tau**j - sigma**j) / delta, the root-power form of U[j]."""
-        return (self.tau ** j - self.sigma ** j) / self.delta
-
-    def second_kind_term(self, j: int) -> QuadExt:
-        """tau**j + sigma**j, the root-power form of V[j]."""
-        return self.tau ** j + self.sigma ** j
-
 
 ROOT_SHIFT_IDENTITIES = ("L1", "L2", "L3", "L4")
 

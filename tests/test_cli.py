@@ -13,6 +13,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import log2
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from horadam_sums.cli import (BENCH_CSV_COLUMNS, SWEEP_CSV_COLUMNS, format_ratio
                               main, parse_int_set)
 from horadam_sums.combinatorics import binom
 from horadam_sums.identities import IdentityId
-from horadam_sums.sequences import horadam
+from horadam_sums.sequences import _steps, horadam
 
 GOLDEN_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "golden_sweep.json"
 
@@ -270,11 +271,20 @@ CHECKED_FAMILIES = (None, identities.FAMILIES["fibonacci"], identities.FAMILIES[
                                 st.integers(-9, 9), st.integers(-3, 3)), max_size=4))
 def test_line_gate_refuses_as_the_point_gate(lines):
     # checking each line at its extremes refuses the same first point, with
-    # the same message, as checking every point in order
+    # the same message, as checking every point in order, and weighing only
+    # the lines whose largest a_n weighs more than 1 point by point sums the
+    # same cost as weighing every point
     def every_point():
+        total = 0
         for family, n, a_values, c, r, s, d in lines:
             for a_n in a_values:
-                cli.check_cost(family, n, a_n, c, r, s, d)
+                weight = cli.check_cost(family, n, a_n, c, r, s, d)
+                if a_n >= c:
+                    total += min(n * (a_n - c + 1) * weight,
+                                 cli.MAX_COMMAND_TERMS - cli.DEFAULT_NAIVE_CAP)
+        if total > cli.MAX_COMMAND_TERMS:
+            raise argparse.ArgumentTypeError(
+                f"a command of {total} oracle terms exceeds the cap {cli.MAX_COMMAND_TERMS}")
 
     assert _refusal(cli.check_points, 0, lines) == _refusal(every_point)
 
@@ -416,6 +426,87 @@ def test_command_budget_accepts_the_cap_and_refuses_one_past(capsys, monkeypatch
     code, out, err = run_cli(capsys, command, *past_cap)
     assert (code, out, len(reached)) == (2, "", 1)
     assert err == f"error: a command of 5000001 {summed} exceeds the cap 5000000\n"
+
+
+# the command of three F4 points at the bits cap below 0 on integer_root;
+# each point alone runs about 16 s on a 2-core x86-64 host
+_FAR_F4 = ("--identity", "F4", "--family", "integer_root", "--n", "5", "--c", "-5994",
+           "--r", "3", "--s", "0", "--d", "0")
+
+
+@pytest.mark.parametrize("an, total", [("-2..0", 8181810), ("-165..0", 446571125)])
+def test_command_of_far_points_refused_by_their_bits(capsys, an, total):
+    # 3 or 166 points, each accepted alone, whose oracle terms all lie where
+    # the term denominators grow: each point's bound reaches 9 * 6000 = 54,000
+    # bits below 0, so each of its 5 * (a_n + 5995) terms weighs
+    # 1 + 54000 // 600 = 91
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", *_FAR_F4, f"--an={an}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a command of {total} oracle terms exceeds the cap 5000000\n"
+
+
+@pytest.mark.parametrize("family, coords", [
+    # F4 at r = 3 on integer_root: 29,975 terms, 54,000 bits below 0
+    ("integer_root", (5, 0, -5994, 3, 0, 0)),
+    # F3 at both point caps: 200,000 terms and 54,000 bits below 0
+    ("integer_root", (5, 29205, -10794, 1, 0, 0)),
+])
+def test_points_at_the_bits_cap_pass_alone(family, coords):
+    params = identities.FAMILIES[family]
+    n, a_n, c, r, s, d = coords
+    assert cli.check_cost(params, *coords) == 91
+    for naive in (False, True):
+        # as a one-point sweep line and as verify's point
+        cli.check_points(1, [(params, n, (a_n,), c, r, s, d)], naive=naive)
+
+
+# families whose term denominators grow on both sides of 0, by one bit per
+# index (p = q = 1/2) and by 2.6 and 4.6 bits
+BOTH_SIDES = (horadam(1, 1, Fraction(1, 2), Fraction(1, 2)),
+              horadam(Fraction(3, 2), -1, Fraction(5, 2), Fraction(-2, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(CHECKED_FAMILIES + BOTH_SIDES), n=st.integers(1, 40),
+       a_n=st.integers(-30000, 30000), c=st.integers(-30000, 30000), r=st.integers(-4, 4),
+       s=st.integers(-9, 9), d=st.integers(-3, 3))
+def test_any_point_the_point_gate_accepts_is_accepted_alone(family, n, a_n, c, r, s, d):
+    try:
+        cli.check_cost(family, n, a_n, c, r, s, d)
+    except argparse.ArgumentTypeError:
+        return
+    cli.check_points(1, [(family, n, (a_n,), c, r, s, d)], naive=True)
+
+
+def test_far_weight_at_both_bit_caps_and_on_default_grids():
+    # a point at the bits cap on both sides of 0 (p = q = 1/2, r = 1, n = 1)
+    # weighs its 21,597 terms 91 each, once, not once per side
+    half = BOTH_SIDES[0]
+    assert cli.check_cost(half, 1, 10798, -10798, 1, 0, 0) == 91
+    line = (half, 1, (10798,), -10798, 1, 0, 0)
+    cli.check_points(1, [line], naive=True)
+    assert _refusal(cli.check_points, 2, [line, line]) is None
+    assert _refusal(cli.check_points, 3, [line] * 3) == (
+        "a command of 5895981 oracle terms exceeds the cap 5000000")
+    # every point of the 25 default grids weighs 1
+    for ident in IdentityId:
+        for family, n, a_values, c, r, s, d in identities.sweep_lines(ident):
+            assert {cli.check_cost(family, n, a_n, c, r, s, d) for a_n in a_values} == {1}
+
+
+def test_growth_bits_are_the_walk_scales():
+    # log2 of the upward scale m and of the downward scale |m*m*q| of
+    # sequences._steps, on the built-in families and on p = 5/2, q = -2/3
+    families = [*identities.FAMILIES.values(), BOTH_SIDES[1]]
+    for family in families:
+        (_, _, up), (_, _, down) = _steps(family._pq)
+        assert cli._growth_bits(family._pq) == (log2(up), log2(abs(down)),
+                                                max(log2(up), log2(abs(down))))
+    assert cli._growth_bits(identities.FAMILIES["integer_root"]._pq) == (0, 1, 1)
+    assert cli._growth_bits(identities.FAMILIES["fibonacci"]._pq) == (0, 0, 0)
+    assert cli._growth_bits(BOTH_SIDES[1]._pq) == (log2(6), log2(24), log2(24))
 
 
 def test_command_cap_leaves_headroom():

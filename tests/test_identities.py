@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -482,6 +483,27 @@ _DEFAULT_GRID_TERM_COUNTS = {
     IdentityId.F7_R1D0_W: (3960, 5544),
     IdentityId.F7_R1D0_G: (4320, 6048),
 }
+
+
+# IdentityId's members as (name, value), in order: the registry's tags
+IDENTITY_MEMBERS = (
+    ("H", "H"), ("F1A", "F1a"), ("F1B", "F1b"), ("F2A", "F2a"), ("F2B", "F2b"), ("F3", "F3"),
+    ("F4", "F4"), ("F5", "F5"), ("F6A", "F6a"), ("F6B", "F6b"), ("F7", "F7"), ("F3_W", "F3_w"),
+    ("F3_G", "F3_G"), ("F4_G", "F4_G"), ("F5_G", "F5_G"), ("F6_G_EVEN", "F6_G_even"),
+    ("F6_G_ODD", "F6_G_odd"), ("F6_F_EVEN", "F6_F_even"), ("F6_F_ODD", "F6_F_odd"),
+    ("F6_L_EVEN", "F6_L_even"), ("F6_L_ODD", "F6_L_odd"), ("F7_W", "F7_w"), ("F7_G", "F7_G"),
+    ("F7_R1D0_W", "F7_r1d0_w"), ("F7_R1D0_G", "F7_r1d0_G"))
+
+
+def test_identity_members_are_the_registry_tags():
+    assert [(ident.name, ident.value) for ident in IdentityId] == list(IDENTITY_MEMBERS)
+    assert list(_REGISTRY) == list(IdentityId)
+    ident = IdentityId.F7_R1D0_W
+    assert (str(ident), repr(ident), f"{ident}", f"{ident!s:>10}") == (
+        "F7_r1d0_w", "<IdentityId.F7_R1D0_W: 'F7_r1d0_w'>", "F7_r1d0_w", " F7_r1d0_w")
+    assert IdentityId("F7_r1d0_w") is ident and ident == "F7_r1d0_w"
+    assert IdentityId.__module__ == "horadam_sums.identities"
+    assert pickle.loads(pickle.dumps(ident)) is ident
 
 
 def test_tags_outside_theorem_suite_match_oracle():

@@ -684,10 +684,12 @@ class TestBinetView:
 
     @pytest.mark.parametrize("p,q", TEST_PQ)
     def test_first_second_kind_forms(self, p, q):
+        # the ladder's U_j and V_j equal their root-power forms
         view = BinetView(lucas_first_kind(p, q))
+        tau, sigma, delta = view.tau, view.sigma, view.delta
         for j in range(-12, 13):
-            assert view.first_kind_term(j) == first_kind_term(view.params, j)
-            assert view.second_kind_term(j) == second_kind_term(view.params, j)
+            assert (tau ** j - sigma ** j) / delta == first_kind_term(view.params, j)
+            assert tau ** j + sigma ** j == second_kind_term(view.params, j)
 
 
 class TestLemma3:

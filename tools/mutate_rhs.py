@@ -1,6 +1,6 @@
 """Mutation check of the closed-form evaluators, of the grid-line sharing,
 of the preconditions, of the nested-sum oracle and its summand, of the
-sequence terms and of the binomials.
+sequence terms, of the binomials and of the command line's input gates.
 
     python3 tools/mutate_rhs.py
 
@@ -147,6 +147,16 @@ of ``PRECONDITION_LINES``, differs from the unmutated code's; no
 precondition reads a_n. Those lines also hold one coordinate a form does not
 read off its default, which no default grid does, and F6a's refusals at
 r = 0, D = 0 and U_r = 0 and F3's at V_r = 0, which no default grid meets.
+The command line's input gates, ``check_cost`` and ``check_points`` of
+``horadam_sums.cli``, are judged by verdicts alone too, and no command is
+run: a mutant is killed when check_cost's verdict on a point of
+``COST_POINTS`` (the weight it gives the point's oracle terms, or the
+``ArgumentTypeError`` text) or check_points' on a run of ``GATE_RUNS``
+(accepted, or the text) differs from the unmutated code's. Those cases
+stand at each cap and one past it (terms, reach, bits above and below 0,
+grid points and command cost), on integer_root, a rational (p, q) and a
+family whose denominators do not grow, and hold a line whose first refused
+point is inside it.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
 runtime, and exits 1 when any other mutant survives or a listed survivor is
@@ -156,6 +166,7 @@ fails).
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import signal
@@ -171,6 +182,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import _util  # noqa: E402
+import horadam_sums.cli as cli  # noqa: E402
 import horadam_sums.combinatorics as cb  # noqa: E402
 import horadam_sums.identities as ids  # noqa: E402
 import horadam_sums.nestedcore as nc  # noqa: E402
@@ -226,6 +238,11 @@ KNOWN_SURVIVORS = {
     "den is nonzero, so den >= 0 is den > 0",
     "_lucas_terms: if j <= 0:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
     "_lucas_terms: if j < 1:": "at j = 0 both branches give (U_0, V_0) = (0, 2) over 1",
+    "check_cost: heaviest = 1": "a side of 1 bit weighs as one of 0: 1 // FAR_BITS_PER_WEIGHT "
+    "is 0",
+    "check_points: total += sum((t for t in tuples if t < DEFAULT_NAIVE_CAP))": "no point "
+    "that check_cost accepts has exactly DEFAULT_NAIVE_CAP tuples: no C(size + n - 1, n) "
+    "with n * size <= MAX_ORACLE_TERMS is 500,000",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -252,6 +269,7 @@ CLOSED_PART_SUFFIXES = ("_ratio_base", "_term", "_summand")
 BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
 SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
+GATE_TARGETS = ("check_cost", "check_points")
 
 # lines a precondition mutant is judged on besides the default grids': F3_G
 # on a family of the wrong shape; (p, q) = (2, 2), whose V_2 = 0 stops F6 at
@@ -335,6 +353,8 @@ def _is_target(module, name: str) -> bool:
         return name in SEQUENCE_TARGETS
     if module is cb:
         return name in BINOM_TARGETS
+    if module is cli:
+        return name in GATE_TARGETS
     if module is nc:
         return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
     return name.startswith("_lifted") or name.endswith(CLOSED_PART_SUFFIXES + ("_violation",)) \
@@ -745,6 +765,76 @@ def _verdicts() -> list:
     return verdicts
 
 
+# the input gates' cases, judged by verdict alone: integer_root, whose
+# denominators double per index below 0; a rational (p, q) whose
+# denominators double above 0 and grow 4-fold below; one that grows on
+# neither side; and none (no sequence)
+_ROOT = ids.FAMILIES["integer_root"]
+_HALF = sq.horadam(1, 1, Fraction(1, 2), -1)
+_FIB = ids.FAMILIES["fibonacci"]
+# check_cost's points, (family, n, a_n, c, r, s, d): each cap and one past
+# it (terms, reach, bits below 0 on integer_root, with r of either sign,
+# bits above 0 on _HALF), the weight's steps at 599 and 600 bits, where a
+# point's reach and width first reach 600 bits, a side of 620 bits whose
+# reach and width are 310, sides of 595 bits at a_n and c at or below 0
+# (above) and at or above 0 (below), r = 0, and points on the other families
+COST_POINTS = ((_FIB, 8, 25000, 1, 1, 0, 0), (_FIB, 8, 25001, 1, 1, 0, 0),
+               (_FIB, 1, 29999, 1, 1, 0, 0), (_FIB, 1, 29999, 1, 1, 1, 0),
+               (_ROOT, 5, 0, -10794, 1, 0, 0), (_ROOT, 5, 0, -10794, 1, -1, 0),
+               (_ROOT, 5, 10795, 1, -1, 0, 0), (_ROOT, 5, 10795, 1, -1, -1, 0),
+               (_HALF, 5, 10795, 1, 1, 0, 0), (_HALF, 5, 10795, 1, 1, 1, 0),
+               (_ROOT, 1, 0, -117, 1, -4, 0), (_ROOT, 1, 0, -117, 1, -5, 0),
+               (_ROOT, 1, 0, -118, 1, 0, 0), (_ROOT, 1, 0, -116, 2, 0, 1),
+               (_HALF, 1, 0, -60, 1, 0, 0), (_HALF, 1, 0, -1, 1, 590, 0),
+               (_ROOT, 1, 5, 1, 1, -590, 0),
+               (_HALF, 1, 0, -100, 0, 300, 0), (_HALF, 2, 150, 0, 0, 0, 0),
+               (_HALF, 2, -3, -150, 1, 2, 3), (_HALF, 3, 2000, 3, 2, -7, 1),
+               (_ROOT, 3, -1900, -2000, 2, 5, -1), (_FIB, 9, 20000, 1, 3, -20, 1),
+               (None, 8, 25000, 1, 1, 0, 0), (None, 1, 29999, 1, 1, 1, 0))
+# check_points' runs, (count, lines, naive): the grid cap and one past it; a
+# line whose first refused point is inside it; the command cap and one past
+# it, with integral terms, with bench's naive tuples, with F4's far point
+# (weight 91), with F3's (clamped to MAX_COMMAND_TERMS - DEFAULT_NAIVE_CAP)
+# and with a line of weight 2 that holds a_n = c; a line whose weight is 1
+# at some points and more at others, and three F4 points
+_FIB_LINE = (_FIB, 1, (25000,) * 200, 1, 1, 0, 0)
+_F4_POINT = (_ROOT, 5, (0,), -5994, 3, 0, 0)
+_F3_POINT = (_ROOT, 5, (29205,), -10794, 1, 0, 0)
+GATE_RUNS = ((100_000, (), False), (100_001, (), False),
+             (6, ((_FIB, 1, (5, 28600, 29000), 1, 1, 0, 0),
+                  (_FIB, 7, (5, 28600, 29000), 1, 1, 0, 0)), False),
+             (200, (_FIB_LINE,), False),
+             (200, ((_FIB, 1, (25000,) * 199 + (25001,), 1, 1, 0, 0),), False),
+             (100, ((None, 2, (25000,) * 100, 1, 1, 0, 0),), True),
+             (101, ((None, 2, (25000,) * 99 + (24999, 1), 1, 1, 0, 0),), True),
+             (92, (_F4_POINT, (_FIB, 1, (25000,) * 90 + (22275,), 1, 1, 0, 0)), False),
+             (92, (_F4_POINT, (_FIB, 1, (25000,) * 90 + (22276,), 1, 1, 0, 0)), False),
+             (21, (_F3_POINT, (_FIB, 1, (25000,) * 20, 1, 1, 0, 0)), False),
+             (21, (_F3_POINT, (_FIB, 1, (25000,) * 19 + (25001,), 1, 1, 0, 0)), False),
+             (1, (_F3_POINT,), True),
+             (202, ((_ROOT, 1, (-118, 0), -118, 1, 0, 0),
+                    (_FIB, 1, (25000,) * 199 + (24760,), 1, 1, 0, 0)), False),
+             (202, ((_ROOT, 1, (-118, 0), -118, 1, 0, 0),
+                    (_FIB, 1, (25000,) * 199 + (24761,), 1, 1, 0, 0)), False),
+             (4, ((_HALF, 5, (100, 5000, 10795, 200), 1, 1, 0, 0),), False),
+             (3, ((_ROOT, 2, (-300, -200, 5), -200, 1, 0, 0),), True),
+             (3, ((_ROOT, 5, (-2, -1, 0), -5994, 3, 0, 0),), False))
+
+
+def _gate_verdicts() -> list:
+    """The verdict on each of ``COST_POINTS``, check_cost's weight or its
+    ``ArgumentTypeError`` text, and on each of ``GATE_RUNS``, None when
+    check_points accepts it or the text. Nothing is run."""
+    verdicts = []
+    for check, cases in ((cli.check_cost, COST_POINTS), (cli.check_points, GATE_RUNS)):
+        for case in cases:
+            try:
+                verdicts.append(check(*case))
+            except argparse.ArgumentTypeError as exc:
+                verdicts.append(str(exc))
+    return verdicts
+
+
 def _fields(report) -> tuple:
     """Every field of a report but its two times."""
     return tuple(getattr(report, f.name) for f in dataclasses.fields(report)
@@ -826,13 +916,14 @@ def _on_alarm(signum, frame):
 
 def main() -> int:
     start = time.perf_counter()
-    funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb)
+    funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb) + _targets(cli)
     registry = dict(ids._REGISTRY)
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId)
                     for name in ORACLE_TARGETS + LINE_TARGETS + SWEEP_TARGETS})
     swept: dict = {}
     verdicts = _verdicts()
+    gate_verdicts = _gate_verdicts()
     if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
             or _summand_broken() or _sequence_broken() or _binom_broken() \
             or _grid_size_broken():
@@ -860,6 +951,8 @@ def main() -> int:
                     dead = _binom_broken()
                 elif name in GRID_TARGETS:
                     dead = _grid_size_broken()
+                elif module is cli:
+                    dead = _gate_verdicts() != gate_verdicts
                 elif name.endswith("_violation"):
                     dead = _verdicts() != verdicts
                 elif name in SUMMAND_TARGETS:
