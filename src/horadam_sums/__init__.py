@@ -10,8 +10,7 @@ square roots where closed forms pass through a quadratic extension.
 from __future__ import annotations
 
 from .combinatorics import binom, binom_column_sum, nested_ones
-from .exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
-                       MismatchedDiscriminantError, QuadExt,
+from .exactnum import (DivisionByZeroError, MismatchedDiscriminantError, QuadExt,
                        ZeroToNegativePowerError)
 from .identities import (FAMILIES, EvaluationReport, IdentityId, IdentityInstance,
                          InvalidInstanceError, SweepGrid, SweepSummary, default_grid,
@@ -27,8 +26,8 @@ from .sequences import (FIBONACCI, LUCAS, BinetView, HoradamParams, HoradamSeque
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinetView", "DEFAULT_NAIVE_CAP", "DegenerateDiscriminantError",
-    "DivisionByZeroError", "EvalCounter", "EvaluationReport", "FAMILIES",
+    "BinetView", "DEFAULT_NAIVE_CAP", "DivisionByZeroError", "EvalCounter",
+    "EvaluationReport", "FAMILIES",
     "FIBONACCI", "HoradamParams", "HoradamSequence", "IdentityId",
     "IdentityInstance", "InvalidInstanceError", "LUCAS",
     "MismatchedDiscriminantError", "NaiveCapExceededError", "NestedSumSpec",

@@ -596,7 +596,7 @@ _LEMMA_BUILTIN_PQ = (
     (Fraction(3), Fraction(2)),
     (Fraction(1), Fraction(1)),
     (Fraction(1), Fraction(3)),
-    (Fraction(2), Fraction(1)),   # discriminant 0: reported as skipped
+    (Fraction(2), Fraction(1)),   # discriminant 0: a repeated root, checked like the rest
 )
 
 _LEMMA_RESTRICTED = ("fibonacci", "gibonacci31", "negative_d", "generic")
@@ -637,20 +637,15 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         if p != 0 and q != 0:
             pq_points.append((p, q))
-    residual_checks = residual_failures = skipped = 0
+    residual_checks = residual_failures = 0
     for p, q in pq_points:
-        if p * p - 4 * q == 0:
-            print(f"skipped (p={p}, q={q}): degenerate discriminant")
-            skipped += 1
-            continue
         for r in range(-4, 5):
             for d in range(-4, 5):
                 for which in ROOT_SHIFT_IDENTITIES:
                     residual_checks += 1
                     if lemma3_residual(p, q, r, d, which) != 0:
                         residual_failures += 1
-    print(f"root-shift residuals: {residual_checks} checks, "
-          f"{residual_failures} failures, {skipped} families skipped")
+    print(f"root-shift residuals: {residual_checks} checks, {residual_failures} failures")
 
     # Odd Binet combination for restricted (p = 1) families.
     lemma4_checks = lemma4_failures = 0
@@ -744,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas.add_argument("--points", type=int, default=400,
                           help="size of the root-shift check: max(N // 20, 5) (p, q) "
                           "families, the 5 built in and the rest drawn from --seed, each "
-                          "(D = 0 ones skipped) checked at 81 (r, d) shifts for L1-L4")
+                          "checked at 81 (r, d) shifts for L1-L4")
     p_lemmas.set_defaults(func=cmd_lemmas)
 
     return parser

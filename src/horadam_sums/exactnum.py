@@ -3,13 +3,14 @@
 Rational values are plain :class:`fractions.Fraction` objects, which already
 guarantee canonical form (positive denominator, reduced to lowest terms) after
 every operation. On top of that, :class:`QuadExt` represents an element
-``u + v*sqrt(D)`` of the quadratic extension Q(sqrt(D)) with exact rational
-components and a fixed nonzero rational discriminant ``D``.
+``u + v*sqrt(D)`` of the ring Q[delta]/(delta**2 - D) with exact rational
+components and a fixed rational discriminant ``D``.
 
-``D`` may be negative (the arithmetic is formal and sign-agnostic) and may even
-be a perfect square, in which case Q(sqrt(D)) is a ring with zero divisors
-rather than a field: nonzero elements of zero norm cannot be inverted, and
-attempting to divide by one raises :class:`DivisionByZeroError`.
+``D`` may be any rational. At a nonsquare ``D`` the ring is the field
+Q(sqrt(D)); at a nonzero square it has zero divisors, and at ``D = 0`` the
+nilpotent ``delta`` itself (``delta**2 == 0``). Either way an element of zero
+norm cannot be inverted, and dividing by one raises
+:class:`DivisionByZeroError`.
 """
 
 from __future__ import annotations
@@ -35,12 +36,8 @@ class MismatchedDiscriminantError(ValueError):
     """Arithmetic between extension elements with different discriminants."""
 
 
-class DegenerateDiscriminantError(ValueError):
-    """An extension context with discriminant zero (nothing to adjoin)."""
-
-
 class QuadExt:
-    """Element ``u + v*sqrt(D)`` of Q(sqrt(D)), with exact rational u, v, D.
+    """Element ``u + v*sqrt(D)`` of Q[delta]/(delta**2 - D), exact rational u, v, D.
 
     Values are immutable. Two elements combine arithmetically only when their
     discriminants match; plain ints and Fractions coerce to the discriminant
@@ -55,12 +52,9 @@ class QuadExt:
                  disc: RationalLike | None = None):
         if disc is None:
             raise TypeError("QuadExt requires an explicit discriminant")
-        d = Fraction(disc)
-        if d == 0:
-            raise DegenerateDiscriminantError("discriminant must be nonzero")
         self._u = Fraction(rat_part)
         self._v = Fraction(surd_part)
-        self._d = d
+        self._d = Fraction(disc)
 
     @classmethod
     def _of(cls, u: Fraction, v: Fraction, d: Fraction) -> QuadExt:
@@ -72,10 +66,6 @@ class QuadExt:
         self._v = v
         self._d = d
         return self
-
-    @classmethod
-    def from_rational(cls, value: RationalLike, disc: RationalLike) -> QuadExt:
-        return cls(value, 0, disc)
 
     @classmethod
     def sqrt(cls, disc: RationalLike) -> QuadExt:

@@ -37,7 +37,7 @@ where :func:`oracle_nested` passes an int weight, as it always does, and
 the value is integral), and both oracles return a ``Fraction``. Only
 :func:`master_E` and :func:`f_closed` also take
 :class:`~horadam_sums.exactnum.QuadExt` arguments, for the root-power
-routes that run in Q(sqrt(D)).
+routes that run in Q[delta]/(delta**2 - D).
 """
 
 from __future__ import annotations

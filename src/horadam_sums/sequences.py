@@ -35,10 +35,10 @@ pairs in lowest terms (:func:`first_kind_pair`, :func:`second_kind_pair`;
 :func:`first_kind_term` and :func:`second_kind_term` give ``Fraction``), at
 most ``COMPANIONS_CAP`` (p, q, j) cached, and builds no window.
 
-:class:`BinetView` exposes the closed form ``W[j] = A*tau**j + B*sigma**j``
-over Q(sqrt(D)) with D = p**2 - 4*q, where tau and sigma are the roots of
-``x**2 - p*x + q``. The view is valid for any nonzero D, including negative
-and perfect-square discriminants; D = 0 (a repeated root) is rejected.
+:class:`BinetView` reads W off the root powers in the ring
+Q[delta]/(delta**2 - D), D = p**2 - 4*q, where tau = (p + delta)/2 is a root
+of ``x**2 - p*x + q``: W[j] is a linear map of tau**j, with no division by
+delta, so it holds at every D, a repeated root (D = 0) included.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from math import gcd, lcm
 from threading import Lock
 from typing import List, Optional, Tuple, Union
 
-from .exactnum import DegenerateDiscriminantError, QuadExt, RationalLike
+from .exactnum import QuadExt, RationalLike
 
 
 @dataclass(frozen=True)
@@ -456,39 +456,38 @@ def second_kind_term(params: HoradamParams, j: int) -> Fraction:
 
 
 class BinetView:
-    """Root-power closed form of a sequence, over Q(sqrt(D)).
+    """Root powers of a sequence, in Q[delta]/(delta**2 - D), at every D.
 
-    Exposes ``tau``, ``sigma`` (the characteristic roots), ``delta`` (their
-    difference, the formal sqrt(D)) and the coefficients ``coef_a``/``coef_b``
-    such that ``term(j) == coef_a*tau**j + coef_b*sigma**j`` with zero surd
-    part, for every integer ``j``.
+    ``tau = (p + delta)/2`` and its conjugate ``sigma`` are the roots of
+    ``x**2 - p*x + q``, and ``delta = tau - sigma`` is the formal sqrt(D).
+    With tau**j = X_j + Y_j*delta, V_j = 2*X_j and U_j = 2*Y_j, so
+    W[j] = a*X_j + (2*b - a*p)*Y_j (Horadam, Fibonacci Quart. 3(3), 1965):
+    :meth:`project` is that linear map, and ``term(j)`` is it at tau**j.
     """
 
     def __init__(self, params: HoradamParams):
-        disc = params.discriminant
-        if disc == 0:
-            raise DegenerateDiscriminantError(
-                f"p^2 - 4q = 0 for p={params.p}, q={params.q}: repeated root, no such view")
         self.params = params
-        self.disc = disc
+        disc = params.discriminant
         half = Fraction(1, 2)
         self.tau = QuadExt(params.p * half, half, disc)
-        self.sigma = QuadExt(params.p * half, -half, disc)
+        self.sigma = self.tau.conjugate()
         self.delta = QuadExt.sqrt(disc)
-        a = QuadExt.from_rational(params.a, disc)
-        b = QuadExt.from_rational(params.b, disc)
-        self.coef_a = (b - a * self.sigma) / self.delta
-        self.coef_b = (a * self.tau - b) / self.delta
 
-    def term(self, j: int) -> QuadExt:
-        return self.coef_a * self.tau ** j + self.coef_b * self.sigma ** j
+    def project(self, value: QuadExt) -> Fraction:
+        """a*X + (2*b - a*p)*Y for ``value`` = X + Y*delta: W[j] at tau**j."""
+        a, b, p = self.params.a, self.params.b, self.params.p
+        return a * value.rat_part + (2 * b - a * p) * value.surd_part
+
+    def term(self, j: int) -> Fraction:
+        return self.project(self.tau ** j)
 
 
 ROOT_SHIFT_IDENTITIES = ("L1", "L2", "L3", "L4")
 
 
 def lemma3_residual(p: RationalLike, q: RationalLike, r: int, d: int, which: str) -> QuadExt:
-    """LHS minus RHS of one of the four root-shift identities, in Q(sqrt(D)).
+    """LHS minus RHS of one of the four root-shift identities, in
+    Q[delta]/(delta**2 - D), where they hold at every D.
 
     The identities relate index-shifted U/V terms to root powers:
 
@@ -501,14 +500,13 @@ def lemma3_residual(p: RationalLike, q: RationalLike, r: int, d: int, which: str
     a zero residual checks that ladder against the root powers.
     """
     view = BinetView(lucas_first_kind(p, q))
-    disc = view.disc
     tau, sigma, delta = view.tau, view.sigma, view.delta
 
-    def u(j: int) -> QuadExt:
-        return QuadExt.from_rational(first_kind_term(view.params, j), disc)
+    def u(j: int) -> Fraction:
+        return first_kind_term(view.params, j)
 
-    def v(j: int) -> QuadExt:
-        return QuadExt.from_rational(second_kind_term(view.params, j), disc)
+    def v(j: int) -> Fraction:
+        return second_kind_term(view.params, j)
 
     if which == "L1":
         return u(r + d) - tau ** r * u(d) - sigma ** d * u(r)
@@ -522,16 +520,16 @@ def lemma3_residual(p: RationalLike, q: RationalLike, r: int, d: int, which: str
 
 
 def lemma4_residual(params: HoradamParams, j: int) -> QuadExt:
-    """Residual of the odd Binet combination for p = 1 sequences.
+    """Residual of the odd Binet combination for p = 1 sequences, times delta.
 
-    Checks ``coef_a*tau**j - coef_b*sigma**j == (w[j+1] - q*w[j-1]) / delta``
-    where w is the sequence itself. Only defined for p = 1.
+    Checks ``(b - a*sigma)*tau**j - (a*tau - b)*sigma**j == w[j+1] - q*w[j-1]``
+    where w is the sequence itself; nothing divides by delta, so it holds at
+    every D. Only defined for p = 1.
     """
     if params.p != 1:
         raise ValueError("identity requires the restricted family (p = 1)")
     view = BinetView(params)
     seq = HoradamSequence.of(params)
-    lhs = view.coef_a * view.tau ** j - view.coef_b * view.sigma ** j
-    numerator = seq.term(j + 1) - params.q * seq.term(j - 1)
-    rhs = QuadExt.from_rational(numerator, view.disc) / view.delta
-    return lhs - rhs
+    a, b, tau, sigma = params.a, params.b, view.tau, view.sigma
+    lhs = (b - a * sigma) * tau ** j - (a * tau - b) * sigma ** j
+    return lhs - (seq.term(j + 1) - params.q * seq.term(j - 1))

@@ -3,24 +3,30 @@
 These deliberately avoid the package's own summation code paths: nested sums
 are literal Python loops, binomials go through math.factorial, and sequence
 values are generated by a fresh recurrence. The root-power route
-``binet_route`` shares no code with the identity evaluators: it splits any
-nested sum that ``identities.lhs_spec`` builds into two nested geometric sums
-and runs ``nestedcore.f_closed`` on each, over Q(sqrt(D)) or, when D is a
-square, over Q. Agreement between these and the library is the point of the
-tests. ``doubled_term`` alone reads the package's own code, its
-index-doubling ladder, so that tests can hold that ladder to these.
+``binet_route`` shares no code with the identity evaluators: it sums the
+root powers of any nested sum that ``identities.lhs_spec`` builds in the
+ring Q[delta]/(delta**2 - D) of ``BinetView``, at every D, by
+``nestedcore.f_closed``, and reads W off the result by the view's linear
+map. Agreement between these and the library is the point of the tests.
+``doubled_term`` alone reads the package's own code, its index-doubling
+ladder, so that tests can hold that ladder to these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, prod
+from math import factorial, prod
 
 from horadam_sums.combinatorics import nested_ones
-from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
+from horadam_sums.identities import IdentityId
 from horadam_sums.nestedcore import f_closed
-from horadam_sums.sequences import HoradamSequence
+from horadam_sums.sequences import BinetView, HoradamSequence, horadam
+
+# the ten tags of the paper's theorems, which acceptance criterion 3 sweeps
+THEOREM_SUITE = (IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B,
+                 IdentityId.F3, IdentityId.F4, IdentityId.F5, IdentityId.F6A,
+                 IdentityId.F6B, IdentityId.F7)
 
 
 def literal_nested_sum(depth, upper, lower_limits, term_fn):
@@ -107,38 +113,16 @@ def doubled_term(params, j: int) -> Fraction:
     return Fraction(*HoradamSequence(params)._far(j))
 
 
-@lru_cache(maxsize=64)
-def _binet_form(params):
-    """((A, tau), (B, sigma)) with W[j] = A*tau**j + B*sigma**j for every j.
-
-    The roots of x**2 - p*x + q are rational when D = p**2 - 4*q is a
-    rational square, and the form is then kept in Q, since Q(sqrt(D)) has
-    zero divisors there; otherwise it lives in Q(sqrt(D)).
-    """
-    disc = params.discriminant
-    if disc == 0:
-        raise DegenerateDiscriminantError(
-            f"p^2 - 4q = 0 for p={params.p}, q={params.q}: repeated root, no Binet form")
-    root = QuadExt.sqrt(disc)
-    if disc > 0:
-        num, den = isqrt(disc.numerator), isqrt(disc.denominator)
-        if num * num == disc.numerator and den * den == disc.denominator:
-            root = Fraction(num, den)
-    tau, sigma = (params.p + root) / 2, (params.p - root) / 2
-    return ((params.b - params.a * sigma) / root, tau), ((params.a * tau - params.b) / root, sigma)
-
-
 def binet_route(spec):
     """The nested sum ``spec`` through root powers, for a uniform lower limit.
 
     The summand of ``spec.term`` is W[mk+s] * w**k, with an alternating sign
-    in a negative base w, and W[j] = A*tau**j + B*sigma**j, so the sum splits
-    into A*tau**s*N(w*tau**m) + B*sigma**s*N(w*sigma**m), where N(y) is the
-    depth-n nested sum of y**k: ``f_closed(y, 1, ...)``, or ``nested_ones`` at
-    y = 1. A summand with no sequence is N(w). The value is a Fraction
-    when the roots are rational (or there are none) and a QuadExt otherwise;
-    a QuadExt equals a Fraction only when its surd part is zero, so comparing
-    it with the oracle also checks that part.
+    in a negative base w, and W[j] is the linear map ``BinetView.project``
+    of tau**j, so the sum is that map of tau**s * N(w*tau**m), where N(y) is
+    the depth-n nested sum of y**k: ``f_closed(y, 1, ...)`` when y - 1 is
+    invertible. Else z = y - 1 is 0 or a zero divisor, with z*z = t*z for
+    t = 2*rat(z), so (1 + z)**k = 1 + z*((1 + t)**k - 1)/t, or 1 + k*z at
+    t = 0. A summand with no sequence reads W = 1: (a, b, p, q) = (1, 1, 2, 1).
     """
     limits = set(spec.lower_limits)
     if len(limits) != 1:
@@ -146,12 +130,17 @@ def binet_route(spec):
     n, upper, (c,) = spec.depth, spec.upper, limits
     term = spec.term
     base = Fraction(1) if term.weight_base is None else term.weight_base
+    view = BinetView(term.seq or horadam(1, 1, 2, 1))
 
     def nested(y):
-        return nested_ones(n, upper, c) if y == 1 else f_closed(y, 1, n, upper, c)
+        z = y - 1
+        if z.norm():
+            return f_closed(y, 1, n, upper, c)
+        t, ones = 2 * z.rat_part, nested_ones(n, upper, c)
+        # at t = 0, the nested sum of k: c*C(R + n, n) + C(R + n, n + 1), R = upper - c
+        slope = (f_closed(1 + t, 1, n, upper, c) - ones) / t if t \
+            else c * ones + nested_ones(n + 1, upper, c + 1)
+        return ones + z * slope
 
-    if term.seq is None:
-        return nested(base)
-    m, s = term.index_mul, term.index_add
-    return sum(coef * root ** s * nested(base * root ** m)
-               for coef, root in _binet_form(term.seq))
+    tau = view.tau
+    return view.project(tau ** term.index_add * nested(base * tau ** term.index_mul))

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from _util import binet_route, falling_binom, literal_nested_sum
+from _util import THEOREM_SUITE, binet_route, falling_binom, literal_nested_sum
 from horadam_sums.cli import bench_rows
 from horadam_sums.combinatorics import binom, binom_column_sum, nested_ones
 from horadam_sums.identities import (FAMILIES, IdentityId, IdentityInstance,
@@ -112,13 +112,10 @@ def test_master_identity_holds_for_every_x():
 
 def test_criterion_3_theorem_suite():
     start = time.perf_counter()
-    suite = (IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B,
-             IdentityId.F3, IdentityId.F4, IdentityId.F5, IdentityId.F6A,
-             IdentityId.F6B, IdentityId.F7)
     needs_negative_d = {IdentityId.F3, IdentityId.F4, IdentityId.F5, IdentityId.F7}
     failures = []
     detail = []
-    for ident in suite:
+    for ident in THEOREM_SUITE:
         grid = default_grid(ident)
         reports = sweep(ident, grid)
         summary = summarize(reports)
@@ -272,11 +269,13 @@ def test_criterion_5_lemma_suites():
     if checks < 10_000:
         failures.append(("lemma1 volume", checks))
 
-    # root-shift residuals in Q(sqrt(D)) over (p, q, r, d) points
+    # root-shift residuals in Q[delta]/(delta**2 - D) over (p, q, r, d)
+    # points; the last two have D = 0
     pq_families = [(Fraction(1), Fraction(-1)), (Fraction(3), Fraction(2)),
                    (Fraction(1), Fraction(1)), (Fraction(1), Fraction(3)),
                    (Fraction(2), Fraction(3)), (Fraction(-2), Fraction(5, 3)),
-                   (Fraction(5, 2), Fraction(-7, 3))]
+                   (Fraction(5, 2), Fraction(-7, 3)), (Fraction(2), Fraction(1)),
+                   (Fraction(2, 3), Fraction(1, 9))]
     residual_points = 0
     for (p, q), r, d in product(pq_families, range(-4, 5), range(-4, 5)):
         for which in ("L1", "L2", "L3", "L4"):
@@ -284,7 +283,7 @@ def test_criterion_5_lemma_suites():
                 failures.append(("L", p, q, r, d, which))
         residual_points += 1
     for params in (FIBONACCI, LUCAS, gibonacci(3, 1), horadam(2, 5, 1, 3),
-                   horadam(1, 4, 1, 1)):
+                   horadam(1, 4, 1, 1), horadam(3, -2, 1, Fraction(1, 4))):
         for j in range(-8, 9):
             if lemma4_residual(params, j) != 0:
                 failures.append(("L4-odd", params, j))
@@ -301,9 +300,8 @@ def test_criterion_5_lemma_suites():
 
 
 def test_criterion_6_f6_rationality():
-    # the root-power route runs in Q(sqrt(D)), where a wrong sign leaves a
-    # surd residue; a QuadExt equals the rational F6 skeleton only when that
-    # residue is zero (integer_root's square D keeps the route in Q)
+    # the root-power route sums F6's left side in Q[delta]/(delta**2 - D) and
+    # reads it off by a linear map, sharing no code with the closed form
     start = time.perf_counter()
     failures = []
     points = 0
@@ -322,7 +320,7 @@ def test_criterion_6_f6_rationality():
                 points += 1
     elapsed = time.perf_counter() - start
     _conclude("6 f6-rationality", not failures,
-              f"surd part zero at {points} points, {elapsed:.1f}s"
+              f"root-power route equal at {points} points, {elapsed:.1f}s"
               if not failures else str(failures[:4]))
 
 

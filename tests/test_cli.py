@@ -1108,10 +1108,17 @@ class TestLemmasCommand:
         assert "lemmas: PASS" in out
         assert "0 failures" in out
 
-    def test_degenerate_family_skipped_with_message(self, capsys):
+    def test_repeated_root_family_checked(self, capsys, monkeypatch):
+        # the built-in (2, 1), D = 0, is checked like every other family:
+        # nothing is skipped, and its 324 residuals are among those counted
+        seen = []
+        real = cli.lemma3_residual
+        monkeypatch.setattr(cli, "lemma3_residual",
+                            lambda p, q, *rest: seen.append((p, q)) or real(p, q, *rest))
         code, out, _ = run_cli(capsys, "lemmas", "--seed", "0", "--points", "60")
-        assert code == 0
-        assert "degenerate discriminant" in out
+        assert code == 0 and "skipped" not in out
+        assert "root-shift residuals: 1620 checks, 0 failures\n" in out
+        assert seen.count((2, 1)) == 324
 
     def test_each_failure_is_counted(self, capsys, monkeypatch):
         # one wrong result from each of the four checked routes: the two unit
@@ -1137,17 +1144,17 @@ class TestLemmasCommand:
         assert code == cli.EXIT_MISMATCH
         expected = passing.replace("unit-count identities: 776 checks, 0 failures",
                                    "unit-count identities: 776 checks, 2 failures")
-        expected = expected.replace("1296 checks, 0 failures", "1296 checks, 1 failures")
+        expected = expected.replace("1620 checks, 0 failures", "1620 checks, 1 failures")
         expected = expected.replace("68 checks, 0 failures", "68 checks, 1 failures")
         expected = expected.replace("lemmas: PASS", "lemmas: FAIL")
         assert out == expected != passing
 
-    @pytest.mark.parametrize("points,checks", [(400, 6156), (10, 1296)])
+    @pytest.mark.parametrize("points,checks", [(400, 6480), (10, 1620)])
     def test_points_set_the_family_count(self, capsys, points, checks):
-        # max(points // 20, 5) families, the D = 0 built-in skipped, 9 x 9 (r, d) x L1-L4
+        # max(points // 20, 5) families, the D = 0 built-in among them, 9 x 9 (r, d) x L1-L4
         code, out, _ = run_cli(capsys, "lemmas", "--seed", "0", "--points", str(points))
         assert code == 0
-        assert f"root-shift residuals: {checks} checks, 0 failures, 1 families skipped" in out
+        assert f"root-shift residuals: {checks} checks, 0 failures\n" in out
 
 
 @pytest.mark.parametrize("identity", [ident.value for ident in IdentityId])

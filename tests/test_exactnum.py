@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam_sums.exactnum import (DegenerateDiscriminantError, DivisionByZeroError,
-                                   MismatchedDiscriminantError, QuadExt,
-                                   ZeroToNegativePowerError)
+from horadam_sums.exactnum import (DivisionByZeroError, MismatchedDiscriminantError,
+                                   QuadExt, ZeroToNegativePowerError)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
-discs = st.sampled_from([Fraction(5), Fraction(-3), Fraction(1), Fraction(13, 4)])
+discs = st.sampled_from([Fraction(5), Fraction(-3), Fraction(1), Fraction(13, 4), Fraction(0)])
 
 
 def quad(disc):
@@ -63,9 +62,14 @@ class TestQuadExtBasics:
         assert QuadExt(0, 1, 5)
         assert QuadExt(1, 0, 5)
 
-    def test_degenerate_disc_rejected(self):
-        with pytest.raises(DegenerateDiscriminantError):
-            QuadExt(1, 1, 0)
+    def test_zero_disc_is_the_dual_numbers(self):
+        # at D = 0 delta is nilpotent: delta**2 = 0, (1 + delta)**-1 = 1 - delta,
+        # and delta itself, of norm 0, has no inverse
+        delta = QuadExt.sqrt(0)
+        assert delta and delta * delta == 0 and delta.norm() == 0
+        assert (1 + delta) ** -1 == 1 - delta == 1 / (1 + delta)
+        with pytest.raises(DivisionByZeroError, match="zero norm"):
+            1 / delta
 
     def test_mismatched_disc_rejected(self):
         with pytest.raises(MismatchedDiscriminantError):
@@ -194,8 +198,6 @@ class TestQuadExtAlgebra:
     @settings(max_examples=120)
     def test_characteristic_roots(self, p, q):
         disc = p * p - 4 * q
-        if disc == 0:
-            return
         half = Fraction(1, 2)
         tau = QuadExt(p * half, half, disc)
         sigma = QuadExt(p * half, -half, disc)

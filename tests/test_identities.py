@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from _util import binet_route, literal_nested_sum
+from _util import THEOREM_SUITE, binet_route, literal_nested_sum
 import horadam_sums.cli as cli
 import horadam_sums.identities as identities
 from horadam_sums.identities import (FAMILIES, CLASS_ERROR, CLASS_MISMATCH, CLASS_OUTSIDE,
@@ -509,12 +509,9 @@ def test_identity_members_are_the_registry_tags():
 def test_tags_outside_theorem_suite_match_oracle():
     # acceptance criterion 3 sweeps the ten theorem tags; this covers the rest.
     # Every restricted and gibonacci tag runs its parent's evaluator, so the
-    # oracle is its only independent check.
-    assert set(_REGISTRY) == set(IdentityId)
-    theorem_suite = {IdentityId.F1A, IdentityId.F1B, IdentityId.F2A, IdentityId.F2B,
-                     IdentityId.F3, IdentityId.F4, IdentityId.F5, IdentityId.F6A,
-                     IdentityId.F6B, IdentityId.F7}
-    assert set(_DEFAULT_GRID_TERM_COUNTS) == set(IdentityId) - theorem_suite
+    # oracle is its only independent check. Between them, every tag once.
+    assert not set(THEOREM_SUITE) & set(_DEFAULT_GRID_TERM_COUNTS)
+    assert set(THEOREM_SUITE) | set(_DEFAULT_GRID_TERM_COUNTS) == set(IdentityId)
     failures = []
     for ident, expected_counts in _DEFAULT_GRID_TERM_COUNTS.items():
         reports = sweep(ident)
@@ -590,8 +587,9 @@ def test_far_outer_limits_verify(ident, n, a_n, d):
 
 class TestBinetRoutes:
     """The root-power route reproduces every tag's left side at depths 1-4,
-    through the f-form over quadratic-extension values. Criterion 6 runs it
-    on F6's whole default grid, ``integer_root``'s square D included, and
+    through the f-form in the ring Q[delta]/(delta**2 - D). Criterion 6 runs
+    it on F6's whole default grid, ``integer_root``'s square D included,
+    ``test_repeated_root_families_verify`` at D = 0, and
     ``test_nestedcore.py::TestBinetRoute`` on the shapes no grid reaches."""
 
     @pytest.mark.parametrize("ident", list(IdentityId), ids=str)
@@ -603,8 +601,7 @@ class TestBinetRoutes:
 
     @staticmethod
     def _check_route(ident, params):
-        # negative and zero weights and shifts, at lower limits 0 and 1; a
-        # QuadExt equals the oracle's Fraction only with a zero surd part
+        # negative and zero weights and shifts, at lower limits 0 and 1
         from horadam_sums.sequences import second_kind_term
 
         for r, s, n, c in product((-1, 1, 2), (0, 2), (1, 2), (0, 1)):
@@ -621,6 +618,41 @@ class TestBinetRoutes:
     @pytest.mark.parametrize("params", [FIB, GENERIC])
     def test_g_route_reproduces_alternating_sum(self, params):
         self._check_route(IdentityId.F4, params)
+
+
+# repeated-root (D = 0) families, none of them built in: the arithmetic
+# progression 1, 3, 5, ... at (p, q) = (2, 1), a rational root 1/3 and, for
+# the restricted tags, (1, 1/4); the gibonacci shape has D = 5 only
+REPEATED_ROOT_FAMILIES = {
+    None: (horadam(1, 3, 2, 1),
+           horadam(Fraction(-3, 2), Fraction(2, 5), Fraction(2, 3), Fraction(1, 9))),
+    "restricted": (restricted(Fraction(2, 3), -3, Fraction(1, 4)),),
+}
+
+
+def test_repeated_root_families_verify():
+    # every free-family and restricted tag on its shape's D = 0 families:
+    # no mismatch, no error, a verified point per tag (F6, whose display
+    # divides by D, refuses them all), and the root-power route equal to
+    # the oracle at every verified point
+    for ident in RATIONAL_TAGS:
+        record = _REGISTRY[ident]
+        if record.family not in REPEATED_ROOT_FAMILIES:
+            continue
+        grid = dataclasses.replace(record.grid, families=REPEATED_ROOT_FAMILIES[record.family])
+        reports = sweep(ident, grid)
+        summary = summarize(reports)
+        assert summary.mismatched == 0 and summary.errors == 0
+        if record.shape is identities._F6:
+            assert {report.detail for report in reports} == {
+                f"{ident}: discriminant must be nonzero"}
+            continue
+        assert summary.verified > 0
+        for report in reports:
+            if report.classification == CLASS_VERIFIED:
+                one = inst(ident, report.params, report.n, report.a_n, report.c,
+                           report.r, report.s, report.d)
+                assert binet_route(lhs_spec(one)) == report.lhs
 
 
 @pytest.mark.parametrize("ident", RATIONAL_TAGS, ids=str)

@@ -85,3 +85,13 @@ def test_install_reaches_every_shape_that_held_the_part(tool):
         ids._REGISTRY.update(registry)
         tool._rebind("_f5_ratio_base", original)
     assert ids.verify(point()).classification == ids.CLASS_VERIFIED
+
+
+def test_ring_judges_hold_the_ring(tool, monkeypatch):
+    # QuadExt agrees with the matrix model and BinetView with the walk, and a
+    # product that comes back conjugated shows in both
+    assert tool._ring_check()[0] == tool._ring_model() and not tool._binet_broken()
+    quad = tool.en.QuadExt
+    real = quad.__mul__
+    monkeypatch.setattr(quad, "__mul__", lambda self, other: real(self, other).conjugate())
+    assert tool._ring_check()[0] != tool._ring_model() and tool._binet_broken()

@@ -16,7 +16,7 @@ from _util import binet_route, literal_nested_sum, summand_fn
 import horadam_sums.combinatorics as combinatorics
 import horadam_sums.nestedcore as nestedcore
 from horadam_sums.combinatorics import nested_ones
-from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
+from horadam_sums.exactnum import QuadExt
 from horadam_sums.identities import (CLASS_ERROR, FAMILIES, IdentityId, IdentityInstance,
                                      verify)
 from horadam_sums.nestedcore import (ONES, EvalCounter, NaiveCapExceededError,
@@ -531,9 +531,11 @@ class TestIntegerKernel:
 
 # (p, q) with two distinct nonzero rational roots, so D is a rational square,
 # or any (p, q) with D != 0
-_square_pq = st.lists(nonzero_small, min_size=2, max_size=2, unique=True).map(
+# (p, q) with rational roots: distinct ones (a square D) or one repeated (D = 0)
+_square_pq = st.lists(nonzero_small, min_size=2, max_size=2).map(
     lambda roots: (roots[0] + roots[1], roots[0] * roots[1])).filter(lambda pq: pq[0] != 0)
-_any_pq = st.tuples(nonzero_small, nonzero_small).filter(lambda pq: pq[0] ** 2 != 4 * pq[1])
+_repeated_pq = nonzero_small.map(lambda root: (2 * root, root * root))
+_any_pq = st.tuples(nonzero_small, nonzero_small)
 
 
 @st.composite
@@ -544,7 +546,7 @@ def route_specs(draw):
     c = draw(st.integers(-3, 3))
     upper = draw(st.integers(c - 1, c + 6))
     seq = draw(st.none() | st.builds(lambda a, b, pq: horadam(a, b, *pq), small_rationals,
-                                     small_rationals, _square_pq | _any_pq))
+                                     small_rationals, _square_pq | _repeated_pq | _any_pq))
     summand = SumTerm(seq=seq, index_mul=draw(st.integers(-2, 3)),
                       index_add=draw(st.integers(-3, 3)),
                       weight_base=draw(st.none() | nonzero_small))
@@ -557,15 +559,23 @@ class TestBinetRoute:
 
     @settings(max_examples=100, deadline=None)
     @given(spec=route_specs())
-    # integer_root has D = 1 and sigma = 1, so one half of the split sum is
-    # the nested sum of 1**k
+    # integer_root has D = 1 and sigma = 1, so y - 1 = tau - 1 is a zero divisor
     @example(spec=NestedSumSpec(3, 6, 1, SumTerm(seq=FAMILIES["integer_root"])))
+    # roots 2 and 1/2 (D = 9/4) and w = 2: 2*sigma = 1, a zero divisor again
+    @example(spec=NestedSumSpec(2, 4, -1, SumTerm(seq=horadam(3, -1, Fraction(5, 2), 1),
+                                                  index_add=-2, weight_base=Fraction(2))))
+    # D = 0 with root 1/2 and w = 2: y = 2*tau = 1 + delta is 1 plus a nilpotent
+    @example(spec=NestedSumSpec(3, 5, 0, SumTerm(seq=horadam(2, -1, 1, Fraction(1, 4)),
+                                                 index_add=1, weight_base=Fraction(2))))
     def test_matches_naive(self, spec):
         assert binet_route(spec) == oracle_nested_naive(spec)
 
-    def test_repeated_root_refused(self):
-        with pytest.raises(DegenerateDiscriminantError):
-            binet_route(NestedSumSpec(2, 3, 1, SumTerm(seq=horadam(1, 3, 2, 1))))
+    def test_repeated_root_matches_naive(self):
+        # the arithmetic progression 1, 3, 5, ...: (p, q) = (2, 1), D = 0, and
+        # y = tau = 1 + delta/2, one plus a nilpotent, at index steps 1 and 2
+        for step in (1, 2):
+            spec = NestedSumSpec(2, 3, 1, SumTerm(seq=horadam(1, 3, 2, 1), index_mul=step))
+            assert binet_route(spec) == oracle_nested_naive(spec)
 
     def test_per_level_limits_refused(self):
         with pytest.raises(ValueError, match="one lower limit"):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from _util import doubled_term, fib_list, walk_terms
 import horadam_sums.sequences as sequences
-from horadam_sums.exactnum import DegenerateDiscriminantError, QuadExt
+from horadam_sums.exactnum import QuadExt
 from horadam_sums.nestedcore import SumTerm
 from horadam_sums.sequences import (COMPANIONS_CAP, FIBONACCI, LUCAS, SHARED_CAP,
                                     WALK_GAP, WINDOW_CAP, BinetView,
@@ -661,9 +661,15 @@ class TestBinetView:
         view = BinetView(LUCAS)
         assert view.term(3) == 4
 
-    def test_degenerate_disc_rejected(self):
-        with pytest.raises(DegenerateDiscriminantError):
-            BinetView(horadam(1, 1, 2, 1))
+    def test_repeated_root_matches_walk(self):
+        # D = 0, where delta**2 = 0: the linear map still gives every term,
+        # nothing dividing by delta
+        for params in (horadam(Fraction(3, 2), -1, 2, 1),
+                       horadam(1, 4, Fraction(2, 3), Fraction(1, 9))):
+            view = BinetView(params)
+            assert view.tau - view.sigma == view.delta and view.delta * view.delta == 0
+            walked = walk_terms(params, -40, 40)
+            assert [view.term(j) for j in range(-40, 41)] == [walked[j] for j in range(-40, 41)]
 
     def test_root_relations(self):
         for p, q in TEST_PQ:
@@ -679,8 +685,7 @@ class TestBinetView:
         view = BinetView(params)
         for j in range(-25, 26):
             value = view.term(j)
-            assert value.surd_part == 0
-            assert value.rat_part == term(params, j)
+            assert type(value) is Fraction and value == term(params, j)
 
     @pytest.mark.parametrize("p,q", TEST_PQ)
     def test_first_second_kind_forms(self, p, q):

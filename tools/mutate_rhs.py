@@ -50,7 +50,10 @@ Lucas companions ``_lucas_terms`` read off that ladder as reduced int pairs
 downwards that the walk, the far read and the companions share, and
 ``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
 ``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
-``horadam_sums.identities``. An ``if``
+``horadam_sums.identities``, and every method of ``QuadExt``, the ring
+Q[delta]/(delta**2 - D) of ``horadam_sums.exactnum``, with the root powers
+``BinetView`` of ``horadam_sums.sequences`` that read W off it (the lemma
+residuals are left out: tier-1's ``TestLemma3`` fails one made zero). An ``if``
 mutated in its test is named by that test alone. The mutated function is
 compiled against its live module and installed there (a method on its
 class, a precondition or closed-form part also in every field of the theorem
@@ -106,8 +109,8 @@ oracle, or counts other than n binomial terms, on criterion 2's grid
 oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
 ``(-x/y)**k``; when a pole is not refused with ``PoleError``; or
 when ``tests/_util.py::binet_route``, which runs every tag's left side
-through ``f_closed``, misses the oracle, or keeps a surd part, on the tier-1
-deep-depth grid of any tag. A sequence mutant is killed when
+through ``f_closed``, misses the oracle on the tier-1 deep-depth grid of any
+tag. A sequence mutant is killed when
 ``HoradamSequence._far`` of a fresh sequence misses
 ``tests/_util.py::walk_terms``, a plain recurrence walk, at any j from
 -300 to 300 on ``SEQUENCE_FAMILIES``, as W[j] alone or as the pair W[j]
@@ -132,6 +135,22 @@ of an identity read the same terms, so lhs == rhs cannot see a wrong one.
 and the cache is cleared after every mutant, so a pair made while a
 mutant is installed is never read after it, and a pair cached before it
 cannot hide it.
+A ``QuadExt`` mutant is judged by verdicts against the rational matrix
+[[u, v*D], [v, u]] of u + v*delta, at D = -3, 1, 5 and 0 (``RING_DISCS``),
+on ``RING_ELEMENTS``, among them zero divisors at D = 1 and the nilpotent
+delta at D = 0: it is killed when the (u, v) and D of a sum, difference,
+product, quotient, negation, conjugate (the adjugate) or power from -3 to
+3, the norm (the determinant), an equality or a truth value, with another
+element or with an int or a ``Fraction``, differs from the matrices', when
+inverting a matrix of determinant 0 does not raise ``DivisionByZeroError``
+(0 to a negative power, ``ZeroToNegativePowerError``), when two rings'
+elements combine, a float combines or equal elements hash apart, or when an
+element's ``str`` or ``repr`` or an exception's message differs from the
+unmutated code's. A ``BinetView`` mutant is killed when ``term`` misses
+``tests/_util.py::walk_terms``, in value or exact type (``Fraction``), at
+any j from -40 to 40 on ``BINET_FAMILIES``, one at each of those four D, or
+its roots miss tau + sigma = p, tau*sigma = q, tau - sigma = delta and
+delta**2 = D.
 A ``binom`` mutant is killed when it misses
 ``tests/_util.py::falling_binom``, in value or in exact type (int), at any
 top from -45 to 45 and k from 0 to 27, or when it no longer raises
@@ -159,9 +178,9 @@ family whose denominators do not grow, and hold a line whose first refused
 point is inside it.
 A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
 the reason given there. The script prints the mutant and kill counts and the
-runtime, and exits 1 when any other mutant survives or a listed survivor is
-stale, no longer made or now killed (2 when the unmutated code already
-fails).
+runtime, in all and for each group of targets that one judge holds, and
+exits 1 when any other mutant survives or a listed survivor is stale, no
+longer made or now killed (2 when the unmutated code already fails).
 """
 
 from __future__ import annotations
@@ -184,6 +203,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import _util  # noqa: E402
 import horadam_sums.cli as cli  # noqa: E402
 import horadam_sums.combinatorics as cb  # noqa: E402
+import horadam_sums.exactnum as en  # noqa: E402
 import horadam_sums.identities as ids  # noqa: E402
 import horadam_sums.nestedcore as nc  # noqa: E402
 import horadam_sums.sequences as sq  # noqa: E402
@@ -243,6 +263,12 @@ KNOWN_SURVIVORS = {
     "check_points: total += sum((t for t in tuples if t < DEFAULT_NAIVE_CAP))": "no point "
     "that check_cost accepts has exactly DEFAULT_NAIVE_CAP tuples: no C(size + n - 1, n) "
     "with n * size <= MAX_ORACLE_TERMS is 500,000",
+    "QuadExt.__pow__: if exponent <= 0:": "an exponent of 0 has returned above, so "
+    "exponent <= 0 is exponent < 0",
+    "QuadExt.__pow__: if exponent < 1:": "an exponent of 0 has returned above, so "
+    "exponent < 1 is exponent < 0",
+    "QuadExt.__str__: sign = '+' if self._v > 0 else '-'": "a surd part of 0 has "
+    "returned above, so v > 0 is v >= 0",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -270,6 +296,8 @@ BINOM_TARGETS = ("binom",)
 GRID_TARGETS = ("grid_size",)
 SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
 GATE_TARGETS = ("check_cost", "check_points")
+# every method of QuadExt is a ring target
+BINET_TARGETS = ("BinetView.__init__", "BinetView.project", "BinetView.term")
 
 # lines a precondition mutant is judged on besides the default grids': F3_G
 # on a family of the wrong shape; (p, q) = (2, 2), whose V_2 = 0 stops F6 at
@@ -349,8 +377,10 @@ POLES = (("master_E", (Fraction(0),)), ("master_E", (Fraction(1),)),
 
 
 def _is_target(module, name: str) -> bool:
+    if module is en:
+        return name.startswith("QuadExt.")
     if module is sq:
-        return name in SEQUENCE_TARGETS
+        return name in SEQUENCE_TARGETS + BINET_TARGETS
     if module is cb:
         return name in BINOM_TARGETS
     if module is cli:
@@ -563,7 +593,6 @@ def _geometric_broken() -> bool:
     for ident in ids.IdentityId:
         for one in _deep_instances(ident):
             spec = ids.lhs_spec(one)
-            # a QuadExt equals a Fraction only when its surd part is zero
             if _util.binet_route(spec) != oracle_nested(spec):
                 return True
     return False
@@ -715,6 +744,176 @@ def _sequence_broken() -> bool:
     reads = [-sq.WALK_GAP, *range(sq.WALK_GAP, sq.WINDOW_CAP + 2 * sq.WALK_GAP, sq.WALK_GAP)]
     return _window_broken(sq.HoradamSequence(CAP_FAMILY),
                           _walked(CAP_FAMILY, reads[0], reads[-1]), reads)
+
+
+# the ring's cases: the discriminants, a negative, a square, a nonsquare and 0,
+# and the (u, v) of the elements u + v*delta at each: zero, one, a rational,
+# delta and two generic elements, and (1, 1) and (2, -2), zero divisors at
+# D = 1; delta is nilpotent at D = 0. The rational operands are an int and a
+# Fraction
+RING_DISCS = (Fraction(-3), Fraction(1), Fraction(5), Fraction(0))
+RING_ELEMENTS = ((0, 0), (1, 0), (Fraction(-7, 3), 0), (0, 1), (Fraction(3, 2), Fraction(-2, 3)),
+                 (Fraction(-1, 2), Fraction(3, 4)), (1, 1), (2, -2))
+RING_RATIONALS = (2, Fraction(-3, 4))
+RING_POWERS = range(-3, 4)
+
+
+def _matrix(u, v, disc) -> tuple:
+    """u + v*delta as the rational matrix [[u, v*D], [v, u]], row by row."""
+    return (Fraction(u), v * disc), (Fraction(v), Fraction(u))
+
+
+def _matrix_verdict(m: tuple, disc) -> tuple:
+    """The verdict on an element whose matrix is ``m``: its (u, v), off the
+    first column, and its discriminant, as a ``QuadExt`` must hold them."""
+    (u, vd), (v, u2) = m
+    assert u2 == u and vd == v * disc, "not a matrix of the ring"
+    return en.QuadExt, Fraction, Fraction, u, v, disc
+
+
+def _plus(x: tuple, y: tuple, sign: int = 1) -> tuple:
+    return tuple(tuple(a + sign * b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _inverse(m: tuple) -> tuple:
+    """The inverse of ``m``, its adjugate over its determinant; a matrix of
+    determinant 0 raises ``DivisionByZeroError``."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    if det == 0:
+        raise en.DivisionByZeroError
+    return (d / det, -b / det), (-c / det, a / det)
+
+
+def _power(m: tuple, e: int) -> tuple:
+    base = m if e >= 0 else _inverse(m)
+    power = _matrix(1, 0, 0)
+    for _ in range(abs(e)):
+        power = _times(power, base)
+    return power
+
+
+def _ring_model() -> list:
+    """The verdicts ``_ring_check`` must give, from the matrix model alone:
+    each operation on ``RING_ELEMENTS`` at each of ``RING_DISCS``, in its
+    order, as an element's verdict, a bool, a rational or the name of the
+    exception raised."""
+    verdicts = []
+
+    def add(fn, disc):
+        try:
+            verdicts.append(_matrix_verdict(fn(), disc))
+        except en.DivisionByZeroError:
+            verdicts.append("DivisionByZeroError")
+
+    for disc in RING_DISCS:
+        zero = _matrix(0, 0, disc)
+        elements = [_matrix(u, v, disc) for u, v in RING_ELEMENTS]
+        for (u, v), x in zip(RING_ELEMENTS, elements):
+            (a, b), (c, d) = x
+            # equal elements, and a rational one and its rational, hash alike
+            verdicts += [_matrix_verdict(x, disc), _matrix_verdict(_matrix(0, 1, disc), disc),
+                         (Fraction(u), Fraction(v)), x != zero, True, True]
+            add(lambda: _plus(zero, x, -1), disc)
+            add(lambda: ((d, -b), (-c, a)), disc)  # the conjugate is the adjugate
+            verdicts.append(a * d - b * c)  # and the norm the determinant
+            for e in RING_POWERS:
+                if e < 0 and x == zero:
+                    verdicts.append("ZeroToNegativePowerError")
+                else:
+                    add(lambda: _power(x, e), disc)
+            for r in (_matrix(r, 0, disc) for r in RING_RATIONALS):
+                for fn in (lambda: _plus(x, r), lambda: _plus(r, x), lambda: _plus(x, r, -1),
+                           lambda: _plus(r, x, -1), lambda: _times(x, r), lambda: _times(r, x),
+                           lambda: _times(x, _inverse(r)), lambda: _times(r, _inverse(x))):
+                    add(fn, disc)
+                verdicts.append(x == r)
+            # a rational element equals its rational in any ring, no other
+            # element equals one of another ring, and no two rings' elements
+            # combine; nor does a float combine with any
+            verdicts += [v == 0, v == 0, v == 0, "MismatchedDiscriminantError", "TypeError"]
+            for y in elements:
+                for fn in (lambda: _plus(x, y), lambda: _plus(x, y, -1), lambda: _times(x, y),
+                           lambda: _times(x, _inverse(y))):
+                    add(fn, disc)
+                verdicts.append(x == y)
+    return verdicts
+
+
+def _ring_check() -> tuple:
+    """(verdicts, texts) of ``QuadExt`` on ``RING_ELEMENTS`` at each of
+    ``RING_DISCS``: the verdicts ``_ring_model`` gives, and the texts no
+    model reads, each element's ``str`` and ``repr`` and the message of
+    each exception raised, which must be the unmutated code's."""
+    verdicts, texts = [], []
+
+    def element(value):
+        return type(value), type(value._u), type(value._v), value._u, value._v, value._d
+
+    def add(fn):
+        try:
+            verdicts.append(element(fn()))
+        except (ZeroDivisionError, ValueError, TypeError) as exc:
+            verdicts.append(type(exc).__name__)
+            texts.append(str(exc))
+
+    for disc in RING_DISCS:
+        for u, v in RING_ELEMENTS:
+            x = en.QuadExt(u, v, disc)
+            texts += [str(x), repr(x)]
+            verdicts += [element(x), element(en.QuadExt.sqrt(disc)),
+                         (x.rat_part, x.surd_part), bool(x),
+                         hash(x) == hash(en.QuadExt(Fraction(u), Fraction(v), disc)),
+                         v != 0 or hash(x) == hash(Fraction(u))]
+            add(lambda: -x)
+            add(x.conjugate)
+            verdicts.append(x.norm())
+            for e in RING_POWERS:
+                add(lambda: x ** e)
+            for r in RING_RATIONALS:
+                for fn in (lambda: x + r, lambda: r + x, lambda: x - r, lambda: r - x,
+                           lambda: x * r, lambda: r * x, lambda: x / r, lambda: r / x):
+                    add(fn)
+                verdicts.append(x == r)
+            verdicts += [x == u, x == en.QuadExt(u, 0, disc + 1),
+                         x == en.QuadExt(u, v, disc + 1)]
+            add(lambda: x * en.QuadExt(u, v, disc + 1))
+            add(lambda: x + 0.5)
+            for y in (en.QuadExt(*pair, disc) for pair in RING_ELEMENTS):
+                for fn in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+                    add(fn)
+                verdicts.append(x == y)
+    return verdicts, texts
+
+
+# the Binet views' families, one at each of RING_DISCS, with a != 0 and
+# 2*b != a*p so that both coordinates of tau**j count
+BINET_FAMILIES = (sq.horadam(Fraction(3, 2), -1, 1, 1), sq.horadam(2, Fraction(1, 3), 3, 2),
+                  sq.horadam(-1, 2, 3, 1), sq.horadam(1, Fraction(-2, 3), 1, Fraction(1, 4)))
+
+
+def _binet_broken() -> bool:
+    """True when a ``BinetView`` misses ``tests/_util.py::walk_terms``, in
+    value or exact type (``Fraction``), at any j from -40 to 40 on
+    ``BINET_FAMILIES``, or its roots miss tau + sigma = p, tau*sigma = q,
+    tau - sigma = delta and delta**2 = D."""
+    for params in BINET_FAMILIES:
+        view = sq.BinetView(params)
+        walked = _walked(params, -40, 40)
+        for j in range(-40, 41):
+            value = view.term(j)
+            if value != walked[j] or type(value) is not Fraction:
+                return True
+        tau, sigma, delta = view.tau, view.sigma, view.delta
+        if (tau + sigma, tau * sigma, tau - sigma, delta * delta) != (
+                params.p, params.q, delta, params.discriminant):
+            return True
+    return False
 
 
 # C(top, k) for every (top, k) a binom mutant is held to
@@ -910,13 +1109,37 @@ def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
     return False
 
 
+def _group(module, name: str) -> str:
+    """The group of the target ``name`` of ``module``, which names its judge."""
+    if name in GEOMETRIC_TARGETS:
+        return "geometric"
+    if module is en:
+        return "ring"
+    if name in BINET_TARGETS:
+        return "binet"
+    if module is sq:
+        return "sequence"
+    if module is cb:
+        return "binom"
+    if name in GRID_TARGETS:
+        return "grid"
+    if module is cli:
+        return "gates"
+    if name.endswith("_violation"):
+        return "preconditions"
+    if name in SUMMAND_TARGETS:
+        return "summand"
+    return "oracle" if module is nc else "closed forms"
+
+
 def _on_alarm(signum, frame):
     raise TimeoutError
 
 
 def main() -> int:
     start = time.perf_counter()
-    funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb) + _targets(cli)
+    funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb) + _targets(cli) \
+        + _targets(en)
     registry = dict(ids._REGISTRY)
     callers = _callers({func.name for module, owner, func in funcs if module is ids})
     callers.update({name: list(ids.IdentityId)
@@ -924,14 +1147,33 @@ def main() -> int:
     swept: dict = {}
     verdicts = _verdicts()
     gate_verdicts = _gate_verdicts()
+    ring_model, ring_texts = _ring_model(), _ring_check()[1]
     if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
             or _summand_broken() or _sequence_broken() or _binom_broken() \
-            or _grid_size_broken():
+            or _grid_size_broken() or _ring_check() != (ring_model, ring_texts) \
+            or _binet_broken():
         print("the unmutated code already fails the check")
         return 2
+    # each group's judge of a mutant of the target ``name``: True kills it
+    judges = {
+        "geometric": lambda name: _geometric_broken(),
+        "ring": lambda name: _ring_check() != (ring_model, ring_texts),
+        "binet": lambda name: _binet_broken(),
+        "sequence": lambda name: _sequence_broken(),
+        "binom": lambda name: _binom_broken(),
+        "grid": lambda name: _grid_size_broken(),
+        "gates": lambda name: _gate_verdicts() != gate_verdicts,
+        "preconditions": lambda name: _verdicts() != verdicts,
+        "summand": lambda name: _summand_broken() or _killed(list(ids.IdentityId), swept)
+        or _geometric_broken(),
+        "oracle": lambda name: _killed(callers[name], swept, oracle=True),
+        "closed forms": lambda name: _killed(callers[name], swept),
+    }
     signal.signal(signal.SIGALRM, _on_alarm)
     total = killed = 0
     survivors = []
+    # per group: [mutants, killed, seconds]
+    groups: dict = {}
     for module, owner, func in funcs:
         original = vars(owner)[func.name]
         name = func.name if owner is module else f"{owner.__name__}.{func.name}"
@@ -940,26 +1182,12 @@ def main() -> int:
             setattr(node, field, replacement)
             key = f"{name}: {_statement(func, node)}"
             total += 1
+            group = _group(module, name)
+            started = time.perf_counter()
             signal.alarm(TIMEOUT_S)
             try:
                 _install(module, owner, func)
-                if func.name in GEOMETRIC_TARGETS:
-                    dead = _geometric_broken()
-                elif module is sq:
-                    dead = _sequence_broken()
-                elif module is cb:
-                    dead = _binom_broken()
-                elif name in GRID_TARGETS:
-                    dead = _grid_size_broken()
-                elif module is cli:
-                    dead = _gate_verdicts() != gate_verdicts
-                elif name.endswith("_violation"):
-                    dead = _verdicts() != verdicts
-                elif name in SUMMAND_TARGETS:
-                    dead = _summand_broken() or _killed(list(ids.IdentityId), swept) \
-                        or _geometric_broken()
-                else:
-                    dead = _killed(callers[name], swept, oracle=module is nc)
+                dead = judges[group](name)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
@@ -971,6 +1199,10 @@ def main() -> int:
                 if owner is module:
                     ids._REGISTRY.update(registry)
                     _rebind(func.name, original)
+            tally = groups.setdefault(group, [0, 0, 0.0])
+            tally[0] += 1
+            tally[1] += dead
+            tally[2] += time.perf_counter() - started
             if dead:
                 killed += 1
             else:
@@ -983,6 +1215,8 @@ def main() -> int:
               + ("" if key in new else f"  ({KNOWN_SURVIVORS[key]})"))
     for key in stale:
         print(f"STALE: known survivor no longer generated or now killed: {key}")
+    for group, (count, dead, seconds) in groups.items():
+        print(f"{group}: {count} mutants, {dead} killed, {seconds:.1f} s")
     print(f"{total} mutants, {killed} killed, {len(survivors)} survived "
           f"({len(new)} new, {len(stale)} stale), {elapsed:.1f} s")
     return 1 if new or stale else 0
