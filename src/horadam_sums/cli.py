@@ -591,15 +591,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # lemmas
 # ---------------------------------------------------------------------------
 
-_LEMMA_BUILTIN_PQ = (
-    (Fraction(1), Fraction(-1)),
-    (Fraction(3), Fraction(2)),
-    (Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(3)),
-    (Fraction(2), Fraction(1)),   # discriminant 0: a repeated root, checked like the rest
-)
+# the built-in families' distinct (p, q), in FAMILIES order, then (2, 1),
+# whose discriminant 0 gives a repeated root, checked like the rest
+_LEMMA_BUILTIN_PQ = (*dict.fromkeys((params.p, params.q) for params in FAMILIES.values()),
+                     (Fraction(2), Fraction(1)))
 
-_LEMMA_RESTRICTED = ("fibonacci", "gibonacci31", "negative_d", "generic")
+# the registry's restricted (p = 1) fixtures and criterion 5's repeated-root
+# family (q = 1/4, discriminant 0)
+_LEMMA_RESTRICTED = (*default_grid(IdentityId.F3_W).families,
+                     horadam(3, -2, 1, Fraction(1, 4)))
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
@@ -649,8 +649,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
     # Odd Binet combination for restricted (p = 1) families.
     lemma4_checks = lemma4_failures = 0
-    for name in _LEMMA_RESTRICTED:
-        params = FAMILIES[name]
+    for params in _LEMMA_RESTRICTED:
         for j in range(-8, 9):
             lemma4_checks += 1
             if lemma4_residual(params, j) != 0:

@@ -36,6 +36,11 @@ class MismatchedDiscriminantError(ValueError):
     """Arithmetic between extension elements with different discriminants."""
 
 
+def _ring(disc: Fraction) -> str:
+    """The ring an element of discriminant ``disc`` lies in, as messages name it."""
+    return f"Q[delta]/(delta**2 - D) at D = {disc}"
+
+
 class QuadExt:
     """Element ``u + v*sqrt(D)`` of Q[delta]/(delta**2 - D), exact rational u, v, D.
 
@@ -91,7 +96,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             if other._d != self._d:
                 raise MismatchedDiscriminantError(
-                    f"cannot combine sqrt({self._d}) with sqrt({other._d}) values")
+                    f"cannot combine values of {_ring(self._d)} and of {_ring(other._d)}")
             return other
         if isinstance(other, (int, Fraction)):
             return QuadExt._of(Fraction(other), _ZERO, self._d)
@@ -152,9 +157,9 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             if not self:
-                raise DivisionByZeroError(f"division by zero in Q(sqrt({self._d}))")
+                raise DivisionByZeroError(f"division by zero in {_ring(self._d)}")
             raise DivisionByZeroError(
-                f"({self}) has zero norm and is not invertible in Q(sqrt({self._d}))")
+                f"({self}) has zero norm and is not invertible in {_ring(self._d)}")
         return QuadExt._of(self._u / n, -self._v / n, self._d)
 
     def __truediv__(self, other) -> QuadExt:
@@ -178,7 +183,7 @@ class QuadExt:
         if exponent < 0:
             if not self:
                 raise ZeroToNegativePowerError(
-                    f"0 ** {exponent} is undefined in Q(sqrt({self._d}))")
+                    f"0 ** {exponent} is undefined in {_ring(self._d)}")
             base = self._inverse()
             exponent = -exponent
         result = QuadExt._of(_ONE, _ZERO, self._d)

@@ -1145,7 +1145,7 @@ class TestLemmasCommand:
         expected = passing.replace("unit-count identities: 776 checks, 0 failures",
                                    "unit-count identities: 776 checks, 2 failures")
         expected = expected.replace("1620 checks, 0 failures", "1620 checks, 1 failures")
-        expected = expected.replace("68 checks, 0 failures", "68 checks, 1 failures")
+        expected = expected.replace("85 checks, 0 failures", "85 checks, 1 failures")
         expected = expected.replace("lemmas: PASS", "lemmas: FAIL")
         assert out == expected != passing
 

@@ -56,8 +56,9 @@ def test_install_reaches_every_shape_that_held_the_part(tool):
     # a closed-form part is called through the theorem shapes that hold it,
     # so a mutant installed only on the module would never run
     ids = tool.ids
-    (module, owner, func), = [target for target in tool._targets(ids)
-                              if target[2].name == "_f5_ratio_base"]
+    (group, owner, func), = [target for target in tool._targets()
+                             if target[2].name == "_f5_ratio_base"]
+    module = group.module
     original, registry = ids._f5_ratio_base, dict(ids._REGISTRY)
     point = lambda: ids.IdentityInstance(ids.IdentityId.F5, ids.FAMILIES["fibonacci"], 2, 3,
                                          r=2, d=1)
@@ -95,3 +96,18 @@ def test_ring_judges_hold_the_ring(tool, monkeypatch):
     real = quad.__mul__
     monkeypatch.setattr(quad, "__mul__", lambda self, other: real(self, other).conjugate())
     assert tool._ring_check()[0] != tool._ring_model() and tool._binet_broken()
+
+
+def test_each_target_has_one_group(tool):
+    # _targets yields a function once per row that holds it, so each must
+    # come once; every row holds a target and names its judge, and a row
+    # that lists names names only functions its module has
+    targets = tool._targets()
+    held = [(id(owner), func.name) for group, owner, func in targets]
+    assert len(held) == len(set(held))
+    for group in tool.GROUPS:
+        names = [func.name if owner is group.module else f"{owner.__name__}.{func.name}"
+                 for row, owner, func in targets if row is group]
+        assert names and callable(group.judge)
+        if not callable(group.targets):
+            assert sorted(names) == sorted(group.targets)

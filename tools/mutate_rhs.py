@@ -1,8 +1,11 @@
-"""Mutation check of the closed-form evaluators, of the grid-line sharing,
-of the preconditions, of the nested-sum oracle and its summand, of the
-sequence terms, of the binomials and of the command line's input gates.
+"""Mutation check of the package: each wrong variant of a target function
+must be killed by the judge of the group that holds it.
 
     python3 tools/mutate_rhs.py
+
+``GROUPS`` holds one row per group of targets: its module, the functions it
+holds, whether its judge evaluates every tag, and the judge; the docstrings
+of the functions a judge calls give the group's kill rule.
 
 Each mutant changes one operator or constant in one target function:
 ``+`` and ``-`` swap, ``*`` and ``/`` swap, ``%`` becomes ``//``, ``**``
@@ -11,176 +14,28 @@ becomes ``*`` and ``//`` becomes ``/`` (augmented assignments included);
 and ``and`` and ``or`` swap; each integer constant of the function's
 body is raised by 1 (its signature, with defaults and annotations, is left
 as it is); and a product ``x * y`` loses one operand, becoming ``x`` or
-``y``, which is how a factor of an int-pair denominator goes missing. The
-targets are the lifted master form of ``horadam_sums.identities``
-(``evaluate_rhs``, which runs it at the tuple of each tag's theorem shape,
-with ``_line_part``, which makes its line part ``_lifted_line`` at that
-tuple, its point part ``_lifted_point`` with its reduction
-``_lifted_reduced``, and their signed power ``_lifted_power``), and the
-parts those tuples hold (every ``*_ratio_base``, which gives the ratio and
-the base as int pairs, reading U, V, q and W as ints, with the index step
-and multiplier, every ``*_term``, and ``_over_disc``), and every left-hand
-``*_summand`` function, with its grid-line sharing (``evaluate_line``,
-which validates a line once and makes its summand and line part once, the
-validation in ``IdentityInstance.__post_init__``, the point copy
-``IdentityInstance._at``, which carries those parts, and ``lhs_spec``,
-which reads a point's summand or makes one), the
-comparison and classification in ``verify``, and its
-preconditions (``_violation`` and every ``_*_violation``), and, in
-``horadam_sums.nestedcore``,
-``oracle_nested`` (its int weights, one value per index, and its int
-fold, Horner's rule in blocks where there is a base) with its chain counts
-``_chain_counts`` (binomials) and ``_suffix_counts`` (one pass per level),
-and the summand method ``SumTerm.value``, and the
-geometric closed form ``master_E`` with its substitution ``f_closed``, and,
-in ``horadam_sums.sequences``, the window of ``HoradamSequence`` (its
-read ``exact``, which gives a term as the window holds it, an int when it
-is integral, and past reach steps a summand's line cursor when given one,
-and ``term``, which gives it as a ``Fraction``, its policy
-``_reaches``, its walk ``_walk``, the slot ``_slot`` a term is stored as,
-the int set-up ``_on_scale`` that the walk and the cursor share,
-the range of stored indices ``_memo`` read off its lists and the pair read
-``exact_pair``), a summand's line cursor ``Stride`` (``past``, one step
-by the line's recurrence or a reset by two ``exact`` reads), and the
-window's far read ``_far``, which gives W[j], or W[j] and
-W[j+1], as int pairs off the index-doubling ladder ``_lucas_pair``, with the
-Lucas companions ``_lucas_terms`` read off that ladder as reduced int pairs
-(``_lowest``) and their readers ``first_kind_pair`` and
-``second_kind_pair``, and ``_steps``, the int recurrences upwards and
-downwards that the walk, the far read and the companions share, and
-``binom`` of ``horadam_sums.combinatorics``, and the grid's point count
-``grid_size`` and its sweep axes (``_sweep_axes`` and ``sweep_lines``) of
-``horadam_sums.identities``, and every method of ``QuadExt``, the ring
-Q[delta]/(delta**2 - D) of ``horadam_sums.exactnum``, with the root powers
-``BinetView`` of ``horadam_sums.sequences`` that read W off it (the lemma
-residuals are left out: tier-1's ``TestLemma3`` fails one made zero). An ``if``
-mutated in its test is named by that test alone. The mutated function is
-compiled against its live module and installed there (a method on its
-class, a precondition or closed-form part also in every field of the theorem
-shapes that hold it), so every caller (``evaluate_rhs`` through the registry,
-validation, ``verify``, ``f_closed``, ``HoradamSequence.exact``, both oracles) runs it;
-it is also bound to the names ``identities``, ``tests/_util.py``
-and this script import it under, so a mutated ``oracle_nested`` is what the
-closed forms are compared with and a mutated ``f_closed`` is what the Binet
-route runs.
+``y``, which is how a factor of an int-pair denominator goes missing. A
+mutant is named by its function and the statement it changes; an ``if``
+mutated in its test is named by that test alone.
 
-A mutant is killed when, for any tag whose evaluation (``verify``, both
-sides) calls the mutated function (every tag, for the oracle, the
-grid-line sharing and the sweep axes), a point of
-the tier-1 deep-depth grid (``tests/test_identities.py::_deep_instances``),
-of the tag's default-grid sweep or, for a tag without a fixed family, of its
-sweep over rational p, q and seeds
-(``tests/test_identities.py::rational_grid``) shows a mismatch, an error
-report or an exception, or when it runs longer than ``TIMEOUT_S``. Every
-built-in family is integral, so the rational sweep is what holds the
-closed forms' int-pair denominators. It is also killed
-when a report of either sweep differs in any field but the two times from
-the unmutated run's (so a sweep with more or fewer points kills), when
-``evaluate_point`` at a deep-depth point differs in
-the same way from ``verify`` of it, when a deep-depth point rebuilt from
-its own fields is not the same point, or when a
-deep-depth point's closed form, evaluated first on a counter that already
-holds a count, then on a fresh counter and on none (a point built alone
-keeps no part, so each call makes its own), gives another value or adds
-another count the second time than the first. A report's two times, which
-no comparison reads, are judged apart: they must not be negative, must be
-0 on a report that evaluated neither side, and must add up to no more
-than the wall time of the ``verify`` call of a deep-depth point; and a
-deep-depth point whose closed form raises ``ZeroDivisionError`` must give
-an ``error`` report with the message, no values and both times 0. An
-oracle mutant is also killed when, on a case
-of ``tests/test_nestedcore.py::KERNEL_CASES``, its value, type or summand
-count differs from the enumeration ``oracle_nested_naive`` (made once per
-case; the long cases span one, two and several blocks of the fold), or
-when, there, it calls ``SumTerm.value`` other than once per index, in
-order, at an int weight bounded by the block, adds two ``Fraction``s, or,
-with a summand that raises mid-range, counts other than the values made
-before it. A summand
-mutant is killed when ``SumTerm.value`` misses, in value or in exact type,
-the product of a plain recurrence walk's term and the power ``base**k`` on
-``SUMMAND_CASES``, or ``value(k) * w / base**k`` for an int weight w (the
-walked term itself, at every int w, for a summand without a base);
-or as a geometric one is, or when a closed form misses the oracle as above:
-``oracle_nested_naive`` calls ``SumTerm.value`` too, so the kernel cases
-cannot see it. A geometric
-mutant is killed when ``master_E`` misses ``((x-1)/x)**n`` times the
-oracle, or counts other than n binomial terms, on criterion 2's grid
-(``tests/test_acceptance.py::master_grid``); when ``f_closed`` misses the
-oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
-``(-x/y)**k``; when a pole is not refused with ``PoleError``; or
-when ``tests/_util.py::binet_route``, which runs every tag's left side
-through ``f_closed``, misses the oracle on the tier-1 deep-depth grid of any
-tag. A sequence mutant is killed when
-``HoradamSequence._far`` of a fresh sequence misses
-``tests/_util.py::walk_terms``, a plain recurrence walk, at any j from
--300 to 300 on ``SEQUENCE_FAMILIES``, as W[j] alone or as the pair W[j]
-and W[j+1], or
-``_lucas_terms``, ``first_kind_pair`` or ``second_kind_pair`` miss the int
-pairs, in lowest terms over a positive denominator, of the walks of
-``lucas_first_kind`` and ``lucas_second_kind`` of those families' (p, q)
-there, or when a fresh
-``HoradamSequence`` misses it, in value or exact type (from ``exact`` an
-int exactly when the term is integral, from ``term`` a ``Fraction``), on
-the reads ``WINDOW_READS`` of each of those families, on the pair reads
-``PAIR_READS`` (``exact_pair``, which must read as ``exact`` at j + 1
-and then j when j + 1 is within reach, and store nothing otherwise) and
-on reads a gap apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY``, or
-is left with a window, in its bounds, its length or the terms its two
-lists hold and their types, other than the walk policy gives, or when
-``exact`` with a ``Stride`` of a fresh window misses the walk, in value or
-exact type, on the lines ``STRIDE_LINES`` of those families, past reach
-(where it must store nothing) or in reach (where it must walk the window); both sides
-of an identity read the same terms, so lhs == rhs cannot see a wrong one.
-``_lucas_terms`` is judged through its ``__wrapped__``, past its cache,
-and the cache is cleared after every mutant, so a pair made while a
-mutant is installed is never read after it, and a pair cached before it
-cannot hide it.
-A ``QuadExt`` mutant is judged by verdicts against the rational matrix
-[[u, v*D], [v, u]] of u + v*delta, at D = -3, 1, 5 and 0 (``RING_DISCS``),
-on ``RING_ELEMENTS``, among them zero divisors at D = 1 and the nilpotent
-delta at D = 0: it is killed when the (u, v) and D of a sum, difference,
-product, quotient, negation, conjugate (the adjugate) or power from -3 to
-3, the norm (the determinant), an equality or a truth value, with another
-element or with an int or a ``Fraction``, differs from the matrices', when
-inverting a matrix of determinant 0 does not raise ``DivisionByZeroError``
-(0 to a negative power, ``ZeroToNegativePowerError``), when two rings'
-elements combine, a float combines or equal elements hash apart, or when an
-element's ``str`` or ``repr`` or an exception's message differs from the
-unmutated code's. A ``BinetView`` mutant is killed when ``term`` misses
-``tests/_util.py::walk_terms``, in value or exact type (``Fraction``), at
-any j from -40 to 40 on ``BINET_FAMILIES``, one at each of those four D, or
-its roots miss tau + sigma = p, tau*sigma = q, tau - sigma = delta and
-delta**2 = D.
-A ``binom`` mutant is killed when it misses
-``tests/_util.py::falling_binom``, in value or in exact type (int), at any
-top from -45 to 45 and k from 0 to 27, or when it no longer raises
-``ValueError`` for a negative k.
-A ``grid_size`` mutant is killed when it misses the number of points
-``sweep_points`` yields, for any tag, on the tag's default grid (given as
-None and as ``default_grid``) or on
-``tests/test_identities.py::COUNTED_GRIDS``.
-A precondition mutant is judged by verdicts alone, never by evaluating
-either side: it is killed when the verdict (valid, or the
-``InvalidInstanceError`` text) on one point of any default-grid line, or
-of ``PRECONDITION_LINES``, differs from the unmutated code's; no
-precondition reads a_n. Those lines also hold one coordinate a form does not
-read off its default, which no default grid does, and F6a's refusals at
-r = 0, D = 0 and U_r = 0 and F3's at V_r = 0, which no default grid meets.
-The command line's input gates, ``check_cost`` and ``check_points`` of
-``horadam_sums.cli``, are judged by verdicts alone too, and no command is
-run: a mutant is killed when check_cost's verdict on a point of
-``COST_POINTS`` (the weight it gives the point's oracle terms, or the
-``ArgumentTypeError`` text) or check_points' on a run of ``GATE_RUNS``
-(accepted, or the text) differs from the unmutated code's. Those cases
-stand at each cap and one past it (terms, reach, bits above and below 0,
-grid points and command cost), on integer_root, a rational (p, q) and a
-family whose denominators do not grow, and hold a line whose first refused
-point is inside it.
-A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to the original, for
-the reason given there. The script prints the mutant and kill counts and the
-runtime, in all and for each group of targets that one judge holds, and
-exits 1 when any other mutant survives or a listed survivor is stale, no
-longer made or now killed (2 when the unmutated code already fails).
+The mutated function is compiled against its live module and installed
+there (a method on its class, a module function also in every field of the
+theorem shapes that hold it), so every caller (``evaluate_rhs`` through
+the registry, validation, ``verify``, ``f_closed``,
+``HoradamSequence.exact``, both oracles) runs it; it is also bound to the
+names ``identities``, ``tests/_util.py`` and this script import it under,
+so a mutated ``oracle_nested`` is what the closed forms are compared with
+and a mutated ``f_closed`` is what the Binet route runs.
+
+A mutant is killed when its judge returns True, raises, or runs longer
+than ``TIMEOUT_S``. Before any mutant, the unmutated code must pass every
+judge on every tag, and what it gives is recorded then for the judges that
+compare with it. A survivor listed in ``KNOWN_SURVIVORS`` is equivalent to
+the original, for the reason given there. The script prints the mutant
+and kill counts and the runtime, in all and for each group, and exits 0,
+or 1 when any other mutant survives or a listed survivor is stale (no
+longer made, or now killed), or 2 when the unmutated code already fails a
+judge.
 """
 
 from __future__ import annotations
@@ -195,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -278,26 +133,66 @@ _COMPARE_SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: as
 _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 
 
-ORACLE_TARGETS = ("oracle_nested", "_chain_counts", "_suffix_counts")
-SUMMAND_TARGETS = ("SumTerm.value",)
-GEOMETRIC_TARGETS = ("master_E", "f_closed")
-SEQUENCE_TARGETS = ("_steps", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
-                    "second_kind_pair", "_slot", "_on_scale", "HoradamSequence.term",
-                    "HoradamSequence.exact", "HoradamSequence.exact_pair", "HoradamSequence._reaches",
-                    "HoradamSequence._walk", "HoradamSequence._far", "HoradamSequence._memo",
-                    "Stride.past")
-LINE_TARGETS = ("evaluate_line", "IdentityInstance.__post_init__", "IdentityInstance._at",
-                "lhs_spec", "verify")
-# the closed forms besides the parts of the theorem shapes' tuples (ratio and
-# base, index step and multiplier, terms) and the left-hand summands
-CLOSED_TARGETS = ("evaluate_rhs", "_line_part", "_over_disc")
-CLOSED_PART_SUFFIXES = ("_ratio_base", "_term", "_summand")
-BINOM_TARGETS = ("binom",)
-GRID_TARGETS = ("grid_size",)
-SWEEP_TARGETS = ("_sweep_axes", "sweep_lines")
-GATE_TARGETS = ("check_cost", "check_points")
-# every method of QuadExt is a ring target
-BINET_TARGETS = ("BinetView.__init__", "BinetView.project", "BinetView.term")
+class Group(NamedTuple):
+    """A row of ``GROUPS``: the functions of ``module`` that ``targets``
+    names (``Class.method`` for a method), or that it holds true of when it
+    is a rule on names, and the judge of their mutants. The judge is given
+    the tags to evaluate, every tag with ``every_tag``, else those whose
+    evaluation calls the mutated function, and the dict where it records
+    what the unmutated code gives, on its first call, and reads it back. It
+    returns True to kill."""
+
+    name: str
+    module: object
+    targets: object
+    every_tag: bool
+    judge: Callable[[list, dict], bool]
+
+    def holds(self, name: str) -> bool:
+        return self.targets(name) if callable(self.targets) else name in self.targets
+
+
+GROUPS = (
+    Group("preconditions", ids, lambda name: name.endswith("_violation"), False,
+          lambda tags, baseline: _verdicts_changed(baseline, "preconditions", ids,
+                                                   _precondition_cases(),
+                                                   ids.InvalidInstanceError)),
+    # the lifted master form, the parts its theorem shapes' tuples hold (ratio
+    # and base, index step and multiplier, terms), the left-hand summands,
+    # and the grid-line sharing, the comparison in verify and the sweep axes
+    Group("closed forms", ids,
+          lambda name: name.startswith("_lifted")
+          or name.endswith(("_ratio_base", "_term", "_summand"))
+          or name in ("evaluate_rhs", "_line_part", "_over_disc", "evaluate_line",
+                      "IdentityInstance.__post_init__", "IdentityInstance._at", "lhs_spec",
+                      "verify", "_sweep_axes", "sweep_lines"),
+          False, lambda tags, baseline: _killed(tags, baseline)),
+    Group("grid", ids, ("grid_size",), False, lambda tags, baseline: _grid_size_broken()),
+    Group("oracle", nc, ("oracle_nested", "_chain_counts", "_suffix_counts"), True,
+          lambda tags, baseline: _killed(tags, baseline, oracle=True)),
+    Group("geometric", nc, ("master_E", "f_closed"), False,
+          lambda tags, baseline: _geometric_broken()),
+    Group("summand", nc, ("SumTerm.value",), True,
+          lambda tags, baseline: _summand_broken() or _killed(tags, baseline)
+          or _geometric_broken()),
+    Group("sequence", sq,
+          ("_steps", "_lucas_pair", "_lowest", "_lucas_terms", "first_kind_pair",
+           "second_kind_pair", "_slot", "_on_scale", "HoradamSequence.term",
+           "HoradamSequence.exact", "HoradamSequence.exact_pair", "HoradamSequence._reaches",
+           "HoradamSequence._walk", "HoradamSequence._far", "HoradamSequence._memo",
+           "Stride.past"),
+          False, lambda tags, baseline: _sequence_broken()),
+    # the lemma residuals are left out: tier-1's TestLemma3 fails one made zero
+    Group("binet", sq, ("BinetView.__init__", "BinetView.project", "BinetView.term"), False,
+          lambda tags, baseline: _binet_broken()),
+    Group("binom", cb, ("binom",), False, lambda tags, baseline: _binom_broken()),
+    Group("gates", cli, ("parse_int_set", "_family_list", "_point_family", "check_cost",
+                         "check_points", "_check_bench_flags"), False,
+          lambda tags, baseline: _verdicts_changed(baseline, "gates", cli, GATE_CASES,
+                                                   argparse.ArgumentTypeError)),
+    Group("ring", en, lambda name: name.startswith("QuadExt."), False,
+          lambda tags, baseline: _ring_broken(baseline)),
+)
 
 # lines a precondition mutant is judged on besides the default grids': F3_G
 # on a family of the wrong shape; (p, q) = (2, 2), whose V_2 = 0 stops F6 at
@@ -376,32 +271,19 @@ POLES = (("master_E", (Fraction(0),)), ("master_E", (Fraction(1),)),
          ("f_closed", (Fraction(2), Fraction(2))))
 
 
-def _is_target(module, name: str) -> bool:
-    if module is en:
-        return name.startswith("QuadExt.")
-    if module is sq:
-        return name in SEQUENCE_TARGETS + BINET_TARGETS
-    if module is cb:
-        return name in BINOM_TARGETS
-    if module is cli:
-        return name in GATE_TARGETS
-    if module is nc:
-        return name in ORACLE_TARGETS + GEOMETRIC_TARGETS + SUMMAND_TARGETS
-    return name.startswith("_lifted") or name.endswith(CLOSED_PART_SUFFIXES + ("_violation",)) \
-        or name in CLOSED_TARGETS + LINE_TARGETS + GRID_TARGETS + SWEEP_TARGETS
-
-
-def _targets(module) -> list:
-    """(module, owner, function node) for each target of ``module``: the
-    owner is the class of a method target, else the module itself."""
-    tree = ast.parse(Path(module.__file__).read_text())
-    found = [(module, module, node) for node in tree.body
-             if isinstance(node, ast.FunctionDef) and _is_target(module, node.name)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            found += [(module, getattr(module, cls.name), node) for node in cls.body
-                      if isinstance(node, ast.FunctionDef)
-                      and _is_target(module, f"{cls.name}.{node.name}")]
+def _targets() -> list:
+    """(group, owner, function node) for every function a row of ``GROUPS``
+    holds, module by module in the rows' order, each module's functions in
+    file order and then its classes' methods: the owner is the class of a
+    method, else the module."""
+    found = []
+    for module in dict.fromkeys(group.module for group in GROUPS):
+        tree = ast.parse(Path(module.__file__).read_text())
+        scopes = [(module, "", tree)] + [(getattr(module, cls.name), f"{cls.name}.", cls)
+                                         for cls in tree.body if isinstance(cls, ast.ClassDef)]
+        found += [(group, owner, node) for owner, prefix, scope in scopes
+                  for node in scope.body if isinstance(node, ast.FunctionDef)
+                  for group in GROUPS if group.module is module and group.holds(prefix + node.name)]
     return found
 
 
@@ -452,8 +334,10 @@ def _statement(func: ast.FunctionDef, node: ast.AST) -> str:
 
 
 def _callers(names: set) -> dict:
-    """For each target function, the tags whose evaluation (``verify``, both
-    sides) calls it."""
+    """For each function name of ``names``, the tags whose evaluation calls
+    a function of ``identities`` by that name: a deep-depth point's, made
+    as a sweep makes it (``evaluate_point``: validation, both sides and
+    ``verify``), with the tag's default grid lines."""
     callers = {name: [] for name in names}
     for ident in ids.IdentityId:
         seen = set()
@@ -465,7 +349,8 @@ def _callers(names: set) -> dict:
         one = _deep_instances(ident)[0]
         sys.setprofile(profile)
         try:
-            ids.verify(one)
+            ids.evaluate_point(ident, one.params, one.n, one.a_n, one.c, one.r, one.s, one.d)
+            list(ids.sweep_lines(ident))
         finally:
             sys.setprofile(None)
         for name in seen & names:
@@ -509,13 +394,15 @@ _naive = lru_cache(maxsize=None)(lambda spec: oracle_nested_naive(spec, cap=None
 
 
 def _kernel_broken() -> bool:
-    """True when the oracle disagrees with the naive enumeration on a kernel
-    case, in value, type or count, or calls ``SumTerm.value`` other than once
-    per index of the innermost range, in order, at an int weight u**(k - s)
-    bounded by the block, as ``TestSummandCalls`` pins: 1 without a base; or
-    adds two ``Fraction``s, where its fold keeps to ints; or when a summand
-    that raises at the range's middle index does not leave the count of the
-    values made before it."""
+    """True when the oracle disagrees with ``oracle_nested_naive`` on a case
+    of ``tests/test_nestedcore.py::KERNEL_CASES`` (the long cases span one,
+    two and several blocks of the fold), in value, type or count, or calls
+    ``SumTerm.value`` other than once per index of the innermost range, in
+    order, at an int weight u**(k - s) bounded by the block, as
+    ``TestSummandCalls`` pins: 1 without a base; or adds two ``Fraction``s,
+    where its fold keeps to ints; or when a summand that raises at the
+    range's middle index does not leave the count of the values made before
+    it."""
     calls = []
     value = nc.SumTerm.value
     adds = Fraction.__add__, Fraction.__radd__
@@ -570,8 +457,14 @@ def _kernel_broken() -> bool:
 
 
 def _geometric_broken() -> bool:
-    """True when the geometric closed forms miss the oracle, a pole goes
-    unrefused, or a Binet route misses the oracle (see the module docstring)."""
+    """True when ``master_E`` misses ``((x-1)/x)**n`` times the oracle, or
+    counts other than n binomial terms, on criterion 2's grid
+    (``tests/test_acceptance.py::master_grid``); when ``f_closed`` misses
+    the oracle on ``RATIONAL_XY``, as the sum of ``(x/y)**k`` and, at -x, of
+    ``(-x/y)**k``; when a pole of ``POLES`` is not refused with
+    ``PoleError``; or when ``tests/_util.py::binet_route``, which runs every
+    tag's left side through ``f_closed``, misses the oracle on the tier-1
+    deep-depth grid of any tag."""
     for x, n, a_n, c in master_grid():
         counter = EvalCounter()
         value = nc.master_E(x, n, a_n, c, counter)
@@ -603,7 +496,10 @@ def _summand_broken() -> bool:
     term times ``base**k`` (``tests/_util.py::summand_fn``), or
     ``value(k) * w / base**k`` for an int weight ``w`` (an int exactly when
     that is integral); a summand without a base reads only whether ``w`` is
-    an int, so it must give the walked term itself at every int ``w``."""
+    an int, so it must give the walked term itself at every int ``w``. Its
+    group's judge also runs :func:`_killed` on every tag and
+    :func:`_geometric_broken`: ``oracle_nested_naive`` calls
+    ``SumTerm.value`` too, so the kernel cases cannot see a wrong one."""
     for summand in SUMMAND_CASES:
         expected_at = _util.summand_fn(summand)
         for k in range(-12, 13):
@@ -721,10 +617,16 @@ def _stride_broken(params, walked: dict) -> bool:
 
 
 def _sequence_broken() -> bool:
-    """True when ``HoradamSequence._far``, one term or a pair, or
-    ``_lucas_terms`` misses a plain recurrence walk, or a fresh window's
-    reads, one term or one pair at a time, do (see :func:`_window_broken`),
-    or a summand's reader does on a line (see :func:`_stride_broken`)."""
+    """True when ``HoradamSequence._far`` of a fresh sequence, as W[j] alone
+    or as the pair W[j] and W[j+1], misses ``tests/_util.py::walk_terms``, a
+    plain recurrence walk, at any j from -300 to 300 on
+    ``SEQUENCE_FAMILIES``; when the Lucas companions do there (see
+    :func:`_companions_broken`); when a fresh window's reads do, on
+    ``WINDOW_READS`` and ``PAIR_READS`` of each family and on reads a gap
+    apart up to and past ``WINDOW_CAP`` on ``CAP_FAMILY`` (see
+    :func:`_window_broken`); or when a summand's reader does on a line (see
+    :func:`_stride_broken`). Both sides of an identity read the same terms,
+    so lhs == rhs cannot see a wrong one."""
     for params in SEQUENCE_FAMILIES:
         walked = _walked(params, -301, 301)
         far = sq.HoradamSequence(params)._far
@@ -798,11 +700,12 @@ def _power(m: tuple, e: int) -> tuple:
     return power
 
 
+@lru_cache(maxsize=None)
 def _ring_model() -> list:
     """The verdicts ``_ring_check`` must give, from the matrix model alone:
     each operation on ``RING_ELEMENTS`` at each of ``RING_DISCS``, in its
     order, as an element's verdict, a bool, a rational or the name of the
-    exception raised."""
+    exception raised. Made once, as no mutant reaches it."""
     verdicts = []
 
     def add(fn, disc):
@@ -891,6 +794,23 @@ def _ring_check() -> tuple:
     return verdicts, texts
 
 
+def _ring_broken(baseline: dict) -> bool:
+    """True when ``QuadExt`` misses the rational matrix [[u, v*D], [v, u]]
+    of u + v*delta on ``RING_ELEMENTS`` at each of ``RING_DISCS``: when the
+    (u, v) and D of a sum, difference, product, quotient, negation,
+    conjugate (the adjugate) or power from -3 to 3, the norm (the
+    determinant), an equality or a truth value, with another element or
+    with an int or a ``Fraction``, differs from the matrices'; when
+    inverting a matrix of determinant 0 does not raise
+    ``DivisionByZeroError`` (0 to a negative power,
+    ``ZeroToNegativePowerError``); when two rings' elements combine, a float
+    combines or equal elements hash apart; or when an element's ``str`` or
+    ``repr`` or an exception's message differs from the unmutated code's,
+    which the first call records in ``baseline``."""
+    verdicts, texts = _ring_check()
+    return verdicts != _ring_model() or baseline.setdefault("ring", texts) != texts
+
+
 # the Binet views' families, one at each of RING_DISCS, with a != 0 and
 # 2*b != a*p so that both coordinates of tau**j count
 BINET_FAMILIES = (sq.horadam(Fraction(3, 2), -1, 1, 1), sq.horadam(2, Fraction(1, 3), 3, 2),
@@ -921,8 +841,9 @@ BINOMS = {(top, k): _util.falling_binom(top, k) for top in range(-45, 46) for k 
 
 
 def _binom_broken() -> bool:
-    """True when ``binom`` misses the falling-factorial definition, in value
-    or exact type, or returns for a negative k instead of raising."""
+    """True when ``binom`` misses ``tests/_util.py::falling_binom``, in value
+    or exact type (int), at any top from -45 to 45 and k from 0 to 27, or
+    returns for a negative k instead of raising ``ValueError``."""
     for (top, k), expected in BINOMS.items():
         value = cb.binom(top, k)
         if value != expected or type(value) is not int:
@@ -946,22 +867,29 @@ def _grid_size_broken() -> bool:
     return False
 
 
-def _verdicts() -> list:
-    """The verdict on one point of each default-grid line and of
-    ``PRECONDITION_LINES``: None when the point is valid, else the
-    ``InvalidInstanceError`` text. No precondition reads a_n, and neither
-    side is evaluated."""
+def _verdicts_changed(baseline: dict, key: str, module, cases, error: type) -> bool:
+    """True when a case ``(name, args)`` gets another verdict than under the
+    unmutated code: the value of ``module``'s function ``name`` at ``args``,
+    or the text of the ``error`` it raises. The function is looked up at
+    each call, so a mutant installed there is what runs; nothing else is
+    evaluated. The first call for ``key`` records the list in ``baseline``."""
+    verdicts = []
+    for name, args in cases:
+        try:
+            verdicts.append(getattr(module, name)(*args))
+        except error as exc:
+            verdicts.append(str(exc))
+    return baseline.setdefault(key, verdicts) != verdicts
+
+
+def _precondition_cases() -> list:
+    """Validation of one point of each default-grid line and of
+    ``PRECONDITION_LINES``: no precondition reads a_n, and a precondition
+    mutant is judged by these verdicts alone, never by evaluating either
+    side."""
     points = [(ident, params, n, a_values[0], c, r, s, d) for ident in ids.IdentityId
               for params, n, a_values, c, r, s, d in ids.sweep_lines(ident, None)]
-    verdicts = []
-    for point in points + list(PRECONDITION_LINES):
-        try:
-            ids.IdentityInstance(*point)
-        except ids.InvalidInstanceError as exc:
-            verdicts.append(str(exc))
-        else:
-            verdicts.append(None)
-    return verdicts
+    return [("IdentityInstance", point) for point in points + list(PRECONDITION_LINES)]
 
 
 # the input gates' cases, judged by verdict alone: integer_root, whose
@@ -1020,18 +948,45 @@ GATE_RUNS = ((100_000, (), False), (100_001, (), False),
              (3, ((_ROOT, 5, (-2, -1, 0), -5994, 3, 0, 0),), False))
 
 
-def _gate_verdicts() -> list:
-    """The verdict on each of ``COST_POINTS``, check_cost's weight or its
-    ``ArgumentTypeError`` text, and on each of ``GATE_RUNS``, None when
-    check_points accepts it or the text. Nothing is run."""
-    verdicts = []
-    for check, cases in ((cli.check_cost, COST_POINTS), (cli.check_points, GATE_RUNS)):
-        for case in cases:
-            try:
-                verdicts.append(check(*case))
-            except argparse.ArgumentTypeError as exc:
-                verdicts.append(str(exc))
-    return verdicts
+_PARSER = cli.build_parser()
+
+
+def _bench(*argv: str) -> argparse.Namespace:
+    """bench's flags as its parser leaves them for ``argv``."""
+    return _PARSER.parse_args(["bench", *argv])
+
+
+# the flag checks' cases: parse_int_set at the range cap and one past it, a
+# one-value range, an end below its start, a comma list, a single int, text
+# that is not an int and a range with two ".."; _check_bench_flags on flags
+# each kind reads, --c on any kind, each identity flag alone and all
+# together without --kind identity, and --x without --kind geometric;
+# _family_list on no flag, two families, --p/--q/--a/--b given, partly given,
+# given with --family and with p = 0, and an unknown family; _point_family
+# on a tag with a fixed family and one without, with and without flags
+_IDENTITY_FLAGS = (("--identity", "F3"), ("--family", "lucas"), ("--p", "2"), ("--q", "2"),
+                   ("--a", "2"), ("--b", "2"), ("--r", "2"), ("--s", "1"), ("--d", "1"))
+_PQAB = ("--p", "1", "--q", "-1", "--a", "2", "--b", "1")
+FLAG_CASES = [*(("parse_int_set", (text,)) for text in (
+                  "1..100000", "1..100001", "5..5", "5..4", "1,3,-2", "7", "x", "1..2..3")),
+              *(("_check_bench_flags", (_bench(*argv),)) for argv in (
+                  (), ("--c", "5"), ("--kind", "geometric", "--x", "3"),
+                  ("--kind", "identity", "--identity", "F3", "--family", "fibonacci", "--r",
+                   "2", "--s", "1", "--d", "1"),
+                  *(("--kind", "geometric", *flag) for flag in _IDENTITY_FLAGS),
+                  tuple(arg for flag in _IDENTITY_FLAGS for arg in flag),
+                  ("--kind", "identity", "--x", "2"), ("--x", "2"))),
+              *(("_family_list", (_bench(*argv),)) for argv in (
+                  (), ("--family", "fibonacci", "--family", "lucas"), _PQAB, _PQAB[:4],
+                  ("--family", "fibonacci", *_PQAB), ("--p", "0", *_PQAB[2:]),
+                  ("--family", "nope"))),
+              *(("_point_family", (ident, _bench(*argv))) for ident in (
+                  ids.IdentityId.H, ids.IdentityId.F3) for argv in (
+                  (), ("--family", "lucas", "--family", "fibonacci")))]
+# check_cost's weight or text on each point, check_points' None or text on
+# each run, and each flag check's value or text; nothing is run
+GATE_CASES = [*(("check_cost", point) for point in COST_POINTS),
+              *(("check_points", run) for run in GATE_RUNS), *FLAG_CASES]
 
 
 def _fields(report) -> tuple:
@@ -1070,11 +1025,27 @@ def _error_report_wrong() -> bool:
         != (ids.CLASS_ERROR, "pole here", None, None, None) or _times_wrong(report)
 
 
-def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
-    """True when a tag's deep-depth points, default sweep or rational sweep
-    fail (see the module docstring), or its sweeps' reports differ from
-    ``swept[tag]`` but in their times; a tag not yet there has its reports
-    recorded."""
+def _killed(tags: list, baseline: dict, oracle: bool = False) -> bool:
+    """True when, for a tag of ``tags``, a point of the tier-1 deep-depth
+    grid (``tests/test_identities.py::_deep_instances``), of the tag's
+    default-grid sweep or, for a tag without a fixed family, of its sweep
+    over rational p, q and seeds (``tests/test_identities.py::rational_grid``)
+    shows a mismatch or an error report, or when a report of either sweep
+    differs in any field but the two times from the unmutated run's (so a
+    sweep with more or fewer points kills), which the first call for the
+    tag records in ``baseline``. Every built-in family is
+    integral, so the rational sweep is what holds the closed forms' int-pair
+    denominators. Also True when ``evaluate_point`` at a deep-depth point
+    differs in the same way from ``verify`` of it, when a deep-depth point
+    rebuilt from its own fields is not the same point, or when a deep-depth
+    point's closed form, evaluated first on a counter that already holds a
+    count, then on a fresh counter and on none (a point built alone keeps no
+    part, so each call makes its own), gives another value or adds another
+    count the second time than the first; when a report's times are wrong
+    (see :func:`_times_wrong`, against the wall time of ``verify`` at a
+    deep-depth point) or a closed form's ``ZeroDivisionError`` is reported
+    wrongly (see :func:`_error_report_wrong`); and, with ``oracle``, when
+    :func:`_kernel_broken`."""
     if oracle and _kernel_broken() or _error_report_wrong():
         return True
     for ident in tags:
@@ -1104,32 +1075,9 @@ def _killed(tags: list, swept: dict, oracle: bool = False) -> bool:
                         or _times_wrong(report):
                     return True
                 reports.append(_fields(report))
-        if swept.setdefault(ident, reports) != reports:
+        if baseline.setdefault(ident, reports) != reports:
             return True
     return False
-
-
-def _group(module, name: str) -> str:
-    """The group of the target ``name`` of ``module``, which names its judge."""
-    if name in GEOMETRIC_TARGETS:
-        return "geometric"
-    if module is en:
-        return "ring"
-    if name in BINET_TARGETS:
-        return "binet"
-    if module is sq:
-        return "sequence"
-    if module is cb:
-        return "binom"
-    if name in GRID_TARGETS:
-        return "grid"
-    if module is cli:
-        return "gates"
-    if name.endswith("_violation"):
-        return "preconditions"
-    if name in SUMMAND_TARGETS:
-        return "summand"
-    return "oracle" if module is nc else "closed forms"
 
 
 def _on_alarm(signum, frame):
@@ -1138,56 +1086,32 @@ def _on_alarm(signum, frame):
 
 def main() -> int:
     start = time.perf_counter()
-    funcs = _targets(ids) + _targets(nc) + _targets(sq) + _targets(cb) + _targets(cli) \
-        + _targets(en)
+    targets = _targets()
+    every = list(ids.IdentityId)
+    callers = _callers({func.name for group, owner, func in targets if not group.every_tag})
     registry = dict(ids._REGISTRY)
-    callers = _callers({func.name for module, owner, func in funcs if module is ids})
-    callers.update({name: list(ids.IdentityId)
-                    for name in ORACLE_TARGETS + LINE_TARGETS + SWEEP_TARGETS})
-    swept: dict = {}
-    verdicts = _verdicts()
-    gate_verdicts = _gate_verdicts()
-    ring_model, ring_texts = _ring_model(), _ring_check()[1]
-    if _killed(list(ids.IdentityId), swept, oracle=True) or _geometric_broken() \
-            or _summand_broken() or _sequence_broken() or _binom_broken() \
-            or _grid_size_broken() or _ring_check() != (ring_model, ring_texts) \
-            or _binet_broken():
+    baseline: dict = {}
+    if any(group.judge(every, baseline) for group in GROUPS):
         print("the unmutated code already fails the check")
         return 2
-    # each group's judge of a mutant of the target ``name``: True kills it
-    judges = {
-        "geometric": lambda name: _geometric_broken(),
-        "ring": lambda name: _ring_check() != (ring_model, ring_texts),
-        "binet": lambda name: _binet_broken(),
-        "sequence": lambda name: _sequence_broken(),
-        "binom": lambda name: _binom_broken(),
-        "grid": lambda name: _grid_size_broken(),
-        "gates": lambda name: _gate_verdicts() != gate_verdicts,
-        "preconditions": lambda name: _verdicts() != verdicts,
-        "summand": lambda name: _summand_broken() or _killed(list(ids.IdentityId), swept)
-        or _geometric_broken(),
-        "oracle": lambda name: _killed(callers[name], swept, oracle=True),
-        "closed forms": lambda name: _killed(callers[name], swept),
-    }
     signal.signal(signal.SIGALRM, _on_alarm)
-    total = killed = 0
-    survivors = []
     # per group: [mutants, killed, seconds]
-    groups: dict = {}
-    for module, owner, func in funcs:
+    tally = {group.name: [0, 0, 0.0] for group in GROUPS}
+    survivors = []
+    for group, owner, func in targets:
+        module = group.module
         original = vars(owner)[func.name]
         name = func.name if owner is module else f"{owner.__name__}.{func.name}"
+        tags = every if group.every_tag else callers[func.name]
         for node, field, replacement in _sites(func):
             saved = getattr(node, field)
             setattr(node, field, replacement)
             key = f"{name}: {_statement(func, node)}"
-            total += 1
-            group = _group(module, name)
             started = time.perf_counter()
             signal.alarm(TIMEOUT_S)
             try:
                 _install(module, owner, func)
-                dead = judges[group](name)
+                dead = group.judge(tags, baseline)
             except Exception:  # a crash or a timeout kills the mutant
                 dead = True
             finally:
@@ -1199,13 +1123,11 @@ def main() -> int:
                 if owner is module:
                     ids._REGISTRY.update(registry)
                     _rebind(func.name, original)
-            tally = groups.setdefault(group, [0, 0, 0.0])
-            tally[0] += 1
-            tally[1] += dead
-            tally[2] += time.perf_counter() - started
-            if dead:
-                killed += 1
-            else:
+            counts = tally[group.name]
+            counts[0] += 1
+            counts[1] += dead
+            counts[2] += time.perf_counter() - started
+            if not dead:
                 survivors.append(key)
     elapsed = time.perf_counter() - start
     new = [key for key in survivors if key not in KNOWN_SURVIVORS]
@@ -1215,9 +1137,10 @@ def main() -> int:
               + ("" if key in new else f"  ({KNOWN_SURVIVORS[key]})"))
     for key in stale:
         print(f"STALE: known survivor no longer generated or now killed: {key}")
-    for group, (count, dead, seconds) in groups.items():
+    for group, (count, dead, seconds) in tally.items():
         print(f"{group}: {count} mutants, {dead} killed, {seconds:.1f} s")
-    print(f"{total} mutants, {killed} killed, {len(survivors)} survived "
+    total = sum(count for count, _, _ in tally.values())
+    print(f"{total} mutants, {total - len(survivors)} killed, {len(survivors)} survived "
           f"({len(new)} new, {len(stale)} stale), {elapsed:.1f} s")
     return 1 if new or stale else 0
 
